@@ -47,16 +47,16 @@ class ContextMap:
     the knn/basket/window variants override them with array paths.
     """
 
-    provenance = "explicit"
-
     def context_of(self, row: int, col: int) -> list[DataIndex]:
         raise NotImplementedError
 
-    def sums(self, data: DataMatrix, cv: np.ndarray, rows, cols, xvals=None, stored_mask=None):
+    def sums(self, data: DataMatrix, cv: np.ndarray, rows, cols, xvals=None, stored_mask=None,
+             entity_mask=None):
         """Context inner sums for a batch of cells.
 
         Returns (S, counts): S[e] = sum_{j in c_e} x_j * cv[row_j], and
-        counts[e] = |c_e|.
+        counts[e] = |c_e|.  With ``entity_mask`` (bool per entity row),
+        members whose row is masked are left out of both.
         """
         dim = cv.shape[1]
         n = len(rows)
@@ -64,6 +64,8 @@ class ContextMap:
         counts = np.zeros(n, dtype=np.int64)
         for e in range(n):
             members = self.context_of(int(rows[e]), int(cols[e]))
+            if entity_mask is not None:
+                members = [j for j in members if not entity_mask[j.row]]
             counts[e] = len(members)
             for j in members:
                 S[e] += data.value(j.row, j.col) * cv[j.row]
@@ -80,8 +82,6 @@ class ContextMap:
 class ExplicitContext(ContextMap):
     """Context map given as an explicit cell -> members dictionary."""
 
-    provenance = "explicit"
-
     def __init__(self, mapping: dict[tuple[int, int], list]):
         self._map = {k: [DataIndex(*j) for j in v] for k, v in mapping.items()}
 
@@ -92,24 +92,23 @@ class ExplicitContext(ContextMap):
 class KnnContext(ContextMap):
     """Same-column contexts over each entity's k nearest spatial neighbors."""
 
-    provenance = "knn"
-
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
-
-    @property
-    def k(self) -> int:
-        return self.neighbors.shape[1]
 
     def context_of(self, row: int, col: int) -> list[DataIndex]:
         return [DataIndex(int(m), col) for m in self.neighbors[row]]
 
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None):
+    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
         x = data.dense()
         nb = self.neighbors[rows]                      # (E, k)
         vals = x[nb, np.asarray(cols)[:, None]]        # (E, k)
+        if entity_mask is None:
+            counts = np.full(len(rows), nb.shape[1], dtype=np.int64)
+        else:
+            kept = ~entity_mask[nb]
+            vals = np.where(kept, vals, 0.0)
+            counts = kept.sum(axis=1)
         S = np.einsum("ek,ekd->ed", vals, cv[nb])
-        counts = np.full(len(rows), self.k, dtype=np.int64)
         return S, counts
 
     def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
@@ -123,8 +122,6 @@ class KnnContext(ContextMap):
 class BasketContext(ContextMap):
     """Contexts are the other stored entries of the same column."""
 
-    provenance = "basket"
-
     def __init__(self, data: DataMatrix):
         self._data = data
 
@@ -135,23 +132,14 @@ class BasketContext(ContextMap):
             DataIndex(int(d.rows[e]), col) for e in ids if int(d.rows[e]) != row
         ]
 
-    def _column_tables(self, data, cv):
-        t = data.n_cols
-        colsum = np.zeros((t, cv.shape[1]))
-        np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
-        colcount = np.bincount(data.cols, minlength=t)
-        return colsum, colcount
-
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None):
-        colsum, colcount = self._column_tables(data, cv)
+    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+        colsum, colcount = _column_tables(data, cv, entity_mask)
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        if stored_mask is None:
-            stored_mask = np.array(
-                [data.has_entry(int(r), int(c)) for r, c in zip(rows, cols)], dtype=bool
-            )
-        if xvals is None:
-            xvals = np.array([data.value(int(r), int(c)) for r, c in zip(rows, cols)])
+        xvals, stored_mask = _cell_values(data, rows, cols, xvals, stored_mask)
+        if entity_mask is not None:
+            # a masked cell is not in its column's table, so nothing to remove
+            stored_mask = stored_mask & ~entity_mask[rows]
         S = colsum[cols].copy()
         S[stored_mask] -= xvals[stored_mask, None] * cv[rows[stored_mask]]
         counts = colcount[cols] - stored_mask.astype(np.int64)
@@ -165,13 +153,7 @@ class BasketContext(ContextMap):
         # every stored entry j=(m,t) is in the context of every scored cell of
         # column t except itself
         np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
-        if stored_mask is None:
-            stored_mask = np.array(
-                [data.has_entry(int(r), int(c)) for r, c in zip(rows, cols)], dtype=bool
-            )
-        if xvals is None:
-            xvals = np.array([data.value(int(r), int(c)) for r, c in zip(rows, cols)])
-        sm = stored_mask
+        xvals, sm = _cell_values(data, rows, cols, xvals, stored_mask)
         if sm.any():
             np.add.at(out, rows[sm], -(xvals[sm, None] * coef[sm]))
 
@@ -183,8 +165,6 @@ class WindowContext(ContextMap):
     the data; ``window_positions`` exposes it.  Cell-level membership expands
     those columns through the stored entries of a bound matrix.
     """
-
-    provenance = "window"
 
     def __init__(self, length: int, half_width: int, data: DataMatrix | None = None):
         if length < 1:
@@ -223,13 +203,11 @@ class WindowContext(ContextMap):
         if data.n_cols != self.length:
             raise DataError("matrix length disagrees with window context")
 
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None):
+    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
         self._check(data)
-        colsum = np.zeros((data.n_cols, cv.shape[1]))
-        np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
-        colcount = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
+        colsum, colcount = _column_tables(data, cv, entity_mask)
         ws = self._window_table(colsum)
-        wc = self._window_table(colcount[:, None])[:, 0]
+        wc = self._window_table(colcount[:, None].astype(np.float64))[:, 0]
         cols = np.asarray(cols)
         return ws[cols], wc[cols].astype(np.int64)
 
@@ -239,6 +217,30 @@ class WindowContext(ContextMap):
         np.add.at(R, np.asarray(cols), coef)
         rw = self._window_table(R)
         np.add.at(out, data.rows, data.vals[:, None] * rw[data.cols])
+
+
+def _cell_values(data: DataMatrix, rows, cols, xvals=None, stored_mask=None):
+    """Values and storedness of a batch of cells, looked up where not given."""
+    if stored_mask is None:
+        stored_mask = np.array(
+            [data.has_entry(int(r), int(c)) for r, c in zip(rows, cols)], dtype=bool
+        )
+    if xvals is None:
+        xvals = np.array([data.value(int(r), int(c)) for r, c in zip(rows, cols)])
+    return xvals, stored_mask
+
+
+def _column_tables(data: DataMatrix, cv: np.ndarray, entity_mask=None):
+    """Per column: the sum of x_j * cv[row_j] and the count over stored
+    entries j, leaving out entries whose row ``entity_mask`` marks."""
+    rows, cols, vals = data.rows, data.cols, data.vals
+    if entity_mask is not None:
+        kept = ~entity_mask[rows]
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    colsum = np.zeros((data.n_cols, cv.shape[1]))
+    np.add.at(colsum, cols, vals[:, None] * cv[rows])
+    colcount = np.bincount(cols, minlength=data.n_cols)
+    return colsum, colcount
 
 
 def knn_neighbors(positions: np.ndarray, k: int) -> np.ndarray:

@@ -117,12 +117,6 @@ class DataMatrix:
             self._dense_cache = x
         return self._dense_cache
 
-    def data_indices(self) -> list[DataIndex]:
-        """All data-term indices: every cell if implicit_zero, else stored entries."""
-        if self.implicit_zero:
-            return [DataIndex(n, t) for n in range(self.n_rows) for t in range(self.n_cols)]
-        return [DataIndex(int(r), int(c)) for r, c in zip(self.rows, self.cols)]
-
     def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
         """New matrix over the given columns, reindexed 0..len(keep)-1."""
         keep = list(keep)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DataMatrix, EmbeddingBank
 from .errors import ConfigError
-from .families import Family, FamilySpec, conditional_means, validate_bank
+from .families import Family, FamilySpec, _linear_values, conditional_means, validate_bank
 
 MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 
@@ -144,56 +144,47 @@ def _require_poisson(spec: FamilySpec):
         raise ConfigError("normalized predictive log-likelihood applies to Poisson-family models")
 
 
+def _squared_errors(test_data, ctx, bank, spec, entries, entity_mask=None):
+    """Squared error of each listed entry against its Gaussian mean, which is
+    its linear value, and whether any context member was left to predict it."""
+    means, _, counts, _ = _linear_values(
+        test_data, ctx, bank, spec, test_data.rows[entries], test_data.cols[entries],
+        test_data.vals[entries], np.ones(len(entries), dtype=bool), entity_mask)
+    return (test_data.vals[entries] - means) ** 2, counts > 0
+
+
 def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
                       spec: FamilySpec) -> EvalReport:
     """Squared error of predicting each held-out entry from the true values
     of its context members.  Empty-context entries are excluded and counted."""
     _require_gaussian(spec)
     validate_bank(spec, bank)
-    means, active = conditional_means(
-        test_data, ctx, bank, spec, test_data.rows, test_data.cols,
-        xvals=test_data.vals,
-        stored_mask=np.ones(test_data.nnz, dtype=bool))
-    counts = np.array([len(ctx.context_of(int(r), int(c)))
-                       for r, c in zip(test_data.rows, test_data.cols)])
-    keep = active & (counts > 0)
-    err2 = (test_data.vals[keep] - means[keep]) ** 2
-    return EvalReport.from_scores("leave_one_out_mse", err2, int((~keep).sum()))
+    err2, keep = _squared_errors(test_data, ctx, bank, spec, np.arange(test_data.nnz))
+    return EvalReport.from_scores("leave_one_out_mse", err2[keep], int((~keep).sum()))
 
 
 def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
                            spec: FamilySpec, folds: int = 4, seed: int = 0) -> EvalReport:
     """Fold the entities, predict each entry with in-fold context members
-    removed, and pool the squared errors over all folds."""
+    removed, and pool the squared errors over all folds.  Entries left with
+    an empty context are excluded and counted."""
     _require_gaussian(spec)
     validate_bank(spec, bank)
     if folds < 2:
         raise ConfigError("fold count must be >= 2 (folds=1 would empty every context)")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(test_data.n_rows, dtype=np.int64)
-    perm = rng.permutation(test_data.n_rows)
-    for rank, row in enumerate(perm.tolist()):
-        fold_of[row] = rank % folds
-    emb = bank.effective_embeddings()
-    cv = bank.effective_context_vectors()
-    divide = spec.link.rescales_by_count
-    err2 = []
-    excluded = 0
-    for r, c, x in zip(test_data.rows.tolist(), test_data.cols.tolist(),
-                       test_data.vals.tolist()):
-        members = [j for j in ctx.context_of(r, c) if fold_of[j.row] != fold_of[r]]
-        if not members:
-            excluded += 1
-            continue
-        total = np.zeros(bank.dim)
-        for j in members:
-            total += test_data.value(j.row, j.col) * cv[j.row]
-        if divide:
-            total /= len(members)
-        pred = float(emb[r] @ total)
-        err2.append((x - pred) ** 2)
+    fold_of[rng.permutation(test_data.n_rows)] = np.arange(test_data.n_rows) % folds
+    entry_fold = fold_of[test_data.rows]
+    err2 = np.empty(test_data.nnz)
+    keep = np.empty(test_data.nnz, dtype=bool)
+    for f in range(folds):
+        cells = np.flatnonzero(entry_fold == f)
+        err2[cells], keep[cells] = _squared_errors(test_data, ctx, bank, spec, cells,
+                                                   entity_mask=fold_of == f)
     return EvalReport.from_scores("leave_25pct_out_mse" if folds == 4 else
-                                  f"leave_fold_out_mse_{folds}", np.array(err2), excluded)
+                                  f"leave_fold_out_mse_{folds}", err2[keep],
+                                  int((~keep).sum()))
 
 
 def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
@@ -204,7 +195,6 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     validate_bank(spec, bank)
     n = test_data.n_rows
     cols_with = np.unique(test_data.cols)
-    col_pos = {int(c): i for i, c in enumerate(cols_with)}
     rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
     cols_all = np.repeat(cols_with, n)
     x_dense = test_data.dense()
@@ -215,17 +205,12 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     means = np.where(active, means, 0.0)
     mean_table = means.reshape(len(cols_with), n)
     normalizer = mean_table.sum(axis=1)
-    scores = []
-    excluded = 0
-    for r, c in zip(test_data.rows.tolist(), test_data.cols.tolist()):
-        i = col_pos[c]
-        mu = mean_table[i, r]
-        z = normalizer[i]
-        if mu <= 0.0 or z <= 0.0 or not np.isfinite(z):
-            excluded += 1
-            continue
-        scores.append(math.log(mu / z))
-    return EvalReport.from_scores("normalized_predictive_ll", np.array(scores), excluded)
+    table_row = np.searchsorted(cols_with, test_data.cols)
+    mu = mean_table[table_row, test_data.rows]
+    z = normalizer[table_row]
+    keep = ~((mu <= 0.0) | (z <= 0.0) | ~np.isfinite(z))
+    return EvalReport.from_scores("normalized_predictive_ll", np.log(mu[keep] / z[keep]),
+                                  int((~keep).sum()))
 
 
 def popularity_npll(test_data: DataMatrix, train_data: DataMatrix,

@@ -117,17 +117,10 @@ class ClampCounters:
 
     eta_clamped: int = 0
     rate_floored: int = 0
-    mean_clamped: int = 0
-
-    def merge(self, other: "ClampCounters") -> None:
-        self.eta_clamped += other.eta_clamped
-        self.rate_floored += other.rate_floored
-        self.mean_clamped += other.mean_clamped
 
     def reset(self) -> None:
         self.eta_clamped = 0
         self.rate_floored = 0
-        self.mean_clamped = 0
 
 
 @dataclass
@@ -206,20 +199,33 @@ def categorical_log_likelihood(etas: np.ndarray, active: int) -> float:
 # vectorized engine over batches of cells
 # ---------------------------------------------------------------------------
 
-def _linear_values(data, ctx, bank, spec, rows, cols, xvals, stored_mask, counters):
-    """Linear values and context sums for a batch of cells.
+def _context_sums(data, ctx, bank, spec, rows, cols, xvals=None, stored_mask=None,
+                  entity_mask=None):
+    """Context sums of a batch of cells, divided by the member count under
+    mean links; members whose row ``entity_mask`` marks are left out.
 
-    Returns (svals, S, counts, active) where active marks cells kept under
-    the empty-context policy: mean links drop empty-context cells.
+    Returns (S, counts, active) where active marks cells kept under the
+    empty-context policy: mean links drop empty-context cells.
     """
     cv = bank.effective_context_vectors()
-    emb = bank.effective_embeddings()
-    S, counts = ctx.sums(data, cv, rows, cols, xvals=xvals, stored_mask=stored_mask)
+    S, counts = ctx.sums(data, cv, rows, cols, xvals=xvals, stored_mask=stored_mask,
+                         entity_mask=entity_mask)
     active = np.ones(len(rows), dtype=bool)
     if spec.link.rescales_by_count:
         active = counts > 0
-        safe = np.maximum(counts, 1)
-        S = S / safe[:, None]
+        S = S / np.maximum(counts, 1)[:, None]
+    return S, counts, active
+
+
+def _linear_values(data, ctx, bank, spec, rows, cols, xvals, stored_mask, entity_mask=None):
+    """Linear values and context sums for a batch of cells.
+
+    Returns (svals, S, counts, active), the last three as ``_context_sums``
+    returns them.
+    """
+    emb = bank.effective_embeddings()
+    S, counts, active = _context_sums(data, ctx, bank, spec, rows, cols, xvals,
+                                      stored_mask, entity_mask)
     svals = np.einsum("ed,ed->e", emb[rows], S)
     if not active.all():
         # excluded cells get a placeholder linear value so the residual
@@ -267,7 +273,7 @@ def term_log_likelihoods(data, ctx, bank, spec, rows, cols, xvals,
     carry ll = 0 and are excluded by the caller's bookkeeping.
     """
     svals, _, _, active = _linear_values(
-        data, ctx, bank, spec, rows, cols, xvals, stored_mask, counters)
+        data, ctx, bank, spec, rows, cols, xvals, stored_mask)
     _, ll = _residuals_and_loglik(spec, svals, np.asarray(xvals, dtype=np.float64), counters)
     ll = np.where(active, ll, 0.0)
     return ll, active
@@ -290,7 +296,7 @@ def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
     g_cv = np.zeros_like(cv)
     if len(rows):
         svals, S, counts, active = _linear_values(
-            data, ctx, bank, spec, rows, cols, xvals, stored_mask, counters)
+            data, ctx, bank, spec, rows, cols, xvals, stored_mask)
         resid, _ = _residuals_and_loglik(spec, svals, xvals, counters)
         coef = np.where(active, weights * resid, 0.0)
         np.add.at(g_emb, rows, coef[:, None] * S)
@@ -298,6 +304,12 @@ def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
         if spec.link.rescales_by_count:
             back = back / np.maximum(counts, 1)[:, None]
         ctx.scatter_add(data, rows, cols, back, g_cv, xvals=xvals, stored_mask=stored_mask)
+    return _stored_gradients(bank, emb, cv, g_emb, g_cv)
+
+
+def _stored_gradients(bank, emb, cv, g_emb, g_cv) -> Gradients:
+    """Effective-parameter gradients chained into stored coordinates, with
+    the two tables merged for a tied bank."""
     if bank.log_space:
         g_emb *= emb
         g_cv *= cv
@@ -307,18 +319,16 @@ def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
     return Gradients(g_emb, g_cv)
 
 
-def conditional_means(data, ctx, bank, spec, rows, cols, xvals=None,
+def conditional_means(data, ctx, bank, spec, rows, cols, xvals,
                       stored_mask=None, counters=None):
     """Model means of a batch of cells given their contexts.
 
     Returns (means, active); the mean is the expected sufficient statistic
     at the cell's natural parameter.
     """
-    if xvals is None:
-        xvals = np.zeros(len(rows))
     svals, _, _, active = _linear_values(
         data, ctx, bank, spec, np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64), xvals, stored_mask, counters)
+        np.asarray(cols, dtype=np.int64), xvals, stored_mask)
     fam = spec.family
     if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
         return svals, active
@@ -354,13 +364,8 @@ def categorical_term_log_likelihoods(data, ctx, bank, spec, positions, counters=
     """Softmax log-likelihood of the active term at each listed column."""
     positions = np.asarray(positions, dtype=np.int64)
     emb = bank.effective_embeddings()
-    cv = bank.effective_context_vectors()
     act = active_terms(data)[positions]
-    S, counts = ctx.sums(data, cv, act, positions)
-    active = np.ones(len(positions), dtype=bool)
-    if spec.link.rescales_by_count:
-        active = counts > 0
-        S = S / np.maximum(counts, 1)[:, None]
+    S, _, active = _context_sums(data, ctx, bank, spec, act, positions)
     H = S @ emb.T                                   # (E, vocab)
     Hm = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(Hm).sum(axis=1)) + H.max(axis=1)
@@ -379,11 +384,7 @@ def categorical_weighted_gradient(data, ctx, bank, spec, positions, weights,
     g_cv = np.zeros_like(cv)
     if len(positions):
         act = active_terms(data)[positions]
-        S, counts = ctx.sums(data, cv, act, positions)
-        active = np.ones(len(positions), dtype=bool)
-        if spec.link.rescales_by_count:
-            active = counts > 0
-            S = S / np.maximum(counts, 1)[:, None]
+        S, counts, active = _context_sums(data, ctx, bank, spec, act, positions)
         w = np.where(active, weights, 0.0)
         H = S @ emb.T
         Hm = H - H.max(axis=1, keepdims=True)
@@ -396,13 +397,7 @@ def categorical_weighted_gradient(data, ctx, bank, spec, positions, weights,
         if spec.link.rescales_by_count:
             back = back / np.maximum(counts, 1)[:, None]
         ctx.scatter_add(data, act, positions, back, g_cv)
-    if bank.log_space:
-        g_emb *= emb
-        g_cv *= cv
-    if bank.tied:
-        total = g_emb + g_cv
-        return Gradients(total, total)
-    return Gradients(g_emb, g_cv)
+    return _stored_gradients(bank, emb, cv, g_emb, g_cv)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +442,7 @@ def regularizer_gradient(bank: EmbeddingBank, reg_weight: float, regularizer: st
 
 
 # ---------------------------------------------------------------------------
-# named full-data gradients, one per family
+# full-data gradient
 # ---------------------------------------------------------------------------
 
 def _all_cells(data: DataMatrix):
@@ -483,42 +478,3 @@ def full_data_gradient(data, ctx, bank, spec, reg_weight, regularizer="l2",
     if not bank.tied:
         g.context_vectors += reg.context_vectors
     return g
-
-
-def _named_gradient(family, data, ctx, bank, spec, reg_weight, regularizer, counters):
-    if spec.family is not family:
-        raise ConfigError(f"spec family {spec.family.value} does not match {family.value}")
-    return full_data_gradient(data, ctx, bank, spec, reg_weight,
-                              regularizer=regularizer, counters=counters)
-
-
-def grad_gaussian(data, ctx, bank, spec, reg_weight, counters=None) -> Gradients:
-    """Mean-parameterized Gaussian gradient with 1/sigma2 residual scaling."""
-    return _named_gradient(Family.GAUSSIAN, data, ctx, bank, spec, reg_weight, "l2", counters)
-
-
-def grad_nonneg_gaussian(data, ctx, bank, spec, reg_weight, counters=None) -> Gradients:
-    """Gaussian gradient chained through exp for log-space banks."""
-    validate_bank(spec, bank)
-    return _named_gradient(Family.NONNEG_GAUSSIAN, data, ctx, bank, spec, reg_weight, "l2", counters)
-
-
-def grad_poisson(data, ctx, bank, spec, reg_weight, counters=None) -> Gradients:
-    """Multiplicative-rate Poisson gradient, residual x - exp(eta)."""
-    return _named_gradient(Family.POISSON, data, ctx, bank, spec, reg_weight, "l2", counters)
-
-
-def grad_additive_poisson(data, ctx, bank, spec, reg_weight, counters=None) -> Gradients:
-    """Additive-rate Poisson gradient, residual x/rate - 1, log-space bank."""
-    validate_bank(spec, bank)
-    return _named_gradient(Family.ADDITIVE_POISSON, data, ctx, bank, spec, reg_weight, "l2", counters)
-
-
-def grad_bernoulli(data, ctx, bank, spec, reg_weight, counters=None) -> Gradients:
-    """Bernoulli gradient with residual x - logistic(eta)."""
-    return _named_gradient(Family.BERNOULLI, data, ctx, bank, spec, reg_weight, "l2", counters)
-
-
-def grad_categorical(data, ctx, bank, spec, reg_weight, counters=None) -> Gradients:
-    """Softmax-regression gradient over one-active-term column blocks."""
-    return _named_gradient(Family.CATEGORICAL, data, ctx, bank, spec, reg_weight, "l2", counters)

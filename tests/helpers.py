@@ -2,8 +2,12 @@
 
 The finite-difference gradient here is the independent oracle for every
 analytic gradient: it only touches the objective function, never the
-gradient code paths it checks.
+gradient code paths it checks.  The scalar scoring loops are the oracles
+for the batched evaluation protocols: they walk ``context_of`` entry by
+entry and never call the context sums they check.
 """
+
+import math
 
 import numpy as np
 
@@ -15,7 +19,8 @@ from glembed.contexts import (
     build_knn_context,
     build_window_context,
 )
-from glembed.families import Family, FamilySpec
+from glembed.evaluate import EvalReport
+from glembed.families import Family, FamilySpec, conditional_means
 from glembed.train import objective
 
 
@@ -42,6 +47,67 @@ def assert_grad_close(analytic, fd_pair, rtol=1e-5, atol=1e-7):
     fd_emb, fd_cv = fd_pair
     np.testing.assert_allclose(analytic.embeddings, fd_emb, rtol=rtol, atol=atol)
     np.testing.assert_allclose(analytic.context_vectors, fd_cv, rtol=rtol, atol=atol)
+
+
+def scalar_fold_of(n_rows, folds, seed):
+    """Entity folds of the leave-fraction-out protocol, assigned one by one."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(n_rows, dtype=np.int64)
+    perm = rng.permutation(n_rows)
+    for rank, row in enumerate(perm.tolist()):
+        fold_of[row] = rank % folds
+    return fold_of
+
+
+def scalar_leave_fraction_out(test_data, ctx, bank, spec, folds=4, seed=0):
+    """Reference leave-fraction-out squared error: per entry, the context
+    members outside the entry's fold, summed one at a time."""
+    fold_of = scalar_fold_of(test_data.n_rows, folds, seed)
+    emb = bank.effective_embeddings()
+    cv = bank.effective_context_vectors()
+    divide = spec.link.rescales_by_count
+    err2 = []
+    excluded = 0
+    for r, c, x in zip(test_data.rows.tolist(), test_data.cols.tolist(),
+                       test_data.vals.tolist()):
+        members = [j for j in ctx.context_of(r, c) if fold_of[j.row] != fold_of[r]]
+        if not members:
+            excluded += 1
+            continue
+        total = np.zeros(bank.dim)
+        for j in members:
+            total += test_data.value(j.row, j.col) * cv[j.row]
+        if divide:
+            total /= len(members)
+        pred = float(emb[r] @ total)
+        err2.append((x - pred) ** 2)
+    return EvalReport.from_scores("leave_fraction_out_mse", np.array(err2), excluded)
+
+
+def scalar_npll(test_data, ctx, bank, spec):
+    """Reference normalized predictive log-likelihood: the conditional-mean
+    table of every entity at every held-out column, scored entry by entry."""
+    n = test_data.n_rows
+    cols_with = np.unique(test_data.cols)
+    col_pos = {int(c): i for i, c in enumerate(cols_with)}
+    rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
+    cols_all = np.repeat(cols_with, n)
+    xv = test_data.dense()[rows_all, cols_all]
+    means, active = conditional_means(test_data, ctx, bank, spec, rows_all, cols_all,
+                                      xvals=xv, stored_mask=xv != 0.0)
+    mean_table = np.where(active, means, 0.0).reshape(len(cols_with), n)
+    normalizer = mean_table.sum(axis=1)
+    scores = []
+    excluded = 0
+    for r, c in zip(test_data.rows.tolist(), test_data.cols.tolist()):
+        i = col_pos[c]
+        mu = mean_table[i, r]
+        z = normalizer[i]
+        if mu <= 0.0 or z <= 0.0 or not np.isfinite(z):
+            excluded += 1
+            continue
+        scores.append(math.log(mu / z))
+    return EvalReport.from_scores("normalized_predictive_ll", np.array(scores), excluded)
 
 
 def dense_matrix(values, implicit_zero=False):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from glembed.cli import main
-from glembed.dataio import load_model
+from glembed.contexts import knn_neighbors
+from glembed.dataio import ingest, load_model, read_locations
 
 CFG_GAUSSIAN = """\
 family = gaussian
@@ -182,6 +183,28 @@ def test_evaluate_empty_test_split_is_config_error(toy_run, tmp_path):
     rc = main(["evaluate", "--model", model, "--test", str(empty),
                "--protocol", "loo-mse", "--locations", toy_run["locations"]])
     assert rc == 2
+
+
+def test_loo_and_l25_score_the_same_entries_with_a_missing_neighbor_cell(
+        toy_run, tmp_path, capsys):
+    # both protocols follow the context sums' member policy, under which a
+    # missing explicit cell counts as value 0
+    model = str(toy_run["root"] / "toy.model")
+    data = ingest(toy_run["data"])
+    positions = read_locations(toy_run["locations"], data.row_labels)
+    neighbor = data.row_labels[knn_neighbors(positions, 3)[0, 0]]
+    lines = open(toy_run["data"]).read().splitlines()
+    holey = tmp_path / "holey.tsv"
+    holey.write_text("\n".join(ln for ln in lines
+                               if ln.split("\t")[:2] != [neighbor, "0"]) + "\n")
+    n_scored = {}
+    for protocol in ("loo-mse", "l25-mse"):
+        capsys.readouterr()
+        rc = main(["evaluate", "--model", model, "--test", str(holey),
+                   "--protocol", protocol, "--locations", toy_run["locations"]])
+        assert rc == 0
+        n_scored[protocol] = int(capsys.readouterr().out.splitlines()[1].split("\t")[3])
+    assert n_scored["loo-mse"] == n_scored["l25-mse"] == len(lines) - 2
 
 
 def test_query_similar_top_zero_is_empty_success(toy_run, capsys):

@@ -145,10 +145,11 @@ def test_vectorized_sums_match_generic(builder):
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
     cv = bank.effective_context_vectors()
-    fast_s, fast_c = ctx.sums(data, cv, rows, cols)
-    slow_s, slow_c = ContextMap.sums(ctx, data, cv, rows, cols)
-    np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
-    np.testing.assert_array_equal(fast_c, slow_c)
+    for entity_mask in (None, np.arange(data.n_rows) % 3 == 1):
+        fast_s, fast_c = ctx.sums(data, cv, rows, cols, entity_mask=entity_mask)
+        slow_s, slow_c = ContextMap.sums(ctx, data, cv, rows, cols, entity_mask=entity_mask)
+        np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
+        np.testing.assert_array_equal(fast_c, slow_c)
     coef = rng.normal(size=(n_cells, bank.dim))
     fast_g = np.zeros_like(cv)
     slow_g = np.zeros_like(cv)

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from glembed.core import DataMatrix, EmbeddingBank, Link
-from glembed.contexts import build_basket_context, build_knn_context
+from glembed.core import DataIndex, DataMatrix, EmbeddingBank, Link, natural_parameter
+from glembed.contexts import (
+    ExplicitContext,
+    KnnContext,
+    WindowSpec,
+    build_basket_context,
+    build_knn_context,
+    build_window_context,
+)
 from glembed.errors import ConfigError
 from glembed.evaluate import (
     EvalReport,
@@ -19,7 +26,13 @@ from glembed.evaluate import (
 from glembed.families import Family, FamilySpec, conditional_means
 from glembed.synth import gen_gaussian_knn
 
-from helpers import count_instance, dense_matrix
+from helpers import (
+    count_instance,
+    dense_matrix,
+    scalar_fold_of,
+    scalar_leave_fraction_out,
+    scalar_npll,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +171,88 @@ def test_leave_fraction_out_is_harder_than_loo_on_planted_model():
     pooled = [leave_fraction_out_mse(data, ctx, truth.bank, spec, folds=4, seed=s).estimate
               for s in range(20)]
     assert np.median(pooled) >= loo
+
+
+# ---------------------------------------------------------------------------
+# batched protocols against the scalar oracles
+# ---------------------------------------------------------------------------
+
+def _scoring_instance(builder, seed, folds, fold_seed):
+    """Gaussian test data with a context of the given kind, holding one entry
+    whose members all share its fold and, but for kNN, one entry with an
+    empty context.  kNN reads every neighbor cell, so its data is complete;
+    window and explicit members are stored cells, so their data has holes."""
+    rng = np.random.default_rng(seed)
+    n, t = 12, 7
+    fold_of = scalar_fold_of(n, folds, fold_seed)
+    same_fold = [m for m in range(n) if m != 0 and fold_of[m] == fold_of[0]]
+    values = rng.normal(size=(n, t))
+    if builder == "knn":
+        neighbors = np.array([rng.choice([m for m in range(n) if m != i], 2, replace=False)
+                              for i in range(n)])
+        neighbors[0] = same_fold[:2]
+        return dense_matrix(values), KnnContext(neighbors)
+    stored = rng.random((n, t)) < 0.7
+    if builder == "window":
+        # (0, 6) sees only column 5, stored for entity 0's fold mates alone;
+        # column 1 is empty, so (0, 0) has an empty context
+        stored[:, 1] = False
+        stored[:, 5] = False
+        stored[same_fold, 5] = True
+        stored[0, [0, 6]] = True
+        rows, cols = np.nonzero(stored)
+        data = DataMatrix(n, t, rows, cols, values[rows, cols])
+        return data, build_window_context(t, WindowSpec(1), data)
+    stored[0, :2] = True
+    stored[same_fold, 1] = True
+    rows, cols = np.nonzero(stored)
+    data = DataMatrix(n, t, rows, cols, values[rows, cols])
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    mapping = {}
+    for r, c in cells:
+        picks = rng.choice(len(cells), rng.integers(0, 4), replace=False)
+        mapping[(r, c)] = [cells[p] for p in picks if cells[p] != (r, c)]
+    mapping[(0, 0)] = []
+    mapping[(0, 1)] = [(m, 1) for m in same_fold]
+    return data, ExplicitContext(mapping)
+
+
+@pytest.mark.parametrize("builder", ["knn", "window", "explicit"])
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+@pytest.mark.parametrize("folds", [2, 4])
+def test_batched_protocols_match_scalar_oracles(builder, link, folds):
+    spec = FamilySpec(Family.GAUSSIAN, link)
+    for seed in range(3):
+        data, ctx = _scoring_instance(builder, seed, folds, fold_seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        bank = EmbeddingBank(rng.normal(size=(data.n_rows, 3)),
+                             rng.normal(size=(data.n_rows, 3)))
+        l25 = leave_fraction_out_mse(data, ctx, bank, spec, folds=folds, seed=seed)
+        ref = scalar_leave_fraction_out(data, ctx, bank, spec, folds=folds, seed=seed)
+        assert l25.excluded == ref.excluded >= 1
+        assert l25.n_entries == ref.n_entries
+        np.testing.assert_allclose([l25.estimate, l25.stderr],
+                                   [ref.estimate, ref.stderr], rtol=1e-12)
+
+        loo = leave_one_out_mse(data, ctx, bank, spec)
+        kept = [DataIndex(r, c) for r, c in zip(data.rows.tolist(), data.cols.tolist())
+                if ctx.context_of(r, c)]
+        assert loo.excluded == data.nnz - len(kept)
+        err2 = [(data.value(*i) - natural_parameter(i, data, ctx, bank, link)) ** 2
+                for i in kept]
+        assert loo.estimate == pytest.approx(np.mean(err2), rel=1e-12)
+
+
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+def test_batched_npll_matches_entry_loop(link):
+    spec = FamilySpec(Family.POISSON, link)
+    for seed in range(4):
+        data, ctx, bank = count_instance(50 + seed, n=7, t=6)
+        rep = normalized_predictive_ll(data, ctx, bank, spec)
+        ref = scalar_npll(data, ctx, bank, spec)
+        assert (rep.n_entries, rep.excluded) == (ref.n_entries, ref.excluded)
+        np.testing.assert_allclose([rep.estimate, rep.stderr],
+                                   [ref.estimate, ref.stderr], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,6 @@ from glembed.families import (
     Family,
     FamilySpec,
     Gradients,
-    grad_additive_poisson,
-    grad_bernoulli,
-    grad_categorical,
-    grad_gaussian,
-    grad_nonneg_gaussian,
-    grad_poisson,
     weighted_term_gradient,
 )
 from glembed.train import (
@@ -63,25 +57,8 @@ def test_objective_l2_convention():
 
 
 # ---------------------------------------------------------------------------
-# full gradient delegates to the family forms
+# full gradient
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("family,named", [
-    (Family.GAUSSIAN, grad_gaussian),
-    (Family.NONNEG_GAUSSIAN, grad_nonneg_gaussian),
-    (Family.POISSON, grad_poisson),
-    (Family.ADDITIVE_POISSON, grad_additive_poisson),
-    (Family.BERNOULLI, grad_bernoulli),
-    (Family.CATEGORICAL, grad_categorical),
-])
-def test_full_gradient_delegation(family, named):
-    data, ctx, bank, spec = family_instance(family, 22)
-    cfg = TrainConfig(reg_weight=0.8)
-    g = full_gradient(data, ctx, bank, spec, cfg)
-    ref = named(data, ctx, bank, spec, 0.8)
-    np.testing.assert_array_equal(g.embeddings, ref.embeddings)
-    np.testing.assert_array_equal(g.context_vectors, ref.context_vectors)
-
 
 def test_full_gradient_matches_fd_on_random_instances():
     for seed in (41, 42):
