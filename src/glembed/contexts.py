@@ -127,16 +127,15 @@ class BasketContext(ContextMap):
 
     def context_of(self, row: int, col: int) -> list[DataIndex]:
         d = self._data
-        ids = d.column_entries(col)
-        return [
-            DataIndex(int(d.rows[e]), col) for e in ids if int(d.rows[e]) != row
-        ]
+        members = d.rows[np.flatnonzero(d.cols == col)].tolist()
+        return [DataIndex(m, col) for m in members if m != row]
 
     def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
         colsum, colcount = _column_tables(data, cv, entity_mask)
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        xvals, stored_mask = _cell_values(data, rows, cols, xvals, stored_mask)
+        if xvals is None or stored_mask is None:
+            xvals, stored_mask = data.lookup(rows, cols)
         if entity_mask is not None:
             # a masked cell is not in its column's table, so nothing to remove
             stored_mask = stored_mask & ~entity_mask[rows]
@@ -153,9 +152,10 @@ class BasketContext(ContextMap):
         # every stored entry j=(m,t) is in the context of every scored cell of
         # column t except itself
         np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
-        xvals, sm = _cell_values(data, rows, cols, xvals, stored_mask)
-        if sm.any():
-            np.add.at(out, rows[sm], -(xvals[sm, None] * coef[sm]))
+        if xvals is None or stored_mask is None:
+            xvals, stored_mask = data.lookup(rows, cols)
+        if stored_mask.any():
+            np.add.at(out, rows[stored_mask], -(xvals[stored_mask, None] * coef[stored_mask]))
 
 
 class WindowContext(ContextMap):
@@ -184,11 +184,8 @@ class WindowContext(ContextMap):
         if self._data is None:
             raise ConfigError("window context not bound to data")
         d = self._data
-        out = []
-        for j in self.window_positions(col):
-            for e in d.column_entries(j):
-                out.append(DataIndex(int(d.rows[e]), j))
-        return out
+        return [DataIndex(m, j) for j in self.window_positions(col)
+                for m in d.rows[np.flatnonzero(d.cols == j)].tolist()]
 
     def _window_table(self, table: np.ndarray) -> np.ndarray:
         """Per-position sum of `table` over the window, excluding the position."""
@@ -217,17 +214,6 @@ class WindowContext(ContextMap):
         np.add.at(R, np.asarray(cols), coef)
         rw = self._window_table(R)
         np.add.at(out, data.rows, data.vals[:, None] * rw[data.cols])
-
-
-def _cell_values(data: DataMatrix, rows, cols, xvals=None, stored_mask=None):
-    """Values and storedness of a batch of cells, looked up where not given."""
-    if stored_mask is None:
-        stored_mask = np.array(
-            [data.has_entry(int(r), int(c)) for r, c in zip(rows, cols)], dtype=bool
-        )
-    if xvals is None:
-        xvals = np.array([data.value(int(r), int(c)) for r, c in zip(rows, cols)])
-    return xvals, stored_mask
 
 
 def _column_tables(data: DataMatrix, cv: np.ndarray, entity_mask=None):

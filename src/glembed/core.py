@@ -29,6 +29,18 @@ class DataIndex(NamedTuple):
     col: int
 
 
+def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
+    """Sorted row-major keys ``row * n_cols + col`` of a list of cells, the
+    stable permutation that sorts them, and the first entry, in entry order,
+    whose cell an earlier entry already holds (-1 when all are distinct)."""
+    keys = rows * n_cols + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # equal keys keep their entry order, so each later copy follows an equal key
+    repeats = order[1:][keys[1:] == keys[:-1]]
+    return keys, order, int(repeats.min()) if len(repeats) else -1
+
+
 class DataMatrix:
     """Sparse observations indexed by (row, col).
 
@@ -68,13 +80,9 @@ class DataMatrix:
             raise DataError("entry index outside matrix shape")
         if self.implicit_zero and len(self.vals) and np.any(self.vals == 0.0):
             raise DataError("implicit-zero matrix must not store explicit zeros")
-        self._pos: dict[tuple[int, int], int] = {}
-        for e, (r, c) in enumerate(zip(self.rows.tolist(), self.cols.tolist())):
-            key = (r, c)
-            if key in self._pos:
-                raise DataError(f"duplicate entry at (row={r}, col={c})")
-            self._pos[key] = e
-        self._col_entries: list[np.ndarray] | None = None
+        self._keys, self._order, repeat = sorted_cell_keys(self.rows, self.cols, self.n_cols)
+        if repeat >= 0:
+            raise DataError(f"duplicate entry at (row={self.rows[repeat]}, col={self.cols[repeat]})")
         self._dense_cache: np.ndarray | None = None
 
     @property
@@ -86,25 +94,29 @@ class DataMatrix:
         """Number of data terms in the objective."""
         return self.n_rows * self.n_cols if self.implicit_zero else self.nnz
 
+    def lookup(self, rows, cols):
+        """(vals, stored) of a batch of cells inside the shape; absent cells read 0."""
+        keys = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
+        at = np.searchsorted(self._keys, keys)
+        stored = at < self.nnz
+        stored[stored] = self._keys[at[stored]] == keys[stored]
+        vals = np.zeros(len(keys))
+        vals[stored] = self.vals[self._order[at[stored]]]
+        return vals, stored
+
     def value(self, row: int, col: int) -> float:
-        e = self._pos.get((row, col))
-        if e is not None:
-            return float(self.vals[e])
-        if self.implicit_zero:
-            return 0.0
-        raise KeyError(f"no observation at (row={row}, col={col})")
+        vals, stored = self.lookup([row], [col])
+        if not (stored[0] or self.implicit_zero):
+            raise KeyError(f"no observation at (row={row}, col={col})")
+        return float(vals[0])
 
-    def has_entry(self, row: int, col: int) -> bool:
-        return (row, col) in self._pos
-
-    def column_entries(self, col: int) -> np.ndarray:
-        """Positions (into rows/cols/vals) of stored entries in one column."""
-        if self._col_entries is None:
-            buckets: list[list[int]] = [[] for _ in range(self.n_cols)]
-            for e, c in enumerate(self.cols.tolist()):
-                buckets[c].append(e)
-            self._col_entries = [np.asarray(b, dtype=np.int64) for b in buckets]
-        return self._col_entries[col]
+    def zero_cells(self, q: np.ndarray):
+        """(rows, cols) of the q-th cells without a stored entry, counting
+        in row-major order from 0."""
+        # the stored entry at sorted position i has keys[i] - i empty cells
+        # before it, so the q-th empty cell follows every entry with at most q
+        ids = q + np.searchsorted(self._keys - np.arange(self.nnz), q, side="right")
+        return ids // self.n_cols, ids % self.n_cols
 
     def dense(self) -> np.ndarray:
         """Materialize as a dense (n_rows, n_cols) array, absent cells as 0.
@@ -119,18 +131,17 @@ class DataMatrix:
 
     def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
         """New matrix over the given columns, reindexed 0..len(keep)-1."""
-        keep = list(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-        mask = np.isin(self.cols, keep)
-        new_cols = np.array([remap[c] for c in self.cols[mask].tolist()], dtype=np.int64)
-        labels = None
-        if self.col_labels is not None:
-            labels = [self.col_labels[c] for c in keep]
+        keep = np.asarray(keep, dtype=np.int64)
+        remap = np.full(self.n_cols, -1, dtype=np.int64)
+        remap[keep] = np.arange(len(keep))
+        new_cols = remap[self.cols]
+        mask = new_cols >= 0
+        labels = None if self.col_labels is None else [self.col_labels[c] for c in keep.tolist()]
         return DataMatrix(
             self.n_rows,
             len(keep),
             self.rows[mask],
-            new_cols,
+            new_cols[mask],
             self.vals[mask],
             implicit_zero=self.implicit_zero,
             row_labels=self.row_labels,

@@ -11,13 +11,14 @@ readers never observe partial files.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, Link, SharingScheme
+from .core import DataMatrix, EmbeddingBank, Link, SharingScheme, sorted_cell_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .families import Family, FamilySpec, default_link
 from .train import DEFAULT_STEP_GRID, TrainConfig
@@ -60,7 +61,6 @@ def read_triplets(path: str):
     row_index: dict[str, int] = {}
     col_index: dict[str, int] = {}
     rows, cols, vals = [], [], []
-    seen: set[tuple[int, int]] = set()
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -72,17 +72,19 @@ def read_triplets(path: str):
             v = float(vtext)
         except ValueError:
             raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
-        r = row_index.setdefault(rk, len(row_index))
-        c = col_index.setdefault(ck, len(col_index))
-        if (r, c) in seen:
-            raise DataError(f"{path}:{ln}: duplicate entry for ({rk}, {ck})")
-        seen.add((r, c))
-        rows.append(r)
-        cols.append(c)
+        if not math.isfinite(v):
+            raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
+        rows.append(row_index.setdefault(rk, len(row_index)))
+        cols.append(col_index.setdefault(ck, len(col_index)))
         vals.append(v)
-    return (list(row_index), list(col_index),
-            np.asarray(rows, np.int64), np.asarray(cols, np.int64),
-            np.asarray(vals, np.float64))
+    row_labels, col_labels = list(row_index), list(col_index)
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
+    if e >= 0:
+        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
+        raise DataError(f"{path}:{ln}: duplicate entry for "
+                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
+    return row_labels, col_labels, rows, cols, np.asarray(vals, np.float64)
 
 
 def write_triplets(path: str, data: DataMatrix) -> None:
@@ -189,6 +191,8 @@ def read_locations(path: str, row_labels: list[str]) -> np.ndarray:
             coords = [float(p) for p in parts[1:]]
         except ValueError:
             raise DataError(f"{path}:{ln}: bad coordinate") from None
+        if not all(math.isfinite(x) for x in coords):
+            raise DataError(f"{path}:{ln}: non-finite coordinate")
         vec = np.zeros(3)
         vec[: len(coords)] = coords
         seen[key] = vec

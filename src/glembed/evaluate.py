@@ -101,7 +101,8 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
         train_cols = sorted(order[n_test + n_valid:].tolist())
         dropped = 0
         if data.implicit_zero:
-            kept = [c for c in test_cols if len(data.column_entries(c)) >= MIN_BASKET_ITEMS]
+            items = np.bincount(data.cols, minlength=t)
+            kept = [c for c in test_cols if items[c] >= MIN_BASKET_ITEMS]
             dropped = len(test_cols) - len(kept)
             test_cols = kept
         result = SplitResult(
@@ -197,11 +198,9 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     cols_with = np.unique(test_data.cols)
     rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
     cols_all = np.repeat(cols_with, n)
-    x_dense = test_data.dense()
-    xv = x_dense[rows_all, cols_all]
+    xv, stored = test_data.lookup(rows_all, cols_all)
     means, active = conditional_means(
-        test_data, ctx, bank, spec, rows_all, cols_all,
-        xvals=xv, stored_mask=xv != 0.0)
+        test_data, ctx, bank, spec, rows_all, cols_all, xvals=xv, stored_mask=stored)
     means = np.where(active, means, 0.0)
     mean_table = means.reshape(len(cols_with), n)
     normalizer = mean_table.sum(axis=1)

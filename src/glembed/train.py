@@ -161,11 +161,9 @@ def _term_count(data: DataMatrix, spec: FamilySpec) -> int:
 def _cell_of_term(data: DataMatrix, term_ids: np.ndarray):
     """Map flat term ids to (row, col, value, stored) arrays."""
     if data.implicit_zero:
-        t = data.n_cols
-        rows = term_ids // t
-        cols = term_ids % t
-        xvals = data.dense().ravel()[term_ids]
-        return rows, cols, xvals, xvals != 0.0
+        rows = term_ids // data.n_cols
+        cols = term_ids % data.n_cols
+        return (rows, cols) + data.lookup(rows, cols)
     rows = data.rows[term_ids]
     cols = data.cols[term_ids]
     return rows, cols, data.vals[term_ids], np.ones(len(term_ids), dtype=bool)
@@ -204,17 +202,16 @@ def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
 def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
     """Per nonzero term, ``per_term`` distinct zero cells, drawn uniformly.
 
-    Returns (rows, cols) flattened over terms.  Distinctness holds within a
-    term's draw; different terms may repeat cells.
+    Returns (rows, cols, n_sampled, n_zero), rows and cols flattened over
+    terms.  Distinctness holds within a term's draw; different terms may
+    repeat cells.
     """
-    n, t = data.n_rows, data.n_cols
-    zero_ids = np.flatnonzero(data.dense().ravel() == 0.0)
-    n_zero = len(zero_ids)
+    n_zero = data.n_rows * data.n_cols - data.nnz
     if n_zero == 0 or n_terms == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero
     k = min(per_term, n_zero)
     if k == n_zero:
-        picked = np.tile(zero_ids, n_terms)
+        picked = np.tile(np.arange(n_zero), n_terms)
     else:
         # redraw rows until each term's draw is duplicate-free; cheap when
         # the zero set dwarfs the per-term sample
@@ -228,8 +225,9 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
         else:
             for row in range(n_terms):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
-        picked = zero_ids[idx.ravel()]
-    return picked // t, picked % t, n_terms * k, n_zero
+        picked = idx.ravel()
+    rows, cols = data.zero_cells(picked)
+    return rows, cols, n_terms * k, n_zero
 
 
 def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,

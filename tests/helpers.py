@@ -110,6 +110,33 @@ def scalar_npll(test_data, ctx, bank, spec):
     return EvalReport.from_scores("normalized_predictive_ll", np.array(scores), excluded)
 
 
+def dense_draw_zero_cells(data, n_terms, per_term, rng):
+    """Reference zero-cell draw: the same random index draws as
+    ``train._draw_zero_cells``, mapped through every zero cell id of the
+    dense matrix."""
+    t = data.n_cols
+    zero_ids = np.flatnonzero(data.dense().ravel() == 0.0)
+    n_zero = len(zero_ids)
+    if n_zero == 0 or n_terms == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero
+    k = min(per_term, n_zero)
+    if k == n_zero:
+        picked = np.tile(zero_ids, n_terms)
+    else:
+        idx = rng.integers(0, n_zero, size=(n_terms, k))
+        for _ in range(200):
+            srt = np.sort(idx, axis=1)
+            bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+            if not bad.any():
+                break
+            idx[bad] = rng.integers(0, n_zero, size=(int(bad.sum()), k))
+        else:
+            for row in range(n_terms):
+                idx[row] = rng.choice(n_zero, size=k, replace=False)
+        picked = zero_ids[idx.ravel()]
+    return picked // t, picked % t, n_terms * k, n_zero
+
+
 def dense_matrix(values, implicit_zero=False):
     """DataMatrix from a dense 2-D array; zeros stored only when explicit."""
     values = np.asarray(values, dtype=np.float64)

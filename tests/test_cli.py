@@ -207,6 +207,22 @@ def test_loo_and_l25_score_the_same_entries_with_a_missing_neighbor_cell(
     assert n_scored["loo-mse"] == n_scored["l25-mse"] == len(lines) - 2
 
 
+@pytest.mark.parametrize("which", ["data", "locations"])
+def test_nonfinite_input_is_data_error_naming_the_line(toy_run, tmp_path, capsys, which):
+    lines = open(toy_run[which]).read().splitlines()
+    fields = lines[3].split("\t")
+    fields[-1] = "nan" if which == "data" else "inf"
+    lines[3] = "\t".join(fields)
+    bad = tmp_path / f"bad.{which}.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    paths = {"data": toy_run["data"], "locations": toy_run["locations"], which: str(bad)}
+    capsys.readouterr()
+    rc = main(["train", "--config", toy_run["config"], "--data", paths["data"],
+               "--locations", paths["locations"], "--out", str(tmp_path / "bad.model")])
+    assert rc == 3
+    assert f"{bad}:4: non-finite" in capsys.readouterr().err
+
+
 def test_query_similar_top_zero_is_empty_success(toy_run, capsys):
     model = str(toy_run["root"] / "toy.model")
     rc = main(["query-similar", "--model", model, "--entity", "0", "--top", "0"])

@@ -88,7 +88,7 @@ def test_basket_context_examples():
 def test_basket_context_symmetry():
     data, ctx, _ = count_instance(3, n=6, t=5)
     for col in range(data.n_cols):
-        stored = [int(data.rows[e]) for e in data.column_entries(col)]
+        stored = data.rows[data.cols == col].tolist()
         for n in stored:
             rows = {j.row for j in ctx.context_of(n, col)}
             for m in rows:

@@ -21,6 +21,45 @@ def test_data_matrix_rejects_duplicates():
         DataMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
 
 
+def test_duplicate_message_names_first_repeating_entry():
+    # (0, 0) sorts first, but (2, 1) repeats an earlier entry first
+    rows, cols = [2, 0, 1, 2, 0, 2], [1, 0, 3, 1, 0, 1]
+    seen, first = set(), None
+    for r, c in zip(rows, cols):
+        if (r, c) in seen:
+            first = (r, c)
+            break
+        seen.add((r, c))
+    for implicit_zero in (False, True):
+        with pytest.raises(DataError) as err:
+            DataMatrix(3, 4, rows, cols, [1.0] * 6, implicit_zero=implicit_zero)
+        assert str(err.value) == f"duplicate entry at (row={first[0]}, col={first[1]})"
+
+
+@pytest.mark.parametrize("implicit_zero", [False, True])
+def test_lookup_matches_dict_oracle(implicit_zero):
+    rng = np.random.default_rng(8)
+    n, t = 7, 9
+    cells = rng.permutation(n * t)[:25]  # entries in no particular order
+    rows, cols = cells // t, cells % t
+    vals = rng.integers(1, 5, size=25).astype(np.float64)
+    d = DataMatrix(n, t, rows, cols, vals, implicit_zero=implicit_zero)
+    oracle = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+    qr, qc = np.indices((n, t)).reshape(2, -1)[:, rng.permutation(n * t)]
+    got, stored = d.lookup(qr, qc)
+    for r, c, v, s in zip(qr.tolist(), qc.tolist(), got.tolist(), stored.tolist()):
+        assert s == ((r, c) in oracle)
+        assert v == oracle.get((r, c), 0.0)
+        if s or implicit_zero:
+            assert d.value(r, c) == v
+        else:
+            with pytest.raises(KeyError):
+                d.value(r, c)
+    empty = DataMatrix(n, t, [], [], [], implicit_zero=implicit_zero)
+    got, stored = empty.lookup(qr, qc)
+    assert not stored.any() and not got.any()
+
+
 def test_data_matrix_rejects_out_of_range():
     with pytest.raises(DataError):
         DataMatrix(2, 2, [2], [0], [1.0])

@@ -51,6 +51,14 @@ def test_read_triplets_duplicate_names_line(tmp_path):
         read_triplets(t)
 
 
+def test_read_triplets_duplicate_names_first_repeating_line(tmp_path):
+    # (a, c) sorts first, but (z, b) on line 6 repeats first; line 3 is blank
+    t = _write(tmp_path, "dup2.tsv",
+               "row\tcol\tvalue\nz\tb\t1\n\na\tc\t2\nq\tb\t3\nz\tb\t4\na\tc\t5\n")
+    with pytest.raises(DataError, match=r":6: duplicate entry for \(z, b\)"):
+        read_triplets(t)
+
+
 def test_read_triplets_malformed_names_line(tmp_path):
     t = _write(tmp_path, "bad.tsv", "row\tcol\tvalue\nx\ty\t1\nonly_two\tfields\n")
     with pytest.raises(DataError, match=r":3:"):

@@ -13,9 +13,11 @@ from glembed.families import (
     Gradients,
     weighted_term_gradient,
 )
+from glembed.evaluate import SplitSpec, make_split, normalized_predictive_ll
 from glembed.train import (
     OptimizerState,
     TrainConfig,
+    _draw_zero_cells,
     adagrad_step,
     full_gradient,
     minibatch_gradient,
@@ -24,7 +26,14 @@ from glembed.train import (
     train,
 )
 
-from helpers import dense_matrix, family_instance, fd_gradient
+from helpers import (
+    count_instance,
+    dense_draw_zero_cells,
+    dense_matrix,
+    family_instance,
+    fd_gradient,
+    text_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +249,57 @@ def test_sparse_no_zero_entries_contributes_nothing():
     g = sparse_gradient(data, ctx, bank, spec, cfg, np.random.default_rng(1))
     ref = full_gradient(data, ctx, bank, spec, cfg)
     np.testing.assert_allclose(g.embeddings, ref.embeddings, rtol=1e-12)
+
+
+def _zero_draw_matrices():
+    rng = np.random.default_rng(40)
+    for _ in range(6):
+        n, t = rng.integers(1, 9, size=2)
+        vals = np.where(rng.random((n, t)) < rng.uniform(0.1, 0.9),
+                        rng.integers(1, 4, size=(n, t)), 0).astype(np.float64)
+        vals[rng.integers(n)] = 0.0  # an empty row
+        yield vals
+    yield np.ones((3, 4))            # no zero cells
+    yield np.zeros((2, 3))           # no stored entries
+    vals = np.zeros((5, 6))
+    vals[[1, 3], :] = 2.0            # empty rows around full ones
+    vals[3, 5] = 0.0
+    yield vals
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_zero_cell_draw_matches_dense_oracle(case):
+    data = dense_matrix(list(_zero_draw_matrices())[case], implicit_zero=True)
+    n_zero = data.n_rows * data.n_cols - data.nnz
+    for per_term in sorted({1, 3, max(n_zero - 1, 1), max(n_zero, 1), n_zero + 2}):
+        for n_terms in (0, 1, 7):
+            for seed in (0, 1):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _draw_zero_cells(data, n_terms, per_term, a)
+                want = dense_draw_zero_cells(data, n_terms, per_term, b)
+                for g, w in zip(got[:2], want[:2]):
+                    np.testing.assert_array_equal(g, w)
+                assert got[2:] == want[2:]
+                assert a.integers(1 << 62) == b.integers(1 << 62)
+
+
+def test_implicit_data_paths_never_build_the_dense_matrix(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("dense matrix built")
+
+    window_data, window_ctx, _ = text_instance(3, vocab=6, length=40)
+    basket_data, basket_ctx, _ = count_instance(4, n=6, t=30, density=0.3)
+    monkeypatch.setattr(DataMatrix, "dense", no_dense)
+    for data, ctx, spec in ((window_data, window_ctx, FamilySpec(Family.BERNOULLI)),
+                            (basket_data, basket_ctx, FamilySpec(Family.POISSON))):
+        for estimator in ("sparse", "minibatch"):
+            cfg = TrainConfig(dim=3, estimator=estimator, minibatch_size=20, n_iterations=3,
+                              log_every=1, negative_samples=2, reg_weight=0.1, seed=5)
+            bank, log = train(data, ctx, spec, cfg)
+            assert len(log) == 4 and all(math.isfinite(r.objective) for r in log)
+    make_split(basket_data, SplitSpec(test_frac=0.3, valid_frac=0.0, train_frac=0.7))
+    report = normalized_predictive_ll(basket_data, basket_ctx, bank, FamilySpec(Family.POISSON))
+    assert math.isfinite(report.estimate)
 
 
 # ---------------------------------------------------------------------------
