@@ -20,6 +20,9 @@ import numpy as np
 from .core import DataIndex, DataMatrix
 from .errors import ConfigError, DataError
 
+# cells per einsum in KnnContext.sums, bounding its (cells, k, dim) gather
+KNN_SUM_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class SpatialLayout:
@@ -108,7 +111,10 @@ class KnnContext(ContextMap):
             kept = ~entity_mask[nb]
             vals = np.where(kept, vals, 0.0)
             counts = kept.sum(axis=1)
-        S = np.einsum("ek,ekd->ed", vals, cv[nb])
+        S = np.empty((len(nb), cv.shape[1]))
+        for lo in range(0, len(nb), KNN_SUM_CHUNK):
+            hi = lo + KNN_SUM_CHUNK
+            S[lo:hi] = np.einsum("ek,ekd->ed", vals[lo:hi], cv[nb[lo:hi]])
         return S, counts
 
     def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):

@@ -21,7 +21,7 @@ import numpy as np
 from .core import DataMatrix, EmbeddingBank, Link, SharingScheme, sorted_cell_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .families import Family, FamilySpec, default_link
-from .train import DEFAULT_STEP_GRID, TrainConfig
+from .train import TrainConfig
 
 MODEL_MAGIC = "#glembed-model v1"
 
@@ -320,6 +320,7 @@ _DEFAULT_CONTEXT = {
     "bernoulli": "window", "categorical": "window",
 }
 _IMPLICIT_FAMILIES = ("poisson", "additive_poisson", "bernoulli", "categorical")
+DEFAULT_STEP_GRID = (0.01, 0.05, 0.1, 0.5)
 
 
 @dataclass
@@ -390,7 +391,7 @@ class RunConfig:
         return TrainConfig(
             dim=self.k,
             step_size=step_size,
-            minibatch_size=self.minibatch_size or None,
+            minibatch_size=self.minibatch_size,
             n_iterations=self.iterations,
             negative_samples=self.negative_samples,
             zero_estimator=self.zero_estimator,
@@ -399,7 +400,6 @@ class RunConfig:
             regularizer=self.regularizer,
             estimator=self.estimator,
             seed=self.seed,
-            step_size_grid=self.step_size_grid,
         )
 
     def canonical_text(self) -> str:

@@ -281,7 +281,8 @@ def term_log_likelihoods(data, ctx, bank, spec, rows, cols, xvals,
 
 def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
                            stored_mask=None, counters=None) -> Gradients:
-    """Gradient of sum_e weights[e] * loglik(cell e) in stored coordinates.
+    """Gradient of sum_e weights[e] * loglik(cell e) in stored coordinates
+    (``weights`` None: every weight is 1).
 
     The heavy lifting for every estimator: full, minibatch, and the sparse
     zero/nonzero split all reduce to weighted batches of cells.
@@ -289,7 +290,6 @@ def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     xvals = np.asarray(xvals, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
     g_emb = np.zeros_like(emb)
@@ -298,9 +298,10 @@ def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
         svals, S, counts, active = _linear_values(
             data, ctx, bank, spec, rows, cols, xvals, stored_mask)
         resid, _ = _residuals_and_loglik(spec, svals, xvals, counters)
-        coef = np.where(active, weights * resid, 0.0)
+        coef = np.where(active, resid if weights is None else weights * resid, 0.0)
         np.add.at(g_emb, rows, coef[:, None] * S)
-        back = coef[:, None] * emb[rows]
+        back = emb[rows]
+        back *= coef[:, None]
         if spec.link.rescales_by_count:
             back = back / np.maximum(counts, 1)[:, None]
         ctx.scatter_add(data, rows, cols, back, g_cv, xvals=xvals, stored_mask=stored_mask)
@@ -375,9 +376,9 @@ def categorical_term_log_likelihoods(data, ctx, bank, spec, positions, counters=
 
 def categorical_weighted_gradient(data, ctx, bank, spec, positions, weights,
                                   counters=None) -> Gradients:
-    """Gradient of the weighted softmax log-likelihood over column blocks."""
+    """Gradient of the weighted softmax log-likelihood over column blocks
+    (``weights`` None: every weight is 1)."""
     positions = np.asarray(positions, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
     g_emb = np.zeros_like(emb)
@@ -385,7 +386,7 @@ def categorical_weighted_gradient(data, ctx, bank, spec, positions, weights,
     if len(positions):
         act = active_terms(data)[positions]
         S, counts, active = _context_sums(data, ctx, bank, spec, act, positions)
-        w = np.where(active, weights, 0.0)
+        w = np.where(active, 1.0 if weights is None else weights, 0.0)
         H = S @ emb.T
         Hm = H - H.max(axis=1, keepdims=True)
         expH = np.exp(Hm)
@@ -440,41 +441,3 @@ def regularizer_gradient(bank: EmbeddingBank, reg_weight: float, regularizer: st
         raise ConfigError(f"unknown regularizer {regularizer!r}")
     return Gradients(g_emb, g_cv)
 
-
-# ---------------------------------------------------------------------------
-# full-data gradient
-# ---------------------------------------------------------------------------
-
-def _all_cells(data: DataMatrix):
-    """All data-term cells with values and storedness, vectorized."""
-    if data.implicit_zero:
-        n, t = data.n_rows, data.n_cols
-        rows = np.repeat(np.arange(n, dtype=np.int64), t)
-        cols = np.tile(np.arange(t, dtype=np.int64), n)
-        x = data.dense().ravel()
-        return rows, cols, x, x != 0.0
-    return (data.rows, data.cols, data.vals,
-            np.ones(data.nnz, dtype=bool))
-
-
-def full_data_gradient(data, ctx, bank, spec, reg_weight, regularizer="l2",
-                       zero_weight=1.0, counters=None) -> Gradients:
-    """Exact gradient of the full objective (all data terms + regularizer)."""
-    validate_bank(spec, bank)
-    if spec.family is Family.CATEGORICAL:
-        positions = np.arange(data.n_cols, dtype=np.int64)
-        g = categorical_weighted_gradient(
-            data, ctx, bank, spec, positions, np.ones(len(positions)), counters)
-    else:
-        rows, cols, xvals, stored = _all_cells(data)
-        weights = np.ones(len(rows))
-        if zero_weight != 1.0:
-            weights = np.where(stored, 1.0, zero_weight)
-        g = weighted_term_gradient(
-            data, ctx, bank, spec, rows, cols, xvals, weights,
-            stored_mask=stored, counters=counters)
-    reg = regularizer_gradient(bank, reg_weight, regularizer)
-    g.embeddings += reg.embeddings
-    if not bank.tied:
-        g.context_vectors += reg.context_vectors
-    return g

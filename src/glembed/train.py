@@ -30,22 +30,20 @@ from .families import (
     Family,
     FamilySpec,
     Gradients,
+    active_terms,
     categorical_term_log_likelihoods,
     categorical_weighted_gradient,
-    full_data_gradient,
     regularizer_gradient,
     regularizer_penalty,
     term_log_likelihoods,
     validate_bank,
     validate_data,
     weighted_term_gradient,
-    _all_cells,
 )
 
 ZERO_ESTIMATORS = ("unbiased", "negative_sampling", "downweight")
 ESTIMATORS = ("full", "minibatch", "sparse")
 REGULARIZERS = ("l2", "lognormal", "none")
-DEFAULT_STEP_GRID = (0.01, 0.05, 0.1, 0.5)
 
 
 @dataclass
@@ -55,7 +53,7 @@ class TrainConfig:
     dim: int = 10
     step_size: float = 0.1
     adagrad_epsilon: float = 1e-6
-    minibatch_size: int | None = None          # None = full data term sum
+    minibatch_size: int = 0
     n_iterations: int = 500
     negative_samples: int = 10
     zero_estimator: str = "unbiased"
@@ -67,7 +65,6 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 50
     init_scale: float = 0.1
-    step_size_grid: tuple[float, ...] = DEFAULT_STEP_GRID
 
     def validate(self) -> None:
         if self.step_size <= 0:
@@ -92,17 +89,15 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adagrad accumulators (nonnegative, nondecreasing) plus loop state."""
+    """Adagrad accumulators (nonnegative, nondecreasing)."""
 
     accum_embeddings: np.ndarray
     accum_context: np.ndarray
-    iteration: int = 0
-    rng: np.random.Generator | None = None
 
     @classmethod
-    def for_bank(cls, bank: EmbeddingBank, rng=None) -> "OptimizerState":
+    def for_bank(cls, bank: EmbeddingBank) -> "OptimizerState":
         acc = np.zeros_like(bank.embeddings)
-        return cls(acc, acc if bank.tied else np.zeros_like(bank.context_vectors), 0, rng)
+        return cls(acc, acc if bank.tied else np.zeros_like(bank.context_vectors))
 
 
 @dataclass
@@ -120,83 +115,67 @@ def _zero_weight(data: DataMatrix, config: TrainConfig) -> float:
     return 1.0
 
 
-def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
-              zero_weight=1.0, counters=None) -> float:
-    """Exact objective: data log-likelihood terms plus log-prior.
+@dataclass
+class TermBatch:
+    """Data terms, each with the weight of its log-likelihood.
 
-    Zero-valued cells of implicit-zero data are weighted by ``zero_weight``
-    (1 for the plain objective, gamma for the downweighted variant).
+    Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
+    for an implicit zero.  For the categorical family cols are column blocks
+    and rows their active terms.  ``weights`` None means every weight is 1.
     """
-    validate_bank(spec, bank)
-    if spec.family is Family.CATEGORICAL:
-        positions = np.arange(data.n_cols, dtype=np.int64)
-        ll, _ = categorical_term_log_likelihoods(data, ctx, bank, spec, positions, counters)
-        total = float(ll.sum())
-    else:
-        rows, cols, xvals, stored = _all_cells(data)
-        ll, _ = term_log_likelihoods(data, ctx, bank, spec, rows, cols, xvals,
-                                     stored_mask=stored, counters=counters)
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    stored: np.ndarray
+    weights: np.ndarray | None = None
+
+    def downweight_zeros(self, zero_weight: float) -> "TermBatch":
+        """Multiply the weights of the zero (unstored) terms by ``zero_weight``."""
         if zero_weight != 1.0:
-            ll = np.where(stored, ll, zero_weight * ll)
-        total = float(ll.sum())
-    return total + regularizer_penalty(bank, reg_weight, regularizer)
+            w = 1.0 if self.weights is None else self.weights
+            self.weights = np.where(self.stored, w, zero_weight * w)
+        return self
 
 
-def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
-    """Exact gradient of the objective; dispatches to the family forms."""
-    return full_data_gradient(
-        data, ctx, bank, spec, config.reg_weight,
-        regularizer=config.regularizer,
-        zero_weight=_zero_weight(data, config),
-        counters=counters,
-    )
-
-
-def _term_count(data: DataMatrix, spec: FamilySpec) -> int:
+def _terms_of(data: DataMatrix, spec: FamilySpec, term_ids: np.ndarray) -> TermBatch:
+    """Terms by flat id: a column block (categorical), a row-major cell
+    (implicit-zero data) or a stored entry."""
+    ones = np.ones(len(term_ids), dtype=bool)
     if spec.family is Family.CATEGORICAL:
-        return data.n_cols
-    return data.n_terms
-
-
-def _cell_of_term(data: DataMatrix, term_ids: np.ndarray):
-    """Map flat term ids to (row, col, value, stored) arrays."""
+        return TermBatch(active_terms(data)[term_ids], term_ids, ones.astype(np.float64), ones)
     if data.implicit_zero:
         rows = term_ids // data.n_cols
         cols = term_ids % data.n_cols
-        return (rows, cols) + data.lookup(rows, cols)
-    rows = data.rows[term_ids]
-    cols = data.cols[term_ids]
-    return rows, cols, data.vals[term_ids], np.ones(len(term_ids), dtype=bool)
+        return TermBatch(rows, cols, *data.lookup(rows, cols))
+    return TermBatch(data.rows[term_ids], data.cols[term_ids], data.vals[term_ids], ones)
 
 
-def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
-                       draw=None, counters=None) -> Gradients:
-    """Unbiased subsampled gradient: I/|S| times a uniform term subsample.
-
-    ``draw`` overrides the random subsample with explicit term ids (used by
-    the enumeration tests and reproducibility diagnostics).
-    """
-    validate_bank(spec, bank)
-    total = _term_count(data, spec)
-    size = total if config.minibatch_size is None else min(config.minibatch_size, total)
-    if draw is None:
-        draw = rng.choice(total, size=size, replace=False)
-    draw = np.asarray(draw, dtype=np.int64)
-    scale = total / len(draw)
+def _all_terms(data: DataMatrix, spec: FamilySpec, zero_weight: float) -> TermBatch:
+    """Every data term, zero cells weighted by ``zero_weight``."""
     if spec.family is Family.CATEGORICAL:
-        g = categorical_weighted_gradient(
-            data, ctx, bank, spec, draw, np.full(len(draw), scale), counters)
+        batch = _terms_of(data, spec, np.arange(data.n_cols, dtype=np.int64))
+    elif data.implicit_zero:
+        n, t = data.n_rows, data.n_cols
+        rows = np.repeat(np.arange(n, dtype=np.int64), t)
+        cols = np.tile(np.arange(t, dtype=np.int64), n)
+        x = data.dense().ravel()
+        batch = TermBatch(rows, cols, x, x != 0.0)
     else:
-        rows, cols, xvals, stored = _cell_of_term(data, draw)
-        weights = np.full(len(draw), scale)
-        zw = _zero_weight(data, config)
-        if zw != 1.0:
-            weights = np.where(stored, weights, zw * weights)
-        g = weighted_term_gradient(
-            data, ctx, bank, spec, rows, cols, xvals, weights,
-            stored_mask=stored, counters=counters)
-    _add_regularizer(g, bank, config)
-    return g
+        batch = TermBatch(data.rows, data.cols, data.vals, np.ones(data.nnz, dtype=bool))
+    return batch.downweight_zeros(zero_weight)
+
+
+def _drawn_terms(data, spec, config: TrainConfig, rng, draw=None) -> TermBatch:
+    """``minibatch_size`` distinct terms drawn uniformly (or the term ids in
+    ``draw``), each weighted by #terms / #drawn."""
+    total = data.n_cols if spec.family is Family.CATEGORICAL else data.n_terms
+    if draw is None:
+        draw = rng.choice(total, size=min(config.minibatch_size, total), replace=False)
+    draw = np.asarray(draw, dtype=np.int64)
+    batch = _terms_of(data, spec, draw)
+    batch.weights = np.full(len(draw), total / len(draw))
+    return batch.downweight_zeros(_zero_weight(data, config))
 
 
 def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
@@ -230,56 +209,90 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
     return rows, cols, n_terms * k, n_zero
 
 
-def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
-                    zero_draw=None, counters=None) -> Gradients:
-    """Zero/nonzero split gradient for implicit-zero data.
+def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None, unbiased=False) -> TermBatch:
+    """Every nonzero term plus zero cells drawn per nonzero term.
 
-    The nonzero term sum is exact.  Sampled zero terms are weighted by
-    #zeros/#sampled (unbiased), 1 (negative sampling), or
-    gamma * #zeros/#sampled (downweight).  ``zero_draw`` may supply the
-    sampled zero cells as an (S, 2) array of (row, col) for enumeration
-    tests.
+    The zeros are weighted by #zeros/#sampled, by 1 under negative sampling
+    (unless ``unbiased``), and then by the zero weight.  ``zero_draw`` may
+    supply them as an (S, 2) array of (row, col).
     """
-    validate_bank(spec, bank)
-    if not data.implicit_zero:
-        raise ConfigError("sparse estimator requires implicit-zero data")
-    if spec.family is Family.CATEGORICAL:
-        raise ConfigError("sparse estimator does not apply to the categorical family")
-    g = weighted_term_gradient(
-        data, ctx, bank, spec, data.rows, data.cols, data.vals,
-        np.ones(data.nnz), stored_mask=np.ones(data.nnz, dtype=bool),
-        counters=counters)
     n_zero = data.n_rows * data.n_cols - data.nnz
-    if zero_draw is not None:
-        zero_draw = np.asarray(zero_draw, dtype=np.int64)
-        zr, zc = zero_draw[:, 0], zero_draw[:, 1]
-        n_sampled = len(zr)
+    if zero_draw is None:
+        zr, zc, n_sampled, n_zero = _draw_zero_cells(data, data.nnz, config.negative_samples, rng)
     else:
-        zr, zc, n_sampled, n_zero = _draw_zero_cells(
-            data, data.nnz, config.negative_samples, rng)
-    if n_sampled:
-        if config.zero_estimator == "unbiased":
-            w = n_zero / n_sampled
-        elif config.zero_estimator == "negative_sampling":
-            w = 1.0
-        else:
-            w = config.downweight * n_zero / n_sampled
-        gz = weighted_term_gradient(
-            data, ctx, bank, spec, zr, zc, np.zeros(n_sampled),
-            np.full(n_sampled, w), stored_mask=np.zeros(n_sampled, dtype=bool),
-            counters=counters)
-        g.embeddings += gz.embeddings
-        if not bank.tied:
-            g.context_vectors += gz.context_vectors
-    _add_regularizer(g, bank, config)
-    return g
+        zr, zc = np.asarray(zero_draw, dtype=np.int64).T
+        n_sampled = len(zr)
+    unbiased = unbiased or config.zero_estimator != "negative_sampling"
+    w = n_zero / max(n_sampled, 1) if unbiased else 1.0
+    batch = TermBatch(np.concatenate([data.rows, zr]), np.concatenate([data.cols, zc]),
+                      np.concatenate([data.vals, np.zeros(n_sampled)]),
+                      np.arange(data.nnz + n_sampled) < data.nnz,
+                      np.concatenate([np.ones(data.nnz), np.full(n_sampled, w)]))
+    return batch.downweight_zeros(_zero_weight(data, config))
 
 
-def _add_regularizer(g: Gradients, bank: EmbeddingBank, config: TrainConfig) -> None:
+def _gradient(data, ctx, bank, spec, batch: TermBatch, config, counters) -> Gradients:
+    """Gradient of the batch's weighted log-likelihood plus the log-prior."""
+    validate_bank(spec, bank)
+    if spec.family is Family.CATEGORICAL:
+        g = categorical_weighted_gradient(data, ctx, bank, spec, batch.cols,
+                                          batch.weights, counters)
+    else:
+        g = weighted_term_gradient(data, ctx, bank, spec, batch.rows, batch.cols, batch.vals,
+                                   batch.weights, stored_mask=batch.stored, counters=counters)
     reg = regularizer_gradient(bank, config.reg_weight, config.regularizer)
     g.embeddings += reg.embeddings
     if not bank.tied:
         g.context_vectors += reg.context_vectors
+    return g
+
+
+def _score(data, ctx, bank, spec, batch: TermBatch, reg_weight, regularizer, counters) -> float:
+    """The batch's weighted log-likelihood plus the log-prior."""
+    validate_bank(spec, bank)
+    if spec.family is Family.CATEGORICAL:
+        ll, _ = categorical_term_log_likelihoods(data, ctx, bank, spec, batch.cols, counters)
+    else:
+        ll, _ = term_log_likelihoods(data, ctx, bank, spec, batch.rows, batch.cols,
+                                     batch.vals, stored_mask=batch.stored, counters=counters)
+    if batch.weights is not None:
+        ll = ll * batch.weights
+    return float(ll.sum()) + regularizer_penalty(bank, reg_weight, regularizer)
+
+
+def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
+              zero_weight=1.0, counters=None) -> float:
+    """Exact objective: data log-likelihood terms plus log-prior, with the
+    zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
+    return _score(data, ctx, bank, spec, _all_terms(data, spec, zero_weight),
+                  reg_weight, regularizer, counters)
+
+
+def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
+    """Exact gradient of the objective."""
+    return _gradient(data, ctx, bank, spec, _all_terms(data, spec, _zero_weight(data, config)),
+                     config, counters)
+
+
+def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
+                       draw=None, counters=None) -> Gradients:
+    """Unbiased subsampled gradient: I/|S| times a uniform term subsample,
+    or the term ids in ``draw``."""
+    return _gradient(data, ctx, bank, spec, _drawn_terms(data, spec, config, rng, draw),
+                     config, counters)
+
+
+def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
+                    zero_draw=None, counters=None) -> Gradients:
+    """Zero/nonzero split gradient for implicit-zero data: the nonzero terms
+    plus zero cells drawn per nonzero term, or the (row, col) pairs in
+    ``zero_draw``, in one batch."""
+    if not data.implicit_zero:
+        raise ConfigError("sparse estimator requires implicit-zero data")
+    if spec.family is Family.CATEGORICAL:
+        raise ConfigError("sparse estimator does not apply to the categorical family")
+    return _gradient(data, ctx, bank, spec, _sampled_terms(data, config, rng, zero_draw),
+                     config, counters)
 
 
 def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
@@ -293,29 +306,17 @@ def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
         state.accum_context += grads.context_vectors ** 2
         bank.context_vectors += config.step_size * grads.context_vectors / (
             eps + np.sqrt(state.accum_context))
-    state.iteration += 1
 
 
 def estimate_objective(data, ctx, bank, spec, config: TrainConfig, rng,
                        counters=None) -> float:
     """Objective value for logging: exact when cheap, else the unbiased
     sparse estimate with the configured zero weighting."""
-    zw = _zero_weight(data, config)
     if spec.family is Family.CATEGORICAL or not data.implicit_zero:
-        return objective(data, ctx, bank, spec, config.reg_weight,
-                         config.regularizer, zero_weight=zw, counters=counters)
-    ll_nz, _ = term_log_likelihoods(
-        data, ctx, bank, spec, data.rows, data.cols, data.vals,
-        stored_mask=np.ones(data.nnz, dtype=bool), counters=counters)
-    total = float(ll_nz.sum())
-    zr, zc, n_sampled, n_zero = _draw_zero_cells(
-        data, data.nnz, config.negative_samples, rng)
-    if n_sampled:
-        ll_z, _ = term_log_likelihoods(
-            data, ctx, bank, spec, zr, zc, np.zeros(n_sampled),
-            stored_mask=np.zeros(n_sampled, dtype=bool), counters=counters)
-        total += zw * (n_zero / n_sampled) * float(ll_z.sum())
-    return total + regularizer_penalty(bank, config.reg_weight, config.regularizer)
+        return objective(data, ctx, bank, spec, config.reg_weight, config.regularizer,
+                         zero_weight=_zero_weight(data, config), counters=counters)
+    return _score(data, ctx, bank, spec, _sampled_terms(data, config, rng, unbiased=True),
+                  config.reg_weight, config.regularizer, counters)
 
 
 def _check_finite(bank: EmbeddingBank, iteration: int) -> None:
@@ -345,7 +346,7 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     seqs = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(seqs[0])
     log_rng = np.random.default_rng(seqs[1])
-    state = OptimizerState.for_bank(bank, rng)
+    state = OptimizerState.for_bank(bank)
     counters = ClampCounters()
     log: list[LogRecord] = []
     t0 = time.perf_counter()

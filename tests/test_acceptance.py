@@ -23,7 +23,7 @@ from glembed.evaluate import (
     normalized_predictive_ll,
     popularity_npll,
 )
-from glembed.families import Family, FamilySpec, full_data_gradient, weighted_term_gradient
+from glembed.families import Family, FamilySpec, weighted_term_gradient
 from glembed.synth import gen_cluster_corpus, gen_poisson_baskets
 from glembed.train import TrainConfig, full_gradient, minibatch_gradient, sparse_gradient, train
 
@@ -47,7 +47,7 @@ def test_criterion_1_gradient_correctness():
             seed = 1000 + 37 * run + hash(family.value) % 97
             reg_weight = float(run % 2)  # lambda alternates over {0, 1}
             data, ctx, bank, spec = family_instance(family, seed)
-            g = full_data_gradient(data, ctx, bank, spec, reg_weight)
+            g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=reg_weight))
             fd_emb, fd_cv = fd_gradient(data, ctx, bank, spec, reg_weight)
             for got, want in ((g.embeddings, fd_emb), (g.context_vectors, fd_cv)):
                 rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-3)

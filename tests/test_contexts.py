@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glembed.contexts import (
+    KNN_SUM_CHUNK,
     ContextMap,
     SpatialLayout,
     WindowSpec,
@@ -162,3 +163,20 @@ def test_builders_validate_inputs():
     data = dense_matrix(np.ones((3, 2)))
     with pytest.raises(DataError):
         build_knn_context(SpatialLayout(np.zeros((2, 3)), 1), data)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_knn_sums_in_chunks_equal_one_einsum(masked):
+    data, ctx, bank = gaussian_instance(12, n=9, t=7, k=4, knn=3)
+    rng = np.random.default_rng(5)
+    n_cells = 2 * KNN_SUM_CHUNK + 123
+    rows = rng.integers(0, data.n_rows, n_cells)
+    cols = rng.integers(0, data.n_cols, n_cells)
+    mask = rng.random(data.n_rows) < 0.3 if masked else None
+    S, counts = ctx.sums(data, bank.context_vectors, rows, cols, entity_mask=mask)
+    nb = ctx.neighbors[rows]
+    vals = data.dense()[nb, cols[:, None]]
+    if masked:
+        vals = np.where(mask[nb], 0.0, vals)
+    np.testing.assert_array_equal(S, np.einsum("ek,ekd->ed", vals, bank.context_vectors[nb]))
+    assert counts.sum() == (n_cells * 3 if not masked else (~mask[nb]).sum())

@@ -12,13 +12,13 @@ from glembed.families import (
     categorical_log_likelihood,
     categorical_term_log_likelihoods,
     expected_sufficient_statistic,
-    full_data_gradient,
     log_likelihood,
     log_normalizer,
     term_log_likelihoods,
     validate_data,
     weighted_term_gradient,
 )
+from glembed.train import TrainConfig, full_gradient
 
 from helpers import (
     assert_grad_close,
@@ -132,7 +132,8 @@ def test_family_spec_link_constraints():
 def test_log_space_families_require_log_space_banks():
     data, ctx, bank = dense_matrix(np.ones((2, 2))), None, EmbeddingBank.zeros(2, 2)
     with pytest.raises(ConfigError):
-        full_data_gradient(data, ctx, bank, FamilySpec(Family.NONNEG_GAUSSIAN), 0.0)
+        full_gradient(data, ctx, bank, FamilySpec(Family.NONNEG_GAUSSIAN),
+                      TrainConfig(reg_weight=0.0))
 
 
 def test_validate_data_rejects_bad_support():
@@ -159,10 +160,10 @@ def _pair_instance(x_n, x_m, emb_n, cv_m, implicit=False):
 def test_grad_gaussian_example_values():
     spec = FamilySpec(Family.GAUSSIAN, sigma2=1.0)
     data, ctx, bank = _pair_instance(x_n=3.0, x_m=0.5, emb_n=1.0, cv_m=2.0)
-    g0 = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g0 = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert g0.embeddings[0, 0] == pytest.approx(2.0)  # (3 - 1*1) * 1
     assert_grad_close(g0, fd_gradient(data, ctx, bank, spec, 0.0))
-    g1 = full_data_gradient(data, ctx, bank, spec, 1.0)
+    g1 = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0))
     assert g1.embeddings[0, 0] == pytest.approx(1.0)  # 2 - lambda * emb_n
     assert_grad_close(g1, fd_gradient(data, ctx, bank, spec, 1.0))
 
@@ -171,8 +172,8 @@ def test_grad_gaussian_zero_at_stationary_point():
     spec = FamilySpec(Family.GAUSSIAN, sigma2=1.0)
     data, ctx, bank = _pair_instance(x_n=1.0, x_m=0.5, emb_n=1.0, cv_m=2.0)
     # x_n equals the model mean and the other entry has an empty context
-    g = full_data_gradient(data, ctx, bank, spec, 0.0)
-    rest = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
+    rest = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert abs(g.embeddings[0, 0]) < 1e-12
     assert np.abs(rest.embeddings[0]).max() < 1e-12
 
@@ -182,12 +183,12 @@ def test_grad_nonneg_gaussian_stationary_and_regularizer():
     data = DataMatrix(2, 1, [0, 1], [0, 0], [1.0, 1.0])
     ctx = ExplicitContext({(0, 0): [(1, 0)]})
     bank = EmbeddingBank(np.zeros((2, 1)), np.zeros((2, 1)), log_space=True)
-    g0 = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g0 = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert g0.embeddings[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert_grad_close(g0, fd_gradient(data, ctx, bank, spec, 0.0))
     # all stored parameters zero: the L2-on-effective regularizer adds
     # exactly -1 per coordinate
-    g1 = full_data_gradient(data, ctx, bank, spec, 1.0)
+    g1 = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0))
     np.testing.assert_allclose(g1.embeddings - g0.embeddings, -1.0, atol=1e-12)
     np.testing.assert_allclose(g1.context_vectors - g0.context_vectors, -1.0, atol=1e-12)
 
@@ -200,8 +201,9 @@ def test_grad_nonneg_gaussian_is_chain_rule_image():
     ctx = ExplicitContext({(0, 0): [(1, 0), (2, 0)], (3, 1): [(0, 1)]})
     log_bank = EmbeddingBank(stored_e, stored_c, log_space=True)
     lin_bank = EmbeddingBank(np.exp(stored_e), np.exp(stored_c))
-    g_log = full_data_gradient(data, ctx, log_bank, FamilySpec(Family.NONNEG_GAUSSIAN), 0.0)
-    g_lin = full_data_gradient(data, ctx, lin_bank, FamilySpec(Family.GAUSSIAN), 0.0)
+    cfg = TrainConfig(reg_weight=0.0)
+    g_log = full_gradient(data, ctx, log_bank, FamilySpec(Family.NONNEG_GAUSSIAN), cfg)
+    g_lin = full_gradient(data, ctx, lin_bank, FamilySpec(Family.GAUSSIAN), cfg)
     np.testing.assert_allclose(g_log.embeddings, g_lin.embeddings * np.exp(stored_e),
                                rtol=1e-12)
     np.testing.assert_allclose(g_log.context_vectors,
@@ -212,11 +214,11 @@ def test_grad_poisson_example_values():
     spec = FamilySpec(Family.POISSON)
     # context sum 1 via x_m=0.5, cv_m=2; eta = 0 so the rate is 1
     data, ctx, bank = _pair_instance(1.0, 0.5, emb_n=0.0, cv_m=2.0, implicit=True)
-    g = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert g.embeddings[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, 0.0))
     data2, ctx2, bank2 = _pair_instance(2.0, 0.5, emb_n=0.0, cv_m=2.0, implicit=True)
-    g2 = full_data_gradient(data2, ctx2, bank2, spec, 0.0)
+    g2 = full_gradient(data2, ctx2, bank2, spec, TrainConfig(reg_weight=0.0))
     assert g2.embeddings[0, 0] == pytest.approx(1.0)  # (2 - 1) * 1
     assert_grad_close(g2, fd_gradient(data2, ctx2, bank2, spec, 0.0))
 
@@ -224,7 +226,7 @@ def test_grad_poisson_example_values():
 def test_grad_poisson_zero_context_sum():
     spec = FamilySpec(Family.POISSON)
     data, ctx, bank = _pair_instance(5.0, 0.5, emb_n=0.3, cv_m=0.0, implicit=True)
-    g = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert g.embeddings[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -235,17 +237,17 @@ def test_grad_additive_poisson_examples():
     ctx = ExplicitContext({(0, 0): [(1, 0)]})
     bank = EmbeddingBank(np.zeros((2, 1)), np.array([[0.0], [math.log(2.0)]]),
                          log_space=True)
-    g = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert g.embeddings[0, 0] == pytest.approx(0.0, abs=1e-12)
     # rate 1, x=3: pre-chain slope (3/1 - 1) * 1 = 2, chained through exp at
     # stored 0 stays 2
     data2 = DataMatrix(2, 1, [0, 1], [0, 0], [3.0, 1.0], implicit_zero=True)
     bank2 = EmbeddingBank(np.zeros((2, 1)), np.zeros((2, 1)), log_space=True)
-    g2 = full_data_gradient(data2, ctx, bank2, spec, 0.0)
+    g2 = full_gradient(data2, ctx, bank2, spec, TrainConfig(reg_weight=0.0))
     assert g2.embeddings[0, 0] == pytest.approx(2.0)
     assert_grad_close(g2, fd_gradient(data2, ctx, bank2, spec, 0.0))
     # regularizer contribution at stored zero is -1 per coordinate
-    g3 = full_data_gradient(data2, ctx, bank2, spec, 1.0)
+    g3 = full_gradient(data2, ctx, bank2, spec, TrainConfig(reg_weight=1.0))
     np.testing.assert_allclose(g3.embeddings - g2.embeddings, -1.0, atol=1e-12)
 
 
@@ -307,17 +309,17 @@ def test_grad_categorical_symmetric_softmax():
 
 def test_grad_categorical_matches_fd():
     data, ctx, bank, spec = family_instance(Family.CATEGORICAL, 13)
-    g = full_data_gradient(data, ctx, bank, spec, 1.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0))
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, 1.0))
 
 
 def test_grad_categorical_zero_context_vectors():
     data, ctx, bank, spec = family_instance(Family.CATEGORICAL, 14)
     bank.context_vectors[:] = 0.0
-    g = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert np.abs(g.embeddings).max() < 1e-12
     bank.embeddings[:] = bank.embeddings[0]  # equal rows: stationary point
-    g2 = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g2 = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert np.abs(g2.embeddings).max() < 1e-12
     assert np.abs(g2.context_vectors).max() < 1e-12
 
@@ -326,7 +328,7 @@ def test_bernoulli_zero_bank_is_stationary_in_embeddings():
     data, ctx, bank, spec = family_instance(Family.BERNOULLI, 15)
     bank.embeddings[:] = 0.0
     bank.context_vectors[:] = 0.0
-    g = full_data_gradient(data, ctx, bank, spec, 0.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.0))
     assert np.abs(g.embeddings).max() < 1e-12
     assert np.abs(g.context_vectors).max() < 1e-12
 
@@ -339,7 +341,7 @@ def test_bernoulli_zero_bank_is_stationary_in_embeddings():
 @pytest.mark.parametrize("reg_weight", [0.0, 1.0])
 def test_gradients_match_finite_differences(family, reg_weight):
     data, ctx, bank, spec = family_instance(family, seed=hash(family.value) % 1000)
-    g = full_data_gradient(data, ctx, bank, spec, reg_weight)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=reg_weight))
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, reg_weight))
 
 
@@ -352,19 +354,20 @@ def test_gradients_match_finite_differences(family, reg_weight):
 def test_mean_link_gradients_match_finite_differences(family, link):
     data, ctx, bank, base = family_instance(family, seed=31)
     spec = FamilySpec(family, link, sigma2=base.sigma2, vocab_size=base.vocab_size)
-    g = full_data_gradient(data, ctx, bank, spec, 1.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0))
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, 1.0))
 
 
 def test_lognormal_regularizer_matches_finite_differences():
     data, ctx, bank, spec = family_instance(Family.ADDITIVE_POISSON, seed=32)
-    g = full_data_gradient(data, ctx, bank, spec, 1.0, regularizer="lognormal")
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0, regularizer="lognormal"))
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, 1.0, regularizer="lognormal"))
 
 
 def test_downweighted_zero_terms_match_finite_differences():
     data, ctx, bank, spec = family_instance(Family.POISSON, seed=33)
-    g = full_data_gradient(data, ctx, bank, spec, 1.0, zero_weight=0.1)
+    cfg = TrainConfig(reg_weight=1.0, zero_estimator="downweight", downweight=0.1)
+    g = full_gradient(data, ctx, bank, spec, cfg)
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, 1.0, zero_weight=0.1))
 
 
@@ -374,6 +377,6 @@ def test_tied_bank_gradient_matches_finite_differences():
     emb = rng.normal(scale=0.3, size=(data.n_rows, 3))
     bank = EmbeddingBank(emb, emb)
     spec = FamilySpec(Family.GAUSSIAN)
-    g = full_data_gradient(data, ctx, bank, spec, 1.0)
+    g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0))
     fd_emb, _ = fd_gradient(data, ctx, bank, spec, 1.0)
     np.testing.assert_allclose(g.embeddings, fd_emb, rtol=1e-5, atol=1e-7)

@@ -251,6 +251,25 @@ def test_sparse_no_zero_entries_contributes_nothing():
     np.testing.assert_allclose(g.embeddings, ref.embeddings, rtol=1e-12)
 
 
+@pytest.mark.parametrize("family", [Family.POISSON, Family.BERNOULLI])
+def test_sparse_step_makes_one_context_pass(family, monkeypatch):
+    # nonzeros and sampled zeros go through one kernel call, so basket and
+    # window contexts build their column tables once per step
+    data, ctx, bank, spec = family_instance(family, 27)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+    for name in ("sums", "scatter_add"):
+        monkeypatch.setattr(ctx, name, counted(name, getattr(ctx, name)))
+    cfg = TrainConfig(estimator="sparse", negative_samples=2)
+    sparse_gradient(data, ctx, bank, spec, cfg, np.random.default_rng(0))
+    assert sorted(calls) == ["scatter_add", "sums"]
+
+
 def _zero_draw_matrices():
     rng = np.random.default_rng(40)
     for _ in range(6):
