@@ -5,18 +5,8 @@ log-likelihoods with Adagrad stochastic gradients, and provides held-out
 evaluation protocols and qualitative analysis queries.
 """
 
-from .core import (
-    DataIndex,
-    DataMatrix,
-    EmbeddingBank,
-    Link,
-    SharingScheme,
-    natural_parameter,
-    resolve_params,
-)
+from .core import DataMatrix, EmbeddingBank, Link, SharingScheme
 from .contexts import (
-    ContextMap,
-    ExplicitContext,
     SpatialLayout,
     WindowSpec,
     build_basket_context,
@@ -30,15 +20,10 @@ from .evaluate import EvalReport, SplitSpec, make_split
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataIndex",
     "DataMatrix",
     "EmbeddingBank",
     "Link",
     "SharingScheme",
-    "natural_parameter",
-    "resolve_params",
-    "ContextMap",
-    "ExplicitContext",
     "SpatialLayout",
     "WindowSpec",
     "build_basket_context",

@@ -6,9 +6,10 @@ Three builders cover the application patterns:
 * same-column basket contexts (the other stored entries of a column),
 * sliding window contexts over column positions (text).
 
-Each context map answers ``context_of(row, col)`` for any valid cell and
-additionally provides vectorized context sums and gradient scatter used by
-the training engine.  Maps are immutable after construction.
+Each context map computes, for a batch of cells, the context sums
+``sum_j x_j * cv[row_j]`` with the member counts (``sums``) and the gradient
+scatter onto the members' rows (``scatter_add``) that the training engine
+and the scoring protocols use.  Maps are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataIndex, DataMatrix
+from .core import DataMatrix
 from .errors import ConfigError, DataError
 
-# cells per einsum in KnnContext.sums, bounding its (cells, k, dim) gather
+# cells per chunk in KnnContext.sums and scatter_add, bounding their
+# (cells, k, dim) arrays
 KNN_SUM_CHUNK = 1 << 15
 
 
@@ -43,65 +45,20 @@ class WindowSpec:
             raise ConfigError("window half-width must be >= 1")
 
 
-class ContextMap:
-    """Base context map; subclasses define the membership rule.
-
-    The vectorized hooks have generic (loop-based) implementations here;
-    the knn/basket/window variants override them with array paths.
-    """
-
-    def context_of(self, row: int, col: int) -> list[DataIndex]:
-        raise NotImplementedError
-
-    def sums(self, data: DataMatrix, cv: np.ndarray, rows, cols, xvals=None, stored_mask=None,
-             entity_mask=None):
-        """Context inner sums for a batch of cells.
-
-        Returns (S, counts): S[e] = sum_{j in c_e} x_j * cv[row_j], and
-        counts[e] = |c_e|.  With ``entity_mask`` (bool per entity row),
-        members whose row is masked are left out of both.
-        """
-        dim = cv.shape[1]
-        n = len(rows)
-        S = np.zeros((n, dim))
-        counts = np.zeros(n, dtype=np.int64)
-        for e in range(n):
-            members = self.context_of(int(rows[e]), int(cols[e]))
-            if entity_mask is not None:
-                members = [j for j in members if not entity_mask[j.row]]
-            counts[e] = len(members)
-            for j in members:
-                S[e] += data.value(j.row, j.col) * cv[j.row]
-        return S, counts
-
-    def scatter_add(self, data: DataMatrix, rows, cols, coef: np.ndarray, out: np.ndarray,
-                    xvals=None, stored_mask=None) -> None:
-        """out[row_j] += x_j * coef[e] for every member j of every batch cell e."""
-        for e in range(len(rows)):
-            for j in self.context_of(int(rows[e]), int(cols[e])):
-                out[j.row] += data.value(j.row, j.col) * coef[e]
-
-
-class ExplicitContext(ContextMap):
-    """Context map given as an explicit cell -> members dictionary."""
-
-    def __init__(self, mapping: dict[tuple[int, int], list]):
-        self._map = {k: [DataIndex(*j) for j in v] for k, v in mapping.items()}
-
-    def context_of(self, row: int, col: int) -> list[DataIndex]:
-        return self._map.get((row, col), [])
-
-
-class KnnContext(ContextMap):
+class KnnContext:
     """Same-column contexts over each entity's k nearest spatial neighbors."""
 
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
 
-    def context_of(self, row: int, col: int) -> list[DataIndex]:
-        return [DataIndex(int(m), col) for m in self.neighbors[row]]
-
     def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+        """Context inner sums for a batch of cells.
+
+        Returns (S, counts): S[e] = sum_{j in c_e} x_j * cv[row_j], and
+        counts[e] = |c_e|.  With ``entity_mask`` (bool per entity row),
+        members whose row is masked are left out of both.  The other maps'
+        ``sums`` share this contract.
+        """
         x = data.dense()
         nb = self.neighbors[rows]                      # (E, k)
         vals = x[nb, np.asarray(cols)[:, None]]        # (E, k)
@@ -118,23 +75,19 @@ class KnnContext(ContextMap):
         return S, counts
 
     def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
+        """out[row_j] += x_j * coef[e] for every member j of every batch cell
+        e.  The other maps' ``scatter_add`` share this contract."""
         x = data.dense()
         nb = self.neighbors[rows]
         vals = x[nb, np.asarray(cols)[:, None]]
-        contrib = vals[:, :, None] * coef[:, None, :]
-        np.add.at(out, nb.ravel(), contrib.reshape(-1, out.shape[1]))
+        for lo in range(0, len(nb), KNN_SUM_CHUNK):
+            hi = lo + KNN_SUM_CHUNK
+            contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
+            np.add.at(out, nb[lo:hi].ravel(), contrib.reshape(-1, out.shape[1]))
 
 
-class BasketContext(ContextMap):
+class BasketContext:
     """Contexts are the other stored entries of the same column."""
-
-    def __init__(self, data: DataMatrix):
-        self._data = data
-
-    def context_of(self, row: int, col: int) -> list[DataIndex]:
-        d = self._data
-        members = d.rows[np.flatnonzero(d.cols == col)].tolist()
-        return [DataIndex(m, col) for m in members if m != row]
 
     def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
         colsum, colcount = _column_tables(data, cv, entity_mask)
@@ -164,34 +117,15 @@ class BasketContext(ContextMap):
             np.add.at(out, rows[stored_mask], -(xvals[stored_mask, None] * coef[stored_mask]))
 
 
-class WindowContext(ContextMap):
-    """Contexts are the stored entries at other columns within a window.
+class WindowContext:
+    """Contexts are the stored entries at other columns within a window of
+    ``half_width`` positions on either side, truncated at the ends."""
 
-    The positional rule (which columns surround position p) is independent of
-    the data; ``window_positions`` exposes it.  Cell-level membership expands
-    those columns through the stored entries of a bound matrix.
-    """
-
-    def __init__(self, length: int, half_width: int, data: DataMatrix | None = None):
+    def __init__(self, length: int, half_width: int):
         if length < 1:
             raise ConfigError("sequence length must be >= 1")
         self.length = int(length)
         self.half_width = int(half_width)
-        self._data = data
-        if data is not None and data.n_cols != self.length:
-            raise DataError("bound matrix length disagrees with window context")
-
-    def window_positions(self, pos: int) -> list[int]:
-        lo = max(0, pos - self.half_width)
-        hi = min(self.length - 1, pos + self.half_width)
-        return [j for j in range(lo, hi + 1) if j != pos]
-
-    def context_of(self, row: int, col: int) -> list[DataIndex]:
-        if self._data is None:
-            raise ConfigError("window context not bound to data")
-        d = self._data
-        return [DataIndex(m, j) for j in self.window_positions(col)
-                for m in d.rows[np.flatnonzero(d.cols == j)].tolist()]
 
     def _window_table(self, table: np.ndarray) -> np.ndarray:
         """Per-position sum of `table` over the window, excluding the position."""
@@ -269,9 +203,11 @@ def build_basket_context(data: DataMatrix) -> BasketContext:
     """Each cell's context is the other stored entries of its column."""
     if not data.implicit_zero:
         raise DataError("basket contexts require implicit-zero data")
-    return BasketContext(data)
+    return BasketContext()
 
 
-def build_window_context(length: int, spec: WindowSpec, data: DataMatrix | None = None) -> WindowContext:
-    """Symmetric window of half-size w over positions, truncated at the ends."""
-    return WindowContext(length, spec.half_width, data=data)
+def build_window_context(length: int, spec: WindowSpec, data: DataMatrix) -> WindowContext:
+    """Symmetric window of half-size w over the positions of ``data``."""
+    if data.n_cols != length:
+        raise DataError("matrix length disagrees with window context")
+    return WindowContext(length, spec.half_width)

@@ -15,18 +15,11 @@ applying the base link.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateContextError, RateDomainError
-
-
-class DataIndex(NamedTuple):
-    """Position of one observation: (entity row, occasion column)."""
-
-    row: int
-    col: int
+from .errors import DataError
 
 
 def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
@@ -261,59 +254,3 @@ class Link(Enum):
     def is_log(self) -> bool:
         return self in (Link.LOG, Link.MEAN_LOG)
 
-
-def resolve_params(i: DataIndex, scheme: SharingScheme, bank: EmbeddingBank):
-    """Effective (exponentiated if log-space) parameter rows for a data index.
-
-    Raises IndexError when the row is outside the bank.
-    """
-    n = i.row
-    if not 0 <= n < bank.n_rows:
-        raise IndexError(f"row {n} outside bank of {bank.n_rows} rows")
-    emb = bank.effective_embeddings()[n]
-    if scheme is SharingScheme.TIED:
-        return emb, emb
-    return emb, bank.effective_context_vectors()[n]
-
-
-def context_inner_sum(
-    i: DataIndex,
-    data: DataMatrix,
-    members: Sequence[DataIndex],
-    bank: EmbeddingBank,
-) -> np.ndarray:
-    """sum_{j in context} context_vector[row_j] * x_j, as a dim-vector."""
-    cv = bank.effective_context_vectors()
-    total = np.zeros(bank.dim)
-    for j in members:
-        total += data.value(j.row, j.col) * cv[j.row]
-    return total
-
-
-def natural_parameter(
-    i: DataIndex,
-    data: DataMatrix,
-    ctx,
-    bank: EmbeddingBank,
-    link: Link,
-    scheme: SharingScheme = SharingScheme.PER_ROW,
-) -> float:
-    """Reference scalar evaluation of the natural parameter at one index.
-
-    Empty contexts yield link(0) for plain links; mean-rescaled links raise
-    DegenerateContextError.  A nonpositive value under a log link raises
-    RateDomainError (training paths floor the rate instead; see families).
-    """
-    members = ctx.context_of(i.row, i.col)
-    emb, _ = resolve_params(i, scheme, bank)
-    total = context_inner_sum(i, data, members, bank)
-    if link.rescales_by_count:
-        if len(members) == 0:
-            raise DegenerateContextError(f"empty context at {tuple(i)} under mean link")
-        total = total / len(members)
-    s = float(emb @ total)
-    if link.is_log:
-        if s <= 0.0:
-            raise RateDomainError(f"nonpositive linear combination {s} under log link")
-        return float(np.log(s))
-    return s

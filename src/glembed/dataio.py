@@ -271,16 +271,21 @@ def load_model(path: str):
         if "=" not in line:
             raise DataError(f"{path}:{i + 1}: bad header line {line!r}")
         k, v = line.split("=", 1)
-        kv[k] = v
+        kv[k] = (v, i + 1)
     if body_at is None:
         raise DataError(f"{path}: missing #entities section")
     casts = {"log_space": lambda s: bool(int(s)), "dim": int, "n_entities": int,
-             "sigma2": float, "vocab_size": int, "seed": int, "context_param": int}
+             "sigma2": float, "vocab_size": int, "seed": int, "context_param": int,
+             "family": lambda s: Family(s).value, "link": lambda s: Link(s).value}
     meta_args = {}
     for f in fields(ModelMeta):
         if f.name not in kv:
             raise DataError(f"{path}: header missing {f.name}")
-        meta_args[f.name] = casts.get(f.name, str)(kv[f.name])
+        v, ln = kv[f.name]
+        try:
+            meta_args[f.name] = casts.get(f.name, str)(v)
+        except ValueError:
+            raise DataError(f"{path}:{ln}: bad value for {f.name}: {v!r}") from None
     meta = ModelMeta(**meta_args)
     labels, emb_rows, cv_rows = [], [], []
     for ln, line in enumerate(lines[body_at:], start=body_at + 1):
@@ -290,7 +295,10 @@ def load_model(path: str):
         if len(parts) != 1 + 2 * meta.dim:
             raise DataError(f"{path}:{ln}: expected {1 + 2 * meta.dim} fields")
         labels.append(parts[0])
-        nums = [float(p) for p in parts[1:]]
+        try:
+            nums = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise DataError(f"{path}:{ln}: bad parameter value") from None
         emb_rows.append(nums[: meta.dim])
         cv_rows.append(nums[meta.dim:])
     if len(labels) != meta.n_entities:
@@ -372,6 +380,8 @@ class RunConfig:
             self.context = _DEFAULT_CONTEXT[self.family]
         if not self.link:
             self.link = default_link(Family(self.family)).value
+        if self.link not in {m.value for m in Link}:
+            raise ConfigError(f"unknown link {self.link!r}")
         if not self.step_size_grid:
             self.step_size_grid = DEFAULT_STEP_GRID
         if self.implicit_zero < 0:
@@ -416,6 +426,7 @@ class RunConfig:
 
 
 _BOOL_KEYS = {"lag", "rating_shift"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _INT_KEYS = {"k", "knn_k", "window_w", "minibatch_size", "iterations",
              "negative_samples", "seed", "min_row_count", "min_col_count",
              "implicit_zero"}
@@ -442,7 +453,7 @@ def parse_run_config(text: str) -> RunConfig:
             raise ConfigError(f"config line {ln}: duplicate key {key!r}")
         try:
             if key in _BOOL_KEYS:
-                kv[key] = val.lower() in ("1", "true", "yes")
+                kv[key] = _BOOL_WORDS[val.lower()]
             elif key in _INT_KEYS:
                 kv[key] = int(val)
             elif key in _FLOAT_KEYS:
@@ -451,7 +462,7 @@ def parse_run_config(text: str) -> RunConfig:
                 kv[key] = tuple(float(s) for s in val.split(",") if s.strip())
             else:
                 kv[key] = val
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"config line {ln}: bad value for {key}: {val!r}") from None
     if "family" not in kv:
         raise ConfigError("config must set family")

@@ -25,13 +25,5 @@ class DomainError(GlembedError):
     """Value outside the support or parameter domain of a family."""
 
 
-class RateDomainError(DomainError):
-    """Nonpositive rate handed to a log-link family."""
-
-
-class DegenerateContextError(GlembedError):
-    """Empty context where the link requires at least one member."""
-
-
 class NumericAbortError(GlembedError):
     """Training produced a non-finite parameter; names iteration and coordinate."""

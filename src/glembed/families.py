@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import DataMatrix, EmbeddingBank, Link
-from .errors import ConfigError, DataError, DomainError, RateDomainError
+from .errors import ConfigError, DataError
 
 ETA_CLAMP = 30.0
 RATE_FLOOR = 1e-8
@@ -133,69 +133,6 @@ class Gradients:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference operations
-# ---------------------------------------------------------------------------
-
-def log_likelihood(x: float, eta: float, spec: FamilySpec) -> float:
-    """Log density/mass of one observation at natural parameter eta.
-
-    Base-measure constants are included, so values are true log
-    probabilities and comparable across models.
-    """
-    fam = spec.family
-    if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        return float(-((x - eta) ** 2) / (2.0 * spec.sigma2)
-                     - 0.5 * math.log(spec.sigma2) - _HALF_LOG_2PI)
-    if fam is Family.POISSON:
-        if x < 0:
-            raise DomainError("Poisson support is nonnegative")
-        eta_c = min(max(eta, -ETA_CLAMP), ETA_CLAMP)
-        return float(x * eta_c - math.exp(eta_c) - gammaln(x + 1.0))
-    if fam is Family.ADDITIVE_POISSON:
-        if x < 0:
-            raise DomainError("Poisson support is nonnegative")
-        if not math.isfinite(eta):
-            raise RateDomainError("additive Poisson rate must be positive")
-        return float(x * eta - math.exp(eta) - gammaln(x + 1.0))
-    if fam is Family.BERNOULLI:
-        if x not in (0.0, 1.0):
-            raise DomainError("Bernoulli support is {0, 1}")
-        return float(x * eta - np.logaddexp(0.0, eta))
-    raise ConfigError("use categorical_log_likelihood for the categorical family")
-
-
-def expected_sufficient_statistic(eta: float, spec: FamilySpec) -> float:
-    """Mean of the sufficient statistic, d a(eta) / d eta."""
-    fam = spec.family
-    if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        return float(eta)
-    if fam in (Family.POISSON, Family.ADDITIVE_POISSON):
-        return float(math.exp(min(max(eta, -ETA_CLAMP), ETA_CLAMP)))
-    if fam is Family.BERNOULLI:
-        return float(1.0 / (1.0 + math.exp(-eta)))
-    raise ConfigError("categorical expected statistic is the softmax; see categorical paths")
-
-
-def log_normalizer(eta: float, spec: FamilySpec) -> float:
-    """a(eta) under the conventions above (mean convention for Gaussian)."""
-    fam = spec.family
-    if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        return float(eta * eta / 2.0)
-    if fam in (Family.POISSON, Family.ADDITIVE_POISSON):
-        return float(math.exp(min(max(eta, -ETA_CLAMP), ETA_CLAMP)))
-    if fam is Family.BERNOULLI:
-        return float(np.logaddexp(0.0, eta))
-    raise ConfigError("categorical has no scalar log-normalizer")
-
-
-def categorical_log_likelihood(etas: np.ndarray, active: int) -> float:
-    """Softmax log mass of the active term given the block of etas."""
-    etas = np.asarray(etas, dtype=np.float64)
-    m = etas.max()
-    return float(etas[active] - m - np.log(np.exp(etas - m).sum()))
-
-
-# ---------------------------------------------------------------------------
 # vectorized engine over batches of cells
 # ---------------------------------------------------------------------------
 
@@ -235,7 +172,11 @@ def _linear_values(data, ctx, bank, spec, rows, cols, xvals, stored_mask, entity
 
 
 def _residuals_and_loglik(spec, svals, xvals, counters):
-    """Per-cell residual r (d loglik / d linear value) and log-likelihood."""
+    """Per-cell residual r (d loglik / d linear value) and log-likelihood.
+
+    Log-likelihoods include base-measure constants, so they are true log
+    probabilities, comparable across models.
+    """
     fam = spec.family
     if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
         resid = (xvals - svals) / spec.sigma2

@@ -2,8 +2,9 @@
 
 The finite-difference gradient here is the independent oracle for every
 analytic gradient: it only touches the objective function, never the
-gradient code paths it checks.  The scalar scoring loops are the oracles
-for the batched evaluation protocols: they walk ``context_of`` entry by
+gradient code paths it checks.  ``members`` restates each context builder's
+membership rule one cell at a time; the scalar loops (``ExplicitContext``,
+``scalar_linear_value`` and the scoring protocols) walk those members entry by
 entry and never call the context sums they check.
 """
 
@@ -13,7 +14,10 @@ import numpy as np
 
 from glembed.core import DataMatrix, EmbeddingBank, Link
 from glembed.contexts import (
+    BasketContext,
+    KnnContext,
     SpatialLayout,
+    WindowContext,
     WindowSpec,
     build_basket_context,
     build_knn_context,
@@ -59,28 +63,75 @@ def scalar_fold_of(n_rows, folds, seed):
     return fold_of
 
 
+def members(ctx, data, row, col):
+    """Cells (row_j, col_j) in the context of cell (row, col) of ``data``."""
+    if isinstance(ctx, ExplicitContext):
+        return ctx.mapping.get((row, col), [])
+    if isinstance(ctx, KnnContext):
+        return [(int(m), col) for m in ctx.neighbors[row]]
+    stored = zip(data.rows.tolist(), data.cols.tolist())
+    if isinstance(ctx, BasketContext):
+        return [(m, c) for m, c in stored if c == col and m != row]
+    if isinstance(ctx, WindowContext):
+        return [(m, c) for m, c in stored if 0 < abs(c - col) <= ctx.half_width]
+    raise TypeError(f"no membership rule for {type(ctx).__name__}")
+
+
+class ExplicitContext:
+    """Context map given as an explicit cell -> member cells dictionary; its
+    sums and scatter walk ``members`` one cell at a time."""
+
+    def __init__(self, mapping):
+        self.mapping = {cell: [tuple(j) for j in js] for cell, js in mapping.items()}
+
+    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+        x = data.dense()
+        S = np.zeros((len(rows), cv.shape[1]))
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for e, cell in enumerate(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())):
+            for j in members(self, data, *cell):
+                if entity_mask is None or not entity_mask[j[0]]:
+                    S[e] += x[j] * cv[j[0]]
+                    counts[e] += 1
+        return S, counts
+
+    def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
+        x = data.dense()
+        for e, cell in enumerate(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())):
+            for j in members(self, data, *cell):
+                out[j[0]] += x[j] * coef[e]
+
+
+def scalar_linear_value(data, ctx, bank, link, row, col, drop_rows=()):
+    """emb[row] . sum_j x_j * cv[row_j] over the members of (row, col) whose
+    row is not in ``drop_rows``, divided by their number under a mean link;
+    None when no member is left."""
+    kept = [j for j in members(ctx, data, row, col) if j[0] not in drop_rows]
+    if not kept:
+        return None
+    cv = bank.effective_context_vectors()
+    total = np.zeros(bank.dim)
+    for j in kept:
+        total += data.dense()[j] * cv[j[0]]
+    if link.rescales_by_count:
+        total /= len(kept)
+    return float(bank.effective_embeddings()[row] @ total)
+
+
 def scalar_leave_fraction_out(test_data, ctx, bank, spec, folds=4, seed=0):
     """Reference leave-fraction-out squared error: per entry, the context
     members outside the entry's fold, summed one at a time."""
     fold_of = scalar_fold_of(test_data.n_rows, folds, seed)
-    emb = bank.effective_embeddings()
-    cv = bank.effective_context_vectors()
-    divide = spec.link.rescales_by_count
     err2 = []
     excluded = 0
     for r, c, x in zip(test_data.rows.tolist(), test_data.cols.tolist(),
                        test_data.vals.tolist()):
-        members = [j for j in ctx.context_of(r, c) if fold_of[j.row] != fold_of[r]]
-        if not members:
+        fold_mates = set(np.flatnonzero(fold_of == fold_of[r]).tolist())
+        pred = scalar_linear_value(test_data, ctx, bank, spec.link, r, c, fold_mates)
+        if pred is None:
             excluded += 1
-            continue
-        total = np.zeros(bank.dim)
-        for j in members:
-            total += test_data.value(j.row, j.col) * cv[j.row]
-        if divide:
-            total /= len(members)
-        pred = float(emb[r] @ total)
-        err2.append((x - pred) ** 2)
+        else:
+            err2.append((x - pred) ** 2)
     return EvalReport.from_scores("leave_fraction_out_mse", np.array(err2), excluded)
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from glembed.cli import main
 from glembed.contexts import knn_neighbors
-from glembed.dataio import ingest, load_model, read_locations
+from glembed.core import EmbeddingBank
+from glembed.dataio import ModelMeta, ingest, load_model, read_locations, store_model
 
 CFG_GAUSSIAN = """\
 family = gaussian
@@ -115,7 +116,6 @@ def test_zero_iteration_training_returns_initialization(toy_run):
                "--locations", toy_run["locations"], "--out", model])
     assert rc == 0
     bank, meta, _ = load_model(model)
-    from glembed.core import EmbeddingBank
     init = EmbeddingBank.init_random(12, 2, seed=11)
     np.testing.assert_array_equal(bank.embeddings, init.embeddings)
 
@@ -221,6 +221,41 @@ def test_nonfinite_input_is_data_error_naming_the_line(toy_run, tmp_path, capsys
                "--locations", paths["locations"], "--out", str(tmp_path / "bad.model")])
     assert rc == 3
     assert f"{bad}:4: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["link = bogus", "lag = maybe", "rating_shift = 2"])
+def test_unusable_config_value_is_config_error(toy_run, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CFG_GAUSSIAN + line + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", toy_run["data"],
+               "--locations", toy_run["locations"], "--out", str(tmp_path / "bad.model")])
+    assert rc == 2
+    assert repr(line.split(" = ")[1]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["header", "link", "body"])
+def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, capsys, part):
+    good = tmp_path / "good.model"
+    store_model(str(good), EmbeddingBank.init_random(12, 2, seed=0),
+                ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn"))
+    lines = good.read_text().splitlines()
+    if part == "header":
+        at = lines.index("dim=2")
+        lines[at] = "dim=ten"
+    elif part == "link":
+        at = lines.index("link=identity")
+        lines[at] = "link=idnetity"
+    else:
+        at = lines.index("#entities") + 2
+        lines[at] = lines[at].replace("\t", "\tabc\t", 1).rsplit("\t", 1)[0]
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(bad), "--test", toy_run["data"],
+               "--protocol", "loo-mse", "--locations", toy_run["locations"]])
+    assert rc == 3
+    assert f"{bad}:{at + 1}: bad " in capsys.readouterr().err
 
 
 def test_query_similar_top_zero_is_empty_success(toy_run, capsys):

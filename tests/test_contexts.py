@@ -3,7 +3,6 @@ import pytest
 
 from glembed.contexts import (
     KNN_SUM_CHUNK,
-    ContextMap,
     SpatialLayout,
     WindowSpec,
     build_basket_context,
@@ -11,9 +10,29 @@ from glembed.contexts import (
     build_window_context,
     knn_neighbors,
 )
+from glembed.core import DataMatrix
 from glembed.errors import ConfigError, DataError
 
-from helpers import count_instance, dense_matrix, gaussian_instance, text_instance
+from helpers import (
+    ExplicitContext,
+    count_instance,
+    dense_matrix,
+    gaussian_instance,
+    text_instance,
+)
+
+
+def context_table(ctx, data, rows, cols):
+    """Per cell, the context's sum of x_j over each entity row (ctx.sums with
+    cv = the identity) and its member count."""
+    return ctx.sums(data, np.eye(data.n_rows), np.asarray(rows), np.asarray(cols))
+
+
+def word_per_position(length, w):
+    """A text whose word at position p is p, so member rows name member columns."""
+    data = DataMatrix(length, length, np.arange(length), np.arange(length),
+                      np.ones(length), implicit_zero=True)
+    return data, build_window_context(length, WindowSpec(w), data)
 
 
 def brute_force_knn(positions, k):
@@ -66,12 +85,11 @@ def test_knn_requires_k_below_n():
 
 def test_knn_context_time_invariant_and_no_self():
     data, ctx, _ = gaussian_instance(2, n=6, t=4, knn=3)
-    rows0 = [j.row for j in ctx.context_of(2, 0)]
-    for col in range(1, 4):
-        members = ctx.context_of(2, col)
-        assert [j.row for j in members] == rows0
-        assert all(j.col == col for j in members)
-        assert all(j.row != 2 for j in members)
+    table, counts = context_table(ctx, data, [2] * 4, range(4))
+    # with cv = I the sum over entity m is x[m, col]: the same rows, this column
+    np.testing.assert_array_equal(table != 0, np.broadcast_to(table[0] != 0, table.shape))
+    np.testing.assert_array_equal(table[:, table[0] != 0], data.dense()[table[0] != 0].T)
+    assert table[0, 2] == 0 and (counts == 3).all() and (table[0] != 0).sum() == 3
 
 
 def test_basket_context_examples():
@@ -80,20 +98,21 @@ def test_basket_context_examples():
     vals[4, 1] = 2.0  # single-item basket
     data = dense_matrix(vals, implicit_zero=True)
     ctx = build_basket_context(data)
-    assert [(j.row, j.col) for j in ctx.context_of(2, 0)] == [(5, 0), (9, 0)]
-    assert ctx.context_of(4, 1) == []
+    table, counts = context_table(ctx, data, [2, 4, 0], [0, 1, 0])
+    assert np.flatnonzero(table[0]).tolist() == [5, 9] and counts[0] == 2
+    assert not table[1].any() and counts[1] == 0
     # zero cell in a populated column sees every stored entry
-    assert [(j.row, j.col) for j in ctx.context_of(0, 0)] == [(2, 0), (5, 0), (9, 0)]
+    assert np.flatnonzero(table[2]).tolist() == [2, 5, 9] and counts[2] == 3
 
 
 def test_basket_context_symmetry():
     data, ctx, _ = count_instance(3, n=6, t=5)
-    for col in range(data.n_cols):
-        stored = data.rows[data.cols == col].tolist()
-        for n in stored:
-            rows = {j.row for j in ctx.context_of(n, col)}
-            for m in rows:
-                assert n in {j.row for j in ctx.context_of(m, col)}
+    table, _ = context_table(ctx, data, data.rows, data.cols)
+    member = {(n, c): set(np.flatnonzero(row).tolist())
+              for n, c, row in zip(data.rows.tolist(), data.cols.tolist(), table)}
+    for (n, col), rows in member.items():
+        for m in rows:
+            assert n in member[(m, col)]
 
 
 def test_basket_context_requires_implicit_zero():
@@ -102,13 +121,13 @@ def test_basket_context_requires_implicit_zero():
 
 
 def test_window_positions_examples():
-    ctx = build_window_context(5, WindowSpec(1))
-    assert ctx.window_positions(2) == [1, 3]
-    ctx = build_window_context(5, WindowSpec(2))
-    assert ctx.window_positions(0) == [1, 2]
-    ctx = build_window_context(3, WindowSpec(5))
-    for i in range(3):
-        assert ctx.window_positions(i) == [j for j in range(3) if j != i]
+    for length, w, pos, expected in ((5, 1, 2, [1, 3]), (5, 2, 0, [1, 2]),
+                                     (3, 5, 0, [1, 2]), (3, 5, 1, [0, 2]),
+                                     (3, 5, 2, [0, 1])):
+        data, ctx = word_per_position(length, w)
+        table, counts = context_table(ctx, data, [0], [pos])
+        assert np.flatnonzero(table[0]).tolist() == expected
+        assert counts[0] == len(expected)
 
 
 def test_window_spec_validation():
@@ -119,17 +138,15 @@ def test_window_spec_validation():
 def test_window_context_size_bounds():
     length, w = 9, 2
     data, ctx, _ = text_instance(4, vocab=4, length=length, w=w)
-    for i in range(length):
-        size = len(ctx.context_of(0, i))
-        assert min(w, length - 1) <= size <= min(2 * w, length - 1)
+    _, counts = context_table(ctx, data, [0] * length, range(length))
+    assert (min(w, length - 1) <= counts).all() and (counts <= min(2 * w, length - 1)).all()
 
 
 def test_window_context_members_exclude_own_column():
-    data, ctx, _ = text_instance(5, vocab=4, length=7, w=2)
-    for col in range(7):
-        members = ctx.context_of(0, col)
-        assert all(j.col != col for j in members)
-        assert all(0 <= j.row < 4 and 0 <= j.col < 7 for j in members)
+    data, ctx = word_per_position(7, 2)
+    table, _ = context_table(ctx, data, [0] * 7, range(7))
+    assert not np.diag(table).any()
+    assert (table.sum(axis=1) == [2, 3, 4, 4, 4, 3, 2]).all()
 
 
 @pytest.mark.parametrize("builder", ["knn", "basket", "window"])
@@ -148,14 +165,15 @@ def test_vectorized_sums_match_generic(builder):
     cv = bank.effective_context_vectors()
     for entity_mask in (None, np.arange(data.n_rows) % 3 == 1):
         fast_s, fast_c = ctx.sums(data, cv, rows, cols, entity_mask=entity_mask)
-        slow_s, slow_c = ContextMap.sums(ctx, data, cv, rows, cols, entity_mask=entity_mask)
+        slow_s, slow_c = ExplicitContext.sums(ctx, data, cv, rows, cols,
+                                              entity_mask=entity_mask)
         np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
         np.testing.assert_array_equal(fast_c, slow_c)
     coef = rng.normal(size=(n_cells, bank.dim))
     fast_g = np.zeros_like(cv)
     slow_g = np.zeros_like(cv)
     ctx.scatter_add(data, rows, cols, coef, fast_g)
-    ContextMap.scatter_add(ctx, data, rows, cols, coef, slow_g)
+    ExplicitContext.scatter_add(ctx, data, rows, cols, coef, slow_g)
     np.testing.assert_allclose(fast_g, slow_g, atol=1e-12)
 
 
@@ -180,3 +198,10 @@ def test_knn_sums_in_chunks_equal_one_einsum(masked):
         vals = np.where(mask[nb], 0.0, vals)
     np.testing.assert_array_equal(S, np.einsum("ek,ekd->ed", vals, bank.context_vectors[nb]))
     assert counts.sum() == (n_cells * 3 if not masked else (~mask[nb]).sum())
+    if not masked:  # the scatter adds in the same order as one np.add.at
+        coef = rng.normal(size=(n_cells, bank.dim))
+        got = np.zeros_like(bank.context_vectors)
+        ctx.scatter_add(data, rows, cols, coef, got)
+        want = np.zeros_like(got)
+        np.add.at(want, nb.ravel(), (vals[:, :, None] * coef[:, None, :]).reshape(-1, bank.dim))
+        np.testing.assert_array_equal(got, want)

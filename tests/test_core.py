@@ -1,19 +1,34 @@
 import numpy as np
 import pytest
 
-from glembed.core import (
-    DataIndex,
-    DataMatrix,
-    EmbeddingBank,
-    Link,
-    SharingScheme,
-    natural_parameter,
-    resolve_params,
-)
-from glembed.contexts import ExplicitContext, build_knn_context, SpatialLayout
-from glembed.errors import DataError, DegenerateContextError, RateDomainError
+import glembed
+from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.contexts import build_knn_context, SpatialLayout
+from glembed.errors import DataError
+from glembed.families import Family, FamilySpec, _linear_values
 
-from helpers import dense_matrix
+from helpers import ExplicitContext, dense_matrix
+
+
+def linear_values(data, ctx, bank, link, rows, cols):
+    """(linear values, active) of a batch of cells, through the batched engine
+    (a log link is the additive Poisson's, whose linear value is the rate)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    xvals, stored = data.lookup(rows, cols)
+    spec = FamilySpec(Family.ADDITIVE_POISSON if link.is_log else Family.GAUSSIAN, link)
+    svals, _, _, active = _linear_values(data, ctx, bank, spec, rows, cols, xvals, stored)
+    return svals, active
+
+
+def test_public_names_resolve_and_scalar_path_is_gone():
+    for name in glembed.__all__:
+        assert hasattr(glembed, name), name
+    removed = ["DataIndex", "natural_parameter", "resolve_params", "context_inner_sum",
+               "ContextMap", "ExplicitContext", "log_likelihood", "log_normalizer",
+               "expected_sufficient_statistic", "categorical_log_likelihood",
+               "RateDomainError", "DegenerateContextError"]
+    for module in (glembed, glembed.core, glembed.contexts, glembed.families, glembed.errors):
+        assert not [n for n in removed if hasattr(module, n)], module.__name__
 
 
 def test_data_matrix_rejects_duplicates():
@@ -80,39 +95,11 @@ def test_value_lookup_semantics():
     assert d.n_terms == 9 and e.n_terms == 1
 
 
-def test_resolve_params_per_row():
-    bank = EmbeddingBank(np.arange(12.0).reshape(4, 3), np.arange(12.0).reshape(4, 3) + 100)
-    emb, cv = resolve_params(DataIndex(2, 7), SharingScheme.PER_ROW, bank)
-    np.testing.assert_array_equal(emb, [6.0, 7.0, 8.0])
-    np.testing.assert_array_equal(cv, [106.0, 107.0, 108.0])
-
-
-def test_resolve_params_tied_aliases():
-    emb = np.arange(6.0).reshape(3, 2)
-    bank = EmbeddingBank(emb, emb)
-    e, c = resolve_params(DataIndex(1, 0), SharingScheme.TIED, bank)
-    np.testing.assert_array_equal(e, c)
-    np.testing.assert_array_equal(e, [2.0, 3.0])
-
-
-def test_resolve_params_log_space():
-    bank = EmbeddingBank(np.zeros((2, 2)), np.zeros((2, 2)), log_space=True)
-    emb, cv = resolve_params(DataIndex(0, 0), SharingScheme.PER_ROW, bank)
-    np.testing.assert_array_equal(emb, [1.0, 1.0])  # exp(0)
-    np.testing.assert_array_equal(cv, [1.0, 1.0])
-
-
-def test_resolve_params_out_of_range():
-    bank = EmbeddingBank.zeros(3, 2)
-    with pytest.raises(IndexError):
-        resolve_params(DataIndex(3, 0), SharingScheme.PER_ROW, bank)
-
-
 def test_natural_parameter_zero_context_vectors():
     data = dense_matrix(np.ones((3, 2)))
     ctx = ExplicitContext({(0, 0): [(1, 0), (2, 0)]})
     bank = EmbeddingBank(np.ones((3, 2)), np.zeros((3, 2)))
-    assert natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.IDENTITY) == 0.0
+    assert linear_values(data, ctx, bank, Link.IDENTITY, [0], [0])[0][0] == 0.0
 
 
 def test_natural_parameter_scalar_case():
@@ -121,21 +108,20 @@ def test_natural_parameter_scalar_case():
     ctx = ExplicitContext({(0, 0): [(1, 0)]})
     bank = EmbeddingBank(np.array([[2.0], [0.0]]), np.array([[0.0], [3.0]]))
     expected = 2.0 * (0.5 * 3.0)  # independent scalar evaluation
-    got = natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.IDENTITY)
-    assert got == pytest.approx(expected)
-    got_log = natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.LOG)
-    assert got_log == pytest.approx(np.log(expected))
+    for link in (Link.IDENTITY, Link.LOG, Link.MEAN_IDENTITY, Link.MEAN_LOG):
+        got, active = linear_values(data, ctx, bank, link, [0], [0])
+        assert active[0] and got[0] == pytest.approx(expected)
 
 
 def test_natural_parameter_empty_context_policies():
+    # an empty context sums to 0 under a plain link; a mean link drops the cell
     data = dense_matrix(np.ones((2, 1)))
-    ctx = ExplicitContext({})
     bank = EmbeddingBank(np.ones((2, 1)), np.ones((2, 1)))
-    assert natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.IDENTITY) == 0.0
-    with pytest.raises(DegenerateContextError):
-        natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.MEAN_IDENTITY)
-    with pytest.raises(RateDomainError):
-        natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.LOG)
+    for link, value, active in ((Link.IDENTITY, 0.0, True), (Link.LOG, 0.0, True),
+                                (Link.MEAN_IDENTITY, 1.0, False),
+                                (Link.MEAN_LOG, 1.0, False)):
+        got = linear_values(data, ExplicitContext({}), bank, link, [0], [0])
+        assert (got[0][0], got[1][0]) == (value, active)
 
 
 def test_permutation_equivariance():
@@ -153,12 +139,10 @@ def test_permutation_equivariance():
     bank_p = EmbeddingBank(bank.embeddings[perm], bank.context_vectors[perm])
 
     inv = np.argsort(perm)
-    for row in range(n):
-        for col in range(t):
-            a = natural_parameter(DataIndex(row, col), data, ctx, bank, Link.IDENTITY)
-            b = natural_parameter(DataIndex(int(inv[row]), col), data_p, ctx_p,
-                                  bank_p, Link.IDENTITY)
-            assert a == pytest.approx(b, rel=1e-12)
+    rows, cols = np.indices((n, t)).reshape(2, -1)
+    a, _ = linear_values(data, ctx, bank, Link.IDENTITY, rows, cols)
+    b, _ = linear_values(data_p, ctx_p, bank_p, Link.IDENTITY, inv[rows], cols)
+    np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_linearity_in_context_values():
@@ -167,13 +151,10 @@ def test_linearity_in_context_values():
     bank = EmbeddingBank(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
     ctx = ExplicitContext({(0, 0): [(1, 0), (2, 0)]})
     h = 1e-6
-    vals = {(1, 0): 0.7, (2, 0): -0.3}
 
     def eta(bump):
-        x = np.zeros((3, 1))
-        x[1, 0] = vals[(1, 0)] + bump
-        x[2, 0] = vals[(2, 0)]
-        return natural_parameter(DataIndex(0, 0), dense_matrix(x), ctx, bank, Link.IDENTITY)
+        x = np.array([[0.0], [0.7 + bump], [-0.3]])
+        return linear_values(dense_matrix(x), ctx, bank, Link.IDENTITY, [0], [0])[0][0]
 
     slope = (eta(h) - eta(-h)) / (2 * h)
     assert slope == pytest.approx(float(bank.embeddings[0] @ bank.context_vectors[1]), rel=1e-6)
@@ -184,9 +165,9 @@ def test_context_mean_equals_identity_for_single_member():
     data = dense_matrix(rng.normal(size=(2, 1)))
     ctx = ExplicitContext({(0, 0): [(1, 0)]})
     bank = EmbeddingBank(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
-    a = natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.IDENTITY)
-    b = natural_parameter(DataIndex(0, 0), data, ctx, bank, Link.MEAN_IDENTITY)
-    assert a == pytest.approx(b, rel=1e-12)
+    a, _ = linear_values(data, ctx, bank, Link.IDENTITY, [0], [0])
+    b, _ = linear_values(data, ctx, bank, Link.MEAN_IDENTITY, [0], [0])
+    assert a[0] == pytest.approx(b[0], rel=1e-12)
 
 
 def test_tied_scheme_role_swap_is_noop():
@@ -195,12 +176,10 @@ def test_tied_scheme_role_swap_is_noop():
     bank = EmbeddingBank(emb, emb)
     data = dense_matrix(rng.normal(size=(3, 2)))
     ctx = ExplicitContext({(0, 1): [(1, 1), (2, 1)]})
-    a = natural_parameter(DataIndex(0, 1), data, ctx, bank, Link.IDENTITY,
-                          SharingScheme.TIED)
+    a, _ = linear_values(data, ctx, bank, Link.IDENTITY, [0], [1])
     swapped = EmbeddingBank(bank.context_vectors, bank.embeddings)
-    b = natural_parameter(DataIndex(0, 1), data, ctx, swapped, Link.IDENTITY,
-                          SharingScheme.TIED)
-    assert a == pytest.approx(b, rel=1e-15)
+    b, _ = linear_values(data, ctx, swapped, Link.IDENTITY, [0], [1])
+    assert a[0] == pytest.approx(b[0], rel=1e-15)
 
 
 def test_bank_requires_finite_values():

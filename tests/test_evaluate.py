@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from glembed.core import DataIndex, DataMatrix, EmbeddingBank, Link, natural_parameter
+from glembed.core import DataMatrix, EmbeddingBank, Link
 from glembed.contexts import (
-    ExplicitContext,
     KnnContext,
     WindowSpec,
     build_basket_context,
@@ -27,10 +26,12 @@ from glembed.families import Family, FamilySpec, conditional_means
 from glembed.synth import gen_gaussian_knn
 
 from helpers import (
+    ExplicitContext,
     count_instance,
     dense_matrix,
     scalar_fold_of,
     scalar_leave_fraction_out,
+    scalar_linear_value,
     scalar_npll,
 )
 
@@ -235,11 +236,10 @@ def test_batched_protocols_match_scalar_oracles(builder, link, folds):
                                    [ref.estimate, ref.stderr], rtol=1e-12)
 
         loo = leave_one_out_mse(data, ctx, bank, spec)
-        kept = [DataIndex(r, c) for r, c in zip(data.rows.tolist(), data.cols.tolist())
-                if ctx.context_of(r, c)]
-        assert loo.excluded == data.nnz - len(kept)
-        err2 = [(data.value(*i) - natural_parameter(i, data, ctx, bank, link)) ** 2
-                for i in kept]
+        preds = [scalar_linear_value(data, ctx, bank, link, r, c)
+                 for r, c in zip(data.rows.tolist(), data.cols.tolist())]
+        err2 = [(x - p) ** 2 for x, p in zip(data.vals.tolist(), preds) if p is not None]
+        assert loo.excluded == data.nnz - len(err2)
         assert loo.estimate == pytest.approx(np.mean(err2), rel=1e-12)
 
 

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from glembed.core import DataMatrix, EmbeddingBank, Link
-from glembed.contexts import ExplicitContext
-from glembed.errors import ConfigError, DataError, DomainError
+from glembed.errors import ConfigError, DataError
 from glembed.families import (
     Family,
     FamilySpec,
-    categorical_log_likelihood,
+    _residuals_and_loglik,
     categorical_term_log_likelihoods,
-    expected_sufficient_statistic,
-    log_likelihood,
-    log_normalizer,
+    conditional_means,
     term_log_likelihoods,
     validate_data,
     weighted_term_gradient,
@@ -21,6 +18,7 @@ from glembed.families import (
 from glembed.train import TrainConfig, full_gradient
 
 from helpers import (
+    ExplicitContext,
     assert_grad_close,
     dense_matrix,
     family_instance,
@@ -34,50 +32,62 @@ SCALAR_FAMILIES = [f for f in ALL_FAMILIES if f is not Family.CATEGORICAL]
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
+# per-cell values on arrays of linear values
 # ---------------------------------------------------------------------------
 
+def loglik(family, x, svals, sigma2=1.0):
+    """Per-cell log-likelihoods of x at the given linear values."""
+    svals = np.asarray(svals, dtype=np.float64)
+    return _residuals_and_loglik(FamilySpec(family, sigma2=sigma2), svals,
+                                 np.broadcast_to(np.asarray(x, dtype=np.float64), svals.shape),
+                                 None)[1]
+
+
 def test_log_likelihood_poisson_at_unit_rate():
-    spec = FamilySpec(Family.POISSON)
-    assert log_likelihood(0.0, 0.0, spec) == pytest.approx(-1.0)
+    assert loglik(Family.POISSON, 0.0, [0.0])[0] == pytest.approx(-1.0)
 
 
 def test_log_likelihood_gaussian_at_mean():
-    spec = FamilySpec(Family.GAUSSIAN, sigma2=1.0)
-    assert log_likelihood(1.7, 1.7, spec) == pytest.approx(-0.5 * math.log(2 * math.pi))
+    assert loglik(Family.GAUSSIAN, 1.7, [1.7])[0] == pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
 def test_log_likelihood_bernoulli_mass():
-    # natural parameter is the log-odds; at mean 0.25 the log mass of x=1
+    # the linear value is the log-odds; at mean 0.25 the log mass of x=1
     # is log(0.25)
-    spec = FamilySpec(Family.BERNOULLI)
     eta = math.log(0.25 / 0.75)
-    assert log_likelihood(1.0, eta, spec) == pytest.approx(math.log(0.25))
-    assert log_likelihood(0.0, eta, spec) == pytest.approx(math.log(0.75))
-
-
-def test_log_likelihood_domain_errors():
-    with pytest.raises(DomainError):
-        log_likelihood(-1.0, 0.0, FamilySpec(Family.POISSON))
-    with pytest.raises(DomainError):
-        log_likelihood(0.5, 0.0, FamilySpec(Family.BERNOULLI))
-    with pytest.raises(DomainError):
-        log_likelihood(1.0, -math.inf, FamilySpec(Family.ADDITIVE_POISSON))
+    assert loglik(Family.BERNOULLI, 1.0, [eta])[0] == pytest.approx(math.log(0.25))
+    assert loglik(Family.BERNOULLI, 0.0, [eta])[0] == pytest.approx(math.log(0.75))
 
 
 def test_expected_sufficient_statistic_values():
-    assert expected_sufficient_statistic(0.0, FamilySpec(Family.POISSON)) == pytest.approx(1.0)
-    assert expected_sufficient_statistic(2.3, FamilySpec(Family.GAUSSIAN)) == pytest.approx(2.3)
-    assert expected_sufficient_statistic(0.0, FamilySpec(Family.BERNOULLI)) == pytest.approx(0.5)
+    # one cell whose context sum is 1, so its linear value is emb[0]
+    data = DataMatrix(2, 1, [0, 1], [0, 0], [1.0, 1.0], implicit_zero=True)
+    ctx = ExplicitContext({(0, 0): [(1, 0)]})
+    for family, eta, mean in ((Family.POISSON, 0.0, 1.0), (Family.GAUSSIAN, 2.3, 2.3),
+                              (Family.BERNOULLI, 0.0, 0.5)):
+        bank = EmbeddingBank(np.array([[eta], [0.0]]), np.array([[0.0], [1.0]]))
+        got, _ = conditional_means(data, ctx, bank, FamilySpec(family), [0], [0], [1.0])
+        assert got[0] == pytest.approx(mean)
 
 
 @pytest.mark.parametrize("family", SCALAR_FAMILIES)
 def test_expected_statistic_is_normalizer_derivative(family):
-    spec = FamilySpec(family)
+    # the residual the gradient uses is d loglik / d linear value, which for
+    # the canonical families is x minus the derivative of the normalizer
+    spec = FamilySpec(family, sigma2=0.7)
     h = 1e-6
-    for eta in (-1.2, -0.3, 0.4, 1.5):
-        num = (log_normalizer(eta + h, spec) - log_normalizer(eta - h, spec)) / (2 * h)
-        assert num == pytest.approx(expected_sufficient_statistic(eta, spec), abs=1e-6)
+    if family is Family.ADDITIVE_POISSON:  # the linear value is the rate
+        grid, xs = np.array([0.3, 0.9, 1.7, 2.5]), (0.0, 1.0, 3.0)
+    elif family is Family.BERNOULLI:
+        grid, xs = np.array([-1.2, -0.3, 0.4, 1.5]), (0.0, 1.0)
+    else:
+        grid, xs = np.array([-1.2, -0.3, 0.4, 1.5]), (0.0, 1.0, 3.0)
+    for x in xs:
+        xv = np.full(len(grid), x)
+        resid, _ = _residuals_and_loglik(spec, grid, xv, None)
+        up = _residuals_and_loglik(spec, grid + h, xv, None)[1]
+        down = _residuals_and_loglik(spec, grid - h, xv, None)[1]
+        np.testing.assert_allclose(resid, (up - down) / (2 * h), rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("family,x", [
@@ -88,33 +98,41 @@ def test_expected_statistic_is_normalizer_derivative(family):
     (Family.BERNOULLI, 0.0),
 ])
 def test_log_likelihood_peaks_where_mean_matches_statistic(family, x):
-    # grid scan: the log-likelihood argmax over eta coincides with the grid
-    # point whose expected statistic is closest to t(x)
+    # grid scan: the log-likelihood argmax over the linear value coincides
+    # with the grid point whose residual x - mean is closest to zero
     spec = FamilySpec(family, sigma2=0.9 if family is Family.GAUSSIAN else 1.0)
     grid = np.linspace(-4.0, 4.0, 801)
-    ll = np.array([log_likelihood(x, float(e), spec) for e in grid])
-    gap = np.array([abs(expected_sufficient_statistic(float(e), spec) - x) for e in grid])
-    assert abs(int(ll.argmax()) - int(gap.argmin())) <= 1
+    resid, ll = _residuals_and_loglik(spec, grid, np.full(len(grid), x), None)
+    assert abs(int(ll.argmax()) - int(np.abs(resid).argmin())) <= 1
 
 
 def test_poisson_and_additive_poisson_likelihoods_agree_when_rates_match():
-    # exp(eta) for the multiplicative model equals the additive rate by
-    # construction, so the masses must coincide
-    spec_mult = FamilySpec(Family.POISSON)
-    spec_add = FamilySpec(Family.ADDITIVE_POISSON)
+    # the Poisson linear value is the log-rate, the additive Poisson's the
+    # rate itself, so at matching rates the masses must coincide
     eta = 0.7
-    rate = math.exp(eta)
     for x in (0.0, 1.0, 3.0):
-        assert log_likelihood(x, eta, spec_mult) == pytest.approx(
-            log_likelihood(x, math.log(rate), spec_add))
+        assert loglik(Family.POISSON, x, [eta])[0] == pytest.approx(
+            loglik(Family.ADDITIVE_POISSON, x, [math.exp(eta)])[0])
+
+
+def softmax_log_likelihood(etas, active):
+    """Categorical log-likelihood of ``active`` at column 0, whose one context
+    member makes the linear value of every vocabulary row v equal etas[v]."""
+    etas = np.asarray(etas, dtype=np.float64)
+    data = DataMatrix(len(etas), 2, [active, 0], [0, 1], [1.0, 1.0], implicit_zero=True)
+    ctx = ExplicitContext({(active, 0): [(0, 1)]})
+    cv = np.zeros((len(etas), 1))
+    cv[0] = 1.0
+    bank = EmbeddingBank(etas[:, None], cv)
+    spec = FamilySpec(Family.CATEGORICAL, vocab_size=len(etas))
+    return categorical_term_log_likelihoods(data, ctx, bank, spec, [0])[0][0]
 
 
 def test_categorical_log_likelihood_softmax():
-    etas = np.array([0.0, 0.0])
-    assert categorical_log_likelihood(etas, 0) == pytest.approx(math.log(0.5))
+    assert softmax_log_likelihood([0.0, 0.0], 0) == pytest.approx(math.log(0.5))
     etas = np.array([1.0, 2.0, 3.0])
     ref = etas[1] - math.log(np.exp(etas).sum())
-    assert categorical_log_likelihood(etas, 1) == pytest.approx(ref)
+    assert softmax_log_likelihood(etas, 1) == pytest.approx(ref)
 
 
 def test_family_spec_link_constraints():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from glembed.core import DataMatrix, EmbeddingBank
-from glembed.contexts import ExplicitContext, build_basket_context
+from glembed.contexts import build_basket_context
 from glembed.errors import ConfigError, NumericAbortError
 from glembed.families import (
     Family,
@@ -27,6 +27,7 @@ from glembed.train import (
 )
 
 from helpers import (
+    ExplicitContext,
     count_instance,
     dense_draw_zero_cells,
     dense_matrix,
