@@ -5,7 +5,7 @@ log-likelihoods with Adagrad stochastic gradients, and provides held-out
 evaluation protocols and qualitative analysis queries.
 """
 
-from .core import DataMatrix, EmbeddingBank, Link, SharingScheme
+from .core import DataMatrix, EmbeddingBank, Link
 from .contexts import (
     SpatialLayout,
     WindowSpec,
@@ -23,7 +23,6 @@ __all__ = [
     "DataMatrix",
     "EmbeddingBank",
     "Link",
-    "SharingScheme",
     "SpatialLayout",
     "WindowSpec",
     "build_basket_context",

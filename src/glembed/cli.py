@@ -23,7 +23,7 @@ from .contexts import (
     build_knn_context,
     build_window_context,
 )
-from .core import DataMatrix, SharingScheme
+from .core import DataMatrix
 from .dataio import (
     ModelMeta,
     RunConfig,
@@ -124,8 +124,7 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     meta = ModelMeta(
         family=cfg.family,
         link=cfg.link,
-        sharing=SharingScheme.GLOBAL.value if cfg.family in ("bernoulli", "categorical")
-        else SharingScheme.PER_ROW.value,
+        sharing="global" if cfg.family in ("bernoulli", "categorical") else "per_row",
         log_space=bank.log_space,
         dim=cfg.k,
         n_entities=bank.n_rows,

@@ -6,10 +6,11 @@ Three builders cover the application patterns:
 * same-column basket contexts (the other stored entries of a column),
 * sliding window contexts over column positions (text).
 
-Each context map computes, for a batch of cells, the context sums
-``sum_j x_j * cv[row_j]`` with the member counts (``sums``) and the gradient
-scatter onto the members' rows (``scatter_add``) that the training engine
-and the scoring protocols use.  Maps are immutable after construction.
+Each context map takes a ``TermBatch`` of cells and computes their context
+sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
+gradient scatter onto the members' rows (``scatter_add``) that the training
+engine and the scoring protocols use.  Maps are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix
+from .core import DataMatrix, TermBatch
 from .errors import ConfigError, DataError
 
 # cells per chunk in KnnContext.sums and scatter_add, bounding their
@@ -51,7 +52,7 @@ class KnnContext:
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
 
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+    def sums(self, data, cv, batch: TermBatch, entity_mask=None):
         """Context inner sums for a batch of cells.
 
         Returns (S, counts): S[e] = sum_{j in c_e} x_j * cv[row_j], and
@@ -59,11 +60,10 @@ class KnnContext:
         members whose row is masked are left out of both.  The other maps'
         ``sums`` share this contract.
         """
-        x = data.dense()
-        nb = self.neighbors[rows]                      # (E, k)
-        vals = x[nb, np.asarray(cols)[:, None]]        # (E, k)
+        nb = self.neighbors[batch.rows]                # (E, k)
+        vals = data.dense()[nb, batch.cols[:, None]]   # (E, k)
         if entity_mask is None:
-            counts = np.full(len(rows), nb.shape[1], dtype=np.int64)
+            counts = np.full(len(batch), nb.shape[1], dtype=np.int64)
         else:
             kept = ~entity_mask[nb]
             vals = np.where(kept, vals, 0.0)
@@ -74,12 +74,11 @@ class KnnContext:
             S[lo:hi] = np.einsum("ek,ekd->ed", vals[lo:hi], cv[nb[lo:hi]])
         return S, counts
 
-    def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
+    def scatter_add(self, data, batch: TermBatch, coef, out):
         """out[row_j] += x_j * coef[e] for every member j of every batch cell
         e.  The other maps' ``scatter_add`` share this contract."""
-        x = data.dense()
-        nb = self.neighbors[rows]
-        vals = x[nb, np.asarray(cols)[:, None]]
+        nb = self.neighbors[batch.rows]
+        vals = data.dense()[nb, batch.cols[:, None]]
         for lo in range(0, len(nb), KNN_SUM_CHUNK):
             hi = lo + KNN_SUM_CHUNK
             contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
@@ -89,32 +88,26 @@ class KnnContext:
 class BasketContext:
     """Contexts are the other stored entries of the same column."""
 
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+    def sums(self, data, cv, batch: TermBatch, entity_mask=None):
         colsum, colcount = _column_tables(data, cv, entity_mask)
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        if xvals is None or stored_mask is None:
-            xvals, stored_mask = data.lookup(rows, cols)
+        stored = batch.stored
         if entity_mask is not None:
             # a masked cell is not in its column's table, so nothing to remove
-            stored_mask = stored_mask & ~entity_mask[rows]
-        S = colsum[cols].copy()
-        S[stored_mask] -= xvals[stored_mask, None] * cv[rows[stored_mask]]
-        counts = colcount[cols] - stored_mask.astype(np.int64)
+            stored = stored & ~entity_mask[batch.rows]
+        S = colsum[batch.cols].copy()
+        S[stored] -= batch.vals[stored, None] * cv[batch.rows[stored]]
+        counts = colcount[batch.cols] - stored.astype(np.int64)
         return S, counts
 
-    def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
+    def scatter_add(self, data, batch: TermBatch, coef, out):
         R = np.zeros((data.n_cols, coef.shape[1]))
-        np.add.at(R, cols, coef)
+        np.add.at(R, batch.cols, coef)
         # every stored entry j=(m,t) is in the context of every scored cell of
         # column t except itself
         np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
-        if xvals is None or stored_mask is None:
-            xvals, stored_mask = data.lookup(rows, cols)
-        if stored_mask.any():
-            np.add.at(out, rows[stored_mask], -(xvals[stored_mask, None] * coef[stored_mask]))
+        stored = batch.stored
+        if stored.any():
+            np.add.at(out, batch.rows[stored], -(batch.vals[stored, None] * coef[stored]))
 
 
 class WindowContext:
@@ -140,18 +133,17 @@ class WindowContext:
         if data.n_cols != self.length:
             raise DataError("matrix length disagrees with window context")
 
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+    def sums(self, data, cv, batch: TermBatch, entity_mask=None):
         self._check(data)
         colsum, colcount = _column_tables(data, cv, entity_mask)
         ws = self._window_table(colsum)
         wc = self._window_table(colcount[:, None].astype(np.float64))[:, 0]
-        cols = np.asarray(cols)
-        return ws[cols], wc[cols].astype(np.int64)
+        return ws[batch.cols], wc[batch.cols].astype(np.int64)
 
-    def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
+    def scatter_add(self, data, batch: TermBatch, coef, out):
         self._check(data)
         R = np.zeros((data.n_cols, coef.shape[1]))
-        np.add.at(R, np.asarray(cols), coef)
+        np.add.at(R, batch.cols, coef)
         rw = self._window_table(R)
         np.add.at(out, data.rows, data.vals[:, None] * rw[data.cols])
 

@@ -14,6 +14,7 @@ applying the base link.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -97,12 +98,6 @@ class DataMatrix:
         vals[stored] = self.vals[self._order[at[stored]]]
         return vals, stored
 
-    def value(self, row: int, col: int) -> float:
-        vals, stored = self.lookup([row], [col])
-        if not (stored[0] or self.implicit_zero):
-            raise KeyError(f"no observation at (row={row}, col={col})")
-        return float(vals[0])
-
     def zero_cells(self, q: np.ndarray):
         """(rows, cols) of the q-th cells without a stored entry, counting
         in row-major order from 0."""
@@ -156,18 +151,39 @@ class DataMatrix:
         )
 
 
-class SharingScheme(Enum):
-    """How data indices map to parameter rows.
+@dataclass
+class TermBatch:
+    """Data terms, each with the weight of its log-likelihood: the cell list
+    every context and kernel takes.
 
-    PER_ROW shares by entity row (one embedding per neuron/item).  GLOBAL is
-    the vocabulary-table variant used by the text models; with terms stored
-    as matrix rows it resolves identically to PER_ROW but records the intent.
-    TIED aliases the context table to the embedding table.
+    Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
+    for an implicit zero.  For the categorical family cols are column blocks
+    and rows their active terms.  ``weights`` None means every weight is 1.
     """
 
-    PER_ROW = "per_row"
-    GLOBAL = "global"
-    TIED = "tied"
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    stored: np.ndarray
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.vals = np.asarray(self.vals, dtype=np.float64)
+        self.stored = np.asarray(self.stored, dtype=bool)
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def downweight_zeros(self, zero_weight: float) -> "TermBatch":
+        """Multiply the weights of the zero (unstored) terms by ``zero_weight``."""
+        if zero_weight != 1.0:
+            w = 1.0 if self.weights is None else self.weights
+            self.weights = np.where(self.stored, w, zero_weight * w)
+        return self
 
 
 class EmbeddingBank:
@@ -175,7 +191,7 @@ class EmbeddingBank:
 
     With ``log_space`` set the stored values are logarithms and the effective
     parameters are their exponentials (strictly positive by construction).
-    Under TIED sharing the two tables are the same array.
+    A tied bank holds one array as both tables.
     """
 
     def __init__(self, embeddings: np.ndarray, context_vectors: np.ndarray, log_space: bool = False):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, Link, SharingScheme, sorted_cell_keys
+from .core import DataMatrix, EmbeddingBank, Link, sorted_cell_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .families import Family, FamilySpec, default_link
 from .train import TrainConfig
@@ -117,17 +117,22 @@ def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
 
     if lag:
         # columns become successive differences in column-index order; the
-        # first column is consumed
+        # first column is consumed.  Lag cell (r, c) is x[r, c + 1] - x[r, c]
+        # with absent cells read as 0; implicit-zero data list only the cells
+        # an entry touches, explicit data every cell
         if n_cols < 2:
             raise DataError("lag transform needs at least 2 columns")
-        dense = np.zeros((n_rows, n_cols))
-        dense[rows, cols] = vals
-        dense = dense[:, 1:] - dense[:, :-1]
         col_labels = col_labels[1:]
         n_cols -= 1
-        rr, cc = np.nonzero(dense) if implicit_zero else np.indices(dense.shape).reshape(2, -1)
-        rows, cols = rr.ravel(), cc.ravel()
-        vals = dense[rows, cols]
+        later, earlier = cols > 0, cols < n_cols
+        k_later = rows[later] * n_cols + cols[later] - 1
+        k_earlier = rows[earlier] * n_cols + cols[earlier]
+        keys = np.union1d(k_later, k_earlier) if implicit_zero else np.arange(n_rows * n_cols)
+        plus, minus = np.zeros(len(keys)), np.zeros(len(keys))
+        plus[np.searchsorted(keys, k_later)] = vals[later]
+        minus[np.searchsorted(keys, k_earlier)] = vals[earlier]
+        rows, cols = np.divmod(keys, n_cols)
+        vals = plus - minus
 
     if rating_shift:
         vals = vals - 2.0
@@ -241,6 +246,9 @@ def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
     labels = row_labels or [str(i) for i in range(bank.n_rows)]
     if len(labels) != bank.n_rows:
         raise DataError("one label per bank row required")
+    if (meta.sharing == "tied") != bank.tied:
+        raise DataError(f"sharing={meta.sharing} does not match a "
+                        f"{'tied' if bank.tied else 'untied'} bank")
     head = [MODEL_MAGIC]
     for f in fields(ModelMeta):
         v = getattr(meta, f.name)
@@ -287,6 +295,9 @@ def load_model(path: str):
         except ValueError:
             raise DataError(f"{path}:{ln}: bad value for {f.name}: {v!r}") from None
     meta = ModelMeta(**meta_args)
+    if meta.sharing not in ("per_row", "global", "tied"):
+        raise DataError(f"{path}:{kv['sharing'][1]}: bad value for sharing: {meta.sharing!r}")
+    tied = meta.sharing == "tied"
     labels, emb_rows, cv_rows = [], [], []
     for ln, line in enumerate(lines[body_at:], start=body_at + 1):
         if not line.strip():
@@ -299,12 +310,15 @@ def load_model(path: str):
             nums = [float(p) for p in parts[1:]]
         except ValueError:
             raise DataError(f"{path}:{ln}: bad parameter value") from None
+        if tied and nums[: meta.dim] != nums[meta.dim:]:
+            raise DataError(f"{path}:{ln}: tied model row has context vector "
+                            f"unlike its embedding")
         emb_rows.append(nums[: meta.dim])
         cv_rows.append(nums[meta.dim:])
     if len(labels) != meta.n_entities:
         raise DataError(f"{path}: {len(labels)} entity rows, header says {meta.n_entities}")
     emb = np.asarray(emb_rows)
-    cv = emb if meta.sharing == SharingScheme.TIED.value else np.asarray(cv_rows)
+    cv = emb if tied else np.asarray(cv_rows)
     bank = EmbeddingBank(emb, cv, log_space=meta.log_space)
     return bank, meta, labels
 

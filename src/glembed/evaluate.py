@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank
+from .core import DataMatrix, EmbeddingBank, TermBatch
 from .errors import ConfigError
 from .families import Family, FamilySpec, _linear_values, conditional_means, validate_bank
 
@@ -148,10 +148,10 @@ def _require_poisson(spec: FamilySpec):
 def _squared_errors(test_data, ctx, bank, spec, entries, entity_mask=None):
     """Squared error of each listed entry against its Gaussian mean, which is
     its linear value, and whether any context member was left to predict it."""
-    means, _, counts, _ = _linear_values(
-        test_data, ctx, bank, spec, test_data.rows[entries], test_data.cols[entries],
-        test_data.vals[entries], np.ones(len(entries), dtype=bool), entity_mask)
-    return (test_data.vals[entries] - means) ** 2, counts > 0
+    batch = TermBatch(test_data.rows[entries], test_data.cols[entries],
+                      test_data.vals[entries], np.ones(len(entries), dtype=bool))
+    means, _, counts, _ = _linear_values(test_data, ctx, bank, spec, batch, entity_mask)
+    return (batch.vals - means) ** 2, counts > 0
 
 
 def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
@@ -198,9 +198,9 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     cols_with = np.unique(test_data.cols)
     rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
     cols_all = np.repeat(cols_with, n)
-    xv, stored = test_data.lookup(rows_all, cols_all)
     means, active = conditional_means(
-        test_data, ctx, bank, spec, rows_all, cols_all, xvals=xv, stored_mask=stored)
+        test_data, ctx, bank, spec,
+        TermBatch(rows_all, cols_all, *test_data.lookup(rows_all, cols_all)))
     means = np.where(active, means, 0.0)
     mean_table = means.reshape(len(cols_with), n)
     normalizer = mean_table.sum(axis=1)

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DataMatrix, EmbeddingBank, Link
+from .core import DataMatrix, EmbeddingBank, Link, TermBatch
 from .errors import ConfigError, DataError
 
 ETA_CLAMP = 30.0
@@ -136,116 +136,103 @@ class Gradients:
 # vectorized engine over batches of cells
 # ---------------------------------------------------------------------------
 
-def _context_sums(data, ctx, bank, spec, rows, cols, xvals=None, stored_mask=None,
-                  entity_mask=None):
+def _context_sums(data, ctx, bank, spec, batch: TermBatch, entity_mask=None):
     """Context sums of a batch of cells, divided by the member count under
     mean links; members whose row ``entity_mask`` marks are left out.
 
     Returns (S, counts, active) where active marks cells kept under the
     empty-context policy: mean links drop empty-context cells.
     """
-    cv = bank.effective_context_vectors()
-    S, counts = ctx.sums(data, cv, rows, cols, xvals=xvals, stored_mask=stored_mask,
-                         entity_mask=entity_mask)
-    active = np.ones(len(rows), dtype=bool)
+    S, counts = ctx.sums(data, bank.effective_context_vectors(), batch, entity_mask)
+    active = np.ones(len(batch), dtype=bool)
     if spec.link.rescales_by_count:
         active = counts > 0
         S = S / np.maximum(counts, 1)[:, None]
     return S, counts, active
 
 
-def _linear_values(data, ctx, bank, spec, rows, cols, xvals, stored_mask, entity_mask=None):
+def _linear_values(data, ctx, bank, spec, batch: TermBatch, entity_mask=None):
     """Linear values and context sums for a batch of cells.
 
     Returns (svals, S, counts, active), the last three as ``_context_sums``
     returns them.
     """
-    emb = bank.effective_embeddings()
-    S, counts, active = _context_sums(data, ctx, bank, spec, rows, cols, xvals,
-                                      stored_mask, entity_mask)
-    svals = np.einsum("ed,ed->e", emb[rows], S)
+    S, counts, active = _context_sums(data, ctx, bank, spec, batch, entity_mask)
+    svals = np.einsum("ed,ed->e", bank.effective_embeddings()[batch.rows], S)
     if not active.all():
-        # excluded cells get a placeholder linear value so the residual
+        # excluded cells get a placeholder linear value so the moment
         # formulas stay finite and do not pollute the clamp counters
         svals = np.where(active, svals, 1.0)
     return svals, S, counts, active
 
 
-def _residuals_and_loglik(spec, svals, xvals, counters):
-    """Per-cell residual r (d loglik / d linear value) and log-likelihood.
+def _moments(spec, svals, x, counters):
+    """Per-cell mean, residual r (d loglik / d linear value) and
+    log-likelihood at the given linear values.
 
     Log-likelihoods include base-measure constants, so they are true log
     probabilities, comparable across models.
     """
     fam = spec.family
     if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        resid = (xvals - svals) / spec.sigma2
-        ll = -((xvals - svals) ** 2) / (2.0 * spec.sigma2) \
+        mean = svals
+        resid = (x - svals) / spec.sigma2
+        ll = -((x - svals) ** 2) / (2.0 * spec.sigma2) \
             - 0.5 * math.log(spec.sigma2) - _HALF_LOG_2PI
-        return resid, ll
-    if fam is Family.POISSON:
+    elif fam is Family.POISSON:
         clipped = np.clip(svals, -ETA_CLAMP, ETA_CLAMP)
         if counters is not None:
             counters.eta_clamped += int((clipped != svals).sum())
-        rate = np.exp(clipped)
-        resid = xvals - rate
-        ll = xvals * clipped - rate - gammaln(xvals + 1.0)
-        return resid, ll
-    if fam is Family.ADDITIVE_POISSON:
-        rate = np.maximum(svals, RATE_FLOOR)
+        mean = np.exp(clipped)
+        resid = x - mean
+        ll = x * clipped - mean - gammaln(x + 1.0)
+    elif fam is Family.ADDITIVE_POISSON:
+        mean = np.maximum(svals, RATE_FLOOR)
         if counters is not None:
-            counters.rate_floored += int((rate != svals).sum())
-        resid = xvals / rate - 1.0
-        ll = xvals * np.log(rate) - rate - gammaln(xvals + 1.0)
-        return resid, ll
-    if fam is Family.BERNOULLI:
+            counters.rate_floored += int((mean != svals).sum())
+        resid = x / mean - 1.0
+        ll = x * np.log(mean) - mean - gammaln(x + 1.0)
+    elif fam is Family.BERNOULLI:
         mean = 1.0 / (1.0 + np.exp(-svals))
-        resid = xvals - mean
-        ll = xvals * svals - np.logaddexp(0.0, svals)
-        return resid, ll
-    raise ConfigError("categorical cells are scored per column block")
+        resid = x - mean
+        ll = x * svals - np.logaddexp(0.0, svals)
+    else:
+        raise ConfigError("categorical cells are scored per column block")
+    return mean, resid, ll
 
 
-def term_log_likelihoods(data, ctx, bank, spec, rows, cols, xvals,
-                         stored_mask=None, counters=None):
+def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
     """Log-likelihoods of a batch of cells given their contexts.
 
     Returns (ll, active); inactive cells (empty context under a mean link)
     carry ll = 0 and are excluded by the caller's bookkeeping.
     """
-    svals, _, _, active = _linear_values(
-        data, ctx, bank, spec, rows, cols, xvals, stored_mask)
-    _, ll = _residuals_and_loglik(spec, svals, np.asarray(xvals, dtype=np.float64), counters)
-    ll = np.where(active, ll, 0.0)
-    return ll, active
+    svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
+    _, _, ll = _moments(spec, svals, batch.vals, counters)
+    return np.where(active, ll, 0.0), active
 
 
-def weighted_term_gradient(data, ctx, bank, spec, rows, cols, xvals, weights,
-                           stored_mask=None, counters=None) -> Gradients:
-    """Gradient of sum_e weights[e] * loglik(cell e) in stored coordinates
-    (``weights`` None: every weight is 1).
+def weighted_term_gradient(data, ctx, bank, spec, batch: TermBatch, counters=None) -> Gradients:
+    """Gradient of sum_e weights[e] * loglik(cell e) in stored coordinates.
 
     The heavy lifting for every estimator: full, minibatch, and the sparse
     zero/nonzero split all reduce to weighted batches of cells.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    xvals = np.asarray(xvals, dtype=np.float64)
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
     g_emb = np.zeros_like(emb)
     g_cv = np.zeros_like(cv)
-    if len(rows):
-        svals, S, counts, active = _linear_values(
-            data, ctx, bank, spec, rows, cols, xvals, stored_mask)
-        resid, _ = _residuals_and_loglik(spec, svals, xvals, counters)
-        coef = np.where(active, resid if weights is None else weights * resid, 0.0)
-        np.add.at(g_emb, rows, coef[:, None] * S)
-        back = emb[rows]
+    if len(batch):
+        svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch)
+        _, resid, _ = _moments(spec, svals, batch.vals, counters)
+        w = batch.weights
+        coef = np.where(active, resid if w is None else w * resid, 0.0)
+        np.add.at(g_emb, batch.rows, coef[:, None] * S)
+        back = emb[batch.rows]
         back *= coef[:, None]
         if spec.link.rescales_by_count:
             back = back / np.maximum(counts, 1)[:, None]
-        ctx.scatter_add(data, rows, cols, back, g_cv, xvals=xvals, stored_mask=stored_mask)
+        ctx.scatter_add(data, batch, back, g_cv)
     return _stored_gradients(bank, emb, cv, g_emb, g_cv)
 
 
@@ -261,36 +248,19 @@ def _stored_gradients(bank, emb, cv, g_emb, g_cv) -> Gradients:
     return Gradients(g_emb, g_cv)
 
 
-def conditional_means(data, ctx, bank, spec, rows, cols, xvals,
-                      stored_mask=None, counters=None):
+def conditional_means(data, ctx, bank, spec, batch: TermBatch, counters=None):
     """Model means of a batch of cells given their contexts.
 
     Returns (means, active); the mean is the expected sufficient statistic
     at the cell's natural parameter.
     """
-    svals, _, _, active = _linear_values(
-        data, ctx, bank, spec, np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64), xvals, stored_mask)
-    fam = spec.family
-    if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        return svals, active
-    if fam is Family.POISSON:
-        clipped = np.clip(svals, -ETA_CLAMP, ETA_CLAMP)
-        if counters is not None:
-            counters.eta_clamped += int(((clipped != svals) & active).sum())
-        return np.exp(clipped), active
-    if fam is Family.ADDITIVE_POISSON:
-        rate = np.maximum(svals, RATE_FLOOR)
-        if counters is not None:
-            counters.rate_floored += int(((rate != svals) & active).sum())
-        return rate, active
-    if fam is Family.BERNOULLI:
-        return 1.0 / (1.0 + np.exp(-svals)), active
-    raise ConfigError("categorical means are softmax blocks; see categorical paths")
+    svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
+    mean, _, _ = _moments(spec, svals, batch.vals, counters)
+    return mean, active
 
 
 # ---------------------------------------------------------------------------
-# categorical (softmax block per column)
+# categorical (softmax block per column; batch rows are the active terms)
 # ---------------------------------------------------------------------------
 
 def active_terms(data: DataMatrix) -> np.ndarray:
@@ -302,43 +272,38 @@ def active_terms(data: DataMatrix) -> np.ndarray:
     return act
 
 
-def categorical_term_log_likelihoods(data, ctx, bank, spec, positions, counters=None):
-    """Softmax log-likelihood of the active term at each listed column."""
-    positions = np.asarray(positions, dtype=np.int64)
-    emb = bank.effective_embeddings()
-    act = active_terms(data)[positions]
-    S, _, active = _context_sums(data, ctx, bank, spec, act, positions)
-    H = S @ emb.T                                   # (E, vocab)
+def categorical_term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
+    """Softmax log-likelihood of the active term of each column block."""
+    S, _, active = _context_sums(data, ctx, bank, spec, batch)
+    H = S @ bank.effective_embeddings().T           # (E, vocab)
     Hm = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(Hm).sum(axis=1)) + H.max(axis=1)
-    ll = H[np.arange(len(positions)), act] - lse
+    ll = H[np.arange(len(batch)), batch.rows] - lse
     return np.where(active, ll, 0.0), active
 
 
-def categorical_weighted_gradient(data, ctx, bank, spec, positions, weights,
+def categorical_weighted_gradient(data, ctx, bank, spec, batch: TermBatch,
                                   counters=None) -> Gradients:
-    """Gradient of the weighted softmax log-likelihood over column blocks
-    (``weights`` None: every weight is 1)."""
-    positions = np.asarray(positions, dtype=np.int64)
+    """Gradient of the weighted softmax log-likelihood over column blocks."""
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
     g_emb = np.zeros_like(emb)
     g_cv = np.zeros_like(cv)
-    if len(positions):
-        act = active_terms(data)[positions]
-        S, counts, active = _context_sums(data, ctx, bank, spec, act, positions)
-        w = np.where(active, 1.0 if weights is None else weights, 0.0)
+    if len(batch):
+        act = batch.rows
+        S, counts, active = _context_sums(data, ctx, bank, spec, batch)
+        w = np.where(active, 1.0 if batch.weights is None else batch.weights, 0.0)
         H = S @ emb.T
         Hm = H - H.max(axis=1, keepdims=True)
         expH = np.exp(Hm)
         probs = expH / expH.sum(axis=1, keepdims=True)
         resid = -probs
-        resid[np.arange(len(positions)), act] += 1.0  # one-hot minus softmax
+        resid[np.arange(len(batch)), act] += 1.0  # one-hot minus softmax
         g_emb += (w[:, None] * resid).T @ S
         back = w[:, None] * (emb[act] - probs @ emb)
         if spec.link.rescales_by_count:
             back = back / np.maximum(counts, 1)[:, None]
-        ctx.scatter_add(data, act, positions, back, g_cv)
+        ctx.scatter_add(data, batch, back, g_cv)
     return _stored_gradients(bank, emb, cv, g_emb, g_cv)
 
 
@@ -346,39 +311,29 @@ def categorical_weighted_gradient(data, ctx, bank, spec, positions, weights,
 # regularizers
 # ---------------------------------------------------------------------------
 
-def regularizer_penalty(bank: EmbeddingBank, reg_weight: float, regularizer: str) -> float:
-    """Log-prior term of the objective under the -(w/2)||.||^2 convention."""
-    if regularizer == "none" or reg_weight == 0.0:
-        return 0.0
-    if regularizer == "l2":
-        emb = bank.effective_embeddings()
-        total = float((emb ** 2).sum())
-        if not bank.tied:
-            total += float((bank.effective_context_vectors() ** 2).sum())
-    elif regularizer == "lognormal":
-        total = float((bank.embeddings ** 2).sum())
-        if not bank.tied:
-            total += float((bank.context_vectors ** 2).sum())
-    else:
-        raise ConfigError(f"unknown regularizer {regularizer!r}")
-    return -0.5 * reg_weight * total
+def log_prior(bank: EmbeddingBank, reg_weight: float, regularizer: str):
+    """Log prior -(w/2)||.||^2 and its gradient in stored coordinates,
+    complete per table: (value, Gradients).
 
-
-def regularizer_gradient(bank: EmbeddingBank, reg_weight: float, regularizer: str) -> Gradients:
-    """Gradient of the log prior in stored coordinates, complete per table."""
+    ``l2`` puts the prior on the effective parameters, ``lognormal`` on the
+    stored ones (the logs, for a log-space bank).
+    """
     if regularizer == "none" or reg_weight == 0.0:
         g = np.zeros_like(bank.embeddings)
-        return Gradients(g, g if bank.tied else np.zeros_like(bank.context_vectors))
+        return 0.0, Gradients(g, g if bank.tied else np.zeros_like(bank.context_vectors))
     if regularizer == "l2":
-        g_emb = -reg_weight * bank.effective_embeddings()
-        g_cv = g_emb if bank.tied else -reg_weight * bank.effective_context_vectors()
-        if bank.log_space:
-            g_emb = g_emb * bank.effective_embeddings()
-            g_cv = g_emb if bank.tied else g_cv * bank.effective_context_vectors()
+        tables = [bank.effective_embeddings(), bank.effective_context_vectors()]
     elif regularizer == "lognormal":
-        g_emb = -reg_weight * bank.embeddings
-        g_cv = g_emb if bank.tied else -reg_weight * bank.context_vectors
+        tables = [bank.embeddings, bank.context_vectors]
     else:
         raise ConfigError(f"unknown regularizer {regularizer!r}")
-    return Gradients(g_emb, g_cv)
-
+    if bank.tied:
+        tables = tables[:1]
+    grads = []
+    for t in tables:
+        g = -reg_weight * t
+        if regularizer == "l2" and bank.log_space:
+            g = g * t
+        grads.append(g)
+    value = -0.5 * reg_weight * sum(float((t ** 2).sum()) for t in tables)
+    return value, Gradients(grads[0], grads[-1])

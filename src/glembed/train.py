@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank
+from .core import DataMatrix, EmbeddingBank, TermBatch
 from .errors import ConfigError, NumericAbortError
 from .families import (
     ClampCounters,
@@ -33,8 +33,7 @@ from .families import (
     active_terms,
     categorical_term_log_likelihoods,
     categorical_weighted_gradient,
-    regularizer_gradient,
-    regularizer_penalty,
+    log_prior,
     term_log_likelihoods,
     validate_bank,
     validate_data,
@@ -115,35 +114,12 @@ def _zero_weight(data: DataMatrix, config: TrainConfig) -> float:
     return 1.0
 
 
-@dataclass
-class TermBatch:
-    """Data terms, each with the weight of its log-likelihood.
-
-    Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
-    for an implicit zero.  For the categorical family cols are column blocks
-    and rows their active terms.  ``weights`` None means every weight is 1.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    stored: np.ndarray
-    weights: np.ndarray | None = None
-
-    def downweight_zeros(self, zero_weight: float) -> "TermBatch":
-        """Multiply the weights of the zero (unstored) terms by ``zero_weight``."""
-        if zero_weight != 1.0:
-            w = 1.0 if self.weights is None else self.weights
-            self.weights = np.where(self.stored, w, zero_weight * w)
-        return self
-
-
 def _terms_of(data: DataMatrix, spec: FamilySpec, term_ids: np.ndarray) -> TermBatch:
     """Terms by flat id: a column block (categorical), a row-major cell
     (implicit-zero data) or a stored entry."""
     ones = np.ones(len(term_ids), dtype=bool)
     if spec.family is Family.CATEGORICAL:
-        return TermBatch(active_terms(data)[term_ids], term_ids, ones.astype(np.float64), ones)
+        return TermBatch(active_terms(data)[term_ids], term_ids, ones, ones)
     if data.implicit_zero:
         rows = term_ids // data.n_cols
         cols = term_ids % data.n_cols
@@ -234,13 +210,10 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None, unbiased=Fals
 def _gradient(data, ctx, bank, spec, batch: TermBatch, config, counters) -> Gradients:
     """Gradient of the batch's weighted log-likelihood plus the log-prior."""
     validate_bank(spec, bank)
-    if spec.family is Family.CATEGORICAL:
-        g = categorical_weighted_gradient(data, ctx, bank, spec, batch.cols,
-                                          batch.weights, counters)
-    else:
-        g = weighted_term_gradient(data, ctx, bank, spec, batch.rows, batch.cols, batch.vals,
-                                   batch.weights, stored_mask=batch.stored, counters=counters)
-    reg = regularizer_gradient(bank, config.reg_weight, config.regularizer)
+    kernel = categorical_weighted_gradient if spec.family is Family.CATEGORICAL \
+        else weighted_term_gradient
+    g = kernel(data, ctx, bank, spec, batch, counters)
+    _, reg = log_prior(bank, config.reg_weight, config.regularizer)
     g.embeddings += reg.embeddings
     if not bank.tied:
         g.context_vectors += reg.context_vectors
@@ -250,14 +223,12 @@ def _gradient(data, ctx, bank, spec, batch: TermBatch, config, counters) -> Grad
 def _score(data, ctx, bank, spec, batch: TermBatch, reg_weight, regularizer, counters) -> float:
     """The batch's weighted log-likelihood plus the log-prior."""
     validate_bank(spec, bank)
-    if spec.family is Family.CATEGORICAL:
-        ll, _ = categorical_term_log_likelihoods(data, ctx, bank, spec, batch.cols, counters)
-    else:
-        ll, _ = term_log_likelihoods(data, ctx, bank, spec, batch.rows, batch.cols,
-                                     batch.vals, stored_mask=batch.stored, counters=counters)
+    kernel = categorical_term_log_likelihoods if spec.family is Family.CATEGORICAL \
+        else term_log_likelihoods
+    ll, _ = kernel(data, ctx, bank, spec, batch, counters)
     if batch.weights is not None:
         ll = ll * batch.weights
-    return float(ll.sum()) + regularizer_penalty(bank, reg_weight, regularizer)
+    return float(ll.sum()) + log_prior(bank, reg_weight, regularizer)[0]
 
 
 def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",

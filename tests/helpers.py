@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.contexts import (
     BasketContext,
     KnnContext,
@@ -84,20 +84,20 @@ class ExplicitContext:
     def __init__(self, mapping):
         self.mapping = {cell: [tuple(j) for j in js] for cell, js in mapping.items()}
 
-    def sums(self, data, cv, rows, cols, xvals=None, stored_mask=None, entity_mask=None):
+    def sums(self, data, cv, batch, entity_mask=None):
         x = data.dense()
-        S = np.zeros((len(rows), cv.shape[1]))
-        counts = np.zeros(len(rows), dtype=np.int64)
-        for e, cell in enumerate(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())):
+        S = np.zeros((len(batch), cv.shape[1]))
+        counts = np.zeros(len(batch), dtype=np.int64)
+        for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
             for j in members(self, data, *cell):
                 if entity_mask is None or not entity_mask[j[0]]:
                     S[e] += x[j] * cv[j[0]]
                     counts[e] += 1
         return S, counts
 
-    def scatter_add(self, data, rows, cols, coef, out, xvals=None, stored_mask=None):
+    def scatter_add(self, data, batch, coef, out):
         x = data.dense()
-        for e, cell in enumerate(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())):
+        for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
             for j in members(self, data, *cell):
                 out[j[0]] += x[j] * coef[e]
 
@@ -144,8 +144,8 @@ def scalar_npll(test_data, ctx, bank, spec):
     rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
     cols_all = np.repeat(cols_with, n)
     xv = test_data.dense()[rows_all, cols_all]
-    means, active = conditional_means(test_data, ctx, bank, spec, rows_all, cols_all,
-                                      xvals=xv, stored_mask=xv != 0.0)
+    means, active = conditional_means(test_data, ctx, bank, spec,
+                                      TermBatch(rows_all, cols_all, xv, xv != 0.0))
     mean_table = np.where(active, means, 0.0).reshape(len(cols_with), n)
     normalizer = mean_table.sum(axis=1)
     scores = []
@@ -186,6 +186,22 @@ def dense_draw_zero_cells(data, n_terms, per_term, rng):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
         picked = zero_ids[idx.ravel()]
     return picked // t, picked % t, n_terms * k, n_zero
+
+
+def cells(data, rows, cols):
+    """TermBatch of the given cells of ``data`` with their stored values."""
+    return TermBatch(rows, cols, *data.lookup(rows, cols))
+
+
+def dense_lag(rows, cols, vals, n_rows, n_cols, implicit_zero):
+    """Reference lag transform on the dense matrix: (rows, cols, vals) of
+    x[:, 1:] - x[:, :-1], nonzero cells only when ``implicit_zero``."""
+    dense = np.zeros((n_rows, n_cols))
+    dense[rows, cols] = vals
+    dense = dense[:, 1:] - dense[:, :-1]
+    rr, cc = np.nonzero(dense) if implicit_zero else np.indices(dense.shape).reshape(2, -1)
+    rr, cc = rr.ravel(), cc.ravel()
+    return rr, cc, dense[rr, cc]
 
 
 def dense_matrix(values, implicit_zero=False):

@@ -12,7 +12,7 @@ import pytest
 
 from glembed.cli import main as cli_main
 from glembed.contexts import build_basket_context, build_knn_context, SpatialLayout
-from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.dataio import ingest, load_model, parse_run_config, read_locations
 from glembed.evaluate import (
     SplitSpec,
@@ -117,9 +117,8 @@ def test_criterion_3_negative_sampling_bias_identity():
     g_ns = sparse_gradient(data, ctx, bank, spec,
                            TrainConfig(zero_estimator="negative_sampling", **kw),
                            np.random.default_rng(23))
-    nz = weighted_term_gradient(data, ctx, bank, spec, data.rows, data.cols,
-                                data.vals, np.ones(1),
-                                stored_mask=np.ones(1, dtype=bool))
+    nz = weighted_term_gradient(data, ctx, bank, spec,
+                                TermBatch(data.rows, data.cols, data.vals, [True], np.ones(1)))
     # zeros sampled 2 of 4: the NS estimate is the UB estimate with its zero
     # portion scaled by 2/4, exactly
     ok = True

@@ -234,7 +234,7 @@ def test_unusable_config_value_is_config_error(toy_run, tmp_path, capsys, line):
     assert repr(line.split(" = ")[1]) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("part", ["header", "link", "body"])
+@pytest.mark.parametrize("part", ["header", "link", "sharing", "body"])
 def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, capsys, part):
     good = tmp_path / "good.model"
     store_model(str(good), EmbeddingBank.init_random(12, 2, seed=0),
@@ -246,6 +246,9 @@ def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, c
     elif part == "link":
         at = lines.index("link=identity")
         lines[at] = "link=idnetity"
+    elif part == "sharing":  # an unknown value must not decide tiedness
+        at = lines.index("sharing=per_row")
+        lines[at] = "sharing=Tied"
     else:
         at = lines.index("#entities") + 2
         lines[at] = lines[at].replace("\t", "\tabc\t", 1).rsplit("\t", 1)[0]

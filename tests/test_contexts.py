@@ -15,6 +15,7 @@ from glembed.errors import ConfigError, DataError
 
 from helpers import (
     ExplicitContext,
+    cells,
     count_instance,
     dense_matrix,
     gaussian_instance,
@@ -25,7 +26,7 @@ from helpers import (
 def context_table(ctx, data, rows, cols):
     """Per cell, the context's sum of x_j over each entity row (ctx.sums with
     cv = the identity) and its member count."""
-    return ctx.sums(data, np.eye(data.n_rows), np.asarray(rows), np.asarray(cols))
+    return ctx.sums(data, np.eye(data.n_rows), cells(data, rows, cols))
 
 
 def word_per_position(length, w):
@@ -162,18 +163,18 @@ def test_vectorized_sums_match_generic(builder):
     n_cells = 12
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
+    batch = cells(data, rows, cols)
     cv = bank.effective_context_vectors()
     for entity_mask in (None, np.arange(data.n_rows) % 3 == 1):
-        fast_s, fast_c = ctx.sums(data, cv, rows, cols, entity_mask=entity_mask)
-        slow_s, slow_c = ExplicitContext.sums(ctx, data, cv, rows, cols,
-                                              entity_mask=entity_mask)
+        fast_s, fast_c = ctx.sums(data, cv, batch, entity_mask=entity_mask)
+        slow_s, slow_c = ExplicitContext.sums(ctx, data, cv, batch, entity_mask=entity_mask)
         np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
         np.testing.assert_array_equal(fast_c, slow_c)
     coef = rng.normal(size=(n_cells, bank.dim))
     fast_g = np.zeros_like(cv)
     slow_g = np.zeros_like(cv)
-    ctx.scatter_add(data, rows, cols, coef, fast_g)
-    ExplicitContext.scatter_add(ctx, data, rows, cols, coef, slow_g)
+    ctx.scatter_add(data, batch, coef, fast_g)
+    ExplicitContext.scatter_add(ctx, data, batch, coef, slow_g)
     np.testing.assert_allclose(fast_g, slow_g, atol=1e-12)
 
 
@@ -191,7 +192,8 @@ def test_knn_sums_in_chunks_equal_one_einsum(masked):
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
     mask = rng.random(data.n_rows) < 0.3 if masked else None
-    S, counts = ctx.sums(data, bank.context_vectors, rows, cols, entity_mask=mask)
+    batch = cells(data, rows, cols)
+    S, counts = ctx.sums(data, bank.context_vectors, batch, entity_mask=mask)
     nb = ctx.neighbors[rows]
     vals = data.dense()[nb, cols[:, None]]
     if masked:
@@ -201,7 +203,7 @@ def test_knn_sums_in_chunks_equal_one_einsum(masked):
     if not masked:  # the scatter adds in the same order as one np.add.at
         coef = rng.normal(size=(n_cells, bank.dim))
         got = np.zeros_like(bank.context_vectors)
-        ctx.scatter_add(data, rows, cols, coef, got)
+        ctx.scatter_add(data, batch, coef, got)
         want = np.zeros_like(got)
         np.add.at(want, nb.ravel(), (vals[:, :, None] * coef[:, None, :]).reshape(-1, bank.dim))
         np.testing.assert_array_equal(got, want)

@@ -7,16 +7,14 @@ from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
 from glembed.families import Family, FamilySpec, _linear_values
 
-from helpers import ExplicitContext, dense_matrix
+from helpers import ExplicitContext, cells, dense_matrix
 
 
 def linear_values(data, ctx, bank, link, rows, cols):
     """(linear values, active) of a batch of cells, through the batched engine
     (a log link is the additive Poisson's, whose linear value is the rate)."""
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    xvals, stored = data.lookup(rows, cols)
     spec = FamilySpec(Family.ADDITIVE_POISSON if link.is_log else Family.GAUSSIAN, link)
-    svals, _, _, active = _linear_values(data, ctx, bank, spec, rows, cols, xvals, stored)
+    svals, _, _, active = _linear_values(data, ctx, bank, spec, cells(data, rows, cols))
     return svals, active
 
 
@@ -26,7 +24,8 @@ def test_public_names_resolve_and_scalar_path_is_gone():
     removed = ["DataIndex", "natural_parameter", "resolve_params", "context_inner_sum",
                "ContextMap", "ExplicitContext", "log_likelihood", "log_normalizer",
                "expected_sufficient_statistic", "categorical_log_likelihood",
-               "RateDomainError", "DegenerateContextError"]
+               "RateDomainError", "DegenerateContextError", "SharingScheme",
+               "_residuals_and_loglik", "regularizer_penalty", "regularizer_gradient"]
     for module in (glembed, glembed.core, glembed.contexts, glembed.families, glembed.errors):
         assert not [n for n in removed if hasattr(module, n)], module.__name__
 
@@ -65,11 +64,6 @@ def test_lookup_matches_dict_oracle(implicit_zero):
     for r, c, v, s in zip(qr.tolist(), qc.tolist(), got.tolist(), stored.tolist()):
         assert s == ((r, c) in oracle)
         assert v == oracle.get((r, c), 0.0)
-        if s or implicit_zero:
-            assert d.value(r, c) == v
-        else:
-            with pytest.raises(KeyError):
-                d.value(r, c)
     empty = DataMatrix(n, t, [], [], [], implicit_zero=implicit_zero)
     got, stored = empty.lookup(qr, qc)
     assert not stored.any() and not got.any()
@@ -87,11 +81,10 @@ def test_data_matrix_rejects_stored_zero_when_implicit():
 
 def test_value_lookup_semantics():
     d = DataMatrix(3, 3, [0, 1], [1, 2], [4.0, 5.0], implicit_zero=True)
-    assert d.value(0, 1) == 4.0
-    assert d.value(2, 2) == 0.0  # implicit zero
+    vals, stored = d.lookup([0, 2], [1, 2])
+    assert vals.tolist() == [4.0, 0.0] and stored.tolist() == [True, False]  # implicit zero
     e = DataMatrix(3, 3, [0], [1], [4.0], implicit_zero=False)
-    with pytest.raises(KeyError):
-        e.value(2, 2)
+    assert e.lookup([2], [2])[1].tolist() == [False]  # a missing explicit cell
     assert d.n_terms == 9 and e.n_terms == 1
 
 

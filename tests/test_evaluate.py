@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.contexts import (
     KnnContext,
     WindowSpec,
@@ -267,9 +267,8 @@ def test_npll_two_item_example():
     cv = np.array([[math.log(3.0)], [0.0]])
     bank = EmbeddingBank(emb, cv)
     spec = FamilySpec(Family.POISSON, Link.IDENTITY)
-    means, _ = conditional_means(data, ctx, bank, spec, np.array([0, 1]),
-                                 np.array([0, 0]), xvals=data.vals,
-                                 stored_mask=np.ones(2, dtype=bool))
+    means, _ = conditional_means(data, ctx, bank, spec,
+                                 TermBatch([0, 1], [0, 0], data.vals, [True, True]))
     np.testing.assert_allclose(means, [1.0, 3.0])
     rep = normalized_predictive_ll(data, ctx, bank, spec)
     scores = sorted([math.log(1 / 4), math.log(3 / 4)])
@@ -293,8 +292,7 @@ def test_npll_normalizer_sums_to_one():
     rows = np.arange(5)
     cols = np.full(5, col)
     xv = data.dense()[rows, cols]
-    means, _ = conditional_means(data, ctx, bank, spec, rows, cols,
-                                 xvals=xv, stored_mask=xv != 0)
+    means, _ = conditional_means(data, ctx, bank, spec, TermBatch(rows, cols, xv, xv != 0))
     scores = np.log(means / means.sum())
     assert np.exp(scores).sum() == pytest.approx(1.0)
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.errors import ConfigError, DataError
 from glembed.families import (
     Family,
     FamilySpec,
-    _residuals_and_loglik,
+    _moments,
+    active_terms,
     categorical_term_log_likelihoods,
     conditional_means,
     term_log_likelihoods,
@@ -20,6 +21,7 @@ from glembed.train import TrainConfig, full_gradient
 from helpers import (
     ExplicitContext,
     assert_grad_close,
+    cells,
     dense_matrix,
     family_instance,
     fd_gradient,
@@ -38,9 +40,8 @@ SCALAR_FAMILIES = [f for f in ALL_FAMILIES if f is not Family.CATEGORICAL]
 def loglik(family, x, svals, sigma2=1.0):
     """Per-cell log-likelihoods of x at the given linear values."""
     svals = np.asarray(svals, dtype=np.float64)
-    return _residuals_and_loglik(FamilySpec(family, sigma2=sigma2), svals,
-                                 np.broadcast_to(np.asarray(x, dtype=np.float64), svals.shape),
-                                 None)[1]
+    return _moments(FamilySpec(family, sigma2=sigma2), svals,
+                    np.broadcast_to(np.asarray(x, dtype=np.float64), svals.shape), None)[2]
 
 
 def test_log_likelihood_poisson_at_unit_rate():
@@ -66,7 +67,8 @@ def test_expected_sufficient_statistic_values():
     for family, eta, mean in ((Family.POISSON, 0.0, 1.0), (Family.GAUSSIAN, 2.3, 2.3),
                               (Family.BERNOULLI, 0.0, 0.5)):
         bank = EmbeddingBank(np.array([[eta], [0.0]]), np.array([[0.0], [1.0]]))
-        got, _ = conditional_means(data, ctx, bank, FamilySpec(family), [0], [0], [1.0])
+        got, _ = conditional_means(data, ctx, bank, FamilySpec(family),
+                                   TermBatch([0], [0], [1.0], [True]))
         assert got[0] == pytest.approx(mean)
 
 
@@ -84,9 +86,9 @@ def test_expected_statistic_is_normalizer_derivative(family):
         grid, xs = np.array([-1.2, -0.3, 0.4, 1.5]), (0.0, 1.0, 3.0)
     for x in xs:
         xv = np.full(len(grid), x)
-        resid, _ = _residuals_and_loglik(spec, grid, xv, None)
-        up = _residuals_and_loglik(spec, grid + h, xv, None)[1]
-        down = _residuals_and_loglik(spec, grid - h, xv, None)[1]
+        _, resid, _ = _moments(spec, grid, xv, None)
+        up = _moments(spec, grid + h, xv, None)[2]
+        down = _moments(spec, grid - h, xv, None)[2]
         np.testing.assert_allclose(resid, (up - down) / (2 * h), rtol=1e-6, atol=1e-6)
 
 
@@ -102,7 +104,7 @@ def test_log_likelihood_peaks_where_mean_matches_statistic(family, x):
     # with the grid point whose residual x - mean is closest to zero
     spec = FamilySpec(family, sigma2=0.9 if family is Family.GAUSSIAN else 1.0)
     grid = np.linspace(-4.0, 4.0, 801)
-    resid, ll = _residuals_and_loglik(spec, grid, np.full(len(grid), x), None)
+    _, resid, ll = _moments(spec, grid, np.full(len(grid), x), None)
     assert abs(int(ll.argmax()) - int(np.abs(resid).argmin())) <= 1
 
 
@@ -125,7 +127,8 @@ def softmax_log_likelihood(etas, active):
     cv[0] = 1.0
     bank = EmbeddingBank(etas[:, None], cv)
     spec = FamilySpec(Family.CATEGORICAL, vocab_size=len(etas))
-    return categorical_term_log_likelihoods(data, ctx, bank, spec, [0])[0][0]
+    return categorical_term_log_likelihoods(data, ctx, bank, spec,
+                                            cells(data, [active], [0]))[0][0]
 
 
 def test_categorical_log_likelihood_softmax():
@@ -282,8 +285,7 @@ def test_grad_bernoulli_residual_examples():
 
     def single_term(x):
         return weighted_term_gradient(
-            data, ctx, bank, spec, cell_rows, cell_cols, np.array([x]),
-            np.ones(1), stored_mask=np.array([x != 0.0]))
+            data, ctx, bank, spec, TermBatch(cell_rows, cell_cols, [x], [x != 0.0], np.ones(1)))
 
     g0 = single_term(0.0)
     np.testing.assert_allclose(g0.embeddings[1], -0.5 * v, rtol=1e-12)
@@ -295,11 +297,11 @@ def test_grad_bernoulli_residual_examples():
     for x, g in ((0.0, g0), (1.0, g1)):
         for k in range(bank.dim):
             bank.embeddings[1, k] = h
-            up, _ = term_log_likelihoods(data, ctx, bank, spec, cell_rows, cell_cols,
-                                         np.array([x]), np.array([x != 0.0]))
+            up, _ = term_log_likelihoods(data, ctx, bank, spec,
+                                         TermBatch(cell_rows, cell_cols, [x], [x != 0.0]))
             bank.embeddings[1, k] = -h
-            dn, _ = term_log_likelihoods(data, ctx, bank, spec, cell_rows, cell_cols,
-                                         np.array([x]), np.array([x != 0.0]))
+            dn, _ = term_log_likelihoods(data, ctx, bank, spec,
+                                         TermBatch(cell_rows, cell_cols, [x], [x != 0.0]))
             bank.embeddings[1, k] = 0.0
             assert (up[0] - dn[0]) / (2 * h) == pytest.approx(g.embeddings[1, k], abs=1e-6)
 
@@ -311,9 +313,8 @@ def test_grad_bernoulli_saturated_mean_has_tiny_residual():
     bank.embeddings[1, 0] = 40.0
     bank.context_vectors[:] = 0.0
     bank.context_vectors[:, 0] = 1.0
-    g = weighted_term_gradient(data, ctx, bank, spec, np.array([1]), np.array([1]),
-                               np.array([1.0]), np.ones(1),
-                               stored_mask=np.array([True]))
+    g = weighted_term_gradient(data, ctx, bank, spec,
+                               TermBatch([1], [1], [1.0], [True], np.ones(1)))
     assert np.abs(g.embeddings).max() < 1e-12  # mean ~= 1, residual vanishes
 
 
@@ -321,7 +322,8 @@ def test_grad_categorical_symmetric_softmax():
     data, ctx, bank = text_instance(2, vocab=2, length=6, w=1)
     bank.embeddings[:] = 0.5  # identical rows -> uniform softmax
     spec = FamilySpec(Family.CATEGORICAL, vocab_size=2)
-    ll, _ = categorical_term_log_likelihoods(data, ctx, bank, spec, np.arange(6))
+    ll, _ = categorical_term_log_likelihoods(data, ctx, bank, spec,
+                                             cells(data, active_terms(data), np.arange(6)))
     np.testing.assert_allclose(ll, math.log(0.5), atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from glembed.dataio import (
 )
 from glembed.errors import CompatibilityError, ConfigError, DataError
 
-from helpers import dense_matrix
+from helpers import dense_lag, dense_matrix
 
 
 def _write(tmp_path, name, text):
@@ -92,13 +94,51 @@ def test_ingest_lag_transform(tmp_path):
     assert data.col_labels == ["t1", "t2"]
 
 
+@pytest.mark.parametrize("implicit_zero", [False, True])
+def test_ingest_lag_matches_dense_oracle(tmp_path, implicit_zero):
+    # random shapes, entry orders, holes, stored zeros and negative values:
+    # the same cells in the same order with the same bits (signed zeros too)
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n, t = rng.integers(1, 6), rng.integers(2, 8)
+        cells = rng.permutation(n * t)[: rng.integers(1, n * t + 1)]
+        vals = np.round(rng.normal(scale=3.0, size=len(cells)), rng.integers(0, 4))
+        lines = ["row\tcol\tvalue"] + [f"r{c // t}\tc{c % t}\t{v:.17g}" for c, v in zip(cells, vals)]
+        p = _write(tmp_path, f"lag{trial}.tsv", "\n".join(lines) + "\n")
+        rl, cl, rows, cols, x = read_triplets(p)
+        if len(cl) < 2:
+            continue
+        want = dense_lag(rows, cols, x, len(rl), len(cl), implicit_zero)
+        data = ingest(p, implicit_zero=implicit_zero, lag=True)
+        assert (data.n_rows, data.n_cols) == (len(rl), len(cl) - 1)
+        np.testing.assert_array_equal(data.rows, want[0])
+        np.testing.assert_array_equal(data.cols, want[1])
+        np.testing.assert_array_equal(data.vals, want[2])
+        np.testing.assert_array_equal(np.signbit(data.vals), np.signbit(want[2]))
+
+
+def test_ingest_lag_on_implicit_data_builds_no_dense_matrix(tmp_path):
+    # 2000 x 5000 cells, 5000 entries: a dense lag would need 80 MB
+    n, t = 2000, 5000
+    lines = ["row\tcol\tvalue"] + [f"r{i % n}\tc{i}\t{1 + i % 3}" for i in range(t)]
+    p = _write(tmp_path, "wide.tsv", "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        data = ingest(p, implicit_zero=True, lag=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (data.n_rows, data.n_cols) == (n, t - 1)
+    assert data.nnz == 2 * t - 2
+    assert peak < 10 * 2**20
+
+
 def test_ingest_rating_shift_boundaries(tmp_path):
     p = _write(tmp_path, "r.tsv",
                "row\tcol\tvalue\nm0\tu0\t3\nm1\tu0\t1\nm2\tu0\t2\nm3\tu1\t5\n")
     data = ingest(p, implicit_zero=True, rating_shift=True)
     # 3 -> 1 kept; 1 -> 0 and 2 -> 0 dropped; 5 -> 3 kept
-    assert data.value(0, 0) == 1.0
-    assert data.value(3, 1) == 3.0
+    assert data.lookup([0, 3], [0, 1])[0].tolist() == [1.0, 3.0]
     assert data.nnz == 2
 
 
@@ -118,7 +158,7 @@ def test_ingest_row_vocab_remap_and_unknown(tmp_path):
     p = _write(tmp_path, "v.tsv", "row\tcol\tvalue\nb\tt0\t1\na\tt0\t2\n")
     data = ingest(p, row_vocab=["a", "b", "c"])
     assert data.n_rows == 3
-    assert data.value(0, 0) == 2.0 and data.value(1, 0) == 1.0
+    assert data.lookup([0, 1], [0, 0])[0].tolist() == [2.0, 1.0]
     with pytest.raises(CompatibilityError):
         ingest(p, row_vocab=["a"])
 
@@ -177,6 +217,32 @@ def test_model_tied_sharing_aliases_on_load(tmp_path):
     store_model(p, bank, meta, ["a", "b", "c"])
     loaded, _, _ = load_model(p)
     assert loaded.tied
+
+
+def test_model_sharing_must_match_the_bank(tmp_path):
+    rng = np.random.default_rng(7)
+    emb = rng.normal(size=(3, 2))
+    p = str(tmp_path / "s.model")
+    with pytest.raises(DataError, match="sharing=per_row"):
+        store_model(p, EmbeddingBank(emb, emb), _meta(2, 3), ["a", "b", "c"])
+    meta = _meta(2, 3)
+    meta.sharing = "tied"
+    with pytest.raises(DataError, match="sharing=tied"):
+        store_model(p, EmbeddingBank(emb, rng.normal(size=(3, 2))), meta, ["a", "b", "c"])
+
+
+def test_model_load_rejects_tied_file_with_distinct_context_columns(tmp_path):
+    emb = np.random.default_rng(8).normal(size=(3, 2))
+    meta = _meta(2, 3)
+    meta.sharing = "tied"
+    p = str(tmp_path / "t.model")
+    store_model(p, EmbeddingBank(emb, emb), meta, ["a", "b", "c"])
+    lines = open(p).read().splitlines()
+    at = lines.index("b\t" + "\t".join(f"{v:.17g}" for v in np.concatenate([emb[1], emb[1]])))
+    lines[at] = lines[at].rsplit("\t", 1)[0] + "\t0.5"
+    open(p, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"t.model:{at + 1}: tied"):
+        load_model(p)
 
 
 def test_model_load_rejects_foreign_files(tmp_path):

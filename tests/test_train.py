@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from glembed.core import DataMatrix, EmbeddingBank
+from glembed.core import DataMatrix, EmbeddingBank, TermBatch
 from glembed.contexts import build_basket_context
 from glembed.errors import ConfigError, NumericAbortError
 from glembed.families import (
@@ -209,9 +209,8 @@ def test_negative_sampling_is_unbiased_with_zero_portion_rescaled():
     g_ns = sparse_gradient(data, ctx, bank, spec,
                            TrainConfig(zero_estimator="negative_sampling", **kw),
                            np.random.default_rng(3))
-    nz = weighted_term_gradient(data, ctx, bank, spec, data.rows, data.cols,
-                                data.vals, np.ones(1),
-                                stored_mask=np.ones(1, dtype=bool))
+    nz = weighted_term_gradient(data, ctx, bank, spec,
+                                TermBatch(data.rows, data.cols, data.vals, [True], np.ones(1)))
     predicted = nz.embeddings + 0.5 * (g_ub.embeddings - nz.embeddings)
     np.testing.assert_array_equal(predicted, g_ns.embeddings)
 
@@ -226,9 +225,8 @@ def test_downweight_scales_zero_portion_by_gamma():
     g_dw = sparse_gradient(data, ctx, bank, spec,
                            TrainConfig(zero_estimator="downweight", downweight=0.25, **kw),
                            None, zero_draw=zeros)
-    nz = weighted_term_gradient(data, ctx, bank, spec, data.rows, data.cols,
-                                data.vals, np.ones(1),
-                                stored_mask=np.ones(1, dtype=bool))
+    nz = weighted_term_gradient(data, ctx, bank, spec,
+                                TermBatch(data.rows, data.cols, data.vals, [True], np.ones(1)))
     predicted = nz.embeddings + 0.25 * (g_ub.embeddings - nz.embeddings)
     np.testing.assert_allclose(predicted, g_dw.embeddings, rtol=1e-12)
 
