@@ -9,7 +9,8 @@ Three builders cover the application patterns:
 Each context map takes a ``TermBatch`` of cells and computes their context
 sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
 gradient scatter onto the members' rows (``scatter_add``) that the training
-engine and the scoring protocols use.  Maps are immutable after
+engine and the scoring protocols use.  A member is a present cell: a cell
+missing from explicit data is never one.  Maps are immutable after
 construction.
 """
 
@@ -47,27 +48,29 @@ class WindowSpec:
 
 
 class KnnContext:
-    """Same-column contexts over each entity's k nearest spatial neighbors."""
+    """Same-column contexts over each entity's k nearest spatial neighbors;
+    a neighbor whose cell is missing is not a member."""
 
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
 
-    def sums(self, data, cv, batch: TermBatch, entity_mask=None):
+    def _members(self, data, batch: TermBatch):
+        """Neighbor rows of each batch cell, their values with missing cells
+        set to 0, and the count of present neighbors."""
+        nb = self.neighbors[batch.rows]                # (E, k)
+        vals = data.dense()[nb, batch.cols[:, None]]   # (E, k)
+        if data.n_terms == data.n_rows * data.n_cols:  # no cell is missing
+            return nb, vals, np.full(len(nb), nb.shape[1], dtype=np.int64)
+        present = ~np.isnan(vals)
+        return nb, np.where(present, vals, 0.0), present.sum(axis=1)
+
+    def sums(self, data, cv, batch: TermBatch):
         """Context inner sums for a batch of cells.
 
         Returns (S, counts): S[e] = sum_{j in c_e} x_j * cv[row_j], and
-        counts[e] = |c_e|.  With ``entity_mask`` (bool per entity row),
-        members whose row is masked are left out of both.  The other maps'
-        ``sums`` share this contract.
+        counts[e] = |c_e|.  The other maps' ``sums`` share this contract.
         """
-        nb = self.neighbors[batch.rows]                # (E, k)
-        vals = data.dense()[nb, batch.cols[:, None]]   # (E, k)
-        if entity_mask is None:
-            counts = np.full(len(batch), nb.shape[1], dtype=np.int64)
-        else:
-            kept = ~entity_mask[nb]
-            vals = np.where(kept, vals, 0.0)
-            counts = kept.sum(axis=1)
+        nb, vals, counts = self._members(data, batch)
         S = np.empty((len(nb), cv.shape[1]))
         for lo in range(0, len(nb), KNN_SUM_CHUNK):
             hi = lo + KNN_SUM_CHUNK
@@ -77,8 +80,7 @@ class KnnContext:
     def scatter_add(self, data, batch: TermBatch, coef, out):
         """out[row_j] += x_j * coef[e] for every member j of every batch cell
         e.  The other maps' ``scatter_add`` share this contract."""
-        nb = self.neighbors[batch.rows]
-        vals = data.dense()[nb, batch.cols[:, None]]
+        nb, vals, _ = self._members(data, batch)
         for lo in range(0, len(nb), KNN_SUM_CHUNK):
             hi = lo + KNN_SUM_CHUNK
             contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
@@ -88,12 +90,9 @@ class KnnContext:
 class BasketContext:
     """Contexts are the other stored entries of the same column."""
 
-    def sums(self, data, cv, batch: TermBatch, entity_mask=None):
-        colsum, colcount = _column_tables(data, cv, entity_mask)
+    def sums(self, data, cv, batch: TermBatch):
+        colsum, colcount = _column_tables(data, cv)
         stored = batch.stored
-        if entity_mask is not None:
-            # a masked cell is not in its column's table, so nothing to remove
-            stored = stored & ~entity_mask[batch.rows]
         S = colsum[batch.cols].copy()
         S[stored] -= batch.vals[stored, None] * cv[batch.rows[stored]]
         counts = colcount[batch.cols] - stored.astype(np.int64)
@@ -114,50 +113,37 @@ class WindowContext:
     """Contexts are the stored entries at other columns within a window of
     ``half_width`` positions on either side, truncated at the ends."""
 
-    def __init__(self, length: int, half_width: int):
-        if length < 1:
-            raise ConfigError("sequence length must be >= 1")
-        self.length = int(length)
+    def __init__(self, half_width: int):
         self.half_width = int(half_width)
 
     def _window_table(self, table: np.ndarray) -> np.ndarray:
         """Per-position sum of `table` over the window, excluding the position."""
-        w = self.half_width
+        w, length = self.half_width, len(table)
         prefix = np.concatenate([np.zeros((1,) + table.shape[1:]), np.cumsum(table, axis=0)])
-        p = np.arange(self.length)
-        hi = np.minimum(p + w + 1, self.length)
+        p = np.arange(length)
+        hi = np.minimum(p + w + 1, length)
         lo = np.maximum(p - w, 0)
         return prefix[hi] - prefix[lo] - table
 
-    def _check(self, data):
-        if data.n_cols != self.length:
-            raise DataError("matrix length disagrees with window context")
-
-    def sums(self, data, cv, batch: TermBatch, entity_mask=None):
-        self._check(data)
-        colsum, colcount = _column_tables(data, cv, entity_mask)
+    def sums(self, data, cv, batch: TermBatch):
+        colsum, colcount = _column_tables(data, cv)
         ws = self._window_table(colsum)
         wc = self._window_table(colcount[:, None].astype(np.float64))[:, 0]
         return ws[batch.cols], wc[batch.cols].astype(np.int64)
 
     def scatter_add(self, data, batch: TermBatch, coef, out):
-        self._check(data)
         R = np.zeros((data.n_cols, coef.shape[1]))
         np.add.at(R, batch.cols, coef)
         rw = self._window_table(R)
         np.add.at(out, data.rows, data.vals[:, None] * rw[data.cols])
 
 
-def _column_tables(data: DataMatrix, cv: np.ndarray, entity_mask=None):
+def _column_tables(data: DataMatrix, cv: np.ndarray):
     """Per column: the sum of x_j * cv[row_j] and the count over stored
-    entries j, leaving out entries whose row ``entity_mask`` marks."""
-    rows, cols, vals = data.rows, data.cols, data.vals
-    if entity_mask is not None:
-        kept = ~entity_mask[rows]
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    entries j."""
     colsum = np.zeros((data.n_cols, cv.shape[1]))
-    np.add.at(colsum, cols, vals[:, None] * cv[rows])
-    colcount = np.bincount(cols, minlength=data.n_cols)
+    np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
+    colcount = np.bincount(data.cols, minlength=data.n_cols)
     return colsum, colcount
 
 
@@ -202,4 +188,4 @@ def build_window_context(length: int, spec: WindowSpec, data: DataMatrix) -> Win
     """Symmetric window of half-size w over the positions of ``data``."""
     if data.n_cols != length:
         raise DataError("matrix length disagrees with window context")
-    return WindowContext(length, spec.half_width)
+    return WindowContext(spec.half_width)

@@ -107,12 +107,11 @@ class DataMatrix:
         return ids // self.n_cols, ids % self.n_cols
 
     def dense(self) -> np.ndarray:
-        """Materialize as a dense (n_rows, n_cols) array, absent cells as 0.
-
-        Cached; treat the result as read-only.
-        """
+        """Dense (n_rows, n_cols) array: absent cells read 0 in implicit-zero
+        data and NaN (missing) otherwise.  Cached; treat it as read-only."""
         if self._dense_cache is None:
-            x = np.zeros((self.n_rows, self.n_cols))
+            shape = (self.n_rows, self.n_cols)
+            x = np.zeros(shape) if self.implicit_zero else np.full(shape, np.nan)
             x[self.rows, self.cols] = self.vals
             self._dense_cache = x
         return self._dense_cache

@@ -246,6 +246,8 @@ def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
     labels = row_labels or [str(i) for i in range(bank.n_rows)]
     if len(labels) != bank.n_rows:
         raise DataError("one label per bank row required")
+    if len(set(labels)) != len(labels):
+        raise DataError("row labels must be distinct")
     if (meta.sharing == "tied") != bank.tied:
         raise DataError(f"sharing={meta.sharing} does not match a "
                         f"{'tied' if bank.tied else 'untied'} bank")
@@ -298,13 +300,16 @@ def load_model(path: str):
     if meta.sharing not in ("per_row", "global", "tied"):
         raise DataError(f"{path}:{kv['sharing'][1]}: bad value for sharing: {meta.sharing!r}")
     tied = meta.sharing == "tied"
-    labels, emb_rows, cv_rows = [], [], []
+    labels, emb_rows, cv_rows, seen = [], [], [], set()
     for ln, line in enumerate(lines[body_at:], start=body_at + 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 1 + 2 * meta.dim:
             raise DataError(f"{path}:{ln}: expected {1 + 2 * meta.dim} fields")
+        if parts[0] in seen:
+            raise DataError(f"{path}:{ln}: repeated entity label {parts[0]!r}")
+        seen.add(parts[0])
         labels.append(parts[0])
         try:
             nums = [float(p) for p in parts[1:]]
@@ -356,13 +361,13 @@ class RunConfig:
     window_w: int = 2
     link: str = ""
     sigma2: float = 1.0
-    reg_weight: float = -1.0
+    reg_weight: float | None = None
     regularizer: str = ""
     estimator: str = ""
     zero_estimator: str = "unbiased"
     gamma: float = 0.1
     minibatch_size: int = 0
-    iterations: int = -1
+    iterations: int | None = None
     negative_samples: int = 10
     step_size_grid: tuple[float, ...] = ()
     seed: int = 0
@@ -370,7 +375,7 @@ class RunConfig:
     train_frac: float = 0.9
     valid_frac: float = 0.05
     test_frac: float = 0.05
-    implicit_zero: int = -1
+    implicit_zero: int | None = None
     lag: bool = False
     rating_shift: bool = False
     min_row_count: int = 0
@@ -379,14 +384,20 @@ class RunConfig:
     def __post_init__(self):
         if self.family not in _ARCHETYPE_DEFAULTS:
             raise ConfigError(f"unknown family {self.family!r}")
+        for key in ("reg_weight", "iterations", "minibatch_size"):
+            if (getattr(self, key) or 0) < 0:
+                name = "reg_weight (lambda)" if key == "reg_weight" else key
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, key)}")
+        if self.implicit_zero not in (None, 0, 1):
+            raise ConfigError(f"implicit_zero must be 0 or 1, got {self.implicit_zero}")
         reg_w, iters, estim, mb, regzr = _ARCHETYPE_DEFAULTS[self.family]
-        if self.reg_weight < 0:
+        if self.reg_weight is None:
             self.reg_weight = reg_w
-        if self.iterations < 0:
+        if self.iterations is None:
             self.iterations = iters
         if not self.estimator:
             self.estimator = estim
-        if self.minibatch_size <= 0:
+        if self.minibatch_size == 0:
             self.minibatch_size = mb or 0
         if not self.regularizer:
             self.regularizer = regzr
@@ -398,7 +409,7 @@ class RunConfig:
             raise ConfigError(f"unknown link {self.link!r}")
         if not self.step_size_grid:
             self.step_size_grid = DEFAULT_STEP_GRID
-        if self.implicit_zero < 0:
+        if self.implicit_zero is None:
             self.implicit_zero = int(self.family in _IMPLICIT_FAMILIES)
         if not self.split:
             self.split = "none" if self.context == "window" else "columns"

@@ -145,12 +145,12 @@ def _require_poisson(spec: FamilySpec):
         raise ConfigError("normalized predictive log-likelihood applies to Poisson-family models")
 
 
-def _squared_errors(test_data, ctx, bank, spec, entries, entity_mask=None):
-    """Squared error of each listed entry against its Gaussian mean, which is
-    its linear value, and whether any context member was left to predict it."""
-    batch = TermBatch(test_data.rows[entries], test_data.cols[entries],
-                      test_data.vals[entries], np.ones(len(entries), dtype=bool))
-    means, _, counts, _ = _linear_values(test_data, ctx, bank, spec, batch, entity_mask)
+def _squared_errors(data, ctx, bank, spec, test_data, entries):
+    """Squared error of the listed entries of ``test_data`` against their Gaussian
+    means given their contexts in ``data``, and whether any member was left."""
+    rows, cols = test_data.rows[entries], test_data.cols[entries]
+    batch = TermBatch(rows, cols, test_data.vals[entries], data.lookup(rows, cols)[1])
+    means, _, counts, _ = _linear_values(data, ctx, bank, spec, batch)
     return (batch.vals - means) ** 2, counts > 0
 
 
@@ -160,19 +160,22 @@ def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     of its context members.  Empty-context entries are excluded and counted."""
     _require_gaussian(spec)
     validate_bank(spec, bank)
-    err2, keep = _squared_errors(test_data, ctx, bank, spec, np.arange(test_data.nnz))
+    err2, keep = _squared_errors(test_data, ctx, bank, spec, test_data, np.arange(test_data.nnz))
     return EvalReport.from_scores("leave_one_out_mse", err2[keep], int((~keep).sum()))
 
 
 def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
                            spec: FamilySpec, folds: int = 4, seed: int = 0) -> EvalReport:
-    """Fold the entities, predict each entry with in-fold context members
-    removed, and pool the squared errors over all folds.  Entries left with
-    an empty context are excluded and counted."""
+    """Fold the entities, predict each fold's entries from the test data less
+    that fold's entries (so no in-fold cell is a member), and pool the squared
+    errors over all folds.  Entries left with an empty context are excluded."""
     _require_gaussian(spec)
     validate_bank(spec, bank)
     if folds < 2:
         raise ConfigError("fold count must be >= 2 (folds=1 would empty every context)")
+    if test_data.implicit_zero:
+        raise ConfigError("leave-fraction-out needs explicit test data: a removed "
+                          "implicit-zero entry would read as a zero member")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(test_data.n_rows, dtype=np.int64)
     fold_of[rng.permutation(test_data.n_rows)] = np.arange(test_data.n_rows) % folds
@@ -181,8 +184,8 @@ def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     keep = np.empty(test_data.nnz, dtype=bool)
     for f in range(folds):
         cells = np.flatnonzero(entry_fold == f)
-        err2[cells], keep[cells] = _squared_errors(test_data, ctx, bank, spec, cells,
-                                                   entity_mask=fold_of == f)
+        rest = test_data.select_entries(np.flatnonzero(entry_fold != f))
+        err2[cells], keep[cells] = _squared_errors(rest, ctx, bank, spec, test_data, cells)
     return EvalReport.from_scores("leave_25pct_out_mse" if folds == 4 else
                                   f"leave_fold_out_mse_{folds}", err2[keep],
                                   int((~keep).sum()))

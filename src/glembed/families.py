@@ -136,14 +136,14 @@ class Gradients:
 # vectorized engine over batches of cells
 # ---------------------------------------------------------------------------
 
-def _context_sums(data, ctx, bank, spec, batch: TermBatch, entity_mask=None):
+def _context_sums(data, ctx, bank, spec, batch: TermBatch):
     """Context sums of a batch of cells, divided by the member count under
-    mean links; members whose row ``entity_mask`` marks are left out.
+    mean links.
 
     Returns (S, counts, active) where active marks cells kept under the
     empty-context policy: mean links drop empty-context cells.
     """
-    S, counts = ctx.sums(data, bank.effective_context_vectors(), batch, entity_mask)
+    S, counts = ctx.sums(data, bank.effective_context_vectors(), batch)
     active = np.ones(len(batch), dtype=bool)
     if spec.link.rescales_by_count:
         active = counts > 0
@@ -151,13 +151,13 @@ def _context_sums(data, ctx, bank, spec, batch: TermBatch, entity_mask=None):
     return S, counts, active
 
 
-def _linear_values(data, ctx, bank, spec, batch: TermBatch, entity_mask=None):
+def _linear_values(data, ctx, bank, spec, batch: TermBatch):
     """Linear values and context sums for a batch of cells.
 
     Returns (svals, S, counts, active), the last three as ``_context_sums``
     returns them.
     """
-    S, counts, active = _context_sums(data, ctx, bank, spec, batch, entity_mask)
+    S, counts, active = _context_sums(data, ctx, bank, spec, batch)
     svals = np.einsum("ed,ed->e", bank.effective_embeddings()[batch.rows], S)
     if not active.all():
         # excluded cells get a placeholder linear value so the moment

@@ -82,8 +82,8 @@ class TrainConfig:
             raise ConfigError("sparse estimator needs negative_samples >= 1")
         if self.estimator == "minibatch" and (self.minibatch_size or 0) < 1:
             raise ConfigError("minibatch estimator needs a positive minibatch_size")
-        if self.n_iterations < 0 or self.dim < 1:
-            raise ConfigError("n_iterations must be >= 0 and dim >= 1")
+        if self.n_iterations < 0 or self.dim < 1 or self.log_every < 1:
+            raise ConfigError("n_iterations must be >= 0, dim >= 1 and log_every >= 1")
 
 
 @dataclass

@@ -64,17 +64,22 @@ def scalar_fold_of(n_rows, folds, seed):
 
 
 def members(ctx, data, row, col):
-    """Cells (row_j, col_j) in the context of cell (row, col) of ``data``."""
+    """Cells (row_j, col_j) in the context of cell (row, col) of ``data``.
+    A cell missing from explicit data is never a member."""
     if isinstance(ctx, ExplicitContext):
-        return ctx.mapping.get((row, col), [])
-    if isinstance(ctx, KnnContext):
-        return [(int(m), col) for m in ctx.neighbors[row]]
-    stored = zip(data.rows.tolist(), data.cols.tolist())
-    if isinstance(ctx, BasketContext):
-        return [(m, c) for m, c in stored if c == col and m != row]
-    if isinstance(ctx, WindowContext):
-        return [(m, c) for m, c in stored if 0 < abs(c - col) <= ctx.half_width]
-    raise TypeError(f"no membership rule for {type(ctx).__name__}")
+        listed = ctx.mapping.get((row, col), [])
+    elif isinstance(ctx, KnnContext):
+        listed = [(int(m), col) for m in ctx.neighbors[row]]
+    else:
+        listed = list(zip(data.rows.tolist(), data.cols.tolist()))
+        if isinstance(ctx, BasketContext):
+            listed = [(m, c) for m, c in listed if c == col and m != row]
+        elif isinstance(ctx, WindowContext):
+            listed = [(m, c) for m, c in listed if 0 < abs(c - col) <= ctx.half_width]
+        else:
+            raise TypeError(f"no membership rule for {type(ctx).__name__}")
+    stored = set(zip(data.rows.tolist(), data.cols.tolist()))
+    return [j for j in listed if data.implicit_zero or j in stored]
 
 
 class ExplicitContext:
@@ -84,15 +89,14 @@ class ExplicitContext:
     def __init__(self, mapping):
         self.mapping = {cell: [tuple(j) for j in js] for cell, js in mapping.items()}
 
-    def sums(self, data, cv, batch, entity_mask=None):
+    def sums(self, data, cv, batch):
         x = data.dense()
         S = np.zeros((len(batch), cv.shape[1]))
         counts = np.zeros(len(batch), dtype=np.int64)
         for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
             for j in members(self, data, *cell):
-                if entity_mask is None or not entity_mask[j[0]]:
-                    S[e] += x[j] * cv[j[0]]
-                    counts[e] += 1
+                S[e] += x[j] * cv[j[0]]
+                counts[e] += 1
         return S, counts
 
     def scatter_add(self, data, batch, coef, out):

@@ -187,24 +187,24 @@ def test_evaluate_empty_test_split_is_config_error(toy_run, tmp_path):
 
 def test_loo_and_l25_score_the_same_entries_with_a_missing_neighbor_cell(
         toy_run, tmp_path, capsys):
-    # both protocols follow the context sums' member policy, under which a
-    # missing explicit cell counts as value 0
+    # a missing explicit cell is never a context member, so an entry whose
+    # neighbor cells are all missing has an empty context under both protocols
     model = str(toy_run["root"] / "toy.model")
     data = ingest(toy_run["data"])
     positions = read_locations(toy_run["locations"], data.row_labels)
-    neighbor = data.row_labels[knn_neighbors(positions, 3)[0, 0]]
+    gone = [[data.row_labels[m], "0"] for m in knn_neighbors(positions, 3)[0]]
     lines = open(toy_run["data"]).read().splitlines()
     holey = tmp_path / "holey.tsv"
-    holey.write_text("\n".join(ln for ln in lines
-                               if ln.split("\t")[:2] != [neighbor, "0"]) + "\n")
-    n_scored = {}
+    holey.write_text("\n".join(ln for ln in lines if ln.split("\t")[:2] not in gone) + "\n")
+    reports = {}
     for protocol in ("loo-mse", "l25-mse"):
         capsys.readouterr()
         rc = main(["evaluate", "--model", model, "--test", str(holey),
                    "--protocol", protocol, "--locations", toy_run["locations"]])
         assert rc == 0
-        n_scored[protocol] = int(capsys.readouterr().out.splitlines()[1].split("\t")[3])
-    assert n_scored["loo-mse"] == n_scored["l25-mse"] == len(lines) - 2
+        reports[protocol] = capsys.readouterr().out.splitlines()[1].split("\t")[3:]
+    n_entries = len(lines) - 1 - len(gone)
+    assert reports["loo-mse"] == reports["l25-mse"] == [str(n_entries - 1), "1"]
 
 
 @pytest.mark.parametrize("which", ["data", "locations"])

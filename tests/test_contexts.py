@@ -3,6 +3,7 @@ import pytest
 
 from glembed.contexts import (
     KNN_SUM_CHUNK,
+    KnnContext,
     SpatialLayout,
     WindowSpec,
     build_basket_context,
@@ -93,6 +94,14 @@ def test_knn_context_time_invariant_and_no_self():
     assert table[0, 2] == 0 and (counts == 3).all() and (table[0] != 0).sum() == 3
 
 
+def test_knn_neighbor_with_a_missing_cell_is_not_a_member():
+    data = DataMatrix(3, 1, [0, 1], [0, 0], [1.0, 2.0])  # cell (2, 0) is missing
+    ctx = KnnContext(np.array([[1, 2], [0, 2], [0, 1]]))
+    table, counts = context_table(ctx, data, [0, 1, 2], [0, 0, 0])
+    np.testing.assert_array_equal(table, [[0, 2, 0], [1, 0, 0], [1, 2, 0]])
+    assert counts.tolist() == [1, 1, 2]
+
+
 def test_basket_context_examples():
     vals = np.zeros((10, 3))
     vals[[2, 5, 9], 0] = 1.0
@@ -165,11 +174,10 @@ def test_vectorized_sums_match_generic(builder):
     cols = rng.integers(0, data.n_cols, n_cells)
     batch = cells(data, rows, cols)
     cv = bank.effective_context_vectors()
-    for entity_mask in (None, np.arange(data.n_rows) % 3 == 1):
-        fast_s, fast_c = ctx.sums(data, cv, batch, entity_mask=entity_mask)
-        slow_s, slow_c = ExplicitContext.sums(ctx, data, cv, batch, entity_mask=entity_mask)
-        np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
-        np.testing.assert_array_equal(fast_c, slow_c)
+    fast_s, fast_c = ctx.sums(data, cv, batch)
+    slow_s, slow_c = ExplicitContext.sums(ctx, data, cv, batch)
+    np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
+    np.testing.assert_array_equal(fast_c, slow_c)
     coef = rng.normal(size=(n_cells, bank.dim))
     fast_g = np.zeros_like(cv)
     slow_g = np.zeros_like(cv)
@@ -184,26 +192,26 @@ def test_builders_validate_inputs():
         build_knn_context(SpatialLayout(np.zeros((2, 3)), 1), data)
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_knn_sums_in_chunks_equal_one_einsum(masked):
+@pytest.mark.parametrize("holey", [False, True])
+def test_knn_sums_in_chunks_equal_one_einsum(holey):
     data, ctx, bank = gaussian_instance(12, n=9, t=7, k=4, knn=3)
     rng = np.random.default_rng(5)
+    if holey:  # about 30% of the cells go missing
+        data = data.select_entries(np.flatnonzero(rng.random(data.nnz) >= 0.3))
     n_cells = 2 * KNN_SUM_CHUNK + 123
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
-    mask = rng.random(data.n_rows) < 0.3 if masked else None
     batch = cells(data, rows, cols)
-    S, counts = ctx.sums(data, bank.context_vectors, batch, entity_mask=mask)
+    S, counts = ctx.sums(data, bank.context_vectors, batch)
     nb = ctx.neighbors[rows]
-    vals = data.dense()[nb, cols[:, None]]
-    if masked:
-        vals = np.where(mask[nb], 0.0, vals)
+    vals, present = (a.reshape(nb.shape) for a in data.lookup(nb.ravel(), np.repeat(cols, 3)))
     np.testing.assert_array_equal(S, np.einsum("ek,ekd->ed", vals, bank.context_vectors[nb]))
-    assert counts.sum() == (n_cells * 3 if not masked else (~mask[nb]).sum())
-    if not masked:  # the scatter adds in the same order as one np.add.at
-        coef = rng.normal(size=(n_cells, bank.dim))
-        got = np.zeros_like(bank.context_vectors)
-        ctx.scatter_add(data, batch, coef, got)
-        want = np.zeros_like(got)
-        np.add.at(want, nb.ravel(), (vals[:, :, None] * coef[:, None, :]).reshape(-1, bank.dim))
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(counts, present.sum(axis=1))
+    assert present.all() != holey
+    # the scatter adds in the same order as one np.add.at
+    coef = rng.normal(size=(n_cells, bank.dim))
+    got = np.zeros_like(bank.context_vectors)
+    ctx.scatter_add(data, batch, coef, got)
+    want = np.zeros_like(got)
+    np.add.at(want, nb.ravel(), (vals[:, :, None] * coef[:, None, :]).reshape(-1, bank.dim))
+    np.testing.assert_array_equal(got, want)

@@ -6,6 +6,7 @@ import pytest
 from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.contexts import (
     KnnContext,
+    SpatialLayout,
     WindowSpec,
     build_basket_context,
     build_knn_context,
@@ -181,8 +182,8 @@ def test_leave_fraction_out_is_harder_than_loo_on_planted_model():
 def _scoring_instance(builder, seed, folds, fold_seed):
     """Gaussian test data with a context of the given kind, holding one entry
     whose members all share its fold and, but for kNN, one entry with an
-    empty context.  kNN reads every neighbor cell, so its data is complete;
-    window and explicit members are stored cells, so their data has holes."""
+    empty context.  The kNN data is complete; the window and explicit data
+    have holes."""
     rng = np.random.default_rng(seed)
     n, t = 12, 7
     fold_of = scalar_fold_of(n, folds, fold_seed)
@@ -218,6 +219,24 @@ def _scoring_instance(builder, seed, folds, fold_seed):
     return data, ExplicitContext(mapping)
 
 
+def _assert_protocols_match_oracles(data, ctx, bank, spec, folds, seed):
+    """LOO and leave-fraction-out against the entry-by-entry oracles; returns
+    the leave-fraction-out report."""
+    l25 = leave_fraction_out_mse(data, ctx, bank, spec, folds=folds, seed=seed)
+    ref = scalar_leave_fraction_out(data, ctx, bank, spec, folds=folds, seed=seed)
+    assert (l25.n_entries, l25.excluded) == (ref.n_entries, ref.excluded)
+    np.testing.assert_allclose([l25.estimate, l25.stderr],
+                               [ref.estimate, ref.stderr], rtol=1e-12)
+
+    loo = leave_one_out_mse(data, ctx, bank, spec)
+    preds = [scalar_linear_value(data, ctx, bank, spec.link, r, c)
+             for r, c in zip(data.rows.tolist(), data.cols.tolist())]
+    err2 = [(x - p) ** 2 for x, p in zip(data.vals.tolist(), preds) if p is not None]
+    assert loo.excluded == data.nnz - len(err2)
+    assert loo.estimate == pytest.approx(np.mean(err2), rel=1e-12)
+    return l25
+
+
 @pytest.mark.parametrize("builder", ["knn", "window", "explicit"])
 @pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
 @pytest.mark.parametrize("folds", [2, 4])
@@ -228,19 +247,59 @@ def test_batched_protocols_match_scalar_oracles(builder, link, folds):
         rng = np.random.default_rng(100 + seed)
         bank = EmbeddingBank(rng.normal(size=(data.n_rows, 3)),
                              rng.normal(size=(data.n_rows, 3)))
-        l25 = leave_fraction_out_mse(data, ctx, bank, spec, folds=folds, seed=seed)
-        ref = scalar_leave_fraction_out(data, ctx, bank, spec, folds=folds, seed=seed)
-        assert l25.excluded == ref.excluded >= 1
-        assert l25.n_entries == ref.n_entries
-        np.testing.assert_allclose([l25.estimate, l25.stderr],
-                                   [ref.estimate, ref.stderr], rtol=1e-12)
+        l25 = _assert_protocols_match_oracles(data, ctx, bank, spec, folds, seed)
+        assert l25.excluded >= 1
 
-        loo = leave_one_out_mse(data, ctx, bank, spec)
-        preds = [scalar_linear_value(data, ctx, bank, link, r, c)
-                 for r, c in zip(data.rows.tolist(), data.cols.tolist())]
-        err2 = [(x - p) ** 2 for x, p in zip(data.vals.tolist(), preds) if p is not None]
-        assert loo.excluded == data.nnz - len(err2)
-        assert loo.estimate == pytest.approx(np.mean(err2), rel=1e-12)
+
+def _holey_instance(builder, seed):
+    """Random explicit Gaussian data missing 10-60% of its cells, with a
+    context of the given kind; explicit contexts may list missing cells."""
+    rng = np.random.default_rng(seed)
+    n, t = 10, 6
+    values = rng.normal(size=(n, t))
+    rows, cols = np.nonzero(rng.random((n, t)) >= rng.uniform(0.1, 0.6))
+    data = DataMatrix(n, t, rows, cols, values[rows, cols])
+    if builder == "knn":
+        return data, build_knn_context(SpatialLayout(rng.uniform(size=(n, 3)), 3), data)
+    if builder == "window":
+        return data, build_window_context(t, WindowSpec(int(rng.integers(1, 3))), data)
+    every = [(r, c) for r in range(n) for c in range(t)]
+    return data, ExplicitContext({
+        cell: [every[p] for p in rng.choice(len(every), 4, replace=False) if every[p] != cell]
+        for cell in every})
+
+
+@pytest.mark.parametrize("builder", ["knn", "window", "explicit"])
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+def test_missing_cells_are_never_members_on_any_path(builder, link):
+    # sums, scatter_add, LOO and L25 all follow the oracles' member rule on
+    # data with holes, for every cell of the matrix, missing ones included
+    spec = FamilySpec(Family.GAUSSIAN, link)
+    for seed in range(8):
+        data, ctx = _holey_instance(builder, seed)
+        rng = np.random.default_rng(300 + seed)
+        bank = EmbeddingBank(rng.normal(size=(data.n_rows, 3)),
+                             rng.normal(size=(data.n_rows, 3)))
+        rows, cols = np.indices((data.n_rows, data.n_cols)).reshape(2, -1)
+        batch = TermBatch(rows, cols, *data.lookup(rows, cols))
+        cv = bank.context_vectors
+        S, counts = ctx.sums(data, cv, batch)
+        ref_S, ref_counts = ExplicitContext.sums(ctx, data, cv, batch)
+        np.testing.assert_allclose(S, ref_S, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(counts, ref_counts)
+        coef = rng.normal(size=(len(batch), bank.dim))
+        got, want = np.zeros_like(cv), np.zeros_like(cv)
+        ctx.scatter_add(data, batch, coef, got)
+        ExplicitContext.scatter_add(ctx, data, batch, coef, want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        _assert_protocols_match_oracles(data, ctx, bank, spec, 3, seed)
+
+
+def test_leave_fraction_out_rejects_implicit_zero_test_data():
+    # removing a fold's entries from implicit-zero data would leave zero members
+    data, ctx, bank = count_instance(3, n=6, t=5)
+    with pytest.raises(ConfigError, match="implicit-zero"):
+        leave_fraction_out_mse(data, ctx, bank, FamilySpec(Family.GAUSSIAN), folds=2)
 
 
 @pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])

@@ -6,6 +6,7 @@ import pytest
 from glembed.core import DataMatrix, EmbeddingBank
 from glembed.dataio import (
     ModelMeta,
+    RunConfig,
     ingest,
     load_model,
     parse_run_config,
@@ -245,6 +246,25 @@ def test_model_load_rejects_tied_file_with_distinct_context_columns(tmp_path):
         load_model(p)
 
 
+def test_model_store_rejects_repeated_labels(tmp_path):
+    bank = EmbeddingBank.init_random(3, 2, seed=0)
+    with pytest.raises(DataError, match="distinct"):
+        store_model(str(tmp_path / "d.model"), bank, _meta(2, 3), ["a", "b", "a"])
+
+
+def test_model_load_rejects_repeated_labels_naming_the_line(tmp_path):
+    # a repeated label would make ingest(row_vocab=labels) map both to one row
+    p = tmp_path / "d.model"
+    store_model(str(p), EmbeddingBank.init_random(3, 2, seed=0), _meta(2, 3), ["a", "b", "c"])
+    lines = p.read_text().splitlines()
+    at = lines.index("#entities") + 3
+    assert lines[at].startswith("c\t")
+    lines[at] = "a" + lines[at][1:]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"d.model:{at + 1}: repeated entity label 'a'"):
+        load_model(str(p))
+
+
 def test_model_load_rejects_foreign_files(tmp_path):
     p = _write(tmp_path, "x.model", "something else\n")
     with pytest.raises(DataError):
@@ -288,6 +308,26 @@ def test_run_config_lambda_alias_and_grid():
         "family = poisson\nlambda = 2.5\nstep_size_grid = 0.1, 0.5\n# comment\n")
     assert cfg.reg_weight == 2.5
     assert cfg.step_size_grid == (0.1, 0.5)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("iterations = -5", "iterations"), ("lambda = -2", "reg_weight"),
+    ("reg_weight = -0.5", "reg_weight"), ("minibatch_size = -1", "minibatch_size"),
+    ("implicit_zero = 2", "implicit_zero"), ("implicit_zero = -1", "implicit_zero")])
+def test_run_config_rejects_out_of_range_values_naming_the_key(line, key):
+    # these used to be replaced by the family default without a word
+    with pytest.raises(ConfigError, match=key):
+        parse_run_config(f"family = gaussian\n{line}\n")
+
+
+def test_run_config_unset_and_zero_keys_keep_their_resolution():
+    cfg = parse_run_config("family = gaussian\nlambda = 0\niterations = 0\nimplicit_zero = 1\n")
+    assert (cfg.reg_weight, cfg.iterations, cfg.implicit_zero) == (0.0, 0, 1)
+    cfg = RunConfig(family="gaussian", minibatch_size=0)
+    assert (cfg.reg_weight, cfg.iterations, cfg.minibatch_size, cfg.implicit_zero) == \
+        (10.0, 500, 100, 0)
+    # the canonical text of a config that was valid before is unchanged
+    assert parse_run_config("family = gaussian\n").digest() == "91b1680c9c7d"
 
 
 def test_run_config_digest_is_stable_and_sensitive():

@@ -447,3 +447,12 @@ def test_train_config_validation():
         TrainConfig(estimator="minibatch", minibatch_size=None).validate()
     with pytest.raises(ConfigError):
         TrainConfig(downweight=0.0).validate()
+
+
+@pytest.mark.parametrize("log_every", [0, -3])
+def test_log_every_below_one_is_config_error(log_every):
+    # 0 used to divide by zero at iteration 1 and a negative value logged on
+    # an odd cadence
+    data, ctx, bank, spec = family_instance(Family.GAUSSIAN, 0)
+    with pytest.raises(ConfigError, match="log_every"):
+        train(data, ctx, spec, TrainConfig(dim=bank.dim, n_iterations=3, log_every=log_every))
