@@ -9,9 +9,11 @@ Three builders cover the application patterns:
 Each context map takes a ``TermBatch`` of cells and computes their context
 sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
 gradient scatter onto the members' rows (``scatter_add``) that the training
-engine and the scoring protocols use.  A member is a present cell: a cell
-missing from explicit data is never one.  Maps are immutable after
-construction.
+engine and the scoring protocols use.  ``block`` scores every cell of a
+matrix instead, one ``ColumnBlock`` at a time, as matrix products: the
+entity relation times the data times the column relation.  A member is a
+present cell: a cell missing from explicit data is never one.  Maps are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .core import DataMatrix, TermBatch
+from .core import ColumnBlock, DataMatrix, TermBatch
 from .errors import ConfigError, DataError
 
 # cells per chunk in KnnContext.sums and scatter_add, bounding their
@@ -86,6 +89,19 @@ class KnnContext:
             contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
             np.add.at(out, nb[lo:hi].ravel(), contrib.reshape(-1, out.shape[1]))
 
+    def block(self, data, emb, cv):
+        """One pass over every cell of ``data``, a column block at a time.
+
+        The pass's ``table(cells)`` returns (H, counts) for a ``ColumnBlock``:
+        H[n, t] = emb[n] . S[n, t] for the block's cells and their member
+        counts, broadcastable to H.  ``scatter(cells, coef)`` adds
+        coef[n, t] times the gradient of H[n, t] with respect to emb and cv,
+        and ``gradients()`` returns the (emb, cv) sums of every scatter.  The
+        other maps' ``block`` share this contract.  Here H = M @ x, where M
+        holds emb[n] . cv[nb[n, k]] at (n, nb[n, k]).
+        """
+        return _KnnPass(self.neighbors, data, emb, cv)
+
 
 class BasketContext:
     """Contexts are the other stored entries of the same column."""
@@ -99,14 +115,17 @@ class BasketContext:
         return S, counts
 
     def scatter_add(self, data, batch: TermBatch, coef, out):
-        R = np.zeros((data.n_cols, coef.shape[1]))
-        np.add.at(R, batch.cols, coef)
         # every stored entry j=(m,t) is in the context of every scored cell of
         # column t except itself
-        np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
+        _spread(data, _column_coefficients(data, batch, coef), out)
         stored = batch.stored
         if stored.any():
             np.add.at(out, batch.rows[stored], -(batch.vals[stored, None] * coef[stored]))
+
+    def block(self, data, emb, cv):
+        """Every cell by column blocks (see ``KnnContext.block``): H = emb @
+        colsum.T, less x[n, t] * (emb[n] . cv[n]) at each stored cell."""
+        return _ColumnTablePass(data, emb, cv, *_column_tables(data, cv), lambda t: t, own=True)
 
 
 class WindowContext:
@@ -125,17 +144,24 @@ class WindowContext:
         lo = np.maximum(p - w, 0)
         return prefix[hi] - prefix[lo] - table
 
-    def sums(self, data, cv, batch: TermBatch):
+    def _tables(self, data, cv):
+        """Per column: the context sum and the member count."""
         colsum, colcount = _column_tables(data, cv)
-        ws = self._window_table(colsum)
         wc = self._window_table(colcount[:, None].astype(np.float64))[:, 0]
-        return ws[batch.cols], wc[batch.cols].astype(np.int64)
+        return self._window_table(colsum), wc.astype(np.int64)
+
+    def sums(self, data, cv, batch: TermBatch):
+        ws, wc = self._tables(data, cv)
+        return ws[batch.cols], wc[batch.cols]
 
     def scatter_add(self, data, batch: TermBatch, coef, out):
-        R = np.zeros((data.n_cols, coef.shape[1]))
-        np.add.at(R, batch.cols, coef)
-        rw = self._window_table(R)
-        np.add.at(out, data.rows, data.vals[:, None] * rw[data.cols])
+        _spread(data, self._window_table(_column_coefficients(data, batch, coef)), out)
+
+    def block(self, data, emb, cv):
+        """Every cell by column blocks (see ``KnnContext.block``): H = emb @
+        window_table(colsum).T."""
+        return _ColumnTablePass(data, emb, cv, *self._tables(data, cv), self._window_table,
+                                own=False)
 
 
 def _column_tables(data: DataMatrix, cv: np.ndarray):
@@ -145,6 +171,94 @@ def _column_tables(data: DataMatrix, cv: np.ndarray):
     np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
     colcount = np.bincount(data.cols, minlength=data.n_cols)
     return colsum, colcount
+
+
+def _column_coefficients(data: DataMatrix, batch: TermBatch, coef):
+    """Per column: the sum of the coefficients of the batch cells there."""
+    R = np.zeros((data.n_cols, coef.shape[1]))
+    np.add.at(R, batch.cols, coef)
+    return R
+
+
+def _spread(data: DataMatrix, R, out):
+    """out[row_j] += x_j * R[col_j] for every stored entry j."""
+    np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
+
+
+def _neighbor_matrix(neighbors, weights):
+    """Sparse (N, N) matrix holding weights[n, k] at (n, neighbors[n, k])."""
+    n, k = neighbors.shape
+    return sparse.csr_matrix((weights.ravel(), neighbors.ravel(), np.arange(0, n * k + 1, k)),
+                             shape=(n, n))
+
+
+class _KnnPass:
+    """``KnnContext.block``: H = M @ x, and the gradient through
+    G[n, k] = sum_t coef[n, t] x[nb[n, k], t]."""
+
+    def __init__(self, neighbors, data: DataMatrix, emb, cv):
+        self.neighbors, self.emb, self.cv = neighbors, emb, cv
+        self.M = _neighbor_matrix(neighbors, np.einsum("nd,nkd->nk", emb, cv[neighbors]))
+        self.G = np.zeros(neighbors.shape)
+        # with no cell missing every neighbor is a member; else count the present ones
+        self.W = None if data.n_terms == data.n_rows * data.n_cols \
+            else _neighbor_matrix(neighbors, np.ones(neighbors.shape))
+
+    def table(self, cells: ColumnBlock):
+        if self.W is None:
+            return self.M @ cells.x, self.neighbors.shape[1]
+        return self.M @ cells.x, (self.W @ cells.stored.astype(np.float64)).astype(np.int64)
+
+    def scatter(self, cells: ColumnBlock, coef):
+        for k, nb in enumerate(self.neighbors.T):
+            self.G[:, k] += np.einsum("nt,nt->n", coef, cells.x[nb])
+
+    def gradients(self):
+        G = _neighbor_matrix(self.neighbors, self.G)
+        return G @ self.cv, G.T @ self.emb
+
+
+class _ColumnTablePass:
+    """``block`` of the contexts whose sums are per-column tables: S[n, t] =
+    sums[t], less the cell's own stored term x[n, t] * cv[n] when ``own``
+    (baskets).  ``spread`` maps per-column tables onto per-column context
+    tables (the window sum, or none).  It is symmetric, so it also carries
+    the per-column coefficient sums R = coef.T @ emb back to the members'
+    columns, once per pass."""
+
+    def __init__(self, data: DataMatrix, emb, cv, sums, counts, spread, own):
+        self.data, self.emb, self.cv = data, emb, cv
+        self.sums, self.counts, self.spread = sums, counts, spread
+        self.own = np.einsum("nd,nd->n", emb, cv) if own else None
+        self.g_emb = np.zeros_like(emb)
+        self.R = np.zeros_like(sums)
+        self.own_coef = np.zeros(len(emb))  # sum_t coef[n, t] * x[n, t]
+
+    def table(self, cells: ColumnBlock):
+        H = self.emb @ self.sums[cells.lo:cells.hi].T
+        counts = self.counts[cells.lo:cells.hi]
+        if self.own is not None:
+            H -= cells.x * self.own[:, None]
+            counts = counts - cells.stored
+        return H, counts
+
+    def scatter(self, cells: ColumnBlock, coef):
+        if self.own is not None:
+            # a cell with no member adds nothing: its coefficient (which a
+            # floored rate makes huge) would cancel against its own term
+            # only up to rounding
+            coef = np.where(self.counts[cells.lo:cells.hi] > cells.stored, coef, 0.0)
+            self.own_coef += np.einsum("nt,nt->n", coef, cells.x)
+        self.g_emb += coef @ self.sums[cells.lo:cells.hi]
+        self.R[cells.lo:cells.hi] += coef.T @ self.emb
+
+    def gradients(self):
+        g_cv = np.zeros_like(self.cv)
+        _spread(self.data, self.spread(self.R), g_cv)
+        if self.own is not None:
+            self.g_emb -= self.own_coef[:, None] * self.cv
+            g_cv -= self.own_coef[:, None] * self.emb
+        return self.g_emb, g_cv
 
 
 def knn_neighbors(positions: np.ndarray, k: int) -> np.ndarray:

@@ -78,6 +78,7 @@ class DataMatrix:
         if repeat >= 0:
             raise DataError(f"duplicate entry at (row={self.rows[repeat]}, col={self.cols[repeat]})")
         self._dense_cache: np.ndarray | None = None
+        self._by_column: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def nnz(self) -> int:
@@ -115,6 +116,29 @@ class DataMatrix:
             x[self.rows, self.cols] = self.vals
             self._dense_cache = x
         return self._dense_cache
+
+    def column_blocks(self, width: int):
+        """Every cell, as ``ColumnBlock``s of at most ``width`` columns from
+        left to right.  The first call keeps the entries' rows and values in
+        column order."""
+        if self._by_column is None:
+            order = np.argsort(self.cols, kind="stable")
+            starts = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.n_cols))])
+            self._by_column = self.rows[order], self.vals[order], starts
+        rows, vals, starts = self._by_column
+        for lo in range(0, self.n_cols, width):
+            hi = min(lo + width, self.n_cols)
+            # row-major positions in the block of its entries, column by column
+            at = rows[starts[lo]:starts[hi]] * (hi - lo) \
+                + np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
+            x = np.zeros((self.n_rows, hi - lo))
+            np.put(x, at, vals[starts[lo]:starts[hi]])
+            if self.implicit_zero:  # stores no zero
+                stored = x != 0.0
+            else:
+                stored = np.zeros(x.shape, dtype=bool)
+                np.put(stored, at, True)
+            yield ColumnBlock(lo, hi, x, stored)
 
     def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
         """New matrix over the given columns, reindexed 0..len(keep)-1."""
@@ -183,6 +207,17 @@ class TermBatch:
             w = 1.0 if self.weights is None else self.weights
             self.weights = np.where(self.stored, w, zero_weight * w)
         return self
+
+
+@dataclass
+class ColumnBlock:
+    """Every cell of columns lo..hi-1 of a matrix as dense (n_rows, hi - lo)
+    tables: the values, 0 where no entry is stored, and the storedness."""
+
+    lo: int
+    hi: int
+    x: np.ndarray
+    stored: np.ndarray
 
 
 class EmbeddingBank:

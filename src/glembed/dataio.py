@@ -383,13 +383,14 @@ class RunConfig:
 
     def __post_init__(self):
         if self.family not in _ARCHETYPE_DEFAULTS:
-            raise ConfigError(f"unknown family {self.family!r}")
+            raise ConfigError(f"unknown family {self.family!r}", "family")
         for key in ("reg_weight", "iterations", "minibatch_size"):
             if (getattr(self, key) or 0) < 0:
                 name = "reg_weight (lambda)" if key == "reg_weight" else key
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, key)}")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, key)}", key)
         if self.implicit_zero not in (None, 0, 1):
-            raise ConfigError(f"implicit_zero must be 0 or 1, got {self.implicit_zero}")
+            raise ConfigError(f"implicit_zero must be 0 or 1, got {self.implicit_zero}",
+                              "implicit_zero")
         reg_w, iters, estim, mb, regzr = _ARCHETYPE_DEFAULTS[self.family]
         if self.reg_weight is None:
             self.reg_weight = reg_w
@@ -406,7 +407,7 @@ class RunConfig:
         if not self.link:
             self.link = default_link(Family(self.family)).value
         if self.link not in {m.value for m in Link}:
-            raise ConfigError(f"unknown link {self.link!r}")
+            raise ConfigError(f"unknown link {self.link!r}", "link")
         if not self.step_size_grid:
             self.step_size_grid = DEFAULT_STEP_GRID
         if self.implicit_zero is None:
@@ -414,9 +415,9 @@ class RunConfig:
         if not self.split:
             self.split = "none" if self.context == "window" else "columns"
         if self.context not in ("knn", "basket", "window"):
-            raise ConfigError(f"unknown context builder {self.context!r}")
+            raise ConfigError(f"unknown context builder {self.context!r}", "context")
         if self.split not in ("columns", "ratings", "none"):
-            raise ConfigError(f"unknown split {self.split!r}")
+            raise ConfigError(f"unknown split {self.split!r}", "split")
 
     def family_spec(self, vocab_size: int = 0) -> FamilySpec:
         return FamilySpec(Family(self.family), Link(self.link),
@@ -463,6 +464,7 @@ def parse_run_config(text: str) -> RunConfig:
     """Parse key=value lines; '#' starts a comment.  Unknown keys fail."""
     known = {f.name for f in fields(RunConfig)}
     kv: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -476,6 +478,7 @@ def parse_run_config(text: str) -> RunConfig:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
         if key in kv:
             raise ConfigError(f"config line {ln}: duplicate key {key!r}")
+        line_of[key] = ln
         try:
             if key in _BOOL_KEYS:
                 kv[key] = _BOOL_WORDS[val.lower()]
@@ -491,7 +494,12 @@ def parse_run_config(text: str) -> RunConfig:
             raise ConfigError(f"config line {ln}: bad value for {key}: {val!r}") from None
     if "family" not in kv:
         raise ConfigError("config must set family")
-    return RunConfig(**kv)  # type: ignore[arg-type]
+    try:
+        return RunConfig(**kv)  # type: ignore[arg-type]
+    except ConfigError as exc:
+        if exc.key not in line_of:
+            raise
+        raise ConfigError(f"config line {line_of[exc.key]}: {exc}", exc.key) from None
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -10,7 +10,12 @@ class GlembedError(Exception):
 
 
 class ConfigError(GlembedError):
-    """Invalid configuration: unknown keys, bad values, impossible splits."""
+    """Invalid configuration: unknown keys, bad values, impossible splits.
+    ``key`` names the configuration key at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DataError(GlembedError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DataMatrix, EmbeddingBank, TermBatch
 from .errors import ConfigError
-from .families import Family, FamilySpec, _linear_values, conditional_means, validate_bank
+from .families import Family, FamilySpec, _linear_values, block_means, validate_bank
 
 MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 
@@ -197,19 +197,10 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     of all entities' conditional means at the same column."""
     _require_poisson(spec)
     validate_bank(spec, bank)
-    n = test_data.n_rows
-    cols_with = np.unique(test_data.cols)
-    rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
-    cols_all = np.repeat(cols_with, n)
-    means, active = conditional_means(
-        test_data, ctx, bank, spec,
-        TermBatch(rows_all, cols_all, *test_data.lookup(rows_all, cols_all)))
-    means = np.where(active, means, 0.0)
-    mean_table = means.reshape(len(cols_with), n)
-    normalizer = mean_table.sum(axis=1)
-    table_row = np.searchsorted(cols_with, test_data.cols)
-    mu = mean_table[table_row, test_data.rows]
-    z = normalizer[table_row]
+    mean_table = block_means(test_data, ctx, bank, spec)
+    normalizer = mean_table.sum(axis=0)
+    mu = mean_table[test_data.rows, test_data.cols]
+    z = normalizer[test_data.cols]
     keep = ~((mu <= 0.0) | (z <= 0.0) | ~np.isfinite(z))
     return EvalReport.from_scores("normalized_predictive_ll", np.log(mu[keep] / z[keep]),
                                   int((~keep).sum()))

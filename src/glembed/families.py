@@ -166,39 +166,52 @@ def _linear_values(data, ctx, bank, spec, batch: TermBatch):
     return svals, S, counts, active
 
 
-def _moments(spec, svals, x, counters):
-    """Per-cell mean, residual r (d loglik / d linear value) and
-    log-likelihood at the given linear values.
+def _mean(spec, svals, counters):
+    """Per-cell mean (expected sufficient statistic) at the given linear
+    values, counting the clamped and floored cells."""
+    fam = spec.family
+    if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
+        return svals
+    if fam is Family.POISSON:
+        clipped = np.clip(svals, -ETA_CLAMP, ETA_CLAMP)
+        if counters is not None:
+            counters.eta_clamped += int((clipped != svals).sum())
+        return np.exp(clipped)
+    if fam is Family.ADDITIVE_POISSON:
+        mean = np.maximum(svals, RATE_FLOOR)
+        if counters is not None:
+            counters.rate_floored += int((mean != svals).sum())
+        return mean
+    if fam is Family.BERNOULLI:
+        return 1.0 / (1.0 + np.exp(-svals))
+    raise ConfigError("categorical cells are scored per column block")
+
+
+def _residual(spec, svals, x, counters):
+    """Per-cell residual d loglik / d linear value."""
+    if spec.family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
+        return (x - svals) / spec.sigma2
+    mean = _mean(spec, svals, counters)
+    return x / mean - 1.0 if spec.family is Family.ADDITIVE_POISSON else x - mean
+
+
+def _log_likelihood(spec, svals, x, counters):
+    """Per-cell log-likelihood at the given linear values.
 
     Log-likelihoods include base-measure constants, so they are true log
     probabilities, comparable across models.
     """
     fam = spec.family
     if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        mean = svals
-        resid = (x - svals) / spec.sigma2
-        ll = -((x - svals) ** 2) / (2.0 * spec.sigma2) \
+        return -((x - svals) ** 2) / (2.0 * spec.sigma2) \
             - 0.5 * math.log(spec.sigma2) - _HALF_LOG_2PI
-    elif fam is Family.POISSON:
-        clipped = np.clip(svals, -ETA_CLAMP, ETA_CLAMP)
-        if counters is not None:
-            counters.eta_clamped += int((clipped != svals).sum())
-        mean = np.exp(clipped)
-        resid = x - mean
-        ll = x * clipped - mean - gammaln(x + 1.0)
-    elif fam is Family.ADDITIVE_POISSON:
-        mean = np.maximum(svals, RATE_FLOOR)
-        if counters is not None:
-            counters.rate_floored += int((mean != svals).sum())
-        resid = x / mean - 1.0
-        ll = x * np.log(mean) - mean - gammaln(x + 1.0)
-    elif fam is Family.BERNOULLI:
-        mean = 1.0 / (1.0 + np.exp(-svals))
-        resid = x - mean
-        ll = x * svals - np.logaddexp(0.0, svals)
-    else:
-        raise ConfigError("categorical cells are scored per column block")
-    return mean, resid, ll
+    if fam is Family.BERNOULLI:
+        # log(1 + e^eta) as np.logaddexp(0, eta) computes it, in a third of its time
+        return x * svals - (np.maximum(svals, 0.0) + np.log1p(np.exp(-np.abs(svals))))
+    mean = _mean(spec, svals, counters)
+    if fam is Family.POISSON:
+        return x * np.clip(svals, -ETA_CLAMP, ETA_CLAMP) - mean - gammaln(x + 1.0)
+    return x * np.log(mean) - mean - gammaln(x + 1.0)
 
 
 def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
@@ -208,7 +221,7 @@ def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None)
     carry ll = 0 and are excluded by the caller's bookkeeping.
     """
     svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
-    _, _, ll = _moments(spec, svals, batch.vals, counters)
+    ll = _log_likelihood(spec, svals, batch.vals, counters)
     return np.where(active, ll, 0.0), active
 
 
@@ -224,7 +237,7 @@ def weighted_term_gradient(data, ctx, bank, spec, batch: TermBatch, counters=Non
     g_cv = np.zeros_like(cv)
     if len(batch):
         svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch)
-        _, resid, _ = _moments(spec, svals, batch.vals, counters)
+        resid = _residual(spec, svals, batch.vals, counters)
         w = batch.weights
         coef = np.where(active, resid if w is None else w * resid, 0.0)
         np.add.at(g_emb, batch.rows, coef[:, None] * S)
@@ -255,8 +268,69 @@ def conditional_means(data, ctx, bank, spec, batch: TermBatch, counters=None):
     at the cell's natural parameter.
     """
     svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
-    mean, _, _ = _moments(spec, svals, batch.vals, counters)
-    return mean, active
+    return _mean(spec, svals, counters), active
+
+
+# ---------------------------------------------------------------------------
+# every cell of a matrix, by column blocks
+# ---------------------------------------------------------------------------
+
+# cells per column block on the every-cell path, bounding its (rows x block
+# columns) tables
+BLOCK_CELLS = 1 << 17
+
+
+def _block_terms(data, scored, spec, zero_weight):
+    """Per ``ColumnBlock`` of ``data``, scored by the pass ``scored`` of
+    ``ctx.block``: (cells, svals, counts, weights).  The weights are
+    ``zero_weight`` at unstored cells and 0 at cells that a mean link drops
+    for an empty context, or None when all are 1; dropped cells get the
+    placeholder linear value of ``_linear_values``."""
+    for cells in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1))):
+        svals, counts = scored.table(cells)
+        w = None if zero_weight == 1.0 else np.where(cells.stored, 1.0, zero_weight)
+        if spec.link.rescales_by_count:
+            active = np.broadcast_to(counts > 0, svals.shape)
+            svals = np.where(active, svals / np.maximum(counts, 1), 1.0)
+            w = np.where(active, 1.0 if w is None else w, 0.0)
+        yield cells, svals, counts, w
+
+
+def block_log_likelihood(data, ctx, bank, spec, zero_weight=1.0, counters=None) -> float:
+    """Log-likelihood of every cell of ``data`` as a term, zero cells weighted
+    by ``zero_weight``, scored a column block at a time."""
+    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
+    total = 0.0
+    for cells, svals, _, w in _block_terms(data, scored, spec, zero_weight):
+        ll = _log_likelihood(spec, svals, cells.x, counters)
+        total += float((ll if w is None else ll * w).sum())
+    return total
+
+
+def block_gradient(data, ctx, bank, spec, zero_weight=1.0, counters=None) -> Gradients:
+    """Gradient of ``block_log_likelihood`` in stored coordinates."""
+    emb = bank.effective_embeddings()
+    cv = bank.effective_context_vectors()
+    scored = ctx.block(data, emb, cv)
+    for cells, svals, counts, w in _block_terms(data, scored, spec, zero_weight):
+        coef = _residual(spec, svals, cells.x, counters)
+        if w is not None:
+            coef *= w
+        if spec.link.rescales_by_count:
+            coef /= np.maximum(counts, 1)
+        scored.scatter(cells, coef)
+    return _stored_gradients(bank, emb, cv, *scored.gradients())
+
+
+def block_means(data, ctx, bank, spec):
+    """(n_rows, n_cols) table of every cell's conditional mean; 0 where a
+    mean link drops an empty context."""
+    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
+    means = np.empty((data.n_rows, data.n_cols))
+    for cells, svals, _, w in _block_terms(data, scored, spec, 1.0):
+        m = _mean(spec, svals, None)
+        means[:, cells.lo:cells.hi] = m if w is None else m * w
+    return means
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .families import (
     FamilySpec,
     Gradients,
     active_terms,
+    block_gradient,
+    block_log_likelihood,
     categorical_term_log_likelihoods,
     categorical_weighted_gradient,
     log_prior,
@@ -76,6 +78,8 @@ class TrainConfig:
             raise ConfigError(f"zero_estimator must be one of {ZERO_ESTIMATORS}")
         if self.regularizer not in REGULARIZERS:
             raise ConfigError(f"regularizer must be one of {REGULARIZERS}")
+        if self.reg_weight < 0:
+            raise ConfigError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if not 0.0 < self.downweight <= 1.0:
             raise ConfigError("downweight factor must be in (0, 1]")
         if self.estimator == "sparse" and self.negative_samples < 1:
@@ -127,19 +131,19 @@ def _terms_of(data: DataMatrix, spec: FamilySpec, term_ids: np.ndarray) -> TermB
     return TermBatch(data.rows[term_ids], data.cols[term_ids], data.vals[term_ids], ones)
 
 
-def _all_terms(data: DataMatrix, spec: FamilySpec, zero_weight: float) -> TermBatch:
-    """Every data term, zero cells weighted by ``zero_weight``."""
+def _every_cell_a_term(data: DataMatrix, spec: FamilySpec) -> bool:
+    """Whether every cell of ``data`` is a term (implicit-zero data, or
+    explicit data with no missing cell), so that the exact objective and
+    gradient score it by column blocks."""
+    return spec.family is not Family.CATEGORICAL and data.n_terms == data.n_rows * data.n_cols
+
+
+def _all_terms(data: DataMatrix, spec: FamilySpec) -> TermBatch:
+    """Every data term when not every cell is one: the column blocks of
+    categorical data, or the stored entries of explicit data."""
     if spec.family is Family.CATEGORICAL:
-        batch = _terms_of(data, spec, np.arange(data.n_cols, dtype=np.int64))
-    elif data.implicit_zero:
-        n, t = data.n_rows, data.n_cols
-        rows = np.repeat(np.arange(n, dtype=np.int64), t)
-        cols = np.tile(np.arange(t, dtype=np.int64), n)
-        x = data.dense().ravel()
-        batch = TermBatch(rows, cols, x, x != 0.0)
-    else:
-        batch = TermBatch(data.rows, data.cols, data.vals, np.ones(data.nnz, dtype=bool))
-    return batch.downweight_zeros(zero_weight)
+        return _terms_of(data, spec, np.arange(data.n_cols, dtype=np.int64))
+    return TermBatch(data.rows, data.cols, data.vals, np.ones(data.nnz, dtype=bool))
 
 
 def _drawn_terms(data, spec, config: TrainConfig, rng, draw=None) -> TermBatch:
@@ -207,12 +211,16 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None, unbiased=Fals
     return batch.downweight_zeros(_zero_weight(data, config))
 
 
-def _gradient(data, ctx, bank, spec, batch: TermBatch, config, counters) -> Gradients:
-    """Gradient of the batch's weighted log-likelihood plus the log-prior."""
+def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters) -> Gradients:
+    """Gradient of the batch's weighted log-likelihood plus the log-prior;
+    a batch of None stands for every cell of ``data``."""
     validate_bank(spec, bank)
-    kernel = categorical_weighted_gradient if spec.family is Family.CATEGORICAL \
-        else weighted_term_gradient
-    g = kernel(data, ctx, bank, spec, batch, counters)
+    if batch is None:
+        g = block_gradient(data, ctx, bank, spec, _zero_weight(data, config), counters)
+    elif spec.family is Family.CATEGORICAL:
+        g = categorical_weighted_gradient(data, ctx, bank, spec, batch, counters)
+    else:
+        g = weighted_term_gradient(data, ctx, bank, spec, batch, counters)
     _, reg = log_prior(bank, config.reg_weight, config.regularizer)
     g.embeddings += reg.embeddings
     if not bank.tied:
@@ -235,14 +243,18 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
               zero_weight=1.0, counters=None) -> float:
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
-    return _score(data, ctx, bank, spec, _all_terms(data, spec, zero_weight),
-                  reg_weight, regularizer, counters)
+    if not _every_cell_a_term(data, spec):
+        return _score(data, ctx, bank, spec, _all_terms(data, spec),
+                      reg_weight, regularizer, counters)
+    validate_bank(spec, bank)
+    return block_log_likelihood(data, ctx, bank, spec, zero_weight, counters) \
+        + log_prior(bank, reg_weight, regularizer)[0]
 
 
 def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
     """Exact gradient of the objective."""
-    return _gradient(data, ctx, bank, spec, _all_terms(data, spec, _zero_weight(data, config)),
-                     config, counters)
+    batch = None if _every_cell_a_term(data, spec) else _all_terms(data, spec)
+    return _gradient(data, ctx, bank, spec, batch, config, counters)
 
 
 def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,

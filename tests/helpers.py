@@ -4,8 +4,9 @@ The finite-difference gradient here is the independent oracle for every
 analytic gradient: it only touches the objective function, never the
 gradient code paths it checks.  ``members`` restates each context builder's
 membership rule one cell at a time; the scalar loops (``ExplicitContext``,
-``scalar_linear_value`` and the scoring protocols) walk those members entry by
-entry and never call the context sums they check.
+``MemberPass``, ``scalar_linear_value`` and the scoring protocols) walk
+those members entry by entry and never call the context sums or block
+passes they check.
 """
 
 import math
@@ -84,10 +85,19 @@ def members(ctx, data, row, col):
 
 class ExplicitContext:
     """Context map given as an explicit cell -> member cells dictionary; its
-    sums and scatter walk ``members`` one cell at a time."""
+    sums, scatter and block walk ``members`` one cell at a time."""
 
     def __init__(self, mapping):
         self.mapping = {cell: [tuple(j) for j in js] for cell, js in mapping.items()}
+
+    @classmethod
+    def of(cls, ctx, data):
+        """The members of every cell of ``data`` under ``ctx``, listed."""
+        return cls({(r, c): members(ctx, data, r, c)
+                    for r in range(data.n_rows) for c in range(data.n_cols)})
+
+    def block(self, data, emb, cv):
+        return MemberPass(self, data, emb, cv)
 
     def sums(self, data, cv, batch):
         x = data.dense()
@@ -104,6 +114,40 @@ class ExplicitContext:
         for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
             for j in members(self, data, *cell):
                 out[j[0]] += x[j] * coef[e]
+
+
+class MemberPass:
+    """``ctx.block`` of any context map, walking ``members`` one cell at a
+    time."""
+
+    def __init__(self, ctx, data, emb, cv):
+        self.ctx, self.data, self.emb, self.cv = ctx, data, emb, cv
+        self.g_emb = np.zeros_like(emb)
+        self.g_cv = np.zeros_like(cv)
+
+    def _members(self, cells):
+        """(n, t, [(x_j, row_j) per member]) of every cell of the block."""
+        x = self.data.dense()
+        for n, t in np.ndindex(*cells.x.shape):
+            yield n, t, [(x[j], j[0]) for j in members(self.ctx, self.data, n, cells.lo + t)]
+
+    def table(self, cells):
+        H = np.zeros(cells.x.shape)
+        counts = np.zeros(cells.x.shape, dtype=np.int64)
+        for n, t, js in self._members(cells):
+            for xj, m in js:
+                H[n, t] += xj * (self.emb[n] @ self.cv[m])
+            counts[n, t] = len(js)
+        return H, counts
+
+    def scatter(self, cells, coef):
+        for n, t, js in self._members(cells):
+            for xj, m in js:
+                self.g_emb[n] += coef[n, t] * xj * self.cv[m]
+                self.g_cv[m] += coef[n, t] * xj * self.emb[n]
+
+    def gradients(self):
+        return self.g_emb, self.g_cv
 
 
 def scalar_linear_value(data, ctx, bank, link, row, col, drop_rows=()):

@@ -8,7 +8,8 @@ from glembed.errors import ConfigError, DataError
 from glembed.families import (
     Family,
     FamilySpec,
-    _moments,
+    _log_likelihood,
+    _residual,
     active_terms,
     categorical_term_log_likelihoods,
     conditional_means,
@@ -40,8 +41,8 @@ SCALAR_FAMILIES = [f for f in ALL_FAMILIES if f is not Family.CATEGORICAL]
 def loglik(family, x, svals, sigma2=1.0):
     """Per-cell log-likelihoods of x at the given linear values."""
     svals = np.asarray(svals, dtype=np.float64)
-    return _moments(FamilySpec(family, sigma2=sigma2), svals,
-                    np.broadcast_to(np.asarray(x, dtype=np.float64), svals.shape), None)[2]
+    return _log_likelihood(FamilySpec(family, sigma2=sigma2), svals,
+                           np.broadcast_to(np.asarray(x, dtype=np.float64), svals.shape), None)
 
 
 def test_log_likelihood_poisson_at_unit_rate():
@@ -86,9 +87,9 @@ def test_expected_statistic_is_normalizer_derivative(family):
         grid, xs = np.array([-1.2, -0.3, 0.4, 1.5]), (0.0, 1.0, 3.0)
     for x in xs:
         xv = np.full(len(grid), x)
-        _, resid, _ = _moments(spec, grid, xv, None)
-        up = _moments(spec, grid + h, xv, None)[2]
-        down = _moments(spec, grid - h, xv, None)[2]
+        resid = _residual(spec, grid, xv, None)
+        up = _log_likelihood(spec, grid + h, xv, None)
+        down = _log_likelihood(spec, grid - h, xv, None)
         np.testing.assert_allclose(resid, (up - down) / (2 * h), rtol=1e-6, atol=1e-6)
 
 
@@ -104,7 +105,8 @@ def test_log_likelihood_peaks_where_mean_matches_statistic(family, x):
     # with the grid point whose residual x - mean is closest to zero
     spec = FamilySpec(family, sigma2=0.9 if family is Family.GAUSSIAN else 1.0)
     grid = np.linspace(-4.0, 4.0, 801)
-    _, resid, ll = _moments(spec, grid, np.full(len(grid), x), None)
+    xv = np.full(len(grid), x)
+    resid, ll = _residual(spec, grid, xv, None), _log_likelihood(spec, grid, xv, None)
     assert abs(int(ll.argmax()) - int(np.abs(resid).argmin())) <= 1
 
 

@@ -320,6 +320,15 @@ def test_run_config_rejects_out_of_range_values_naming_the_key(line, key):
         parse_run_config(f"family = gaussian\n{line}\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("family = gaussian\niterations = -5", 2),
+    ("# a comment\nfamily = gaussian\n\nlink = bogus\n", 4),
+    ("family = poisson\nsplit = none\ncontext = ring\n", 3)])
+def test_run_config_value_errors_name_the_config_line(text, line):
+    with pytest.raises(ConfigError, match=f"^config line {line}: "):
+        parse_run_config(text)
+
+
 def test_run_config_unset_and_zero_keys_keep_their_resolution():
     cfg = parse_run_config("family = gaussian\nlambda = 0\niterations = 0\nimplicit_zero = 1\n")
     assert (cfg.reg_weight, cfg.iterations, cfg.implicit_zero) == (0.0, 0, 1)

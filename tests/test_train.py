@@ -1,16 +1,28 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from glembed.core import DataMatrix, EmbeddingBank, TermBatch
-from glembed.contexts import build_basket_context
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
+from glembed.contexts import (
+    SpatialLayout,
+    WindowSpec,
+    build_basket_context,
+    build_knn_context,
+    build_window_context,
+)
 from glembed.errors import ConfigError, NumericAbortError
 from glembed.families import (
+    ClampCounters,
     Family,
     FamilySpec,
     Gradients,
+    block_means,
+    conditional_means,
+    log_prior,
+    term_log_likelihoods,
     weighted_term_gradient,
 )
 from glembed.evaluate import SplitSpec, make_split, normalized_predictive_ll
@@ -28,6 +40,7 @@ from glembed.train import (
 
 from helpers import (
     ExplicitContext,
+    cells,
     count_instance,
     dense_draw_zero_cells,
     dense_matrix,
@@ -87,6 +100,128 @@ def test_full_gradient_zero_at_constructed_stationary_point():
     g = full_gradient(data, ExplicitContext({}), bank, spec, TrainConfig(reg_weight=0.0))
     assert np.abs(g.embeddings).max() == 0.0
     assert np.abs(g.context_vectors).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# every cell by column blocks
+# ---------------------------------------------------------------------------
+
+SCALAR_FAMILIES = [f for f in Family if f is not Family.CATEGORICAL]
+
+
+def _every_cell_instance(builder, family, implicit, seed, n=6, t=7):
+    """Data of ``family``'s support, with about half the cells zero; every cell
+    is stored when not ``implicit``."""
+    rng = np.random.default_rng(seed)
+    nonzero = rng.random((n, t)) < 0.5
+    if family is Family.BERNOULLI:
+        values = nonzero.astype(np.float64)
+    elif family in (Family.POISSON, Family.ADDITIVE_POISSON):
+        values = np.where(nonzero, rng.poisson(1.5, (n, t)) + 1.0, 0.0)
+    else:
+        values = np.where(nonzero, rng.normal(size=(n, t)), 0.0)
+    data = dense_matrix(values, implicit_zero=implicit)
+    if builder == "knn":
+        ctx = build_knn_context(SpatialLayout(rng.uniform(size=(n, 3)), 3), data)
+    elif builder == "basket":
+        ctx = build_basket_context(data)
+    else:
+        ctx = build_window_context(t, WindowSpec(2), data)
+    log_space = family in (Family.NONNEG_GAUSSIAN, Family.ADDITIVE_POISSON)
+    bank = EmbeddingBank(rng.normal(scale=0.3, size=(n, 3)), rng.normal(scale=0.3, size=(n, 3)),
+                         log_space=log_space)
+    return data, ctx, bank
+
+
+def _every_cell_batch(data, zero_weight=1.0):
+    rows, cols = np.indices((data.n_rows, data.n_cols)).reshape(2, -1)
+    return cells(data, rows, cols).downweight_zeros(zero_weight)
+
+
+@pytest.mark.parametrize("mean_link", [False, True])
+@pytest.mark.parametrize("family", SCALAR_FAMILIES)
+@pytest.mark.parametrize("builder, implicit", [
+    ("knn", True), ("knn", False), ("basket", True), ("window", True), ("window", False)])
+def test_column_blocks_match_member_oracle(builder, implicit, family, mean_link):
+    # the exact objective and gradient score every cell as column-block
+    # products; the oracle walks each cell's members through the batch kernels
+    data, ctx, bank = _every_cell_instance(builder, family, implicit, seed=len(builder) + 7)
+    base = Link.LOG if family is Family.ADDITIVE_POISSON else Link.IDENTITY
+    link = {Link.LOG: Link.MEAN_LOG, Link.IDENTITY: Link.MEAN_IDENTITY}[base] if mean_link \
+        else base
+    spec = FamilySpec(family, link, sigma2=0.8)
+    zero_weight = 0.3 if implicit else 1.0
+    cfg = TrainConfig(reg_weight=0.5, zero_estimator="downweight", downweight=0.3)
+    oracle = ExplicitContext.of(ctx, data)
+    batch = _every_cell_batch(data, zero_weight)
+    prior, prior_grad = log_prior(bank, 0.5, "l2")
+    ll, _ = term_log_likelihoods(data, oracle, bank, spec, batch)
+    want = float((ll * (1.0 if batch.weights is None else batch.weights)).sum()) + prior
+    got = objective(data, ctx, bank, spec, 0.5, zero_weight=zero_weight)
+    assert got == pytest.approx(want, rel=1e-12)
+    g = full_gradient(data, ctx, bank, spec, cfg)
+    ref = weighted_term_gradient(data, oracle, bank, spec, batch)
+    for table, ref_table, reg in ((g.embeddings, ref.embeddings, prior_grad.embeddings),
+                                  (g.context_vectors, ref.context_vectors,
+                                   prior_grad.context_vectors)):
+        np.testing.assert_allclose(table, ref_table + reg, rtol=1e-12, atol=1e-15)
+    # the member oracle's own block pass gives the same objective
+    assert objective(data, oracle, bank, spec, 0.5, zero_weight=zero_weight) == \
+        pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mean_link", [False, True])
+@pytest.mark.parametrize("builder", ["knn", "window"])
+def test_block_means_count_only_present_members(builder, mean_link):
+    data, ctx, bank = _every_cell_instance(builder, Family.POISSON, False, seed=3)
+    rng = np.random.default_rng(4)
+    data = data.select_entries(np.flatnonzero(rng.random(data.nnz) >= 0.3))
+    ctx = build_window_context(data.n_cols, WindowSpec(2), data) if builder == "window" \
+        else ctx
+    spec = FamilySpec(Family.POISSON, Link.MEAN_IDENTITY if mean_link else Link.IDENTITY)
+    batch = _every_cell_batch(data)
+    oracle = ExplicitContext.of(ctx, data)
+    want, active = conditional_means(data, oracle, bank, spec, batch)
+    got = block_means(data, ctx, bank, spec)
+    np.testing.assert_allclose(got.ravel(), np.where(active, want, 0.0), rtol=1e-12)
+    if builder == "knn":  # some neighbour cells are missing
+        assert (oracle.sums(data, bank.context_vectors, batch)[1] < 3).any()
+
+
+@pytest.mark.parametrize("family", [Family.POISSON, Family.ADDITIVE_POISSON])
+def test_column_blocks_count_clamps_as_the_batch_path(family):
+    data, ctx, bank = count_instance(61, n=7, t=9, density=0.35,
+                                     log_space=family is Family.ADDITIVE_POISSON, scale=2.0)
+    if family is Family.ADDITIVE_POISSON:
+        bank.embeddings[:3] = -40.0  # rates far below the floor
+    spec = FamilySpec(family)
+    batch = _every_cell_batch(data)
+    block, ref = ClampCounters(), ClampCounters()
+    objective(data, ctx, bank, spec, 0.0, counters=block)
+    term_log_likelihoods(data, ctx, bank, spec, batch, ref)
+    full_gradient(data, ctx, bank, spec, TrainConfig(), block)
+    weighted_term_gradient(data, ctx, bank, spec, batch, ref)
+    assert block == ref
+    assert block.eta_clamped + block.rate_floored > 0
+
+
+def test_column_block_objective_memory_is_bounded():
+    # a 2000 x 1000 text matrix has 2M cells; its per-cell arrays would take
+    # hundreds of MiB
+    rng = np.random.default_rng(0)
+    length = 1000
+    data = DataMatrix(2000, length, rng.integers(0, 2000, length), np.arange(length),
+                      np.ones(length), implicit_zero=True)
+    ctx = build_window_context(length, WindowSpec(2), data)
+    bank = EmbeddingBank.init_random(2000, 8, seed=1)
+    tracemalloc.start()
+    try:
+        value = objective(data, ctx, bank, FamilySpec(Family.BERNOULLI), 0.0, "none")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +445,7 @@ def test_implicit_data_paths_never_build_the_dense_matrix(monkeypatch):
     monkeypatch.setattr(DataMatrix, "dense", no_dense)
     for data, ctx, spec in ((window_data, window_ctx, FamilySpec(Family.BERNOULLI)),
                             (basket_data, basket_ctx, FamilySpec(Family.POISSON))):
-        for estimator in ("sparse", "minibatch"):
+        for estimator in ("sparse", "minibatch", "full"):
             cfg = TrainConfig(dim=3, estimator=estimator, minibatch_size=20, n_iterations=3,
                               log_every=1, negative_samples=2, reg_weight=0.1, seed=5)
             bank, log = train(data, ctx, spec, cfg)
@@ -447,6 +582,8 @@ def test_train_config_validation():
         TrainConfig(estimator="minibatch", minibatch_size=None).validate()
     with pytest.raises(ConfigError):
         TrainConfig(downweight=0.0).validate()
+    with pytest.raises(ConfigError, match="reg_weight"):
+        TrainConfig(reg_weight=-1.0).validate()
 
 
 @pytest.mark.parametrize("log_every", [0, -3])
