@@ -9,7 +9,9 @@ Three builders cover the application patterns:
 Each context map takes a ``TermBatch`` of cells and computes their context
 sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
 gradient scatter onto the members' rows (``scatter_add``) that the training
-engine and the scoring protocols use.  ``block`` scores every cell of a
+engine and the scoring protocols use.  Every scatter onto rows or columns
+goes through ``core.scatter_rows``, which fills a zeroed table in entry
+order, one ``np.bincount`` per dimension.  ``block`` scores every cell of a
 matrix instead, one ``ColumnBlock`` at a time, as matrix products: the
 entity relation times the data times the column relation.  A member is a
 present cell: a cell missing from explicit data is never one.  Maps are
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import ColumnBlock, DataMatrix, TermBatch
+from .core import ColumnBlock, DataMatrix, TermBatch, scatter_rows
 from .errors import ConfigError, DataError
 
-# cells per chunk in KnnContext.sums and scatter_add, bounding their
-# (cells, k, dim) arrays
+# cells per chunk in KnnContext.sums, bounding its (cells, k, dim) gather of
+# neighbour context vectors; scatter_add builds no such array
 KNN_SUM_CHUNK = 1 << 15
 
 
@@ -84,10 +86,7 @@ class KnnContext:
         """out[row_j] += x_j * coef[e] for every member j of every batch cell
         e.  The other maps' ``scatter_add`` share this contract."""
         nb, vals, _ = self._members(data, batch)
-        for lo in range(0, len(nb), KNN_SUM_CHUNK):
-            hi = lo + KNN_SUM_CHUNK
-            contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
-            np.add.at(out, nb[lo:hi].ravel(), contrib.reshape(-1, out.shape[1]))
+        out += scatter_rows(nb, coef, len(out), vals)
 
     def block(self, data, emb, cv):
         """One pass over every cell of ``data``, a column block at a time.
@@ -116,11 +115,17 @@ class BasketContext:
 
     def scatter_add(self, data, batch: TermBatch, coef, out):
         # every stored entry j=(m,t) is in the context of every scored cell of
-        # column t except itself
-        _spread(data, _column_coefficients(data, batch, coef), out)
+        # column t except itself.  A cell with no member adds nothing: its
+        # coefficient (which a floored rate makes huge) would cancel against
+        # its own term only up to rounding
         stored = batch.stored
-        if stored.any():
-            np.add.at(out, batch.rows[stored], -(batch.vals[stored, None] * coef[stored]))
+        colcount = np.bincount(data.cols, minlength=data.n_cols)
+        coef = np.where((colcount[batch.cols] > stored)[:, None], coef, 0.0)
+        R = _column_coefficients(data, batch, coef)
+        # the column spread, then each stored cell's own term, in one scatter
+        out += scatter_rows(np.concatenate([data.rows, batch.rows[stored]]),
+                            np.concatenate([R[data.cols], coef[stored]]), len(out),
+                            np.concatenate([data.vals, -batch.vals[stored]]))
 
     def block(self, data, emb, cv):
         """Every cell by column blocks (see ``KnnContext.block``): H = emb @
@@ -155,7 +160,7 @@ class WindowContext:
         return ws[batch.cols], wc[batch.cols]
 
     def scatter_add(self, data, batch: TermBatch, coef, out):
-        _spread(data, self._window_table(_column_coefficients(data, batch, coef)), out)
+        out += _spread(data, self._window_table(_column_coefficients(data, batch, coef)), len(out))
 
     def block(self, data, emb, cv):
         """Every cell by column blocks (see ``KnnContext.block``): H = emb @
@@ -167,22 +172,20 @@ class WindowContext:
 def _column_tables(data: DataMatrix, cv: np.ndarray):
     """Per column: the sum of x_j * cv[row_j] and the count over stored
     entries j."""
-    colsum = np.zeros((data.n_cols, cv.shape[1]))
-    np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
+    colsum = scatter_rows(data.cols, cv[data.rows], data.n_cols, data.vals)
     colcount = np.bincount(data.cols, minlength=data.n_cols)
     return colsum, colcount
 
 
 def _column_coefficients(data: DataMatrix, batch: TermBatch, coef):
     """Per column: the sum of the coefficients of the batch cells there."""
-    R = np.zeros((data.n_cols, coef.shape[1]))
-    np.add.at(R, batch.cols, coef)
-    return R
+    return scatter_rows(batch.cols, coef, data.n_cols)
 
 
-def _spread(data: DataMatrix, R, out):
-    """out[row_j] += x_j * R[col_j] for every stored entry j."""
-    np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
+def _spread(data: DataMatrix, R, n):
+    """(n, dim) table whose row m sums x_j * R[col_j] over the stored
+    entries j of row m."""
+    return scatter_rows(data.rows, R[data.cols], n, data.vals)
 
 
 def _neighbor_matrix(neighbors, weights):
@@ -253,8 +256,7 @@ class _ColumnTablePass:
         self.R[cells.lo:cells.hi] += coef.T @ self.emb
 
     def gradients(self):
-        g_cv = np.zeros_like(self.cv)
-        _spread(self.data, self.spread(self.R), g_cv)
+        g_cv = _spread(self.data, self.spread(self.R), len(self.cv))
         if self.own is not None:
             self.g_emb -= self.own_coef[:, None] * self.cv
             g_cv -= self.own_coef[:, None] * self.emb

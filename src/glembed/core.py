@@ -35,6 +35,43 @@ def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
     return keys, order, int(repeats.min()) if len(repeats) else -1
 
 
+def _search_sorted(keys: np.ndarray, q, side: str = "left") -> np.ndarray:
+    """``np.searchsorted(keys, q, side)``, searching the queries in sorted
+    order: the same positions, in about a third of the time for many
+    unsorted queries."""
+    q = np.asarray(q)
+    order = np.argsort(q)
+    at = np.empty(len(q), dtype=np.intp)
+    at[order] = np.searchsorted(keys, q[order], side=side)
+    return at
+
+
+def scatter_rows(idx, v: np.ndarray, n: int, scale=None) -> np.ndarray:
+    """Sums of the rows of ``v`` by index: out[i] is the sum of scale[p] *
+    v[p[0]] over the positions p of ``idx`` with idx[p] == i.
+
+    ``v`` is (E,) or (E, d), and ``out`` (n,) or (n, d).  ``idx`` is (E,),
+    or (E, k) when ``scale`` (None for ones) is (E, k) too.  Each output
+    column is one ``np.bincount`` from zero, adding the positions in C
+    order, so the sums equal byte for byte those of the unbuffered
+    ``add.at`` ufunc method into zeros.
+    """
+    flat = np.ravel(idx)
+    if scale is not None and np.ndim(scale) == 1:
+        scale = scale[:, None]
+
+    def column(col):
+        w = col if scale is None else (scale * col[:, None]).ravel()
+        return np.bincount(flat, weights=w, minlength=n)
+
+    if v.ndim == 1:
+        return column(v)
+    out = np.empty((n, v.shape[1]))
+    for d, col in enumerate(v.T):
+        out[:, d] = column(col)
+    return out
+
+
 class DataMatrix:
     """Sparse observations indexed by (row, col).
 
@@ -92,7 +129,7 @@ class DataMatrix:
     def lookup(self, rows, cols):
         """(vals, stored) of a batch of cells inside the shape; absent cells read 0."""
         keys = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
-        at = np.searchsorted(self._keys, keys)
+        at = _search_sorted(self._keys, keys)
         stored = at < self.nnz
         stored[stored] = self._keys[at[stored]] == keys[stored]
         vals = np.zeros(len(keys))
@@ -104,7 +141,7 @@ class DataMatrix:
         in row-major order from 0."""
         # the stored entry at sorted position i has keys[i] - i empty cells
         # before it, so the q-th empty cell follows every entry with at most q
-        ids = q + np.searchsorted(self._keys - np.arange(self.nnz), q, side="right")
+        ids = q + _search_sorted(self._keys - np.arange(self.nnz), q, side="right")
         return ids // self.n_cols, ids % self.n_cols
 
     def dense(self) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, TermBatch
+from .core import DataMatrix, EmbeddingBank, TermBatch, scatter_rows
 from .errors import ConfigError
 from .families import Family, FamilySpec, _linear_values, block_means, validate_bank
 
@@ -210,9 +210,7 @@ def popularity_npll(test_data: DataMatrix, train_data: DataMatrix,
                     smoothing: float = 1.0) -> EvalReport:
     """Item-popularity baseline for the normalized log-likelihood: each
     entity's score is its (smoothed) share of training units, context-free."""
-    pop = np.zeros(train_data.n_rows)
-    np.add.at(pop, train_data.rows, train_data.vals)
-    pop = pop + smoothing
+    pop = scatter_rows(train_data.rows, train_data.vals, train_data.n_rows) + smoothing
     logshare = np.log(pop / pop.sum())
     scores = logshare[test_data.rows]
     return EvalReport.from_scores("popularity_npll", scores)

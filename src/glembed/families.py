@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DataMatrix, EmbeddingBank, Link, TermBatch
+from .core import DataMatrix, EmbeddingBank, Link, TermBatch, scatter_rows
 from .errors import ConfigError, DataError
 
 ETA_CLAMP = 30.0
@@ -151,14 +151,17 @@ def _context_sums(data, ctx, bank, spec, batch: TermBatch):
     return S, counts, active
 
 
-def _linear_values(data, ctx, bank, spec, batch: TermBatch):
-    """Linear values and context sums for a batch of cells.
+def _linear_values(data, ctx, bank, spec, batch: TermBatch, emb_rows=None):
+    """Linear values and context sums for a batch of cells, given their
+    effective embedding rows ``emb_rows`` (gathered here when None).
 
     Returns (svals, S, counts, active), the last three as ``_context_sums``
     returns them.
     """
     S, counts, active = _context_sums(data, ctx, bank, spec, batch)
-    svals = np.einsum("ed,ed->e", bank.effective_embeddings()[batch.rows], S)
+    if emb_rows is None:
+        emb_rows = bank.effective_embeddings()[batch.rows]
+    svals = np.einsum("ed,ed->e", emb_rows, S)
     if not active.all():
         # excluded cells get a placeholder linear value so the moment
         # formulas stay finite and do not pollute the clamp counters
@@ -236,13 +239,13 @@ def weighted_term_gradient(data, ctx, bank, spec, batch: TermBatch, counters=Non
     g_emb = np.zeros_like(emb)
     g_cv = np.zeros_like(cv)
     if len(batch):
-        svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch)
+        emb_rows = emb[batch.rows]
+        svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch, emb_rows)
         resid = _residual(spec, svals, batch.vals, counters)
         w = batch.weights
         coef = np.where(active, resid if w is None else w * resid, 0.0)
-        np.add.at(g_emb, batch.rows, coef[:, None] * S)
-        back = emb[batch.rows]
-        back *= coef[:, None]
+        g_emb = scatter_rows(batch.rows, S, len(emb), coef)
+        back = np.multiply(emb_rows, coef[:, None], out=emb_rows)
         if spec.link.rescales_by_count:
             back = back / np.maximum(counts, 1)[:, None]
         ctx.scatter_add(data, batch, back, g_cv)

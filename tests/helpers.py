@@ -6,7 +6,9 @@ gradient code paths it checks.  ``members`` restates each context builder's
 membership rule one cell at a time; the scalar loops (``ExplicitContext``,
 ``MemberPass``, ``scalar_linear_value`` and the scoring protocols) walk
 those members entry by entry and never call the context sums or block
-passes they check.
+passes they check.  ``add_at_scatter`` and ``add_at_term_gradient`` are the
+batch scatters as ``np.add.at`` calls into zeroed tables, the oracle of the
+library's one ``bincount`` scatter.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 
 from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.contexts import (
+    KNN_SUM_CHUNK,
     BasketContext,
     KnnContext,
     SpatialLayout,
@@ -25,7 +28,14 @@ from glembed.contexts import (
     build_window_context,
 )
 from glembed.evaluate import EvalReport
-from glembed.families import Family, FamilySpec, conditional_means
+from glembed.families import (
+    Family,
+    FamilySpec,
+    _linear_values,
+    _residual,
+    _stored_gradients,
+    conditional_means,
+)
 from glembed.train import objective
 
 
@@ -114,6 +124,50 @@ class ExplicitContext:
         for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
             for j in members(self, data, *cell):
                 out[j[0]] += x[j] * coef[e]
+
+
+def add_at_scatter(ctx, data, batch, coef, out):
+    """``ctx.scatter_add`` of a kNN, basket or window context as ``np.add.at``
+    calls: the kNN contributions one chunk of cells at a time, the basket's
+    column spread before each stored cell's own term."""
+    if isinstance(ctx, KnnContext):
+        nb, vals, _ = ctx._members(data, batch)
+        for lo in range(0, len(nb), KNN_SUM_CHUNK):
+            hi = lo + KNN_SUM_CHUNK
+            contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
+            np.add.at(out, nb[lo:hi].ravel(), contrib.reshape(-1, out.shape[1]))
+        return
+    if isinstance(ctx, BasketContext):
+        # a cell with no member (alone in its column) adds nothing
+        colcount = np.bincount(data.cols, minlength=data.n_cols)
+        coef = np.where((colcount[batch.cols] > batch.stored)[:, None], coef, 0.0)
+    R = np.zeros((data.n_cols, coef.shape[1]))
+    np.add.at(R, batch.cols, coef)
+    if isinstance(ctx, WindowContext):
+        R = ctx._window_table(R)
+    np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
+    if isinstance(ctx, BasketContext):
+        stored = batch.stored
+        np.add.at(out, batch.rows[stored], -(batch.vals[stored, None] * coef[stored]))
+
+
+def add_at_term_gradient(data, ctx, bank, spec, batch):
+    """``weighted_term_gradient`` with its scatters as ``np.add.at`` calls."""
+    emb = bank.effective_embeddings()
+    cv = bank.effective_context_vectors()
+    g_emb = np.zeros_like(emb)
+    g_cv = np.zeros_like(cv)
+    svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch)
+    resid = _residual(spec, svals, batch.vals, None)
+    w = batch.weights
+    coef = np.where(active, resid if w is None else w * resid, 0.0)
+    np.add.at(g_emb, batch.rows, coef[:, None] * S)
+    back = emb[batch.rows]
+    back *= coef[:, None]
+    if spec.link.rescales_by_count:
+        back = back / np.maximum(counts, 1)[:, None]
+    add_at_scatter(ctx, data, batch, back, g_cv)
+    return _stored_gradients(bank, emb, cv, g_emb, g_cv)
 
 
 class MemberPass:

@@ -11,11 +11,14 @@ from glembed.contexts import (
     build_window_context,
     knn_neighbors,
 )
-from glembed.core import DataMatrix
+from glembed.core import DataMatrix, EmbeddingBank, Link
 from glembed.errors import ConfigError, DataError
+from glembed.families import Family, FamilySpec, weighted_term_gradient
 
 from helpers import (
     ExplicitContext,
+    add_at_scatter,
+    add_at_term_gradient,
     cells,
     count_instance,
     dense_matrix,
@@ -215,3 +218,60 @@ def test_knn_sums_in_chunks_equal_one_einsum(holey):
     want = np.zeros_like(got)
     np.add.at(want, nb.ravel(), (vals[:, :, None] * coef[:, None, :]).reshape(-1, bank.dim))
     np.testing.assert_array_equal(got, want)
+
+
+def _scatter_instance(builder, storage, seed=23, n=9, t=11):
+    """Data with about half its cells nonzero, stored as ``storage`` says
+    (implicit zeros; every cell explicit; about 30% of explicit cells
+    missing), the ``builder``'s context and a random bank."""
+    rng = np.random.default_rng(seed)
+    values = np.where(rng.random((n, t)) < 0.5, rng.poisson(1.5, (n, t)) + 1.0, 0.0)
+    values[:, 4] = 0.0
+    values[2, 4] = 3.0  # an entry alone in its column
+    data = dense_matrix(values, implicit_zero=storage == "implicit")
+    if storage == "holey":
+        data = data.select_entries(np.flatnonzero(rng.random(data.nnz) >= 0.3))
+    if builder == "knn":
+        ctx = build_knn_context(SpatialLayout(rng.uniform(size=(n, 3)), 3), data)
+    elif builder == "basket":
+        ctx = build_basket_context(data)
+    else:
+        ctx = build_window_context(t, WindowSpec(2), data)
+    return data, ctx, rng
+
+
+@pytest.mark.parametrize("builder, storage", [
+    ("knn", "implicit"), ("knn", "complete"), ("knn", "holey"), ("basket", "implicit"),
+    ("window", "implicit"), ("window", "complete"), ("window", "holey")])
+def test_scatters_equal_add_at_oracle_byte_for_byte(builder, storage):
+    data, ctx, rng = _scatter_instance(builder, storage)
+    n_cells = KNN_SUM_CHUNK + 517  # the kNN scatter once went by chunks of cells
+    rows = rng.integers(0, data.n_rows, n_cells)
+    cols = rng.integers(0, data.n_cols, n_cells)
+    if storage != "implicit":  # explicit batches hold stored cells only
+        keep = data.lookup(rows, cols)[1]
+        rows, cols = rows[keep], cols[keep]
+    batch = cells(data, rows, cols)
+    batch.weights = 10.0 ** rng.uniform(-3, 3, len(batch))
+    coef = rng.normal(size=(len(batch), 4)) * 10.0 ** rng.uniform(-8, 8, (len(batch), 1))
+    got = np.zeros((data.n_rows, 4))
+    ctx.scatter_add(data, batch, coef, got)
+    want = np.zeros_like(got)
+    add_at_scatter(ctx, data, batch, coef, want)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if storage == "implicit":
+        specs = [FamilySpec(Family.POISSON, Link.IDENTITY),
+                 FamilySpec(Family.POISSON, Link.MEAN_IDENTITY),
+                 FamilySpec(Family.ADDITIVE_POISSON, Link.LOG)]
+    else:
+        specs = [FamilySpec(Family.GAUSSIAN, Link.IDENTITY),
+                 FamilySpec(Family.GAUSSIAN, Link.MEAN_IDENTITY)]
+    for spec in specs:
+        bank = EmbeddingBank(rng.normal(scale=0.3, size=(data.n_rows, 4)),
+                             rng.normal(scale=0.3, size=(data.n_rows, 4)),
+                             log_space=spec.needs_log_space)
+        g = weighted_term_gradient(data, ctx, bank, spec, batch)
+        ref = add_at_term_gradient(data, ctx, bank, spec, batch)
+        for table, ref_table in ((g.embeddings, ref.embeddings),
+                                 (g.context_vectors, ref.context_vectors)):
+            np.testing.assert_array_equal(table.view(np.int64), ref_table.view(np.int64))

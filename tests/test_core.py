@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import glembed
-from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows
 from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
 from glembed.families import Family, FamilySpec, _linear_values
@@ -67,6 +67,64 @@ def test_lookup_matches_dict_oracle(implicit_zero):
     empty = DataMatrix(n, t, [], [], [], implicit_zero=implicit_zero)
     got, stored = empty.lookup(qr, qc)
     assert not stored.any() and not got.any()
+    # many random queries, repeated, with cells before the first and after
+    # the last stored key: the lookup sorts its queries before searching
+    n, t = 300, 400
+    keys = rng.choice(np.arange(10, n * t - 10), size=5000, replace=False)
+    vals = rng.integers(1, 5, size=len(keys)).astype(np.float64)
+    d = DataMatrix(n, t, keys // t, keys % t, vals, implicit_zero=implicit_zero)
+    oracle = dict(zip(keys.tolist(), vals.tolist()))
+    q = np.concatenate([rng.integers(0, n * t, 100_000), keys[:500], keys[:500],
+                        [0, 9, n * t - 10, n * t - 1, 0]])
+    got, stored = d.lookup(q // t, q % t)
+    np.testing.assert_array_equal(stored, [k in oracle for k in q.tolist()])
+    np.testing.assert_array_equal(got, [oracle.get(k, 0.0) for k in q.tolist()])
+    assert stored.sum() >= 1000 and (~stored).sum() > 90_000
+
+
+def _add_at(idx, v, n, scale=None):
+    """``np.add.at`` into zeros: the oracle of ``scatter_rows``."""
+    idx = np.asarray(idx)
+    tail = (1,) * (idx.ndim - 1)
+    contrib = v.reshape(v.shape[:1] + tail + v.shape[1:])
+    if scale is not None:
+        contrib = scale.reshape(scale.shape + (1,) * (v.ndim - 1)) * contrib
+    contrib = np.broadcast_to(contrib, idx.shape + v.shape[1:]).reshape((idx.size,) + v.shape[1:])
+    out = np.zeros((n,) + v.shape[1:])
+    np.add.at(out, idx.ravel(), contrib)
+    return out
+
+
+def test_scatter_rows_is_add_at_into_zeros_byte_for_byte():
+    rng = np.random.default_rng(31)
+    for case in range(30):
+        n = int(rng.integers(1, 50))
+        e = 0 if case == 0 else int(rng.integers(1, 400))
+        d = 1 if case % 5 == 1 else int(rng.integers(1, 9))
+        idx = rng.integers(0, n, e)
+        if case % 3 == 1:
+            idx = np.sort(idx)
+        elif case % 3 == 2:  # runs of one index, in no order
+            idx = np.repeat(rng.integers(0, n, e // 5 + 1), 5)[:e]
+        # magnitudes from 1e-8 to 1e8, both signs, and signed zeros
+        v = rng.choice([-1.0, 1.0], (e, d)) * 10.0 ** rng.uniform(-8, 8, (e, d))
+        v[rng.random((e, d)) < 0.05] = 0.0
+        v[rng.random((e, d)) < 0.05] = -0.0
+        scale = rng.choice([-1.0, 1.0], e) * 10.0 ** rng.uniform(-8, 8, e)
+        for got, want in ((scatter_rows(idx, v, n), _add_at(idx, v, n)),
+                          (scatter_rows(idx, v, n, scale), _add_at(idx, v, n, scale)),
+                          (scatter_rows(idx, v[:, 0], n), _add_at(idx, v[:, 0], n))):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # an (E, k) index, each row of v scaled per position (the kNN scatter)
+        k = int(rng.integers(1, 4))
+        idx2 = rng.integers(0, n, (e, k))
+        scale2 = 10.0 ** rng.uniform(-8, 8, (e, k))
+        np.testing.assert_array_equal(scatter_rows(idx2, v, n, scale2).view(np.int64),
+                                      _add_at(idx2, v, n, scale2).view(np.int64))
+    # an all-negative-zero row sums to +0, as add.at into zeros leaves it
+    got = scatter_rows(np.array([1, 1]), np.full((2, 2), -0.0), 3)
+    assert not np.signbit(got).any()
 
 
 def test_data_matrix_rejects_out_of_range():

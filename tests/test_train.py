@@ -170,6 +170,33 @@ def test_column_blocks_match_member_oracle(builder, implicit, family, mean_link)
         pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("estimator", ["sparse", "minibatch"])
+def test_basket_cell_alone_in_its_column_matches_member_oracle(estimator):
+    # the stored cell alone in column 3 has no member, so its additive-Poisson
+    # rate is floored and its coefficient is ~1e8; it must add nothing, not a
+    # column spread and an own term that cancel only up to rounding
+    data, ctx, bank = _every_cell_instance("basket", Family.ADDITIVE_POISSON, True, seed=12)
+    values = data.dense().copy()
+    values[:, 3] = 0.0
+    values[4, 3] = 2.0
+    data = dense_matrix(values, implicit_zero=True)
+    ctx = build_basket_context(data)
+    spec = FamilySpec(Family.ADDITIVE_POISSON)
+    oracle = ExplicitContext.of(ctx, data)
+    cfg = TrainConfig(estimator=estimator, minibatch_size=30, negative_samples=3, reg_weight=0.5)
+    if estimator == "sparse":
+        zero_draw = np.argwhere(values == 0.0)  # every zero cell, column 3's among them
+        got, want = (sparse_gradient(data, c, bank, spec, cfg, None, zero_draw=zero_draw)
+                     for c in (ctx, oracle))
+    else:
+        draw = np.arange(data.n_terms)
+        got, want = (minibatch_gradient(data, c, bank, spec, cfg, None, draw=draw)
+                     for c in (ctx, oracle))
+    for table, ref in ((got.embeddings, want.embeddings),
+                       (got.context_vectors, want.context_vectors)):
+        np.testing.assert_allclose(table, ref, rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("mean_link", [False, True])
 @pytest.mark.parametrize("builder", ["knn", "window"])
 def test_block_means_count_only_present_members(builder, mean_link):
@@ -434,6 +461,27 @@ def test_zero_cell_draw_matches_dense_oracle(case):
                     np.testing.assert_array_equal(g, w)
                 assert got[2:] == want[2:]
                 assert a.integers(1 << 62) == b.integers(1 << 62)
+    if n_zero:
+        # many repeated queries, the first and last empty cells among them:
+        # the lookup sorts its queries before searching
+        zero_ids = np.flatnonzero(data.dense().ravel() == 0.0)
+        rng = np.random.default_rng(case)
+        q = np.concatenate([rng.integers(0, n_zero, 100_000), [n_zero - 1, 0, n_zero - 1]])
+        rows, cols = data.zero_cells(q)
+        np.testing.assert_array_equal(rows * data.n_cols + cols, zero_ids[q])
+
+
+def test_zero_cells_outside_every_stored_key():
+    # empty cells before the first stored key, between and after the last
+    rng = np.random.default_rng(41)
+    n, t = 300, 400
+    keys = rng.choice(np.arange(50, n * t - 50), size=20_000, replace=False)
+    data = DataMatrix(n, t, keys // t, keys % t, np.ones(len(keys)), implicit_zero=True)
+    zero_ids = np.setdiff1d(np.arange(n * t), keys)
+    q = np.concatenate([rng.integers(0, len(zero_ids), 100_000), np.arange(50),
+                        len(zero_ids) - 1 - np.arange(50), [0, 0]])
+    rows, cols = data.zero_cells(q)
+    np.testing.assert_array_equal(rows * t + cols, zero_ids[q])
 
 
 def test_implicit_data_paths_never_build_the_dense_matrix(monkeypatch):
