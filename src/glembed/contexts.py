@@ -10,12 +10,16 @@ Each context map takes a ``TermBatch`` of cells and computes their context
 sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
 gradient scatter onto the members' rows (``scatter_add``) that the training
 engine and the scoring protocols use.  Every scatter onto rows or columns
-goes through ``core.scatter_rows``, which fills a zeroed table in entry
-order, one ``np.bincount`` per dimension.  ``block`` scores every cell of a
-matrix instead, one ``ColumnBlock`` at a time, as matrix products: the
-entity relation times the data times the column relation.  A member is a
-present cell: a cell missing from explicit data is never one.  Maps are
-immutable after construction.
+goes through ``core.scatter_rows``, one product with a sparse incidence
+matrix that adds each entry into a zeroed table in entry order, so its sums
+are byte for byte those of the ``add.at`` ufunc method into zeros.  The
+window table reads its prefix sums as slices with repeated edge rows: the
+same rows as a gather at the clipped window ends, and the same
+subtractions.  ``block`` scores every cell of a matrix instead, one
+``ColumnBlock`` at a time, as matrix products: the entity relation times
+the data times the column relation.  A member is a present cell: a cell
+missing from explicit data is never one.  Maps are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class BasketContext:
     def sums(self, data, cv, batch: TermBatch):
         colsum, colcount = _column_tables(data, cv)
         stored = batch.stored
-        S = colsum[batch.cols].copy()
+        S = np.take(colsum, batch.cols, axis=0)
         S[stored] -= batch.vals[stored, None] * cv[batch.rows[stored]]
         counts = colcount[batch.cols] - stored.astype(np.int64)
         return S, counts
@@ -143,11 +147,14 @@ class WindowContext:
     def _window_table(self, table: np.ndarray) -> np.ndarray:
         """Per-position sum of `table` over the window, excluding the position."""
         w, length = self.half_width, len(table)
-        prefix = np.concatenate([np.zeros((1,) + table.shape[1:]), np.cumsum(table, axis=0)])
-        p = np.arange(length)
-        hi = np.minimum(p + w + 1, length)
-        lo = np.maximum(p - w, 0)
-        return prefix[hi] - prefix[lo] - table
+        prefix = np.zeros((length + 1,) + table.shape[1:])
+        np.cumsum(table, axis=0, out=prefix[1:])
+        # prefix[min(p + w + 1, length)] and prefix[max(p - w, 0)] for every
+        # position p, as slices and repeated edge rows
+        hi, lo = min(w + 1, length), min(w, length)
+        upper = np.concatenate([prefix[hi:length], np.repeat(prefix[length:], hi, axis=0)])
+        lower = np.concatenate([np.repeat(prefix[:1], lo, axis=0), prefix[:length - lo]])
+        return upper - lower - table
 
     def _tables(self, data, cv):
         """Per column: the context sum and the member count."""
@@ -157,7 +164,7 @@ class WindowContext:
 
     def sums(self, data, cv, batch: TermBatch):
         ws, wc = self._tables(data, cv)
-        return ws[batch.cols], wc[batch.cols]
+        return np.take(ws, batch.cols, axis=0), np.take(wc, batch.cols)
 
     def scatter_add(self, data, batch: TermBatch, coef, out):
         out += _spread(data, self._window_table(_column_coefficients(data, batch, coef)), len(out))

@@ -315,6 +315,8 @@ def load_model(path: str):
             nums = [float(p) for p in parts[1:]]
         except ValueError:
             raise DataError(f"{path}:{ln}: bad parameter value") from None
+        if not all(map(math.isfinite, nums)):
+            raise DataError(f"{path}:{ln}: non-finite parameter value")
         if tied and nums[: meta.dim] != nums[meta.dim:]:
             raise DataError(f"{path}:{ln}: tied model row has context vector "
                             f"unlike its embedding")
@@ -384,6 +386,11 @@ class RunConfig:
     def __post_init__(self):
         if self.family not in _ARCHETYPE_DEFAULTS:
             raise ConfigError(f"unknown family {self.family!r}", "family")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            values = v if isinstance(v, tuple) else (v,)
+            if "float" in f.type and not all(math.isfinite(x) for x in values if x is not None):
+                raise ConfigError(f"{f.name} must be finite, got {v}", f.name)
         for key in ("reg_weight", "iterations", "minibatch_size"):
             if (getattr(self, key) or 0) < 0:
                 name = "reg_weight (lambda)" if key == "reg_weight" else key

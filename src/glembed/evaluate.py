@@ -34,8 +34,8 @@ class SplitSpec:
         if self.variant not in ("columns", "ratings"):
             raise ConfigError("split variant must be 'columns' or 'ratings'")
         for f in (self.train_frac, self.valid_frac, self.test_frac):
-            if f < 0:
-                raise ConfigError("split fractions must be nonnegative")
+            if not (math.isfinite(f) and f >= 0):
+                raise ConfigError(f"split fractions must be finite and nonnegative, got {f}")
         if self.variant == "columns" and self.train_frac + self.valid_frac + self.test_frac > 1 + 1e-9:
             raise ConfigError("column split fractions must sum to <= 1")
         if self.variant == "ratings" and self.valid_frac + self.test_frac > 1 + 1e-9:

@@ -75,6 +75,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.link is None:
             object.__setattr__(self, "link", _DEFAULT_LINKS[self.family])
+        if not math.isfinite(self.sigma2):
+            raise ConfigError(f"sigma2 must be finite, got {self.sigma2}")
         if self.family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN) and self.sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
         log_link = self.link.is_log
@@ -160,7 +162,7 @@ def _linear_values(data, ctx, bank, spec, batch: TermBatch, emb_rows=None):
     """
     S, counts, active = _context_sums(data, ctx, bank, spec, batch)
     if emb_rows is None:
-        emb_rows = bank.effective_embeddings()[batch.rows]
+        emb_rows = np.take(bank.effective_embeddings(), batch.rows, axis=0)
     svals = np.einsum("ed,ed->e", emb_rows, S)
     if not active.all():
         # excluded cells get a placeholder linear value so the moment
@@ -239,7 +241,7 @@ def weighted_term_gradient(data, ctx, bank, spec, batch: TermBatch, counters=Non
     g_emb = np.zeros_like(emb)
     g_cv = np.zeros_like(cv)
     if len(batch):
-        emb_rows = emb[batch.rows]
+        emb_rows = np.take(emb, batch.rows, axis=0)
         svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch, emb_rows)
         resid = _residual(spec, svals, batch.vals, counters)
         w = batch.weights

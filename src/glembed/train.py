@@ -18,6 +18,7 @@ data subsample.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -68,6 +69,9 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def validate(self) -> None:
+        for name in ("step_size", "adagrad_epsilon", "reg_weight", "downweight", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step_size <= 0:
             raise ConfigError("step_size must be positive")
         if self.adagrad_epsilon <= 0:

@@ -6,9 +6,11 @@ gradient code paths it checks.  ``members`` restates each context builder's
 membership rule one cell at a time; the scalar loops (``ExplicitContext``,
 ``MemberPass``, ``scalar_linear_value`` and the scoring protocols) walk
 those members entry by entry and never call the context sums or block
-passes they check.  ``add_at_scatter`` and ``add_at_term_gradient`` are the
-batch scatters as ``np.add.at`` calls into zeroed tables, the oracle of the
-library's one ``bincount`` scatter.
+passes they check.  ``add_at_rows``, ``add_at_scatter`` and
+``add_at_term_gradient`` are the scatters as ``np.add.at`` calls into zeroed
+tables, the oracle of the library's one incidence-product scatter;
+``prefix_gather_window_table`` and ``dense_zero_cells`` are the window
+table and the zero-cell lookup by plain fancy indexing.
 """
 
 import math
@@ -126,6 +128,36 @@ class ExplicitContext:
                 out[j[0]] += x[j] * coef[e]
 
 
+def add_at_rows(idx, v, n, scale=None):
+    """``core.scatter_rows`` as ``np.add.at`` into zeros: its byte-level
+    oracle."""
+    idx = np.asarray(idx)
+    tail = (1,) * (idx.ndim - 1)
+    contrib = v.reshape(v.shape[:1] + tail + v.shape[1:])
+    if scale is not None:
+        contrib = scale.reshape(scale.shape + (1,) * (v.ndim - 1)) * contrib
+    contrib = np.broadcast_to(contrib, idx.shape + v.shape[1:]).reshape((idx.size,) + v.shape[1:])
+    out = np.zeros((n,) + v.shape[1:])
+    np.add.at(out, idx.ravel(), contrib)
+    return out
+
+
+def prefix_gather_window_table(half_width, table):
+    """``WindowContext._window_table`` as a fancy-index gather of the prefix
+    sums at min(p + w + 1, L) and max(p - w, 0) for every position p."""
+    w, length = half_width, len(table)
+    prefix = np.concatenate([np.zeros((1,) + table.shape[1:]), np.cumsum(table, axis=0)])
+    p = np.arange(length)
+    return prefix[np.minimum(p + w + 1, length)] - prefix[np.maximum(p - w, 0)] - table
+
+
+def dense_zero_cells(data, q):
+    """``DataMatrix.zero_cells`` of implicit-zero data by indexing every
+    zero cell id of the dense matrix."""
+    ids = np.flatnonzero(data.dense().ravel() == 0.0)[np.asarray(q, dtype=np.int64)]
+    return ids // data.n_cols, ids % data.n_cols
+
+
 def add_at_scatter(ctx, data, batch, coef, out):
     """``ctx.scatter_add`` of a kNN, basket or window context as ``np.add.at``
     calls: the kNN contributions one chunk of cells at a time, the basket's
@@ -144,7 +176,7 @@ def add_at_scatter(ctx, data, batch, coef, out):
     R = np.zeros((data.n_cols, coef.shape[1]))
     np.add.at(R, batch.cols, coef)
     if isinstance(ctx, WindowContext):
-        R = ctx._window_table(R)
+        R = prefix_gather_window_table(ctx.half_width, R)
     np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
     if isinstance(ctx, BasketContext):
         stored = batch.stored
@@ -267,14 +299,12 @@ def dense_draw_zero_cells(data, n_terms, per_term, rng):
     """Reference zero-cell draw: the same random index draws as
     ``train._draw_zero_cells``, mapped through every zero cell id of the
     dense matrix."""
-    t = data.n_cols
-    zero_ids = np.flatnonzero(data.dense().ravel() == 0.0)
-    n_zero = len(zero_ids)
+    n_zero = int((data.dense() == 0.0).sum())
     if n_zero == 0 or n_terms == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero
     k = min(per_term, n_zero)
     if k == n_zero:
-        picked = np.tile(zero_ids, n_terms)
+        picked = np.tile(np.arange(n_zero), n_terms)
     else:
         idx = rng.integers(0, n_zero, size=(n_terms, k))
         for _ in range(200):
@@ -286,8 +316,8 @@ def dense_draw_zero_cells(data, n_terms, per_term, rng):
         else:
             for row in range(n_terms):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
-        picked = zero_ids[idx.ravel()]
-    return picked // t, picked % t, n_terms * k, n_zero
+        picked = idx.ravel()
+    return *dense_zero_cells(data, picked), n_terms * k, n_zero
 
 
 def cells(data, rows, cols):

@@ -157,6 +157,20 @@ def test_grid_search_without_validation_is_config_error(toy_run, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("old, new", [("step_size_grid = 0.1", "step_size_grid = nan"),
+                                      ("lambda = 0", "lambda = inf"),
+                                      ("seed = 11", "seed = 11\nsigma2 = nan")])
+def test_non_finite_config_value_is_config_error(toy_run, capsys, old, new):
+    # exit 2 naming the line, not a numeric abort (exit 4) at iteration 1
+    root = toy_run["root"]
+    cfg = root / "nonfinite.cfg"
+    cfg.write_text(CFG_GAUSSIAN.replace(old, new))
+    rc = main(["train", "--config", str(cfg), "--data", toy_run["data"],
+               "--locations", toy_run["locations"], "--out", str(root / "nf.model")])
+    assert rc == 2
+    assert "config line" in capsys.readouterr().err
+
+
 def test_grid_search_picks_a_step_on_validation(toy_run, capsys):
     root = toy_run["root"]
     cfg = root / "grid2.cfg"

@@ -5,6 +5,7 @@ from glembed.contexts import (
     KNN_SUM_CHUNK,
     KnnContext,
     SpatialLayout,
+    WindowContext,
     WindowSpec,
     build_basket_context,
     build_knn_context,
@@ -23,6 +24,7 @@ from helpers import (
     count_instance,
     dense_matrix,
     gaussian_instance,
+    prefix_gather_window_table,
     text_instance,
 )
 
@@ -160,6 +162,21 @@ def test_window_context_members_exclude_own_column():
     table, _ = context_table(ctx, data, [0] * 7, range(7))
     assert not np.diag(table).any()
     assert (table.sum(axis=1) == [2, 3, 4, 4, 4, 3, 2]).all()
+
+
+@pytest.mark.parametrize("length, w", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 3), (4, 4),
+                                       (3, 7), (7, 1), (7, 3), (50, 1), (50, 3)])
+def test_window_table_equals_prefix_gather_byte_for_byte(length, w):
+    # the edge rows repeat where the window runs past either end
+    rng = np.random.default_rng(length * 10 + w)
+    ctx = WindowContext(w)
+    table = rng.choice([-1.0, 1.0], (length, 3)) * 10.0 ** rng.uniform(-8, 8, (length, 3))
+    table[rng.random(table.shape) < 0.1] = -0.0
+    counts = rng.integers(0, 5, length).astype(np.float64)[:, None]
+    for t in (table, counts, table[:, 0]):
+        got, want = ctx._window_table(t), prefix_gather_window_table(w, t)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("builder", ["knn", "basket", "window"])

@@ -7,7 +7,7 @@ from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
 from glembed.families import Family, FamilySpec, _linear_values
 
-from helpers import ExplicitContext, cells, dense_matrix
+from helpers import ExplicitContext, add_at_rows, cells, dense_matrix
 
 
 def linear_values(data, ctx, bank, link, rows, cols):
@@ -82,19 +82,6 @@ def test_lookup_matches_dict_oracle(implicit_zero):
     assert stored.sum() >= 1000 and (~stored).sum() > 90_000
 
 
-def _add_at(idx, v, n, scale=None):
-    """``np.add.at`` into zeros: the oracle of ``scatter_rows``."""
-    idx = np.asarray(idx)
-    tail = (1,) * (idx.ndim - 1)
-    contrib = v.reshape(v.shape[:1] + tail + v.shape[1:])
-    if scale is not None:
-        contrib = scale.reshape(scale.shape + (1,) * (v.ndim - 1)) * contrib
-    contrib = np.broadcast_to(contrib, idx.shape + v.shape[1:]).reshape((idx.size,) + v.shape[1:])
-    out = np.zeros((n,) + v.shape[1:])
-    np.add.at(out, idx.ravel(), contrib)
-    return out
-
-
 def test_scatter_rows_is_add_at_into_zeros_byte_for_byte():
     rng = np.random.default_rng(31)
     for case in range(30):
@@ -111,9 +98,9 @@ def test_scatter_rows_is_add_at_into_zeros_byte_for_byte():
         v[rng.random((e, d)) < 0.05] = 0.0
         v[rng.random((e, d)) < 0.05] = -0.0
         scale = rng.choice([-1.0, 1.0], e) * 10.0 ** rng.uniform(-8, 8, e)
-        for got, want in ((scatter_rows(idx, v, n), _add_at(idx, v, n)),
-                          (scatter_rows(idx, v, n, scale), _add_at(idx, v, n, scale)),
-                          (scatter_rows(idx, v[:, 0], n), _add_at(idx, v[:, 0], n))):
+        for got, want in ((scatter_rows(idx, v, n), add_at_rows(idx, v, n)),
+                          (scatter_rows(idx, v, n, scale), add_at_rows(idx, v, n, scale)),
+                          (scatter_rows(idx, v[:, 0], n), add_at_rows(idx, v[:, 0], n))):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         # an (E, k) index, each row of v scaled per position (the kNN scatter)
@@ -121,7 +108,7 @@ def test_scatter_rows_is_add_at_into_zeros_byte_for_byte():
         idx2 = rng.integers(0, n, (e, k))
         scale2 = 10.0 ** rng.uniform(-8, 8, (e, k))
         np.testing.assert_array_equal(scatter_rows(idx2, v, n, scale2).view(np.int64),
-                                      _add_at(idx2, v, n, scale2).view(np.int64))
+                                      add_at_rows(idx2, v, n, scale2).view(np.int64))
     # an all-negative-zero row sums to +0, as add.at into zeros leaves it
     got = scatter_rows(np.array([1, 1]), np.full((2, 2), -0.0), 3)
     assert not np.signbit(got).any()

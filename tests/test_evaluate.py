@@ -107,6 +107,16 @@ def test_split_ratings_holdout_partitions_nonzeros():
     assert not keys
 
 
+@pytest.mark.parametrize("fracs", [(math.nan, 0.05, 0.05), (0.9, 0.05, math.nan),
+                                   (0.9, math.inf, 0.05), (0.5, -0.1, 0.1)])
+@pytest.mark.parametrize("variant", ["columns", "ratings"])
+def test_split_fractions_must_be_finite_and_nonnegative(fracs, variant):
+    # a nan test fraction used to fail as a bare ValueError, and a nan train
+    # fraction passed
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        SplitSpec(variant, *fracs)
+
+
 def test_split_empty_requested_split_is_config_error():
     data = _column_data(t=5)
     with pytest.raises(ConfigError):

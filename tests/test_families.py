@@ -152,6 +152,13 @@ def test_family_spec_link_constraints():
     assert FamilySpec(Family.ADDITIVE_POISSON).link is Link.LOG
 
 
+@pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.POISSON])
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+def test_family_spec_rejects_non_finite_sigma2(family, sigma2):
+    with pytest.raises(ConfigError, match="sigma2 must be finite"):
+        FamilySpec(family, sigma2=sigma2)
+
+
 def test_log_space_families_require_log_space_banks():
     data, ctx, bank = dense_matrix(np.ones((2, 2))), None, EmbeddingBank.zeros(2, 2)
     with pytest.raises(ConfigError):

@@ -265,6 +265,18 @@ def test_model_load_rejects_repeated_labels_naming_the_line(tmp_path):
         load_model(str(p))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_model_load_rejects_non_finite_parameters_naming_the_line(tmp_path, value):
+    p = tmp_path / "f.model"
+    store_model(str(p), EmbeddingBank.init_random(3, 2, seed=0), _meta(2, 3), ["a", "b", "c"])
+    lines = p.read_text().splitlines()
+    at = lines.index("#entities") + 2
+    lines[at] = lines[at].rsplit("\t", 1)[0] + "\t" + value
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"f.model:{at + 1}: non-finite parameter value"):
+        load_model(str(p))
+
+
 def test_model_load_rejects_foreign_files(tmp_path):
     p = _write(tmp_path, "x.model", "something else\n")
     with pytest.raises(DataError):
@@ -326,6 +338,19 @@ def test_run_config_rejects_out_of_range_values_naming_the_key(line, key):
     ("family = poisson\nsplit = none\ncontext = ring\n", 3)])
 def test_run_config_value_errors_name_the_config_line(text, line):
     with pytest.raises(ConfigError, match=f"^config line {line}: "):
+        parse_run_config(text)
+
+
+@pytest.mark.parametrize("key", ["sigma2", "lambda", "reg_weight", "gamma", "train_frac",
+                                 "valid_frac", "test_frac", "step_size_grid"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_config_rejects_non_finite_values_naming_the_line(key, value):
+    # these used to pass, and a nan step size or weight aborted training at
+    # iteration 1 as a numeric failure
+    text = f"family = gaussian\nseed = 1\n{key} = 0.1, {value}\n" if key == "step_size_grid" \
+        else f"family = gaussian\nseed = 1\n{key} = {value}\n"
+    name = "reg_weight" if key == "lambda" else key
+    with pytest.raises(ConfigError, match=f"^config line 3: {name} must be finite"):
         parse_run_config(text)
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.contexts import (
     SpatialLayout,
+    WindowContext,
     WindowSpec,
     build_basket_context,
     build_knn_context,
@@ -40,12 +42,16 @@ from glembed.train import (
 
 from helpers import (
     ExplicitContext,
+    add_at_rows,
     cells,
     count_instance,
     dense_draw_zero_cells,
     dense_matrix,
+    dense_zero_cells,
     family_instance,
     fd_gradient,
+    gaussian_instance,
+    prefix_gather_window_table,
     text_instance,
 )
 
@@ -484,6 +490,73 @@ def test_zero_cells_outside_every_stored_key():
     np.testing.assert_array_equal(rows * t + cols, zero_ids[q])
 
 
+def test_zero_cells_of_empty_queries_empty_data_and_the_tail():
+    rng = np.random.default_rng(43)
+    data = DataMatrix(6, 7, [0, 2, 2, 3], [1, 0, 5, 6], [1.0, 2.0, 3.0, 1.0], implicit_zero=True)
+    empty = DataMatrix(6, 7, [], [], [], implicit_zero=True)
+    for d in (data, empty):
+        rows, cols = d.zero_cells(np.empty(0, np.int64))
+        assert rows.shape == cols.shape == (0,)
+        q = rng.integers(0, 42 - d.nnz, 500)
+        for got, want in zip(d.zero_cells(q), dense_zero_cells(d, q)):
+            np.testing.assert_array_equal(got, want)
+    rows, cols = empty.zero_cells(q)
+    np.testing.assert_array_equal(rows * 7 + cols, q)
+    # every query past the last stored key, 27 = (3, 6): the empty cells
+    # from key 28 on, each after every stored entry
+    q = 28 - data.nnz + rng.integers(0, 42 - 28, 300)
+    rows, cols = data.zero_cells(q)
+    np.testing.assert_array_equal(rows * 7 + cols, q + data.nnz)
+
+
+def _reference_kernels(monkeypatch):
+    """Swap in the ``np.add.at`` scatter, the dense zero-cell lookup and the
+    prefix-gather window table; returns their call counts."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for module in ("core", "contexts", "families", "evaluate"):
+        monkeypatch.setattr(f"glembed.{module}.scatter_rows", counted("scatter", add_at_rows))
+    monkeypatch.setattr(DataMatrix, "zero_cells", counted("zero_cells", dense_zero_cells))
+    monkeypatch.setattr(WindowContext, "_window_table", counted(
+        "window", lambda ctx, table: prefix_gather_window_table(ctx.half_width, table)))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["sparse-window", "sparse-basket", "minibatch-knn",
+                                  "full-window"])
+def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
+    # the incidence-product scatter, the merge-count zero lookup and the
+    # sliced window table give every bank byte of their plain references
+    estimator, builder = case.split("-")
+    if builder == "window":
+        data, ctx, _ = text_instance(44, vocab=30, length=400)
+        spec = FamilySpec(Family.BERNOULLI)
+    elif builder == "basket":
+        data, ctx, _ = count_instance(45, n=20, t=60, density=0.3)
+        spec = FamilySpec(Family.POISSON)
+    else:
+        data, ctx, _ = gaussian_instance(46, n=20, t=40, knn=3)
+        spec = FamilySpec(Family.GAUSSIAN)
+    cfg = TrainConfig(dim=4, estimator=estimator, minibatch_size=100, negative_samples=3,
+                      n_iterations=6, log_every=3, reg_weight=0.1, step_size=0.2, seed=7)
+    got, got_log = train(data, ctx, spec, cfg)
+    calls = _reference_kernels(monkeypatch)
+    want, want_log = train(data, ctx, spec, cfg)
+    assert calls["scatter"] > 0
+    # logging on implicit-zero data draws zero cells under every estimator
+    assert (calls["zero_cells"] > 0) == data.implicit_zero
+    assert (calls["window"] > 0) == (builder == "window")
+    for table, ref in ((got.embeddings, want.embeddings),
+                       (got.context_vectors, want.context_vectors)):
+        np.testing.assert_array_equal(table.view(np.int64), ref.view(np.int64))
+    assert [r.objective for r in got_log] == [r.objective for r in want_log]
+
+
 def test_implicit_data_paths_never_build_the_dense_matrix(monkeypatch):
     def no_dense(self):
         raise AssertionError("dense matrix built")
@@ -632,6 +705,15 @@ def test_train_config_validation():
         TrainConfig(downweight=0.0).validate()
     with pytest.raises(ConfigError, match="reg_weight"):
         TrainConfig(reg_weight=-1.0).validate()
+
+
+@pytest.mark.parametrize("name", ["step_size", "adagrad_epsilon", "reg_weight", "downweight",
+                                  "init_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite_values(name, value):
+    # a nan step size or reg weight used to pass and abort training at iteration 1
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value}).validate()
 
 
 @pytest.mark.parametrize("log_every", [0, -3])
