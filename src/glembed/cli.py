@@ -28,6 +28,7 @@ from .dataio import (
     ModelMeta,
     RunConfig,
     atomic_write,
+    check_output_path,
     ingest,
     load_model,
     load_run_config,
@@ -50,6 +51,7 @@ from .evaluate import (
     make_split,
     normalized_predictive_ll,
 )
+from .families import validate_data
 from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
 from .train import log_to_tsv, objective, train
 
@@ -87,6 +89,9 @@ def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix,
 def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
               model_out: str, log_out: str | None):
     """Ingest, split, grid-search the step size on validation, train, persist."""
+    for path in (model_out, log_out):
+        if path:
+            check_output_path(path)
     data = ingest(
         data_path,
         implicit_zero=bool(cfg.implicit_zero),
@@ -95,14 +100,17 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
         min_row_count=cfg.min_row_count,
         min_col_count=cfg.min_col_count,
     )
+    vocab = data.n_rows if cfg.family == "categorical" else 0
+    spec = cfg.family_spec(vocab)
+    validate_data(spec, data)
     if cfg.split == "none":
         train_m, valid_m = data, None
     else:
         parts = make_split(data, SplitSpec(cfg.split, cfg.train_frac,
                                            cfg.valid_frac, cfg.test_frac, cfg.seed))
         train_m, valid_m = parts.train, parts.valid
-    vocab = data.n_rows if cfg.family == "categorical" else 0
-    spec = cfg.family_spec(vocab)
+    if train_m.nnz == 0:
+        raise ConfigError("train split is empty")
     ctx = _build_context(cfg.context, train_m, cfg.knn_k, cfg.window_w, locations_path)
 
     grid = cfg.step_size_grid

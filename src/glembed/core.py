@@ -148,7 +148,7 @@ class DataMatrix:
         at = np.searchsorted(q_sorted, self._keys - np.arange(self.nnz))
         ids = np.empty(len(q), dtype=np.int64)
         ids[order] = q_sorted + np.cumsum(np.bincount(at, minlength=len(q) + 1))[:len(q)]
-        return ids // self.n_cols, ids % self.n_cols
+        return np.divmod(ids, self.n_cols)
 
     def dense(self) -> np.ndarray:
         """Dense (n_rows, n_cols) array: absent cells read 0 in implicit-zero

@@ -26,8 +26,17 @@ from .train import TrainConfig
 MODEL_MAGIC = "#glembed-model v1"
 
 
+def check_output_path(path: str) -> str:
+    """The directory that ``path`` is written into; a ConfigError when it
+    does not exist."""
+    d = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(d):
+        raise ConfigError(f"{path}: output directory {d} does not exist")
+    return d
+
+
 def atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
+    d = check_output_path(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-glembed-")
     try:
         with os.fdopen(fd, "w") as f:
@@ -37,6 +46,19 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_text(path: str, error: type = DataError) -> str:
+    """The text of ``path``; an unreadable or undecodable file raises
+    ``error`` naming the path."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})") \
+            from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _detect_delimiter(header: str) -> str:
@@ -53,8 +75,7 @@ def read_triplets(path: str):
     Ids may be arbitrary strings; they map to dense 0-based indices in
     first-seen order.  Returns (row_labels, col_labels, rows, cols, vals).
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     delim = _detect_delimiter(lines[0])
@@ -177,8 +198,7 @@ def read_locations(path: str, row_labels: list[str]) -> np.ndarray:
     Rows are (entity_id, x, y[, z]); missing axes are zero-filled.  Every
     modeled entity must appear exactly once.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     delim = _detect_delimiter(lines[0])
@@ -268,8 +288,7 @@ def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
 
 def load_model(path: str):
     """Read a model file back into (bank, meta, row_labels)."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a glembed model file")
     kv = {}
@@ -510,5 +529,4 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    with open(path) as f:
-        return parse_run_config(f.read())
+    return parse_run_config(read_text(path, ConfigError))

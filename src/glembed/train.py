@@ -14,6 +14,11 @@ plus the log-prior regularizers.  Three gradient estimators are provided:
 
 The regularizer gradient is always added once, never rescaled with the
 data subsample.
+
+The logged objective is exact for data of at most 2 * LOG_TERMS terms and
+for the categorical family.  Otherwise every log point scores one fixed
+stratified subsample of terms, drawn once per run from its own seeded
+stream, and logs the estimate with its standard error.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .families import (
 ZERO_ESTIMATORS = ("unbiased", "negative_sampling", "downweight")
 ESTIMATORS = ("full", "minibatch", "sparse")
 REGULARIZERS = ("l2", "lognormal", "none")
+# terms per stratum of the logged objective's subsample
+LOG_TERMS = 4096
 
 
 @dataclass
@@ -109,8 +116,12 @@ class OptimizerState:
 
 @dataclass
 class LogRecord:
+    """One log point; ``objective_stderr`` is the standard error of a
+    subsampled objective, 0.0 when the objective is exact."""
+
     iteration: int
     objective: float
+    objective_stderr: float
     eta_clamped: int
     rate_floored: int
     elapsed_sec: float
@@ -193,12 +204,12 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
     return rows, cols, n_terms * k, n_zero
 
 
-def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None, unbiased=False) -> TermBatch:
+def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
     """Every nonzero term plus zero cells drawn per nonzero term.
 
-    The zeros are weighted by #zeros/#sampled, by 1 under negative sampling
-    (unless ``unbiased``), and then by the zero weight.  ``zero_draw`` may
-    supply them as an (S, 2) array of (row, col).
+    The zeros are weighted by #zeros/#sampled (by 1 under negative
+    sampling), and then by the zero weight.  ``zero_draw`` may supply them
+    as an (S, 2) array of (row, col).
     """
     n_zero = data.n_rows * data.n_cols - data.nnz
     if zero_draw is None:
@@ -206,13 +217,65 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None, unbiased=Fals
     else:
         zr, zc = np.asarray(zero_draw, dtype=np.int64).T
         n_sampled = len(zr)
-    unbiased = unbiased or config.zero_estimator != "negative_sampling"
+    unbiased = config.zero_estimator != "negative_sampling"
     w = n_zero / max(n_sampled, 1) if unbiased else 1.0
-    batch = TermBatch(np.concatenate([data.rows, zr]), np.concatenate([data.cols, zc]),
-                      np.concatenate([data.vals, np.zeros(n_sampled)]),
-                      np.arange(data.nnz + n_sampled) < data.nnz,
-                      np.concatenate([np.ones(data.nnz), np.full(n_sampled, w)]))
+    return _entries_and_zeros(data, config, slice(None), 1.0, zr, zc, w)
+
+
+def _entries_and_zeros(data, config: TrainConfig, entries, entry_weight, zr, zc,
+                       zero_weight) -> TermBatch:
+    """The stored ``entries`` (ids or a slice) weighted by ``entry_weight``,
+    then the zero cells (zr, zc) weighted by ``zero_weight`` times the zero
+    weight."""
+    rows, cols, vals = data.rows[entries], data.cols[entries], data.vals[entries]
+    m1, m0 = len(rows), len(zr)
+    batch = TermBatch(np.concatenate([rows, zr]), np.concatenate([cols, zc]),
+                      np.concatenate([vals, np.zeros(m0)]), np.arange(m1 + m0) < m1,
+                      np.concatenate([np.full(m1, entry_weight), np.full(m0, zero_weight)]))
     return batch.downweight_zeros(_zero_weight(data, config))
+
+
+@dataclass
+class LogSample:
+    """The fixed term subsample that every log point scores: ``batch``,
+    weighted by N/n within each stratum, and ``strata``, the (n, N) of its
+    consecutive strata (n terms drawn of N)."""
+
+    batch: TermBatch
+    strata: list[tuple[int, int]]
+
+
+def _log_sample(data, spec, config: TrainConfig, rng) -> LogSample | None:
+    """A stratified subsample of at most LOG_TERMS terms per stratum: the
+    stored entries of explicit data, or the nonzero terms and the zero
+    cells of implicit-zero data.  None when the objective is logged exactly:
+    for the categorical family and for data of at most 2 * LOG_TERMS terms."""
+    if spec.family is Family.CATEGORICAL or data.n_terms <= 2 * LOG_TERMS:
+        return None
+    if not data.implicit_zero:
+        draw = rng.choice(data.nnz, LOG_TERMS, replace=False)
+        return LogSample(_drawn_terms(data, spec, config, rng, draw), [(LOG_TERMS, data.nnz)])
+    n_zero = data.n_rows * data.n_cols - data.nnz
+    nz = np.arange(data.nnz) if data.nnz <= LOG_TERMS \
+        else rng.choice(data.nnz, LOG_TERMS, replace=False)
+    zr, zc = data.zero_cells(rng.choice(n_zero, min(LOG_TERMS, n_zero), replace=False))
+    m1, m0 = len(nz), len(zr)
+    batch = _entries_and_zeros(data, config, nz, data.nnz / max(m1, 1), zr, zc,
+                               n_zero / max(m0, 1))
+    return LogSample(batch, [(m1, data.nnz), (m0, n_zero)])
+
+
+def _stratified_stderr(z: np.ndarray, strata) -> float:
+    """Standard error of the sum of the weighted terms ``z`` as an estimate
+    of the total: per stratum, (1 - n/N) * n * var(z) with the
+    finite-population correction, which is N^2 (1 - n/N) var(y) / n of the
+    unweighted terms y = z * n/N."""
+    var, at = 0.0, 0
+    for n, total in strata:
+        if 1 < n < total:
+            var += (1 - n / total) * n * float(z[at:at + n].var(ddof=1))
+        at += n
+    return math.sqrt(var)
 
 
 def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters) -> Gradients:
@@ -232,15 +295,13 @@ def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters) 
     return g
 
 
-def _score(data, ctx, bank, spec, batch: TermBatch, reg_weight, regularizer, counters) -> float:
-    """The batch's weighted log-likelihood plus the log-prior."""
+def _weighted_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters) -> np.ndarray:
+    """Each term's log-likelihood times its weight."""
     validate_bank(spec, bank)
     kernel = categorical_term_log_likelihoods if spec.family is Family.CATEGORICAL \
         else term_log_likelihoods
     ll, _ = kernel(data, ctx, bank, spec, batch, counters)
-    if batch.weights is not None:
-        ll = ll * batch.weights
-    return float(ll.sum()) + log_prior(bank, reg_weight, regularizer)[0]
+    return ll if batch.weights is None else ll * batch.weights
 
 
 def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
@@ -248,8 +309,8 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
     if not _every_cell_a_term(data, spec):
-        return _score(data, ctx, bank, spec, _all_terms(data, spec),
-                      reg_weight, regularizer, counters)
+        ll = _weighted_log_likelihoods(data, ctx, bank, spec, _all_terms(data, spec), counters)
+        return float(ll.sum()) + log_prior(bank, reg_weight, regularizer)[0]
     validate_bank(spec, bank)
     return block_log_likelihood(data, ctx, bank, spec, zero_weight, counters) \
         + log_prior(bank, reg_weight, regularizer)[0]
@@ -295,15 +356,17 @@ def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
             eps + np.sqrt(state.accum_context))
 
 
-def estimate_objective(data, ctx, bank, spec, config: TrainConfig, rng,
-                       counters=None) -> float:
-    """Objective value for logging: exact when cheap, else the unbiased
-    sparse estimate with the configured zero weighting."""
-    if spec.family is Family.CATEGORICAL or not data.implicit_zero:
+def estimate_objective(data, ctx, bank, spec, config: TrainConfig, sample: LogSample | None,
+                       counters=None) -> tuple[float, float]:
+    """Objective value for logging and its standard error: exact, with
+    stderr 0, when ``sample`` is None, else the stratified estimate from
+    the terms of ``sample``."""
+    if sample is None:
         return objective(data, ctx, bank, spec, config.reg_weight, config.regularizer,
-                         zero_weight=_zero_weight(data, config), counters=counters)
-    return _score(data, ctx, bank, spec, _sampled_terms(data, config, rng, unbiased=True),
-                  config.reg_weight, config.regularizer, counters)
+                         zero_weight=_zero_weight(data, config), counters=counters), 0.0
+    z = _weighted_log_likelihoods(data, ctx, bank, spec, sample.batch, counters)
+    return (float(z.sum()) + log_prior(bank, config.reg_weight, config.regularizer)[0],
+            _stratified_stderr(z, sample.strata))
 
 
 def _check_finite(bank: EmbeddingBank, iteration: int) -> None:
@@ -337,10 +400,11 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     counters = ClampCounters()
     log: list[LogRecord] = []
     t0 = time.perf_counter()
+    sample = _log_sample(data, spec, config, log_rng)
 
     def record(it):
-        obj = estimate_objective(data, ctx, bank, spec, config, log_rng, counters)
-        log.append(LogRecord(it, obj, counters.eta_clamped, counters.rate_floored,
+        obj, stderr = estimate_objective(data, ctx, bank, spec, config, sample, counters)
+        log.append(LogRecord(it, obj, stderr, counters.eta_clamped, counters.rate_floored,
                              time.perf_counter() - t0))
         counters.reset()
         if on_log is not None:

@@ -328,3 +328,82 @@ def test_categorical_window_pipeline(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["query-similar", "--model", model, "--entity", labels[0], "--top", "2"])
     assert rc == 0
+
+
+# every input fault of a subcommand that reads files: (argv with {placeholders},
+# exit code, the path the error line names); {missing} does not exist,
+# {latin1} is not UTF-8 and {nodir} lies in a directory that does not exist
+_TRAIN = ["train", "--config", "{config}", "--data", "{data}", "--locations", "{locations}",
+          "--out", "{out}"]
+_EVALUATE = ["evaluate", "--model", "{model}", "--test", "{data}", "--protocol", "loo-mse",
+             "--locations", "{locations}"]
+_EXPORT = ["export-graph", "--model", "{model}", "--locations", "{locations}"]
+_INPUT_FAULTS = {
+    "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
+                           "{missing}"),
+    "split-data-latin1": (["split", "--data", "{latin1}", "--out-prefix", "{out}"], 3,
+                          "{latin1}"),
+    "split-out-nodir": (["split", "--data", "{data}", "--out-prefix", "{nodir}"], 2, "{nodir}"),
+    "train-config-missing": (_TRAIN[:2] + ["{missing}"] + _TRAIN[3:], 2, "{missing}"),
+    "train-config-latin1": (_TRAIN[:2] + ["{latin1}"] + _TRAIN[3:], 2, "{latin1}"),
+    "train-data-missing": (_TRAIN[:4] + ["{missing}"] + _TRAIN[5:], 3, "{missing}"),
+    "train-data-latin1": (_TRAIN[:4] + ["{latin1}"] + _TRAIN[5:], 3, "{latin1}"),
+    "train-locations-missing": (_TRAIN[:6] + ["{missing}"] + _TRAIN[7:], 3, "{missing}"),
+    "train-locations-latin1": (_TRAIN[:6] + ["{latin1}"] + _TRAIN[7:], 3, "{latin1}"),
+    # checked before the data are read, so before any training
+    "train-out-nodir": (_TRAIN[:4] + ["{missing}"] + _TRAIN[5:8] + ["{nodir}"], 2, "{nodir}"),
+    "train-log-nodir": (_TRAIN + ["--log", "{nodir}"], 2, "{nodir}"),
+    "train-empty-train-part": (_TRAIN[:2] + ["{empty_train_cfg}"] + _TRAIN[3:], 2, None),
+    "train-invalid-data-before-split": (_TRAIN[:2] + ["{poisson_cfg}"] + _TRAIN[3:], 3, None),
+    "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
+    "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
+    "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
+    "evaluate-test-latin1": (_EVALUATE[:4] + ["{latin1}"] + _EVALUATE[5:], 3, "{latin1}"),
+    "evaluate-locations-missing": (_EVALUATE[:-1] + ["{missing}"], 3, "{missing}"),
+    "query-similar-model-missing": (["query-similar", "--model", "{missing}", "--entity", "0"],
+                                    3, "{missing}"),
+    "query-pairs-model-latin1": (["query-pairs", "--model", "{latin1}"], 3, "{latin1}"),
+    "rank-dimensions-model-missing": (["rank-dimensions", "--model", "{missing}", "--dim", "0"],
+                                      3, "{missing}"),
+    "export-graph-model-missing": (_EXPORT[:2] + ["{missing}"] + _EXPORT[3:], 3, "{missing}"),
+    "export-graph-locations-latin1": (_EXPORT[:-1] + ["{latin1}"], 3, "{latin1}"),
+    "export-graph-out-nodir": (_EXPORT + ["--out", "{nodir}"], 2, "{nodir}"),
+    "gen-synthetic-out-nodir": (["gen-synthetic", "--kind", "text-clusters",
+                                 "--out-prefix", "{nodir}"], 2, "{nodir}"),
+}
+
+
+@pytest.fixture(scope="module")
+def fault_paths(toy_run):
+    root = toy_run["root"] / "faults"
+    root.mkdir()
+    latin1 = root / "latin1.tsv"
+    latin1.write_bytes("row\tcol\tvalue\ncaf\xe9\t0\t1.5\n".encode("latin-1"))
+    empty_train_cfg = root / "empty_train.cfg"
+    empty_train_cfg.write_text(CFG_GAUSSIAN + "train_frac = 0\nvalid_frac = 0\ntest_frac = 1\n")
+    # Gaussian data hold negative values; the train part alone is empty
+    poisson_cfg = root / "poisson.cfg"
+    poisson_cfg.write_text(empty_train_cfg.read_text().replace("gaussian", "poisson"))
+    model = root / "fault.model"
+    assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
+                 "--locations", toy_run["locations"], "--out", str(model)]) == 0
+    return dict(data=toy_run["data"], locations=toy_run["locations"],
+                config=toy_run["config"], model=str(model), out=str(root / "out"),
+                missing=str(root / "missing.tsv"), latin1=str(latin1),
+                nodir=str(root / "no-such-dir" / "out"),
+                empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg))
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))
+def test_input_fault_is_one_error_line_and_its_exit_code(fault_paths, capsys, case):
+    argv, code, named = _INPUT_FAULTS[case]
+    capsys.readouterr()
+    rc = main([a.format(**fault_paths) for a in argv])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert rc == code, captured.err
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+    if named is not None:
+        assert named.format(**fault_paths) in lines[0]
+    assert "model written" not in captured.out

@@ -29,10 +29,13 @@ from glembed.families import (
 )
 from glembed.evaluate import SplitSpec, make_split, normalized_predictive_ll
 from glembed.train import (
+    LOG_TERMS,
     OptimizerState,
     TrainConfig,
     _draw_zero_cells,
+    _log_sample,
     adagrad_step,
+    estimate_objective,
     full_gradient,
     minibatch_gradient,
     objective,
@@ -548,7 +551,8 @@ def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
     calls = _reference_kernels(monkeypatch)
     want, want_log = train(data, ctx, spec, cfg)
     assert calls["scatter"] > 0
-    # logging on implicit-zero data draws zero cells under every estimator
+    # the sparse steps draw zero cells, and so does the logged subsample of
+    # the full-window instance (30 x 400 cells, above 2 * LOG_TERMS)
     assert (calls["zero_cells"] > 0) == data.implicit_zero
     assert (calls["window"] > 0) == (builder == "window")
     for table, ref in ((got.embeddings, want.embeddings),
@@ -574,6 +578,101 @@ def test_implicit_data_paths_never_build_the_dense_matrix(monkeypatch):
     make_split(basket_data, SplitSpec(test_frac=0.3, valid_frac=0.0, train_frac=0.7))
     report = normalized_predictive_ll(basket_data, basket_ctx, bank, FamilySpec(Family.POISSON))
     assert math.isfinite(report.estimate)
+
+
+# ---------------------------------------------------------------------------
+# logged objective
+# ---------------------------------------------------------------------------
+
+def _logged_instance(case):
+    """(data, ctx, spec, config) above the exact-logging threshold: explicit
+    Gaussian kNN (one stratum), Poisson baskets with downweighted zeros (both
+    strata subsampled) and Bernoulli windows (every nonzero term kept)."""
+    if case == "gaussian-knn":
+        data, ctx, _ = gaussian_instance(50, n=40, t=300, knn=4)
+        spec = FamilySpec(Family.GAUSSIAN, sigma2=0.8)
+        cfg = TrainConfig(dim=3, estimator="minibatch", minibatch_size=50)
+    elif case == "poisson-basket":
+        data, ctx, _ = count_instance(51, n=60, t=300, density=0.3)
+        spec = FamilySpec(Family.POISSON)
+        cfg = TrainConfig(dim=3, estimator="sparse", negative_samples=3,
+                          zero_estimator="downweight", downweight=0.2)
+    else:
+        data, ctx, _ = text_instance(52, vocab=30, length=400)
+        spec = FamilySpec(Family.BERNOULLI)
+        cfg = TrainConfig(dim=3, estimator="sparse", negative_samples=3)
+    cfg.n_iterations, cfg.log_every, cfg.reg_weight, cfg.step_size = 20, 10, 0.1, 0.3
+    assert data.n_terms > 2 * LOG_TERMS
+    return data, ctx, spec, cfg
+
+
+def _exact(data, ctx, bank, spec, cfg):
+    zero_weight = cfg.downweight if cfg.zero_estimator == "downweight" else 1.0
+    return objective(data, ctx, bank, spec, cfg.reg_weight, cfg.regularizer, zero_weight)
+
+
+LOGGED = ["gaussian-knn", "poisson-basket", "bernoulli-window"]
+
+
+@pytest.mark.parametrize("case", LOGGED)
+def test_logged_estimate_within_four_stderr_of_the_exact_objective(case):
+    data, ctx, spec, cfg = _logged_instance(case)
+    exact = []
+    _, log = train(data, ctx, spec, cfg,
+                   on_log=lambda it, bank, state: exact.append(_exact(data, ctx, bank, spec, cfg)))
+    assert len(log) == len(exact) == 3
+    for r, want in zip(log, exact):
+        assert r.objective_stderr > 0.0
+        assert abs(r.objective - want) <= 4 * r.objective_stderr
+
+
+def test_logged_stderr_matches_the_spread_of_redrawn_subsamples():
+    # both strata subsampled: over redrawn subsamples of one bank the
+    # estimates centre on the exact objective and spread by their stderr
+    data, ctx, spec, cfg = _logged_instance("poisson-basket")
+    bank = EmbeddingBank.init_random(data.n_rows, 3, seed=1, scale=0.5)
+    samples = [_log_sample(data, spec, cfg, np.random.default_rng(s)) for s in range(200)]
+    assert samples[0].strata == [(LOG_TERMS, data.nnz),
+                                 (LOG_TERMS, data.n_rows * data.n_cols - data.nnz)]
+    est, err = np.array([estimate_objective(data, ctx, bank, spec, cfg, s) for s in samples]).T
+    spread = est.std(ddof=1)
+    assert 0.8 < spread / np.sqrt((err ** 2).mean()) < 1.25
+    assert abs(est.mean() - _exact(data, ctx, bank, spec, cfg)) < 4 * spread / np.sqrt(len(est))
+
+
+@pytest.mark.parametrize("case", LOGGED)
+def test_one_seed_logs_identical_objectives(case):
+    data, ctx, spec, cfg = _logged_instance(case)
+    logs = [train(data, ctx, spec, cfg)[1] for _ in range(2)]
+    a, b = ([(r.objective, r.objective_stderr) for r in log] for log in logs)
+    assert a == b
+
+
+@pytest.mark.parametrize("case", LOGGED)
+def test_log_cadence_leaves_the_bank_bytes_unchanged(case):
+    # the subsample comes from its own stream, never the training one
+    data, ctx, spec, cfg = _logged_instance(case)
+    banks = []
+    for log_every in (1, 7, 10 ** 9):
+        cfg.log_every = log_every
+        bank, log = train(data, ctx, spec, cfg)
+        assert len(log) == {1: 21, 7: 4, 10 ** 9: 2}[log_every]
+        banks.append(bank.embeddings.tobytes() + bank.context_vectors.tobytes())
+    assert banks[0] == banks[1] == banks[2]
+
+
+@pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.POISSON, Family.CATEGORICAL])
+def test_small_data_and_the_categorical_family_log_the_exact_objective(family):
+    # categorical at 30 x 400 cells is above the threshold and still exact
+    kw = dict(vocab=30, length=400) if family is Family.CATEGORICAL else {}
+    data, ctx, _, spec = family_instance(family, 53, **kw)
+    cfg = TrainConfig(dim=3, estimator="full", n_iterations=4, log_every=2,
+                      reg_weight=0.1, step_size=0.2)
+    exact = []
+    _, log = train(data, ctx, spec, cfg,
+                   on_log=lambda it, bank, state: exact.append(_exact(data, ctx, bank, spec, cfg)))
+    assert [r.objective for r in log] == exact
+    assert [r.objective_stderr for r in log] == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
