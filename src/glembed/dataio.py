@@ -14,7 +14,9 @@ import hashlib
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from itertools import count, filterfalse, repeat
 
 import numpy as np
 
@@ -24,6 +26,10 @@ from .families import Family, FamilySpec, default_link
 from .train import TrainConfig
 
 MODEL_MAGIC = "#glembed-model v1"
+# characters per run of lines that read_triplets parses at once
+RUN_CHARS = 2**18
+# lines per run that write_triplets formats at once
+WRITE_RUN_LINES = 2**13
 
 
 def check_output_path(path: str) -> str:
@@ -35,12 +41,14 @@ def check_output_path(path: str) -> str:
     return d
 
 
-def atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or the pieces it yields in turn, to ``path`` through a
+    temp file and a rename."""
     d = check_output_path(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-glembed-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,48 +81,103 @@ def read_triplets(path: str):
     """Parse a (row_id, col_id, value) file.
 
     Ids may be arbitrary strings; they map to dense 0-based indices in
-    first-seen order.  Returns (row_labels, col_labels, rows, cols, vals).
+    first-seen order.  Values keep Python's ``float()`` syntax (``1_0``,
+    full-width digits, surrounding whitespace).  Returns (row_labels,
+    col_labels, rows, cols, vals).
+
+    The text is worked through in runs of whole lines of about
+    ``RUN_CHARS`` characters, each split, checked and parsed by C-level
+    passes, so memory is O(file text + one run + entries).  Line numbers
+    are only computed for an error.
     """
-    lines = read_text(path).splitlines()
-    if not lines:
+    text = read_text(path)
+    if not text:
         raise DataError(f"{path}: empty file")
-    delim = _detect_delimiter(lines[0])
     row_index: dict[str, int] = {}
     col_index: dict[str, int] = {}
     rows, cols, vals = [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
+    delim = ""
+    ln = 2  # line number of the run's first body line
+    start = 0
+    while start < len(text):
+        # a run ends just after the first '\n' past RUN_CHARS (or at the end
+        # of the text): a line boundary whatever other breaks (\x0c,
+        # \u2028, ...) the text holds
+        end = text.find("\n", start + RUN_CHARS) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        if not delim:
+            delim = _detect_delimiter(lines[0])
+            del lines[0]
+        start = end
+        body = list(filter(str.strip, lines))
+        fields = delim.join(body).split(delim) if body else []
+        v = None
+        if set(map(str.count, body, repeat(delim))) <= {2}:
+            try:
+                v = np.fromiter(map(float, fields[2::3]), np.float64, len(body))
+            except ValueError:
+                pass
+        if v is None or not np.isfinite(v).all():
+            _raise_first_line_fault(path, lines, ln, delim)
+        rows.append(_first_seen_ids(row_index, list(map(str.strip, fields[0::3]))))
+        cols.append(_first_seen_ids(col_index, list(map(str.strip, fields[1::3]))))
+        vals.append(v)
+        ln += len(lines)
+    row_labels, col_labels = list(row_index), list(col_index)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
+    if e >= 0:
+        ln = [n for n, line in enumerate(text.splitlines()[1:], start=2) if line.strip()][e]
+        raise DataError(f"{path}:{ln}: duplicate entry for "
+                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
+    return row_labels, col_labels, rows, cols, np.concatenate(vals)
+
+
+def _first_seen_ids(index: dict[str, int], keys: list[str]) -> np.ndarray:
+    """The ids of ``keys``; keys not yet in ``index`` join it in first-seen
+    order."""
+    new = filterfalse(index.__contains__, dict.fromkeys(keys))
+    index.update(zip(new, count(len(index))))
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+
+def _raise_first_line_fault(path: str, lines: list[str], ln: int, delim: str) -> None:
+    """Raise the DataError of the first faulty line of a run whose first
+    line is line ``ln`` of the file."""
+    for ln, line in enumerate(lines, start=ln):
         if not line.strip():
             continue
         parts = line.split(delim)
         if len(parts) != 3:
             raise DataError(f"{path}:{ln}: expected 3 fields, got {len(parts)}")
-        rk, ck, vtext = (p.strip() for p in parts)
+        vtext = parts[2].strip()
         try:
             v = float(vtext)
         except ValueError:
             raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
         if not math.isfinite(v):
             raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
-        rows.append(row_index.setdefault(rk, len(row_index)))
-        cols.append(col_index.setdefault(ck, len(col_index)))
-        vals.append(v)
-    row_labels, col_labels = list(row_index), list(col_index)
-    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
-    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
-    if e >= 0:
-        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
-        raise DataError(f"{path}:{ln}: duplicate entry for "
-                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
-    return row_labels, col_labels, rows, cols, np.asarray(vals, np.float64)
+    raise AssertionError("no faulty line in the run")
 
 
 def write_triplets(path: str, data: DataMatrix) -> None:
+    atomic_write(path, _triplet_text(data))
+
+
+def _triplet_text(data: DataMatrix) -> Iterator[str]:
+    """The triplet file of ``data`` in pieces of ``WRITE_RUN_LINES`` lines,
+    each formatted by one ``%`` over the line template repeated per line."""
     rl = data.row_labels or [str(i) for i in range(data.n_rows)]
     cl = data.col_labels or [str(i) for i in range(data.n_cols)]
-    lines = ["row\tcol\tvalue"]
-    for r, c, v in zip(data.rows.tolist(), data.cols.tolist(), data.vals.tolist()):
-        lines.append(f"{rl[r]}\t{cl[c]}\t{v:.17g}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    yield "row\tcol\tvalue\n"
+    for s in range(0, data.nnz, WRITE_RUN_LINES):
+        run = slice(s, s + WRITE_RUN_LINES)
+        vals = data.vals[run].tolist()
+        fields = [None] * (3 * len(vals))
+        fields[0::3] = map(rl.__getitem__, data.rows[run].tolist())
+        fields[1::3] = map(cl.__getitem__, data.cols[run].tolist())
+        fields[2::3] = vals
+        yield ("%s\t%s\t%.17g\n" * len(vals)) % tuple(fields)
 
 
 def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,

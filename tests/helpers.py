@@ -11,13 +11,16 @@ passes they check.  ``add_at_rows``, ``add_at_scatter`` and
 tables, the oracle of the library's one incidence-product scatter;
 ``prefix_gather_window_table`` and ``dense_zero_cells`` are the window
 table and the zero-cell lookup by plain fancy indexing.
+``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
+triplet file one line at a time, the oracle of the run-at-a-time reader and
+writer.
 """
 
 import math
 
 import numpy as np
 
-from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch, sorted_cell_keys
 from glembed.contexts import (
     KNN_SUM_CHUNK,
     BasketContext,
@@ -29,6 +32,8 @@ from glembed.contexts import (
     build_knn_context,
     build_window_context,
 )
+from glembed.dataio import _detect_delimiter, atomic_write, read_text
+from glembed.errors import DataError
 from glembed.evaluate import EvalReport
 from glembed.families import (
     Family,
@@ -149,6 +154,51 @@ def prefix_gather_window_table(half_width, table):
     prefix = np.concatenate([np.zeros((1,) + table.shape[1:]), np.cumsum(table, axis=0)])
     p = np.arange(length)
     return prefix[np.minimum(p + w + 1, length)] - prefix[np.maximum(p - w, 0)] - table
+
+
+def line_loop_read_triplets(path):
+    """``dataio.read_triplets`` one line at a time: each line is split,
+    stripped and parsed with ``float`` on its own."""
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    delim = _detect_delimiter(lines[0])
+    row_index, col_index = {}, {}
+    rows, cols, vals = [], [], []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(delim)
+        if len(parts) != 3:
+            raise DataError(f"{path}:{ln}: expected 3 fields, got {len(parts)}")
+        rk, ck, vtext = (p.strip() for p in parts)
+        try:
+            v = float(vtext)
+        except ValueError:
+            raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
+        rows.append(row_index.setdefault(rk, len(row_index)))
+        cols.append(col_index.setdefault(ck, len(col_index)))
+        vals.append(v)
+    row_labels, col_labels = list(row_index), list(col_index)
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
+    if e >= 0:
+        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
+        raise DataError(f"{path}:{ln}: duplicate entry for "
+                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
+    return row_labels, col_labels, rows, cols, np.asarray(vals, np.float64)
+
+
+def fstring_write_triplets(path, data):
+    """``dataio.write_triplets`` with one f-string per entry."""
+    rl = data.row_labels or [str(i) for i in range(data.n_rows)]
+    cl = data.col_labels or [str(i) for i in range(data.n_cols)]
+    lines = ["row\tcol\tvalue"]
+    for r, c, v in zip(data.rows.tolist(), data.cols.tolist(), data.vals.tolist()):
+        lines.append(f"{rl[r]}\t{cl[c]}\t{v:.17g}")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def dense_zero_cells(data, q):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glembed import dataio
 from glembed.core import DataMatrix, EmbeddingBank
 from glembed.dataio import (
     ModelMeta,
@@ -18,7 +19,7 @@ from glembed.dataio import (
 )
 from glembed.errors import CompatibilityError, ConfigError, DataError
 
-from helpers import dense_lag, dense_matrix
+from helpers import dense_lag, dense_matrix, fstring_write_triplets, line_loop_read_triplets
 
 
 def _write(tmp_path, name, text):
@@ -78,6 +79,139 @@ def test_write_read_round_trip(tmp_path):
     rl, cl, rows, cols, vals = read_triplets(path)
     back = DataMatrix(len(rl), len(cl), rows, cols, vals)
     np.testing.assert_array_equal(back.dense(), data.dense())
+
+
+# run sizes that put a run boundary at every offset of the short lines below
+_RUN_SIZES = (*range(1, 24), dataio.RUN_CHARS)
+
+_ORACLE_FILES = {
+    "tab": "row\tcol\tvalue\nitem1\tt0\t2\nitem2\tt0\t1.5\nitem1\tt1\t-3\n",
+    "comma": "row,col,value\nitem1,t0,2\nitem1,t1,3\nq,t0,4e-3\n",
+    # every str.splitlines break; open() folds \r\n and a lone \r into \n
+    "breaks": ("row\tcol\tvalue\r\na\tx\t1\r\nb\tx\t2\rc\tx\t3\x0cd\tx\t4\u2028e\tx\t5"
+               "\x0bf\tx\t6\x1cg\tx\t7\x1dh\tx\t8\x1ei\tx\t9\x85j\tx\t10\u2029k\tx\t11\r\n"
+               "l\tx\t12\r\n\r\nm\tx\t13\r\n"),
+    "blanks_padding_unicode": ("row\tcol\tvalue\n\n   \n\t\t\n a \t  b\t 1.5 \n\u3000\n"
+                               "ünï\t日本\t2\n ünï \tb\t 3 \n\n"
+                               "a\t日本\t4\n \t \t \n"),
+    "float_syntax": ("row\tcol\tvalue\nr\ta\t1_0\nr\tb\t１２\nr\tc\t+.5\nr\td\t-0.0\n"
+                     "r\te\t5e-324\nr\tf\t1e-310\nr\tg\t-2.2250738585072014e-308\n"
+                     "r\th\t1e308\nr\ti\t-1.7976931348623157E+308\nr\tj\t١٢\nr\tk\t0.1\n"),
+    "no_trailing_newline": "row,col,value\nx,y,1\nx,z,2",
+    "header_only": "row\tcol\tvalue\n",
+    "header_only_no_newline": "row\tcol\tvalue",
+    "blank_header": "\n\nx,y,1\n",
+    "only_blank_lines": "row\tcol\tvalue\n\n \n\t\n",
+}
+
+
+def _assert_same_as_oracle(path):
+    want = line_loop_read_triplets(path)
+    got = read_triplets(path)
+    assert got[:2] == want[:2]
+    for g, w in zip(got[2:], want[2:]):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_FILES))
+def test_read_triplets_matches_the_line_loop_at_every_run_boundary(tmp_path, monkeypatch, name):
+    path = _write(tmp_path, name + ".tsv", _ORACLE_FILES[name])
+    for run_chars in _RUN_SIZES:
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        _assert_same_as_oracle(path)
+
+
+def test_read_triplets_matches_the_line_loop_on_random_files(tmp_path, monkeypatch):
+    # ids reappear across runs, so first-seen order spans run boundaries
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        n = int(rng.integers(1, 400))
+        cells = rng.permutation(40 * 60)[:n]
+        vals = rng.normal(scale=10.0 ** rng.integers(-5, 6), size=n).tolist()
+        lines = ["row\tcol\tvalue"] + [f"e{c % 40}\tt{c // 40}\t{v!r}" for c, v in zip(cells, vals)]
+        lines[1::7] = [" " + line + " " for line in lines[1::7]]
+        lines.insert(int(rng.integers(1, len(lines) + 1)), "   ")
+        path = _write(tmp_path, f"rand{trial}.tsv", "\n".join(lines))
+        for run_chars in (1, 7, 100, 1000, dataio.RUN_CHARS):
+            monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+            _assert_same_as_oracle(path)
+
+
+def _error_text(read, path):
+    with pytest.raises(DataError) as exc:
+        read(path)
+    return str(exc.value)
+
+
+# each fault follows blank lines and valid lines that fill earlier runs
+_FAULTS = {
+    "two_fields": "x\ty",
+    "four_fields": "x\ty\t1\t2",
+    "one_field": "x",
+    "bad_value": "x\ty\tone",
+    "empty_value": "x\ty\t ",
+    "nan": "x\ty\tnan",
+    "inf": "x\ty\t inf ",
+    "minus_infinity": "x\ty\t-Infinity",
+    "duplicate": "r4\tc1\t9",
+    "bad_value_then_two_fields": "x\ty\tbad\nx\ty",
+    "nan_then_four_fields": "x\ty\tNaN\nx\ty\t1\t2",
+    "two_fields_then_bad_value": "x\ty\nx\ty\tbad",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_read_triplets_raises_the_line_loops_error(tmp_path, monkeypatch, fault):
+    valid = [f"r{i}\tc{i % 3}\t{i}.5" for i in range(12)]
+    text = "row\tcol\tvalue\n" + "\n".join(valid[:6] + ["", "  "] + valid[6:] + ["", "\t", ""])
+    path = _write(tmp_path, "fault.tsv", text + "\n" + _FAULTS[fault] + "\nz\tz\t1\n")
+    want = _error_text(line_loop_read_triplets, path)
+    for run_chars in (1, 16, 40, 100, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(read_triplets, path) == want
+
+
+def test_read_triplets_empty_file_error_matches_the_line_loop(tmp_path):
+    path = _write(tmp_path, "empty.tsv", "")
+    assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
+
+
+def test_read_triplets_memory_is_within_four_times_the_file(tmp_path):
+    # a whole-file split (one string per field) would need about 8x
+    n = 200_000
+    vals = np.random.default_rng(3).normal(size=n).tolist()
+    text = "row\tcol\tvalue\n" + "".join(
+        "e%d\tt%d\t%.17g\n" % (i % 300, i // 300, v) for i, v in enumerate(vals))
+    path = _write(tmp_path, "big.tsv", text)
+    size = len(text)
+    del text, vals
+    tracemalloc.start()
+    try:
+        _, _, rows, _, _ = read_triplets(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n
+    assert peak < 4 * size
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_write_triplets_bytes_match_the_line_writer(tmp_path, monkeypatch, labelled):
+    vals = np.array([-0.0, 0.0, 5e-324, 1e-310, -2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 0.1, 1 / 3, -2.5, 123456789.0, 1e16, 1e17])
+    n = len(vals)
+    rows, cols = np.arange(n) % 4, np.arange(n) // 4
+    labels = (["ünï", "a b", "r,2", "日本"], ["t0", "t1", "t 2", "€"]) if labelled else (None, None)
+    data = DataMatrix(4, 4, rows, cols, vals, row_labels=labels[0], col_labels=labels[1])
+    empty = DataMatrix(2, 2, rows[:0], cols[:0], vals[:0])
+    for run_lines in (1, 3, n, dataio.WRITE_RUN_LINES):
+        monkeypatch.setattr(dataio, "WRITE_RUN_LINES", run_lines)
+        for name, m in (("data", data), ("empty", empty)):
+            got, want = tmp_path / f"{name}.got.tsv", tmp_path / f"{name}.want.tsv"
+            write_triplets(str(got), m)
+            fstring_write_triplets(str(want), m)
+            assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------
