@@ -245,8 +245,8 @@ class _ColumnTablePass:
         self.own_coef = np.zeros(len(emb))  # sum_t coef[n, t] * x[n, t]
 
     def table(self, cells: ColumnBlock):
-        H = self.emb @ self.sums[cells.lo:cells.hi].T
-        counts = self.counts[cells.lo:cells.hi]
+        H = self.emb @ self.sums[cells.cols].T
+        counts = self.counts[cells.cols]
         if self.own is not None:
             H -= cells.x * self.own[:, None]
             counts = counts - cells.stored
@@ -257,10 +257,10 @@ class _ColumnTablePass:
             # a cell with no member adds nothing: its coefficient (which a
             # floored rate makes huge) would cancel against its own term
             # only up to rounding
-            coef = np.where(self.counts[cells.lo:cells.hi] > cells.stored, coef, 0.0)
+            coef = np.where(self.counts[cells.cols] > cells.stored, coef, 0.0)
             self.own_coef += np.einsum("nt,nt->n", coef, cells.x)
-        self.g_emb += coef @ self.sums[cells.lo:cells.hi]
-        self.R[cells.lo:cells.hi] += coef.T @ self.emb
+        self.g_emb += coef @ self.sums[cells.cols]
+        self.R[cells.cols] += coef.T @ self.emb
 
     def gradients(self):
         g_cv = _spread(self.data, self.spread(self.R), len(self.cv))

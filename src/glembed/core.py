@@ -160,28 +160,31 @@ class DataMatrix:
             self._dense_cache = x
         return self._dense_cache
 
-    def column_blocks(self, width: int):
-        """Every cell, as ``ColumnBlock``s of at most ``width`` columns from
-        left to right.  The first call keeps the entries' rows and values in
-        column order."""
+    def column_blocks(self, width: int, cols: Sequence[int] | None = None):
+        """Every cell of the columns ``cols`` (of every column, left to
+        right, when None), as ``ColumnBlock``s of at most ``width`` columns.
+        The first call keeps the entries' rows and values in column order."""
         if self._by_column is None:
             order = np.argsort(self.cols, kind="stable")
             starts = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.n_cols))])
             self._by_column = self.rows[order], self.vals[order], starts
         rows, vals, starts = self._by_column
-        for lo in range(0, self.n_cols, width):
-            hi = min(lo + width, self.n_cols)
-            # row-major positions in the block of its entries, column by column
-            at = rows[starts[lo]:starts[hi]] * (hi - lo) \
-                + np.repeat(np.arange(hi - lo), np.diff(starts[lo:hi + 1]))
-            x = np.zeros((self.n_rows, hi - lo))
-            np.put(x, at, vals[starts[lo]:starts[hi]])
+        ids = np.arange(self.n_cols) if cols is None else np.asarray(cols, dtype=np.int64)
+        for lo in range(0, len(ids), width):
+            block = ids[lo:lo + width]
+            counts = starts[block + 1] - starts[block]
+            # the block's entries column by column, and their row-major positions in it
+            ends = np.cumsum(counts)
+            entries = np.repeat(starts[block] + counts - ends, counts) + np.arange(ends[-1])
+            at = rows[entries] * len(block) + np.repeat(np.arange(len(block)), counts)
+            x = np.zeros((self.n_rows, len(block)))
+            np.put(x, at, vals[entries])
             if self.implicit_zero:  # stores no zero
                 stored = x != 0.0
             else:
                 stored = np.zeros(x.shape, dtype=bool)
                 np.put(stored, at, True)
-            yield ColumnBlock(lo, hi, x, stored)
+            yield ColumnBlock(slice(block[0], block[-1] + 1) if cols is None else block, x, stored)
 
     def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
         """New matrix over the given columns, reindexed 0..len(keep)-1."""
@@ -223,8 +226,9 @@ class TermBatch:
     every context and kernel takes.
 
     Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
-    for an implicit zero.  For the categorical family cols are column blocks
-    and rows their active terms.  ``weights`` None means every weight is 1.
+    for an implicit zero.  ``weights`` None means every weight is 1.  The
+    categorical family's terms are whole columns, scored by ``ColumnBlock``s
+    instead.
     """
 
     rows: np.ndarray
@@ -254,11 +258,11 @@ class TermBatch:
 
 @dataclass
 class ColumnBlock:
-    """Every cell of columns lo..hi-1 of a matrix as dense (n_rows, hi - lo)
-    tables: the values, 0 where no entry is stored, and the storedness."""
+    """Every cell of the columns ``cols`` of a matrix (a slice, or an array
+    of distinct column ids) as dense (n_rows, #cols) tables: the values, 0
+    where no entry is stored, and the storedness."""
 
-    lo: int
-    hi: int
+    cols: slice | np.ndarray
     x: np.ndarray
     stored: np.ndarray
 

@@ -87,8 +87,10 @@ def read_triplets(path: str):
 
     The text is worked through in runs of whole lines of about
     ``RUN_CHARS`` characters, each split, checked and parsed by C-level
-    passes, so memory is O(file text + one run + entries).  Line numbers
-    are only computed for an error.
+    passes, so memory is O(file text + one run + entries); the text is
+    dropped before the entries are sorted for the duplicate check.  Line
+    numbers are only computed for an error; the file is read again to
+    number a duplicate's line.
     """
     text = read_text(path)
     if not text:
@@ -123,11 +125,13 @@ def read_triplets(path: str):
         cols.append(_first_seen_ids(col_index, list(map(str.strip, fields[1::3]))))
         vals.append(v)
         ln += len(lines)
+    del text, lines, body, fields
     row_labels, col_labels = list(row_index), list(col_index)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
     if e >= 0:
-        ln = [n for n, line in enumerate(text.splitlines()[1:], start=2) if line.strip()][e]
+        lines = read_text(path).splitlines()
+        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
         raise DataError(f"{path}:{ln}: duplicate entry for "
                         f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
     return row_labels, col_labels, rows, cols, np.concatenate(vals)
@@ -226,29 +230,28 @@ def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
-    if min_row_count > 0 or min_col_count > 0:
-        if min_row_count > 0:
-            counts = np.bincount(rows, minlength=n_rows)
-            keep_rows = np.flatnonzero(counts >= min_row_count)
-            rmap = -np.ones(n_rows, np.int64)
-            rmap[keep_rows] = np.arange(len(keep_rows))
-            mask = rmap[rows] >= 0
-            rows, cols, vals = rmap[rows[mask]], cols[mask], vals[mask]
-            row_labels = [row_labels[i] for i in keep_rows]
-            n_rows = len(keep_rows)
-        if min_col_count > 0:
-            counts = np.bincount(cols, minlength=n_cols)
-            keep_cols = np.flatnonzero(counts >= min_col_count)
-            cmap = -np.ones(n_cols, np.int64)
-            cmap[keep_cols] = np.arange(len(keep_cols))
-            mask = cmap[cols] >= 0
-            rows, cols, vals = rows[mask], cmap[cols[mask]], vals[mask]
-            col_labels = [col_labels[i] for i in keep_cols]
-            n_cols = len(keep_cols)
+    if min_row_count > 0:
+        keep, rows, row_labels = _min_count_filter(rows, row_labels, min_row_count)
+        cols, vals = cols[keep], vals[keep]
+    if min_col_count > 0:
+        keep, cols, col_labels = _min_count_filter(cols, col_labels, min_col_count)
+        rows, vals = rows[keep], vals[keep]
+    n_rows, n_cols = len(row_labels), len(col_labels)
 
     return DataMatrix(n_rows, n_cols, rows, cols, vals,
                       implicit_zero=implicit_zero,
                       row_labels=row_labels, col_labels=col_labels)
+
+
+def _min_count_filter(ids: np.ndarray, labels: list[str], min_count: int):
+    """Keep the ids of at least ``min_count`` entries, renumbered from 0 in
+    order: (the mask of the entries kept, their new ids, the kept labels)."""
+    kept = np.flatnonzero(np.bincount(ids, minlength=len(labels)) >= min_count)
+    remap = np.full(len(labels), -1, np.int64)
+    remap[kept] = np.arange(len(kept))
+    new = remap[ids]
+    keep = new >= 0
+    return keep, new[keep], [labels[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +508,11 @@ class RunConfig:
             self.split = "none" if self.context == "window" else "columns"
         if self.context not in ("knn", "basket", "window"):
             raise ConfigError(f"unknown context builder {self.context!r}", "context")
+        if self.family == "categorical" and self.context != "window":
+            # a categorical column holds one entry, so the knn or basket
+            # context of its active term is empty
+            raise ConfigError(f"categorical family needs a window context, got "
+                              f"{self.context!r}", "context")
         if self.split not in ("columns", "ratings", "none"):
             raise ConfigError(f"unknown split {self.split!r}", "split")
 
@@ -540,18 +548,16 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
-_BOOL_KEYS = {"lag", "rating_shift"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_INT_KEYS = {"k", "knn_k", "window_w", "minibatch_size", "iterations",
-             "negative_samples", "seed", "min_row_count", "min_col_count",
-             "implicit_zero"}
-_FLOAT_KEYS = {"sigma2", "reg_weight", "gamma", "train_frac", "valid_frac",
-               "test_frac"}
+# value parsers by the first type of a RunConfig field's annotation
+_PARSERS = {"bool": lambda v: _BOOL_WORDS[v.lower()], "int": int, "float": float, "str": str,
+            "tuple": lambda v: tuple(float(s) for s in v.split(",") if s.strip())}
 
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse key=value lines; '#' starts a comment.  Unknown keys fail."""
-    known = {f.name for f in fields(RunConfig)}
+    parsers = {f.name: _PARSERS[f.type.split("[")[0].split(" |")[0]]
+               for f in fields(RunConfig)}
     kv: dict[str, object] = {}
     line_of: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -563,22 +569,13 @@ def parse_run_config(text: str) -> RunConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key == "lambda":  # accepted alias for the regularization weight
             key = "reg_weight"
-        if key not in known:
+        if key not in parsers:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
         if key in kv:
             raise ConfigError(f"config line {ln}: duplicate key {key!r}")
         line_of[key] = ln
         try:
-            if key in _BOOL_KEYS:
-                kv[key] = _BOOL_WORDS[val.lower()]
-            elif key in _INT_KEYS:
-                kv[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                kv[key] = float(val)
-            elif key == "step_size_grid":
-                kv[key] = tuple(float(s) for s in val.split(",") if s.strip())
-            else:
-                kv[key] = val
+            kv[key] = parsers[key](val)
         except (KeyError, ValueError):
             raise ConfigError(f"config line {ln}: bad value for {key}: {val!r}") from None
     if "family" not in kv:

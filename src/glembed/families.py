@@ -1,9 +1,11 @@
 """Conditional families: log-likelihoods, moments, and analytic gradients.
 
 Each observation x is scored under an exponential-family conditional whose
-natural parameter comes from the context inner product (see core).  Scalar
-families share one vectorized engine; the categorical family (softmax over a
-vocabulary block, one active term per column) has its own.
+natural parameter comes from the context inner product (see core).  The
+kernels score a ``TermBatch`` of cells, or every cell of a matrix a
+``ColumnBlock`` at a time, in tables of at most ``BLOCK_CELLS`` cells.  A
+categorical term is a whole column, the softmax over its vocabulary rows,
+so that family is scored by column blocks only.
 
 Conventions fixed here:
 
@@ -16,6 +18,8 @@ Conventions fixed here:
   floored at RATE_FLOOR, with a counter.
 * Bernoulli: the linear value is the log-odds (canonical); the mean is
   logistic(eta) and the residual x - logistic(eta).
+* Categorical: the mean of a column is the softmax of its linear values
+  over the vocabulary rows, and the residual the one-hot column minus it.
 * Log-space banks (nonnegative Gaussian, additive Poisson) store logs of
   the effective parameters; gradients are returned in stored coordinates,
   i.e. the effective-parameter gradient times the effective parameter, and
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, log_softmax, softmax
 
 from .core import DataMatrix, EmbeddingBank, Link, TermBatch, scatter_rows
 from .errors import ConfigError, DataError
@@ -111,6 +115,9 @@ def validate_data(spec: FamilySpec, data: DataMatrix) -> None:
             raise DataError("categorical data needs exactly one active term per column")
         if len(data.vals) and not np.all(data.vals == 1.0):
             raise DataError("categorical entries must be indicator values 1")
+        if not data.implicit_zero:
+            raise DataError("categorical data must be implicit-zero: the unstored "
+                            "rows of a column are the terms not at its position")
 
 
 @dataclass
@@ -160,6 +167,8 @@ def _linear_values(data, ctx, bank, spec, batch: TermBatch, emb_rows=None):
     Returns (svals, S, counts, active), the last three as ``_context_sums``
     returns them.
     """
+    if spec.family is Family.CATEGORICAL:
+        raise ConfigError("categorical terms are scored per column block")
     S, counts, active = _context_sums(data, ctx, bank, spec, batch)
     if emb_rows is None:
         emb_rows = np.take(bank.effective_embeddings(), batch.rows, axis=0)
@@ -173,7 +182,8 @@ def _linear_values(data, ctx, bank, spec, batch: TermBatch, emb_rows=None):
 
 def _mean(spec, svals, counters):
     """Per-cell mean (expected sufficient statistic) at the given linear
-    values, counting the clamped and floored cells."""
+    values, counting the clamped and floored cells; the categorical
+    linear values are (vocabulary, columns) tables."""
     fam = spec.family
     if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
         return svals
@@ -189,7 +199,7 @@ def _mean(spec, svals, counters):
         return mean
     if fam is Family.BERNOULLI:
         return 1.0 / (1.0 + np.exp(-svals))
-    raise ConfigError("categorical cells are scored per column block")
+    return softmax(svals, axis=0)
 
 
 def _residual(spec, svals, x, counters):
@@ -213,6 +223,8 @@ def _log_likelihood(spec, svals, x, counters):
     if fam is Family.BERNOULLI:
         # log(1 + e^eta) as np.logaddexp(0, eta) computes it, in a third of its time
         return x * svals - (np.maximum(svals, 0.0) + np.log1p(np.exp(-np.abs(svals))))
+    if fam is Family.CATEGORICAL:
+        return x * log_softmax(svals, axis=0)
     mean = _mean(spec, svals, counters)
     if fam is Family.POISSON:
         return x * np.clip(svals, -ETA_CLAMP, ETA_CLAMP) - mean - gammaln(x + 1.0)
@@ -285,13 +297,17 @@ def conditional_means(data, ctx, bank, spec, batch: TermBatch, counters=None):
 BLOCK_CELLS = 1 << 17
 
 
-def _block_terms(data, scored, spec, zero_weight):
-    """Per ``ColumnBlock`` of ``data``, scored by the pass ``scored`` of
-    ``ctx.block``: (cells, svals, counts, weights).  The weights are
-    ``zero_weight`` at unstored cells and 0 at cells that a mean link drops
-    for an empty context, or None when all are 1; dropped cells get the
-    placeholder linear value of ``_linear_values``."""
-    for cells in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1))):
+def _block_terms(data, scored, spec, zero_weight, cols=None):
+    """Per ``ColumnBlock`` of the columns ``cols`` of ``data`` (of all when
+    None), scored by the pass ``scored`` of ``ctx.block``: (cells, svals,
+    counts, weights).  The weights are ``zero_weight`` at unstored cells
+    and 0 at cells that a mean link drops for an empty context, or None when
+    all are 1; dropped cells get the placeholder linear value of
+    ``_linear_values``.  A zero cell of categorical data is no term of its
+    own but part of its column's softmax, so it keeps weight 1."""
+    if spec.family is Family.CATEGORICAL:
+        zero_weight = 1.0
+    for cells in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1)), cols):
         svals, counts = scored.table(cells)
         w = None if zero_weight == 1.0 else np.where(cells.stored, 1.0, zero_weight)
         if spec.link.rescales_by_count:
@@ -312,15 +328,20 @@ def block_log_likelihood(data, ctx, bank, spec, zero_weight=1.0, counters=None) 
     return total
 
 
-def block_gradient(data, ctx, bank, spec, zero_weight=1.0, counters=None) -> Gradients:
-    """Gradient of ``block_log_likelihood`` in stored coordinates."""
+def block_gradient(data, ctx, bank, spec, zero_weight=1.0, counters=None, cols=None,
+                   weight=1.0) -> Gradients:
+    """Gradient of ``block_log_likelihood`` in stored coordinates, or of the
+    log-likelihood of the cells of the distinct columns ``cols`` only,
+    each term then weighted by ``weight``."""
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
     scored = ctx.block(data, emb, cv)
-    for cells, svals, counts, w in _block_terms(data, scored, spec, zero_weight):
+    for cells, svals, counts, w in _block_terms(data, scored, spec, zero_weight, cols):
         coef = _residual(spec, svals, cells.x, counters)
         if w is not None:
             coef *= w
+        if weight != 1.0:
+            coef *= weight
         if spec.link.rescales_by_count:
             coef /= np.maximum(counts, 1)
         scored.scatter(cells, coef)
@@ -334,56 +355,8 @@ def block_means(data, ctx, bank, spec):
     means = np.empty((data.n_rows, data.n_cols))
     for cells, svals, _, w in _block_terms(data, scored, spec, 1.0):
         m = _mean(spec, svals, None)
-        means[:, cells.lo:cells.hi] = m if w is None else m * w
+        means[:, cells.cols] = m if w is None else m * w
     return means
-
-
-# ---------------------------------------------------------------------------
-# categorical (softmax block per column; batch rows are the active terms)
-# ---------------------------------------------------------------------------
-
-def active_terms(data: DataMatrix) -> np.ndarray:
-    """The single active row per column of categorical indicator data."""
-    act = np.full(data.n_cols, -1, dtype=np.int64)
-    act[data.cols] = data.rows
-    if (act < 0).any():
-        raise DataError("categorical data needs one active term per column")
-    return act
-
-
-def categorical_term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
-    """Softmax log-likelihood of the active term of each column block."""
-    S, _, active = _context_sums(data, ctx, bank, spec, batch)
-    H = S @ bank.effective_embeddings().T           # (E, vocab)
-    Hm = H - H.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(Hm).sum(axis=1)) + H.max(axis=1)
-    ll = H[np.arange(len(batch)), batch.rows] - lse
-    return np.where(active, ll, 0.0), active
-
-
-def categorical_weighted_gradient(data, ctx, bank, spec, batch: TermBatch,
-                                  counters=None) -> Gradients:
-    """Gradient of the weighted softmax log-likelihood over column blocks."""
-    emb = bank.effective_embeddings()
-    cv = bank.effective_context_vectors()
-    g_emb = np.zeros_like(emb)
-    g_cv = np.zeros_like(cv)
-    if len(batch):
-        act = batch.rows
-        S, counts, active = _context_sums(data, ctx, bank, spec, batch)
-        w = np.where(active, 1.0 if batch.weights is None else batch.weights, 0.0)
-        H = S @ emb.T
-        Hm = H - H.max(axis=1, keepdims=True)
-        expH = np.exp(Hm)
-        probs = expH / expH.sum(axis=1, keepdims=True)
-        resid = -probs
-        resid[np.arange(len(batch)), act] += 1.0  # one-hot minus softmax
-        g_emb += (w[:, None] * resid).T @ S
-        back = w[:, None] * (emb[act] - probs @ emb)
-        if spec.link.rescales_by_count:
-            back = back / np.maximum(counts, 1)[:, None]
-        ctx.scatter_add(data, batch, back, g_cv)
-    return _stored_gradients(bank, emb, cv, g_emb, g_cv)
 
 
 # ---------------------------------------------------------------------------

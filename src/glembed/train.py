@@ -36,11 +36,8 @@ from .families import (
     Family,
     FamilySpec,
     Gradients,
-    active_terms,
     block_gradient,
     block_log_likelihood,
-    categorical_term_log_likelihoods,
-    categorical_weighted_gradient,
     log_prior,
     term_log_likelihoods,
     validate_bank,
@@ -133,43 +130,38 @@ def _zero_weight(data: DataMatrix, config: TrainConfig) -> float:
     return 1.0
 
 
-def _terms_of(data: DataMatrix, spec: FamilySpec, term_ids: np.ndarray) -> TermBatch:
-    """Terms by flat id: a column block (categorical), a row-major cell
-    (implicit-zero data) or a stored entry."""
-    ones = np.ones(len(term_ids), dtype=bool)
-    if spec.family is Family.CATEGORICAL:
-        return TermBatch(active_terms(data)[term_ids], term_ids, ones, ones)
-    if data.implicit_zero:
-        rows = term_ids // data.n_cols
-        cols = term_ids % data.n_cols
-        return TermBatch(rows, cols, *data.lookup(rows, cols))
-    return TermBatch(data.rows[term_ids], data.cols[term_ids], data.vals[term_ids], ones)
-
-
-def _every_cell_a_term(data: DataMatrix, spec: FamilySpec) -> bool:
+def _every_cell_a_term(data: DataMatrix) -> bool:
     """Whether every cell of ``data`` is a term (implicit-zero data, or
     explicit data with no missing cell), so that the exact objective and
     gradient score it by column blocks."""
-    return spec.family is not Family.CATEGORICAL and data.n_terms == data.n_rows * data.n_cols
+    return data.n_terms == data.n_rows * data.n_cols
 
 
-def _all_terms(data: DataMatrix, spec: FamilySpec) -> TermBatch:
-    """Every data term when not every cell is one: the column blocks of
-    categorical data, or the stored entries of explicit data."""
-    if spec.family is Family.CATEGORICAL:
-        return _terms_of(data, spec, np.arange(data.n_cols, dtype=np.int64))
+def _all_terms(data: DataMatrix) -> TermBatch:
+    """The stored entries: every data term when not every cell is one."""
     return TermBatch(data.rows, data.cols, data.vals, np.ones(data.nnz, dtype=bool))
 
 
-def _drawn_terms(data, spec, config: TrainConfig, rng, draw=None) -> TermBatch:
-    """``minibatch_size`` distinct terms drawn uniformly (or the term ids in
-    ``draw``), each weighted by #terms / #drawn."""
-    total = data.n_cols if spec.family is Family.CATEGORICAL else data.n_terms
+def _draw(total: int, size: int, rng, draw=None) -> np.ndarray:
+    """``size`` distinct ids below ``total`` drawn uniformly, or the ids in
+    ``draw``."""
     if draw is None:
-        draw = rng.choice(total, size=min(config.minibatch_size, total), replace=False)
-    draw = np.asarray(draw, dtype=np.int64)
-    batch = _terms_of(data, spec, draw)
-    batch.weights = np.full(len(draw), total / len(draw))
+        draw = rng.choice(total, size=min(size, total), replace=False)
+    return np.asarray(draw, dtype=np.int64)
+
+
+def _drawn_terms(data, config: TrainConfig, rng, draw=None) -> TermBatch:
+    """``minibatch_size`` distinct terms drawn uniformly (or the term ids in
+    ``draw``), each weighted by #terms / #drawn.  A term id is a row-major
+    cell of implicit-zero data, or a stored entry."""
+    draw = _draw(data.n_terms, config.minibatch_size, rng, draw)
+    weights = np.full(len(draw), data.n_terms / len(draw))
+    if data.implicit_zero:
+        rows, cols = np.divmod(draw, data.n_cols)
+        batch = TermBatch(rows, cols, *data.lookup(rows, cols), weights)
+    else:
+        batch = TermBatch(data.rows[draw], data.cols[draw], data.vals[draw],
+                          np.ones(len(draw), dtype=bool), weights)
     return batch.downweight_zeros(_zero_weight(data, config))
 
 
@@ -254,7 +246,7 @@ def _log_sample(data, spec, config: TrainConfig, rng) -> LogSample | None:
         return None
     if not data.implicit_zero:
         draw = rng.choice(data.nnz, LOG_TERMS, replace=False)
-        return LogSample(_drawn_terms(data, spec, config, rng, draw), [(LOG_TERMS, data.nnz)])
+        return LogSample(_drawn_terms(data, config, rng, draw), [(LOG_TERMS, data.nnz)])
     n_zero = data.n_rows * data.n_cols - data.nnz
     nz = np.arange(data.nnz) if data.nnz <= LOG_TERMS \
         else rng.choice(data.nnz, LOG_TERMS, replace=False)
@@ -278,16 +270,18 @@ def _stratified_stderr(z: np.ndarray, strata) -> float:
     return math.sqrt(var)
 
 
-def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters) -> Gradients:
+def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters,
+              cols=None) -> Gradients:
     """Gradient of the batch's weighted log-likelihood plus the log-prior;
-    a batch of None stands for every cell of ``data``."""
+    a batch of None stands for every cell of ``data``, or of its distinct
+    columns ``cols``, each of these then weighted by #columns / #cols."""
     validate_bank(spec, bank)
-    if batch is None:
-        g = block_gradient(data, ctx, bank, spec, _zero_weight(data, config), counters)
-    elif spec.family is Family.CATEGORICAL:
-        g = categorical_weighted_gradient(data, ctx, bank, spec, batch, counters)
-    else:
+    if batch is not None:
         g = weighted_term_gradient(data, ctx, bank, spec, batch, counters)
+    else:
+        weight = 1.0 if cols is None else data.n_cols / len(cols)
+        g = block_gradient(data, ctx, bank, spec, _zero_weight(data, config), counters, cols,
+                           weight)
     _, reg = log_prior(bank, config.reg_weight, config.regularizer)
     g.embeddings += reg.embeddings
     if not bank.tied:
@@ -298,9 +292,7 @@ def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters) 
 def _weighted_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters) -> np.ndarray:
     """Each term's log-likelihood times its weight."""
     validate_bank(spec, bank)
-    kernel = categorical_term_log_likelihoods if spec.family is Family.CATEGORICAL \
-        else term_log_likelihoods
-    ll, _ = kernel(data, ctx, bank, spec, batch, counters)
+    ll, _ = term_log_likelihoods(data, ctx, bank, spec, batch, counters)
     return ll if batch.weights is None else ll * batch.weights
 
 
@@ -308,8 +300,8 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
               zero_weight=1.0, counters=None) -> float:
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
-    if not _every_cell_a_term(data, spec):
-        ll = _weighted_log_likelihoods(data, ctx, bank, spec, _all_terms(data, spec), counters)
+    if not _every_cell_a_term(data):
+        ll = _weighted_log_likelihoods(data, ctx, bank, spec, _all_terms(data), counters)
         return float(ll.sum()) + log_prior(bank, reg_weight, regularizer)[0]
     validate_bank(spec, bank)
     return block_log_likelihood(data, ctx, bank, spec, zero_weight, counters) \
@@ -318,15 +310,18 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
 
 def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
     """Exact gradient of the objective."""
-    batch = None if _every_cell_a_term(data, spec) else _all_terms(data, spec)
+    batch = None if _every_cell_a_term(data) else _all_terms(data)
     return _gradient(data, ctx, bank, spec, batch, config, counters)
 
 
 def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
                        draw=None, counters=None) -> Gradients:
     """Unbiased subsampled gradient: I/|S| times a uniform term subsample,
-    or the term ids in ``draw``."""
-    return _gradient(data, ctx, bank, spec, _drawn_terms(data, spec, config, rng, draw),
+    or the term ids in ``draw``.  A categorical term is a whole column."""
+    if spec.family is Family.CATEGORICAL:
+        cols = _draw(data.n_cols, config.minibatch_size, rng, draw)
+        return _gradient(data, ctx, bank, spec, None, config, counters, cols)
+    return _gradient(data, ctx, bank, spec, _drawn_terms(data, config, rng, draw),
                      config, counters)
 
 

@@ -13,7 +13,10 @@ tables, the oracle of the library's one incidence-product scatter;
 table and the zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
 triplet file one line at a time, the oracle of the run-at-a-time reader and
-writer.
+writer.  ``categorical_term_log_likelihoods`` and
+``categorical_weighted_gradient`` score categorical columns as batches of
+their active terms, one (columns, vocabulary) softmax table per batch: the
+oracle of the column-block softmax.
 """
 
 import math
@@ -38,6 +41,7 @@ from glembed.evaluate import EvalReport
 from glembed.families import (
     Family,
     FamilySpec,
+    _context_sums,
     _linear_values,
     _residual,
     _stored_gradients,
@@ -264,8 +268,9 @@ class MemberPass:
     def _members(self, cells):
         """(n, t, [(x_j, row_j) per member]) of every cell of the block."""
         x = self.data.dense()
+        cols = np.arange(self.data.n_cols)[cells.cols]
         for n, t in np.ndindex(*cells.x.shape):
-            yield n, t, [(x[j], j[0]) for j in members(self.ctx, self.data, n, cells.lo + t)]
+            yield n, t, [(x[j], j[0]) for j in members(self.ctx, self.data, n, int(cols[t]))]
 
     def table(self, cells):
         H = np.zeros(cells.x.shape)
@@ -450,3 +455,47 @@ def family_instance(family, seed, **kw):
     data, ctx, bank = text_instance(seed, **kw)
     return data, ctx, bank, FamilySpec(Family.CATEGORICAL, Link.IDENTITY,
                                        vocab_size=data.n_rows)
+
+
+def active_terms(data):
+    """The single active row per column of categorical indicator data."""
+    act = np.full(data.n_cols, -1, dtype=np.int64)
+    act[data.cols] = data.rows
+    if (act < 0).any():
+        raise DataError("categorical data needs one active term per column")
+    return act
+
+
+def categorical_term_log_likelihoods(data, ctx, bank, spec, batch, counters=None):
+    """Softmax log-likelihood of the active term of each column of a batch
+    whose rows are the active terms and cols their columns."""
+    S, _, active = _context_sums(data, ctx, bank, spec, batch)
+    H = S @ bank.effective_embeddings().T           # (E, vocab)
+    Hm = H - H.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(Hm).sum(axis=1)) + H.max(axis=1)
+    ll = H[np.arange(len(batch)), batch.rows] - lse
+    return np.where(active, ll, 0.0), active
+
+
+def categorical_weighted_gradient(data, ctx, bank, spec, batch, counters=None):
+    """Gradient of the weighted softmax log-likelihood of the batch's columns."""
+    emb = bank.effective_embeddings()
+    cv = bank.effective_context_vectors()
+    g_emb = np.zeros_like(emb)
+    g_cv = np.zeros_like(cv)
+    if len(batch):
+        act = batch.rows
+        S, counts, active = _context_sums(data, ctx, bank, spec, batch)
+        w = np.where(active, 1.0 if batch.weights is None else batch.weights, 0.0)
+        H = S @ emb.T
+        Hm = H - H.max(axis=1, keepdims=True)
+        expH = np.exp(Hm)
+        probs = expH / expH.sum(axis=1, keepdims=True)
+        resid = -probs
+        resid[np.arange(len(batch)), act] += 1.0  # one-hot minus softmax
+        g_emb += (w[:, None] * resid).T @ S
+        back = w[:, None] * (emb[act] - probs @ emb)
+        if spec.link.rescales_by_count:
+            back = back / np.maximum(counts, 1)[:, None]
+        ctx.scatter_add(data, batch, back, g_cv)
+    return _stored_gradients(bank, emb, cv, g_emb, g_cv)

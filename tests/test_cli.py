@@ -355,6 +355,11 @@ _INPUT_FAULTS = {
     "train-log-nodir": (_TRAIN + ["--log", "{nodir}"], 2, "{nodir}"),
     "train-empty-train-part": (_TRAIN[:2] + ["{empty_train_cfg}"] + _TRAIN[3:], 2, None),
     "train-invalid-data-before-split": (_TRAIN[:2] + ["{poisson_cfg}"] + _TRAIN[3:], 3, None),
+    # a categorical column holds one entry, so these contexts of its active term are empty
+    "train-categorical-knn-context": (_TRAIN[:2] + ["{categorical_knn_cfg}"] + _TRAIN[3:], 2,
+                                      "config line 2"),
+    "train-categorical-basket-context": (_TRAIN[:2] + ["{categorical_basket_cfg}"] + _TRAIN[3:],
+                                         2, "config line 2"),
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -384,6 +389,11 @@ def fault_paths(toy_run):
     # Gaussian data hold negative values; the train part alone is empty
     poisson_cfg = root / "poisson.cfg"
     poisson_cfg.write_text(empty_train_cfg.read_text().replace("gaussian", "poisson"))
+    categorical_cfgs = {}
+    for context in ("knn", "basket"):
+        cfg = root / f"categorical_{context}.cfg"
+        cfg.write_text(f"family = categorical\ncontext = {context}\n")
+        categorical_cfgs[f"categorical_{context}_cfg"] = str(cfg)
     model = root / "fault.model"
     assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                  "--locations", toy_run["locations"], "--out", str(model)]) == 0
@@ -391,7 +401,8 @@ def fault_paths(toy_run):
                 config=toy_run["config"], model=str(model), out=str(root / "out"),
                 missing=str(root / "missing.tsv"), latin1=str(latin1),
                 nodir=str(root / "no-such-dir" / "out"),
-                empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg))
+                empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg),
+                **categorical_cfgs)
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))

@@ -10,8 +10,6 @@ from glembed.families import (
     FamilySpec,
     _log_likelihood,
     _residual,
-    active_terms,
-    categorical_term_log_likelihoods,
     conditional_means,
     term_log_likelihoods,
     validate_data,
@@ -21,7 +19,9 @@ from glembed.train import TrainConfig, full_gradient
 
 from helpers import (
     ExplicitContext,
+    active_terms,
     assert_grad_close,
+    categorical_term_log_likelihoods,
     cells,
     dense_matrix,
     family_instance,
@@ -173,6 +173,15 @@ def test_validate_data_rejects_bad_support():
     with pytest.raises(DataError):
         validate_data(FamilySpec(Family.BERNOULLI),
                       dense_matrix(np.array([[0.5, 1.0]])))
+
+
+def test_categorical_terms_are_implicit_zero_columns_scored_by_blocks():
+    data, ctx, bank, spec = family_instance(Family.CATEGORICAL, 5)
+    explicit = DataMatrix(data.n_rows, data.n_cols, data.rows, data.cols, data.vals)
+    with pytest.raises(DataError, match="implicit-zero"):
+        validate_data(spec, explicit)
+    with pytest.raises(ConfigError, match="column block"):
+        term_log_likelihoods(data, ctx, bank, spec, cells(data, data.rows, data.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from glembed.dataio import (
     write_triplets,
 )
 from glembed.errors import CompatibilityError, ConfigError, DataError
+from glembed.families import Family
 
 from helpers import dense_lag, dense_matrix, fstring_write_triplets, line_loop_read_triplets
 
@@ -289,6 +290,39 @@ def test_ingest_min_count_threshold_boundary(tmp_path):
     assert data.nnz == 10
 
 
+def loop_min_count_filter(entries, min_row_count, min_col_count):
+    """The min-count filters of ``ingest`` one entry at a time: rows of fewer
+    than ``min_row_count`` entries go first, then columns of fewer than
+    ``min_col_count`` of the rest.  Returns (row labels, column labels,
+    kept (row, col, value) entries)."""
+    labels = [list(dict.fromkeys(e[axis] for e in entries)) for axis in (0, 1)]
+    for axis, min_count in ((0, min_row_count), (1, min_col_count)):
+        if min_count > 0:
+            counts = {}
+            for e in entries:
+                counts[e[axis]] = counts.get(e[axis], 0) + 1
+            labels[axis] = [k for k in labels[axis] if counts.get(k, 0) >= min_count]
+            entries = [e for e in entries if counts[e[axis]] >= min_count]
+    return labels[0], labels[1], entries
+
+
+@pytest.mark.parametrize("min_row_count, min_col_count", [(0, 3), (5, 3), (6, 2)])
+def test_ingest_min_count_filters_match_a_loop_oracle(tmp_path, min_row_count, min_col_count):
+    rng = np.random.default_rng(min_row_count + 10 * min_col_count)
+    cells = np.argwhere(rng.random((8, 12)) < 0.45)
+    entries = [(f"r{r}", f"c{c}", float(rng.integers(1, 5))) for r, c in rng.permutation(cells)]
+    p = _write(tmp_path, "counts.tsv", "row\tcol\tvalue\n"
+               + "".join(f"{r}\t{c}\t{v:g}\n" for r, c, v in entries))
+    data = ingest(p, implicit_zero=True, min_row_count=min_row_count,
+                  min_col_count=min_col_count)
+    row_labels, col_labels, kept = loop_min_count_filter(entries, min_row_count, min_col_count)
+    assert 0 < len(kept) < len(entries)
+    assert (data.row_labels, data.col_labels) == (row_labels, col_labels)
+    assert (data.n_rows, data.n_cols) == (len(row_labels), len(col_labels))
+    assert [(data.row_labels[r], data.col_labels[c], v) for r, c, v in
+            zip(data.rows.tolist(), data.cols.tolist(), data.vals.tolist())] == kept
+
+
 def test_ingest_row_vocab_remap_and_unknown(tmp_path):
     p = _write(tmp_path, "v.tsv", "row\tcol\tvalue\nb\tt0\t1\na\tt0\t2\n")
     data = ingest(p, row_vocab=["a", "b", "c"])
@@ -496,6 +530,23 @@ def test_run_config_unset_and_zero_keys_keep_their_resolution():
         (10.0, 500, 100, 0)
     # the canonical text of a config that was valid before is unchanged
     assert parse_run_config("family = gaussian\n").digest() == "91b1680c9c7d"
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family])
+def test_run_config_canonical_text_parses_back_to_the_config(family):
+    cfg = parse_run_config(f"family = {family}\n")
+    assert parse_run_config(cfg.canonical_text()) == cfg
+
+
+def test_run_config_canonical_text_parses_back_non_default_values():
+    # a value of every field type: bool, int, int | None, float,
+    # float | None, tuple[float, ...] and str
+    cfg = RunConfig(family="poisson", lag=True, rating_shift=True, k=7, iterations=12,
+                    implicit_zero=0, min_col_count=2, sigma2=0.3, reg_weight=2.5,
+                    step_size_grid=(0.2, 0.03), zero_estimator="downweight", split="ratings")
+    back = parse_run_config(cfg.canonical_text())
+    assert back == cfg
+    assert [type(v) for v in vars(back).values()] == [type(v) for v in vars(cfg).values()]
 
 
 def test_run_config_digest_is_stable_and_sensitive():

@@ -45,7 +45,10 @@ from glembed.train import (
 
 from helpers import (
     ExplicitContext,
+    active_terms,
     add_at_rows,
+    categorical_term_log_likelihoods,
+    categorical_weighted_gradient,
     cells,
     count_instance,
     dense_draw_zero_cells,
@@ -258,6 +261,71 @@ def test_column_block_objective_memory_is_bounded():
         tracemalloc.stop()
     assert math.isfinite(value)
     assert peak < 32 * 2**20
+
+
+def _column_terms(data, cols, weight=None):
+    """The columns ``cols`` of categorical data as the softmax oracle's
+    batch of their active terms."""
+    cols = np.asarray(cols, dtype=np.int64)
+    ones = np.ones(len(cols), dtype=bool)
+    weights = None if weight is None else np.full(len(cols), weight)
+    return TermBatch(active_terms(data)[cols], cols, ones, ones, weights)
+
+
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+def test_categorical_column_blocks_match_the_softmax_oracle(link):
+    data, ctx, bank, _ = family_instance(Family.CATEGORICAL, 71, vocab=7, length=40)
+    spec = FamilySpec(Family.CATEGORICAL, link, vocab_size=data.n_rows)
+    cfg = TrainConfig(reg_weight=0.5, estimator="minibatch", minibatch_size=9)
+    prior, prior_grad = log_prior(bank, 0.5, "l2")
+
+    def assert_matches(g, ref):
+        for table, ref_table, reg in ((g.embeddings, ref.embeddings, prior_grad.embeddings),
+                                      (g.context_vectors, ref.context_vectors,
+                                       prior_grad.context_vectors)):
+            np.testing.assert_allclose(table, ref_table + reg, rtol=1e-12, atol=1e-15)
+
+    every = _column_terms(data, np.arange(data.n_cols))
+    ll, _ = categorical_term_log_likelihoods(data, ctx, bank, spec, every)
+    assert objective(data, ctx, bank, spec, 0.5) == pytest.approx(float(ll.sum()) + prior,
+                                                                  rel=1e-12)
+    assert_matches(full_gradient(data, ctx, bank, spec, cfg),
+                   categorical_weighted_gradient(data, ctx, bank, spec, every))
+    draw = np.array([31, 0, 17, 5, 39, 22, 8, 12, 3])
+    assert_matches(minibatch_gradient(data, ctx, bank, spec, cfg, None, draw=draw),
+                   categorical_weighted_gradient(data, ctx, bank, spec,
+                                                 _column_terms(data, draw, 40 / 9)))
+
+
+def test_categorical_zero_cells_are_never_downweighted():
+    # a zero cell of categorical data is part of its column's softmax, not a term
+    data, ctx, bank, spec = family_instance(Family.CATEGORICAL, 72)
+    base = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.5))
+    low = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=0.5, downweight=0.1,
+                                                           zero_estimator="downweight"))
+    assert base.embeddings.tobytes() == low.embeddings.tobytes()
+    assert base.context_vectors.tobytes() == low.context_vectors.tobytes()
+
+
+def test_categorical_objective_and_gradient_memory_is_bounded():
+    # at vocabulary 2000 and 20k tokens, one (tokens, vocabulary) softmax
+    # table takes 305 MiB
+    rng = np.random.default_rng(1)
+    length = 20000
+    data = DataMatrix(2000, length, rng.integers(0, 2000, length), np.arange(length),
+                      np.ones(length), implicit_zero=True)
+    ctx = build_window_context(length, WindowSpec(2), data)
+    bank = EmbeddingBank.init_random(2000, 8, seed=2)
+    spec = FamilySpec(Family.CATEGORICAL, vocab_size=2000)
+    for score in (lambda: objective(data, ctx, bank, spec, 0.0, "none"),
+                  lambda: full_gradient(data, ctx, bank, spec, TrainConfig(regularizer="none"))):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 # ---------------------------------------------------------------------------
