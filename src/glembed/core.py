@@ -144,10 +144,14 @@ class DataMatrix:
         # count the entries at or before each query
         q = np.asarray(q)
         order = np.argsort(q)
-        q_sorted = q[order]
-        at = np.searchsorted(q_sorted, self._keys - np.arange(self.nnz))
+        q_sorted = q[order].astype(np.int64, copy=False)
+        counts = np.bincount(np.searchsorted(q_sorted, self._keys - np.arange(self.nnz)),
+                             minlength=len(q) + 1)
+        q_sorted += np.cumsum(counts, out=counts)[:len(q)]
+        del counts
         ids = np.empty(len(q), dtype=np.int64)
-        ids[order] = q_sorted + np.cumsum(np.bincount(at, minlength=len(q) + 1))[:len(q)]
+        ids[order] = q_sorted
+        del order, q_sorted
         return np.divmod(ids, self.n_cols)
 
     def dense(self) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .core import DataMatrix, EmbeddingBank, Link, sorted_cell_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .families import Family, FamilySpec, default_link
-from .train import TrainConfig
+from .train import TrainConfig, sparse_fault
 
 MODEL_MAGIC = "#glembed-model v1"
 # characters per run of lines that read_triplets parses at once
@@ -515,6 +515,13 @@ class RunConfig:
                               f"{self.context!r}", "context")
         if self.split not in ("columns", "ratings", "none"):
             raise ConfigError(f"unknown split {self.split!r}", "split")
+        if self.estimator == "sparse":
+            fault = sparse_fault(bool(self.implicit_zero), Family(self.family))
+            if fault is not None:
+                # name the line that departs from the family's defaults: a family
+                # that defaults to sparse fails only on an explicit implicit_zero = 0
+                default = _ARCHETYPE_DEFAULTS[self.family][2]
+                raise ConfigError(fault, "implicit_zero" if default == "sparse" else "estimator")
 
     def family_spec(self, vocab_size: int = 0) -> FamilySpec:
         return FamilySpec(Family(self.family), Link(self.link),

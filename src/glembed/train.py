@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +184,10 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
         # redraw rows until each term's draw is duplicate-free; cheap when
         # the zero set dwarfs the per-term sample
         idx = rng.integers(0, n_zero, size=(n_terms, k))
+        srt = np.empty_like(idx)
         for _ in range(200):
-            srt = np.sort(idx, axis=1)
+            srt[...] = idx
+            srt.sort(axis=1)
             bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
             if not bad.any():
                 break
@@ -191,9 +195,33 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
         else:
             for row in range(n_terms):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
+        del srt, bad
         picked = idx.ravel()
     rows, cols = data.zero_cells(picked)
     return rows, cols, n_terms * k, n_zero
+
+
+def _zero_draws(pool: ThreadPoolExecutor, data: DataMatrix, config: TrainConfig, rng):
+    """The zero cells of each of the ``n_iterations`` sparse steps, as (S, 2)
+    arrays of (row, col).  Each draw runs on ``pool``'s worker while the
+    caller takes the step before it; the draws run one after another, so
+    they consume ``rng`` in the order of a serial loop.  A draw waits in
+    memory through the step before its own, so it is held in the narrowest
+    unsigned integers that fit the matrix."""
+    dtype = np.min_scalar_type(max(data.n_rows, data.n_cols))
+
+    def draw():
+        rows, cols, _, _ = _draw_zero_cells(data, data.nnz, config.negative_samples, rng)
+        cells = np.empty((len(rows), 2), dtype)
+        cells[:, 0], cells[:, 1] = rows, cols
+        return cells
+
+    pending = pool.submit(draw)
+    for it in range(1, config.n_iterations + 1):
+        cells = pending.result()
+        if it < config.n_iterations:
+            pending = pool.submit(draw)
+        yield cells
 
 
 def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
@@ -325,15 +353,28 @@ def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
                      config, counters)
 
 
+def sparse_fault(implicit_zero: bool, family: Family) -> str | None:
+    """Why the sparse estimator cannot fit data of ``family`` with this
+    ``implicit_zero`` flag, or None when it can."""
+    if family is Family.CATEGORICAL:
+        return "sparse estimator does not apply to the categorical family"
+    if not implicit_zero:
+        return "sparse estimator requires implicit-zero data"
+    return None
+
+
+def _check_sparse(data, spec) -> None:
+    fault = sparse_fault(data.implicit_zero, spec.family)
+    if fault is not None:
+        raise ConfigError(fault)
+
+
 def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
                     zero_draw=None, counters=None) -> Gradients:
     """Zero/nonzero split gradient for implicit-zero data: the nonzero terms
     plus zero cells drawn per nonzero term, or the (row, col) pairs in
     ``zero_draw``, in one batch."""
-    if not data.implicit_zero:
-        raise ConfigError("sparse estimator requires implicit-zero data")
-    if spec.family is Family.CATEGORICAL:
-        raise ConfigError("sparse estimator does not apply to the categorical family")
+    _check_sparse(data, spec)
     return _gradient(data, ctx, bank, spec, _sampled_terms(data, config, rng, zero_draw),
                      config, counters)
 
@@ -379,9 +420,18 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
 
     Deterministic given the seed.  ``on_log`` is called as
     ``on_log(iteration, bank, state)`` at every logging point.
+
+    The sparse estimator draws each step's zero cells one step ahead, on
+    one worker thread that lives for the call, while this thread takes the
+    step before.  The draws consume the training stream in the order of a
+    serial loop, so the bank and log are the same bytes; the cost is the
+    memory of one more draw's working set.  The full and minibatch
+    estimators start no thread.
     """
     config.validate()
     validate_data(spec, data)
+    if config.estimator == "sparse":
+        _check_sparse(data, spec)
     if bank is None:
         bank = EmbeddingBank.init_random(
             data.n_rows, config.dim, seed=config.seed,
@@ -406,17 +456,21 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
             on_log(it, bank, state)
 
     record(0)
-    for it in range(1, config.n_iterations + 1):
-        if config.estimator == "full":
-            g = full_gradient(data, ctx, bank, spec, config, counters)
-        elif config.estimator == "minibatch":
-            g = minibatch_gradient(data, ctx, bank, spec, config, rng, counters=counters)
-        else:
-            g = sparse_gradient(data, ctx, bank, spec, config, rng, counters=counters)
-        adagrad_step(g, state, bank, config)
-        _check_finite(bank, it)
-        if it % config.log_every == 0 or it == config.n_iterations:
-            record(it)
+    sparse = config.estimator == "sparse"
+    with ThreadPoolExecutor(1) if sparse else nullcontext() as pool:
+        draws = _zero_draws(pool, data, config, rng) if sparse else None
+        for it in range(1, config.n_iterations + 1):
+            if config.estimator == "full":
+                g = full_gradient(data, ctx, bank, spec, config, counters)
+            elif config.estimator == "minibatch":
+                g = minibatch_gradient(data, ctx, bank, spec, config, rng, counters=counters)
+            else:
+                g = sparse_gradient(data, ctx, bank, spec, config, None, zero_draw=next(draws),
+                                    counters=counters)
+            adagrad_step(g, state, bank, config)
+            _check_finite(bank, it)
+            if it % config.log_every == 0 or it == config.n_iterations:
+                record(it)
     return bank, log
 
 

@@ -16,7 +16,9 @@ triplet file one line at a time, the oracle of the run-at-a-time reader and
 writer.  ``categorical_term_log_likelihoods`` and
 ``categorical_weighted_gradient`` score categorical columns as batches of
 their active terms, one (columns, vocabulary) softmax table per batch: the
-oracle of the column-block softmax.
+oracle of the column-block softmax.  ``serial_sparse_train`` is the sparse
+estimator's training loop with every zero-cell draw taken on the calling
+thread just before its step, the oracle of the one-step-ahead draw.
 """
 
 import math
@@ -39,6 +41,7 @@ from glembed.dataio import _detect_delimiter, atomic_write, read_text
 from glembed.errors import DataError
 from glembed.evaluate import EvalReport
 from glembed.families import (
+    ClampCounters,
     Family,
     FamilySpec,
     _context_sums,
@@ -47,7 +50,14 @@ from glembed.families import (
     _stored_gradients,
     conditional_means,
 )
-from glembed.train import objective
+from glembed.train import (
+    OptimizerState,
+    _log_sample,
+    adagrad_step,
+    estimate_objective,
+    objective,
+    sparse_gradient,
+)
 
 
 def fd_gradient(data, ctx, bank, spec, reg_weight, regularizer="l2",
@@ -373,6 +383,35 @@ def dense_draw_zero_cells(data, n_terms, per_term, rng):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
         picked = idx.ravel()
     return *dense_zero_cells(data, picked), n_terms * k, n_zero
+
+
+def serial_sparse_train(data, ctx, spec, config):
+    """``train`` of the sparse estimator as a serial loop: the same seeded
+    streams, then per step the zero-cell draw inside ``sparse_gradient`` and
+    the Adagrad step, all on the calling thread.  Returns the bank and the
+    log as (iteration, objective, stderr, eta_clamped, rate_floored)."""
+    bank = EmbeddingBank.init_random(data.n_rows, config.dim, seed=config.seed,
+                                     log_space=spec.needs_log_space, tied=config.tied,
+                                     scale=config.init_scale)
+    rng, log_rng = (np.random.default_rng(s)
+                    for s in np.random.SeedSequence(config.seed).spawn(2))
+    state = OptimizerState.for_bank(bank)
+    counters = ClampCounters()
+    sample = _log_sample(data, spec, config, log_rng)
+    log = []
+
+    def record(it):
+        obj, stderr = estimate_objective(data, ctx, bank, spec, config, sample, counters)
+        log.append((it, obj, stderr, counters.eta_clamped, counters.rate_floored))
+        counters.reset()
+
+    record(0)
+    for it in range(1, config.n_iterations + 1):
+        g = sparse_gradient(data, ctx, bank, spec, config, rng, counters=counters)
+        adagrad_step(g, state, bank, config)
+        if it % config.log_every == 0 or it == config.n_iterations:
+            record(it)
+    return bank, log
 
 
 def cells(data, rows, cols):

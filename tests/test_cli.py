@@ -360,6 +360,11 @@ _INPUT_FAULTS = {
                                       "config line 2"),
     "train-categorical-basket-context": (_TRAIN[:2] + ["{categorical_basket_cfg}"] + _TRAIN[3:],
                                          2, "config line 2"),
+    # the sparse estimator needs implicit-zero data of a non-categorical family
+    "train-sparse-explicit-data": (_TRAIN[:2] + ["{sparse_explicit_cfg}"] + _TRAIN[3:], 2,
+                                   "config line 2"),
+    "train-sparse-categorical": (_TRAIN[:2] + ["{sparse_categorical_cfg}"] + _TRAIN[3:], 2,
+                                 "config line 2"),
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -394,6 +399,12 @@ def fault_paths(toy_run):
         cfg = root / f"categorical_{context}.cfg"
         cfg.write_text(f"family = categorical\ncontext = {context}\n")
         categorical_cfgs[f"categorical_{context}_cfg"] = str(cfg)
+    sparse_cfgs = {}
+    for name, text in (("explicit", "family = poisson\nimplicit_zero = 0\n"),
+                       ("categorical", "family = categorical\nestimator = sparse\n")):
+        cfg = root / f"sparse_{name}.cfg"
+        cfg.write_text(text)
+        sparse_cfgs[f"sparse_{name}_cfg"] = str(cfg)
     model = root / "fault.model"
     assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                  "--locations", toy_run["locations"], "--out", str(model)]) == 0
@@ -402,7 +413,7 @@ def fault_paths(toy_run):
                 missing=str(root / "missing.tsv"), latin1=str(latin1),
                 nodir=str(root / "no-such-dir" / "out"),
                 empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg),
-                **categorical_cfgs)
+                **categorical_cfgs, **sparse_cfgs)
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))

@@ -540,10 +540,12 @@ def test_run_config_canonical_text_parses_back_to_the_config(family):
 
 def test_run_config_canonical_text_parses_back_non_default_values():
     # a value of every field type: bool, int, int | None, float,
-    # float | None, tuple[float, ...] and str
+    # float | None, tuple[float, ...] and str; explicit data need an
+    # estimator other than the family's default sparse one
     cfg = RunConfig(family="poisson", lag=True, rating_shift=True, k=7, iterations=12,
                     implicit_zero=0, min_col_count=2, sigma2=0.3, reg_weight=2.5,
-                    step_size_grid=(0.2, 0.03), zero_estimator="downweight", split="ratings")
+                    step_size_grid=(0.2, 0.03), zero_estimator="downweight", split="ratings",
+                    estimator="full")
     back = parse_run_config(cfg.canonical_text())
     assert back == cfg
     assert [type(v) for v in vars(back).values()] == [type(v) for v in vars(cfg).values()]

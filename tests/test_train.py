@@ -1,6 +1,8 @@
 import collections
+import importlib
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from glembed.families import (
 from glembed.evaluate import SplitSpec, make_split, normalized_predictive_ll
 from glembed.train import (
     LOG_TERMS,
+    ZERO_ESTIMATORS,
     OptimizerState,
     TrainConfig,
     _draw_zero_cells,
@@ -58,8 +61,13 @@ from helpers import (
     fd_gradient,
     gaussian_instance,
     prefix_gather_window_table,
+    serial_sparse_train,
     text_instance,
 )
+
+
+# the module, which the package's function ``train`` hides from attribute paths
+TRAIN = importlib.import_module("glembed.train")
 
 
 # ---------------------------------------------------------------------------
@@ -890,3 +898,137 @@ def test_log_every_below_one_is_config_error(log_every):
     data, ctx, bank, spec = family_instance(Family.GAUSSIAN, 0)
     with pytest.raises(ConfigError, match="log_every"):
         train(data, ctx, spec, TrainConfig(dim=bank.dim, n_iterations=3, log_every=log_every))
+
+
+# ---------------------------------------------------------------------------
+# one-step-ahead zero-cell draw
+# ---------------------------------------------------------------------------
+
+def _sparse_instance(case):
+    """(data, ctx, spec) of a sparse archetype; the window and the Poisson
+    basket instances are above the exact-logging threshold."""
+    if case == "bernoulli-window":
+        data, ctx, _ = text_instance(60, vocab=30, length=400)
+        return data, ctx, FamilySpec(Family.BERNOULLI)
+    if case == "poisson-basket":
+        data, ctx, _ = count_instance(61, n=40, t=250, density=0.1)
+        return data, ctx, FamilySpec(Family.POISSON)
+    data, ctx, _ = count_instance(62, n=20, t=60, density=0.3, log_space=True)
+    return data, ctx, FamilySpec(Family.ADDITIVE_POISSON, Link.LOG)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("zero_estimator", ZERO_ESTIMATORS)
+@pytest.mark.parametrize("case", ["bernoulli-window", "poisson-basket",
+                                  "additive_poisson-basket"])
+def test_draws_ahead_give_the_serial_bank_and_log(case, zero_estimator, tied):
+    data, ctx, spec = _sparse_instance(case)
+    cfg = TrainConfig(dim=3, estimator="sparse", negative_samples=3,
+                      zero_estimator=zero_estimator, downweight=0.3, tied=tied,
+                      n_iterations=8, log_every=3, reg_weight=0.1, step_size=0.2, seed=9)
+    got, got_log = train(data, ctx, spec, cfg)
+    want, want_log = serial_sparse_train(data, ctx, spec, cfg)
+    assert got.tied == want.tied == tied
+    for table, ref in ((got.embeddings, want.embeddings),
+                       (got.context_vectors, want.context_vectors)):
+        assert table.tobytes() == ref.tobytes()
+    assert [(r.iteration, r.objective, r.objective_stderr, r.eta_clamped, r.rate_floored)
+            for r in got_log] == want_log
+    assert (got_log[-1].objective_stderr > 0.0) == (data.n_terms > 2 * LOG_TERMS)
+
+
+def _hygiene_fit(**kw):
+    data, ctx, _ = text_instance(63, vocab=12, length=150)
+    cfg = TrainConfig(dim=3, estimator="sparse", negative_samples=3, n_iterations=6,
+                      log_every=2, reg_weight=0.1, step_size=0.2, seed=3)
+    for key, value in kw.items():
+        setattr(cfg, key, value)
+    return train(data, ctx, FamilySpec(Family.BERNOULLI), cfg)
+
+
+def _nth_call(fn, n, then):
+    """``fn`` that calls ``then(*args)`` after it on its ``n``-th call."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if next(calls) == n:
+            then(*args)
+        return out
+    return wrapper
+
+
+def test_sparse_draws_run_on_one_worker_that_ends_with_the_call(monkeypatch):
+    drawn_on = []
+
+    def noted(*args):
+        drawn_on.append(threading.current_thread())
+        return _draw_zero_cells(*args)
+    monkeypatch.setattr(TRAIN, "_draw_zero_cells", noted)
+    before = set(threading.enumerate())
+    _, log = _hygiene_fit()
+    assert set(threading.enumerate()) == before
+    assert len(log) == 4 and len(drawn_on) == 6
+    assert len(set(drawn_on)) == 1 and drawn_on[0] is not threading.current_thread()
+    assert not drawn_on[0].is_alive()
+
+
+def test_no_worker_outlives_a_numeric_abort(monkeypatch):
+    def poison(grads, state, bank, config):
+        bank.embeddings[0, 0] = np.nan
+    monkeypatch.setattr(TRAIN, "adagrad_step", _nth_call(adagrad_step, 3, poison))
+    before = set(threading.enumerate())
+    with pytest.raises(NumericAbortError, match="iteration 3"):
+        _hygiene_fit()
+    assert set(threading.enumerate()) == before
+
+
+def test_a_failing_draw_surfaces_unchanged_and_ends_the_worker(monkeypatch):
+    failure = RuntimeError("zero-cell draw failed")
+
+    def fail(*args):
+        raise failure
+    monkeypatch.setattr(TRAIN, "_draw_zero_cells", _nth_call(_draw_zero_cells, 3, fail))
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError) as info:
+        _hygiene_fit()
+    assert info.value is failure
+    assert set(threading.enumerate()) == before
+
+
+def test_repeated_fits_leave_no_worker_behind():
+    # one fit per step size, as the step-size grid runs them
+    before = set(threading.enumerate())
+    banks = [_hygiene_fit(step_size=step)[0] for step in (0.01, 0.05, 0.1, 0.5)]
+    assert set(threading.enumerate()) == before
+    assert len({b.embeddings.tobytes() for b in banks}) == 4
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread pool was made")
+
+
+def test_full_and_minibatch_fits_start_no_thread(monkeypatch):
+    monkeypatch.setattr(TRAIN, "ThreadPoolExecutor", _no_thread)
+    data, ctx, _, spec = family_instance(Family.POISSON, 64)
+    for estimator in ("full", "minibatch"):
+        cfg = TrainConfig(dim=3, estimator=estimator, minibatch_size=10, n_iterations=3)
+        _, log = train(data, ctx, spec, cfg)
+        assert len(log) == 2
+
+
+@pytest.mark.parametrize("family, fault", [(Family.GAUSSIAN, "requires implicit-zero data"),
+                                           (Family.CATEGORICAL, "does not apply")])
+@pytest.mark.parametrize("n_iterations", [0, 3])
+def test_sparse_on_data_it_cannot_fit_fails_before_any_work(family, fault, n_iterations,
+                                                            monkeypatch):
+    # it used to pass with no iterations, and otherwise fail at iteration 1
+    # after the initial objective
+    def no_objective(*args, **kwargs):
+        raise AssertionError("objective logged")
+    monkeypatch.setattr(TRAIN, "ThreadPoolExecutor", _no_thread)
+    monkeypatch.setattr(TRAIN, "estimate_objective", no_objective)
+    data, ctx, _, spec = family_instance(family, 65)
+    cfg = TrainConfig(dim=3, estimator="sparse", n_iterations=n_iterations)
+    with pytest.raises(ConfigError, match=f"sparse estimator {fault}"):
+        train(data, ctx, spec, cfg)
