@@ -8,8 +8,9 @@ Three builders cover the application patterns:
 
 Each context map takes a ``TermBatch`` of cells and computes their context
 sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
-gradient scatter onto the members' rows (``scatter_add``) that the training
-engine and the scoring protocols use.  Every scatter onto rows or columns
+gradient scatter onto the members' rows (``scatter_add``) that the sampled
+estimators and the logged objective use; kNN members are read with
+``DataMatrix.lookup``.  Every scatter onto rows or columns
 goes through ``core.scatter_rows``, one product with a sparse incidence
 matrix that adds each entry into a zeroed table in entry order, so its sums
 are byte for byte those of the ``add.at`` ufunc method into zeros.  The
@@ -17,7 +18,8 @@ window table reads its prefix sums as slices with repeated edge rows: the
 same rows as a gather at the clipped window ends, and the same
 subtractions.  ``block`` scores every cell of a matrix instead, one
 ``ColumnBlock`` at a time, as matrix products: the entity relation times
-the data times the column relation.  A member is a present cell: a cell
+the data times the column relation (the exact objective, the full gradient
+and the held-out protocols).  A member is a present cell: a cell
 missing from explicit data is never one.  Maps are immutable after
 construction.
 """
@@ -66,12 +68,11 @@ class KnnContext:
     def _members(self, data, batch: TermBatch):
         """Neighbor rows of each batch cell, their values with missing cells
         set to 0, and the count of present neighbors."""
-        nb = self.neighbors[batch.rows]                # (E, k)
-        vals = data.dense()[nb, batch.cols[:, None]]   # (E, k)
-        if data.n_terms == data.n_rows * data.n_cols:  # no cell is missing
+        nb = self.neighbors[batch.rows]                        # (E, k)
+        vals, present = data.lookup(nb, batch.cols[:, None])   # (E, k)
+        if data.every_cell_a_term:  # no cell is missing
             return nb, vals, np.full(len(nb), nb.shape[1], dtype=np.int64)
-        present = ~np.isnan(vals)
-        return nb, np.where(present, vals, 0.0), present.sum(axis=1)
+        return nb, vals, present.sum(axis=1)
 
     def sums(self, data, cv, batch: TermBatch):
         """Context inner sums for a batch of cells.
@@ -211,8 +212,8 @@ class _KnnPass:
         self.M = _neighbor_matrix(neighbors, np.einsum("nd,nkd->nk", emb, cv[neighbors]))
         self.G = np.zeros(neighbors.shape)
         # with no cell missing every neighbor is a member; else count the present ones
-        self.W = None if data.n_terms == data.n_rows * data.n_cols \
-            else _neighbor_matrix(neighbors, np.ones(neighbors.shape))
+        self.W = None if data.every_cell_a_term else \
+            _neighbor_matrix(neighbors, np.ones(neighbors.shape))
 
     def table(self, cells: ColumnBlock):
         if self.W is None:

@@ -36,17 +36,6 @@ def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
     return keys, order, int(repeats.min()) if len(repeats) else -1
 
 
-def _search_sorted(keys: np.ndarray, q) -> np.ndarray:
-    """``np.searchsorted(keys, q)``, searching the queries in sorted
-    order: the same positions, in about a third of the time for many
-    unsorted queries."""
-    q = np.asarray(q)
-    order = np.argsort(q)
-    at = np.empty(len(q), dtype=np.intp)
-    at[order] = np.searchsorted(keys, q[order])
-    return at
-
-
 def scatter_rows(idx, v: np.ndarray, n: int, scale=None) -> np.ndarray:
     """Sums of the rows of ``v`` by index: out[i] is the sum of scale[p] *
     v[p[0]] over the positions p of ``idx`` with idx[p] == i.
@@ -77,7 +66,9 @@ class DataMatrix:
     When ``implicit_zero`` is true, absent cells are observations with value
     zero (count/binary data); the number of data terms is then
     ``n_rows * n_cols``.  When false, absent cells are missing and only the
-    stored entries are data terms.
+    stored entries are data terms.  ``lookup`` searches the entries' sorted
+    row-major cell keys and ``column_blocks`` hands out runs of columns: no
+    dense (n_rows, n_cols) array is built.
     """
 
     def __init__(
@@ -110,10 +101,10 @@ class DataMatrix:
             raise DataError("entry index outside matrix shape")
         if self.implicit_zero and len(self.vals) and np.any(self.vals == 0.0):
             raise DataError("implicit-zero matrix must not store explicit zeros")
-        self._keys, self._order, repeat = sorted_cell_keys(self.rows, self.cols, self.n_cols)
+        self._keys, order, repeat = sorted_cell_keys(self.rows, self.cols, self.n_cols)
         if repeat >= 0:
             raise DataError(f"duplicate entry at (row={self.rows[repeat]}, col={self.cols[repeat]})")
-        self._dense_cache: np.ndarray | None = None
+        self._key_vals = self.vals[order]
         self._by_column: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
@@ -125,14 +116,29 @@ class DataMatrix:
         """Number of data terms in the objective."""
         return self.n_rows * self.n_cols if self.implicit_zero else self.nnz
 
+    @property
+    def every_cell_a_term(self) -> bool:
+        """Whether every cell is a data term (implicit-zero data, or explicit
+        data with no missing cell), so that column blocks can score them all."""
+        return self.n_terms == self.n_rows * self.n_cols
+
     def lookup(self, rows, cols):
-        """(vals, stored) of a batch of cells inside the shape; absent cells read 0."""
+        """(vals, stored) of the cells (rows, cols) inside the shape, two
+        broadcastable index arrays; absent cells read 0.  On complete data
+        the sorted keys are 0..nnz-1, so a cell's key is its position."""
         keys = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
-        at = _search_sorted(self._keys, keys)
+        if self.nnz == self.n_rows * self.n_cols:
+            return self._key_vals[keys], np.ones(keys.shape, dtype=bool)
+        # queries searched in sorted order: a third of the time when unsorted
+        flat = keys.ravel()
+        order = np.argsort(flat)
+        at = np.empty(flat.size, dtype=np.intp)
+        at[order] = np.searchsorted(self._keys, flat[order])
+        at = at.reshape(keys.shape)
         stored = at < self.nnz
         stored[stored] = self._keys[at[stored]] == keys[stored]
-        vals = np.zeros(len(keys))
-        vals[stored] = self.vals[self._order[at[stored]]]
+        vals = np.zeros(keys.shape)
+        vals[stored] = self._key_vals[at[stored]]
         return vals, stored
 
     def zero_cells(self, q: np.ndarray):
@@ -153,16 +159,6 @@ class DataMatrix:
         ids[order] = q_sorted
         del order, q_sorted
         return np.divmod(ids, self.n_cols)
-
-    def dense(self) -> np.ndarray:
-        """Dense (n_rows, n_cols) array: absent cells read 0 in implicit-zero
-        data and NaN (missing) otherwise.  Cached; treat it as read-only."""
-        if self._dense_cache is None:
-            shape = (self.n_rows, self.n_cols)
-            x = np.zeros(shape) if self.implicit_zero else np.full(shape, np.nan)
-            x[self.rows, self.cols] = self.vals
-            self._dense_cache = x
-        return self._dense_cache
 
     def column_blocks(self, width: int, cols: Sequence[int] | None = None):
         """Every cell of the columns ``cols`` (of every column, left to

@@ -476,10 +476,6 @@ class RunConfig:
             values = v if isinstance(v, tuple) else (v,)
             if "float" in f.type and not all(math.isfinite(x) for x in values if x is not None):
                 raise ConfigError(f"{f.name} must be finite, got {v}", f.name)
-        for key in ("reg_weight", "iterations", "minibatch_size"):
-            if (getattr(self, key) or 0) < 0:
-                name = "reg_weight (lambda)" if key == "reg_weight" else key
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, key)}", key)
         if self.implicit_zero not in (None, 0, 1):
             raise ConfigError(f"implicit_zero must be 0 or 1, got {self.implicit_zero}",
                               "implicit_zero")
@@ -522,6 +518,13 @@ class RunConfig:
                 # that defaults to sparse fails only on an explicit implicit_zero = 0
                 default = _ARCHETYPE_DEFAULTS[self.family][2]
                 raise ConfigError(fault, "implicit_zero" if default == "sparse" else "estimator")
+        for step in self.step_size_grid:
+            try:
+                self.train_config(step).validate()
+            except ConfigError as exc:  # keyed by a TrainConfig field: name its config key
+                key = {"dim": "k", "n_iterations": "iterations", "downweight": "gamma",
+                       "step_size": "step_size_grid"}.get(exc.key, exc.key)
+                raise ConfigError(str(exc), key) from None
 
     def family_spec(self, vocab_size: int = 0) -> FamilySpec:
         return FamilySpec(Family(self.family), Link(self.link),

@@ -3,7 +3,9 @@ predictive log-likelihood, and the baselines that anchor the test suite.
 
 Two split flavors: whole-column splits (time frames, shopping trips) and
 per-entry holdout of nonzero ratings.  Both are deterministic per seed and
-partition the input.
+partition the input.  LOO, leave-fraction-out and NPLL read each held-out
+entry's mean from ``families.block_means``, a column block at a time, in
+O(rows x block columns + entries) memory.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, TermBatch, scatter_rows
+from .core import DataMatrix, EmbeddingBank, scatter_rows
 from .errors import ConfigError
-from .families import Family, FamilySpec, _linear_values, block_means, validate_bank
+from .families import Family, FamilySpec, block_means, validate_bank
 
 MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 
@@ -145,13 +147,31 @@ def _require_poisson(spec: FamilySpec):
         raise ConfigError("normalized predictive log-likelihood applies to Poisson-family models")
 
 
+def _cell_means(data, ctx, bank, spec, rows, cols):
+    """Each listed cell's conditional mean given its context in ``data`` (0
+    where a mean link drops an empty context), its member count and the sum
+    of the means of its column, read from ``block_means`` a column block at
+    a time: O(rows x block columns + cells) memory."""
+    validate_bank(spec, bank)
+    order = np.argsort(cols, kind="stable")  # the cells column by column
+    sorted_cols = cols[order]
+    means, colsums = np.empty(len(rows)), np.empty(len(rows))
+    counts = np.empty(len(rows), dtype=np.int64)
+    for cells, m, c in block_means(data, ctx, bank, spec):
+        e = order[slice(*np.searchsorted(sorted_cols, [cells.cols.start, cells.cols.stop]))]
+        r, t = rows[e], cols[e] - cells.cols.start
+        means[e] = m[r, t]
+        counts[e] = np.broadcast_to(c, m.shape)[r, t]
+        colsums[e] = m.sum(axis=0)[t]
+    return means, counts, colsums
+
+
 def _squared_errors(data, ctx, bank, spec, test_data, entries):
     """Squared error of the listed entries of ``test_data`` against their Gaussian
     means given their contexts in ``data``, and whether any member was left."""
-    rows, cols = test_data.rows[entries], test_data.cols[entries]
-    batch = TermBatch(rows, cols, test_data.vals[entries], data.lookup(rows, cols)[1])
-    means, _, counts, _ = _linear_values(data, ctx, bank, spec, batch)
-    return (batch.vals - means) ** 2, counts > 0
+    means, counts, _ = _cell_means(data, ctx, bank, spec, test_data.rows[entries],
+                                   test_data.cols[entries])
+    return (test_data.vals[entries] - means) ** 2, counts > 0
 
 
 def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
@@ -159,7 +179,6 @@ def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     """Squared error of predicting each held-out entry from the true values
     of its context members.  Empty-context entries are excluded and counted."""
     _require_gaussian(spec)
-    validate_bank(spec, bank)
     err2, keep = _squared_errors(test_data, ctx, bank, spec, test_data, np.arange(test_data.nnz))
     return EvalReport.from_scores("leave_one_out_mse", err2[keep], int((~keep).sum()))
 
@@ -170,7 +189,6 @@ def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     that fold's entries (so no in-fold cell is a member), and pool the squared
     errors over all folds.  Entries left with an empty context are excluded."""
     _require_gaussian(spec)
-    validate_bank(spec, bank)
     if folds < 2:
         raise ConfigError("fold count must be >= 2 (folds=1 would empty every context)")
     if test_data.implicit_zero:
@@ -196,11 +214,7 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     """Per held-out nonzero entry: log of its conditional mean over the sum
     of all entities' conditional means at the same column."""
     _require_poisson(spec)
-    validate_bank(spec, bank)
-    mean_table = block_means(test_data, ctx, bank, spec)
-    normalizer = mean_table.sum(axis=0)
-    mu = mean_table[test_data.rows, test_data.cols]
-    z = normalizer[test_data.cols]
+    mu, _, z = _cell_means(test_data, ctx, bank, spec, test_data.rows, test_data.cols)
     keep = ~((mu <= 0.0) | (z <= 0.0) | ~np.isfinite(z))
     return EvalReport.from_scores("normalized_predictive_ll", np.log(mu[keep] / z[keep]),
                                   int((~keep).sum()))

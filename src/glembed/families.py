@@ -278,16 +278,6 @@ def _stored_gradients(bank, emb, cv, g_emb, g_cv) -> Gradients:
     return Gradients(g_emb, g_cv)
 
 
-def conditional_means(data, ctx, bank, spec, batch: TermBatch, counters=None):
-    """Model means of a batch of cells given their contexts.
-
-    Returns (means, active); the mean is the expected sufficient statistic
-    at the cell's natural parameter.
-    """
-    svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
-    return _mean(spec, svals, counters), active
-
-
 # ---------------------------------------------------------------------------
 # every cell of a matrix, by column blocks
 # ---------------------------------------------------------------------------
@@ -349,14 +339,14 @@ def block_gradient(data, ctx, bank, spec, zero_weight=1.0, counters=None, cols=N
 
 
 def block_means(data, ctx, bank, spec):
-    """(n_rows, n_cols) table of every cell's conditional mean; 0 where a
-    mean link drops an empty context."""
+    """Every cell's conditional mean, one ``ColumnBlock`` of columns at a
+    time, left to right: yields (cells, means, counts), the (n_rows, block
+    columns) means, 0 where a mean link drops an empty context, and the
+    member counts, broadcastable to them."""
     scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
-    means = np.empty((data.n_rows, data.n_cols))
-    for cells, svals, _, w in _block_terms(data, scored, spec, 1.0):
+    for cells, svals, counts, w in _block_terms(data, scored, spec, 1.0):
         m = _mean(spec, svals, None)
-        means[:, cells.cols] = m if w is None else m * w
-    return means
+        yield cells, (m if w is None else m * w), counts
 
 
 # ---------------------------------------------------------------------------

@@ -75,29 +75,28 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def validate(self) -> None:
+        """Raise a ``ConfigError`` keyed by the field at fault, if any."""
         for name in ("step_size", "adagrad_epsilon", "reg_weight", "downweight", "init_scale"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
-        if self.adagrad_epsilon <= 0:
-            raise ConfigError("adagrad_epsilon must be positive")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {ESTIMATORS}")
-        if self.zero_estimator not in ZERO_ESTIMATORS:
-            raise ConfigError(f"zero_estimator must be one of {ZERO_ESTIMATORS}")
-        if self.regularizer not in REGULARIZERS:
-            raise ConfigError(f"regularizer must be one of {REGULARIZERS}")
-        if self.reg_weight < 0:
-            raise ConfigError(f"reg_weight must be >= 0, got {self.reg_weight}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}", name)
+        for name in ("step_size", "adagrad_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive", name)
+        for name, choices in (("estimator", ESTIMATORS), ("zero_estimator", ZERO_ESTIMATORS),
+                              ("regularizer", REGULARIZERS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}", name)
+        for name, least in (("reg_weight", 0), ("minibatch_size", 0), ("n_iterations", 0),
+                            ("dim", 1), ("log_every", 1)):
+            if (getattr(self, name) or 0) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}", name)
         if not 0.0 < self.downweight <= 1.0:
-            raise ConfigError("downweight factor must be in (0, 1]")
+            raise ConfigError("downweight factor must be in (0, 1]", "downweight")
         if self.estimator == "sparse" and self.negative_samples < 1:
-            raise ConfigError("sparse estimator needs negative_samples >= 1")
+            raise ConfigError("sparse estimator needs negative_samples >= 1", "negative_samples")
         if self.estimator == "minibatch" and (self.minibatch_size or 0) < 1:
-            raise ConfigError("minibatch estimator needs a positive minibatch_size")
-        if self.n_iterations < 0 or self.dim < 1 or self.log_every < 1:
-            raise ConfigError("n_iterations must be >= 0, dim >= 1 and log_every >= 1")
+            raise ConfigError("minibatch estimator needs a positive minibatch_size",
+                              "minibatch_size")
 
 
 @dataclass
@@ -130,13 +129,6 @@ def _zero_weight(data: DataMatrix, config: TrainConfig) -> float:
     if data.implicit_zero and config.zero_estimator == "downweight":
         return config.downweight
     return 1.0
-
-
-def _every_cell_a_term(data: DataMatrix) -> bool:
-    """Whether every cell of ``data`` is a term (implicit-zero data, or
-    explicit data with no missing cell), so that the exact objective and
-    gradient score it by column blocks."""
-    return data.n_terms == data.n_rows * data.n_cols
 
 
 def _all_terms(data: DataMatrix) -> TermBatch:
@@ -328,7 +320,7 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
               zero_weight=1.0, counters=None) -> float:
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
-    if not _every_cell_a_term(data):
+    if not data.every_cell_a_term:
         ll = _weighted_log_likelihoods(data, ctx, bank, spec, _all_terms(data), counters)
         return float(ll.sum()) + log_prior(bank, reg_weight, regularizer)[0]
     validate_bank(spec, bank)
@@ -338,7 +330,7 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
 
 def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
     """Exact gradient of the objective."""
-    batch = None if _every_cell_a_term(data) else _all_terms(data)
+    batch = None if data.every_cell_a_term else _all_terms(data)
     return _gradient(data, ctx, bank, spec, batch, config, counters)
 
 

@@ -19,6 +19,10 @@ their active terms, one (columns, vocabulary) softmax table per batch: the
 oracle of the column-block softmax.  ``serial_sparse_train`` is the sparse
 estimator's training loop with every zero-cell draw taken on the calling
 thread just before its step, the oracle of the one-step-ahead draw.
+``dense_values`` is a matrix as one dense array (NaN at missing cells), and
+``conditional_means``, ``term_squared_errors``, ``term_leave_one_out`` and
+``term_leave_fraction_out`` score held-out cells as one ``TermBatch``: the
+oracles of the sorted-key lookup and of the column-block protocols.
 """
 
 import math
@@ -46,9 +50,9 @@ from glembed.families import (
     FamilySpec,
     _context_sums,
     _linear_values,
+    _mean,
     _residual,
     _stored_gradients,
-    conditional_means,
 )
 from glembed.train import (
     OptimizerState,
@@ -58,6 +62,53 @@ from glembed.train import (
     objective,
     sparse_gradient,
 )
+
+
+def dense_values(data):
+    """``data`` as a dense (n_rows, n_cols) array: absent cells read 0 in
+    implicit-zero data and NaN (missing) otherwise."""
+    shape = (data.n_rows, data.n_cols)
+    x = np.zeros(shape) if data.implicit_zero else np.full(shape, np.nan)
+    x[data.rows, data.cols] = data.vals
+    return x
+
+
+def conditional_means(data, ctx, bank, spec, batch, counters=None):
+    """Means of a batch of cells given their contexts, through the term
+    path's context sums: (means, active)."""
+    svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
+    return _mean(spec, svals, counters), active
+
+
+def term_squared_errors(data, ctx, bank, spec, test_data, entries):
+    """Squared errors of the listed entries of ``test_data`` against their
+    Gaussian means given their contexts in ``data``, scored as one
+    ``TermBatch``, and whether any member was left: the term-path oracle of
+    the column-block reader."""
+    rows, cols = test_data.rows[entries], test_data.cols[entries]
+    batch = TermBatch(rows, cols, test_data.vals[entries], data.lookup(rows, cols)[1])
+    means, _, counts, _ = _linear_values(data, ctx, bank, spec, batch)
+    return (batch.vals - means) ** 2, counts > 0
+
+
+def term_leave_one_out(test_data, ctx, bank, spec):
+    """``evaluate.leave_one_out_mse`` through ``term_squared_errors``."""
+    err2, keep = term_squared_errors(test_data, ctx, bank, spec, test_data,
+                                     np.arange(test_data.nnz))
+    return EvalReport.from_scores("leave_one_out_mse", err2[keep], int((~keep).sum()))
+
+
+def term_leave_fraction_out(test_data, ctx, bank, spec, folds=4, seed=0):
+    """``evaluate.leave_fraction_out_mse`` through ``term_squared_errors``."""
+    fold_of = scalar_fold_of(test_data.n_rows, folds, seed)
+    entry_fold = fold_of[test_data.rows]
+    err2 = np.empty(test_data.nnz)
+    keep = np.empty(test_data.nnz, dtype=bool)
+    for f in range(folds):
+        cells = np.flatnonzero(entry_fold == f)
+        rest = test_data.select_entries(np.flatnonzero(entry_fold != f))
+        err2[cells], keep[cells] = term_squared_errors(rest, ctx, bank, spec, test_data, cells)
+    return EvalReport.from_scores("leave_fraction_out_mse", err2[keep], int((~keep).sum()))
 
 
 def fd_gradient(data, ctx, bank, spec, reg_weight, regularizer="l2",
@@ -131,7 +182,7 @@ class ExplicitContext:
         return MemberPass(self, data, emb, cv)
 
     def sums(self, data, cv, batch):
-        x = data.dense()
+        x = dense_values(data)
         S = np.zeros((len(batch), cv.shape[1]))
         counts = np.zeros(len(batch), dtype=np.int64)
         for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
@@ -141,7 +192,7 @@ class ExplicitContext:
         return S, counts
 
     def scatter_add(self, data, batch, coef, out):
-        x = data.dense()
+        x = dense_values(data)
         for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
             for j in members(self, data, *cell):
                 out[j[0]] += x[j] * coef[e]
@@ -218,7 +269,7 @@ def fstring_write_triplets(path, data):
 def dense_zero_cells(data, q):
     """``DataMatrix.zero_cells`` of implicit-zero data by indexing every
     zero cell id of the dense matrix."""
-    ids = np.flatnonzero(data.dense().ravel() == 0.0)[np.asarray(q, dtype=np.int64)]
+    ids = np.flatnonzero(dense_values(data).ravel() == 0.0)[np.asarray(q, dtype=np.int64)]
     return ids // data.n_cols, ids % data.n_cols
 
 
@@ -277,7 +328,7 @@ class MemberPass:
 
     def _members(self, cells):
         """(n, t, [(x_j, row_j) per member]) of every cell of the block."""
-        x = self.data.dense()
+        x = dense_values(self.data)
         cols = np.arange(self.data.n_cols)[cells.cols]
         for n, t in np.ndindex(*cells.x.shape):
             yield n, t, [(x[j], j[0]) for j in members(self.ctx, self.data, n, int(cols[t]))]
@@ -309,9 +360,10 @@ def scalar_linear_value(data, ctx, bank, link, row, col, drop_rows=()):
     if not kept:
         return None
     cv = bank.effective_context_vectors()
+    x = dense_values(data)
     total = np.zeros(bank.dim)
     for j in kept:
-        total += data.dense()[j] * cv[j[0]]
+        total += x[j] * cv[j[0]]
     if link.rescales_by_count:
         total /= len(kept)
     return float(bank.effective_embeddings()[row] @ total)
@@ -342,7 +394,7 @@ def scalar_npll(test_data, ctx, bank, spec):
     col_pos = {int(c): i for i, c in enumerate(cols_with)}
     rows_all = np.tile(np.arange(n, dtype=np.int64), len(cols_with))
     cols_all = np.repeat(cols_with, n)
-    xv = test_data.dense()[rows_all, cols_all]
+    xv = dense_values(test_data)[rows_all, cols_all]
     means, active = conditional_means(test_data, ctx, bank, spec,
                                       TermBatch(rows_all, cols_all, xv, xv != 0.0))
     mean_table = np.where(active, means, 0.0).reshape(len(cols_with), n)
@@ -364,7 +416,7 @@ def dense_draw_zero_cells(data, n_terms, per_term, rng):
     """Reference zero-cell draw: the same random index draws as
     ``train._draw_zero_cells``, mapped through every zero cell id of the
     dense matrix."""
-    n_zero = int((data.dense() == 0.0).sum())
+    n_zero = int((dense_values(data) == 0.0).sum())
     if n_zero == 0 or n_terms == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero
     k = min(per_term, n_zero)
@@ -440,6 +492,14 @@ def dense_matrix(values, implicit_zero=False):
         rows, cols = np.indices(values.shape).reshape(2, -1)
     return DataMatrix(n, t, rows.ravel(), cols.ravel(),
                       values[rows.ravel(), cols.ravel()], implicit_zero=implicit_zero)
+
+
+def sparse_counts(n, t, nnz, seed):
+    """Implicit-zero (n, t) counts of 1-3 at ``nnz`` distinct random cells."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(n * t, nnz, replace=False)
+    return DataMatrix(n, t, keys // t, keys % t, rng.integers(1, 4, nnz).astype(np.float64),
+                      implicit_zero=True)
 
 
 def gaussian_instance(seed, n=5, t=8, k=3, knn=2, log_space=False, scale=0.3):

@@ -31,7 +31,9 @@ def test_every_traced_hook_exists(monkeypatch):
         t.install()
     finally:
         t.uninstall()
-    assert t.absent == []
+    # methods deleted on purpose, whose per-layer metrics read 0; any other
+    # missing hook fails
+    assert sorted(t.absent) == ["core.DataMatrix.dense", "families.conditional_means"]
 
 
 def test_traced_fits_record_cells_without_attribute_errors(monkeypatch):

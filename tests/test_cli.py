@@ -338,6 +338,9 @@ _TRAIN = ["train", "--config", "{config}", "--data", "{data}", "--locations", "{
 _EVALUATE = ["evaluate", "--model", "{model}", "--test", "{data}", "--protocol", "loo-mse",
              "--locations", "{locations}"]
 _EXPORT = ["export-graph", "--model", "{model}", "--locations", "{locations}"]
+# a value of each key that TrainConfig.validate rejects
+_BAD_TRAIN_SETTINGS = {"estimator": "bogus", "zero_estimator": "nope", "regularizer": "xx",
+                       "gamma": "5", "k": "0", "negative_samples": "0"}
 _INPUT_FAULTS = {
     "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
                            "{missing}"),
@@ -365,6 +368,9 @@ _INPUT_FAULTS = {
                                    "config line 2"),
     "train-sparse-categorical": (_TRAIN[:2] + ["{sparse_categorical_cfg}"] + _TRAIN[3:], 2,
                                  "config line 2"),
+    # training settings out of range fail before the data are read
+    **{f"train-bad-{key}": (_TRAIN[:2] + [f"{{bad_{key}_cfg}}"] + _TRAIN[3:], 2, "config line 2")
+       for key in _BAD_TRAIN_SETTINGS},
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -405,6 +411,11 @@ def fault_paths(toy_run):
         cfg = root / f"sparse_{name}.cfg"
         cfg.write_text(text)
         sparse_cfgs[f"sparse_{name}_cfg"] = str(cfg)
+    bad_train_cfgs = {}
+    for key, value in _BAD_TRAIN_SETTINGS.items():
+        cfg = root / f"bad_{key}.cfg"
+        cfg.write_text(f"family = poisson\n{key} = {value}\n")
+        bad_train_cfgs[f"bad_{key}_cfg"] = str(cfg)
     model = root / "fault.model"
     assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                  "--locations", toy_run["locations"], "--out", str(model)]) == 0
@@ -413,7 +424,7 @@ def fault_paths(toy_run):
                 missing=str(root / "missing.tsv"), latin1=str(latin1),
                 nodir=str(root / "no-such-dir" / "out"),
                 empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg),
-                **categorical_cfgs, **sparse_cfgs)
+                **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs)
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))

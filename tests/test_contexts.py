@@ -23,6 +23,7 @@ from helpers import (
     cells,
     count_instance,
     dense_matrix,
+    dense_values,
     gaussian_instance,
     prefix_gather_window_table,
     text_instance,
@@ -95,7 +96,7 @@ def test_knn_context_time_invariant_and_no_self():
     table, counts = context_table(ctx, data, [2] * 4, range(4))
     # with cv = I the sum over entity m is x[m, col]: the same rows, this column
     np.testing.assert_array_equal(table != 0, np.broadcast_to(table[0] != 0, table.shape))
-    np.testing.assert_array_equal(table[:, table[0] != 0], data.dense()[table[0] != 0].T)
+    np.testing.assert_array_equal(table[:, table[0] != 0], dense_values(data)[table[0] != 0].T)
     assert table[0, 2] == 0 and (counts == 3).all() and (table[0] != 0).sum() == 3
 
 

@@ -82,6 +82,29 @@ def test_lookup_matches_dict_oracle(implicit_zero):
     assert stored.sum() >= 1000 and (~stored).sum() > 90_000
 
 
+@pytest.mark.parametrize("implicit_zero", [False, True])
+def test_lookup_of_complete_data_and_broadcast_queries_matches_dict_oracle(implicit_zero):
+    # complete data (every cell stored, so a cell's key is its sorted
+    # position) and holey data, each queried by 1-D and broadcast 2-D cells
+    rng = np.random.default_rng(9)
+    n, t = 6, 7
+    keys = rng.permutation(n * t)  # entries in no particular order
+    vals = rng.integers(1, 9, n * t).astype(np.float64)
+    for m in (n * t, 20):
+        d = DataMatrix(n, t, keys[:m] // t, keys[:m] % t, vals[:m], implicit_zero=implicit_zero)
+        oracle = dict(zip(keys[:m].tolist(), vals[:m].tolist()))
+        q = rng.integers(0, n * t, 200)
+        for qr, qc in ((q // t, q % t),
+                       (rng.integers(0, n, (11, 4)), rng.integers(0, t, (11, 1))),
+                       (rng.integers(0, n, 5), rng.integers(0, t, (3, 1)))):
+            got, stored = d.lookup(qr, qc)
+            r, c = np.broadcast_arrays(qr, qc)
+            assert got.shape == stored.shape == r.shape
+            want = [oracle.get(k) for k in (r * t + c).ravel().tolist()]
+            np.testing.assert_array_equal(stored.ravel(), [w is not None for w in want])
+            np.testing.assert_array_equal(got.ravel(), [0.0 if w is None else w for w in want])
+
+
 def test_scatter_rows_is_add_at_into_zeros_byte_for_byte():
     rng = np.random.default_rng(31)
     for case in range(30):

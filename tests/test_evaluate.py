@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,17 +24,22 @@ from glembed.evaluate import (
     normalized_predictive_ll,
     popularity_npll,
 )
-from glembed.families import Family, FamilySpec, conditional_means
+from glembed.families import Family, FamilySpec
 from glembed.synth import gen_gaussian_knn
 
 from helpers import (
     ExplicitContext,
+    conditional_means,
     count_instance,
     dense_matrix,
+    dense_values,
     scalar_fold_of,
     scalar_leave_fraction_out,
     scalar_linear_value,
     scalar_npll,
+    sparse_counts,
+    term_leave_fraction_out,
+    term_leave_one_out,
 )
 
 
@@ -305,6 +311,100 @@ def test_missing_cells_are_never_members_on_any_path(builder, link):
         _assert_protocols_match_oracles(data, ctx, bank, spec, 3, seed)
 
 
+def _no_present_neighbour_instance(seed):
+    """Explicit kNN data in which the stored cell (0, 1) has no present
+    neighbour, so its context is empty."""
+    rng = np.random.default_rng(seed)
+    n, t = 8, 5
+    values = rng.normal(size=(n, t))
+    stored = rng.random((n, t)) < 0.8
+    neighbors = np.array([[(i + 1) % n, (i + 2) % n] for i in range(n)])
+    stored[0, 1] = True
+    stored[[1, 2], 1] = False
+    rows, cols = np.nonzero(stored)
+    return DataMatrix(n, t, rows, cols, values[rows, cols]), KnnContext(neighbors)
+
+
+# the default block size, then one and two or three columns per block
+_BLOCK_CELLS = [None, 1, 25]
+
+
+@pytest.mark.parametrize("block_cells", _BLOCK_CELLS)
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+@pytest.mark.parametrize("case", ["knn-holey", "window-holey", "explicit-holey", "knn-fold",
+                                  "window-fold", "explicit-fold", "knn-no-neighbour"])
+def test_block_reader_matches_term_path(monkeypatch, case, link, block_cells):
+    # LOO and L25 read each entry's mean and member count from column blocks;
+    # the term path scores the same entries as one batch
+    if block_cells is not None:
+        monkeypatch.setattr("glembed.families.BLOCK_CELLS", block_cells)
+    spec = FamilySpec(Family.GAUSSIAN, link)
+    builder, kind = case.split("-", 1)
+    for seed in range(3):
+        if kind == "holey":
+            data, ctx = _holey_instance(builder, seed)
+        elif kind == "fold":  # an entry whose members all share its fold
+            data, ctx = _scoring_instance(builder, seed, 3, fold_seed=seed)
+        else:
+            data, ctx = _no_present_neighbour_instance(seed)
+        rng = np.random.default_rng(500 + seed)
+        bank = EmbeddingBank(rng.normal(size=(data.n_rows, 3)),
+                             rng.normal(size=(data.n_rows, 3)))
+        loo = leave_one_out_mse(data, ctx, bank, spec)
+        l25 = leave_fraction_out_mse(data, ctx, bank, spec, folds=3, seed=seed)
+        for got, want in ((loo, term_leave_one_out(data, ctx, bank, spec)),
+                          (l25, term_leave_fraction_out(data, ctx, bank, spec, 3, seed))):
+            assert (got.n_entries, got.excluded) == (want.n_entries, want.excluded)
+            np.testing.assert_allclose([got.estimate, got.stderr],
+                                       [want.estimate, want.stderr], rtol=1e-12)
+        if kind == "no-neighbour":
+            assert loo.excluded >= 1
+        if kind == "fold":
+            assert l25.excluded >= 1
+
+
+@pytest.mark.parametrize("block_cells", _BLOCK_CELLS)
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+@pytest.mark.parametrize("builder", ["basket", "knn"])
+def test_block_npll_matches_term_path(monkeypatch, builder, link, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr("glembed.families.BLOCK_CELLS", block_cells)
+    spec = FamilySpec(Family.POISSON, link)
+    for seed in range(4):
+        rng = np.random.default_rng(70 + seed)
+        n, t = 9, 8
+        counts = np.where(rng.random((n, t)) < 0.4, rng.poisson(1.5, (n, t)) + 1, 0)
+        counts[:, 0] = 0
+        counts[seed, 0] = 2  # alone in its basket: empty context, zero mean under a mean link
+        data = dense_matrix(counts.astype(np.float64), implicit_zero=True)
+        ctx = build_basket_context(data) if builder == "basket" else \
+            build_knn_context(SpatialLayout(rng.uniform(size=(n, 3)), 3), data)
+        bank = EmbeddingBank(rng.normal(scale=0.4, size=(n, 3)),
+                             rng.normal(scale=0.4, size=(n, 3)))
+        rep = normalized_predictive_ll(data, ctx, bank, spec)
+        ref = scalar_npll(data, ctx, bank, spec)
+        assert (rep.n_entries, rep.excluded) == (ref.n_entries, ref.excluded)
+        np.testing.assert_allclose([rep.estimate, rep.stderr],
+                                   [ref.estimate, ref.stderr], rtol=1e-12)
+        if builder == "basket" and link is Link.MEAN_IDENTITY:
+            assert rep.excluded >= 1
+
+
+def test_npll_memory_is_bounded():
+    # one (rows x cols) float table of this 2000 x 20000 matrix takes 305 MiB
+    data = sparse_counts(2000, 20000, 200_000, seed=11)
+    ctx = build_basket_context(data)
+    bank = EmbeddingBank.init_random(data.n_rows, 4, seed=1)
+    tracemalloc.start()
+    try:
+        rep = normalized_predictive_ll(data, ctx, bank, FamilySpec(Family.POISSON))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_entries + rep.excluded == data.nnz
+    assert peak < 64 * 2**20
+
+
 def test_leave_fraction_out_rejects_implicit_zero_test_data():
     # removing a fold's entries from implicit-zero data would leave zero members
     data, ctx, bank = count_instance(3, n=6, t=5)
@@ -360,7 +460,7 @@ def test_npll_normalizer_sums_to_one():
     col = int(data.cols[0])
     rows = np.arange(5)
     cols = np.full(5, col)
-    xv = data.dense()[rows, cols]
+    xv = dense_values(data)[rows, cols]
     means, _ = conditional_means(data, ctx, bank, spec, TermBatch(rows, cols, xv, xv != 0))
     scores = np.log(means / means.sum())
     assert np.exp(scores).sum() == pytest.approx(1.0)

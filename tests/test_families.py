@@ -10,7 +10,6 @@ from glembed.families import (
     FamilySpec,
     _log_likelihood,
     _residual,
-    conditional_means,
     term_log_likelihoods,
     validate_data,
     weighted_term_gradient,
@@ -23,6 +22,7 @@ from helpers import (
     assert_grad_close,
     categorical_term_log_likelihoods,
     cells,
+    conditional_means,
     dense_matrix,
     family_instance,
     fd_gradient,

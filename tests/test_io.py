@@ -20,7 +20,13 @@ from glembed.dataio import (
 from glembed.errors import CompatibilityError, ConfigError, DataError
 from glembed.families import Family
 
-from helpers import dense_lag, dense_matrix, fstring_write_triplets, line_loop_read_triplets
+from helpers import (
+    dense_lag,
+    dense_matrix,
+    dense_values,
+    fstring_write_triplets,
+    line_loop_read_triplets,
+)
 
 
 def _write(tmp_path, name, text):
@@ -79,7 +85,7 @@ def test_write_read_round_trip(tmp_path):
     write_triplets(path, data)
     rl, cl, rows, cols, vals = read_triplets(path)
     back = DataMatrix(len(rl), len(cl), rows, cols, vals)
-    np.testing.assert_array_equal(back.dense(), data.dense())
+    np.testing.assert_array_equal(dense_values(back), dense_values(data))
 
 
 # run sizes that put a run boundary at every offset of the short lines below
@@ -226,7 +232,7 @@ def test_ingest_lag_transform(tmp_path):
         lines.append(f"n0\tt{c}\t{vals[0, c]}")
     p = _write(tmp_path, "lag.tsv", "\n".join(lines) + "\n")
     data = ingest(p, lag=True)
-    np.testing.assert_array_equal(data.dense(), [[3.0, 5.0]])
+    np.testing.assert_array_equal(dense_values(data), [[3.0, 5.0]])
     assert data.col_labels == ["t1", "t2"]
 
 

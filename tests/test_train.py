@@ -24,7 +24,6 @@ from glembed.families import (
     FamilySpec,
     Gradients,
     block_means,
-    conditional_means,
     log_prior,
     term_log_likelihoods,
     weighted_term_gradient,
@@ -53,15 +52,18 @@ from helpers import (
     categorical_term_log_likelihoods,
     categorical_weighted_gradient,
     cells,
+    conditional_means,
     count_instance,
     dense_draw_zero_cells,
     dense_matrix,
+    dense_values,
     dense_zero_cells,
     family_instance,
     fd_gradient,
     gaussian_instance,
     prefix_gather_window_table,
     serial_sparse_train,
+    sparse_counts,
     text_instance,
 )
 
@@ -196,7 +198,7 @@ def test_basket_cell_alone_in_its_column_matches_member_oracle(estimator):
     # rate is floored and its coefficient is ~1e8; it must add nothing, not a
     # column spread and an own term that cancel only up to rounding
     data, ctx, bank = _every_cell_instance("basket", Family.ADDITIVE_POISSON, True, seed=12)
-    values = data.dense().copy()
+    values = dense_values(data)
     values[:, 3] = 0.0
     values[4, 3] = 2.0
     data = dense_matrix(values, implicit_zero=True)
@@ -229,7 +231,9 @@ def test_block_means_count_only_present_members(builder, mean_link):
     batch = _every_cell_batch(data)
     oracle = ExplicitContext.of(ctx, data)
     want, active = conditional_means(data, oracle, bank, spec, batch)
-    got = block_means(data, ctx, bank, spec)
+    got = np.empty((data.n_rows, data.n_cols))
+    for block, means, _ in block_means(data, ctx, bank, spec):
+        got[:, block.cols] = means
     np.testing.assert_allclose(got.ravel(), np.where(active, want, 0.0), rtol=1e-12)
     if builder == "knn":  # some neighbour cells are missing
         assert (oracle.sums(data, bank.context_vectors, batch)[1] < 3).any()
@@ -549,7 +553,7 @@ def test_zero_cell_draw_matches_dense_oracle(case):
     if n_zero:
         # many repeated queries, the first and last empty cells among them:
         # the lookup sorts its queries before searching
-        zero_ids = np.flatnonzero(data.dense().ravel() == 0.0)
+        zero_ids = np.flatnonzero(dense_values(data).ravel() == 0.0)
         rng = np.random.default_rng(case)
         q = np.concatenate([rng.integers(0, n_zero, 100_000), [n_zero - 1, 0, n_zero - 1]])
         rows, cols = data.zero_cells(q)
@@ -638,22 +642,55 @@ def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
 
 
 def test_implicit_data_paths_never_build_the_dense_matrix(monkeypatch):
-    def no_dense(self):
-        raise AssertionError("dense matrix built")
+    # every estimator on implicit-zero window, basket and kNN data, and NPLL,
+    # peak well below one (rows x cols) float array: 9.6 MB at 300 x 4000
+    monkeypatch.setattr("glembed.families.BLOCK_CELLS", 1 << 12)
+    window_data, window_ctx, _ = text_instance(3, vocab=300, length=4000)
+    basket_data, basket_ctx, _ = count_instance(4, n=300, t=4000, density=0.002)
+    positions = np.random.default_rng(5).uniform(size=(300, 3))
+    knn_ctx = build_knn_context(SpatialLayout(positions, 4), basket_data)
+    bound = 300 * 4000 * 8 / 2
 
-    window_data, window_ctx, _ = text_instance(3, vocab=6, length=40)
-    basket_data, basket_ctx, _ = count_instance(4, n=6, t=30, density=0.3)
-    monkeypatch.setattr(DataMatrix, "dense", no_dense)
+    def peak_of(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     for data, ctx, spec in ((window_data, window_ctx, FamilySpec(Family.BERNOULLI)),
-                            (basket_data, basket_ctx, FamilySpec(Family.POISSON))):
+                            (basket_data, basket_ctx, FamilySpec(Family.POISSON)),
+                            (basket_data, knn_ctx, FamilySpec(Family.POISSON))):
         for estimator in ("sparse", "minibatch", "full"):
             cfg = TrainConfig(dim=3, estimator=estimator, minibatch_size=20, n_iterations=3,
                               log_every=1, negative_samples=2, reg_weight=0.1, seed=5)
-            bank, log = train(data, ctx, spec, cfg)
+            (bank, log), peak = peak_of(lambda: train(data, ctx, spec, cfg))
             assert len(log) == 4 and all(math.isfinite(r.objective) for r in log)
+            assert peak < bound, (type(ctx).__name__, estimator, peak)
     make_split(basket_data, SplitSpec(test_frac=0.3, valid_frac=0.0, train_frac=0.7))
-    report = normalized_predictive_ll(basket_data, basket_ctx, bank, FamilySpec(Family.POISSON))
-    assert math.isfinite(report.estimate)
+    for ctx in (basket_ctx, knn_ctx):
+        report, peak = peak_of(lambda: normalized_predictive_ll(
+            basket_data, ctx, bank, FamilySpec(Family.POISSON)))
+        assert math.isfinite(report.estimate)
+        assert peak < bound, (type(ctx).__name__, peak)
+
+
+def test_knn_minibatch_fit_on_implicit_data_memory_is_bounded():
+    # one (rows x cols) float array of this 2000 x 20000 matrix takes 305 MiB
+    data = sparse_counts(2000, 20000, 200_000, seed=11)
+    positions = np.random.default_rng(12).uniform(size=(data.n_rows, 3))
+    ctx = build_knn_context(SpatialLayout(positions, 10), data)
+    cfg = TrainConfig(dim=4, estimator="minibatch", minibatch_size=1000, n_iterations=5,
+                      log_every=5, reg_weight=0.1, seed=3)
+    tracemalloc.start()
+    try:
+        _, log = train(data, ctx, FamilySpec(Family.POISSON), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(math.isfinite(r.objective) for r in log)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
