@@ -74,10 +74,9 @@ def _build_context(kind: str, data: DataMatrix, knn_k: int, window_w: int,
     raise ConfigError(f"unknown context builder {kind!r}")
 
 
-def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix,
-                      locations_path) -> float:
-    """Higher-is-better predictive score on the validation split."""
-    ctx = _build_context(cfg.context, valid, cfg.knn_k, cfg.window_w, locations_path)
+def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix, ctx) -> float:
+    """Higher-is-better predictive score on the validation split, whose
+    context is ``ctx``."""
     if cfg.family in _GAUSSIAN_FAMILIES:
         return -leave_one_out_mse(valid, ctx, bank, spec).estimate
     if cfg.family in _POISSON_FAMILIES:
@@ -117,13 +116,15 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     if len(grid) > 1 and (valid_m is None or valid_m.nnz == 0):
         raise ConfigError("step-size grid search needs a validation split; "
                           "set step_size_grid to a single value or enable a split")
+    valid_ctx = None if len(grid) == 1 else \
+        _build_context(cfg.context, valid_m, cfg.knn_k, cfg.window_w, locations_path)
     best = None
     for step in grid:
         bank, log = train(train_m, ctx, spec, cfg.train_config(step))
         if len(grid) == 1:
             best = (step, bank, log, float("nan"))
             break
-        score = _validation_score(cfg, spec, bank, valid_m, locations_path)
+        score = _validation_score(cfg, spec, bank, valid_m, valid_ctx)
         print(f"step_size {step:g}: validation score {score:.6g}", file=sys.stderr)
         if best is None or score > best[3]:
             best = (step, bank, log, score)

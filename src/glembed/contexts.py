@@ -6,22 +6,26 @@ Three builders cover the application patterns:
 * same-column basket contexts (the other stored entries of a column),
 * sliding window contexts over column positions (text).
 
-Each context map takes a ``TermBatch`` of cells and computes their context
-sums ``sum_j x_j * cv[row_j]`` with the member counts (``sums``), and the
-gradient scatter onto the members' rows (``scatter_add``) that the sampled
-estimators and the logged objective use; kNN members are read with
-``DataMatrix.lookup``.  Every scatter onto rows or columns
-goes through ``core.scatter_rows``, one product with a sparse incidence
-matrix that adds each entry into a zeroed table in entry order, so its sums
-are byte for byte those of the ``add.at`` ufunc method into zeros.  The
-window table reads its prefix sums as slices with repeated edge rows: the
-same rows as a gather at the clipped window ends, and the same
-subtractions.  ``block`` scores every cell of a matrix instead, one
-``ColumnBlock`` at a time, as matrix products: the entity relation times
-the data times the column relation (the exact objective, the full gradient
-and the held-out protocols).  A member is a present cell: a cell
-missing from explicit data is never one.  Maps are immutable after
-construction.
+A context map has one method, ``block(data, emb, cv)``, which returns a
+pass over the cells of ``data``.  The pass gives the linear values
+``emb[n] . sum_j x_j * cv[row_j]`` of cells with their member counts, and
+adds coefficient-weighted gradients of those values into one pair of
+(emb, cv) gradient tables, ``gradients()``.  It takes the cells two ways:
+
+* ``table``/``scatter``: every cell of a ``ColumnBlock``, as matrix
+  products of the entity relation, the data and the column relation (the
+  exact objective, the full gradient and the held-out protocols);
+* ``at``/``scatter_at``: the listed cells of a ``TermBatch``, one value
+  per cell (the sampled estimators and the logged objective).
+
+kNN members are read with ``DataMatrix.lookup``.  Every scatter onto rows or
+columns goes through ``core.scatter_rows``, one product with a sparse
+incidence matrix that adds each entry into a zeroed table in entry order,
+so its sums are byte for byte those of the ``add.at`` ufunc method into
+zeros.  The window table reads its prefix sums as slices with repeated edge
+rows: the same rows as a gather at the clipped window ends, and the same
+subtractions.  A member is a present cell: a cell missing from explicit
+data is never one.  Maps are immutable after construction.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from scipy import sparse
 from .core import ColumnBlock, DataMatrix, TermBatch, scatter_rows
 from .errors import ConfigError, DataError
 
-# cells per chunk in KnnContext.sums, bounding its (cells, k, dim) gather of
-# neighbour context vectors; scatter_add builds no such array
+# cells per chunk of the kNN pass's ``at``, bounding its (cells, k, dim)
+# gather of neighbour context vectors; ``scatter_at`` builds no such array
 KNN_SUM_CHUNK = 1 << 15
 
 
@@ -65,44 +69,19 @@ class KnnContext:
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
 
-    def _members(self, data, batch: TermBatch):
-        """Neighbor rows of each batch cell, their values with missing cells
-        set to 0, and the count of present neighbors."""
-        nb = self.neighbors[batch.rows]                        # (E, k)
-        vals, present = data.lookup(nb, batch.cols[:, None])   # (E, k)
-        if data.every_cell_a_term:  # no cell is missing
-            return nb, vals, np.full(len(nb), nb.shape[1], dtype=np.int64)
-        return nb, vals, present.sum(axis=1)
-
-    def sums(self, data, cv, batch: TermBatch):
-        """Context inner sums for a batch of cells.
-
-        Returns (S, counts): S[e] = sum_{j in c_e} x_j * cv[row_j], and
-        counts[e] = |c_e|.  The other maps' ``sums`` share this contract.
-        """
-        nb, vals, counts = self._members(data, batch)
-        S = np.empty((len(nb), cv.shape[1]))
-        for lo in range(0, len(nb), KNN_SUM_CHUNK):
-            hi = lo + KNN_SUM_CHUNK
-            S[lo:hi] = np.einsum("ek,ekd->ed", vals[lo:hi], cv[nb[lo:hi]])
-        return S, counts
-
-    def scatter_add(self, data, batch: TermBatch, coef, out):
-        """out[row_j] += x_j * coef[e] for every member j of every batch cell
-        e.  The other maps' ``scatter_add`` share this contract."""
-        nb, vals, _ = self._members(data, batch)
-        out += scatter_rows(nb, coef, len(out), vals)
-
     def block(self, data, emb, cv):
-        """One pass over every cell of ``data``, a column block at a time.
+        """One pass over the cells of ``data``.
 
-        The pass's ``table(cells)`` returns (H, counts) for a ``ColumnBlock``:
-        H[n, t] = emb[n] . S[n, t] for the block's cells and their member
-        counts, broadcastable to H.  ``scatter(cells, coef)`` adds
-        coef[n, t] times the gradient of H[n, t] with respect to emb and cv,
-        and ``gradients()`` returns the (emb, cv) sums of every scatter.  The
-        other maps' ``block`` share this contract.  Here H = M @ x, where M
-        holds emb[n] . cv[nb[n, k]] at (n, nb[n, k]).
+        With S[n, t] = sum_{j in c(n, t)} x_j * cv[row_j], the pass's
+        ``table(cells)`` returns (H, counts) for a ``ColumnBlock``: H[n, t] =
+        emb[n] . S[n, t] for the block's cells and their member counts,
+        broadcastable to H.  ``scatter(cells, coef)`` adds coef[n, t] times
+        the gradient of H[n, t] with respect to emb and cv.  ``at(batch)``
+        and ``scatter_at(batch, coef)`` do the same for the cells of a
+        ``TermBatch``, with H and coef of one value per cell.
+        ``gradients()`` returns the (emb, cv) sums of every scatter.  The
+        other maps' ``block`` share this contract.  Here a block's H = M @
+        x, where M holds emb[n] . cv[nb[n, k]] at (n, nb[n, k]).
         """
         return _KnnPass(self.neighbors, data, emb, cv)
 
@@ -110,31 +89,9 @@ class KnnContext:
 class BasketContext:
     """Contexts are the other stored entries of the same column."""
 
-    def sums(self, data, cv, batch: TermBatch):
-        colsum, colcount = _column_tables(data, cv)
-        stored = batch.stored
-        S = np.take(colsum, batch.cols, axis=0)
-        S[stored] -= batch.vals[stored, None] * cv[batch.rows[stored]]
-        counts = colcount[batch.cols] - stored.astype(np.int64)
-        return S, counts
-
-    def scatter_add(self, data, batch: TermBatch, coef, out):
-        # every stored entry j=(m,t) is in the context of every scored cell of
-        # column t except itself.  A cell with no member adds nothing: its
-        # coefficient (which a floored rate makes huge) would cancel against
-        # its own term only up to rounding
-        stored = batch.stored
-        colcount = np.bincount(data.cols, minlength=data.n_cols)
-        coef = np.where((colcount[batch.cols] > stored)[:, None], coef, 0.0)
-        R = _column_coefficients(data, batch, coef)
-        # the column spread, then each stored cell's own term, in one scatter
-        out += scatter_rows(np.concatenate([data.rows, batch.rows[stored]]),
-                            np.concatenate([R[data.cols], coef[stored]]), len(out),
-                            np.concatenate([data.vals, -batch.vals[stored]]))
-
     def block(self, data, emb, cv):
-        """Every cell by column blocks (see ``KnnContext.block``): H = emb @
-        colsum.T, less x[n, t] * (emb[n] . cv[n]) at each stored cell."""
+        """See ``KnnContext.block``: H = emb @ colsum.T, less x[n, t] *
+        (emb[n] . cv[n]) at each stored cell."""
         return _ColumnTablePass(data, emb, cv, *_column_tables(data, cv), lambda t: t, own=True)
 
 
@@ -163,16 +120,8 @@ class WindowContext:
         wc = self._window_table(colcount[:, None].astype(np.float64))[:, 0]
         return self._window_table(colsum), wc.astype(np.int64)
 
-    def sums(self, data, cv, batch: TermBatch):
-        ws, wc = self._tables(data, cv)
-        return np.take(ws, batch.cols, axis=0), np.take(wc, batch.cols)
-
-    def scatter_add(self, data, batch: TermBatch, coef, out):
-        out += _spread(data, self._window_table(_column_coefficients(data, batch, coef)), len(out))
-
     def block(self, data, emb, cv):
-        """Every cell by column blocks (see ``KnnContext.block``): H = emb @
-        window_table(colsum).T."""
+        """See ``KnnContext.block``: H = emb @ window_table(colsum).T."""
         return _ColumnTablePass(data, emb, cv, *self._tables(data, cv), self._window_table,
                                 own=False)
 
@@ -183,11 +132,6 @@ def _column_tables(data: DataMatrix, cv: np.ndarray):
     colsum = scatter_rows(data.cols, cv[data.rows], data.n_cols, data.vals)
     colcount = np.bincount(data.cols, minlength=data.n_cols)
     return colsum, colcount
-
-
-def _column_coefficients(data: DataMatrix, batch: TermBatch, coef):
-    """Per column: the sum of the coefficients of the batch cells there."""
-    return scatter_rows(batch.cols, coef, data.n_cols)
 
 
 def _spread(data: DataMatrix, R, n):
@@ -204,29 +148,66 @@ def _neighbor_matrix(neighbors, weights):
 
 
 class _KnnPass:
-    """``KnnContext.block``: H = M @ x, and the gradient through
-    G[n, k] = sum_t coef[n, t] x[nb[n, k], t]."""
+    """``KnnContext.block``: a block's H = M @ x, and its gradient through
+    G[n, k] = sum_t coef[n, t] x[nb[n, k], t]; M, W and G are built by the
+    first ``table`` and ``scatter``.  A listed cell's H = emb[n] . S, with S
+    summed over its members' values and context vectors a chunk of cells
+    at a time, and its gradient scattered onto its row and its members'."""
 
     def __init__(self, neighbors, data: DataMatrix, emb, cv):
-        self.neighbors, self.emb, self.cv = neighbors, emb, cv
-        self.M = _neighbor_matrix(neighbors, np.einsum("nd,nkd->nk", emb, cv[neighbors]))
-        self.G = np.zeros(neighbors.shape)
-        # with no cell missing every neighbor is a member; else count the present ones
-        self.W = None if data.every_cell_a_term else \
-            _neighbor_matrix(neighbors, np.ones(neighbors.shape))
+        self.neighbors, self.data, self.emb, self.cv = neighbors, data, emb, cv
+        self.M = self.W = self.G = None
+        self.g_emb, self.g_cv = np.zeros_like(emb), np.zeros_like(cv)
+        self._batch = self._members = None
 
     def table(self, cells: ColumnBlock):
+        nb = self.neighbors
+        if self.M is None:
+            self.M = _neighbor_matrix(nb, np.einsum("nd,nkd->nk", self.emb, self.cv[nb]))
+            # with no cell missing every neighbor is a member; else count the present ones
+            if not self.data.every_cell_a_term:
+                self.W = _neighbor_matrix(nb, np.ones(nb.shape))
         if self.W is None:
-            return self.M @ cells.x, self.neighbors.shape[1]
+            return self.M @ cells.x, nb.shape[1]
         return self.M @ cells.x, (self.W @ cells.stored.astype(np.float64)).astype(np.int64)
 
     def scatter(self, cells: ColumnBlock, coef):
+        if self.G is None:
+            self.G = np.zeros(self.neighbors.shape)
         for k, nb in enumerate(self.neighbors.T):
             self.G[:, k] += np.einsum("nt,nt->n", coef, cells.x[nb])
 
+    def _members_of(self, batch: TermBatch):
+        """Per cell of ``batch``: its neighbor rows, their values (0 at
+        missing cells), the count of present ones, the context sum S and the
+        cell's embedding row, kept for a ``scatter_at`` of the same batch."""
+        if self._batch is not batch:
+            nb = self.neighbors[batch.rows]                        # (E, k)
+            vals, present = self.data.lookup(nb, batch.cols[:, None])
+            counts = np.full(len(nb), nb.shape[1], dtype=np.int64) \
+                if self.data.every_cell_a_term else present.sum(axis=1)
+            S = np.empty((len(nb), self.cv.shape[1]))
+            for lo in range(0, len(nb), KNN_SUM_CHUNK):
+                hi = lo + KNN_SUM_CHUNK
+                S[lo:hi] = np.einsum("ek,ekd->ed", vals[lo:hi], self.cv[nb[lo:hi]])
+            self._batch = batch
+            self._members = nb, vals, counts, S, np.take(self.emb, batch.rows, axis=0)
+        return self._members
+
+    def at(self, batch: TermBatch):
+        _, _, counts, S, emb_rows = self._members_of(batch)
+        return np.einsum("ed,ed->e", emb_rows, S), counts
+
+    def scatter_at(self, batch: TermBatch, coef):
+        nb, vals, _, S, emb_rows = self._members_of(batch)
+        self.g_emb += scatter_rows(batch.rows, S, len(self.emb), coef)
+        self.g_cv += scatter_rows(nb, emb_rows * coef[:, None], len(self.cv), vals)
+
     def gradients(self):
+        if self.G is None:
+            return self.g_emb, self.g_cv
         G = _neighbor_matrix(self.neighbors, self.G)
-        return G @ self.cv, G.T @ self.emb
+        return self.g_emb + G @ self.cv, self.g_cv + G.T @ self.emb
 
 
 class _ColumnTablePass:
@@ -244,6 +225,7 @@ class _ColumnTablePass:
         self.g_emb = np.zeros_like(emb)
         self.R = np.zeros_like(sums)
         self.own_coef = np.zeros(len(emb))  # sum_t coef[n, t] * x[n, t]
+        self._batch = self._rows = None
 
     def table(self, cells: ColumnBlock):
         H = self.emb @ self.sums[cells.cols].T
@@ -253,15 +235,44 @@ class _ColumnTablePass:
             counts = counts - cells.stored
         return H, counts
 
+    def _drop_memberless(self, coef, cols, stored):
+        """``coef`` with 0 at the cells that have no member: such a cell adds
+        nothing, since its coefficient (which a floored rate makes huge)
+        would cancel against its own term only up to rounding."""
+        return np.where(self.counts[cols] > stored, coef, 0.0)
+
     def scatter(self, cells: ColumnBlock, coef):
         if self.own is not None:
-            # a cell with no member adds nothing: its coefficient (which a
-            # floored rate makes huge) would cancel against its own term
-            # only up to rounding
-            coef = np.where(self.counts[cells.cols] > cells.stored, coef, 0.0)
+            coef = self._drop_memberless(coef, cells.cols, cells.stored)
             self.own_coef += np.einsum("nt,nt->n", coef, cells.x)
         self.g_emb += coef @ self.sums[cells.cols]
         self.R[cells.cols] += coef.T @ self.emb
+
+    def _rows_of(self, batch: TermBatch):
+        """Per cell of ``batch``: its embedding row and its column's sum, kept
+        for a ``scatter_at`` of the same batch."""
+        if self._batch is not batch:
+            self._batch = batch
+            self._rows = (np.take(self.emb, batch.rows, axis=0),
+                          np.take(self.sums, batch.cols, axis=0))
+        return self._rows
+
+    def at(self, batch: TermBatch):
+        emb_rows, S = self._rows_of(batch)
+        H = np.einsum("ed,ed->e", emb_rows, S)
+        counts = np.take(self.counts, batch.cols)
+        if self.own is not None:
+            H -= batch.vals * self.own[batch.rows]
+            counts = counts - batch.stored
+        return H, counts
+
+    def scatter_at(self, batch: TermBatch, coef):
+        emb_rows, S = self._rows_of(batch)
+        if self.own is not None:
+            coef = self._drop_memberless(coef, batch.cols, batch.stored)
+            self.own_coef += scatter_rows(batch.rows, batch.vals, len(self.emb), coef)
+        self.g_emb += scatter_rows(batch.rows, S, len(self.emb), coef)
+        self.R += scatter_rows(batch.cols, emb_rows, len(self.R), coef)
 
     def gradients(self):
         g_cv = _spread(self.data, self.spread(self.R), len(self.cv))

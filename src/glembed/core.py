@@ -223,7 +223,7 @@ class DataMatrix:
 @dataclass
 class TermBatch:
     """Data terms, each with the weight of its log-likelihood: the cell list
-    every context and kernel takes.
+    of the term kernels and of a context pass's ``at``/``scatter_at``.
 
     Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
     for an implicit zero.  ``weights`` None means every weight is 1.  The
@@ -287,11 +287,6 @@ class EmbeddingBank:
             raise DataError("embedding and context tables must have equal shape")
         if not (np.isfinite(self.embeddings).all() and np.isfinite(self.context_vectors).all()):
             raise DataError("parameter banks must be finite")
-
-    @classmethod
-    def zeros(cls, n_rows: int, dim: int, log_space: bool = False, tied: bool = False) -> "EmbeddingBank":
-        emb = np.zeros((n_rows, dim))
-        return cls(emb, emb if tied else np.zeros((n_rows, dim)), log_space=log_space)
 
     @classmethod
     def init_random(

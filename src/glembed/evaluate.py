@@ -4,8 +4,9 @@ predictive log-likelihood, and the baselines that anchor the test suite.
 Two split flavors: whole-column splits (time frames, shopping trips) and
 per-entry holdout of nonzero ratings.  Both are deterministic per seed and
 partition the input.  LOO, leave-fraction-out and NPLL read each held-out
-entry's mean from ``families.block_means``, a column block at a time, in
-O(rows x block columns + entries) memory.
+entry's mean from ``families.block_means`` over the columns that hold
+held-out entries, a column block at a time, in O(rows x block columns +
+entries) memory.
 """
 
 from __future__ import annotations
@@ -150,16 +151,17 @@ def _require_poisson(spec: FamilySpec):
 def _cell_means(data, ctx, bank, spec, rows, cols):
     """Each listed cell's conditional mean given its context in ``data`` (0
     where a mean link drops an empty context), its member count and the sum
-    of the means of its column, read from ``block_means`` a column block at
-    a time: O(rows x block columns + cells) memory."""
+    of the means of its column, read from ``block_means`` over the listed
+    columns only, a column block at a time: O(rows x block columns + cells)
+    memory and O(rows x listed columns) time."""
     validate_bank(spec, bank)
     order = np.argsort(cols, kind="stable")  # the cells column by column
     sorted_cols = cols[order]
     means, colsums = np.empty(len(rows)), np.empty(len(rows))
     counts = np.empty(len(rows), dtype=np.int64)
-    for cells, m, c in block_means(data, ctx, bank, spec):
-        e = order[slice(*np.searchsorted(sorted_cols, [cells.cols.start, cells.cols.stop]))]
-        r, t = rows[e], cols[e] - cells.cols.start
+    for cells, m, c in block_means(data, ctx, bank, spec, np.unique(cols)):
+        e = order[slice(*np.searchsorted(sorted_cols, [cells.cols[0], cells.cols[-1] + 1]))]
+        r, t = rows[e], np.searchsorted(cells.cols, cols[e])
         means[e] = m[r, t]
         counts[e] = np.broadcast_to(c, m.shape)[r, t]
         colsums[e] = m.sum(axis=0)[t]

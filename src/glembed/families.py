@@ -1,11 +1,15 @@
 """Conditional families: log-likelihoods, moments, and analytic gradients.
 
 Each observation x is scored under an exponential-family conditional whose
-natural parameter comes from the context inner product (see core).  The
-kernels score a ``TermBatch`` of cells, or every cell of a matrix a
-``ColumnBlock`` at a time, in tables of at most ``BLOCK_CELLS`` cells.  A
-categorical term is a whole column, the softmax over its vocabulary rows,
-so that family is scored by column blocks only.
+natural parameter comes from the context inner product (see core).  Every
+kernel reads its linear values from one pass of ``ctx.block`` and takes the
+same steps: the mean-link divisor on the linear values, the residual times
+the weights, the mean-link divisor on that coefficient, and the pass's
+scatter.  The term kernels apply them to the cells of a ``TermBatch``
+(``at``/``scatter_at``), the block kernels to every cell of a matrix a
+``ColumnBlock`` at a time (``table``/``scatter``), in tables of at most
+``BLOCK_CELLS`` cells.  A categorical term is a whole column, the softmax
+over its vocabulary rows, so that family is scored by column blocks only.
 
 Conventions fixed here:
 
@@ -35,7 +39,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, log_softmax, softmax
 
-from .core import DataMatrix, EmbeddingBank, Link, TermBatch, scatter_rows
+from .core import DataMatrix, EmbeddingBank, Link, TermBatch
 from .errors import ConfigError, DataError
 
 ETA_CLAMP = 30.0
@@ -141,43 +145,31 @@ class Gradients:
     context_vectors: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# vectorized engine over batches of cells
-# ---------------------------------------------------------------------------
-
-def _context_sums(data, ctx, bank, spec, batch: TermBatch):
-    """Context sums of a batch of cells, divided by the member count under
-    mean links.
-
-    Returns (S, counts, active) where active marks cells kept under the
-    empty-context policy: mean links drop empty-context cells.
-    """
-    S, counts = ctx.sums(data, bank.effective_context_vectors(), batch)
-    active = np.ones(len(batch), dtype=bool)
+def _rescaled(spec, svals, counts, w):
+    """The linear values and weights of cells with ``counts`` members: under
+    a mean link, divided by the count, with weight 0 and the placeholder
+    linear value 1.0 (which keeps the moment formulas finite and out of the
+    clamp counters) where the context is empty.  ``w`` None means weights
+    of 1; other links return it as given."""
     if spec.link.rescales_by_count:
-        active = counts > 0
-        S = S / np.maximum(counts, 1)[:, None]
-    return S, counts, active
+        active = np.broadcast_to(counts > 0, svals.shape)
+        svals = np.where(active, svals / np.maximum(counts, 1), 1.0)
+        w = np.where(active, 1.0 if w is None else w, 0.0)
+    return svals, w
 
 
-def _linear_values(data, ctx, bank, spec, batch: TermBatch, emb_rows=None):
-    """Linear values and context sums for a batch of cells, given their
-    effective embedding rows ``emb_rows`` (gathered here when None).
-
-    Returns (svals, S, counts, active), the last three as ``_context_sums``
-    returns them.
-    """
-    if spec.family is Family.CATEGORICAL:
-        raise ConfigError("categorical terms are scored per column block")
-    S, counts, active = _context_sums(data, ctx, bank, spec, batch)
-    if emb_rows is None:
-        emb_rows = np.take(bank.effective_embeddings(), batch.rows, axis=0)
-    svals = np.einsum("ed,ed->e", emb_rows, S)
-    if not active.all():
-        # excluded cells get a placeholder linear value so the moment
-        # formulas stay finite and do not pollute the clamp counters
-        svals = np.where(active, svals, 1.0)
-    return svals, S, counts, active
+def _coefficients(spec, svals, x, counts, w, counters, weight=1.0):
+    """Per cell, the derivative of its log-likelihood times its weight ``w``
+    and ``weight`` with respect to its linear value before the mean-link
+    divisor: the coefficient of the passes' scatters."""
+    coef = _residual(spec, svals, x, counters)
+    if w is not None:
+        coef *= w
+    if weight != 1.0:
+        coef *= weight
+    if spec.link.rescales_by_count:
+        coef /= np.maximum(counts, 1)
+    return coef
 
 
 def _mean(spec, svals, counters):
@@ -231,39 +223,42 @@ def _log_likelihood(spec, svals, x, counters):
     return x * np.log(mean) - mean - gammaln(x + 1.0)
 
 
+def _term_pass(data, ctx, emb, cv, spec, batch: TermBatch, w):
+    """The pass of ``ctx.block`` and, at the cells of ``batch`` weighted by
+    ``w``, (svals, counts, weights) as ``_block_terms`` yields them."""
+    if spec.family is Family.CATEGORICAL:
+        raise ConfigError("categorical terms are scored per column block")
+    scored = ctx.block(data, emb, cv)
+    svals, counts = scored.at(batch)
+    svals, w = _rescaled(spec, svals, counts, w)
+    return scored, svals, counts, w
+
+
 def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
     """Log-likelihoods of a batch of cells given their contexts.
 
     Returns (ll, active); inactive cells (empty context under a mean link)
     carry ll = 0 and are excluded by the caller's bookkeeping.
     """
-    svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
+    _, svals, _, w = _term_pass(data, ctx, bank.effective_embeddings(),
+                                bank.effective_context_vectors(), spec, batch, None)
     ll = _log_likelihood(spec, svals, batch.vals, counters)
+    active = np.ones(len(batch), dtype=bool) if w is None else w > 0
     return np.where(active, ll, 0.0), active
 
 
 def weighted_term_gradient(data, ctx, bank, spec, batch: TermBatch, counters=None) -> Gradients:
     """Gradient of sum_e weights[e] * loglik(cell e) in stored coordinates.
 
-    The heavy lifting for every estimator: full, minibatch, and the sparse
-    zero/nonzero split all reduce to weighted batches of cells.
+    The heavy lifting for every sampled estimator: minibatch, the sparse
+    zero/nonzero split, and the full gradient of data with missing cells
+    all reduce to weighted batches of cells.
     """
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
-    g_emb = np.zeros_like(emb)
-    g_cv = np.zeros_like(cv)
-    if len(batch):
-        emb_rows = np.take(emb, batch.rows, axis=0)
-        svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch, emb_rows)
-        resid = _residual(spec, svals, batch.vals, counters)
-        w = batch.weights
-        coef = np.where(active, resid if w is None else w * resid, 0.0)
-        g_emb = scatter_rows(batch.rows, S, len(emb), coef)
-        back = np.multiply(emb_rows, coef[:, None], out=emb_rows)
-        if spec.link.rescales_by_count:
-            back = back / np.maximum(counts, 1)[:, None]
-        ctx.scatter_add(data, batch, back, g_cv)
-    return _stored_gradients(bank, emb, cv, g_emb, g_cv)
+    scored, svals, counts, w = _term_pass(data, ctx, emb, cv, spec, batch, batch.weights)
+    scored.scatter_at(batch, _coefficients(spec, svals, batch.vals, counts, w, counters))
+    return _stored_gradients(bank, emb, cv, *scored.gradients())
 
 
 def _stored_gradients(bank, emb, cv, g_emb, g_cv) -> Gradients:
@@ -290,20 +285,16 @@ BLOCK_CELLS = 1 << 17
 def _block_terms(data, scored, spec, zero_weight, cols=None):
     """Per ``ColumnBlock`` of the columns ``cols`` of ``data`` (of all when
     None), scored by the pass ``scored`` of ``ctx.block``: (cells, svals,
-    counts, weights).  The weights are ``zero_weight`` at unstored cells
-    and 0 at cells that a mean link drops for an empty context, or None when
-    all are 1; dropped cells get the placeholder linear value of
-    ``_linear_values``.  A zero cell of categorical data is no term of its
-    own but part of its column's softmax, so it keeps weight 1."""
+    counts, weights) as ``_rescaled`` returns them, the weights
+    ``zero_weight`` at unstored cells.  A zero cell of categorical data is
+    no term of its own but part of its column's softmax, so it keeps
+    weight 1."""
     if spec.family is Family.CATEGORICAL:
         zero_weight = 1.0
     for cells in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1)), cols):
         svals, counts = scored.table(cells)
         w = None if zero_weight == 1.0 else np.where(cells.stored, 1.0, zero_weight)
-        if spec.link.rescales_by_count:
-            active = np.broadcast_to(counts > 0, svals.shape)
-            svals = np.where(active, svals / np.maximum(counts, 1), 1.0)
-            w = np.where(active, 1.0 if w is None else w, 0.0)
+        svals, w = _rescaled(spec, svals, counts, w)
         yield cells, svals, counts, w
 
 
@@ -327,24 +318,18 @@ def block_gradient(data, ctx, bank, spec, zero_weight=1.0, counters=None, cols=N
     cv = bank.effective_context_vectors()
     scored = ctx.block(data, emb, cv)
     for cells, svals, counts, w in _block_terms(data, scored, spec, zero_weight, cols):
-        coef = _residual(spec, svals, cells.x, counters)
-        if w is not None:
-            coef *= w
-        if weight != 1.0:
-            coef *= weight
-        if spec.link.rescales_by_count:
-            coef /= np.maximum(counts, 1)
-        scored.scatter(cells, coef)
+        scored.scatter(cells, _coefficients(spec, svals, cells.x, counts, w, counters, weight))
     return _stored_gradients(bank, emb, cv, *scored.gradients())
 
 
-def block_means(data, ctx, bank, spec):
-    """Every cell's conditional mean, one ``ColumnBlock`` of columns at a
-    time, left to right: yields (cells, means, counts), the (n_rows, block
-    columns) means, 0 where a mean link drops an empty context, and the
-    member counts, broadcastable to them."""
+def block_means(data, ctx, bank, spec, cols=None):
+    """The conditional mean of every cell of the distinct columns ``cols``
+    (of every column when None), one ``ColumnBlock`` of columns at a time,
+    in the order of ``cols``: yields (cells, means, counts), the (n_rows,
+    block columns) means, 0 where a mean link drops an empty context, and
+    the member counts, broadcastable to them."""
     scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
-    for cells, svals, counts, w in _block_terms(data, scored, spec, 1.0):
+    for cells, svals, counts, w in _block_terms(data, scored, spec, 1.0, cols):
         m = _mean(spec, svals, None)
         yield cells, (m if w is None else m * w), counts
 

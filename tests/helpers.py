@@ -5,10 +5,10 @@ analytic gradient: it only touches the objective function, never the
 gradient code paths it checks.  ``members`` restates each context builder's
 membership rule one cell at a time; the scalar loops (``ExplicitContext``,
 ``MemberPass``, ``scalar_linear_value`` and the scoring protocols) walk
-those members entry by entry and never call the context sums or block
-passes they check.  ``add_at_rows``, ``add_at_scatter`` and
-``add_at_term_gradient`` are the scatters as ``np.add.at`` calls into zeroed
-tables, the oracle of the library's one incidence-product scatter;
+those members entry by entry and never call the context passes they
+check.  ``add_at_rows``, ``add_at_scatter`` and ``add_at_term_gradient``
+are the scatters as ``np.add.at`` calls into zeroed tables, the oracle of
+the library's one incidence-product scatter;
 ``prefix_gather_window_table`` and ``dense_zero_cells`` are the window
 table and the zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
@@ -21,8 +21,9 @@ estimator's training loop with every zero-cell draw taken on the calling
 thread just before its step, the oracle of the one-step-ahead draw.
 ``dense_values`` is a matrix as one dense array (NaN at missing cells), and
 ``conditional_means``, ``term_squared_errors``, ``term_leave_one_out`` and
-``term_leave_fraction_out`` score held-out cells as one ``TermBatch``: the
-oracles of the sorted-key lookup and of the column-block protocols.
+``term_leave_fraction_out`` score held-out cells as one ``TermBatch``
+through the pass's ``at``: the oracles of the sorted-key lookup and of the
+column-block protocols.  ``zero_bank`` is a bank of zero tables.
 """
 
 import math
@@ -48,8 +49,6 @@ from glembed.families import (
     ClampCounters,
     Family,
     FamilySpec,
-    _context_sums,
-    _linear_values,
     _mean,
     _residual,
     _stored_gradients,
@@ -73,10 +72,29 @@ def dense_values(data):
     return x
 
 
+def zero_bank(n_rows, dim, log_space=False, tied=False):
+    """An ``EmbeddingBank`` of zero tables."""
+    emb = np.zeros((n_rows, dim))
+    return EmbeddingBank(emb, emb if tied else np.zeros((n_rows, dim)), log_space=log_space)
+
+
+def linear_values_at(data, ctx, bank, spec, batch):
+    """(linear values, member counts, active) of a batch of cells through
+    the pass's ``at``: divided by the member count under a mean link, which
+    drops an empty context (linear value 1.0, inactive)."""
+    svals, counts = ctx.block(data, bank.effective_embeddings(),
+                              bank.effective_context_vectors()).at(batch)
+    active = np.ones(len(batch), dtype=bool)
+    if spec.link.rescales_by_count:
+        active = counts > 0
+        svals = np.where(active, svals / np.maximum(counts, 1), 1.0)
+    return svals, counts, active
+
+
 def conditional_means(data, ctx, bank, spec, batch, counters=None):
-    """Means of a batch of cells given their contexts, through the term
-    path's context sums: (means, active)."""
-    svals, _, _, active = _linear_values(data, ctx, bank, spec, batch)
+    """Means of a batch of cells given their contexts, through the pass's
+    ``at``: (means, active)."""
+    svals, _, active = linear_values_at(data, ctx, bank, spec, batch)
     return _mean(spec, svals, counters), active
 
 
@@ -87,7 +105,7 @@ def term_squared_errors(data, ctx, bank, spec, test_data, entries):
     the column-block reader."""
     rows, cols = test_data.rows[entries], test_data.cols[entries]
     batch = TermBatch(rows, cols, test_data.vals[entries], data.lookup(rows, cols)[1])
-    means, _, counts, _ = _linear_values(data, ctx, bank, spec, batch)
+    means, counts, _ = linear_values_at(data, ctx, bank, spec, batch)
     return (batch.vals - means) ** 2, counts > 0
 
 
@@ -167,7 +185,7 @@ def members(ctx, data, row, col):
 
 class ExplicitContext:
     """Context map given as an explicit cell -> member cells dictionary; its
-    sums, scatter and block walk ``members`` one cell at a time."""
+    block pass walks ``members`` one cell at a time."""
 
     def __init__(self, mapping):
         self.mapping = {cell: [tuple(j) for j in js] for cell, js in mapping.items()}
@@ -180,22 +198,6 @@ class ExplicitContext:
 
     def block(self, data, emb, cv):
         return MemberPass(self, data, emb, cv)
-
-    def sums(self, data, cv, batch):
-        x = dense_values(data)
-        S = np.zeros((len(batch), cv.shape[1]))
-        counts = np.zeros(len(batch), dtype=np.int64)
-        for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
-            for j in members(self, data, *cell):
-                S[e] += x[j] * cv[j[0]]
-                counts[e] += 1
-        return S, counts
-
-    def scatter_add(self, data, batch, coef, out):
-        x = dense_values(data)
-        for e, cell in enumerate(zip(batch.rows.tolist(), batch.cols.tolist())):
-            for j in members(self, data, *cell):
-                out[j[0]] += x[j] * coef[e]
 
 
 def add_at_rows(idx, v, n, scale=None):
@@ -273,80 +275,104 @@ def dense_zero_cells(data, q):
     return ids // data.n_cols, ids % data.n_cols
 
 
-def add_at_scatter(ctx, data, batch, coef, out):
-    """``ctx.scatter_add`` of a kNN, basket or window context as ``np.add.at``
-    calls: the kNN contributions one chunk of cells at a time, the basket's
-    column spread before each stored cell's own term."""
+def add_at_scatter(ctx, data, emb, cv, batch, coef):
+    """``scatter_at(batch, coef)`` of a kNN, basket or window pass, then its
+    ``gradients()``, as ``np.add.at`` calls: the kNN contributions one chunk
+    of cells at a time; the basket's own-term coefficients summed per row
+    and taken off after the column spread."""
+    g_emb, g_cv = np.zeros_like(emb), np.zeros_like(cv)
     if isinstance(ctx, KnnContext):
-        nb, vals, _ = ctx._members(data, batch)
+        nb = ctx.neighbors[batch.rows]
+        vals, _ = data.lookup(nb, batch.cols[:, None])
+        S = np.einsum("ek,ekd->ed", vals, cv[nb])
+        np.add.at(g_emb, batch.rows, coef[:, None] * S)
+        back = emb[batch.rows] * coef[:, None]
         for lo in range(0, len(nb), KNN_SUM_CHUNK):
             hi = lo + KNN_SUM_CHUNK
-            contrib = vals[lo:hi, :, None] * coef[lo:hi, None, :]
-            np.add.at(out, nb[lo:hi].ravel(), contrib.reshape(-1, out.shape[1]))
-        return
+            contrib = vals[lo:hi, :, None] * back[lo:hi, None, :]
+            np.add.at(g_cv, nb[lo:hi].ravel(), contrib.reshape(-1, cv.shape[1]))
+        return g_emb, g_cv
+    colsum = np.zeros((data.n_cols, cv.shape[1]))
+    np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
+    if isinstance(ctx, WindowContext):
+        colsum = prefix_gather_window_table(ctx.half_width, colsum)
+    own_coef = np.zeros(len(emb))
     if isinstance(ctx, BasketContext):
         # a cell with no member (alone in its column) adds nothing
         colcount = np.bincount(data.cols, minlength=data.n_cols)
-        coef = np.where((colcount[batch.cols] > batch.stored)[:, None], coef, 0.0)
-    R = np.zeros((data.n_cols, coef.shape[1]))
-    np.add.at(R, batch.cols, coef)
+        coef = np.where(colcount[batch.cols] > batch.stored, coef, 0.0)
+        np.add.at(own_coef, batch.rows, coef * batch.vals)
+    np.add.at(g_emb, batch.rows, coef[:, None] * colsum[batch.cols])
+    R = np.zeros((data.n_cols, emb.shape[1]))
+    np.add.at(R, batch.cols, coef[:, None] * emb[batch.rows])
     if isinstance(ctx, WindowContext):
         R = prefix_gather_window_table(ctx.half_width, R)
-    np.add.at(out, data.rows, data.vals[:, None] * R[data.cols])
+    np.add.at(g_cv, data.rows, data.vals[:, None] * R[data.cols])
     if isinstance(ctx, BasketContext):
-        stored = batch.stored
-        np.add.at(out, batch.rows[stored], -(batch.vals[stored, None] * coef[stored]))
+        g_emb -= own_coef[:, None] * cv
+        g_cv -= own_coef[:, None] * emb
+    return g_emb, g_cv
 
 
 def add_at_term_gradient(data, ctx, bank, spec, batch):
     """``weighted_term_gradient`` with its scatters as ``np.add.at`` calls."""
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
-    g_emb = np.zeros_like(emb)
-    g_cv = np.zeros_like(cv)
-    svals, S, counts, active = _linear_values(data, ctx, bank, spec, batch)
+    svals, counts, active = linear_values_at(data, ctx, bank, spec, batch)
     resid = _residual(spec, svals, batch.vals, None)
     w = batch.weights
-    coef = np.where(active, resid if w is None else w * resid, 0.0)
-    np.add.at(g_emb, batch.rows, coef[:, None] * S)
-    back = emb[batch.rows]
-    back *= coef[:, None]
+    coef = np.where(active, resid if w is None else resid * w, 0.0)
     if spec.link.rescales_by_count:
-        back = back / np.maximum(counts, 1)[:, None]
-    add_at_scatter(ctx, data, batch, back, g_cv)
-    return _stored_gradients(bank, emb, cv, g_emb, g_cv)
+        coef = coef / np.maximum(counts, 1)
+    return _stored_gradients(bank, emb, cv, *add_at_scatter(ctx, data, emb, cv, batch, coef))
 
 
 class MemberPass:
     """``ctx.block`` of any context map, walking ``members`` one cell at a
-    time."""
+    time: ``table``/``scatter`` over every cell of a column block,
+    ``at``/``scatter_at`` over the cells of a batch."""
 
     def __init__(self, ctx, data, emb, cv):
         self.ctx, self.data, self.emb, self.cv = ctx, data, emb, cv
         self.g_emb = np.zeros_like(emb)
         self.g_cv = np.zeros_like(cv)
 
-    def _members(self, cells):
-        """(n, t, [(x_j, row_j) per member]) of every cell of the block."""
-        x = dense_values(self.data)
+    def _block_cells(self, cells):
+        """(n, t) of every cell of a column block, row by row."""
         cols = np.arange(self.data.n_cols)[cells.cols]
-        for n, t in np.ndindex(*cells.x.shape):
-            yield n, t, [(x[j], j[0]) for j in members(self.ctx, self.data, n, int(cols[t]))]
+        return [(n, int(cols[t])) for n, t in np.ndindex(*cells.x.shape)]
+
+    def _members(self, cells):
+        """[(x_j, row_j) per member] of each cell (n, t) of ``cells``."""
+        x = dense_values(self.data)
+        for n, t in cells:
+            yield [(x[j], j[0]) for j in members(self.ctx, self.data, n, t)]
+
+    def _linear(self, cells):
+        H, counts = [], []
+        for (n, _), js in zip(cells, self._members(cells)):
+            H.append(sum((xj * (self.emb[n] @ self.cv[m]) for xj, m in js), 0.0))
+            counts.append(len(js))
+        return np.array(H, dtype=np.float64), np.array(counts, dtype=np.int64)
+
+    def _scatter(self, cells, coef):
+        for (n, _), js, c in zip(cells, self._members(cells), coef):
+            for xj, m in js:
+                self.g_emb[n] += c * xj * self.cv[m]
+                self.g_cv[m] += c * xj * self.emb[n]
 
     def table(self, cells):
-        H = np.zeros(cells.x.shape)
-        counts = np.zeros(cells.x.shape, dtype=np.int64)
-        for n, t, js in self._members(cells):
-            for xj, m in js:
-                H[n, t] += xj * (self.emb[n] @ self.cv[m])
-            counts[n, t] = len(js)
-        return H, counts
+        H, counts = self._linear(self._block_cells(cells))
+        return H.reshape(cells.x.shape), counts.reshape(cells.x.shape)
 
     def scatter(self, cells, coef):
-        for n, t, js in self._members(cells):
-            for xj, m in js:
-                self.g_emb[n] += coef[n, t] * xj * self.cv[m]
-                self.g_cv[m] += coef[n, t] * xj * self.emb[n]
+        self._scatter(self._block_cells(cells), coef.ravel())
+
+    def at(self, batch):
+        return self._linear(list(zip(batch.rows.tolist(), batch.cols.tolist())))
+
+    def scatter_at(self, batch, coef):
+        self._scatter(list(zip(batch.rows.tolist(), batch.cols.tolist())), coef)
 
     def gradients(self):
         return self.g_emb, self.g_cv
@@ -565,11 +591,27 @@ def active_terms(data):
     return act
 
 
+def _vocabulary_table(data, ctx, bank, spec, batch):
+    """Per vocabulary row v, the pass of ``ctx.block`` whose every embedding
+    row is emb[v]; and the (columns, vocabulary) linear values, the member
+    counts and the columns kept under the empty-context policy, from those
+    passes' ``at`` at the batch's active terms."""
+    emb = bank.effective_embeddings()
+    passes = [ctx.block(data, np.tile(e, (len(emb), 1)), bank.effective_context_vectors())
+              for e in emb]
+    at = [p.at(batch) for p in passes]
+    H, counts = np.stack([h for h, _ in at], axis=1), at[0][1]
+    active = np.ones(len(batch), dtype=bool)
+    if spec.link.rescales_by_count:
+        active = counts > 0
+        H = H / np.maximum(counts, 1)[:, None]
+    return passes, H, counts, active
+
+
 def categorical_term_log_likelihoods(data, ctx, bank, spec, batch, counters=None):
     """Softmax log-likelihood of the active term of each column of a batch
     whose rows are the active terms and cols their columns."""
-    S, _, active = _context_sums(data, ctx, bank, spec, batch)
-    H = S @ bank.effective_embeddings().T           # (E, vocab)
+    _, H, _, active = _vocabulary_table(data, ctx, bank, spec, batch)
     Hm = H - H.max(axis=1, keepdims=True)
     lse = np.log(np.exp(Hm).sum(axis=1)) + H.max(axis=1)
     ll = H[np.arange(len(batch)), batch.rows] - lse
@@ -577,24 +619,24 @@ def categorical_term_log_likelihoods(data, ctx, bank, spec, batch, counters=None
 
 
 def categorical_weighted_gradient(data, ctx, bank, spec, batch, counters=None):
-    """Gradient of the weighted softmax log-likelihood of the batch's columns."""
+    """Gradient of the weighted softmax log-likelihood of the batch's
+    columns: row v's coefficient at a column is the column's weight times
+    its one-hot minus softmax residual, scattered by the ``scatter_at`` of
+    row v's pass."""
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
-    g_emb = np.zeros_like(emb)
-    g_cv = np.zeros_like(cv)
-    if len(batch):
-        act = batch.rows
-        S, counts, active = _context_sums(data, ctx, bank, spec, batch)
-        w = np.where(active, 1.0 if batch.weights is None else batch.weights, 0.0)
-        H = S @ emb.T
-        Hm = H - H.max(axis=1, keepdims=True)
-        expH = np.exp(Hm)
-        probs = expH / expH.sum(axis=1, keepdims=True)
-        resid = -probs
-        resid[np.arange(len(batch)), act] += 1.0  # one-hot minus softmax
-        g_emb += (w[:, None] * resid).T @ S
-        back = w[:, None] * (emb[act] - probs @ emb)
-        if spec.link.rescales_by_count:
-            back = back / np.maximum(counts, 1)[:, None]
-        ctx.scatter_add(data, batch, back, g_cv)
+    passes, H, counts, active = _vocabulary_table(data, ctx, bank, spec, batch)
+    w = np.where(active, 1.0 if batch.weights is None else batch.weights, 0.0)
+    expH = np.exp(H - H.max(axis=1, keepdims=True))
+    resid = -expH / expH.sum(axis=1, keepdims=True)
+    resid[np.arange(len(batch)), batch.rows] += 1.0  # one-hot minus softmax
+    coef = w[:, None] * resid
+    if spec.link.rescales_by_count:
+        coef = coef / np.maximum(counts, 1)[:, None]
+    g_emb, g_cv = np.zeros_like(emb), np.zeros_like(cv)
+    for v, scored in enumerate(passes):
+        scored.scatter_at(batch, coef[:, v])
+        row_emb, row_cv = scored.gradients()
+        g_emb[v] = row_emb.sum(axis=0)
+        g_cv += row_cv
     return _stored_gradients(bank, emb, cv, g_emb, g_cv)

@@ -33,7 +33,8 @@ def test_every_traced_hook_exists(monkeypatch):
         t.uninstall()
     # methods deleted on purpose, whose per-layer metrics read 0; any other
     # missing hook fails
-    assert sorted(t.absent) == ["core.DataMatrix.dense", "families.conditional_means"]
+    assert sorted(t.absent) == ["contexts.*.scatter_add", "contexts.*.sums",
+                                "core.DataMatrix.dense", "families.conditional_means"]
 
 
 def test_traced_fits_record_cells_without_attribute_errors(monkeypatch):
@@ -53,8 +54,5 @@ def test_traced_fits_record_cells_without_attribute_errors(monkeypatch):
     finally:
         t.uninstall()
     assert not [s.name for s in t.spans if "attr_error" in s.attrs]
-    counted = [s for s in t.spans if s.name in
-               ("contexts.sums", "contexts.scatter_add", "families.weighted_term_gradient")]
-    assert {s.name for s in counted} == {"contexts.sums", "contexts.scatter_add",
-                                         "families.weighted_term_gradient"}
-    assert all(s.attrs["cells"] > 0 for s in counted)
+    counted = [s for s in t.spans if s.name == "families.weighted_term_gradient"]
+    assert counted and all(s.attrs["cells"] > 0 for s in counted)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from glembed import cli
 from glembed.cli import main
-from glembed.contexts import knn_neighbors
+from glembed.contexts import SpatialLayout, knn_neighbors
 from glembed.core import EmbeddingBank
 from glembed.dataio import ModelMeta, ingest, load_model, read_locations, store_model
+from glembed.evaluate import leave_one_out_mse
 
 CFG_GAUSSIAN = """\
 family = gaussian
@@ -182,6 +184,39 @@ def test_grid_search_picks_a_step_on_validation(toy_run, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert err.count("validation score") == 2
+
+
+def test_grid_search_builds_the_validation_context_once(toy_run, monkeypatch):
+    # one kNN context for the training split and one for validation, not one
+    # per grid step; each score equals one from a context built afresh
+    root = toy_run["root"]
+    cfg = root / "grid4.cfg"
+    cfg.write_text(CFG_GAUSSIAN.replace("step_size_grid = 0.1",
+                                        "step_size_grid = 0.02, 0.05, 0.1, 0.2")
+                   .replace("iterations = 60", "iterations = 20"))
+    build, score_of = cli.build_knn_context, cli._validation_score
+    builds, scores = [], []
+
+    def counted_build(layout, data):
+        builds.append(data)
+        return build(layout, data)
+
+    def checked_score(cfg, spec, bank, valid, ctx):
+        score = score_of(cfg, spec, bank, valid, ctx)
+        fresh = build(SpatialLayout(read_locations(toy_run["locations"], valid.row_labels),
+                                    cfg.knn_k), valid)
+        assert score == -leave_one_out_mse(valid, fresh, bank, spec).estimate
+        scores.append((score, bank.embeddings.tobytes(), bank.context_vectors.tobytes()))
+        return score
+    monkeypatch.setattr(cli, "build_knn_context", counted_build)
+    monkeypatch.setattr(cli, "_validation_score", checked_score)
+    rc = main(["train", "--config", str(cfg), "--data", toy_run["data"],
+               "--locations", toy_run["locations"], "--out", str(root / "g4.model")])
+    assert rc == 0
+    assert len(builds) == 2 and len(scores) == 4
+    bank, _, _ = load_model(str(root / "g4.model"))
+    best = max(scores, key=lambda s: s[0])
+    assert (bank.embeddings.tobytes(), bank.context_vectors.tobytes()) == best[1:]
 
 
 def test_missing_locations_for_knn_context(toy_run):

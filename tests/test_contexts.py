@@ -17,7 +17,7 @@ from glembed.errors import ConfigError, DataError
 from glembed.families import Family, FamilySpec, weighted_term_gradient
 
 from helpers import (
-    ExplicitContext,
+    MemberPass,
     add_at_scatter,
     add_at_term_gradient,
     cells,
@@ -31,9 +31,13 @@ from helpers import (
 
 
 def context_table(ctx, data, rows, cols):
-    """Per cell, the context's sum of x_j over each entity row (ctx.sums with
-    cv = the identity) and its member count."""
-    return ctx.sums(data, np.eye(data.n_rows), cells(data, rows, cols))
+    """Per cell, the context's sum of x_j over each entity row and its member
+    count: entry m is the pass's ``at`` with cv = the identity and every
+    embedding the unit vector of row m."""
+    eye = np.eye(data.n_rows)
+    batch = cells(data, rows, cols)
+    at = [ctx.block(data, np.tile(unit, (data.n_rows, 1)), eye).at(batch) for unit in eye]
+    return np.stack([H for H, _ in at], axis=1), at[0][1]
 
 
 def word_per_position(length, w):
@@ -194,17 +198,17 @@ def test_vectorized_sums_match_generic(builder):
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
     batch = cells(data, rows, cols)
-    cv = bank.effective_context_vectors()
-    fast_s, fast_c = ctx.sums(data, cv, batch)
-    slow_s, slow_c = ExplicitContext.sums(ctx, data, cv, batch)
-    np.testing.assert_allclose(fast_s, slow_s, atol=1e-12)
+    emb, cv = bank.effective_embeddings(), bank.effective_context_vectors()
+    fast, slow = ctx.block(data, emb, cv), MemberPass(ctx, data, emb, cv)
+    fast_h, fast_c = fast.at(batch)
+    slow_h, slow_c = slow.at(batch)
+    np.testing.assert_allclose(fast_h, slow_h, atol=1e-12)
     np.testing.assert_array_equal(fast_c, slow_c)
-    coef = rng.normal(size=(n_cells, bank.dim))
-    fast_g = np.zeros_like(cv)
-    slow_g = np.zeros_like(cv)
-    ctx.scatter_add(data, batch, coef, fast_g)
-    ExplicitContext.scatter_add(ctx, data, batch, coef, slow_g)
-    np.testing.assert_allclose(fast_g, slow_g, atol=1e-12)
+    coef = rng.normal(size=n_cells)
+    fast.scatter_at(batch, coef)
+    slow.scatter_at(batch, coef)
+    for fast_g, slow_g in zip(fast.gradients(), slow.gradients()):
+        np.testing.assert_allclose(fast_g, slow_g, atol=1e-12)
 
 
 def test_builders_validate_inputs():
@@ -223,19 +227,25 @@ def test_knn_sums_in_chunks_equal_one_einsum(holey):
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
     batch = cells(data, rows, cols)
-    S, counts = ctx.sums(data, bank.context_vectors, batch)
+    emb, cv = bank.embeddings, bank.context_vectors
+    scored = ctx.block(data, emb, cv)
+    H, counts = scored.at(batch)
     nb = ctx.neighbors[rows]
     vals, present = (a.reshape(nb.shape) for a in data.lookup(nb.ravel(), np.repeat(cols, 3)))
-    np.testing.assert_array_equal(S, np.einsum("ek,ekd->ed", vals, bank.context_vectors[nb]))
+    S = np.einsum("ek,ekd->ed", vals, cv[nb])
+    np.testing.assert_array_equal(H, np.einsum("ed,ed->e", emb[rows], S))
     np.testing.assert_array_equal(counts, present.sum(axis=1))
     assert present.all() != holey
     # the scatter adds in the same order as one np.add.at
-    coef = rng.normal(size=(n_cells, bank.dim))
-    got = np.zeros_like(bank.context_vectors)
-    ctx.scatter_add(data, batch, coef, got)
-    want = np.zeros_like(got)
-    np.add.at(want, nb.ravel(), (vals[:, :, None] * coef[:, None, :]).reshape(-1, bank.dim))
-    np.testing.assert_array_equal(got, want)
+    coef = rng.normal(size=n_cells)
+    scored.scatter_at(batch, coef)
+    g_emb, g_cv = scored.gradients()
+    want_emb, want_cv = np.zeros_like(emb), np.zeros_like(cv)
+    np.add.at(want_emb, rows, coef[:, None] * S)
+    back = emb[rows] * coef[:, None]
+    np.add.at(want_cv, nb.ravel(), (vals[:, :, None] * back[:, None, :]).reshape(-1, bank.dim))
+    np.testing.assert_array_equal(g_emb, want_emb)
+    np.testing.assert_array_equal(g_cv, want_cv)
 
 
 def _scatter_instance(builder, storage, seed=23, n=9, t=11):
@@ -271,12 +281,12 @@ def test_scatters_equal_add_at_oracle_byte_for_byte(builder, storage):
         rows, cols = rows[keep], cols[keep]
     batch = cells(data, rows, cols)
     batch.weights = 10.0 ** rng.uniform(-3, 3, len(batch))
-    coef = rng.normal(size=(len(batch), 4)) * 10.0 ** rng.uniform(-8, 8, (len(batch), 1))
-    got = np.zeros((data.n_rows, 4))
-    ctx.scatter_add(data, batch, coef, got)
-    want = np.zeros_like(got)
-    add_at_scatter(ctx, data, batch, coef, want)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    coef = rng.normal(size=len(batch)) * 10.0 ** rng.uniform(-8, 8, len(batch))
+    emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
+    scored = ctx.block(data, emb, cv)
+    scored.scatter_at(batch, coef)
+    for got, want in zip(scored.gradients(), add_at_scatter(ctx, data, emb, cv, batch, coef)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     if storage == "implicit":
         specs = [FamilySpec(Family.POISSON, Link.IDENTITY),
                  FamilySpec(Family.POISSON, Link.MEAN_IDENTITY),

@@ -5,16 +5,16 @@ import glembed
 from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows
 from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
-from glembed.families import Family, FamilySpec, _linear_values
+from glembed.families import Family, FamilySpec
 
-from helpers import ExplicitContext, add_at_rows, cells, dense_matrix
+from helpers import ExplicitContext, add_at_rows, cells, dense_matrix, linear_values_at
 
 
 def linear_values(data, ctx, bank, link, rows, cols):
-    """(linear values, active) of a batch of cells, through the batched engine
+    """(linear values, active) of a batch of cells, through the pass's ``at``
     (a log link is the additive Poisson's, whose linear value is the rate)."""
     spec = FamilySpec(Family.ADDITIVE_POISSON if link.is_log else Family.GAUSSIAN, link)
-    svals, _, _, active = _linear_values(data, ctx, bank, spec, cells(data, rows, cols))
+    svals, _, active = linear_values_at(data, ctx, bank, spec, cells(data, rows, cols))
     return svals, active
 
 

@@ -29,6 +29,7 @@ from glembed.synth import gen_gaussian_knn
 
 from helpers import (
     ExplicitContext,
+    MemberPass,
     conditional_means,
     count_instance,
     dense_matrix,
@@ -40,6 +41,7 @@ from helpers import (
     sparse_counts,
     term_leave_fraction_out,
     term_leave_one_out,
+    zero_bank,
 )
 
 
@@ -146,7 +148,7 @@ def test_leave_one_out_near_zero_for_oracle_predictor():
 def test_leave_one_out_zero_bank_gives_mean_square():
     data, truth = gen_gaussian_knn(n_entities=10, n_cols=40, dim=2, k=3, seed=2)
     ctx = build_knn_context(truth.layout, data)
-    bank = EmbeddingBank.zeros(10, 2)
+    bank = zero_bank(10, 2)
     rep = leave_one_out_mse(data, ctx, bank, FamilySpec(Family.GAUSSIAN))
     assert rep.estimate == pytest.approx(float((data.vals ** 2).mean()))
     base = constant_predictor_mse(data)
@@ -155,7 +157,7 @@ def test_leave_one_out_zero_bank_gives_mean_square():
 
 def test_leave_one_out_rejects_poisson_models():
     data, ctx, _ = count_instance(3)
-    bank = EmbeddingBank.zeros(data.n_rows, 2)
+    bank = zero_bank(data.n_rows, 2)
     with pytest.raises(ConfigError):
         leave_one_out_mse(data, ctx, bank, FamilySpec(Family.POISSON))
 
@@ -288,7 +290,7 @@ def _holey_instance(builder, seed):
 @pytest.mark.parametrize("builder", ["knn", "window", "explicit"])
 @pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
 def test_missing_cells_are_never_members_on_any_path(builder, link):
-    # sums, scatter_add, LOO and L25 all follow the oracles' member rule on
+    # at, scatter_at, LOO and L25 all follow the oracles' member rule on
     # data with holes, for every cell of the matrix, missing ones included
     spec = FamilySpec(Family.GAUSSIAN, link)
     for seed in range(8):
@@ -298,16 +300,17 @@ def test_missing_cells_are_never_members_on_any_path(builder, link):
                              rng.normal(size=(data.n_rows, 3)))
         rows, cols = np.indices((data.n_rows, data.n_cols)).reshape(2, -1)
         batch = TermBatch(rows, cols, *data.lookup(rows, cols))
-        cv = bank.context_vectors
-        S, counts = ctx.sums(data, cv, batch)
-        ref_S, ref_counts = ExplicitContext.sums(ctx, data, cv, batch)
-        np.testing.assert_allclose(S, ref_S, rtol=1e-12, atol=1e-12)
+        emb, cv = bank.embeddings, bank.context_vectors
+        scored, ref = ctx.block(data, emb, cv), MemberPass(ctx, data, emb, cv)
+        H, counts = scored.at(batch)
+        ref_H, ref_counts = ref.at(batch)
+        np.testing.assert_allclose(H, ref_H, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(counts, ref_counts)
-        coef = rng.normal(size=(len(batch), bank.dim))
-        got, want = np.zeros_like(cv), np.zeros_like(cv)
-        ctx.scatter_add(data, batch, coef, got)
-        ExplicitContext.scatter_add(ctx, data, batch, coef, want)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        coef = rng.normal(size=len(batch))
+        scored.scatter_at(batch, coef)
+        ref.scatter_at(batch, coef)
+        for got, want in zip(scored.gradients(), ref.gradients()):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         _assert_protocols_match_oracles(data, ctx, bank, spec, 3, seed)
 
 
@@ -361,6 +364,43 @@ def test_block_reader_matches_term_path(monkeypatch, case, link, block_cells):
             assert loo.excluded >= 1
         if kind == "fold":
             assert l25.excluded >= 1
+
+
+@pytest.mark.parametrize("link", [Link.IDENTITY, Link.MEAN_IDENTITY])
+@pytest.mark.parametrize("builder", ["knn", "window"])
+def test_sparse_held_out_data_score_only_listed_columns(monkeypatch, builder, link):
+    # most columns hold no entry; LOO and L25 score the columns that do,
+    # in blocks of two columns, and match the term and scalar oracles
+    monkeypatch.setattr("glembed.families.BLOCK_CELLS", 2 * 12)
+    scored_cols = []
+    column_blocks = DataMatrix.column_blocks
+
+    def recorded(self, width, cols=None):
+        for cells in column_blocks(self, width, cols):
+            scored_cols.extend(np.arange(self.n_cols)[cells.cols].tolist())
+            yield cells
+    monkeypatch.setattr(DataMatrix, "column_blocks", recorded)
+    spec = FamilySpec(Family.GAUSSIAN, link)
+    for seed in range(3):
+        rng = np.random.default_rng(900 + seed)
+        n, t = 12, 80
+        listed = rng.choice(t, 9, replace=False)
+        rows = np.concatenate([rng.choice(n, 5, replace=False) for _ in listed])
+        cols = np.repeat(listed, 5)
+        data = DataMatrix(n, t, rows, cols, rng.normal(size=len(rows)))
+        ctx = build_knn_context(SpatialLayout(rng.uniform(size=(n, 3)), 3), data) \
+            if builder == "knn" else build_window_context(t, WindowSpec(2), data)
+        bank = EmbeddingBank(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+        scored_cols.clear()
+        loo = leave_one_out_mse(data, ctx, bank, spec)
+        assert scored_cols == sorted(listed.tolist())
+        l25 = leave_fraction_out_mse(data, ctx, bank, spec, folds=4, seed=seed)
+        for got, want in ((loo, term_leave_one_out(data, ctx, bank, spec)),
+                          (l25, term_leave_fraction_out(data, ctx, bank, spec, 4, seed)),
+                          (l25, scalar_leave_fraction_out(data, ctx, bank, spec, 4, seed))):
+            assert (got.n_entries, got.excluded) == (want.n_entries, want.excluded)
+            np.testing.assert_allclose([got.estimate, got.stderr],
+                                       [want.estimate, want.stderr], rtol=1e-12)
 
 
 @pytest.mark.parametrize("block_cells", _BLOCK_CELLS)
@@ -447,7 +487,7 @@ def test_npll_two_item_example():
 
 def test_npll_uniform_means_score_log_one_over_n():
     data, ctx, _ = count_instance(7, n=6, t=5)
-    bank = EmbeddingBank.zeros(6, 3)
+    bank = zero_bank(6, 3)
     spec = FamilySpec(Family.POISSON, Link.IDENTITY)
     rep = normalized_predictive_ll(data, ctx, bank, spec)
     assert rep.estimate == pytest.approx(math.log(1 / 6))

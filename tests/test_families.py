@@ -28,6 +28,7 @@ from helpers import (
     fd_gradient,
     gaussian_instance,
     text_instance,
+    zero_bank,
 )
 
 ALL_FAMILIES = list(Family)
@@ -160,7 +161,7 @@ def test_family_spec_rejects_non_finite_sigma2(family, sigma2):
 
 
 def test_log_space_families_require_log_space_banks():
-    data, ctx, bank = dense_matrix(np.ones((2, 2))), None, EmbeddingBank.zeros(2, 2)
+    data, ctx, bank = dense_matrix(np.ones((2, 2))), None, zero_bank(2, 2)
     with pytest.raises(ConfigError):
         full_gradient(data, ctx, bank, FamilySpec(Family.NONNEG_GAUSSIAN),
                       TrainConfig(reg_weight=0.0))

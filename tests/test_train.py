@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glembed import contexts
 from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.contexts import (
     SpatialLayout,
@@ -65,6 +66,7 @@ from helpers import (
     serial_sparse_train,
     sparse_counts,
     text_instance,
+    zero_bank,
 )
 
 
@@ -78,14 +80,14 @@ TRAIN = importlib.import_module("glembed.train")
 
 def test_objective_empty_data_is_zero():
     data = DataMatrix(2, 2, [], [], [], implicit_zero=False)
-    bank = EmbeddingBank.zeros(2, 2)
+    bank = zero_bank(2, 2)
     spec = FamilySpec(Family.GAUSSIAN)
     assert objective(data, ExplicitContext({}), bank, spec, 0.0) == 0.0
 
 
 def test_objective_single_gaussian_point_at_mean():
     data = DataMatrix(1, 1, [0], [0], [0.0])
-    bank = EmbeddingBank.zeros(1, 2)
+    bank = zero_bank(1, 2)
     spec = FamilySpec(Family.GAUSSIAN, sigma2=1.0)
     got = objective(data, ExplicitContext({}), bank, spec, 0.0)
     assert got == pytest.approx(-0.5 * math.log(2 * math.pi))
@@ -117,7 +119,7 @@ def test_full_gradient_matches_fd_on_random_instances():
 
 def test_full_gradient_zero_at_constructed_stationary_point():
     data = DataMatrix(1, 1, [0], [0], [0.0])
-    bank = EmbeddingBank.zeros(1, 3)
+    bank = zero_bank(1, 3)
     spec = FamilySpec(Family.GAUSSIAN)
     g = full_gradient(data, ExplicitContext({}), bank, spec, TrainConfig(reg_weight=0.0))
     assert np.abs(g.embeddings).max() == 0.0
@@ -236,7 +238,8 @@ def test_block_means_count_only_present_members(builder, mean_link):
         got[:, block.cols] = means
     np.testing.assert_allclose(got.ravel(), np.where(active, want, 0.0), rtol=1e-12)
     if builder == "knn":  # some neighbour cells are missing
-        assert (oracle.sums(data, bank.context_vectors, batch)[1] < 3).any()
+        emb, cv = bank.embeddings, bank.context_vectors
+        assert (oracle.block(data, emb, cv).at(batch)[1] < 3).any()
 
 
 @pytest.mark.parametrize("family", [Family.POISSON, Family.ADDITIVE_POISSON])
@@ -507,17 +510,38 @@ def test_sparse_step_makes_one_context_pass(family, monkeypatch):
     # window contexts build their column tables once per step
     data, ctx, bank, spec = family_instance(family, 27)
     calls = []
+    block = ctx.block
 
-    def counted(name, method):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return method(*args, **kwargs)
-        return wrapper
-    for name in ("sums", "scatter_add"):
-        monkeypatch.setattr(ctx, name, counted(name, getattr(ctx, name)))
+    def counted(*args, **kwargs):
+        calls.append("block")
+        return block(*args, **kwargs)
+    monkeypatch.setattr(ctx, "block", counted)
     cfg = TrainConfig(estimator="sparse", negative_samples=2)
     sparse_gradient(data, ctx, bank, spec, cfg, np.random.default_rng(0))
-    assert sorted(calls) == ["scatter_add", "sums"]
+    assert calls == ["block"]
+
+
+@pytest.mark.parametrize("holey", [False, True])
+def test_knn_minibatch_step_builds_no_neighbor_matrix(holey, monkeypatch):
+    # a step over listed cells gathers their members; the (N, N) neighbour
+    # matrices of the column-block pass are built only for a table
+    data, ctx, bank, spec = family_instance(Family.GAUSSIAN, 28, n=8, t=10)
+    if holey:
+        data = data.select_entries(np.arange(0, data.nnz, 2))
+    calls = []
+    neighbor_matrix = contexts._neighbor_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return neighbor_matrix(*args)
+    monkeypatch.setattr(contexts, "_neighbor_matrix", counted)
+    cfg = TrainConfig(estimator="minibatch", minibatch_size=6)
+    g = minibatch_gradient(data, ctx, bank, spec, cfg, np.random.default_rng(0))
+    assert calls == [] and np.abs(g.embeddings).max() > 0
+    full_gradient(data, ctx, bank, spec, cfg)
+    # complete data are scored by column blocks: M, then G; data with missing
+    # cells by their entries
+    assert len(calls) == (0 if holey else 2)
 
 
 def _zero_draw_matrices():
@@ -602,7 +626,7 @@ def _reference_kernels(monkeypatch):
             calls[name] += 1
             return fn(*args)
         return wrapper
-    for module in ("core", "contexts", "families", "evaluate"):
+    for module in ("core", "contexts", "evaluate"):
         monkeypatch.setattr(f"glembed.{module}.scatter_rows", counted("scatter", add_at_rows))
     monkeypatch.setattr(DataMatrix, "zero_cells", counted("zero_cells", dense_zero_cells))
     monkeypatch.setattr(WindowContext, "_window_table", counted(
@@ -793,7 +817,7 @@ def test_small_data_and_the_categorical_family_log_the_exact_objective(family):
 # ---------------------------------------------------------------------------
 
 def _step_once(g_value, step_size=0.1, eps=1e-12, repeats=1):
-    bank = EmbeddingBank.zeros(1, 1)
+    bank = zero_bank(1, 1)
     state = OptimizerState.for_bank(bank)
     cfg = TrainConfig(step_size=step_size, adagrad_epsilon=eps)
     deltas = []
