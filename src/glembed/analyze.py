@@ -71,6 +71,8 @@ def interaction_pairs(bank: EmbeddingBank, direction: str = "highest",
     """Extreme embedding-context inner products over ordered pairs a != b."""
     if direction not in ("highest", "lowest"):
         raise ConfigError("direction must be 'highest' or 'lowest'")
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
     n = emb.shape[0]
@@ -91,6 +93,8 @@ def dimension_ranking(bank: EmbeddingBank, dim: int, top: int,
     """
     if mode not in ("signed", "abs"):
         raise ConfigError("mode must be 'signed' or 'abs'")
+    if top < 0:
+        raise ConfigError(f"top must be >= 0, got {top}")
     vecs = _vectors(bank, space)
     if not 0 <= dim < vecs.shape[1]:
         raise ConfigError(f"dimension {dim} out of range for K={vecs.shape[1]}")

@@ -2,14 +2,13 @@
 
 Each observation x is scored under an exponential-family conditional whose
 natural parameter comes from the context inner product (see core).  Every
-kernel reads its linear values from one pass of ``ctx.block`` and takes the
-same steps: the mean-link divisor on the linear values, the residual times
-the weights, the mean-link divisor on that coefficient, and the pass's
-scatter.  The term kernels apply them to the cells of a ``TermBatch``
-(``at``/``scatter_at``), the block kernels to every cell of a matrix a
-``ColumnBlock`` at a time (``table``/``scatter``), in tables of at most
-``BLOCK_CELLS`` cells.  A categorical term is a whole column, the softmax
-over its vocabulary rows, so that family is scored by column blocks only.
+kernel runs one loop, ``_pieces``, over one pass of ``ctx.block``: a
+``TermBatch`` of listed cells is one piece (the pass's ``at``/``scatter_at``),
+and distinct columns are one ``ColumnBlock`` per piece (``table``/``scatter``).
+Each piece gives its weighted log-likelihoods (``log_likelihoods``), its means
+(``block_means``) or its share of the gradient (``weighted_term_gradient``).
+A categorical term is a whole column, the softmax over its vocabulary rows,
+so that family is scored by columns only.
 
 Conventions fixed here:
 
@@ -223,41 +222,71 @@ def _log_likelihood(spec, svals, x, counters):
     return x * np.log(mean) - mean - gammaln(x + 1.0)
 
 
-def _term_pass(data, ctx, emb, cv, spec, batch: TermBatch, w):
-    """The pass of ``ctx.block`` and, at the cells of ``batch`` weighted by
-    ``w``, (svals, counts, weights) as ``_block_terms`` yields them."""
+# cells per column block of a pass over columns, bounding its (rows x block
+# columns) tables
+BLOCK_CELLS = 1 << 17
+
+
+def _pieces(data, scored, spec, cells, zero_weight):
+    """The cells ``cells`` of ``data`` in pieces scored by the pass ``scored``
+    of ``ctx.block``: per piece, (piece, x, svals, w, counts, scatter), its
+    values, linear values and weights as ``_rescaled`` returns them, member
+    counts, and the pass's scatter for it.
+
+    A ``TermBatch`` is one piece, weighted by its weights, through
+    ``at``/``scatter_at``.  Distinct column ids (every column when None) are
+    one ``ColumnBlock`` of at most ``BLOCK_CELLS`` cells per piece, through
+    ``table``/``scatter``, the unstored cells weighted by ``zero_weight``.
+    A categorical term is a whole column, the softmax over its vocabulary
+    rows, so that family is scored by columns only, and its zero cells keep
+    weight 1: they are part of their column's softmax, not terms.
+    """
+    if isinstance(cells, TermBatch):
+        if spec.family is Family.CATEGORICAL:
+            raise ConfigError("categorical terms are scored per column block")
+        svals, counts = scored.at(cells)
+        yield (cells, cells.vals, *_rescaled(spec, svals, counts, cells.weights), counts,
+               scored.scatter_at)
+        return
     if spec.family is Family.CATEGORICAL:
-        raise ConfigError("categorical terms are scored per column block")
-    scored = ctx.block(data, emb, cv)
-    svals, counts = scored.at(batch)
-    svals, w = _rescaled(spec, svals, counts, w)
-    return scored, svals, counts, w
+        zero_weight = 1.0
+    for block in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1)), cells):
+        svals, counts = scored.table(block)
+        w = None if zero_weight == 1.0 else np.where(block.stored, 1.0, zero_weight)
+        yield block, block.x, *_rescaled(spec, svals, counts, w), counts, scored.scatter
+
+
+def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None):
+    """Per piece of ``cells`` (a ``TermBatch``, or distinct column ids, every
+    column when None), each cell's log-likelihood given its context times
+    its weight, 0 where a mean link drops an empty context."""
+    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
+    for _, x, svals, w, _, _ in _pieces(data, scored, spec, cells, zero_weight):
+        ll = _log_likelihood(spec, svals, x, counters)
+        yield ll if w is None else ll * w
 
 
 def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
-    """Log-likelihoods of a batch of cells given their contexts.
-
-    Returns (ll, active); inactive cells (empty context under a mean link)
-    carry ll = 0 and are excluded by the caller's bookkeeping.
-    """
-    _, svals, _, w = _term_pass(data, ctx, bank.effective_embeddings(),
-                                bank.effective_context_vectors(), spec, batch, None)
-    ll = _log_likelihood(spec, svals, batch.vals, counters)
-    active = np.ones(len(batch), dtype=bool) if w is None else w > 0
-    return np.where(active, ll, 0.0), active
+    """Each cell of ``batch``'s weighted log-likelihood, its one piece of
+    ``log_likelihoods``."""
+    return next(log_likelihoods(data, ctx, bank, spec, batch, counters=counters))
 
 
-def weighted_term_gradient(data, ctx, bank, spec, batch: TermBatch, counters=None) -> Gradients:
-    """Gradient of sum_e weights[e] * loglik(cell e) in stored coordinates.
+def weighted_term_gradient(data, ctx, bank, spec, cells, counters=None, zero_weight=1.0,
+                           weight=1.0) -> Gradients:
+    """Gradient in stored coordinates of the sum of ``log_likelihoods`` of
+    ``cells``, each term further weighted by ``weight``.
 
-    The heavy lifting for every sampled estimator: minibatch, the sparse
-    zero/nonzero split, and the full gradient of data with missing cells
-    all reduce to weighted batches of cells.
+    The one gradient kernel of every estimator: the full gradient (every
+    column, or the stored entries of data with missing cells), a minibatch
+    (drawn cells, or the drawn columns of the categorical family) and the
+    sparse zero/nonzero split.
     """
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
-    scored, svals, counts, w = _term_pass(data, ctx, emb, cv, spec, batch, batch.weights)
-    scored.scatter_at(batch, _coefficients(spec, svals, batch.vals, counts, w, counters))
+    scored = ctx.block(data, emb, cv)
+    for piece, x, svals, w, counts, scatter in _pieces(data, scored, spec, cells, zero_weight):
+        scatter(piece, _coefficients(spec, svals, x, counts, w, counters, weight))
     return _stored_gradients(bank, emb, cv, *scored.gradients())
 
 
@@ -273,55 +302,6 @@ def _stored_gradients(bank, emb, cv, g_emb, g_cv) -> Gradients:
     return Gradients(g_emb, g_cv)
 
 
-# ---------------------------------------------------------------------------
-# every cell of a matrix, by column blocks
-# ---------------------------------------------------------------------------
-
-# cells per column block on the every-cell path, bounding its (rows x block
-# columns) tables
-BLOCK_CELLS = 1 << 17
-
-
-def _block_terms(data, scored, spec, zero_weight, cols=None):
-    """Per ``ColumnBlock`` of the columns ``cols`` of ``data`` (of all when
-    None), scored by the pass ``scored`` of ``ctx.block``: (cells, svals,
-    counts, weights) as ``_rescaled`` returns them, the weights
-    ``zero_weight`` at unstored cells.  A zero cell of categorical data is
-    no term of its own but part of its column's softmax, so it keeps
-    weight 1."""
-    if spec.family is Family.CATEGORICAL:
-        zero_weight = 1.0
-    for cells in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1)), cols):
-        svals, counts = scored.table(cells)
-        w = None if zero_weight == 1.0 else np.where(cells.stored, 1.0, zero_weight)
-        svals, w = _rescaled(spec, svals, counts, w)
-        yield cells, svals, counts, w
-
-
-def block_log_likelihood(data, ctx, bank, spec, zero_weight=1.0, counters=None) -> float:
-    """Log-likelihood of every cell of ``data`` as a term, zero cells weighted
-    by ``zero_weight``, scored a column block at a time."""
-    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
-    total = 0.0
-    for cells, svals, _, w in _block_terms(data, scored, spec, zero_weight):
-        ll = _log_likelihood(spec, svals, cells.x, counters)
-        total += float((ll if w is None else ll * w).sum())
-    return total
-
-
-def block_gradient(data, ctx, bank, spec, zero_weight=1.0, counters=None, cols=None,
-                   weight=1.0) -> Gradients:
-    """Gradient of ``block_log_likelihood`` in stored coordinates, or of the
-    log-likelihood of the cells of the distinct columns ``cols`` only,
-    each term then weighted by ``weight``."""
-    emb = bank.effective_embeddings()
-    cv = bank.effective_context_vectors()
-    scored = ctx.block(data, emb, cv)
-    for cells, svals, counts, w in _block_terms(data, scored, spec, zero_weight, cols):
-        scored.scatter(cells, _coefficients(spec, svals, cells.x, counts, w, counters, weight))
-    return _stored_gradients(bank, emb, cv, *scored.gradients())
-
-
 def block_means(data, ctx, bank, spec, cols=None):
     """The conditional mean of every cell of the distinct columns ``cols``
     (of every column when None), one ``ColumnBlock`` of columns at a time,
@@ -329,7 +309,7 @@ def block_means(data, ctx, bank, spec, cols=None):
     block columns) means, 0 where a mean link drops an empty context, and
     the member counts, broadcastable to them."""
     scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
-    for cells, svals, counts, w in _block_terms(data, scored, spec, 1.0, cols):
+    for cells, _, svals, w, counts, _ in _pieces(data, scored, spec, cols, 1.0):
         m = _mean(spec, svals, None)
         yield cells, (m if w is None else m * w), counts
 

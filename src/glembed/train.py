@@ -1,11 +1,18 @@
 """Objective, stochastic gradient estimators, and the Adagrad training loop.
 
 The objective is the sum of conditional log-likelihoods over all data terms
-plus the log-prior regularizers.  Three gradient estimators are provided:
+plus the log-prior regularizers.  The objective and every gradient
+estimator pick the cells to score and hand them to one kernel of
+``families`` (``log_likelihoods`` or ``weighted_term_gradient``), which
+scores them in pieces through one context pass: the distinct columns of the
+matrix (every column when every cell is a term, or drawn columns of the
+categorical family) or one ``TermBatch`` of listed cells (the stored
+entries of data with missing cells, or drawn cells).  Three gradient
+estimators are provided:
 
 * full: every data term, exact;
-* minibatch: a uniform subsample of terms, rescaled by I/|S| so the
-  estimator is unbiased;
+* minibatch: a uniform subsample of terms (of columns, for the categorical
+  family), rescaled by I/|S| so the estimator is unbiased;
 * sparse: the nonzero terms computed exactly plus a per-nonzero-term draw
   of zero cells.  The sampled zero sum is rescaled by (#zeros / #sampled)
   for the unbiased variant, left unscaled for negative sampling (a biased,
@@ -38,8 +45,7 @@ from .families import (
     Family,
     FamilySpec,
     Gradients,
-    block_gradient,
-    block_log_likelihood,
+    log_likelihoods,
     log_prior,
     term_log_likelihoods,
     validate_bank,
@@ -131,8 +137,11 @@ def _zero_weight(data: DataMatrix, config: TrainConfig) -> float:
     return 1.0
 
 
-def _all_terms(data: DataMatrix) -> TermBatch:
-    """The stored entries: every data term when not every cell is one."""
+def _every_term(data: DataMatrix) -> TermBatch | None:
+    """Every data term: None, every cell, when each cell is one, else the
+    stored entries."""
+    if data.every_cell_a_term:
+        return None
     return TermBatch(data.rows, data.cols, data.vals, np.ones(data.nnz, dtype=bool))
 
 
@@ -290,18 +299,13 @@ def _stratified_stderr(z: np.ndarray, strata) -> float:
     return math.sqrt(var)
 
 
-def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters,
-              cols=None) -> Gradients:
-    """Gradient of the batch's weighted log-likelihood plus the log-prior;
-    a batch of None stands for every cell of ``data``, or of its distinct
-    columns ``cols``, each of these then weighted by #columns / #cols."""
+def _gradient(data, ctx, bank, spec, cells, config, counters, weight=1.0) -> Gradients:
+    """Gradient of the weighted log-likelihood of ``cells`` (a ``TermBatch``,
+    or distinct column ids, every column when None), each term further
+    weighted by ``weight``, plus the log-prior."""
     validate_bank(spec, bank)
-    if batch is not None:
-        g = weighted_term_gradient(data, ctx, bank, spec, batch, counters)
-    else:
-        weight = 1.0 if cols is None else data.n_cols / len(cols)
-        g = block_gradient(data, ctx, bank, spec, _zero_weight(data, config), counters, cols,
-                           weight)
+    g = weighted_term_gradient(data, ctx, bank, spec, cells, counters,
+                               _zero_weight(data, config), weight)
     _, reg = log_prior(bank, config.reg_weight, config.regularizer)
     g.embeddings += reg.embeddings
     if not bank.tied:
@@ -309,29 +313,19 @@ def _gradient(data, ctx, bank, spec, batch: TermBatch | None, config, counters,
     return g
 
 
-def _weighted_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters) -> np.ndarray:
-    """Each term's log-likelihood times its weight."""
-    validate_bank(spec, bank)
-    ll, _ = term_log_likelihoods(data, ctx, bank, spec, batch, counters)
-    return ll if batch.weights is None else ll * batch.weights
-
-
 def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
               zero_weight=1.0, counters=None) -> float:
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
-    if not data.every_cell_a_term:
-        ll = _weighted_log_likelihoods(data, ctx, bank, spec, _all_terms(data), counters)
-        return float(ll.sum()) + log_prior(bank, reg_weight, regularizer)[0]
     validate_bank(spec, bank)
-    return block_log_likelihood(data, ctx, bank, spec, zero_weight, counters) \
-        + log_prior(bank, reg_weight, regularizer)[0]
+    ll = sum(float(z.sum()) for z in log_likelihoods(data, ctx, bank, spec, _every_term(data),
+                                                     zero_weight, counters))
+    return ll + log_prior(bank, reg_weight, regularizer)[0]
 
 
 def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
     """Exact gradient of the objective."""
-    batch = None if data.every_cell_a_term else _all_terms(data)
-    return _gradient(data, ctx, bank, spec, batch, config, counters)
+    return _gradient(data, ctx, bank, spec, _every_term(data), config, counters)
 
 
 def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
@@ -340,7 +334,7 @@ def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
     or the term ids in ``draw``.  A categorical term is a whole column."""
     if spec.family is Family.CATEGORICAL:
         cols = _draw(data.n_cols, config.minibatch_size, rng, draw)
-        return _gradient(data, ctx, bank, spec, None, config, counters, cols)
+        return _gradient(data, ctx, bank, spec, cols, config, counters, data.n_cols / len(cols))
     return _gradient(data, ctx, bank, spec, _drawn_terms(data, config, rng, draw),
                      config, counters)
 
@@ -392,7 +386,8 @@ def estimate_objective(data, ctx, bank, spec, config: TrainConfig, sample: LogSa
     if sample is None:
         return objective(data, ctx, bank, spec, config.reg_weight, config.regularizer,
                          zero_weight=_zero_weight(data, config), counters=counters), 0.0
-    z = _weighted_log_likelihoods(data, ctx, bank, spec, sample.batch, counters)
+    validate_bank(spec, bank)
+    z = term_log_likelihoods(data, ctx, bank, spec, sample.batch, counters)
     return (float(z.sum()) + log_prior(bank, config.reg_weight, config.regularizer)[0],
             _stratified_stderr(z, sample.strata))
 

@@ -132,6 +132,16 @@ def test_dimension_ranking_out_of_range():
         dimension_ranking(bank, 2, 3)
 
 
+def test_negative_pair_count_and_ranking_top_are_config_errors():
+    # a negative slice bound would keep all but the last few
+    bank = _bank(np.arange(12.0).reshape(6, 2))
+    with pytest.raises(ConfigError, match="count"):
+        interaction_pairs(bank, count=-1)
+    with pytest.raises(ConfigError, match="top"):
+        dimension_ranking(bank, 0, -2)
+    assert interaction_pairs(bank, count=0) == [] and dimension_ranking(bank, 0, 0) == []
+
+
 def test_neighbor_graph_zero_context_vectors():
     layout = SpatialLayout(np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]]), 1)
     bank = _bank(np.ones((3, 2)), np.zeros((3, 2)))

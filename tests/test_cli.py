@@ -414,8 +414,12 @@ _INPUT_FAULTS = {
     "query-similar-model-missing": (["query-similar", "--model", "{missing}", "--entity", "0"],
                                     3, "{missing}"),
     "query-pairs-model-latin1": (["query-pairs", "--model", "{latin1}"], 3, "{latin1}"),
+    "query-pairs-negative-count": (["query-pairs", "--model", "{model}", "--count", "-1"], 2,
+                                   "count"),
     "rank-dimensions-model-missing": (["rank-dimensions", "--model", "{missing}", "--dim", "0"],
                                       3, "{missing}"),
+    "rank-dimensions-negative-top": (["rank-dimensions", "--model", "{model}", "--dim", "0",
+                                      "--top", "-1"], 2, "top"),
     "export-graph-model-missing": (_EXPORT[:2] + ["{missing}"] + _EXPORT[3:], 3, "{missing}"),
     "export-graph-locations-latin1": (_EXPORT[:-1] + ["{latin1}"], 3, "{latin1}"),
     "export-graph-out-nodir": (_EXPORT + ["--out", "{nodir}"], 2, "{nodir}"),

@@ -316,11 +316,11 @@ def test_grad_bernoulli_residual_examples():
     for x, g in ((0.0, g0), (1.0, g1)):
         for k in range(bank.dim):
             bank.embeddings[1, k] = h
-            up, _ = term_log_likelihoods(data, ctx, bank, spec,
-                                         TermBatch(cell_rows, cell_cols, [x], [x != 0.0]))
+            up = term_log_likelihoods(data, ctx, bank, spec,
+                                      TermBatch(cell_rows, cell_cols, [x], [x != 0.0]))
             bank.embeddings[1, k] = -h
-            dn, _ = term_log_likelihoods(data, ctx, bank, spec,
-                                         TermBatch(cell_rows, cell_cols, [x], [x != 0.0]))
+            dn = term_log_likelihoods(data, ctx, bank, spec,
+                                      TermBatch(cell_rows, cell_cols, [x], [x != 0.0]))
             bank.embeddings[1, k] = 0.0
             assert (up[0] - dn[0]) / (2 * h) == pytest.approx(g.embeddings[1, k], abs=1e-6)
 

@@ -29,7 +29,7 @@ from glembed.families import (
     term_log_likelihoods,
     weighted_term_gradient,
 )
-from glembed.evaluate import SplitSpec, make_split, normalized_predictive_ll
+from glembed.evaluate import SplitSpec, leave_one_out_mse, make_split, normalized_predictive_ll
 from glembed.train import (
     LOG_TERMS,
     ZERO_ESTIMATORS,
@@ -179,8 +179,7 @@ def test_column_blocks_match_member_oracle(builder, implicit, family, mean_link)
     oracle = ExplicitContext.of(ctx, data)
     batch = _every_cell_batch(data, zero_weight)
     prior, prior_grad = log_prior(bank, 0.5, "l2")
-    ll, _ = term_log_likelihoods(data, oracle, bank, spec, batch)
-    want = float((ll * (1.0 if batch.weights is None else batch.weights)).sum()) + prior
+    want = float(term_log_likelihoods(data, oracle, bank, spec, batch).sum()) + prior
     got = objective(data, ctx, bank, spec, 0.5, zero_weight=zero_weight)
     assert got == pytest.approx(want, rel=1e-12)
     g = full_gradient(data, ctx, bank, spec, cfg)
@@ -504,11 +503,55 @@ def test_sparse_no_zero_entries_contributes_nothing():
     np.testing.assert_allclose(g.embeddings, ref.embeddings, rtol=1e-12)
 
 
-@pytest.mark.parametrize("family", [Family.POISSON, Family.BERNOULLI])
-def test_sparse_step_makes_one_context_pass(family, monkeypatch):
-    # nonzeros and sampled zeros go through one kernel call, so basket and
-    # window contexts build their column tables once per step
-    data, ctx, bank, spec = family_instance(family, 27)
+_ONE_PASS_CFG = TrainConfig(minibatch_size=6, negative_samples=2, reg_weight=0.5)
+
+
+def _logged_objective(data, ctx, bank, spec, rng):
+    sample = _log_sample(data, spec, _ONE_PASS_CFG, rng)
+    assert sample is not None
+    return estimate_objective(data, ctx, bank, spec, _ONE_PASS_CFG, sample)
+
+
+# entry point -> (family, with missing cells, call)
+_ONE_PASS = {
+    "objective-every-cell": (Family.GAUSSIAN, False,
+                             lambda d, c, b, s, rng: objective(d, c, b, s, 0.5)),
+    "objective-missing-cells": (Family.GAUSSIAN, True,
+                                lambda d, c, b, s, rng: objective(d, c, b, s, 0.5)),
+    "full-gradient-every-cell": (Family.GAUSSIAN, False,
+                                 lambda d, c, b, s, rng: full_gradient(d, c, b, s, _ONE_PASS_CFG)),
+    "full-gradient-missing-cells": (Family.GAUSSIAN, True, lambda d, c, b, s, rng:
+                                    full_gradient(d, c, b, s, _ONE_PASS_CFG)),
+    "minibatch": (Family.GAUSSIAN, False, lambda d, c, b, s, rng:
+                  minibatch_gradient(d, c, b, s, _ONE_PASS_CFG, rng)),
+    "minibatch-categorical": (Family.CATEGORICAL, False, lambda d, c, b, s, rng:
+                              minibatch_gradient(d, c, b, s, _ONE_PASS_CFG, rng)),
+    "sparse-poisson": (Family.POISSON, False, lambda d, c, b, s, rng:
+                       sparse_gradient(d, c, b, s, _ONE_PASS_CFG, rng)),
+    "sparse-bernoulli": (Family.BERNOULLI, False, lambda d, c, b, s, rng:
+                         sparse_gradient(d, c, b, s, _ONE_PASS_CFG, rng)),
+    "estimate-objective-log-sample": (Family.POISSON, False, _logged_objective),
+    "leave-one-out": (Family.GAUSSIAN, True,
+                      lambda d, c, b, s, rng: leave_one_out_mse(d, c, b, s)),
+    "npll": (Family.POISSON, False,
+             lambda d, c, b, s, rng: normalized_predictive_ll(d, c, b, s)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ONE_PASS))
+def test_each_kernel_call_makes_one_context_pass(entry, monkeypatch):
+    # every kernel scores its cells in pieces of one pass of ctx.block, however
+    # many column blocks it covers, so basket and window contexts build their
+    # column tables once per call (a sparse step: its nonzeros and sampled zeros)
+    family, holey, call = _ONE_PASS[entry]
+    monkeypatch.setattr("glembed.families.BLOCK_CELLS", 16)  # several column blocks
+    # a log sample at test scale
+    monkeypatch.setattr(importlib.import_module("glembed.train"), "LOG_TERMS", 4)
+    kw = dict(n=8, t=10) if family is Family.GAUSSIAN else {}
+    data, ctx, bank, spec = family_instance(family, 27, **kw)
+    if holey:
+        data = data.select_entries(np.arange(0, data.nnz, 2))
+    assert data.every_cell_a_term != holey
     calls = []
     block = ctx.block
 
@@ -516,8 +559,7 @@ def test_sparse_step_makes_one_context_pass(family, monkeypatch):
         calls.append("block")
         return block(*args, **kwargs)
     monkeypatch.setattr(ctx, "block", counted)
-    cfg = TrainConfig(estimator="sparse", negative_samples=2)
-    sparse_gradient(data, ctx, bank, spec, cfg, np.random.default_rng(0))
+    call(data, ctx, bank, spec, np.random.default_rng(0))
     assert calls == ["block"]
 
 
