@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 import os
+import sys
 import tempfile
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from itertools import count, filterfalse, repeat
@@ -28,6 +31,8 @@ from .train import TrainConfig, sparse_fault
 MODEL_MAGIC = "#glembed-model v1"
 # characters per run of lines that read_triplets parses at once
 RUN_CHARS = 2**18
+# characters per span of a text that read_triplets parses on forked children
+SPAN_CHARS = 2**23
 # lines per run that write_triplets formats at once
 WRITE_RUN_LINES = 2**13
 
@@ -85,31 +90,138 @@ def read_triplets(path: str):
     full-width digits, surrounding whitespace).  Returns (row_labels,
     col_labels, rows, cols, vals).
 
-    The text is worked through in runs of whole lines of about
-    ``RUN_CHARS`` characters, each split, checked and parsed by C-level
-    passes, so memory is O(file text + one run + entries); the text is
-    dropped before the entries are sorted for the duplicate check.  Line
-    numbers are only computed for an error; the file is read again to
-    number a duplicate's line.
+    A text longer than ``SPAN_CHARS`` is cut after a ``\n`` into spans, at
+    most one per CPU; forked children parse the later spans while this
+    process parses the first (``_span_cuts`` names when it stays in one
+    span).  The spans' ids are merged in span order, so first-seen order is
+    the file's.  A fault in a child's span, or a child that dies, re-parses
+    the whole text here, and a fault in the first span is raised as it is,
+    so every error names the line the one-span parse names.
+    The text is dropped before the entries are sorted for the duplicate
+    check.  Line numbers are only computed for an error; the file is read
+    again to number a duplicate's line.
     """
     text = read_text(path)
     if not text:
         raise DataError(f"{path}: empty file")
+    # the header is the first line: it ends at or before the first '\n'
+    delim = _detect_delimiter(text[:text.find("\n") + 1 or len(text)].splitlines()[0])
+    cuts = _span_cuts(text)
+    parts = _parse_in_children(text, cuts, delim, path) if len(cuts) > 2 else None
+    if parts is None:
+        parts = [_parse_span(text, 0, len(text), delim, path)]
+    del text
+    if len(parts) == 1:
+        row_labels, col_labels, rows, cols, vals = parts[0]
+    else:
+        row_labels, rows = _merged_ids(parts, 0)
+        col_labels, cols = _merged_ids(parts, 1)
+        vals = np.concatenate([p[4] for p in parts])
+    del parts
+    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
+    if e >= 0:
+        lines = read_text(path).splitlines()
+        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
+        raise DataError(f"{path}:{ln}: duplicate entry for "
+                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
+    return row_labels, col_labels, rows, cols, vals
+
+
+def _merged_ids(parts: list[tuple], k: int) -> tuple[list[str], np.ndarray]:
+    """The labels and ids of the spans' rows (``k`` = 0) or columns (1),
+    merged in span order: a label keeps the id of the first span it is in."""
+    index: dict[str, int] = {}
+    ids = np.concatenate([_first_seen_ids(index, p[k])[p[k + 2]] for p in parts])
+    return list(index), ids
+
+
+def _span_cuts(text: str) -> list[int]:
+    """The offsets that cut ``text`` into the spans read_triplets parses at
+    once, each cut just after a ``\n``: one span per ``SPAN_CHARS``
+    characters, at most one per CPU, and one span in this process when it
+    may not fork children: no ``fork`` start method, another Python thread
+    alive, a daemonic process, or Python 3.12 or later (whose ``os.fork``
+    warns in a process with a second OS thread, and numpy's OpenBLAS pool is
+    one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, -(-len(text) // SPAN_CHARS))
+    if (n < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon
+            or sys.version_info >= (3, 12)):
+        return [0, len(text)]
+    return sorted({0, len(text)} | {text.find("\n", len(text) * i // n) + 1 or len(text)
+                                    for i in range(1, n)})
+
+
+def _parse_in_children(text: str, cuts: list[int], delim: str, path: str):
+    """The ``_parse_span`` parts of the spans between ``cuts``: the first
+    parsed here, each later one by a forked child that inherits ``text`` and
+    sends its part back.  None when a child's span is faulty, or a child
+    dies or cannot be forked; a fault in the first span raises its error.
+    No child outlives the call: on any exit but success the children are
+    killed, and all are joined."""
+    fork = multiprocessing.get_context("fork")
+    children = []
+    parts = None
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            receive, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_span, args=(send, text, start, stop, delim))
+            child.start()
+            children.append((child, receive))
+            send.close()
+        first = _parse_span(text, cuts[0], cuts[1], delim, path)
+        received = [receive.recv() for _, receive in children]
+        if None not in received:
+            parts = [first, *received]
+    except (EOFError, OSError):  # a child died before it sent, or could not fork
+        pass
+    finally:
+        for child, receive in children:
+            if parts is None:
+                child.kill()
+            child.join()
+            receive.close()
+    return parts
+
+
+def _send_span(send, text: str, start: int, stop: int, delim: str) -> None:
+    """Send the parent the ``_parse_span`` part of ``text[start:stop]``, or
+    None when the span is faulty."""
+    try:
+        part = _parse_span(text, start, stop, delim, "")
+    except DataError:
+        part = None
+    send.send(part)
+
+
+def _parse_span(text: str, start: int, stop: int, delim: str, path: str):
+    """Parse the lines of ``text[start:stop]``, which starts a line and ends
+    just after a ``\n`` or at the end of the text; the text's first line is
+    its header and is skipped.  Returns the span's row and column labels in
+    first-seen order, the entries' row and column ids into them, and the
+    values.
+
+    The span is worked through in runs of whole lines of about
+    ``RUN_CHARS`` characters, each split, checked and parsed by C-level
+    passes, so memory is O(span text + one run + entries).  A faulty line
+    raises the DataError of the line loop, its line number counted from
+    the span's first line as line 1: the file's line number in the span
+    that starts the text.
+    """
     row_index: dict[str, int] = {}
     col_index: dict[str, int] = {}
     rows, cols, vals = [], [], []
-    delim = ""
-    ln = 2  # line number of the run's first body line
-    start = 0
-    while start < len(text):
+    ln = 1  # line number of the run's first line
+    while start < stop:
         # a run ends just after the first '\n' past RUN_CHARS (or at the end
-        # of the text): a line boundary whatever other breaks (\x0c,
+        # of the span): a line boundary whatever other breaks (\x0c,
         # \u2028, ...) the text holds
-        end = text.find("\n", start + RUN_CHARS) + 1 or len(text)
+        end = text.find("\n", start + RUN_CHARS, stop) + 1 or stop
         lines = text[start:end].splitlines()
-        if not delim:
-            delim = _detect_delimiter(lines[0])
+        if start == 0:
             del lines[0]
+            ln += 1
         start = end
         body = list(filter(str.strip, lines))
         fields = delim.join(body).split(delim) if body else []
@@ -125,16 +237,11 @@ def read_triplets(path: str):
         cols.append(_first_seen_ids(col_index, list(map(str.strip, fields[1::3]))))
         vals.append(v)
         ln += len(lines)
-    del text, lines, body, fields
-    row_labels, col_labels = list(row_index), list(col_index)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
-    if e >= 0:
-        lines = read_text(path).splitlines()
-        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
-        raise DataError(f"{path}:{ln}: duplicate entry for "
-                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
-    return row_labels, col_labels, rows, cols, np.concatenate(vals)
+    # one at a time, so that each run list is freed before the next is joined
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return list(row_index), list(col_index), rows, cols, vals
 
 
 def _first_seen_ids(index: dict[str, int], keys: list[str]) -> np.ndarray:

@@ -1,3 +1,9 @@
+import errno
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -184,7 +190,7 @@ def test_read_triplets_empty_file_error_matches_the_line_loop(tmp_path):
     assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
 
 
-def test_read_triplets_memory_is_within_four_times_the_file(tmp_path):
+def _assert_read_peak_within_four_times_the_file(tmp_path):
     # a whole-file split (one string per field) would need about 8x
     n = 200_000
     vals = np.random.default_rng(3).normal(size=n).tolist()
@@ -201,6 +207,258 @@ def test_read_triplets_memory_is_within_four_times_the_file(tmp_path):
         tracemalloc.stop()
     assert len(rows) == n
     assert peak < 4 * size
+
+
+def test_read_triplets_memory_is_within_four_times_the_file(tmp_path):
+    _assert_read_peak_within_four_times_the_file(tmp_path)
+
+
+def test_read_triplets_memory_is_within_four_times_the_file_on_spans(
+        tmp_path, monkeypatch, forked):
+    # the children's memory is their own; this process holds the text, its
+    # own span and the parts it receives
+    _force_spans(monkeypatch, 2**20, cpus=2)
+    _assert_read_peak_within_four_times_the_file(tmp_path)
+    assert len(forked) == 1
+
+
+# ---------------------------------------------------------------------------
+# the multi-span parse: later spans on forked children
+# ---------------------------------------------------------------------------
+
+def _force_spans(monkeypatch, span_chars, cpus=64):
+    """Cut texts into spans of about ``span_chars`` characters, at most
+    ``cpus`` of them, whatever the host's CPU count."""
+    monkeypatch.setattr(dataio, "SPAN_CHARS", span_chars)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the parse children started during the test, in order."""
+    fork = multiprocessing.get_context("fork")
+    pids = []
+
+    class Recorded(fork.Process):
+        def start(self):
+            super().start()
+            pids.append(self.pid)
+
+    monkeypatch.setattr(fork, "Process", Recorded)
+    return pids
+
+
+def _assert_no_child_left(pids):
+    for pid in pids:  # reaped: no zombie, no running child
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_FILES))
+def test_read_triplets_matches_the_line_loop_across_spans(tmp_path, monkeypatch, forked, name):
+    # span sizes from one character up put a span cut after every '\n'
+    path = _write(tmp_path, name + ".tsv", _ORACLE_FILES[name])
+    for span_chars in (1, 2, 3, 5, 8, 13, 21, 34):
+        _force_spans(monkeypatch, span_chars)
+        for run_chars in (1, dataio.RUN_CHARS):
+            monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+            _assert_same_as_oracle(path)
+    # a header with no '\n' before its end is one span
+    assert bool(forked) != name.startswith("header_only")
+    _assert_no_child_left(forked)
+
+
+def test_read_triplets_matches_the_line_loop_on_random_files_across_spans(
+        tmp_path, monkeypatch, forked):
+    rng = np.random.default_rng(7)
+    for trial in range(6):
+        n = int(rng.integers(1, 400))
+        cells = rng.permutation(40 * 60)[:n]
+        vals = rng.normal(scale=10.0 ** rng.integers(-5, 6), size=n).tolist()
+        lines = ["row\tcol\tvalue"] + [f"e{c % 40}\tt{c // 40}\t{v!r}" for c, v in zip(cells, vals)]
+        lines[1::7] = [" " + line + " " for line in lines[1::7]]
+        lines.insert(int(rng.integers(1, len(lines) + 1)), "   ")
+        text = "\n".join(lines)
+        path = _write(tmp_path, f"rand{trial}.tsv", text)
+        for spans in (2, 3, 7, 16):
+            _force_spans(monkeypatch, len(text) // spans + 1)
+            for run_chars in (1, 100, dataio.RUN_CHARS):
+                monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+                _assert_same_as_oracle(path)
+    assert forked
+    _assert_no_child_left(forked)
+
+
+# three spans of four body lines each, every line 7 characters with its '\n'
+_SPANNED = ["r\tc\tvv",
+            "b\tx\t10", "a\ty\t11", "b\ty\t12", "a\tx\t13",
+            "c\tz\t14", "a\tz\t15", "b\tw\t16", "c\tx\t17",
+            "d\tw\t18", "c\ty\t19", "a\tw\t20", "d\tz\t21"]
+
+
+def _three_spans(tmp_path, monkeypatch, lines):
+    text = "".join(line + "\n" for line in lines)
+    _force_spans(monkeypatch, 1, cpus=3)
+    assert dataio._span_cuts(text) == [0, 35, 63, 91]
+    return _write(tmp_path, "spanned.tsv", text)
+
+
+def test_read_triplets_merges_span_ids_in_first_seen_order(tmp_path, monkeypatch, forked):
+    # the second span sees a and b again after the first span, and first
+    # sees c, which the third span sees again
+    path = _three_spans(tmp_path, monkeypatch, _SPANNED)
+    rl, cl, rows, cols, vals = read_triplets(path)
+    assert rl == ["b", "a", "c", "d"] and cl == ["x", "y", "z", "w"]
+    assert rows.tolist() == [0, 1, 0, 1, 2, 1, 0, 2, 3, 2, 1, 3]
+    assert cols.tolist() == [0, 1, 1, 0, 2, 2, 3, 0, 3, 1, 3, 2]
+    assert vals.tolist() == list(range(10, 22))
+    assert len(forked) == 2
+    _assert_same_as_oracle(path)
+
+
+def test_read_triplets_names_a_duplicate_line_across_spans(tmp_path, monkeypatch, forked):
+    # line 11 of the third span repeats (b, y) of line 4 in the first
+    lines = _SPANNED.copy()
+    lines[10] = "b\ty\t19"
+    path = _three_spans(tmp_path, monkeypatch, lines)
+    assert _error_text(read_triplets, path) == f"{path}:11: duplicate entry for (b, y)"
+    assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
+    assert len(forked) == 4
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("span", ["parent", "child"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_read_triplets_raises_the_line_loops_error_from_any_span(
+        tmp_path, monkeypatch, forked, fault, span, cpus):
+    valid = [f"r{i}\tc{i % 3}\t{i}.5" for i in range(12)]
+    body = valid[:6] + ["", "  "] + valid[6:] + ["", "\t", ""]
+    bad = _FAULTS[fault].split("\n") + ["z\tz\t1"]
+    lines = ["row\tcol\tvalue"] + (bad + body if span == "parent" else body + bad)
+    text = "\n".join(lines) + "\n"
+    path = _write(tmp_path, "fault.tsv", text)
+    _force_spans(monkeypatch, 1, cpus=cpus)
+    cuts = dataio._span_cuts(text)
+    assert len(cuts) == cpus + 1
+    first_bad = text.index("\n" + bad[0] + "\n") + 1
+    assert (first_bad < cuts[1]) == (span == "parent")
+    want = _error_text(line_loop_read_triplets, path)
+    for run_chars in (1, 16, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(read_triplets, path) == want
+    assert len(forked) == 3 * (cpus - 1)
+    _assert_no_child_left(forked)
+
+
+@pytest.mark.parametrize("case", ["success", "fault_in_a_child", "fault_in_the_parent"])
+def test_read_triplets_leaves_no_child_behind(tmp_path, monkeypatch, forked, case):
+    lines = _SPANNED.copy()
+    if case == "fault_in_a_child":
+        lines[10] = "c\ty\tnn"
+    elif case == "fault_in_the_parent":
+        lines[2] = "a\ty\t1\t"
+    path = _three_spans(tmp_path, monkeypatch, lines)
+    if case == "success":
+        read_triplets(path)
+    else:
+        assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
+    assert len(forked) == 2
+    _assert_no_child_left(forked)
+
+
+def test_read_triplets_reparses_here_when_a_child_dies(tmp_path, monkeypatch, forked):
+    parse_span, parent = dataio._parse_span, os.getpid()
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return parse_span(*args)
+
+    monkeypatch.setattr(dataio, "_parse_span", dies_in_a_child)
+    path = _three_spans(tmp_path, monkeypatch, _SPANNED)
+    _assert_same_as_oracle(path)
+    assert len(forked) == 2
+    _assert_no_child_left(forked)
+
+
+def test_read_triplets_parses_here_when_a_child_cannot_be_forked(tmp_path, monkeypatch, forked):
+    fork = os.fork
+    forks = []
+
+    def fails_the_second_time():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fails_the_second_time)
+    path = _three_spans(tmp_path, monkeypatch, _SPANNED)
+    _assert_same_as_oracle(path)
+    assert len(forks) == 2 and len(forked) == 1
+    _assert_no_child_left(forked)
+
+
+def test_read_triplets_kills_its_children_when_it_leaves_by_an_exception(
+        tmp_path, monkeypatch, forked):
+    parent = os.getpid()
+
+    def stuck_children_and_a_failing_parent(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dataio, "_parse_span", stuck_children_and_a_failing_parent)
+    path = _three_spans(tmp_path, monkeypatch, _SPANNED)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        read_triplets(path)
+    assert time.monotonic() - started < 30
+    assert len(forked) == 2
+    _assert_no_child_left(forked)
+
+
+@pytest.fixture
+def no_process(monkeypatch):
+    """Make starting a process fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def _in_process_when(monkeypatch, condition):
+    if condition == "no_fork_start_method":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif condition == "daemonic_process":
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    elif condition == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif condition == "python_3_12":
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+
+
+@pytest.mark.parametrize("condition", ["no_fork_start_method", "another_thread", "daemonic_process",
+                                       "one_cpu", "python_3_12"])
+def test_read_triplets_parses_in_process_when_it_may_not_fork(
+        tmp_path, monkeypatch, no_process, condition):
+    _force_spans(monkeypatch, 1, cpus=3)
+    path = _write(tmp_path, "spanned.tsv", "".join(line + "\n" for line in _SPANNED))
+    with pytest.raises(AssertionError, match="a process was started"):
+        read_triplets(path)  # no condition holds: the forked path is taken
+    _in_process_when(monkeypatch, condition)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if condition == "another_thread":
+        thread.start()
+    try:
+        _assert_same_as_oracle(path)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(10)
+            assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("labelled", [True, False])
