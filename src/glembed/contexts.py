@@ -18,13 +18,17 @@ adds coefficient-weighted gradients of those values into one pair of
 * ``at``/``scatter_at``: the listed cells of a ``TermBatch``, one value
   per cell (the sampled estimators and the logged objective).
 
-kNN members are read with ``DataMatrix.lookup``.  Every scatter onto rows or
-columns goes through ``core.scatter_rows``, one product with a sparse
-incidence matrix that adds each entry into a zeroed table in entry order,
-so its sums are byte for byte those of the ``add.at`` ufunc method into
-zeros.  The window table reads its prefix sums as slices with repeated edge
-rows: the same rows as a gather at the clipped window ends, and the same
-subtractions.  A member is a present cell: a cell missing from explicit
+kNN members are read with ``DataMatrix.lookup``.  The column-table passes
+scatter the listed cells of a batch, grouped in row-major cell order,
+through ``core.cell_products``: one sparse coefficient matrix C of the
+cells, whose products C @ sums and C.T @ emb add into the embedding rows
+and the per-column sums.  Every other scatter onto rows or columns goes
+through ``core.scatter_rows``, one product with a sparse incidence matrix.
+Both add each product into a zeroed table in cell order, so their sums are
+byte for byte those of the ``add.at`` ufunc method into zeros.  The window
+table reads its prefix sums in runs of positions, each window end a slice
+or one edge row: the same rows as a gather at the clipped window ends, and
+the same subtractions.  A member is a present cell: a cell missing from explicit
 data is never one.  Maps are immutable after construction.
 """
 
@@ -35,12 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import ColumnBlock, DataMatrix, TermBatch, scatter_rows
+from .core import ColumnBlock, DataMatrix, TermBatch, cell_products, scatter_rows
 from .errors import ConfigError, DataError
 
-# cells per chunk of the kNN pass's ``at``, bounding its (cells, k, dim)
-# gather of neighbour context vectors; ``scatter_at`` builds no such array
-KNN_SUM_CHUNK = 1 << 15
+# cells per chunk of a pass's ``at``, bounding its gathers: the kNN pass's
+# (cells, k, dim) neighbour context vectors, the column-table passes' two
+# (cells, dim) rows; ``scatter_at`` gathers no such array
+CELL_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -107,12 +112,18 @@ class WindowContext:
         w, length = self.half_width, len(table)
         prefix = np.zeros((length + 1,) + table.shape[1:])
         np.cumsum(table, axis=0, out=prefix[1:])
-        # prefix[min(p + w + 1, length)] and prefix[max(p - w, 0)] for every
-        # position p, as slices and repeated edge rows
+        # prefix[min(p + w + 1, length)] - prefix[max(p - w, 0)] for every
+        # position p, in runs of positions where each end is a slice of the
+        # prefix sums or one edge row
         hi, lo = min(w + 1, length), min(w, length)
-        upper = np.concatenate([prefix[hi:length], np.repeat(prefix[length:], hi, axis=0)])
-        lower = np.concatenate([np.repeat(prefix[:1], lo, axis=0), prefix[:length - lo]])
-        return upper - lower - table
+        out = np.empty_like(table, dtype=np.float64)
+        cuts = sorted({0, lo, length - hi, length})
+        for a, b in zip(cuts, cuts[1:]):
+            upper = prefix[a + hi:b + hi] if b <= length - hi else prefix[length]
+            lower = prefix[a - lo:b - lo] if a >= lo else prefix[0]
+            np.subtract(upper, lower, out=out[a:b])
+        out -= table
+        return out
 
     def _tables(self, data, cv):
         """Per column: the context sum and the member count."""
@@ -187,8 +198,8 @@ class _KnnPass:
             counts = np.full(len(nb), nb.shape[1], dtype=np.int64) \
                 if self.data.every_cell_a_term else present.sum(axis=1)
             S = np.empty((len(nb), self.cv.shape[1]))
-            for lo in range(0, len(nb), KNN_SUM_CHUNK):
-                hi = lo + KNN_SUM_CHUNK
+            for lo in range(0, len(nb), CELL_CHUNK):
+                hi = lo + CELL_CHUNK
                 S[lo:hi] = np.einsum("ek,ekd->ed", vals[lo:hi], self.cv[nb[lo:hi]])
             self._batch = batch
             self._members = nb, vals, counts, S, np.take(self.emb, batch.rows, axis=0)
@@ -225,7 +236,6 @@ class _ColumnTablePass:
         self.g_emb = np.zeros_like(emb)
         self.R = np.zeros_like(sums)
         self.own_coef = np.zeros(len(emb))  # sum_t coef[n, t] * x[n, t]
-        self._batch = self._rows = None
 
     def table(self, cells: ColumnBlock):
         H = self.emb @ self.sums[cells.cols].T
@@ -248,18 +258,12 @@ class _ColumnTablePass:
         self.g_emb += coef @ self.sums[cells.cols]
         self.R[cells.cols] += coef.T @ self.emb
 
-    def _rows_of(self, batch: TermBatch):
-        """Per cell of ``batch``: its embedding row and its column's sum, kept
-        for a ``scatter_at`` of the same batch."""
-        if self._batch is not batch:
-            self._batch = batch
-            self._rows = (np.take(self.emb, batch.rows, axis=0),
-                          np.take(self.sums, batch.cols, axis=0))
-        return self._rows
-
     def at(self, batch: TermBatch):
-        emb_rows, S = self._rows_of(batch)
-        H = np.einsum("ed,ed->e", emb_rows, S)
+        H = np.empty(len(batch))
+        for lo in range(0, len(batch), CELL_CHUNK):
+            hi = lo + CELL_CHUNK
+            H[lo:hi] = np.einsum("ed,ed->e", np.take(self.emb, batch.rows[lo:hi], axis=0),
+                                 np.take(self.sums, batch.cols[lo:hi], axis=0))
         counts = np.take(self.counts, batch.cols)
         if self.own is not None:
             H -= batch.vals * self.own[batch.rows]
@@ -267,12 +271,15 @@ class _ColumnTablePass:
         return H, counts
 
     def scatter_at(self, batch: TermBatch, coef):
-        emb_rows, S = self._rows_of(batch)
+        batch, order = batch.row_major(len(self.emb), len(self.R))
+        if order is not None:
+            coef = coef[order]
         if self.own is not None:
             coef = self._drop_memberless(coef, batch.cols, batch.stored)
             self.own_coef += scatter_rows(batch.rows, batch.vals, len(self.emb), coef)
-        self.g_emb += scatter_rows(batch.rows, S, len(self.emb), coef)
-        self.R += scatter_rows(batch.cols, emb_rows, len(self.R), coef)
+        g_emb, R = cell_products(batch.row_starts, batch.cols, coef, self.sums, self.emb)
+        self.g_emb += g_emb
+        self.R += R
 
     def gradients(self):
         g_cv = _spread(self.data, self.spread(self.R), len(self.cv))

@@ -60,6 +60,37 @@ def scatter_rows(idx, v: np.ndarray, n: int, scale=None) -> np.ndarray:
     return incidence @ v
 
 
+def cell_products(starts, cols, coef, col_table: np.ndarray, row_table: np.ndarray):
+    """(C @ col_table, C.T @ row_table) for the sparse (len(row_table),
+    len(col_table)) coefficient matrix C whose row n holds coef[e] at column
+    cols[e] for the cells e in starts[n]:starts[n + 1].
+
+    Its CSR product adds each coef[e] * col_table[cols[e]] into zeroed row
+    n, and the CSC product of C.T each coef[e] * row_table[n] into zeroed
+    row cols[e], both in order of e: the same products added in the same
+    order as by the ``add.at`` ufunc method into zeros over the cells in
+    order, so the sums are equal byte for byte.  A column outside
+    ``col_table`` raises an IndexError.
+    """
+    cols = np.asarray(cols)
+    shape = (len(row_table), len(col_table))
+    if len(cols) and not 0 <= cols.min() <= cols.max() < shape[1]:
+        raise IndexError(f"cell column outside 0..{shape[1] - 1}")
+    itype = np.int32 if max(*shape, len(cols)) < 2**31 else np.int64
+    C = sparse.csr_matrix((coef, cols.astype(itype), np.asarray(starts, dtype=itype)),
+                          shape=shape)
+    return C @ col_table, C.T @ row_table
+
+
+def _split_sorted_keys(keys: np.ndarray, n_rows: int, n_cols: int):
+    """(rows, cols, starts) of nondecreasing row-major cell keys: the cells
+    of row n are starts[n]:starts[n + 1].  A search per row replaces the
+    integer division per key."""
+    starts = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    rows = np.repeat(np.arange(n_rows), np.diff(starts))
+    return rows, keys - rows * n_cols, starts
+
+
 class DataMatrix:
     """Sparse observations indexed by (row, col).
 
@@ -143,22 +174,34 @@ class DataMatrix:
 
     def zero_cells(self, q: np.ndarray):
         """(rows, cols) of the q-th cells without a stored entry, counting
-        in row-major order from 0."""
+        in row-major order from 0, for the queries ``q`` in sorted order: the
+        cells come back in row-major order."""
         # the stored entry at sorted position i has keys[i] - i empty cells
         # before it, so the q-th empty cell follows every entry with at most
         # q: merge those nondecreasing counts into the sorted queries, and
         # count the entries at or before each query
-        q = np.asarray(q)
-        order = np.argsort(q)
-        q_sorted = q[order].astype(np.int64, copy=False)
-        counts = np.bincount(np.searchsorted(q_sorted, self._keys - np.arange(self.nnz)),
-                             minlength=len(q) + 1)
-        q_sorted += np.cumsum(counts, out=counts)[:len(q)]
+        ids = np.sort(np.asarray(q, dtype=np.int64))
+        counts = np.bincount(np.searchsorted(ids, self._keys - np.arange(self.nnz)),
+                             minlength=len(ids) + 1)
+        ids += np.cumsum(counts, out=counts)[:len(ids)]
         del counts
-        ids = np.empty(len(q), dtype=np.int64)
-        ids[order] = q_sorted
-        del order, q_sorted
-        return np.divmod(ids, self.n_cols)
+        return _split_sorted_keys(ids, self.n_rows, self.n_cols)[:2]
+
+    def with_unstored(self, rows, cols, weight: float) -> "TermBatch":
+        """Every stored entry, weight 1, and the unstored cells (rows, cols),
+        weight ``weight``, as one ``TermBatch`` in row-major cell order with
+        its row starts; equal listed cells keep their order."""
+        # one stable sort of the keys tagged in the low bit, 0 for a stored
+        # entry; two sorted runs when the cells come sorted, so one merge
+        tagged = np.concatenate([self._keys * 2,
+                                 (np.asarray(rows) * self.n_cols + np.asarray(cols)) * 2 + 1])
+        tagged.sort(kind="stable")
+        stored = (tagged & 1) == 0
+        rows, cols, starts = _split_sorted_keys(np.right_shift(tagged, 1, out=tagged),
+                                               self.n_rows, self.n_cols)
+        vals = np.zeros(len(tagged))
+        vals[stored] = self._key_vals
+        return TermBatch(rows, cols, vals, stored, np.where(stored, 1.0, weight), starts)
 
     def column_blocks(self, width: int, cols: Sequence[int] | None = None):
         """Every cell of the columns ``cols`` (of every column, left to
@@ -226,7 +269,9 @@ class TermBatch:
     of the term kernels and of a context pass's ``at``/``scatter_at``.
 
     Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
-    for an implicit zero.  ``weights`` None means every weight is 1.  The
+    for an implicit zero.  ``weights`` None means every weight is 1.
+    ``row_starts``, when not None, says that the terms are in row-major cell
+    order, those of row n at row_starts[n]:row_starts[n + 1].  The
     categorical family's terms are whole columns, scored by ``ColumnBlock``s
     instead.
     """
@@ -236,6 +281,7 @@ class TermBatch:
     vals: np.ndarray
     stored: np.ndarray
     weights: np.ndarray | None = None
+    row_starts: np.ndarray | None = None
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.int64)
@@ -247,6 +293,19 @@ class TermBatch:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def row_major(self, n_rows: int, n_cols: int):
+        """(batch, order): these terms in row-major cell order with their row
+        starts, equal cells in batch order, and the permutation that sorts
+        them, None when they carry their row starts already."""
+        if self.row_starts is not None:
+            return self, None
+        order = np.argsort(self.rows * n_cols + self.cols, kind="stable")
+        rows = self.rows[order]
+        batch = TermBatch(rows, self.cols[order], self.vals[order], self.stored[order],
+                          None if self.weights is None else self.weights[order],
+                          np.searchsorted(rows, np.arange(n_rows + 1)))
+        return batch, order
 
     def downweight_zeros(self, zero_weight: float) -> "TermBatch":
         """Multiply the weights of the zero (unstored) terms by ``zero_weight``."""

@@ -189,7 +189,11 @@ def _mean(spec, svals, counters):
             counters.rate_floored += int((mean != svals).sum())
         return mean
     if fam is Family.BERNOULLI:
-        return 1.0 / (1.0 + np.exp(-svals))
+        # 1 / (1 + e^-eta), in one table
+        mean = np.negative(svals)
+        np.exp(mean, out=mean)
+        mean += 1.0
+        return np.divide(1.0, mean, out=mean)
     return softmax(svals, axis=0)
 
 
@@ -197,8 +201,12 @@ def _residual(spec, svals, x, counters):
     """Per-cell residual d loglik / d linear value."""
     if spec.family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
         return (x - svals) / spec.sigma2
-    mean = _mean(spec, svals, counters)
-    return x / mean - 1.0 if spec.family is Family.ADDITIVE_POISSON else x - mean
+    mean = _mean(spec, svals, counters)  # a new table: the residual takes its place
+    if spec.family is Family.ADDITIVE_POISSON:
+        np.divide(x, mean, out=mean)
+        mean -= 1.0
+        return mean
+    return np.subtract(x, mean, out=mean)
 
 
 def _log_likelihood(spec, svals, x, counters):
@@ -212,8 +220,16 @@ def _log_likelihood(spec, svals, x, counters):
         return -((x - svals) ** 2) / (2.0 * spec.sigma2) \
             - 0.5 * math.log(spec.sigma2) - _HALF_LOG_2PI
     if fam is Family.BERNOULLI:
-        # log(1 + e^eta) as np.logaddexp(0, eta) computes it, in a third of its time
-        return x * svals - (np.maximum(svals, 0.0) + np.log1p(np.exp(-np.abs(svals))))
+        # log(1 + e^eta) as np.logaddexp(0, eta) computes it, in a third of its
+        # time, in one table
+        softplus = np.abs(svals)
+        np.negative(softplus, out=softplus)
+        np.exp(softplus, out=softplus)
+        np.log1p(softplus, out=softplus)
+        softplus += np.maximum(svals, 0.0)
+        ll = x * svals
+        ll -= softplus
+        return ll
     if fam is Family.CATEGORICAL:
         return x * log_softmax(svals, axis=0)
     mean = _mean(spec, svals, counters)

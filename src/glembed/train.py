@@ -171,9 +171,9 @@ def _drawn_terms(data, config: TrainConfig, rng, draw=None) -> TermBatch:
 def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
     """Per nonzero term, ``per_term`` distinct zero cells, drawn uniformly.
 
-    Returns (rows, cols, n_sampled, n_zero), rows and cols flattened over
-    terms.  Distinctness holds within a term's draw; different terms may
-    repeat cells.
+    Returns (rows, cols, n_sampled, n_zero), rows and cols of every term's
+    cells in row-major order.  Distinctness holds within a term's draw;
+    different terms may repeat cells.
     """
     n_zero = data.n_rows * data.n_cols - data.nnz
     if n_zero == 0 or n_terms == 0:
@@ -202,31 +202,22 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
     return rows, cols, n_terms * k, n_zero
 
 
-def _zero_draws(pool: ThreadPoolExecutor, data: DataMatrix, config: TrainConfig, rng):
-    """The zero cells of each of the ``n_iterations`` sparse steps, as (S, 2)
-    arrays of (row, col).  Each draw runs on ``pool``'s worker while the
-    caller takes the step before it; the draws run one after another, so
-    they consume ``rng`` in the order of a serial loop.  A draw waits in
-    memory through the step before its own, so it is held in the narrowest
-    unsigned integers that fit the matrix."""
-    dtype = np.min_scalar_type(max(data.n_rows, data.n_cols))
-
-    def draw():
-        rows, cols, _, _ = _draw_zero_cells(data, data.nnz, config.negative_samples, rng)
-        cells = np.empty((len(rows), 2), dtype)
-        cells[:, 0], cells[:, 1] = rows, cols
-        return cells
-
-    pending = pool.submit(draw)
+def _sampled_batches(pool: ThreadPoolExecutor, data: DataMatrix, config: TrainConfig, rng):
+    """The ``_sampled_terms`` batch of each of the ``n_iterations`` sparse
+    steps.  Each batch is built on ``pool``'s worker while the caller takes
+    the step before it; the builds run one after another, so they consume
+    ``rng`` in the order of a serial loop."""
+    pending = pool.submit(_sampled_terms, data, config, rng)
     for it in range(1, config.n_iterations + 1):
-        cells = pending.result()
+        batch = pending.result()
         if it < config.n_iterations:
-            pending = pool.submit(draw)
-        yield cells
+            pending = pool.submit(_sampled_terms, data, config, rng)
+        yield batch
 
 
 def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
-    """Every nonzero term plus zero cells drawn per nonzero term.
+    """Every nonzero term plus zero cells drawn per nonzero term, in
+    row-major cell order.
 
     The zeros are weighted by #zeros/#sampled (by 1 under negative
     sampling), and then by the zero weight.  ``zero_draw`` may supply them
@@ -240,20 +231,7 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
         n_sampled = len(zr)
     unbiased = config.zero_estimator != "negative_sampling"
     w = n_zero / max(n_sampled, 1) if unbiased else 1.0
-    return _entries_and_zeros(data, config, slice(None), 1.0, zr, zc, w)
-
-
-def _entries_and_zeros(data, config: TrainConfig, entries, entry_weight, zr, zc,
-                       zero_weight) -> TermBatch:
-    """The stored ``entries`` (ids or a slice) weighted by ``entry_weight``,
-    then the zero cells (zr, zc) weighted by ``zero_weight`` times the zero
-    weight."""
-    rows, cols, vals = data.rows[entries], data.cols[entries], data.vals[entries]
-    m1, m0 = len(rows), len(zr)
-    batch = TermBatch(np.concatenate([rows, zr]), np.concatenate([cols, zc]),
-                      np.concatenate([vals, np.zeros(m0)]), np.arange(m1 + m0) < m1,
-                      np.concatenate([np.full(m1, entry_weight), np.full(m0, zero_weight)]))
-    return batch.downweight_zeros(_zero_weight(data, config))
+    return data.with_unstored(zr, zc, w).downweight_zeros(_zero_weight(data, config))
 
 
 @dataclass
@@ -281,9 +259,12 @@ def _log_sample(data, spec, config: TrainConfig, rng) -> LogSample | None:
         else rng.choice(data.nnz, LOG_TERMS, replace=False)
     zr, zc = data.zero_cells(rng.choice(n_zero, min(LOG_TERMS, n_zero), replace=False))
     m1, m0 = len(nz), len(zr)
-    batch = _entries_and_zeros(data, config, nz, data.nnz / max(m1, 1), zr, zc,
-                               n_zero / max(m0, 1))
-    return LogSample(batch, [(m1, data.nnz), (m0, n_zero)])
+    batch = TermBatch(np.concatenate([data.rows[nz], zr]), np.concatenate([data.cols[nz], zc]),
+                      np.concatenate([data.vals[nz], np.zeros(m0)]), np.arange(m1 + m0) < m1,
+                      np.concatenate([np.full(m1, data.nnz / max(m1, 1)),
+                                      np.full(m0, n_zero / max(m0, 1))]))
+    return LogSample(batch.downweight_zeros(_zero_weight(data, config)),
+                     [(m1, data.nnz), (m0, n_zero)])
 
 
 def _stratified_stderr(z: np.ndarray, strata) -> float:
@@ -356,13 +337,15 @@ def _check_sparse(data, spec) -> None:
 
 
 def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
-                    zero_draw=None, counters=None) -> Gradients:
+                    zero_draw=None, counters=None, batch=None) -> Gradients:
     """Zero/nonzero split gradient for implicit-zero data: the nonzero terms
     plus zero cells drawn per nonzero term, or the (row, col) pairs in
-    ``zero_draw``, in one batch."""
+    ``zero_draw``, in one batch.  ``batch`` may supply that batch as
+    ``_sampled_terms`` builds it."""
     _check_sparse(data, spec)
-    return _gradient(data, ctx, bank, spec, _sampled_terms(data, config, rng, zero_draw),
-                     config, counters)
+    if batch is None:
+        batch = _sampled_terms(data, config, rng, zero_draw)
+    return _gradient(data, ctx, bank, spec, batch, config, counters)
 
 
 def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
@@ -408,12 +391,13 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     Deterministic given the seed.  ``on_log`` is called as
     ``on_log(iteration, bank, state)`` at every logging point.
 
-    The sparse estimator draws each step's zero cells one step ahead, on
-    one worker thread that lives for the call, while this thread takes the
-    step before.  The draws consume the training stream in the order of a
-    serial loop, so the bank and log are the same bytes; the cost is the
-    memory of one more draw's working set.  The full and minibatch
-    estimators start no thread.
+    The sparse estimator builds each step's batch (its zero-cell draw
+    merged with the stored entries in row-major cell order) one step ahead,
+    on one worker thread that lives for the call, while this thread takes
+    the step before.  The builds consume the training stream in the order
+    of a serial loop, so the bank and log are the same bytes; the cost is
+    the memory of one more batch.  The full and minibatch estimators start
+    no thread.
     """
     config.validate()
     validate_data(spec, data)
@@ -445,15 +429,15 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     record(0)
     sparse = config.estimator == "sparse"
     with ThreadPoolExecutor(1) if sparse else nullcontext() as pool:
-        draws = _zero_draws(pool, data, config, rng) if sparse else None
+        batches = _sampled_batches(pool, data, config, rng) if sparse else None
         for it in range(1, config.n_iterations + 1):
             if config.estimator == "full":
                 g = full_gradient(data, ctx, bank, spec, config, counters)
             elif config.estimator == "minibatch":
                 g = minibatch_gradient(data, ctx, bank, spec, config, rng, counters=counters)
             else:
-                g = sparse_gradient(data, ctx, bank, spec, config, None, zero_draw=next(draws),
-                                    counters=counters)
+                g = sparse_gradient(data, ctx, bank, spec, config, None, counters=counters,
+                                    batch=next(batches))
             adagrad_step(g, state, bank, config)
             _check_finite(bank, it)
             if it % config.log_every == 0 or it == config.n_iterations:

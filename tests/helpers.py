@@ -6,9 +6,10 @@ gradient code paths it checks.  ``members`` restates each context builder's
 membership rule one cell at a time; the scalar loops (``ExplicitContext``,
 ``MemberPass``, ``scalar_linear_value`` and the scoring protocols) walk
 those members entry by entry and never call the context passes they
-check.  ``add_at_rows``, ``add_at_scatter`` and ``add_at_term_gradient``
-are the scatters as ``np.add.at`` calls into zeroed tables, the oracle of
-the library's one incidence-product scatter;
+check.  ``add_at_rows``, ``add_at_cell_products``, ``add_at_scatter`` and
+``add_at_term_gradient`` are the scatters as ``np.add.at`` calls into
+zeroed tables, the oracle of the library's incidence and coefficient-matrix
+products;
 ``prefix_gather_window_table`` and ``dense_zero_cells`` are the window
 table and the zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
@@ -32,7 +33,7 @@ import numpy as np
 
 from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch, sorted_cell_keys
 from glembed.contexts import (
-    KNN_SUM_CHUNK,
+    CELL_CHUNK,
     BasketContext,
     KnnContext,
     SpatialLayout,
@@ -270,16 +271,29 @@ def fstring_write_triplets(path, data):
 
 def dense_zero_cells(data, q):
     """``DataMatrix.zero_cells`` of implicit-zero data by indexing every
-    zero cell id of the dense matrix."""
-    ids = np.flatnonzero(dense_values(data).ravel() == 0.0)[np.asarray(q, dtype=np.int64)]
+    zero cell id of the dense matrix at the sorted queries."""
+    ids = np.flatnonzero(dense_values(data).ravel() == 0.0)[np.sort(np.asarray(q, dtype=np.int64))]
     return ids // data.n_cols, ids % data.n_cols
+
+
+def add_at_cell_products(starts, cols, coef, col_table, row_table):
+    """``core.cell_products`` as ``np.add.at`` calls into zeros: its
+    byte-level oracle."""
+    rows = np.repeat(np.arange(len(row_table)), np.diff(starts))
+    by_row = np.zeros((len(row_table),) + col_table.shape[1:])
+    np.add.at(by_row, rows, coef[:, None] * col_table[cols])
+    by_col = np.zeros((len(col_table),) + row_table.shape[1:])
+    np.add.at(by_col, cols, coef[:, None] * row_table[rows])
+    return by_row, by_col
 
 
 def add_at_scatter(ctx, data, emb, cv, batch, coef):
     """``scatter_at(batch, coef)`` of a kNN, basket or window pass, then its
-    ``gradients()``, as ``np.add.at`` calls: the kNN contributions one chunk
-    of cells at a time; the basket's own-term coefficients summed per row
-    and taken off after the column spread."""
+    ``gradients()``, as ``np.add.at`` calls: the kNN contributions in batch
+    order, one chunk of cells at a time; the basket and window ones over
+    the batch in row-major cell order, equal cells in batch order, with the
+    basket's own-term coefficients summed per row and taken off after the
+    column spread."""
     g_emb, g_cv = np.zeros_like(emb), np.zeros_like(cv)
     if isinstance(ctx, KnnContext):
         nb = ctx.neighbors[batch.rows]
@@ -287,11 +301,14 @@ def add_at_scatter(ctx, data, emb, cv, batch, coef):
         S = np.einsum("ek,ekd->ed", vals, cv[nb])
         np.add.at(g_emb, batch.rows, coef[:, None] * S)
         back = emb[batch.rows] * coef[:, None]
-        for lo in range(0, len(nb), KNN_SUM_CHUNK):
-            hi = lo + KNN_SUM_CHUNK
+        for lo in range(0, len(nb), CELL_CHUNK):
+            hi = lo + CELL_CHUNK
             contrib = vals[lo:hi, :, None] * back[lo:hi, None, :]
             np.add.at(g_cv, nb[lo:hi].ravel(), contrib.reshape(-1, cv.shape[1]))
         return g_emb, g_cv
+    order = np.argsort(batch.rows * data.n_cols + batch.cols, kind="stable")
+    rows, cols, vals, stored, coef = (a[order] for a in (batch.rows, batch.cols, batch.vals,
+                                                         batch.stored, coef))
     colsum = np.zeros((data.n_cols, cv.shape[1]))
     np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
     if isinstance(ctx, WindowContext):
@@ -300,11 +317,11 @@ def add_at_scatter(ctx, data, emb, cv, batch, coef):
     if isinstance(ctx, BasketContext):
         # a cell with no member (alone in its column) adds nothing
         colcount = np.bincount(data.cols, minlength=data.n_cols)
-        coef = np.where(colcount[batch.cols] > batch.stored, coef, 0.0)
-        np.add.at(own_coef, batch.rows, coef * batch.vals)
-    np.add.at(g_emb, batch.rows, coef[:, None] * colsum[batch.cols])
+        coef = np.where(colcount[cols] > stored, coef, 0.0)
+        np.add.at(own_coef, rows, coef * vals)
+    np.add.at(g_emb, rows, coef[:, None] * colsum[cols])
     R = np.zeros((data.n_cols, emb.shape[1]))
-    np.add.at(R, batch.cols, coef[:, None] * emb[batch.rows])
+    np.add.at(R, cols, coef[:, None] * emb[rows])
     if isinstance(ctx, WindowContext):
         R = prefix_gather_window_table(ctx.half_width, R)
     np.add.at(g_cv, data.rows, data.vals[:, None] * R[data.cols])

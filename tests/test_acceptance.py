@@ -6,6 +6,7 @@ lines and timings.
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,12 +313,12 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     m1, m2 = str(tmp_path / "a.model"), str(tmp_path / "b.model")
     for out in (m1, m2):
         run_train(cfg, f"{prefix}.data.tsv", f"{prefix}.locations.tsv", out, None)
-    identical = open(m1, "rb").read() == open(m2, "rb").read()
+    identical = Path(m1).read_bytes() == Path(m2).read_bytes()
 
     bank, meta, labels = load_model(m1)
     m3 = str(tmp_path / "c.model")
     store_model(m3, bank, meta, labels)
-    round_trip = open(m1, "rb").read() == open(m3, "rb").read()
+    round_trip = Path(m1).read_bytes() == Path(m3).read_bytes()
     _report(9, identical and round_trip,
             "identical config+seed give byte-identical model files and "
             "store/load/store is bit-exact")

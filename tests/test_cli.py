@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def test_identical_config_and_seed_give_identical_model_bytes(toy_run):
         rc = main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                    "--locations", toy_run["locations"], "--out", out])
         assert rc == 0
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+    assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
 
 def test_zero_iteration_training_returns_initialization(toy_run):
@@ -242,7 +244,7 @@ def test_loo_and_l25_score_the_same_entries_with_a_missing_neighbor_cell(
     data = ingest(toy_run["data"])
     positions = read_locations(toy_run["locations"], data.row_labels)
     gone = [[data.row_labels[m], "0"] for m in knn_neighbors(positions, 3)[0]]
-    lines = open(toy_run["data"]).read().splitlines()
+    lines = Path(toy_run["data"]).read_text().splitlines()
     holey = tmp_path / "holey.tsv"
     holey.write_text("\n".join(ln for ln in lines if ln.split("\t")[:2] not in gone) + "\n")
     reports = {}
@@ -258,7 +260,7 @@ def test_loo_and_l25_score_the_same_entries_with_a_missing_neighbor_cell(
 
 @pytest.mark.parametrize("which", ["data", "locations"])
 def test_nonfinite_input_is_data_error_naming_the_line(toy_run, tmp_path, capsys, which):
-    lines = open(toy_run[which]).read().splitlines()
+    lines = Path(toy_run[which]).read_text().splitlines()
     fields = lines[3].split("\t")
     fields[-1] = "nan" if which == "data" else "inf"
     lines[3] = "\t".join(fields)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glembed.contexts import (
-    KNN_SUM_CHUNK,
+    CELL_CHUNK,
     KnnContext,
     SpatialLayout,
     WindowContext,
@@ -12,12 +12,13 @@ from glembed.contexts import (
     build_window_context,
     knn_neighbors,
 )
-from glembed.core import DataMatrix, EmbeddingBank, Link
+from glembed.core import DataMatrix, EmbeddingBank, Link, cell_products
 from glembed.errors import ConfigError, DataError
 from glembed.families import Family, FamilySpec, weighted_term_gradient
 
 from helpers import (
     MemberPass,
+    add_at_cell_products,
     add_at_scatter,
     add_at_term_gradient,
     cells,
@@ -223,7 +224,7 @@ def test_knn_sums_in_chunks_equal_one_einsum(holey):
     rng = np.random.default_rng(5)
     if holey:  # about 30% of the cells go missing
         data = data.select_entries(np.flatnonzero(rng.random(data.nnz) >= 0.3))
-    n_cells = 2 * KNN_SUM_CHUNK + 123
+    n_cells = 2 * CELL_CHUNK + 123
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
     batch = cells(data, rows, cols)
@@ -273,7 +274,7 @@ def _scatter_instance(builder, storage, seed=23, n=9, t=11):
     ("window", "implicit"), ("window", "complete"), ("window", "holey")])
 def test_scatters_equal_add_at_oracle_byte_for_byte(builder, storage):
     data, ctx, rng = _scatter_instance(builder, storage)
-    n_cells = KNN_SUM_CHUNK + 517  # the kNN scatter once went by chunks of cells
+    n_cells = CELL_CHUNK + 517  # the kNN scatter once went by chunks of cells
     rows = rng.integers(0, data.n_rows, n_cells)
     cols = rng.integers(0, data.n_cols, n_cells)
     if storage != "implicit":  # explicit batches hold stored cells only
@@ -303,3 +304,109 @@ def test_scatters_equal_add_at_oracle_byte_for_byte(builder, storage):
         for table, ref_table in ((g.embeddings, ref.embeddings),
                                  (g.context_vectors, ref.context_vectors)):
             np.testing.assert_array_equal(table.view(np.int64), ref_table.view(np.int64))
+
+
+def _cells_in_row_major_order(data, rng, n_cells):
+    """Random cells of ``data`` (stored ones only when it has missing cells),
+    many repeated, rows 0 and 3 left empty, sorted by row-major key."""
+    rows = rng.choice(np.setdiff1d(np.arange(data.n_rows), [0, 3]), n_cells)
+    cols = rng.integers(0, data.n_cols, n_cells)
+    if not data.implicit_zero:
+        keep = data.lookup(rows, cols)[1]
+        rows, cols = rows[keep], cols[keep]
+    order = np.argsort(rows * data.n_cols + cols, kind="stable")
+    return rows[order], cols[order]
+
+
+@pytest.mark.parametrize("n_cells", [0, 1, 40, CELL_CHUNK + 517])
+def test_cell_products_equal_add_at_oracle_byte_for_byte(n_cells):
+    rng = np.random.default_rng(24)
+    n_rows, n_cols = 9, 11
+    rows = np.sort(rng.choice([1, 2, 4, 5, 8], n_cells))  # rows 0, 3, 6, 7 empty
+    cols = rng.integers(0, n_cols, n_cells)
+    starts = np.searchsorted(rows, np.arange(n_rows + 1))
+    coef = rng.normal(size=n_cells) * 10.0 ** rng.uniform(-8, 8, n_cells)
+    col_table, row_table = rng.normal(size=(n_cols, 4)), rng.normal(size=(n_rows, 4))
+    got = cell_products(starts, cols, coef, col_table, row_table)
+    want = add_at_cell_products(starts, cols, coef, col_table, row_table)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+    if n_cells:
+        with pytest.raises(IndexError):
+            cell_products(starts, np.full(n_cells, n_cols), coef, col_table, row_table)
+
+
+@pytest.mark.parametrize("builder, storage", [
+    ("basket", "implicit"), ("window", "implicit"), ("window", "complete"),
+    ("window", "holey")])
+@pytest.mark.parametrize("n_cells", [0, 1, 300, CELL_CHUNK + 517])
+def test_row_major_scatters_equal_add_at_oracle_byte_for_byte(builder, storage, n_cells):
+    # cells in row-major order, with their row starts, repeated cells and
+    # empty rows: the coefficient matrix adds in the order of np.add.at
+    data, ctx, rng = _scatter_instance(builder, storage)
+    rows, cols = _cells_in_row_major_order(data, rng, n_cells)
+    batches = [cells(data, rows, cols).row_major(data.n_rows, data.n_cols)[0]]
+    if storage == "implicit" and n_cells:
+        # the sparse estimator's batch: every stored entry and the zero cells
+        zero = ~data.lookup(rows, cols)[1]
+        batches.append(data.with_unstored(rows[zero], cols[zero], 3.5))
+    emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
+    for batch in batches:
+        keys = batch.rows * data.n_cols + batch.cols
+        assert (np.diff(keys) >= 0).all()
+        np.testing.assert_array_equal(batch.row_starts,
+                                      np.searchsorted(batch.rows, np.arange(data.n_rows + 1)))
+        coef = rng.normal(size=len(batch)) * 10.0 ** rng.uniform(-8, 8, len(batch))
+        scored = ctx.block(data, emb, cv)
+        scored.scatter_at(batch, coef)
+        for got, want in zip(scored.gradients(),
+                             add_at_scatter(ctx, data, emb, cv, batch, coef)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("builder", ["basket", "window"])
+def test_shuffled_batch_scatters_as_its_row_major_grouping(builder):
+    # a batch in any order is grouped by a stable sort of its cell keys, so
+    # equal cells keep their batch order; the sums are those of the grouping
+    data, ctx, rng = _scatter_instance(builder, "implicit")
+    rows, cols = _cells_in_row_major_order(data, rng, CELL_CHUNK + 517)
+    shuffle = rng.permutation(len(rows))
+    batch = cells(data, rows[shuffle], cols[shuffle])
+    grouped, order = batch.row_major(data.n_rows, data.n_cols)
+    np.testing.assert_array_equal(order, np.argsort(
+        batch.rows * data.n_cols + batch.cols, kind="stable"))
+    coef = rng.normal(size=len(batch)) * 10.0 ** rng.uniform(-8, 8, len(batch))
+    emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
+    shuffled, in_order = ctx.block(data, emb, cv), ctx.block(data, emb, cv)
+    shuffled.scatter_at(batch, coef)
+    in_order.scatter_at(grouped, coef[order])
+    for got, want in zip(shuffled.gradients(), in_order.gradients()):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("builder", ["basket", "window"])
+def test_column_table_at_in_chunks_equals_whole_batch_gathers(builder):
+    data, ctx, rng = _scatter_instance(builder, "implicit")
+    rows, cols = _cells_in_row_major_order(data, rng, 2 * CELL_CHUNK + 123)
+    batch = cells(data, rows, cols)
+    emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
+    H, counts = ctx.block(data, emb, cv).at(batch)
+    colsum = np.zeros((data.n_cols, 4))
+    np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
+    colcount = np.bincount(data.cols, minlength=data.n_cols)
+    if builder == "window":
+        colsum = prefix_gather_window_table(2, colsum)
+        colcount = prefix_gather_window_table(2, colcount[:, None].astype(float))[:, 0]
+    want = np.einsum("ed,ed->e", emb[rows], colsum[cols])
+    want_counts = colcount[cols]
+    if builder == "basket":
+        want -= batch.vals * np.einsum("nd,nd->n", emb, cv)[rows]
+        want_counts = want_counts - batch.stored
+    np.testing.assert_array_equal(H.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(counts, want_counts)
+    bad = cells(data, np.r_[rows[:3], 1], np.r_[cols[:3], data.n_cols - 1])
+    bad.cols[-1] = data.n_cols
+    for call in (lambda p: p.at(bad), lambda p: p.scatter_at(bad, np.ones(4))):
+        with pytest.raises(IndexError):
+            call(ctx.block(data, emb, cv))

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,7 +639,7 @@ def test_model_store_load_store_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.context_vectors, bank.context_vectors)
     assert labels == ["w", "x", "y", "z"]
     store_model(p2, loaded, meta, labels)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_model_tied_sharing_aliases_on_load(tmp_path):
@@ -670,10 +671,10 @@ def test_model_load_rejects_tied_file_with_distinct_context_columns(tmp_path):
     meta.sharing = "tied"
     p = str(tmp_path / "t.model")
     store_model(p, EmbeddingBank(emb, emb), meta, ["a", "b", "c"])
-    lines = open(p).read().splitlines()
+    lines = Path(p).read_text().splitlines()
     at = lines.index("b\t" + "\t".join(f"{v:.17g}" for v in np.concatenate([emb[1], emb[1]])))
     lines[at] = lines[at].rsplit("\t", 1)[0] + "\t0.5"
-    open(p, "w").write("\n".join(lines) + "\n")
+    Path(p).write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=f"t.model:{at + 1}: tied"):
         load_model(p)
 

@@ -2,6 +2,9 @@ import collections
 import importlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -37,6 +40,7 @@ from glembed.train import (
     TrainConfig,
     _draw_zero_cells,
     _log_sample,
+    _sampled_terms,
     adagrad_step,
     estimate_objective,
     full_gradient,
@@ -49,6 +53,7 @@ from glembed.train import (
 from helpers import (
     ExplicitContext,
     active_terms,
+    add_at_cell_products,
     add_at_rows,
     categorical_term_log_likelihoods,
     categorical_weighted_gradient,
@@ -618,12 +623,12 @@ def test_zero_cell_draw_matches_dense_oracle(case):
                 assert a.integers(1 << 62) == b.integers(1 << 62)
     if n_zero:
         # many repeated queries, the first and last empty cells among them:
-        # the lookup sorts its queries before searching
+        # the lookup sorts its queries and returns the cells in that order
         zero_ids = np.flatnonzero(dense_values(data).ravel() == 0.0)
         rng = np.random.default_rng(case)
         q = np.concatenate([rng.integers(0, n_zero, 100_000), [n_zero - 1, 0, n_zero - 1]])
         rows, cols = data.zero_cells(q)
-        np.testing.assert_array_equal(rows * data.n_cols + cols, zero_ids[q])
+        np.testing.assert_array_equal(rows * data.n_cols + cols, zero_ids[np.sort(q)])
 
 
 def test_zero_cells_outside_every_stored_key():
@@ -636,7 +641,7 @@ def test_zero_cells_outside_every_stored_key():
     q = np.concatenate([rng.integers(0, len(zero_ids), 100_000), np.arange(50),
                         len(zero_ids) - 1 - np.arange(50), [0, 0]])
     rows, cols = data.zero_cells(q)
-    np.testing.assert_array_equal(rows * t + cols, zero_ids[q])
+    np.testing.assert_array_equal(rows * t + cols, zero_ids[np.sort(q)])
 
 
 def test_zero_cells_of_empty_queries_empty_data_and_the_tail():
@@ -650,16 +655,16 @@ def test_zero_cells_of_empty_queries_empty_data_and_the_tail():
         for got, want in zip(d.zero_cells(q), dense_zero_cells(d, q)):
             np.testing.assert_array_equal(got, want)
     rows, cols = empty.zero_cells(q)
-    np.testing.assert_array_equal(rows * 7 + cols, q)
+    np.testing.assert_array_equal(rows * 7 + cols, np.sort(q))
     # every query past the last stored key, 27 = (3, 6): the empty cells
     # from key 28 on, each after every stored entry
     q = 28 - data.nnz + rng.integers(0, 42 - 28, 300)
     rows, cols = data.zero_cells(q)
-    np.testing.assert_array_equal(rows * 7 + cols, q + data.nnz)
+    np.testing.assert_array_equal(rows * 7 + cols, np.sort(q) + data.nnz)
 
 
 def _reference_kernels(monkeypatch):
-    """Swap in the ``np.add.at`` scatter, the dense zero-cell lookup and the
+    """Swap in the ``np.add.at`` scatters, the dense zero-cell lookup and the
     prefix-gather window table; returns their call counts."""
     calls = collections.Counter()
 
@@ -670,6 +675,8 @@ def _reference_kernels(monkeypatch):
         return wrapper
     for module in ("core", "contexts", "evaluate"):
         monkeypatch.setattr(f"glembed.{module}.scatter_rows", counted("scatter", add_at_rows))
+    monkeypatch.setattr("glembed.contexts.cell_products",
+                        counted("products", add_at_cell_products))
     monkeypatch.setattr(DataMatrix, "zero_cells", counted("zero_cells", dense_zero_cells))
     monkeypatch.setattr(WindowContext, "_window_table", counted(
         "window", lambda ctx, table: prefix_gather_window_table(ctx.half_width, table)))
@@ -679,8 +686,9 @@ def _reference_kernels(monkeypatch):
 @pytest.mark.parametrize("case", ["sparse-window", "sparse-basket", "minibatch-knn",
                                   "full-window"])
 def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
-    # the incidence-product scatter, the merge-count zero lookup and the
-    # sliced window table give every bank byte of their plain references
+    # the incidence and coefficient-matrix scatters, the merge-count zero
+    # lookup and the sliced window table give every bank byte of their
+    # plain references
     estimator, builder = case.split("-")
     if builder == "window":
         data, ctx, _ = text_instance(44, vocab=30, length=400)
@@ -700,6 +708,7 @@ def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
     # the sparse steps draw zero cells, and so does the logged subsample of
     # the full-window instance (30 x 400 cells, above 2 * LOG_TERMS)
     assert (calls["zero_cells"] > 0) == data.implicit_zero
+    assert (calls["products"] > 0) == (builder != "knn" and estimator != "full")
     assert (calls["window"] > 0) == (builder == "window")
     for table, ref in ((got.embeddings, want.embeddings),
                        (got.context_vectors, want.context_vectors)):
@@ -757,6 +766,59 @@ def test_knn_minibatch_fit_on_implicit_data_memory_is_bounded():
         tracemalloc.stop()
     assert all(math.isfinite(r.objective) for r in log)
     assert peak < 64 * 2**20
+
+
+_BLAS_FIT = """
+import hashlib, importlib
+from glembed import contexts, synth
+from glembed.families import Family, FamilySpec
+train = importlib.import_module("glembed.train")
+data, _ = synth.gen_cluster_corpus(vocab_size=120, length=3000, seed=5)
+ctx = contexts.build_window_context(data.n_cols, contexts.WindowSpec(2), data)
+cfg = train.TrainConfig(dim=8, estimator="sparse", negative_samples=10, n_iterations=5,
+                        step_size=0.5, reg_weight=1.0, log_every=5)
+bank, log = train.train(data, ctx, FamilySpec(Family.BERNOULLI), cfg)
+print(hashlib.sha256(bank.embeddings.tobytes() + bank.context_vectors.tobytes()
+                     + repr([r.objective for r in log]).encode()).hexdigest())
+"""
+
+
+def test_sparse_window_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    # the sparse step makes no BLAS call, so one and two OpenBLAS threads
+    # give one bank; the variable is set in the child processes only
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", _BLAS_FIT], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        digests.add(out.strip())
+    assert len(digests) == 1, digests
+
+
+def test_sparse_window_step_holds_less_than_one_gathered_table():
+    # 25,000 tokens with 10 zero cells each: a batch of 275,000 cells, whose
+    # (cells x dim) table of gathered rows takes 17.6 MB at dim 8; the step
+    # once gathered two such tables, a peak of 2.8 of them
+    rng = np.random.default_rng(66)
+    vocab, length, dim = 400, 25_000, 8
+    data = DataMatrix(vocab, length, rng.integers(0, vocab, length), np.arange(length),
+                      np.ones(length), implicit_zero=True)
+    ctx = build_window_context(length, WindowSpec(2), data)
+    bank = EmbeddingBank.init_random(vocab, dim, seed=1)
+    cfg = TrainConfig(dim=dim, estimator="sparse", negative_samples=10, reg_weight=0.1)
+    # the batch as the worker builds it, ahead of the step
+    batch = _sampled_terms(data, cfg, np.random.default_rng(2))
+    assert len(batch) == 11 * length and batch.row_starts is not None
+    tracemalloc.start()
+    try:
+        g = sparse_gradient(data, ctx, bank, FamilySpec(Family.BERNOULLI), cfg, None,
+                            batch=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(g.embeddings).all() and np.isfinite(g.context_vectors).all()
+    assert peak < len(batch) * dim * 8, peak
 
 
 # ---------------------------------------------------------------------------
