@@ -25,6 +25,7 @@ from .contexts import (
 )
 from .core import DataMatrix
 from .dataio import (
+    FAMILY_DEFAULTS,
     ModelMeta,
     RunConfig,
     atomic_write,
@@ -45,18 +46,17 @@ from .errors import (
     NumericAbortError,
 )
 from .evaluate import (
+    PROTOCOLS,
     SplitSpec,
+    check_protocol,
     leave_fraction_out_mse,
     leave_one_out_mse,
     make_split,
     normalized_predictive_ll,
 )
-from .families import validate_data
+from .families import Family, validate_data
 from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
 from .train import log_to_tsv, objective, train
-
-_GAUSSIAN_FAMILIES = ("gaussian", "nonneg_gaussian")
-_POISSON_FAMILIES = ("poisson", "additive_poisson")
 
 
 def _build_context(kind: str, data: DataMatrix, knn_k: int, window_w: int,
@@ -69,17 +69,16 @@ def _build_context(kind: str, data: DataMatrix, knn_k: int, window_w: int,
         return build_knn_context(SpatialLayout(positions, knn_k), data)
     if kind == "basket":
         return build_basket_context(data)
-    if kind == "window":
-        return build_window_context(data.n_cols, WindowSpec(window_w), data)
-    raise ConfigError(f"unknown context builder {kind!r}")
+    return build_window_context(data.n_cols, WindowSpec(window_w), data)
 
 
 def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix, ctx) -> float:
-    """Higher-is-better predictive score on the validation split, whose
-    context is ``ctx``."""
-    if cfg.family in _GAUSSIAN_FAMILIES:
+    """Higher-is-better score on the validation split, whose context is
+    ``ctx``: a held-out protocol of the family, else the objective per term."""
+    protocols = PROTOCOLS.get(spec.family, ())
+    if "loo-mse" in protocols:
         return -leave_one_out_mse(valid, ctx, bank, spec).estimate
-    if cfg.family in _POISSON_FAMILIES:
+    if "npll" in protocols:
         return normalized_predictive_ll(valid, ctx, bank, spec).estimate
     n_terms = valid.n_cols if cfg.family == "categorical" else valid.n_terms
     return objective(valid, ctx, bank, spec, 0.0, "none") / max(n_terms, 1)
@@ -105,8 +104,7 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     if cfg.split == "none":
         train_m, valid_m = data, None
     else:
-        parts = make_split(data, SplitSpec(cfg.split, cfg.train_frac,
-                                           cfg.valid_frac, cfg.test_frac, cfg.seed))
+        parts = make_split(data, cfg.split_spec())
         train_m, valid_m = parts.train, parts.valid
     if train_m.nnz == 0:
         raise ConfigError("train split is empty")
@@ -133,7 +131,7 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     meta = ModelMeta(
         family=cfg.family,
         link=cfg.link,
-        sharing="global" if cfg.family in ("bernoulli", "categorical") else "per_row",
+        sharing=FAMILY_DEFAULTS[cfg.family]["sharing"],
         log_space=bank.log_space,
         dim=cfg.k,
         n_entities=bank.n_rows,
@@ -157,17 +155,14 @@ def run_evaluate(model_path: str, test_path: str, protocol: str,
     """Score a stored model on held-out data and print the report."""
     out = out or sys.stdout
     bank, meta, labels = load_model(model_path)
-    if protocol in ("loo-mse", "l25-mse") and meta.family not in _GAUSSIAN_FAMILIES:
-        raise CompatibilityError(f"{protocol} needs a Gaussian-family model, got {meta.family}")
-    if protocol == "npll" and meta.family not in _POISSON_FAMILIES:
-        raise CompatibilityError(f"npll needs a Poisson-family model, got {meta.family}")
-    implicit = meta.family not in _GAUSSIAN_FAMILIES
-    test = ingest(test_path, implicit_zero=implicit, row_vocab=labels)
+    check_protocol(Family(meta.family), protocol, CompatibilityError)
+    test = ingest(test_path, implicit_zero=bool(FAMILY_DEFAULTS[meta.family]["implicit_zero"]),
+                  row_vocab=labels)
     if test.nnz == 0:
         raise ConfigError("test split is empty")
     spec = meta.family_spec()
-    ctx = _build_context(meta.context, test, meta.context_param or 1,
-                         meta.context_param or 1, locations_path)
+    ctx = _build_context(meta.context, test, meta.context_param, meta.context_param,
+                         locations_path)
     if protocol == "loo-mse":
         report = leave_one_out_mse(test, ctx, bank, spec)
     elif protocol == "l25-mse":
@@ -186,11 +181,11 @@ def _label_index(labels: list[str], key: str) -> int:
 
 
 def cmd_split(args) -> int:
+    spec = SplitSpec(args.variant, args.train_frac, args.valid_frac,
+                     args.test_frac, args.seed)
     data = ingest(args.data, implicit_zero=args.implicit_zero, lag=args.lag,
                   rating_shift=args.rating_shift,
                   min_row_count=args.min_row_count, min_col_count=args.min_col_count)
-    spec = SplitSpec(args.variant, args.train_frac, args.valid_frac,
-                     args.test_frac, args.seed)
     parts = make_split(data, spec)
     for name, part in (("train", parts.train), ("valid", parts.valid),
                        ("test", parts.test)):

@@ -58,13 +58,13 @@ class SpatialLayout:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Symmetric window half-size over column positions."""
+    """Symmetric window half-size (>= 1) over column positions."""
 
     half_width: int
 
     def __post_init__(self):
         if self.half_width < 1:
-            raise ConfigError("window half-width must be >= 1")
+            raise ConfigError(f"half_width must be >= 1, got {self.half_width}", "half_width")
 
 
 class KnnContext:

@@ -25,7 +25,9 @@ import numpy as np
 
 from .core import DataMatrix, EmbeddingBank, Link, sorted_cell_keys
 from .errors import CompatibilityError, ConfigError, DataError
-from .families import Family, FamilySpec, default_link
+from .contexts import WindowSpec
+from .evaluate import SplitSpec
+from .families import Family, FamilySpec
 from .train import TrainConfig, sparse_fault
 
 MODEL_MAGIC = "#glembed-model v1"
@@ -299,6 +301,7 @@ def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
     ``row_vocab`` pins the row universe and ordering (evaluation against a
     trained model); unknown row ids then raise CompatibilityError.
     """
+    _check_min_counts(min_row_count, min_col_count)  # before the file is read
     row_labels, col_labels, rows, cols, vals = read_triplets(path)
     if row_vocab is not None:
         lookup = {k: i for i, k in enumerate(row_vocab)}
@@ -348,6 +351,12 @@ def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
     return DataMatrix(n_rows, n_cols, rows, cols, vals,
                       implicit_zero=implicit_zero,
                       row_labels=row_labels, col_labels=col_labels)
+
+
+def _check_min_counts(min_row_count: int, min_col_count: int) -> None:
+    for key, least in (("min_row_count", min_row_count), ("min_col_count", min_col_count)):
+        if least < 0:
+            raise ConfigError(f"{key} must be >= 0, got {least}", key)
 
 
 def _min_count_filter(ids: np.ndarray, labels: list[str], min_count: int):
@@ -489,8 +498,12 @@ def load_model(path: str):
         except ValueError:
             raise DataError(f"{path}:{ln}: bad value for {f.name}: {v!r}") from None
     meta = ModelMeta(**meta_args)
-    if meta.sharing not in ("per_row", "global", "tied"):
-        raise DataError(f"{path}:{kv['sharing'][1]}: bad value for sharing: {meta.sharing!r}")
+    for name, bad in (("sharing", meta.sharing not in ("per_row", "global", "tied")),
+                      ("context", meta.context not in _CONTEXTS),
+                      ("context_param", meta.context != "basket" and meta.context_param < 1),
+                      ("dim", meta.dim < 1)):
+        if bad:
+            raise DataError(f"{path}:{kv[name][1]}: bad value for {name}: {getattr(meta, name)!r}")
     tied = meta.sharing == "tied"
     labels, emb_rows, cv_rows, seen = [], [], [], set()
     for ln, line in enumerate(lines[body_at:], start=body_at + 1):
@@ -526,27 +539,33 @@ def load_model(path: str):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_ARCHETYPE_DEFAULTS = {
-    # family -> (reg weight, iterations, estimator, minibatch, regularizer)
-    "gaussian": (10.0, 500, "minibatch", 100, "l2"),
-    "nonneg_gaussian": (0.1, 500, "minibatch", 100, "l2"),
-    "poisson": (1.0, 3000, "sparse", None, "l2"),
-    "additive_poisson": (1.0, 3000, "sparse", None, "l2"),
-    "bernoulli": (1.0, 3000, "sparse", None, "l2"),
-    "categorical": (0.0, 1000, "full", None, "none"),
-}
-_DEFAULT_CONTEXT = {
-    "gaussian": "knn", "nonneg_gaussian": "knn",
-    "poisson": "basket", "additive_poisson": "basket",
-    "bernoulli": "window", "categorical": "window",
-}
-_IMPLICIT_FAMILIES = ("poisson", "additive_poisson", "bernoulli", "categorical")
+_CONTEXTS = ("knn", "basket", "window")
+# per family, the settings it defaults to (a RunConfig field left at its
+# declared default takes the family's value) and how its model shares vectors
+_DEFAULTED = ("reg_weight", "iterations", "estimator", "minibatch_size", "regularizer",
+              "context", "implicit_zero", "sharing")
+FAMILY_DEFAULTS = {family: dict(zip(_DEFAULTED, row)) for family, row in {
+    "gaussian": (10.0, 500, "minibatch", 100, "l2", "knn", 0, "per_row"),
+    "nonneg_gaussian": (0.1, 500, "minibatch", 100, "l2", "knn", 0, "per_row"),
+    "poisson": (1.0, 3000, "sparse", 0, "l2", "basket", 1, "per_row"),
+    "additive_poisson": (1.0, 3000, "sparse", 0, "l2", "basket", 1, "per_row"),
+    "bernoulli": (1.0, 3000, "sparse", 0, "l2", "window", 1, "global"),
+    "categorical": (0.0, 1000, "full", 0, "none", "window", 1, "global"),
+}.items()}
 DEFAULT_STEP_GRID = (0.01, 0.05, 0.1, 0.5)
+# TrainConfig, SplitSpec and WindowSpec fields set by a RunConfig key of another
+# name (any other is set by the key of its name, if any): a ConfigError keyed
+# by a field is about the key that sets it
+_KEY_OF = {"dim": "k", "n_iterations": "iterations", "downweight": "gamma",
+           "step_size": "step_size_grid", "variant": "split", "half_width": "window_w"}
 
 
 @dataclass
 class RunConfig:
-    """Flat key=value training configuration with per-family defaults."""
+    """Flat key=value training configuration with per-family defaults.  Each
+    setting is checked by building what it configures: the ``FamilySpec``,
+    the ``SplitSpec`` (unless ``split`` is none), the ``WindowSpec`` of a
+    window context and the ``TrainConfig`` of every grid step."""
 
     family: str
     k: int = 10
@@ -576,81 +595,65 @@ class RunConfig:
     min_col_count: int = 0
 
     def __post_init__(self):
-        if self.family not in _ARCHETYPE_DEFAULTS:
+        if self.family not in FAMILY_DEFAULTS:
             raise ConfigError(f"unknown family {self.family!r}", "family")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            values = v if isinstance(v, tuple) else (v,)
-            if "float" in f.type and not all(math.isfinite(x) for x in values if x is not None):
-                raise ConfigError(f"{f.name} must be finite, got {v}", f.name)
         if self.implicit_zero not in (None, 0, 1):
             raise ConfigError(f"implicit_zero must be 0 or 1, got {self.implicit_zero}",
                               "implicit_zero")
-        reg_w, iters, estim, mb, regzr = _ARCHETYPE_DEFAULTS[self.family]
-        if self.reg_weight is None:
-            self.reg_weight = reg_w
-        if self.iterations is None:
-            self.iterations = iters
-        if not self.estimator:
-            self.estimator = estim
-        if self.minibatch_size == 0:
-            self.minibatch_size = mb or 0
-        if not self.regularizer:
-            self.regularizer = regzr
-        if not self.context:
-            self.context = _DEFAULT_CONTEXT[self.family]
-        if not self.link:
-            self.link = default_link(Family(self.family)).value
-        if self.link not in {m.value for m in Link}:
-            raise ConfigError(f"unknown link {self.link!r}", "link")
-        if not self.step_size_grid:
-            self.step_size_grid = DEFAULT_STEP_GRID
-        if self.implicit_zero is None:
-            self.implicit_zero = int(self.family in _IMPLICIT_FAMILIES)
-        if not self.split:
-            self.split = "none" if self.context == "window" else "columns"
-        if self.context not in ("knn", "basket", "window"):
+        defaults = FAMILY_DEFAULTS[self.family]
+        for f in fields(self):
+            if f.name in defaults and getattr(self, f.name) == f.default:
+                setattr(self, f.name, defaults[f.name])
+        self.step_size_grid = self.step_size_grid or DEFAULT_STEP_GRID
+        self.split = self.split or ("none" if self.context == "window" else "columns")
+        try:
+            self.link = self.family_spec().link.value
+            self._check()
+        except ConfigError as exc:  # keyed by a field of what it builds: name the setting
+            key, msg = _KEY_OF.get(exc.key, exc.key), str(exc)
+            if key != exc.key and msg.startswith(exc.key):
+                msg = key + msg[len(exc.key):]
+            raise ConfigError(msg, key) from None
+
+    def _check(self) -> None:
+        if self.context not in _CONTEXTS:
             raise ConfigError(f"unknown context builder {self.context!r}", "context")
         if self.family == "categorical" and self.context != "window":
             # a categorical column holds one entry, so the knn or basket
             # context of its active term is empty
             raise ConfigError(f"categorical family needs a window context, got "
                               f"{self.context!r}", "context")
-        if self.split not in ("columns", "ratings", "none"):
-            raise ConfigError(f"unknown split {self.split!r}", "split")
-        if self.estimator == "sparse":
-            fault = sparse_fault(bool(self.implicit_zero), Family(self.family))
-            if fault is not None:
-                # name the line that departs from the family's defaults: a family
-                # that defaults to sparse fails only on an explicit implicit_zero = 0
-                default = _ARCHETYPE_DEFAULTS[self.family][2]
-                raise ConfigError(fault, "implicit_zero" if default == "sparse" else "estimator")
+        if self.context == "knn" and self.knn_k < 1:
+            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}", "knn_k")
+        if self.context == "window":
+            WindowSpec(**self._fields_of(WindowSpec))
+        if self.split != "none":
+            self.split_spec()
+        for name in ("train_frac", "valid_frac", "test_frac"):
+            if not math.isfinite(getattr(self, name)):  # unused under split = none
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}", name)
+        _check_min_counts(self.min_row_count, self.min_col_count)
+        fault = sparse_fault(bool(self.implicit_zero), Family(self.family))
+        if self.estimator == "sparse" and fault is not None:
+            raise ConfigError(fault, ("estimator", "implicit_zero"))
         for step in self.step_size_grid:
-            try:
-                self.train_config(step).validate()
-            except ConfigError as exc:  # keyed by a TrainConfig field: name its config key
-                key = {"dim": "k", "n_iterations": "iterations", "downweight": "gamma",
-                       "step_size": "step_size_grid"}.get(exc.key, exc.key)
-                raise ConfigError(str(exc), key) from None
+            self.train_config(step).validate()
+
+    def _fields_of(self, cls) -> dict:
+        """The values of the settings that set fields of ``cls``, by field."""
+        keys = {f.name for f in fields(self)}
+        return {f.name: getattr(self, _KEY_OF.get(f.name, f.name)) for f in fields(cls)
+                if _KEY_OF.get(f.name, f.name) in keys}
 
     def family_spec(self, vocab_size: int = 0) -> FamilySpec:
-        return FamilySpec(Family(self.family), Link(self.link),
-                          sigma2=self.sigma2, vocab_size=vocab_size)
+        return FamilySpec(Family(self.family), self.link, sigma2=self.sigma2,
+                          vocab_size=vocab_size)
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(**self._fields_of(SplitSpec))
 
     def train_config(self, step_size: float) -> TrainConfig:
-        return TrainConfig(
-            dim=self.k,
-            step_size=step_size,
-            minibatch_size=self.minibatch_size,
-            n_iterations=self.iterations,
-            negative_samples=self.negative_samples,
-            zero_estimator=self.zero_estimator,
-            downweight=self.gamma,
-            reg_weight=self.reg_weight,
-            regularizer=self.regularizer,
-            estimator=self.estimator,
-            seed=self.seed,
-        )
+        return TrainConfig(**{**self._fields_of(TrainConfig), "step_size": step_size})
 
     def canonical_text(self) -> str:
         parts = []
@@ -699,10 +702,12 @@ def parse_run_config(text: str) -> RunConfig:
         raise ConfigError("config must set family")
     try:
         return RunConfig(**kv)  # type: ignore[arg-type]
-    except ConfigError as exc:
-        if exc.key not in line_of:
+    except ConfigError as exc:  # name the last line of the keys at fault
+        keys = exc.key if isinstance(exc.key, tuple) else (exc.key,)
+        lines = [line_of[key] for key in keys if key in line_of]
+        if not lines:
             raise
-        raise ConfigError(f"config line {line_of[exc.key]}: {exc}", exc.key) from None
+        raise ConfigError(f"config line {max(lines)}: {exc}", exc.key) from None
 
 
 def load_run_config(path: str) -> RunConfig:

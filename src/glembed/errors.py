@@ -11,9 +11,9 @@ class GlembedError(Exception):
 
 class ConfigError(GlembedError):
     """Invalid configuration: unknown keys, bad values, impossible splits.
-    ``key`` names the configuration key at fault, when there is one."""
+    ``key`` names the configuration key (or tuple of keys) at fault, if any."""
 
-    def __init__(self, message: str, key: str | None = None):
+    def __init__(self, message: str, key: str | tuple[str, ...] | None = None):
         super().__init__(message)
         self.key = key
 

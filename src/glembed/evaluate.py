@@ -25,7 +25,8 @@ MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to carve train/validation/test out of one matrix."""
+    """How to carve train/validation/test out of one matrix; a fault raises a
+    ``ConfigError`` keyed by its field, or by the fractions of a sum over 1."""
 
     variant: str = "columns"        # "columns" | "ratings"
     train_frac: float = 0.9
@@ -35,14 +36,15 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.variant not in ("columns", "ratings"):
-            raise ConfigError("split variant must be 'columns' or 'ratings'")
-        for f in (self.train_frac, self.valid_frac, self.test_frac):
+            raise ConfigError(f"unknown split variant {self.variant!r}", "variant")
+        fracs = ("train_frac", "valid_frac", "test_frac")
+        for name in fracs:
+            f = getattr(self, name)
             if not (math.isfinite(f) and f >= 0):
-                raise ConfigError(f"split fractions must be finite and nonnegative, got {f}")
-        if self.variant == "columns" and self.train_frac + self.valid_frac + self.test_frac > 1 + 1e-9:
-            raise ConfigError("column split fractions must sum to <= 1")
-        if self.variant == "ratings" and self.valid_frac + self.test_frac > 1 + 1e-9:
-            raise ConfigError("ratings holdout fractions must sum to <= 1")
+                raise ConfigError(f"{name} must be finite and nonnegative, got {f}", name)
+        held = fracs if self.variant == "columns" else fracs[1:]  # ratings: holdout only
+        if sum(getattr(self, name) for name in held) > 1 + 1e-9:
+            raise ConfigError(f"{self.variant} split fractions must sum to <= 1", held)
 
 
 @dataclass
@@ -138,14 +140,17 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
     return result
 
 
-def _require_gaussian(spec: FamilySpec):
-    if spec.family not in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        raise ConfigError("squared-error protocols apply to Gaussian-family models")
+# per family, the held-out protocols that score its models: squared error for
+# the Gaussian families, the normalized predictive log-likelihood for Poisson
+PROTOCOLS = {Family.GAUSSIAN: ("loo-mse", "l25-mse"),
+             Family.NONNEG_GAUSSIAN: ("loo-mse", "l25-mse"),
+             Family.POISSON: ("npll",), Family.ADDITIVE_POISSON: ("npll",)}
 
 
-def _require_poisson(spec: FamilySpec):
-    if spec.family not in (Family.POISSON, Family.ADDITIVE_POISSON):
-        raise ConfigError("normalized predictive log-likelihood applies to Poisson-family models")
+def check_protocol(family: Family, protocol: str, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``protocol`` scores models of ``family``."""
+    if protocol not in PROTOCOLS.get(family, ()):
+        raise error(f"{protocol} does not score {family.value} models")
 
 
 def _cell_means(data, ctx, bank, spec, rows, cols):
@@ -180,7 +185,7 @@ def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
                       spec: FamilySpec) -> EvalReport:
     """Squared error of predicting each held-out entry from the true values
     of its context members.  Empty-context entries are excluded and counted."""
-    _require_gaussian(spec)
+    check_protocol(spec.family, "loo-mse")
     err2, keep = _squared_errors(test_data, ctx, bank, spec, test_data, np.arange(test_data.nnz))
     return EvalReport.from_scores("leave_one_out_mse", err2[keep], int((~keep).sum()))
 
@@ -190,7 +195,7 @@ def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     """Fold the entities, predict each fold's entries from the test data less
     that fold's entries (so no in-fold cell is a member), and pool the squared
     errors over all folds.  Entries left with an empty context are excluded."""
-    _require_gaussian(spec)
+    check_protocol(spec.family, "l25-mse")
     if folds < 2:
         raise ConfigError("fold count must be >= 2 (folds=1 would empty every context)")
     if test_data.implicit_zero:
@@ -215,7 +220,7 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
                              spec: FamilySpec) -> EvalReport:
     """Per held-out nonzero entry: log of its conditional mean over the sum
     of all entities' conditional means at the same column."""
-    _require_poisson(spec)
+    check_protocol(spec.family, "npll")
     mu, _, z = _cell_means(test_data, ctx, bank, spec, test_data.rows, test_data.cols)
     keep = ~((mu <= 0.0) | (z <= 0.0) | ~np.isfinite(z))
     return EvalReport.from_scores("normalized_predictive_ll", np.log(mu[keep] / z[keep]),

@@ -56,43 +56,37 @@ class Family(Enum):
 
 
 _LOG_SPACE_FAMILIES = (Family.NONNEG_GAUSSIAN, Family.ADDITIVE_POISSON)
-_DEFAULT_LINKS = {
-    Family.GAUSSIAN: Link.IDENTITY,
-    Family.NONNEG_GAUSSIAN: Link.IDENTITY,
-    Family.POISSON: Link.IDENTITY,
-    Family.ADDITIVE_POISSON: Link.LOG,
-    Family.BERNOULLI: Link.IDENTITY,
-    Family.CATEGORICAL: Link.IDENTITY,
-}
-
-
-def default_link(family: Family) -> Link:
-    return _DEFAULT_LINKS[family]
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which conditional family, its link, and fixed hyperparameters."""
+    """Which conditional family, its link (a ``Link`` or its name; when
+    unset, log for additive Poisson and identity otherwise) and fixed
+    hyperparameters; a categorical ``vocab_size`` of 0 is a vocabulary not
+    yet read.  A fault raises a ``ConfigError`` keyed by its field."""
 
     family: Family
-    link: Link | None = None
+    link: Link | str | None = None
     sigma2: float = 1.0
     vocab_size: int = 0
 
     def __post_init__(self):
-        if self.link is None:
-            object.__setattr__(self, "link", _DEFAULT_LINKS[self.family])
+        link = self.link or (Link.LOG if self.family is Family.ADDITIVE_POISSON else Link.IDENTITY)
+        try:
+            object.__setattr__(self, "link", Link(link))
+        except ValueError:
+            raise ConfigError(f"unknown link {link!r}", "link") from None
         if not math.isfinite(self.sigma2):
-            raise ConfigError(f"sigma2 must be finite, got {self.sigma2}")
+            raise ConfigError(f"sigma2 must be finite, got {self.sigma2}", "sigma2")
         if self.family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN) and self.sigma2 <= 0:
-            raise ConfigError("sigma2 must be positive")
-        log_link = self.link.is_log
-        if self.family is Family.ADDITIVE_POISSON and not log_link:
-            raise ConfigError("additive Poisson requires a log link (rate = linear value)")
-        if self.family is not Family.ADDITIVE_POISSON and log_link:
-            raise ConfigError(f"{self.family.value} uses an identity-style link")
-        if self.family is Family.CATEGORICAL and self.vocab_size < 2:
-            raise ConfigError("categorical family needs vocab_size >= 2")
+            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}", "sigma2")
+        if self.family is Family.ADDITIVE_POISSON and not self.link.is_log:
+            raise ConfigError("additive Poisson requires a log link (rate = linear value)", "link")
+        if self.family is not Family.ADDITIVE_POISSON and self.link.is_log:
+            raise ConfigError(f"{self.family.value} uses an identity-style link", "link")
+        if self.family is Family.CATEGORICAL and self.vocab_size != 0 and self.vocab_size < 2:
+            raise ConfigError(f"categorical family needs vocab_size >= 2, got {self.vocab_size}",
+                              "vocab_size")
 
     @property
     def needs_log_space(self) -> bool:

@@ -285,21 +285,26 @@ def test_unusable_config_value_is_config_error(toy_run, tmp_path, capsys, line):
     assert repr(line.split(" = ")[1]) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("part", ["header", "link", "sharing", "body"])
+# a header line of a model file, and a value of it that load_model rejects
+_BAD_HEADERS = {"header": ("dim=2", "dim=ten"), "link": ("link=identity", "link=idnetity"),
+                # an unknown value must not decide tiedness
+                "sharing": ("sharing=per_row", "sharing=Tied"),
+                "context": ("context=knn", "context=bogus"),
+                "context_param": ("context_param=2", "context_param=-4"),
+                "dim": ("dim=2", "dim=-1")}
+
+
+@pytest.mark.parametrize("part", [*_BAD_HEADERS, "body"])
 def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, capsys, part):
     good = tmp_path / "good.model"
     store_model(str(good), EmbeddingBank.init_random(12, 2, seed=0),
-                ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn"))
+                ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn",
+                          context_param=2))
     lines = good.read_text().splitlines()
-    if part == "header":
-        at = lines.index("dim=2")
-        lines[at] = "dim=ten"
-    elif part == "link":
-        at = lines.index("link=identity")
-        lines[at] = "link=idnetity"
-    elif part == "sharing":  # an unknown value must not decide tiedness
-        at = lines.index("sharing=per_row")
-        lines[at] = "sharing=Tied"
+    if part in _BAD_HEADERS:
+        line, bad_line = _BAD_HEADERS[part]
+        at = lines.index(line)
+        lines[at] = bad_line
     else:
         at = lines.index("#entities") + 2
         lines[at] = lines[at].replace("\t", "\tabc\t", 1).rsplit("\t", 1)[0]
@@ -378,6 +383,18 @@ _EXPORT = ["export-graph", "--model", "{model}", "--locations", "{locations}"]
 # a value of each key that TrainConfig.validate rejects
 _BAD_TRAIN_SETTINGS = {"estimator": "bogus", "zero_estimator": "nope", "regularizer": "xx",
                        "gamma": "5", "k": "0", "negative_samples": "0"}
+# a fault of each setting checked when the config is parsed, and the config
+# line the error names: each fails before the data file is read
+_PARSE_TIME_FAULTS = {
+    "sigma2_zero": ("family = gaussian\nsigma2 = 0\n", 2),
+    "bernoulli_log_link": ("family = bernoulli\nlink = log\n", 2),
+    "additive_poisson_identity_link": ("family = additive_poisson\nlink = identity\n", 2),
+    "window_w_zero": ("family = bernoulli\nwindow_w = 0\n", 2),
+    "knn_k_zero": ("family = gaussian\nknn_k = 0\n", 2),
+    "negative_test_frac": ("family = gaussian\ntest_frac = -0.1\n", 2),
+    "fractions_over_one": ("family = gaussian\ntrain_frac = 0.9\nvalid_frac = 0.2\n", 3),
+    "negative_min_row_count": ("family = gaussian\nmin_row_count = -3\n", 2),
+}
 _INPUT_FAULTS = {
     "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
                            "{missing}"),
@@ -408,6 +425,16 @@ _INPUT_FAULTS = {
     # training settings out of range fail before the data are read
     **{f"train-bad-{key}": (_TRAIN[:2] + [f"{{bad_{key}_cfg}}"] + _TRAIN[3:], 2, "config line 2")
        for key in _BAD_TRAIN_SETTINGS},
+    **{f"train-{name}": (_TRAIN[:2] + [f"{{{name}_cfg}}", "--data", "{missing}"] + _TRAIN[5:],
+                         2, f"config line {line}")
+       for name, (_, line) in _PARSE_TIME_FAULTS.items()},
+    # split arguments are checked before the data are read
+    "split-negative-min-row-count": (["split", "--data", "{missing}", "--out-prefix", "{out}",
+                                      "--min-row-count", "-5"], 2, "min_row_count"),
+    "split-negative-min-col-count": (["split", "--data", "{missing}", "--out-prefix", "{out}",
+                                      "--min-col-count", "-1"], 2, "min_col_count"),
+    "split-negative-test-frac": (["split", "--data", "{missing}", "--out-prefix", "{out}",
+                                  "--test-frac", "-1"], 2, "test_frac"),
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -457,6 +484,11 @@ def fault_paths(toy_run):
         cfg = root / f"bad_{key}.cfg"
         cfg.write_text(f"family = poisson\n{key} = {value}\n")
         bad_train_cfgs[f"bad_{key}_cfg"] = str(cfg)
+    parse_time_cfgs = {}
+    for name, (text, _) in _PARSE_TIME_FAULTS.items():
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(text)
+        parse_time_cfgs[f"{name}_cfg"] = str(cfg)
     model = root / "fault.model"
     assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                  "--locations", toy_run["locations"], "--out", str(model)]) == 0
@@ -465,7 +497,7 @@ def fault_paths(toy_run):
                 missing=str(root / "missing.tsv"), latin1=str(latin1),
                 nodir=str(root / "no-such-dir" / "out"),
                 empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg),
-                **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs)
+                **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs, **parse_time_cfgs)
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))

@@ -15,8 +15,10 @@ from glembed.contexts import (
 )
 from glembed.errors import ConfigError
 from glembed.evaluate import (
+    PROTOCOLS,
     EvalReport,
     SplitSpec,
+    check_protocol,
     constant_predictor_mse,
     leave_fraction_out_mse,
     leave_one_out_mse,
@@ -123,6 +125,31 @@ def test_split_fractions_must_be_finite_and_nonnegative(fracs, variant):
     # fraction passed
     with pytest.raises(ConfigError, match="finite and nonnegative"):
         SplitSpec(variant, *fracs)
+
+
+@pytest.mark.parametrize("args, key", [
+    (("rows", 0.9, 0.05, 0.05), "variant"), (("columns", 0.9, math.nan, 0.05), "valid_frac"),
+    (("columns", 0.9, 0.2, 0.05), ("train_frac", "valid_frac", "test_frac")),
+    (("ratings", 0.9, 0.6, 0.6), ("valid_frac", "test_frac"))])
+def test_split_spec_errors_are_keyed_by_the_fields_at_fault(args, key):
+    with pytest.raises(ConfigError) as info:
+        SplitSpec(*args)
+    assert info.value.key == key
+    SplitSpec("ratings", 0.9, 0.5, 0.5)  # the train fraction is not in a ratings sum
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("protocol", ["loo-mse", "l25-mse", "npll"])
+def test_check_protocol_is_the_family_protocol_table(family, protocol):
+    gaussian = family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN)
+    poisson = family in (Family.POISSON, Family.ADDITIVE_POISSON)
+    applies = poisson if protocol == "npll" else gaussian
+    assert (protocol in PROTOCOLS.get(family, ())) == applies
+    if applies:
+        check_protocol(family, protocol)
+    else:
+        with pytest.raises(ConfigError, match=f"{protocol} does not score {family.value}"):
+            check_protocol(family, protocol)
 
 
 def test_split_empty_requested_split_is_config_error():

@@ -153,6 +153,26 @@ def test_family_spec_link_constraints():
     assert FamilySpec(Family.ADDITIVE_POISSON).link is Link.LOG
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(family=Family.ADDITIVE_POISSON, link=Link.IDENTITY), "link"),
+    (dict(family=Family.BERNOULLI, link="log"), "link"),
+    (dict(family=Family.GAUSSIAN, link="bogus"), "link"),
+    (dict(family=Family.GAUSSIAN, sigma2=0.0), "sigma2"),
+    (dict(family=Family.POISSON, sigma2=math.nan), "sigma2"),
+    (dict(family=Family.CATEGORICAL, vocab_size=1), "vocab_size"),
+    (dict(family=Family.CATEGORICAL, vocab_size=-2), "vocab_size")])
+def test_family_spec_errors_are_keyed_by_the_field(kwargs, key):
+    with pytest.raises(ConfigError) as info:
+        FamilySpec(**kwargs)
+    assert info.value.key == key
+
+
+def test_family_spec_takes_a_link_name_and_a_vocabulary_not_yet_read():
+    assert FamilySpec(Family.POISSON, "mean_identity").link is Link.MEAN_IDENTITY
+    assert FamilySpec(Family.ADDITIVE_POISSON, "").link is Link.LOG
+    assert FamilySpec(Family.CATEGORICAL).vocab_size == 0
+
+
 @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.POISSON])
 @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
 def test_family_spec_rejects_non_finite_sigma2(family, sigma2):

@@ -787,6 +787,52 @@ def test_run_config_rejects_non_finite_values_naming_the_line(key, value):
         parse_run_config(text)
 
 
+@pytest.mark.parametrize("key", ["train_frac", "valid_frac", "test_frac"])
+def test_run_config_rejects_a_non_finite_fraction_under_split_none(key):
+    # the fractions are unused without a split, but a non-finite one is still a fault
+    with pytest.raises(ConfigError, match=f"^config line 3: {key} must be finite"):
+        parse_run_config(f"family = gaussian\nsplit = none\n{key} = nan\n")
+    cfg = parse_run_config(f"family = gaussian\nsplit = none\n{key} = 2\n")
+    assert getattr(cfg, key) == 2.0
+
+
+@pytest.mark.parametrize("text, line", [
+    # a fraction sum over 1 names the last fraction line set
+    ("family = gaussian\ntest_frac = 0.3\nseed = 1\ntrain_frac = 0.8\n", 4),
+    ("family = poisson\nsplit = ratings\nvalid_frac = 0.6\ntest_frac = 0.6\n", 4),
+    # a sparse fault names the later of the estimator and implicit_zero lines set
+    ("family = poisson\nimplicit_zero = 0\n", 2),
+    ("family = gaussian\nestimator = sparse\n", 2),
+    ("family = poisson\nimplicit_zero = 0\nestimator = sparse\n", 3)])
+def test_run_config_fault_of_several_keys_names_the_last_line(text, line):
+    with pytest.raises(ConfigError, match=f"^config line {line}: "):
+        parse_run_config(text)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(gamma=5.0), "gamma"), (dict(k=0), "k"), (dict(iterations=-1), "iterations"),
+    (dict(step_size_grid=(0.1, -1.0)), "step_size_grid"), (dict(split="bogus"), "split"),
+    (dict(context="window", window_w=0), "window_w"), (dict(knn_k=0), "knn_k"),
+    (dict(link="log"), "link"), (dict(sigma2=-1.0), "sigma2"),
+    (dict(min_col_count=-1), "min_col_count")])
+def test_run_config_error_is_keyed_by_the_setting_not_the_built_field(kwargs, key):
+    with pytest.raises(ConfigError) as info:
+        RunConfig(family="gaussian", **kwargs)
+    assert info.value.key == key
+
+
+def test_readme_family_defaults_table_has_the_rows_of_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    head = readme.index("| family | `lambda` | `iterations` | `estimator` | `minibatch_size` "
+                        "| `regularizer` | `context` | `implicit_zero` | sharing |")
+    rows = {}
+    for line in readme[head + 2:head + 2 + len(dataio.FAMILY_DEFAULTS)]:
+        family, *cells = (c.strip().strip("`") for c in line.strip("|").split("|"))
+        rows[family] = [type(v)(c) for v, c in zip(dataio.FAMILY_DEFAULTS[family].values(), cells)]
+    assert rows == {f: list(d.values()) for f, d in dataio.FAMILY_DEFAULTS.items()}
+    assert set(rows) == {f.value for f in Family}
+
+
 def test_run_config_unset_and_zero_keys_keep_their_resolution():
     cfg = parse_run_config("family = gaussian\nlambda = 0\niterations = 0\nimplicit_zero = 1\n")
     assert (cfg.reg_weight, cfg.iterations, cfg.implicit_zero) == (0.0, 0, 1)
