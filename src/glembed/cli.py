@@ -26,7 +26,6 @@ from .contexts import (
 from .core import DataMatrix
 from .dataio import (
     FAMILY_DEFAULTS,
-    ModelMeta,
     RunConfig,
     atomic_write,
     check_output_path,
@@ -59,17 +58,16 @@ from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
 from .train import log_to_tsv, objective, train
 
 
-def _build_context(kind: str, data: DataMatrix, knn_k: int, window_w: int,
-                   locations_path: str | None):
+def _build_context(kind: str, data: DataMatrix, param: int, locations_path: str | None):
     if kind == "knn":
         if not locations_path:
             raise ConfigError("knn context needs --locations")
         positions = read_locations(locations_path, data.row_labels
                                    or [str(i) for i in range(data.n_rows)])
-        return build_knn_context(SpatialLayout(positions, knn_k), data)
+        return build_knn_context(SpatialLayout(positions, param), data)
     if kind == "basket":
         return build_basket_context(data)
-    return build_window_context(data.n_cols, WindowSpec(window_w), data)
+    return build_window_context(data.n_cols, WindowSpec(param), data)
 
 
 def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix, ctx) -> float:
@@ -108,14 +106,14 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
         train_m, valid_m = parts.train, parts.valid
     if train_m.nnz == 0:
         raise ConfigError("train split is empty")
-    ctx = _build_context(cfg.context, train_m, cfg.knn_k, cfg.window_w, locations_path)
+    ctx = _build_context(cfg.context, train_m, cfg.context_param, locations_path)
 
     grid = cfg.step_size_grid
     if len(grid) > 1 and (valid_m is None or valid_m.nnz == 0):
         raise ConfigError("step-size grid search needs a validation split; "
                           "set step_size_grid to a single value or enable a split")
     valid_ctx = None if len(grid) == 1 else \
-        _build_context(cfg.context, valid_m, cfg.knn_k, cfg.window_w, locations_path)
+        _build_context(cfg.context, valid_m, cfg.context_param, locations_path)
     best = None
     for step in grid:
         bank, log = train(train_m, ctx, spec, cfg.train_config(step))
@@ -128,21 +126,7 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
             best = (step, bank, log, score)
     step, bank, log, _ = best
 
-    meta = ModelMeta(
-        family=cfg.family,
-        link=cfg.link,
-        sharing=FAMILY_DEFAULTS[cfg.family]["sharing"],
-        log_space=bank.log_space,
-        dim=cfg.k,
-        n_entities=bank.n_rows,
-        sigma2=cfg.sigma2,
-        vocab_size=vocab,
-        seed=cfg.seed,
-        context=cfg.context,
-        context_param=cfg.knn_k if cfg.context == "knn"
-        else (cfg.window_w if cfg.context == "window" else 0),
-        config_digest=cfg.digest(),
-    )
+    meta = cfg.model_meta(bank, vocab)
     store_model(model_out, bank, meta, data.row_labels)
     if log_out:
         atomic_write(log_out, log_to_tsv(log))
@@ -161,8 +145,7 @@ def run_evaluate(model_path: str, test_path: str, protocol: str,
     if test.nnz == 0:
         raise ConfigError("test split is empty")
     spec = meta.family_spec()
-    ctx = _build_context(meta.context, test, meta.context_param, meta.context_param,
-                         locations_path)
+    ctx = _build_context(meta.context, test, meta.context_param, locations_path)
     if protocol == "loo-mse":
         report = leave_one_out_mse(test, ctx, bank, spec)
     elif protocol == "l25-mse":
@@ -312,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("evaluate", help="score a stored model on held-out data")
     ep.add_argument("--model", required=True)
     ep.add_argument("--test", required=True)
-    ep.add_argument("--protocol", required=True, choices=("loo-mse", "l25-mse", "npll"))
+    ep.add_argument("--protocol", required=True,
+                    choices=list(dict.fromkeys(p for ps in PROTOCOLS.values() for p in ps)))
     ep.add_argument("--locations", default=None)
     ep.add_argument("--folds", type=int, default=4)
     ep.add_argument("--fold-seed", type=int, default=0, dest="fold_seed")

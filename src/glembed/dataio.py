@@ -17,13 +17,13 @@ import os
 import sys
 import tempfile
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 from itertools import count, filterfalse, repeat
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, Link, sorted_cell_keys
+from .core import DataMatrix, EmbeddingBank, sorted_cell_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .contexts import WindowSpec
 from .evaluate import SplitSpec
@@ -233,10 +233,14 @@ def _parse_span(text: str, start: int, stop: int, delim: str, path: str):
                 v = np.fromiter(map(float, fields[2::3]), np.float64, len(body))
             except ValueError:
                 pass
-        if v is None or not np.isfinite(v).all():
+        keys = [list(map(str.strip, fields[k::3])) for k in (0, 1)]
+        # a tab inside an id of a comma file would split the line that
+        # write_triplets writes for it
+        if (v is None or not np.isfinite(v).all()
+                or delim == "," and "\t" in "".join(keys[0]) + "".join(keys[1])):
             _raise_first_line_fault(path, lines, ln, delim)
-        rows.append(_first_seen_ids(row_index, list(map(str.strip, fields[0::3]))))
-        cols.append(_first_seen_ids(col_index, list(map(str.strip, fields[1::3]))))
+        rows.append(_first_seen_ids(row_index, keys[0]))
+        cols.append(_first_seen_ids(col_index, keys[1]))
         vals.append(v)
         ln += len(lines)
     # one at a time, so that each run list is freed before the next is joined
@@ -263,6 +267,9 @@ def _raise_first_line_fault(path: str, lines: list[str], ln: int, delim: str) ->
         parts = line.split(delim)
         if len(parts) != 3:
             raise DataError(f"{path}:{ln}: expected 3 fields, got {len(parts)}")
+        key = next((k for k in map(str.strip, parts[:2]) if "\t" in k), None)
+        if key is not None:
+            raise DataError(f"{path}:{ln}: tab inside id {key!r}")
         vtext = parts[2].strip()
         try:
             v = float(vtext)
@@ -423,8 +430,26 @@ def write_locations(path: str, positions: np.ndarray, row_labels: list[str] | No
 # model files
 # ---------------------------------------------------------------------------
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# value parsers by the first type of a field's annotation (RunConfig, ModelMeta)
+_PARSERS = {"bool": lambda v: _BOOL_WORDS[v.lower()], "int": int, "float": float, "str": str,
+            "tuple": lambda v: tuple(float(s) for s in v.split(",") if s.strip())}
+
+
+def _parser_of(f) -> Callable[[str], object]:
+    return _PARSERS[f.type.split("[")[0].split(" |")[0]]
+
+
+def _one_line(text: str) -> bool:
+    """Whether ``text`` holds no line break that ``str.splitlines`` splits on."""
+    return text.splitlines() in ([], [text])
+
+
 @dataclass
 class ModelMeta:
+    """A model file's header.  ``check`` holds its rules; store_model runs it
+    before writing, load_model after reading."""
+
     family: str
     link: str
     sharing: str = "per_row"
@@ -439,28 +464,70 @@ class ModelMeta:
     config_digest: str = ""
 
     def family_spec(self) -> FamilySpec:
-        return FamilySpec(Family(self.family), Link(self.link),
-                          sigma2=self.sigma2, vocab_size=self.vocab_size)
+        if self.family not in FAMILY_DEFAULTS:
+            raise ConfigError(f"unknown family {self.family!r}", "family")
+        return FamilySpec(Family(self.family), self.link, sigma2=self.sigma2,
+                          vocab_size=self.vocab_size)
+
+    def header(self) -> dict[str, str]:
+        """The header text of each field, as store_model writes it."""
+        return {f.name: f"{int(v) if f.type == 'bool' else v}"
+                for f in fields(self) for v in [getattr(self, f.name)]}
+
+    def check(self, bank: EmbeddingBank | None = None) -> None:
+        """Raise a ConfigError keyed by the field at fault: a value its header
+        text does not read back as, a family, link or sigma2 its FamilySpec
+        rejects, an unknown sharing or context, a context_param below 1 for a
+        knn or window context or a dim below 1; given ``bank``, also a dim,
+        n_entities, sharing or log_space that does not describe it."""
+        for f, text in zip(fields(self), self.header().values()):
+            try:
+                same = _parser_of(f)(text) == getattr(self, f.name) and _one_line(text)
+            except (KeyError, ValueError):
+                same = False
+            if not same:
+                raise ConfigError(f"{f.name}={getattr(self, f.name)!r} does not read back "
+                                  f"from its header text", f.name)
+        # FamilySpec takes an empty link for the family's default
+        faults = [("link", self.family_spec().link.value != self.link, "is not a link name"),
+                  ("sharing", self.sharing not in ("per_row", "global", "tied"),
+                   "is not per_row, global or tied"),
+                  ("context", self.context not in _CONTEXTS, "is not knn, basket or window"),
+                  ("context_param", self.context != "basket" and self.context_param < 1,
+                   f"is below 1 for a {self.context} context"),
+                  ("dim", self.dim < 1, "is below 1")]
+        if bank is not None:
+            faults += [("dim", self.dim != bank.dim, f"does not match a bank of dim {bank.dim}"),
+                       ("n_entities", self.n_entities != bank.n_rows,
+                        f"does not match a bank of {bank.n_rows} rows"),
+                       ("sharing", (self.sharing == "tied") != bank.tied,
+                        f"does not match a{' tied' if bank.tied else 'n untied'} bank"),
+                       ("log_space", self.log_space != bank.log_space,
+                        "does not match the bank's log_space")]
+        for key, bad, why in faults:
+            if bad:
+                raise ConfigError(f"{key}={getattr(self, key)} {why}", key)
 
 
 def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
                 row_labels: list[str] | None = None) -> None:
+    """Write ``bank`` under the header ``meta``.  A header that
+    ``ModelMeta.check`` rejects against the bank, or a label that would not
+    read back (a tab or a line break in it, or one repeated), raises a
+    DataError before anything is written."""
     labels = row_labels or [str(i) for i in range(bank.n_rows)]
     if len(labels) != bank.n_rows:
         raise DataError("one label per bank row required")
     if len(set(labels)) != len(labels):
         raise DataError("row labels must be distinct")
-    if (meta.sharing == "tied") != bank.tied:
-        raise DataError(f"sharing={meta.sharing} does not match a "
-                        f"{'tied' if bank.tied else 'untied'} bank")
-    head = [MODEL_MAGIC]
-    for f in fields(ModelMeta):
-        v = getattr(meta, f.name)
-        if f.name == "log_space":
-            v = int(v)
-        head.append(f"{f.name}={v}")
-    head.append("#entities")
-    lines = head
+    bad = [key for key in labels if "\t" in key or not _one_line(key)]
+    if bad:
+        raise DataError(f"row label {bad[0]!r} holds a tab or a line break")
+    try:
+        meta.check(bank)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    lines = [MODEL_MAGIC, *(f"{k}={v}" for k, v in meta.header().items()), "#entities"]
     for i, key in enumerate(labels):
         nums = [f"{v:.17g}" for v in bank.embeddings[i]]
         nums += [f"{v:.17g}" for v in bank.context_vectors[i]]
@@ -469,7 +536,10 @@ def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
 
 
 def load_model(path: str):
-    """Read a model file back into (bank, meta, row_labels)."""
+    """Read a model file back into (bank, meta, row_labels).  Each header
+    value is parsed by its field's type; ``ModelMeta.check`` runs on the
+    header before the entity lines are read and against the bank after, and
+    its fault names the header line of its field."""
     lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a glembed model file")
@@ -485,25 +555,30 @@ def load_model(path: str):
         kv[k] = (v, i + 1)
     if body_at is None:
         raise DataError(f"{path}: missing #entities section")
-    casts = {"log_space": lambda s: bool(int(s)), "dim": int, "n_entities": int,
-             "sigma2": float, "vocab_size": int, "seed": int, "context_param": int,
-             "family": lambda s: Family(s).value, "link": lambda s: Link(s).value}
     meta_args = {}
     for f in fields(ModelMeta):
         if f.name not in kv:
             raise DataError(f"{path}: header missing {f.name}")
         v, ln = kv[f.name]
         try:
-            meta_args[f.name] = casts.get(f.name, str)(v)
-        except ValueError:
+            meta_args[f.name] = _parser_of(f)(v)
+        except (KeyError, ValueError):
             raise DataError(f"{path}:{ln}: bad value for {f.name}: {v!r}") from None
     meta = ModelMeta(**meta_args)
-    for name, bad in (("sharing", meta.sharing not in ("per_row", "global", "tied")),
-                      ("context", meta.context not in _CONTEXTS),
-                      ("context_param", meta.context != "basket" and meta.context_param < 1),
-                      ("dim", meta.dim < 1)):
-        if bad:
-            raise DataError(f"{path}:{kv[name][1]}: bad value for {name}: {getattr(meta, name)!r}")
+    try:
+        meta.check()
+        bank, labels = _read_entities(path, lines, body_at, meta)
+        meta.check(bank)
+    except ConfigError as exc:
+        v, ln = kv[exc.key]
+        raise DataError(f"{path}:{ln}: bad value for {exc.key}: {v!r} ({exc})") from None
+    return bank, meta, labels
+
+
+def _read_entities(path: str, lines: list[str], body_at: int, meta: ModelMeta):
+    """The bank and labels of the entity lines ``lines[body_at:]`` under the
+    checked header ``meta``; a ConfigError keyed by ``dim`` when every entity
+    line holds one number of fields other than ``1 + 2 * dim``."""
     tied = meta.sharing == "tied"
     labels, emb_rows, cv_rows, seen = [], [], [], set()
     for ln, line in enumerate(lines[body_at:], start=body_at + 1):
@@ -511,6 +586,9 @@ def load_model(path: str):
             continue
         parts = line.split("\t")
         if len(parts) != 1 + 2 * meta.dim:
+            if len({s.count("\t") for s in lines[body_at:] if s.strip()}) == 1:
+                raise ConfigError(f"dim={meta.dim} does not match entity lines of "
+                                  f"{len(parts)} fields", "dim")
             raise DataError(f"{path}:{ln}: expected {1 + 2 * meta.dim} fields")
         if parts[0] in seen:
             raise DataError(f"{path}:{ln}: repeated entity label {parts[0]!r}")
@@ -527,12 +605,9 @@ def load_model(path: str):
                             f"unlike its embedding")
         emb_rows.append(nums[: meta.dim])
         cv_rows.append(nums[meta.dim:])
-    if len(labels) != meta.n_entities:
-        raise DataError(f"{path}: {len(labels)} entity rows, header says {meta.n_entities}")
-    emb = np.asarray(emb_rows)
-    cv = emb if tied else np.asarray(cv_rows)
-    bank = EmbeddingBank(emb, cv, log_space=meta.log_space)
-    return bank, meta, labels
+    emb = np.asarray(emb_rows).reshape(-1, meta.dim)
+    cv = emb if tied else np.asarray(cv_rows).reshape(-1, meta.dim)
+    return EmbeddingBank(emb, cv, log_space=meta.log_space), labels
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +724,21 @@ class RunConfig:
         return FamilySpec(Family(self.family), self.link, sigma2=self.sigma2,
                           vocab_size=vocab_size)
 
+    @property
+    def context_param(self) -> int:
+        """The parameter of the context: ``knn_k``, ``window_w`` or 0 (basket)."""
+        return {"knn": self.knn_k, "window": self.window_w}.get(self.context, 0)
+
+    def model_meta(self, bank: EmbeddingBank, vocab_size: int = 0) -> ModelMeta:
+        """The header ``glembed train`` stores with ``bank``, fitted under this
+        config to data of ``vocab_size`` rows (0 unless categorical)."""
+        return ModelMeta(family=self.family, link=self.link,
+                         sharing=FAMILY_DEFAULTS[self.family]["sharing"],
+                         log_space=bank.log_space, dim=self.k, n_entities=bank.n_rows,
+                         sigma2=self.sigma2, vocab_size=vocab_size, seed=self.seed,
+                         context=self.context, context_param=self.context_param,
+                         config_digest=self.digest())
+
     def split_spec(self) -> SplitSpec:
         return SplitSpec(**self._fields_of(SplitSpec))
 
@@ -668,16 +758,9 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-# value parsers by the first type of a RunConfig field's annotation
-_PARSERS = {"bool": lambda v: _BOOL_WORDS[v.lower()], "int": int, "float": float, "str": str,
-            "tuple": lambda v: tuple(float(s) for s in v.split(",") if s.strip())}
-
-
 def parse_run_config(text: str) -> RunConfig:
     """Parse key=value lines; '#' starts a comment.  Unknown keys fail."""
-    parsers = {f.name: _PARSERS[f.type.split("[")[0].split(" |")[0]]
-               for f in fields(RunConfig)}
+    parsers = {f.name: _parser_of(f) for f in fields(RunConfig)}
     kv: dict[str, object] = {}
     line_of: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):

@@ -240,6 +240,9 @@ def line_loop_read_triplets(path):
         if len(parts) != 3:
             raise DataError(f"{path}:{ln}: expected 3 fields, got {len(parts)}")
         rk, ck, vtext = (p.strip() for p in parts)
+        for key in (rk, ck):
+            if "\t" in key:
+                raise DataError(f"{path}:{ln}: tab inside id {key!r}")
         try:
             v = float(vtext)
         except ValueError:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from glembed.cli import main
 from glembed.contexts import SpatialLayout, knn_neighbors
 from glembed.core import EmbeddingBank
 from glembed.dataio import ModelMeta, ingest, load_model, read_locations, store_model
+from glembed.errors import DataError
 from glembed.evaluate import leave_one_out_mse
 
 CFG_GAUSSIAN = """\
@@ -50,6 +52,15 @@ def test_split_command_writes_partitions(toy_run, capsys):
     for part in ("train", "valid", "test"):
         assert (toy_run["root"] / f"parts.{part}.tsv").exists()
     assert "dropped 0 test columns" in capsys.readouterr().out
+
+
+def test_split_rejects_a_tab_inside_an_id_of_a_comma_file(tmp_path, capsys):
+    data = tmp_path / "tabbed.csv"
+    data.write_text("row,col,value\na\tb,c0,1.0\na,c1,2.0\nb,c0,3.0\n")
+    rc = main(["split", "--data", str(data), "--out-prefix", str(tmp_path / "sp")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {data}:2: tab inside id 'a\\tb'\n"
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_train_evaluate_and_queries(toy_run, capsys):
@@ -285,26 +296,39 @@ def test_unusable_config_value_is_config_error(toy_run, tmp_path, capsys, line):
     assert repr(line.split(" = ")[1]) in capsys.readouterr().err
 
 
-# a header line of a model file, and a value of it that load_model rejects
-_BAD_HEADERS = {"header": ("dim=2", "dim=ten"), "link": ("link=identity", "link=idnetity"),
+# a field of a model header, its value in the stored model and a value of
+# it that store_model refuses and load_model rejects
+_BAD_HEADERS = {"header": ("dim", 2, "ten"), "link": ("link", "identity", "idnetity"),
                 # an unknown value must not decide tiedness
-                "sharing": ("sharing=per_row", "sharing=Tied"),
-                "context": ("context=knn", "context=bogus"),
-                "context_param": ("context_param=2", "context_param=-4"),
-                "dim": ("dim=2", "dim=-1")}
+                "sharing": ("sharing", "per_row", "Tied"),
+                "context": ("context", "knn", "bogus"),
+                "context_param": ("context_param", 2, -4),
+                "dim": ("dim", 2, -1),
+                "family": ("family", "gaussian", "gausian"),
+                "gaussian_log_link": ("link", "identity", "log"),
+                # FamilySpec reads an empty link as the family's default
+                "empty_link": ("link", "identity", ""),
+                "sigma2": ("sigma2", 1.0, 0),
+                # the bank has 12 rows of 2 dimensions
+                "dim_of_the_bank": ("dim", 2, 3),
+                "n_entities_of_the_bank": ("n_entities", 12, 13)}
 
 
 @pytest.mark.parametrize("part", [*_BAD_HEADERS, "body"])
 def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, capsys, part):
+    bank = EmbeddingBank.init_random(12, 2, seed=0)
+    meta = ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn",
+                     context_param=2)
     good = tmp_path / "good.model"
-    store_model(str(good), EmbeddingBank.init_random(12, 2, seed=0),
-                ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn",
-                          context_param=2))
+    store_model(str(good), bank, meta)
     lines = good.read_text().splitlines()
     if part in _BAD_HEADERS:
-        line, bad_line = _BAD_HEADERS[part]
-        at = lines.index(line)
-        lines[at] = bad_line
+        key, value, bad_value = _BAD_HEADERS[part]
+        with pytest.raises(DataError, match=key):
+            store_model(str(tmp_path / "refused.model"), bank, replace(meta, **{key: bad_value}))
+        assert list(tmp_path.iterdir()) == [good]  # no target and no temp file
+        at = lines.index(f"{key}={value}")
+        lines[at] = f"{key}={bad_value}"
     else:
         at = lines.index("#entities") + 2
         lines[at] = lines[at].replace("\t", "\tabc\t", 1).rsplit("\t", 1)[0]

@@ -186,6 +186,30 @@ def test_read_triplets_raises_the_line_loops_error(tmp_path, monkeypatch, fault)
         assert _error_text(read_triplets, path) == want
 
 
+# comma-file lines whose first faulty line is line 15 of the file, each
+# followed by a later fault; a tab inside an id is one
+_COMMA_FAULTS = {
+    "tab_in_row_id": "a\tb,c,1\nx,y,nan",
+    "tab_in_col_id": "a,c\td,1\nx,y",
+    "bad_value_then_tab_in_id": "x,y,one\na\tb,c,1",
+    "two_fields_then_tab_in_id": "x,y\na\tb,c,1",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_COMMA_FAULTS))
+def test_read_triplets_rejects_a_tab_inside_an_id_of_a_comma_file(tmp_path, monkeypatch, fault):
+    # tabs around an id or a value are padding, stripped as before
+    valid = [f"r{i}, \tc{i % 3}\t ,{i}.5\t" for i in range(12)]
+    text = "row,col,value\n" + "\n".join(valid[:6] + [""] + valid[6:])
+    path = _write(tmp_path, "fault.csv", text + "\n" + _COMMA_FAULTS[fault] + "\nz,z,1\n")
+    want = _error_text(line_loop_read_triplets, path)
+    assert want.startswith(f"{path}:15: ") and ("tab inside id" in want) == fault.startswith("tab")
+    for run_chars in (1, 16, 40, 100, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(read_triplets, path) == want
+    _assert_same_as_oracle(_write(tmp_path, "padded.csv", text))
+
+
 def test_read_triplets_empty_file_error_matches_the_line_loop(tmp_path):
     path = _write(tmp_path, "empty.tsv", "")
     assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
@@ -349,6 +373,24 @@ def test_read_triplets_raises_the_line_loops_error_from_any_span(
         monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
         assert _error_text(read_triplets, path) == want
     assert len(forked) == 3 * (cpus - 1)
+    _assert_no_child_left(forked)
+
+
+@pytest.mark.parametrize("span", ["parent", "child"])
+def test_read_triplets_rejects_a_tab_inside_a_comma_id_on_any_span(
+        tmp_path, monkeypatch, forked, span):
+    body = [f"r{i},c{i % 3},{i}.5" for i in range(12)]
+    bad = ["a\tb,c,1", "x,y,nan"]  # the first faulty line wins
+    lines = ["row,col,value"] + (bad + body if span == "parent" else body + bad)
+    text = "\n".join(lines) + "\n"
+    path = _write(tmp_path, "fault.csv", text)
+    _force_spans(monkeypatch, len(text) // 2 + 1, cpus=2)
+    cuts = dataio._span_cuts(text)
+    assert len(cuts) == 3 and (text.index("a\tb") < cuts[1]) == (span == "parent")
+    err = _error_text(read_triplets, path)
+    assert err == f"{path}:{lines.index(bad[0]) + 1}: tab inside id 'a\\tb'"
+    assert err == _error_text(line_loop_read_triplets, path)
+    assert len(forked) == 1
     _assert_no_child_left(forked)
 
 
@@ -665,6 +707,15 @@ def test_model_sharing_must_match_the_bank(tmp_path):
         store_model(p, EmbeddingBank(emb, rng.normal(size=(3, 2))), meta, ["a", "b", "c"])
 
 
+def test_model_store_refuses_a_log_space_unlike_the_bank(tmp_path):
+    # load_model would build a log-space bank from the header's log_space
+    meta = _meta(2, 3)
+    meta.log_space = True
+    with pytest.raises(DataError, match="log_space=True"):
+        store_model(str(tmp_path / "s.model"), EmbeddingBank.init_random(3, 2, seed=0), meta)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_load_rejects_tied_file_with_distinct_context_columns(tmp_path):
     emb = np.random.default_rng(8).normal(size=(3, 2))
     meta = _meta(2, 3)
@@ -708,6 +759,110 @@ def test_model_load_rejects_non_finite_parameters_naming_the_line(tmp_path, valu
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=f"f.model:{at + 1}: non-finite parameter value"):
         load_model(str(p))
+
+
+@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "\x0c", "x y", "\x85", "a\r\n"])
+def test_model_store_refuses_a_label_it_cannot_read_back(tmp_path, label):
+    with pytest.raises(DataError, match="holds a tab or a line break"):
+        store_model(str(tmp_path / "l.model"), EmbeddingBank.init_random(3, 2, seed=0),
+                    _meta(2, 3), ["a0", label, "c"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_model_empty_and_padded_labels_round_trip(tmp_path):
+    p1, p2 = str(tmp_path / "m1.model"), str(tmp_path / "m2.model")
+    store_model(p1, EmbeddingBank.init_random(3, 2, seed=0), _meta(2, 3), ["", " x ", "y"])
+    loaded, meta, labels = load_model(p1)
+    assert labels == ["", " x ", "y"]
+    store_model(p2, loaded, meta, labels)
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+
+# one model file per sharing value: (a config, the file with the header
+# glembed train writes for that config, the header, the embeddings and the
+# context vectors, None when tied).  No family defaults to tied vectors, so
+# the tied file has no config: it is the additive Poisson header with its
+# sharing set to tied
+_FROZEN_MODELS = {
+    "per_row": ("family = gaussian\nk = 2\nknn_k = 3\n", """\
+#glembed-model v1
+family=gaussian
+link=identity
+sharing=per_row
+log_space=0
+dim=2
+n_entities=3
+sigma2=1.0
+vocab_size=0
+seed=0
+context=knn
+context_param=3
+config_digest=b3f61d9864fd
+#entities
+a\t0.5\t-1.25\t3\t0.10000000000000001
+b\t-0\t1e-300\t25000000\t0.33333333333333331
+c\t-2\t0.25\t7\t-0.75
+""", ModelMeta("gaussian", "identity", "per_row", False, 2, 3, 1.0, 0, 0, "knn", 3, "b3f61d9864fd"),
+        [[0.5, -1.25], [-0.0, 1e-300], [-2.0, 0.25]], [[3.0, 0.1], [2.5e7, 1 / 3], [7.0, -0.75]]),
+    "global": ("family = categorical\nk = 2\n", """\
+#glembed-model v1
+family=categorical
+link=identity
+sharing=global
+log_space=0
+dim=2
+n_entities=3
+sigma2=1.0
+vocab_size=3
+seed=0
+context=window
+context_param=2
+config_digest=ef2bdff4770e
+#entities
+w0\t0.5\t-1.25\t3\t0.10000000000000001
+w1\t-0\t1e-300\t25000000\t0.33333333333333331
+w2\t-2\t0.25\t7\t-0.75
+""", ModelMeta("categorical", "identity", "global", False, 2, 3, 1.0, 3, 0, "window", 2,
+               "ef2bdff4770e"),
+        [[0.5, -1.25], [-0.0, 1e-300], [-2.0, 0.25]], [[3.0, 0.1], [2.5e7, 1 / 3], [7.0, -0.75]]),
+    "tied": (None, """\
+#glembed-model v1
+family=additive_poisson
+link=log
+sharing=tied
+log_space=1
+dim=2
+n_entities=2
+sigma2=1.0
+vocab_size=0
+seed=0
+context=basket
+context_param=0
+config_digest=1039fd371fb1
+#entities
+i0\t0.5\t-1.25\t0.5\t-1.25
+i1\t-2\t0.25\t-2\t0.25
+""", ModelMeta("additive_poisson", "log", "tied", True, 2, 2, 1.0, 0, 0, "basket", 0,
+               "1039fd371fb1"),
+        [[0.5, -1.25], [-2.0, 0.25]], None),
+}
+
+
+@pytest.mark.parametrize("sharing", sorted(_FROZEN_MODELS))
+def test_model_header_format_is_frozen(tmp_path, sharing):
+    config, text, want, emb, cv = _FROZEN_MODELS[sharing]
+    p1, p2 = tmp_path / "m1.model", tmp_path / "m2.model"
+    p1.write_text(text)
+    bank, meta, labels = load_model(str(p1))
+    assert meta == want and bank.tied == (cv is None)
+    np.testing.assert_array_equal(bank.embeddings, emb)
+    np.testing.assert_array_equal(bank.context_vectors, emb if cv is None else cv)
+    assert np.signbit(bank.embeddings).tolist() == np.signbit(emb).tolist()
+    if config is not None:  # the header glembed train writes for the config
+        vocab = len(labels) if meta.family == "categorical" else 0
+        assert parse_run_config(config).model_meta(bank, vocab) == meta
+    store_model(str(p2), bank, meta, labels)
+    assert p2.read_bytes() == p1.read_bytes()
 
 
 def test_model_load_rejects_foreign_files(tmp_path):
