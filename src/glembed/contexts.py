@@ -6,8 +6,8 @@ Three builders cover the application patterns:
 * same-column basket contexts (the other stored entries of a column),
 * sliding window contexts over column positions (text).
 
-A context map has one method, ``block(data, emb, cv)``, which returns a
-pass over the cells of ``data``.  The pass gives the linear values
+A context map has one method, ``block(data, emb, cv, scratch=None)``, which
+returns a pass over the cells of ``data``.  The pass gives the linear values
 ``emb[n] . sum_j x_j * cv[row_j]`` of cells with their member counts, and
 adds coefficient-weighted gradients of those values into one pair of
 (emb, cv) gradient tables, ``gradients()``.  It takes the cells two ways:
@@ -19,17 +19,27 @@ adds coefficient-weighted gradients of those values into one pair of
   per cell (the sampled estimators and the logged objective).
 
 kNN members are read with ``DataMatrix.lookup``.  The column-table passes
-scatter the listed cells of a batch, grouped in row-major cell order,
-through ``core.cell_products``: one sparse coefficient matrix C of the
-cells, whose products C @ sums and C.T @ emb add into the embedding rows
-and the per-column sums.  Every other scatter onto rows or columns goes
-through ``core.scatter_rows``, one product with a sparse incidence matrix.
-Both add each product into a zeroed table in cell order, so their sums are
-byte for byte those of the ``add.at`` ufunc method into zeros.  The window
-table reads its prefix sums in runs of positions, each window end a slice
-or one edge row: the same rows as a gather at the clipped window ends, and
-the same subtractions.  A member is a present cell: a cell missing from explicit
-data is never one.  Maps are immutable after construction.
+(baskets, windows) go between entities and columns through the data's own
+CSR operators: their per-column sums are ``data.Xt @ cv``, and the members'
+share of the gradient ``data.X @ R`` for per-column coefficient sums R, so
+no step gathers a table per stored entry.  They scatter the listed cells of
+a batch, grouped in row-major cell order, through ``core.cell_products``:
+one sparse coefficient matrix C of the cells, whose products C @ sums and
+C.T @ emb add into the embedding rows and the per-column sums.  The kNN
+pass and the basket's own-term correction scatter onto rows through
+``core.scatter_rows``, one product with a sparse incidence matrix.  Each of
+these products adds into a zeroed table in entry or cell order, so its sums
+are byte for byte those of the ``add.at`` ufunc method into zeros.  The
+window table reads its prefix sums in runs of positions, each window end a
+slice or one edge row: the same rows as a gather at the clipped window ends,
+and the same subtractions.
+
+A pass takes its per-cell and window tables from ``scratch``, a
+``core.Scratch`` that the caller keeps from step to step (a fresh one when
+None), so a step maps no fresh table of that size; the kNN pass takes none.
+A table that a pass returns from the scratch is valid until the next call
+that takes the same table.  A member is a present cell: a cell missing from
+explicit data is never one.  Maps are immutable after construction.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import ColumnBlock, DataMatrix, TermBatch, cell_products, scatter_rows
+from .core import ColumnBlock, DataMatrix, Scratch, TermBatch, cell_products, scatter_rows
 from .errors import ConfigError, DataError
 
 # cells per chunk of a pass's ``at``, bounding its gathers: the kNN pass's
@@ -74,7 +84,7 @@ class KnnContext:
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
 
-    def block(self, data, emb, cv):
+    def block(self, data, emb, cv, scratch=None):
         """One pass over the cells of ``data``.
 
         With S[n, t] = sum_{j in c(n, t)} x_j * cv[row_j], the pass's
@@ -86,7 +96,8 @@ class KnnContext:
         ``TermBatch``, with H and coef of one value per cell.
         ``gradients()`` returns the (emb, cv) sums of every scatter.  The
         other maps' ``block`` share this contract.  Here a block's H = M @
-        x, where M holds emb[n] . cv[nb[n, k]] at (n, nb[n, k]).
+        x, where M holds emb[n] . cv[nb[n, k]] at (n, nb[n, k]), and the
+        pass takes nothing from ``scratch``.
         """
         return _KnnPass(self.neighbors, data, emb, cv)
 
@@ -94,10 +105,11 @@ class KnnContext:
 class BasketContext:
     """Contexts are the other stored entries of the same column."""
 
-    def block(self, data, emb, cv):
+    def block(self, data, emb, cv, scratch=None):
         """See ``KnnContext.block``: H = emb @ colsum.T, less x[n, t] *
         (emb[n] . cv[n]) at each stored cell."""
-        return _ColumnTablePass(data, emb, cv, *_column_tables(data, cv), lambda t: t, own=True)
+        return _ColumnTablePass(data, emb, cv, _column_counts(data), lambda table, *_: table,
+                                own=True, scratch=scratch)
 
 
 class WindowContext:
@@ -107,16 +119,18 @@ class WindowContext:
     def __init__(self, half_width: int):
         self.half_width = int(half_width)
 
-    def _window_table(self, table: np.ndarray) -> np.ndarray:
-        """Per-position sum of `table` over the window, excluding the position."""
+    def _window_table(self, table: np.ndarray, scratch: Scratch, name: str) -> np.ndarray:
+        """Per-position sum of `table` over the window, excluding the
+        position, in the scratch table ``name``."""
         w, length = self.half_width, len(table)
-        prefix = np.zeros((length + 1,) + table.shape[1:])
+        prefix = scratch.take("window prefix", (length + 1,) + table.shape[1:])
+        prefix[0] = 0.0
         np.cumsum(table, axis=0, out=prefix[1:])
         # prefix[min(p + w + 1, length)] - prefix[max(p - w, 0)] for every
         # position p, in runs of positions where each end is a slice of the
         # prefix sums or one edge row
         hi, lo = min(w + 1, length), min(w, length)
-        out = np.empty_like(table, dtype=np.float64)
+        out = scratch.take(name, table.shape)
         cuts = sorted({0, lo, length - hi, length})
         for a, b in zip(cuts, cuts[1:]):
             upper = prefix[a + hi:b + hi] if b <= length - hi else prefix[length]
@@ -125,30 +139,33 @@ class WindowContext:
         out -= table
         return out
 
-    def _tables(self, data, cv):
-        """Per column: the context sum and the member count."""
-        colsum, colcount = _column_tables(data, cv)
-        wc = self._window_table(colcount[:, None].astype(np.float64))[:, 0]
-        return self._window_table(colsum), wc.astype(np.int64)
+    def _counts(self, data: DataMatrix) -> np.ndarray:
+        """Per column: the member count, computed once per data."""
+        def build():
+            counts = _column_counts(data)[:, None].astype(np.float64)
+            return self._window_table(counts, Scratch(), "counts")[:, 0].astype(np.int64)
+        return data.memo(("window counts", self.half_width), build)
 
-    def block(self, data, emb, cv):
+    def block(self, data, emb, cv, scratch=None):
         """See ``KnnContext.block``: H = emb @ window_table(colsum).T."""
-        return _ColumnTablePass(data, emb, cv, *self._tables(data, cv), self._window_table,
-                                own=False)
+        return _ColumnTablePass(data, emb, cv, self._counts(data), self._window_table,
+                                own=False, scratch=scratch)
 
 
-def _column_tables(data: DataMatrix, cv: np.ndarray):
-    """Per column: the sum of x_j * cv[row_j] and the count over stored
-    entries j."""
-    colsum = scatter_rows(data.cols, cv[data.rows], data.n_cols, data.vals)
-    colcount = np.bincount(data.cols, minlength=data.n_cols)
-    return colsum, colcount
+def _column_tables(data: DataMatrix, cv: np.ndarray) -> np.ndarray:
+    """Per column: the sum of x_j * cv[row_j] over its stored entries j."""
+    return data.Xt @ cv
 
 
-def _spread(data: DataMatrix, R, n):
-    """(n, dim) table whose row m sums x_j * R[col_j] over the stored
+def _column_counts(data: DataMatrix) -> np.ndarray:
+    """Per column: the count of its stored entries, computed once per data."""
+    return data.memo("column counts", lambda: np.diff(data.Xt.indptr).astype(np.int64))
+
+
+def _spread(data: DataMatrix, R):
+    """(n_rows, dim) table whose row m sums x_j * R[col_j] over the stored
     entries j of row m."""
-    return scatter_rows(data.rows, R[data.cols], n, data.vals)
+    return data.X @ R
 
 
 def _neighbor_matrix(neighbors, weights):
@@ -224,21 +241,25 @@ class _KnnPass:
 class _ColumnTablePass:
     """``block`` of the contexts whose sums are per-column tables: S[n, t] =
     sums[t], less the cell's own stored term x[n, t] * cv[n] when ``own``
-    (baskets).  ``spread`` maps per-column tables onto per-column context
-    tables (the window sum, or none).  It is symmetric, so it also carries
-    the per-column coefficient sums R = coef.T @ emb back to the members'
-    columns, once per pass."""
+    (baskets).  ``spread(table, scratch, name)`` maps per-column tables
+    onto per-column context tables (the window sum, or none).  It is
+    symmetric, so it also carries the per-column coefficient sums R =
+    coef.T @ emb back to the members' columns, once per pass."""
 
-    def __init__(self, data: DataMatrix, emb, cv, sums, counts, spread, own):
+    def __init__(self, data: DataMatrix, emb, cv, counts, spread, own, scratch):
         self.data, self.emb, self.cv = data, emb, cv
-        self.sums, self.counts, self.spread = sums, counts, spread
+        self.scratch = Scratch() if scratch is None else scratch
+        self.spread = spread
+        self.sums = spread(_column_tables(data, cv), self.scratch, "sums")
+        self.counts = counts
         self.own = np.einsum("nd,nd->n", emb, cv) if own else None
         self.g_emb = np.zeros_like(emb)
-        self.R = np.zeros_like(sums)
+        self.R = None  # set by the first scatter
         self.own_coef = np.zeros(len(emb))  # sum_t coef[n, t] * x[n, t]
 
     def table(self, cells: ColumnBlock):
-        H = self.emb @ self.sums[cells.cols].T
+        H = np.matmul(self.emb, self.sums[cells.cols].T,
+                      out=self.scratch.take("H", cells.x.shape))
         counts = self.counts[cells.cols]
         if self.own is not None:
             H -= cells.x * self.own[:, None]
@@ -256,22 +277,26 @@ class _ColumnTablePass:
             coef = self._drop_memberless(coef, cells.cols, cells.stored)
             self.own_coef += np.einsum("nt,nt->n", coef, cells.x)
         self.g_emb += coef @ self.sums[cells.cols]
+        if self.R is None:
+            self.R = np.zeros_like(self.sums)
         self.R[cells.cols] += coef.T @ self.emb
 
     def at(self, batch: TermBatch):
-        H = np.empty(len(batch))
+        H = self.scratch.take("H", (len(batch),))
         for lo in range(0, len(batch), CELL_CHUNK):
             hi = lo + CELL_CHUNK
             H[lo:hi] = np.einsum("ed,ed->e", np.take(self.emb, batch.rows[lo:hi], axis=0),
                                  np.take(self.sums, batch.cols[lo:hi], axis=0))
-        counts = np.take(self.counts, batch.cols)
+        # an unbuffered take: the columns of a batch are in range
+        counts = np.take(self.counts, batch.cols, mode="clip",
+                         out=self.scratch.take("counts", (len(batch),), self.counts.dtype))
         if self.own is not None:
             H -= batch.vals * self.own[batch.rows]
-            counts = counts - batch.stored
+            counts -= batch.stored
         return H, counts
 
     def scatter_at(self, batch: TermBatch, coef):
-        batch, order = batch.row_major(len(self.emb), len(self.R))
+        batch, order = batch.row_major(len(self.emb), len(self.sums))
         if order is not None:
             coef = coef[order]
         if self.own is not None:
@@ -279,10 +304,14 @@ class _ColumnTablePass:
             self.own_coef += scatter_rows(batch.rows, batch.vals, len(self.emb), coef)
         g_emb, R = cell_products(batch.row_starts, batch.cols, coef, self.sums, self.emb)
         self.g_emb += g_emb
-        self.R += R
+        if self.R is None:
+            self.R = R
+        else:
+            self.R += R
 
     def gradients(self):
-        g_cv = _spread(self.data, self.spread(self.R), len(self.cv))
+        R = np.zeros_like(self.sums) if self.R is None else self.R
+        g_cv = _spread(self.data, self.spread(R, self.scratch, "spread"))
         if self.own is not None:
             self.g_emb -= self.own_coef[:, None] * self.cv
             g_cv -= self.own_coef[:, None] * self.emb

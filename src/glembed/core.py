@@ -82,6 +82,35 @@ def cell_products(starts, cols, coef, col_table: np.ndarray, row_table: np.ndarr
     return C @ col_table, C.T @ row_table
 
 
+class Scratch:
+    """Named work tables that one caller's passes reuse from call to call,
+    so that a step maps and zeroes no fresh multi-megabyte table.
+
+    ``take`` returns the table last taken under ``name`` when its shape and
+    dtype match, else a new one; its contents are left as they were, and it
+    stays valid until ``name`` is taken again.
+    """
+
+    def __init__(self):
+        self._tables: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        table = self._tables.get(name)
+        if table is None or table.shape != shape or table.dtype != dtype:
+            table = self._tables[name] = np.empty(shape, dtype)
+        return table
+
+
+def _csr(rows, cols, vals, shape):
+    """The entries (rows, cols, vals) as a CSR matrix of ``shape``, each
+    row's entries in entry order (a stable sort by row)."""
+    order = np.argsort(rows, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    itype = np.int32 if max(*shape, len(rows)) < 2**31 else np.int64
+    return sparse.csr_matrix((vals[order], cols[order].astype(itype), starts.astype(itype)),
+                             shape=shape)
+
+
 def _split_sorted_keys(keys: np.ndarray, n_rows: int, n_cols: int):
     """(rows, cols, starts) of nondecreasing row-major cell keys: the cells
     of row n are starts[n]:starts[n + 1].  A search per row replaces the
@@ -100,6 +129,15 @@ class DataMatrix:
     stored entries are data terms.  ``lookup`` searches the entries' sorted
     row-major cell keys and ``column_blocks`` hands out runs of columns: no
     dense (n_rows, n_cols) array is built.
+
+    The entries are also two sparse operators, built on first use and kept:
+    ``X``, the (n_rows, n_cols) CSR matrix, and ``Xt``, its transpose as a
+    CSR matrix.  Each row of ``X`` (column, for ``Xt``) holds its entries in
+    entry order, so ``X @ R`` adds into each output row the products that
+    ``scatter_rows(rows, R[cols], n_rows, vals)`` adds, in the same order:
+    the sums are equal byte for byte, and no (entries x dim) table is
+    gathered.  ``memo`` keeps other tables that depend only on the entries.
+    The entries must not change after construction.
     """
 
     def __init__(
@@ -136,7 +174,27 @@ class DataMatrix:
         if repeat >= 0:
             raise DataError(f"duplicate entry at (row={self.rows[repeat]}, col={self.cols[repeat]})")
         self._key_vals = self.vals[order]
-        self._by_column: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._memo: dict = {}
+
+    @property
+    def X(self) -> sparse.csr_matrix:
+        """The entries as an (n_rows, n_cols) CSR matrix, each row's in entry order."""
+        return self.memo("X", lambda: _csr(self.rows, self.cols, self.vals,
+                                           (self.n_rows, self.n_cols)))
+
+    @property
+    def Xt(self) -> sparse.csr_matrix:
+        """The transpose of ``X`` as an (n_cols, n_rows) CSR matrix, each
+        column's entries in entry order."""
+        return self.memo("Xt", lambda: _csr(self.cols, self.rows, self.vals,
+                                            (self.n_cols, self.n_rows)))
+
+    def memo(self, key, build):
+        """``build()``, called on the first use of ``key`` and kept with the
+        matrix: for tables that depend only on its entries."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def nnz(self) -> int:
@@ -203,15 +261,13 @@ class DataMatrix:
         vals[stored] = self._key_vals
         return TermBatch(rows, cols, vals, stored, np.where(stored, 1.0, weight), starts)
 
-    def column_blocks(self, width: int, cols: Sequence[int] | None = None):
+    def column_blocks(self, width: int, cols: Sequence[int] | None, scratch: Scratch):
         """Every cell of the columns ``cols`` (of every column, left to
-        right, when None), as ``ColumnBlock``s of at most ``width`` columns.
-        The first call keeps the entries' rows and values in column order."""
-        if self._by_column is None:
-            order = np.argsort(self.cols, kind="stable")
-            starts = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.n_cols))])
-            self._by_column = self.rows[order], self.vals[order], starts
-        rows, vals, starts = self._by_column
+        right, when None), as ``ColumnBlock``s of at most ``width`` columns,
+        read from the rows of ``Xt``.  Their tables are taken from
+        ``scratch``, so each block's are valid until the next block is
+        drawn."""
+        rows, vals, starts = self.Xt.indices, self.Xt.data, self.Xt.indptr
         ids = np.arange(self.n_cols) if cols is None else np.asarray(cols, dtype=np.int64)
         for lo in range(0, len(ids), width):
             block = ids[lo:lo + width]
@@ -219,13 +275,16 @@ class DataMatrix:
             # the block's entries column by column, and their row-major positions in it
             ends = np.cumsum(counts)
             entries = np.repeat(starts[block] + counts - ends, counts) + np.arange(ends[-1])
-            at = rows[entries] * len(block) + np.repeat(np.arange(len(block)), counts)
-            x = np.zeros((self.n_rows, len(block)))
+            at = np.multiply(rows[entries], len(block), dtype=np.int64) \
+                + np.repeat(np.arange(len(block)), counts)
+            x = scratch.take("x", (self.n_rows, len(block)))
+            x.fill(0.0)
             np.put(x, at, vals[entries])
+            stored = scratch.take("stored", x.shape, bool)
             if self.implicit_zero:  # stores no zero
-                stored = x != 0.0
+                np.not_equal(x, 0.0, out=stored)
             else:
-                stored = np.zeros(x.shape, dtype=bool)
+                stored.fill(False)
                 np.put(stored, at, True)
             yield ColumnBlock(slice(block[0], block[-1] + 1) if cols is None else block, x, stored)
 

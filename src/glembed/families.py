@@ -7,6 +7,9 @@ kernel runs one loop, ``_pieces``, over one pass of ``ctx.block``: a
 and distinct columns are one ``ColumnBlock`` per piece (``table``/``scatter``).
 Each piece gives its weighted log-likelihoods (``log_likelihoods``), its means
 (``block_means``) or its share of the gradient (``weighted_term_gradient``).
+A kernel call hands one ``core.Scratch`` to its pass and its column blocks
+(a fresh one per call unless the caller keeps one, as a fit does for its
+steps), so a piece's tables are valid until the next piece is drawn.
 A categorical term is a whole column, the softmax over its vocabulary rows,
 so that family is scored by columns only.
 
@@ -38,7 +41,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln, log_softmax, softmax
 
-from .core import DataMatrix, EmbeddingBank, Link, TermBatch
+from .core import DataMatrix, EmbeddingBank, Link, Scratch, TermBatch
 from .errors import ConfigError, DataError
 
 ETA_CLAMP = 30.0
@@ -154,8 +157,9 @@ def _rescaled(spec, svals, counts, w):
 def _coefficients(spec, svals, x, counts, w, counters, weight=1.0):
     """Per cell, the derivative of its log-likelihood times its weight ``w``
     and ``weight`` with respect to its linear value before the mean-link
-    divisor: the coefficient of the passes' scatters."""
-    coef = _residual(spec, svals, x, counters)
+    divisor: the coefficient of the passes' scatters, written over
+    ``svals``, which the caller gives up."""
+    coef = _residual(spec, svals, x, counters, out=svals)
     if w is not None:
         coef *= w
     if weight != 1.0:
@@ -165,37 +169,43 @@ def _coefficients(spec, svals, x, counts, w, counters, weight=1.0):
     return coef
 
 
-def _mean(spec, svals, counters):
+def _mean(spec, svals, counters, out=None):
     """Per-cell mean (expected sufficient statistic) at the given linear
     values, counting the clamped and floored cells; the categorical
-    linear values are (vocabulary, columns) tables."""
+    linear values are (vocabulary, columns) tables.  The means go into
+    ``out`` when given (it may be ``svals``), else into a new table; the
+    Gaussian families' means are ``svals`` itself, and the categorical
+    family's softmax always takes a new table."""
     fam = spec.family
     if fam in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
         return svals
     if fam is Family.POISSON:
-        clipped = np.clip(svals, -ETA_CLAMP, ETA_CLAMP)
         if counters is not None:
-            counters.eta_clamped += int((clipped != svals).sum())
-        return np.exp(clipped)
+            counters.eta_clamped += svals.size - np.count_nonzero(np.abs(svals) <= ETA_CLAMP)
+        mean = np.clip(svals, -ETA_CLAMP, ETA_CLAMP, out=out)
+        return np.exp(mean, out=mean)
     if fam is Family.ADDITIVE_POISSON:
-        mean = np.maximum(svals, RATE_FLOOR)
         if counters is not None:
-            counters.rate_floored += int((mean != svals).sum())
-        return mean
+            counters.rate_floored += svals.size - np.count_nonzero(svals >= RATE_FLOOR)
+        return np.maximum(svals, RATE_FLOOR, out=out)
     if fam is Family.BERNOULLI:
         # 1 / (1 + e^-eta), in one table
-        mean = np.negative(svals)
+        mean = np.negative(svals, out=out)
         np.exp(mean, out=mean)
         mean += 1.0
         return np.divide(1.0, mean, out=mean)
     return softmax(svals, axis=0)
 
 
-def _residual(spec, svals, x, counters):
-    """Per-cell residual d loglik / d linear value."""
+def _residual(spec, svals, x, counters, out=None):
+    """Per-cell residual d loglik / d linear value, in ``out`` when given
+    (it may be ``svals``), else in a new table; the categorical family's
+    takes a new table either way."""
     if spec.family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN):
-        return (x - svals) / spec.sigma2
-    mean = _mean(spec, svals, counters)  # a new table: the residual takes its place
+        resid = np.subtract(x, svals, out=out)
+        resid /= spec.sigma2
+        return resid
+    mean = _mean(spec, svals, counters, out)  # the residual takes its place
     if spec.family is Family.ADDITIVE_POISSON:
         np.divide(x, mean, out=mean)
         mean -= 1.0
@@ -237,7 +247,7 @@ def _log_likelihood(spec, svals, x, counters):
 BLOCK_CELLS = 1 << 17
 
 
-def _pieces(data, scored, spec, cells, zero_weight):
+def _pieces(data, scored, spec, cells, zero_weight, scratch):
     """The cells ``cells`` of ``data`` in pieces scored by the pass ``scored``
     of ``ctx.block``: per piece, (piece, x, svals, w, counts, scatter), its
     values, linear values and weights as ``_rescaled`` returns them, member
@@ -245,11 +255,12 @@ def _pieces(data, scored, spec, cells, zero_weight):
 
     A ``TermBatch`` is one piece, weighted by its weights, through
     ``at``/``scatter_at``.  Distinct column ids (every column when None) are
-    one ``ColumnBlock`` of at most ``BLOCK_CELLS`` cells per piece, through
-    ``table``/``scatter``, the unstored cells weighted by ``zero_weight``.
-    A categorical term is a whole column, the softmax over its vocabulary
-    rows, so that family is scored by columns only, and its zero cells keep
-    weight 1: they are part of their column's softmax, not terms.
+    one ``ColumnBlock`` of at most ``BLOCK_CELLS`` cells per piece, taken
+    from ``scratch``, through ``table``/``scatter``, the unstored cells
+    weighted by ``zero_weight``.  A categorical term is a whole column, the
+    softmax over its vocabulary rows, so that family is scored by columns
+    only, and its zero cells keep weight 1: they are part of their column's
+    softmax, not terms.
     """
     if isinstance(cells, TermBatch):
         if spec.family is Family.CATEGORICAL:
@@ -260,7 +271,8 @@ def _pieces(data, scored, spec, cells, zero_weight):
         return
     if spec.family is Family.CATEGORICAL:
         zero_weight = 1.0
-    for block in data.column_blocks(max(1, BLOCK_CELLS // max(data.n_rows, 1)), cells):
+    width = max(1, BLOCK_CELLS // max(data.n_rows, 1))
+    for block in data.column_blocks(width, cells, scratch):
         svals, counts = scored.table(block)
         w = None if zero_weight == 1.0 else np.where(block.stored, 1.0, zero_weight)
         yield block, block.x, *_rescaled(spec, svals, counts, w), counts, scored.scatter
@@ -270,8 +282,10 @@ def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None
     """Per piece of ``cells`` (a ``TermBatch``, or distinct column ids, every
     column when None), each cell's log-likelihood given its context times
     its weight, 0 where a mean link drops an empty context."""
-    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
-    for _, x, svals, w, _, _ in _pieces(data, scored, spec, cells, zero_weight):
+    scratch = Scratch()
+    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
+                       scratch)
+    for _, x, svals, w, _, _ in _pieces(data, scored, spec, cells, zero_weight, scratch):
         ll = _log_likelihood(spec, svals, x, counters)
         yield ll if w is None else ll * w
 
@@ -283,19 +297,22 @@ def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None)
 
 
 def weighted_term_gradient(data, ctx, bank, spec, cells, counters=None, zero_weight=1.0,
-                           weight=1.0) -> Gradients:
+                           weight=1.0, scratch=None) -> Gradients:
     """Gradient in stored coordinates of the sum of ``log_likelihoods`` of
     ``cells``, each term further weighted by ``weight``.
 
     The one gradient kernel of every estimator: the full gradient (every
     column, or the stored entries of data with missing cells), a minibatch
     (drawn cells, or the drawn columns of the categorical family) and the
-    sparse zero/nonzero split.
+    sparse zero/nonzero split.  Its tables come from ``scratch`` (a fresh
+    one when None), which a fit keeps for all its steps.
     """
+    scratch = Scratch() if scratch is None else scratch
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
-    scored = ctx.block(data, emb, cv)
-    for piece, x, svals, w, counts, scatter in _pieces(data, scored, spec, cells, zero_weight):
+    scored = ctx.block(data, emb, cv, scratch)
+    for piece, x, svals, w, counts, scatter in _pieces(data, scored, spec, cells, zero_weight,
+                                                       scratch):
         scatter(piece, _coefficients(spec, svals, x, counts, w, counters, weight))
     return _stored_gradients(bank, emb, cv, *scored.gradients())
 
@@ -317,9 +334,13 @@ def block_means(data, ctx, bank, spec, cols=None):
     (of every column when None), one ``ColumnBlock`` of columns at a time,
     in the order of ``cols``: yields (cells, means, counts), the (n_rows,
     block columns) means, 0 where a mean link drops an empty context, and
-    the member counts, broadcastable to them."""
-    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors())
-    for cells, _, svals, w, counts, _ in _pieces(data, scored, spec, cols, 1.0):
+    the member counts, broadcastable to them.  The Gaussian means are the
+    pass's linear values, so a block's tables are valid until the next
+    block is drawn."""
+    scratch = Scratch()
+    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
+                       scratch)
+    for cells, _, svals, w, counts, _ in _pieces(data, scored, spec, cols, 1.0, scratch):
         m = _mean(spec, svals, None)
         yield cells, (m if w is None else m * w), counts
 

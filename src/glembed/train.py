@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, TermBatch
+from .core import DataMatrix, EmbeddingBank, Scratch, TermBatch
 from .errors import ConfigError, NumericAbortError
 from .families import (
     ClampCounters,
@@ -280,13 +280,15 @@ def _stratified_stderr(z: np.ndarray, strata) -> float:
     return math.sqrt(var)
 
 
-def _gradient(data, ctx, bank, spec, cells, config, counters, weight=1.0) -> Gradients:
+def _gradient(data, ctx, bank, spec, cells, config, counters, weight=1.0,
+              scratch=None) -> Gradients:
     """Gradient of the weighted log-likelihood of ``cells`` (a ``TermBatch``,
     or distinct column ids, every column when None), each term further
-    weighted by ``weight``, plus the log-prior."""
+    weighted by ``weight``, plus the log-prior; the kernel's tables come
+    from ``scratch`` (a fresh one when None)."""
     validate_bank(spec, bank)
     g = weighted_term_gradient(data, ctx, bank, spec, cells, counters,
-                               _zero_weight(data, config), weight)
+                               _zero_weight(data, config), weight, scratch=scratch)
     _, reg = log_prior(bank, config.reg_weight, config.regularizer)
     g.embeddings += reg.embeddings
     if not bank.tied:
@@ -304,20 +306,23 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
     return ll + log_prior(bank, reg_weight, regularizer)[0]
 
 
-def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None) -> Gradients:
+def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None,
+                  scratch=None) -> Gradients:
     """Exact gradient of the objective."""
-    return _gradient(data, ctx, bank, spec, _every_term(data), config, counters)
+    return _gradient(data, ctx, bank, spec, _every_term(data), config, counters,
+                     scratch=scratch)
 
 
 def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
-                       draw=None, counters=None) -> Gradients:
+                       draw=None, counters=None, scratch=None) -> Gradients:
     """Unbiased subsampled gradient: I/|S| times a uniform term subsample,
     or the term ids in ``draw``.  A categorical term is a whole column."""
     if spec.family is Family.CATEGORICAL:
         cols = _draw(data.n_cols, config.minibatch_size, rng, draw)
-        return _gradient(data, ctx, bank, spec, cols, config, counters, data.n_cols / len(cols))
+        return _gradient(data, ctx, bank, spec, cols, config, counters, data.n_cols / len(cols),
+                         scratch)
     return _gradient(data, ctx, bank, spec, _drawn_terms(data, config, rng, draw),
-                     config, counters)
+                     config, counters, scratch=scratch)
 
 
 def sparse_fault(implicit_zero: bool, family: Family) -> str | None:
@@ -337,7 +342,7 @@ def _check_sparse(data, spec) -> None:
 
 
 def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
-                    zero_draw=None, counters=None, batch=None) -> Gradients:
+                    zero_draw=None, counters=None, batch=None, scratch=None) -> Gradients:
     """Zero/nonzero split gradient for implicit-zero data: the nonzero terms
     plus zero cells drawn per nonzero term, or the (row, col) pairs in
     ``zero_draw``, in one batch.  ``batch`` may supply that batch as
@@ -345,7 +350,7 @@ def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
     _check_sparse(data, spec)
     if batch is None:
         batch = _sampled_terms(data, config, rng, zero_draw)
-    return _gradient(data, ctx, bank, spec, batch, config, counters)
+    return _gradient(data, ctx, bank, spec, batch, config, counters, scratch=scratch)
 
 
 def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
@@ -397,7 +402,9 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     the step before.  The builds consume the training stream in the order
     of a serial loop, so the bank and log are the same bytes; the cost is
     the memory of one more batch.  The full and minibatch estimators start
-    no thread.
+    no thread.  The steps' kernel tables come from one ``Scratch`` kept
+    for the call, so from the second step on a step takes no fresh table
+    of their size.
     """
     config.validate()
     validate_data(spec, data)
@@ -427,17 +434,19 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
             on_log(it, bank, state)
 
     record(0)
+    scratch = Scratch()
     sparse = config.estimator == "sparse"
     with ThreadPoolExecutor(1) if sparse else nullcontext() as pool:
         batches = _sampled_batches(pool, data, config, rng) if sparse else None
         for it in range(1, config.n_iterations + 1):
             if config.estimator == "full":
-                g = full_gradient(data, ctx, bank, spec, config, counters)
+                g = full_gradient(data, ctx, bank, spec, config, counters, scratch)
             elif config.estimator == "minibatch":
-                g = minibatch_gradient(data, ctx, bank, spec, config, rng, counters=counters)
+                g = minibatch_gradient(data, ctx, bank, spec, config, rng, counters=counters,
+                                       scratch=scratch)
             else:
                 g = sparse_gradient(data, ctx, bank, spec, config, None, counters=counters,
-                                    batch=next(batches))
+                                    batch=next(batches), scratch=scratch)
             adagrad_step(g, state, bank, config)
             _check_finite(bank, it)
             if it % config.log_every == 0 or it == config.n_iterations:

@@ -8,8 +8,8 @@ membership rule one cell at a time; the scalar loops (``ExplicitContext``,
 those members entry by entry and never call the context passes they
 check.  ``add_at_rows``, ``add_at_cell_products``, ``add_at_scatter`` and
 ``add_at_term_gradient`` are the scatters as ``np.add.at`` calls into
-zeroed tables, the oracle of the library's incidence and coefficient-matrix
-products;
+zeroed tables, the oracle of the library's incidence, coefficient-matrix
+and CSR products;
 ``prefix_gather_window_table`` and ``dense_zero_cells`` are the window
 table and the zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
@@ -197,7 +197,8 @@ class ExplicitContext:
         return cls({(r, c): members(ctx, data, r, c)
                     for r in range(data.n_rows) for c in range(data.n_cols)})
 
-    def block(self, data, emb, cv):
+    def block(self, data, emb, cv, scratch=None):
+        """A ``MemberPass``; like the kNN pass it takes nothing from ``scratch``."""
         return MemberPass(self, data, emb, cv)
 
 

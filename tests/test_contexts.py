@@ -12,7 +12,8 @@ from glembed.contexts import (
     build_window_context,
     knn_neighbors,
 )
-from glembed.core import DataMatrix, EmbeddingBank, Link, cell_products
+from glembed import contexts
+from glembed.core import DataMatrix, EmbeddingBank, Link, Scratch, cell_products, scatter_rows
 from glembed.errors import ConfigError, DataError
 from glembed.families import Family, FamilySpec, weighted_term_gradient
 
@@ -179,10 +180,41 @@ def test_window_table_equals_prefix_gather_byte_for_byte(length, w):
     table = rng.choice([-1.0, 1.0], (length, 3)) * 10.0 ** rng.uniform(-8, 8, (length, 3))
     table[rng.random(table.shape) < 0.1] = -0.0
     counts = rng.integers(0, 5, length).astype(np.float64)[:, None]
+    scratch = Scratch()
     for t in (table, counts, table[:, 0]):
-        got, want = ctx._window_table(t), prefix_gather_window_table(w, t)
+        # a scratch whose reused prefix and output tables hold NaN from the call before
+        ctx._window_table(np.full_like(t, np.nan), scratch, "out")
+        got, want = ctx._window_table(t, scratch, "out"), prefix_gather_window_table(w, t)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("implicit", [False, True])
+def test_csr_products_equal_scatter_rows_byte_for_byte(implicit):
+    # the data's CSR operators hold each row's (column's) entries in entry
+    # order, so on entries in no particular order their products add the
+    # products of scatter_rows over the entries, in its order; values and
+    # tables span 16 decades, so a sum in another order would differ
+    rng = np.random.default_rng(67 + implicit)
+    n, t, dim = 40, 70, 5
+    keys = rng.permutation(n * t)[:1200]
+    vals = rng.choice([-1.0, 1.0], len(keys)) * 10.0 ** rng.uniform(-8, 8, len(keys))
+    data = DataMatrix(n, t, keys // t, keys % t, vals, implicit_zero=implicit)
+    assert (np.diff(data.rows) < 0).any() and (np.diff(data.cols) < 0).any()
+    cv = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-8, 8, (n, dim))
+    R = rng.normal(size=(t, dim)) * 10.0 ** rng.uniform(-8, 8, (t, dim))
+    for got, want in ((contexts._column_tables(data, cv),
+                       scatter_rows(data.cols, cv[data.rows], t, data.vals)),
+                      (contexts._spread(data, R),
+                       scatter_rows(data.rows, R[data.cols], n, data.vals))):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(contexts._column_counts(data),
+                                  np.bincount(data.cols, minlength=t))
+    # an empty matrix has zero sums and counts
+    empty = DataMatrix(n, t, [], [], [], implicit_zero=implicit)
+    assert not contexts._column_tables(empty, cv).any() and not contexts._spread(empty, R).any()
+    assert not contexts._column_counts(empty).any()
 
 
 @pytest.mark.parametrize("builder", ["knn", "basket", "window"])

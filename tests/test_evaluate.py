@@ -402,8 +402,8 @@ def test_sparse_held_out_data_score_only_listed_columns(monkeypatch, builder, li
     scored_cols = []
     column_blocks = DataMatrix.column_blocks
 
-    def recorded(self, width, cols=None):
-        for cells in column_blocks(self, width, cols):
+    def recorded(self, width, cols, scratch):
+        for cells in column_blocks(self, width, cols, scratch):
             scored_cols.extend(np.arange(self.n_cols)[cells.cols].tolist())
             yield cells
     monkeypatch.setattr(DataMatrix, "column_blocks", recorded)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from glembed import contexts
-from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
+from glembed.core import DataMatrix, EmbeddingBank, Link, Scratch, TermBatch
 from glembed.contexts import (
     SpatialLayout,
     WindowContext,
@@ -39,6 +39,7 @@ from glembed.train import (
     OptimizerState,
     TrainConfig,
     _draw_zero_cells,
+    _drawn_terms,
     _log_sample,
     _sampled_terms,
     adagrad_step,
@@ -664,8 +665,10 @@ def test_zero_cells_of_empty_queries_empty_data_and_the_tail():
 
 
 def _reference_kernels(monkeypatch):
-    """Swap in the ``np.add.at`` scatters, the dense zero-cell lookup and the
-    prefix-gather window table; returns their call counts."""
+    """Swap in the ``np.add.at`` scatters for the incidence, coefficient-matrix
+    and CSR products (the column counts as a ``bincount``), the dense
+    zero-cell lookup and the prefix-gather window table, which ignores the
+    scratch; returns their call counts."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -677,34 +680,47 @@ def _reference_kernels(monkeypatch):
         monkeypatch.setattr(f"glembed.{module}.scatter_rows", counted("scatter", add_at_rows))
     monkeypatch.setattr("glembed.contexts.cell_products",
                         counted("products", add_at_cell_products))
+    monkeypatch.setattr("glembed.contexts._column_tables", counted("csr", lambda data, cv: (
+        add_at_rows(data.cols, cv[data.rows], data.n_cols, data.vals))))
+    monkeypatch.setattr("glembed.contexts._spread", counted("csr", lambda data, R: (
+        add_at_rows(data.rows, R[data.cols], data.n_rows, data.vals))))
+    monkeypatch.setattr("glembed.contexts._column_counts", counted("counts", lambda data: (
+        np.bincount(data.cols, minlength=data.n_cols))))
     monkeypatch.setattr(DataMatrix, "zero_cells", counted("zero_cells", dense_zero_cells))
     monkeypatch.setattr(WindowContext, "_window_table", counted(
-        "window", lambda ctx, table: prefix_gather_window_table(ctx.half_width, table)))
+        "window", lambda ctx, table, scratch, name: prefix_gather_window_table(ctx.half_width,
+                                                                               table)))
     return calls
 
 
 @pytest.mark.parametrize("case", ["sparse-window", "sparse-basket", "minibatch-knn",
                                   "full-window"])
 def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
-    # the incidence and coefficient-matrix scatters, the merge-count zero
-    # lookup and the sliced window table give every bank byte of their
-    # plain references
+    # the incidence, coefficient-matrix and CSR scatters, the merge-count
+    # zero lookup and the sliced window table, with the tables a fit reuses
+    # from its scratch, give every bank byte of their plain references
     estimator, builder = case.split("-")
-    if builder == "window":
-        data, ctx, _ = text_instance(44, vocab=30, length=400)
-        spec = FamilySpec(Family.BERNOULLI)
-    elif builder == "basket":
-        data, ctx, _ = count_instance(45, n=20, t=60, density=0.3)
-        spec = FamilySpec(Family.POISSON)
-    else:
+
+    def instance():
+        # built afresh for each fit, so that no operator or count the data
+        # keep from the first fit serves the reference fit
+        if builder == "window":
+            data, ctx, _ = text_instance(44, vocab=30, length=400)
+            return data, ctx, FamilySpec(Family.BERNOULLI)
+        if builder == "basket":
+            data, ctx, _ = count_instance(45, n=20, t=60, density=0.3)
+            return data, ctx, FamilySpec(Family.POISSON)
         data, ctx, _ = gaussian_instance(46, n=20, t=40, knn=3)
-        spec = FamilySpec(Family.GAUSSIAN)
+        return data, ctx, FamilySpec(Family.GAUSSIAN)
     cfg = TrainConfig(dim=4, estimator=estimator, minibatch_size=100, negative_samples=3,
                       n_iterations=6, log_every=3, reg_weight=0.1, step_size=0.2, seed=7)
-    got, got_log = train(data, ctx, spec, cfg)
+    got, got_log = train(*instance(), cfg)
     calls = _reference_kernels(monkeypatch)
+    data, ctx, spec = instance()
     want, want_log = train(data, ctx, spec, cfg)
-    assert calls["scatter"] > 0
+    # scatter_rows serves the kNN pass and the basket's own-term correction
+    assert (calls["scatter"] > 0) == (builder != "window")
+    assert (calls["csr"] > 0) == (calls["counts"] > 0) == (builder != "knn")
     # the sparse steps draw zero cells, and so does the logged subsample of
     # the full-window instance (30 x 400 cells, above 2 * LOG_TERMS)
     assert (calls["zero_cells"] > 0) == data.implicit_zero
@@ -819,6 +835,58 @@ def test_sparse_window_step_holds_less_than_one_gathered_table():
         tracemalloc.stop()
     assert np.isfinite(g.embeddings).all() and np.isfinite(g.context_vectors).all()
     assert peak < len(batch) * dim * 8, peak
+
+
+def test_sparse_window_steps_map_no_fresh_tables():
+    # from the second fit in a process on, a sparse step takes its tables
+    # from the fit's scratch and the data's CSR operators and window counts:
+    # this thread takes well under 100 minor page faults per step, where
+    # fresh tables cost about 4,400 at this shape
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("no per-thread resource usage on this platform")
+    rng = np.random.default_rng(66)
+    vocab, length = 400, 25_000
+    data = DataMatrix(vocab, length, rng.integers(0, vocab, length), np.arange(length),
+                      np.ones(length), implicit_zero=True)
+    ctx = build_window_context(length, WindowSpec(2), data)
+    spec = FamilySpec(Family.BERNOULLI)
+    cfg = TrainConfig(dim=8, estimator="sparse", negative_samples=10, reg_weight=0.1,
+                      n_iterations=10, log_every=10)
+    train(data, ctx, spec, cfg)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    train(data, ctx, spec, cfg)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults / cfg.n_iterations < 100, faults
+
+
+@pytest.mark.parametrize("builder", ["window", "basket", "knn"])
+def test_gradients_through_one_scratch_equal_fresh_scratch_gradients(builder, monkeypatch):
+    # the kernel calls of a fit share one scratch: drawn cells and every
+    # column, under two banks, give the bytes of calls that each take a
+    # fresh scratch, and no returned gradient is overwritten by a later call
+    if builder == "window":
+        data, ctx, bank = text_instance(68, vocab=30, length=400)
+        spec = FamilySpec(Family.BERNOULLI)
+    elif builder == "basket":
+        data, ctx, bank = count_instance(69, n=20, t=60, density=0.3)
+        spec = FamilySpec(Family.POISSON)
+    else:
+        data, ctx, bank = gaussian_instance(70, n=20, t=40, knn=3)
+        spec = FamilySpec(Family.GAUSSIAN)
+    monkeypatch.setattr("glembed.families.BLOCK_CELLS", 4 * data.n_rows)  # blocks of 4 columns
+    cfg = TrainConfig(minibatch_size=150, negative_samples=3)
+    rng = np.random.default_rng(71)
+    batches = [_sampled_terms(data, cfg, rng) if data.implicit_zero
+               else _drawn_terms(data, cfg, rng) for _ in range(2)]
+    banks = [bank, EmbeddingBank(bank.embeddings[::-1] * 1.5, bank.context_vectors[::-1])]
+    calls = [(b, c) for b in banks for c in (*batches, None)]
+    scratch = Scratch()
+    got = [weighted_term_gradient(data, ctx, b, spec, c, scratch=scratch) for b, c in calls]
+    want = [weighted_term_gradient(data, ctx, b, spec, c) for b, c in calls]
+    for g, w in zip(got, want):
+        for table, ref in ((g.embeddings, w.embeddings), (g.context_vectors, w.context_vectors)):
+            np.testing.assert_array_equal(table.view(np.int64), ref.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
