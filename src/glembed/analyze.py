@@ -68,7 +68,8 @@ def top_similar(bank: EmbeddingBank, query: SimilarityQuery) -> list[tuple[int, 
 
 def interaction_pairs(bank: EmbeddingBank, direction: str = "highest",
                       count: int = 10) -> list[PairScore]:
-    """Extreme embedding-context inner products over ordered pairs a != b."""
+    """Extreme embedding-context inner products over ordered pairs a != b, ties
+    broken by (a, b): one stable sort of the flat score table, less its diagonal."""
     if direction not in ("highest", "lowest"):
         raise ConfigError("direction must be 'highest' or 'lowest'")
     if count < 0:
@@ -77,11 +78,9 @@ def interaction_pairs(bank: EmbeddingBank, direction: str = "highest",
     cv = bank.effective_context_vectors()
     n = emb.shape[0]
     scores = emb @ cv.T
-    a_idx, b_idx = np.nonzero(~np.eye(n, dtype=bool))
-    flat = scores[a_idx, b_idx]
-    key = -flat if direction == "highest" else flat
-    order = np.lexsort((b_idx, a_idx, key))[: min(count, len(flat))]
-    return [PairScore(int(a_idx[i]), int(b_idx[i]), float(flat[i])) for i in order]
+    order = np.argsort(-scores if direction == "highest" else scores, axis=None, kind="stable")
+    a, b = np.divmod(order[order % (n + 1) != 0][:count], n)
+    return [PairScore(int(i), int(j), float(scores[i, j])) for i, j in zip(a, b)]
 
 
 def dimension_ranking(bank: EmbeddingBank, dim: int, top: int,

@@ -31,8 +31,9 @@ from .dataio import (
     check_output_path,
     ingest,
     load_model,
-    load_run_config,
+    parse_run_config,
     read_locations,
+    read_text,
     store_model,
     write_locations,
     write_triplets,
@@ -180,7 +181,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = parse_run_config(read_text(args.config, ConfigError))
     run_train(cfg, args.data, args.locations, args.out, args.log)
     print(f"model written to {args.out}")
     return 0

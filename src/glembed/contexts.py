@@ -321,21 +321,16 @@ class _ColumnTablePass:
 def knn_neighbors(positions: np.ndarray, k: int) -> np.ndarray:
     """k nearest entities per entity by Euclidean distance.
 
-    All-pairs computation; distance ties broken by lower entity id so the
-    result is deterministic.
+    All-pairs computation, one stable sort per row with the entity's own entry
+    set to sort first; distance ties broken by lower entity id.
     """
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
     if not 1 <= k < n:
         raise ConfigError(f"neighbor count k={k} must satisfy 1 <= k < N={n}")
     d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    ids = np.arange(n)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        order = np.lexsort((ids, d2[i]))
-        order = order[order != i]
-        neighbors[i] = order[:k]
-    return neighbors
+    np.fill_diagonal(d2, -1.0)
+    return np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1].astype(np.int64)
 
 
 def build_knn_context(layout: SpatialLayout, data: DataMatrix) -> KnnContext:

@@ -21,7 +21,14 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's Generator of ``seed``; a negative seed is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}", "seed")
+    return np.random.default_rng(seed)
 
 
 def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
@@ -418,7 +425,7 @@ class EmbeddingBank:
     ) -> "EmbeddingBank":
         # i.i.d. uniform in [-scale/sqrt(dim), +scale/sqrt(dim)]; small symmetric
         # init keeps exp() in multiplicative models well away from overflow.
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         half = scale / np.sqrt(dim)
         emb = rng.uniform(-half, half, size=(n_rows, dim))
         cv = emb if tied else rng.uniform(-half, half, size=(n_rows, dim))
@@ -442,10 +449,6 @@ class EmbeddingBank:
     def effective_context_vectors(self) -> np.ndarray:
         return np.exp(self.context_vectors) if self.log_space else self.context_vectors
 
-    def copy(self) -> "EmbeddingBank":
-        emb = self.embeddings.copy()
-        cv = emb if self.tied else self.context_vectors.copy()
-        return EmbeddingBank(emb, cv, log_space=self.log_space)
 
 
 class Link(Enum):

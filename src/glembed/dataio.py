@@ -14,6 +14,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -445,6 +446,43 @@ def _one_line(text: str) -> bool:
     return text.splitlines() in ([], [text])
 
 
+def _read_fields(cls, lines: Iterable[tuple[int, str]], fault: Callable, build=None,
+                 spaced: bool = False):
+    """``build(**values)`` (``cls`` by default) of the fields of the dataclass
+    ``cls`` that the (line number, ``key=value`` text) pairs ``lines`` set,
+    each value parsed by its field's type; ``spaced`` strips keys and values.
+    A line not key=value, an unknown, repeated or unparsable key, or a
+    ConfigError of ``build`` keyed by fields that lines set raises ``fault(the
+    line's number, ConfigError)``, at the last such line for several keys."""
+    parsers = {f.name: _parser_of(f) for f in fields(cls)}
+    values, line_of = {}, {}
+    for ln, line in lines:
+        try:
+            if "=" not in line:
+                raise ConfigError(f"expected key=value, got {line!r}")
+            key, val = map(str.strip, line.split("=", 1)) if spaced else line.split("=", 1)
+            if key not in parsers or key in values:
+                raise ConfigError(f"{'duplicate' if key in values else 'unknown'} key {key!r}")
+            values[key], line_of[key] = parsers[key](val), ln
+        except (KeyError, ValueError):
+            raise fault(ln, ConfigError(f"bad value for {key}: {val!r}")) from None
+        except ConfigError as exc:
+            raise fault(ln, exc) from None
+    try:
+        return (build or cls)(**values)
+    except ConfigError as exc:
+        at = [line_of[k] for k in (exc.key if isinstance(exc.key, tuple) else (exc.key,))
+              if k in line_of]
+        raise fault(max(at), exc) if at else exc from None
+
+
+def _renamed(exc: ConfigError, names: dict) -> ConfigError:
+    """``exc`` keyed, and its message led, by ``names[exc.key]`` if any."""
+    key, msg = names.get(exc.key, exc.key), str(exc)
+    led = key != exc.key and msg.startswith(exc.key)
+    return ConfigError(key + msg[len(exc.key):] if led else msg, key)
+
+
 @dataclass
 class ModelMeta:
     """A model file's header.  ``check`` holds its rules; store_model runs it
@@ -463,11 +501,18 @@ class ModelMeta:
     context_param: int = 0
     config_digest: str = ""
 
+    def _run_config(self) -> RunConfig:
+        """The RunConfig whose settings this header records, as ``model_meta``
+        writes them; a fault is keyed by the field of the setting at fault."""
+        try:  # the context takes the parameter of its own setting, if any
+            return RunConfig(family=self.family, link=self.link, sigma2=self.sigma2, k=self.dim,
+                             seed=self.seed, context=self.context,
+                             knn_k=self.context_param, window_w=self.context_param)
+        except ConfigError as exc:
+            raise _renamed(exc, _FIELD_OF) from None
+
     def family_spec(self) -> FamilySpec:
-        if self.family not in FAMILY_DEFAULTS:
-            raise ConfigError(f"unknown family {self.family!r}", "family")
-        return FamilySpec(Family(self.family), self.link, sigma2=self.sigma2,
-                          vocab_size=self.vocab_size)
+        return self._run_config().family_spec(self.vocab_size)
 
     def header(self) -> dict[str, str]:
         """The header text of each field, as store_model writes it."""
@@ -476,10 +521,10 @@ class ModelMeta:
 
     def check(self, bank: EmbeddingBank | None = None) -> None:
         """Raise a ConfigError keyed by the field at fault: a value its header
-        text does not read back as, a family, link or sigma2 its FamilySpec
-        rejects, an unknown sharing or context, a context_param below 1 for a
-        knn or window context or a dim below 1; given ``bank``, also a dim,
-        n_entities, sharing or log_space that does not describe it."""
+        text does not read back as; a family, link, sigma2, dim, seed, context,
+        context_param or vocab_size of no header ``RunConfig.model_meta``
+        writes; an unknown sharing; given ``bank``, also a dim, n_entities,
+        sharing or log_space that does not describe it."""
         for f, text in zip(fields(self), self.header().values()):
             try:
                 same = _parser_of(f)(text) == getattr(self, f.name) and _one_line(text)
@@ -488,14 +533,14 @@ class ModelMeta:
             if not same:
                 raise ConfigError(f"{f.name}={getattr(self, f.name)!r} does not read back "
                                   f"from its header text", f.name)
-        # FamilySpec takes an empty link for the family's default
-        faults = [("link", self.family_spec().link.value != self.link, "is not a link name"),
+        cfg = self._run_config()
+        cfg.family_spec(self.vocab_size)
+        # RunConfig takes an empty link for the family's default
+        faults = [("link", cfg.link != self.link, "is not a link name"),
+                  ("context_param", cfg.context_param != self.context_param,
+                   f"is not {cfg.context_param} for a {self.context} context"),
                   ("sharing", self.sharing not in ("per_row", "global", "tied"),
-                   "is not per_row, global or tied"),
-                  ("context", self.context not in _CONTEXTS, "is not knn, basket or window"),
-                  ("context_param", self.context != "basket" and self.context_param < 1,
-                   f"is below 1 for a {self.context} context"),
-                  ("dim", self.dim < 1, "is below 1")]
+                   "is not per_row, global or tied")]
         if bank is not None:
             faults += [("dim", self.dim != bank.dim, f"does not match a bank of dim {bank.dim}"),
                        ("n_entities", self.n_entities != bank.n_rows,
@@ -529,50 +574,33 @@ def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
         raise DataError(f"{path}: {exc}") from None
     lines = [MODEL_MAGIC, *(f"{k}={v}" for k, v in meta.header().items()), "#entities"]
     for i, key in enumerate(labels):
-        nums = [f"{v:.17g}" for v in bank.embeddings[i]]
-        nums += [f"{v:.17g}" for v in bank.context_vectors[i]]
+        nums = [f"{v:.17g}" for v in (*bank.embeddings[i], *bank.context_vectors[i])]
         lines.append(key + "\t" + "\t".join(nums))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str):
-    """Read a model file back into (bank, meta, row_labels).  Each header
-    value is parsed by its field's type; ``ModelMeta.check`` runs on the
-    header before the entity lines are read and against the bank after, and
-    its fault names the header line of its field."""
+    """Read a model file back into (bank, meta, row_labels).  The header lines
+    are read as written; ``ModelMeta.check`` runs on the header before the
+    entity lines are read and against the bank after: a fault names its line."""
     lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a glembed model file")
-    kv = {}
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line == "#entities":
-            body_at = i + 1
-            break
-        if "=" not in line:
-            raise DataError(f"{path}:{i + 1}: bad header line {line!r}")
-        k, v = line.split("=", 1)
-        kv[k] = (v, i + 1)
-    if body_at is None:
-        raise DataError(f"{path}: missing #entities section")
-    meta_args = {}
-    for f in fields(ModelMeta):
-        if f.name not in kv:
-            raise DataError(f"{path}: header missing {f.name}")
-        v, ln = kv[f.name]
-        try:
-            meta_args[f.name] = _parser_of(f)(v)
-        except (KeyError, ValueError):
-            raise DataError(f"{path}:{ln}: bad value for {f.name}: {v!r}") from None
-    meta = ModelMeta(**meta_args)
-    try:
+    end = lines.index("#entities") if "#entities" in lines else len(lines)
+
+    def read(**values):
+        if end == len(lines):
+            raise DataError(f"{path}: missing #entities section")
+        missing = [f.name for f in fields(ModelMeta) if f.name not in values]
+        if missing:
+            raise DataError(f"{path}: header missing {missing[0]}")
+        meta = ModelMeta(**values)
         meta.check()
-        bank, labels = _read_entities(path, lines, body_at, meta)
+        bank, labels = _read_entities(path, lines, end + 1, meta)
         meta.check(bank)
-    except ConfigError as exc:
-        v, ln = kv[exc.key]
-        raise DataError(f"{path}:{ln}: bad value for {exc.key}: {v!r} ({exc})") from None
-    return bank, meta, labels
+        return bank, meta, labels
+    return _read_fields(ModelMeta, enumerate(lines[1:end], start=2), build=read,
+                        fault=lambda ln, exc: DataError(f"{path}:{ln}: bad header line: {exc}"))
 
 
 def _read_entities(path: str, lines: list[str], body_at: int, meta: ModelMeta):
@@ -629,10 +657,11 @@ FAMILY_DEFAULTS = {family: dict(zip(_DEFAULTED, row)) for family, row in {
 }.items()}
 DEFAULT_STEP_GRID = (0.01, 0.05, 0.1, 0.5)
 # TrainConfig, SplitSpec and WindowSpec fields set by a RunConfig key of another
-# name (any other is set by the key of its name, if any): a ConfigError keyed
-# by a field is about the key that sets it
+# name (any other by the key of its name, if any), which their faults are about
 _KEY_OF = {"dim": "k", "n_iterations": "iterations", "downweight": "gamma",
            "step_size": "step_size_grid", "variant": "split", "half_width": "window_w"}
+# the ModelMeta field that records each RunConfig setting of another name
+_FIELD_OF = {"k": "dim", "knn_k": "context_param", "window_w": "context_param"}
 
 
 @dataclass
@@ -642,7 +671,7 @@ class RunConfig:
     the ``SplitSpec`` (unless ``split`` is none), the ``WindowSpec`` of a
     window context and the ``TrainConfig`` of every grid step."""
 
-    family: str
+    family: str | None = None
     k: int = 10
     context: str = ""
     knn_k: int = 10
@@ -670,6 +699,8 @@ class RunConfig:
     min_col_count: int = 0
 
     def __post_init__(self):
+        if self.family is None:
+            raise ConfigError("config must set family")
         if self.family not in FAMILY_DEFAULTS:
             raise ConfigError(f"unknown family {self.family!r}", "family")
         if self.implicit_zero not in (None, 0, 1):
@@ -685,10 +716,7 @@ class RunConfig:
             self.link = self.family_spec().link.value
             self._check()
         except ConfigError as exc:  # keyed by a field of what it builds: name the setting
-            key, msg = _KEY_OF.get(exc.key, exc.key), str(exc)
-            if key != exc.key and msg.startswith(exc.key):
-                msg = key + msg[len(exc.key):]
-            raise ConfigError(msg, key) from None
+            raise _renamed(exc, _KEY_OF) from None
 
     def _check(self) -> None:
         if self.context not in _CONTEXTS:
@@ -759,39 +787,10 @@ class RunConfig:
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse key=value lines; '#' starts a comment.  Unknown keys fail."""
-    parsers = {f.name: _parser_of(f) for f in fields(RunConfig)}
-    kv: dict[str, object] = {}
-    line_of: dict[str, int] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {ln}: expected key=value, got {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key == "lambda":  # accepted alias for the regularization weight
-            key = "reg_weight"
-        if key not in parsers:
-            raise ConfigError(f"config line {ln}: unknown key {key!r}")
-        if key in kv:
-            raise ConfigError(f"config line {ln}: duplicate key {key!r}")
-        line_of[key] = ln
-        try:
-            kv[key] = parsers[key](val)
-        except (KeyError, ValueError):
-            raise ConfigError(f"config line {ln}: bad value for {key}: {val!r}") from None
-    if "family" not in kv:
-        raise ConfigError("config must set family")
-    try:
-        return RunConfig(**kv)  # type: ignore[arg-type]
-    except ConfigError as exc:  # name the last line of the keys at fault
-        keys = exc.key if isinstance(exc.key, tuple) else (exc.key,)
-        lines = [line_of[key] for key in keys if key in line_of]
-        if not lines:
-            raise
-        raise ConfigError(f"config line {max(lines)}: {exc}", exc.key) from None
-
-
-def load_run_config(path: str) -> RunConfig:
-    return parse_run_config(read_text(path, ConfigError))
+    """Parse key=value lines: '#' starts a comment, keys and values are
+    stripped, and ``lambda`` names ``reg_weight``.  Unknown keys fail."""
+    lines = [(ln, re.sub(r"^\s*lambda\s*=", "reg_weight=", line))
+             for ln, raw in enumerate(text.splitlines(), start=1)
+             for line in [raw.split("#", 1)[0]] if line.strip()]
+    return _read_fields(RunConfig, lines, spaced=True,
+                        fault=lambda ln, exc: ConfigError(f"config line {ln}: {exc}", exc.key))

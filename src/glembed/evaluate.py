@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, scatter_rows
+from .core import DataMatrix, EmbeddingBank, scatter_rows, seeded_rng
 from .errors import ConfigError
 from .families import Family, FamilySpec, block_means, validate_bank
 
@@ -45,6 +45,8 @@ class SplitSpec:
         held = fracs if self.variant == "columns" else fracs[1:]  # ratings: holdout only
         if sum(getattr(self, name) for name in held) > 1 + 1e-9:
             raise ConfigError(f"{self.variant} split fractions must sum to <= 1", held)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
 
 
 @dataclass
@@ -201,7 +203,7 @@ def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     if test_data.implicit_zero:
         raise ConfigError("leave-fraction-out needs explicit test data: a removed "
                           "implicit-zero entry would read as a zero member")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     fold_of = np.empty(test_data.n_rows, dtype=np.int64)
     fold_of[rng.permutation(test_data.n_rows)] = np.arange(test_data.n_rows) % folds
     entry_fold = fold_of[test_data.rows]

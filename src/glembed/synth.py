@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank
+from .core import DataMatrix, EmbeddingBank, seeded_rng
 from .contexts import SpatialLayout, knn_neighbors
 from .errors import ConfigError
 
@@ -34,7 +34,7 @@ def gen_gaussian_knn(n_entities=30, n_cols=500, dim=2, noise_sd=0.1, k=5,
     ``coupling`` sets the spectral radius of M, which controls how much
     signal variance the feedback amplifies above the noise floor.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     positions = rng.uniform(0.0, 1.0, size=(n_entities, 3))
     nb = knn_neighbors(positions, k)
     emb = rng.uniform(0.5, 1.5, size=(n_entities, dim)) / np.sqrt(dim)
@@ -75,7 +75,7 @@ def gen_poisson_baskets(n_items=50, n_baskets=2000, n_clusters=5, dim=8,
     """
     if dim < n_clusters:
         raise ConfigError("basket generator needs dim >= n_clusters")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cluster_of = rng.integers(0, n_clusters, size=n_items)
     scale = np.sqrt(strength)
     emb = noise * rng.normal(size=(n_items, dim))
@@ -123,7 +123,7 @@ def gen_cluster_corpus(vocab_size=20, n_clusters=2, length=2000, seed=0):
     different clusters only meet at the block boundaries (one boundary per
     block pair), so fitted embeddings should separate the clusters.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     per = vocab_size // n_clusters
     cluster_of = np.repeat(np.arange(n_clusters), per)
     if len(cluster_of) < vocab_size:

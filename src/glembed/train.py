@@ -93,7 +93,7 @@ class TrainConfig:
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}", name)
         for name, least in (("reg_weight", 0), ("minibatch_size", 0), ("n_iterations", 0),
-                            ("dim", 1), ("log_every", 1)):
+                            ("dim", 1), ("log_every", 1), ("seed", 0)):
             if (getattr(self, name) or 0) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}", name)
         if not 0.0 < self.downweight <= 1.0:

@@ -20,6 +20,9 @@ their active terms, one (columns, vocabulary) softmax table per batch: the
 oracle of the column-block softmax.  ``serial_sparse_train`` is the sparse
 estimator's training loop with every zero-cell draw taken on the calling
 thread just before its step, the oracle of the one-step-ahead draw.
+``lexsort_knn_neighbors`` and ``lexsort_interaction_pairs`` rank the
+neighbours of one entity at a time and the off-diagonal pairs by a
+three-key lexsort, the oracles of the one-sort kNN and pair rankings.
 ``dense_values`` is a matrix as one dense array (NaN at missing cells), and
 ``conditional_means``, ``term_squared_errors``, ``term_leave_one_out`` and
 ``term_leave_fraction_out`` score held-out cells as one ``TermBatch``
@@ -214,6 +217,30 @@ def add_at_rows(idx, v, n, scale=None):
     out = np.zeros((n,) + v.shape[1:])
     np.add.at(out, idx.ravel(), contrib)
     return out
+
+
+def lexsort_knn_neighbors(positions, k):
+    """``contexts.knn_neighbors`` one entity at a time: a lexsort of its row
+    of squared distances by (distance, id), less the entity itself."""
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    ids = np.arange(n)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        order = np.lexsort((ids, d2[i]))
+        neighbors[i] = order[order != i][:k]
+    return neighbors
+
+
+def lexsort_interaction_pairs(bank, direction, count):
+    """``analyze.interaction_pairs`` as (a, b, score) triples: a lexsort of the
+    off-diagonal scores by (score, a, b), highest or lowest first."""
+    scores = bank.effective_embeddings() @ bank.effective_context_vectors().T
+    a_idx, b_idx = np.nonzero(~np.eye(len(scores), dtype=bool))
+    flat = scores[a_idx, b_idx]
+    order = np.lexsort((b_idx, a_idx, -flat if direction == "highest" else flat))[:count]
+    return [(int(a_idx[i]), int(b_idx[i]), float(flat[i])) for i in order]
 
 
 def prefix_gather_window_table(half_width, table):

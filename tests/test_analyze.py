@@ -13,6 +13,8 @@ from glembed.contexts import SpatialLayout
 from glembed.core import EmbeddingBank
 from glembed.errors import ConfigError, DomainError
 
+from helpers import lexsort_interaction_pairs
+
 
 def _bank(emb, cv=None, log_space=False):
     emb = np.asarray(emb, dtype=float)
@@ -91,6 +93,19 @@ def test_interaction_pairs_against_brute_force_oracle():
         want = brute_force_pairs(emb, cv, direction, 25)
         assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
         np.testing.assert_allclose([s for *_, s in got], [s for *_, s in want])
+
+
+@pytest.mark.parametrize("direction", ["highest", "lowest"])
+@pytest.mark.parametrize("count", [0, 5, 37, 40 * 39])
+def test_interaction_pairs_match_the_lexsort_exactly(direction, count):
+    # rows of zeros tie many scores at 0, which the (a, b) order breaks
+    rng = np.random.default_rng(3)
+    emb, cv = rng.normal(size=(40, 4)), rng.normal(size=(40, 4))
+    emb[[3, 17, 18]] = 0.0
+    cv[[5, 17]] = 0.0
+    bank = _bank(emb, cv)
+    got = [(p.a, p.b, p.score) for p in interaction_pairs(bank, direction, count)]
+    assert got == lexsort_interaction_pairs(bank, direction, count)
 
 
 def test_interaction_pairs_extremes_are_disjoint():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,14 @@ from glembed import cli
 from glembed.cli import main
 from glembed.contexts import SpatialLayout, knn_neighbors
 from glembed.core import EmbeddingBank
-from glembed.dataio import ModelMeta, ingest, load_model, read_locations, store_model
+from glembed.dataio import (
+    ModelMeta,
+    ingest,
+    load_model,
+    parse_run_config,
+    read_locations,
+    store_model,
+)
 from glembed.errors import DataError
 from glembed.evaluate import leave_one_out_mse
 
@@ -296,8 +304,10 @@ def test_unusable_config_value_is_config_error(toy_run, tmp_path, capsys, line):
     assert repr(line.split(" = ")[1]) in capsys.readouterr().err
 
 
-# a field of a model header, its value in the stored model and a value of
-# it that store_model refuses and load_model rejects
+# a field of a model header, its value in the stored model, a value of it
+# that store_model refuses and load_model rejects, and the stored header's
+# fields that differ from those of the Gaussian kNN model below, if any
+_CATEGORICAL = dict(family="categorical", context="window")
 _BAD_HEADERS = {"header": ("dim", 2, "ten"), "link": ("link", "identity", "idnetity"),
                 # an unknown value must not decide tiedness
                 "sharing": ("sharing", "per_row", "Tied"),
@@ -311,29 +321,44 @@ _BAD_HEADERS = {"header": ("dim", 2, "ten"), "link": ("link", "identity", "idnet
                 "sigma2": ("sigma2", 1.0, 0),
                 # the bank has 12 rows of 2 dimensions
                 "dim_of_the_bank": ("dim", 2, 3),
-                "n_entities_of_the_bank": ("n_entities", 12, 13)}
+                "n_entities_of_the_bank": ("n_entities", 12, 13),
+                # glembed train refuses these settings, so it writes no such header
+                "categorical_knn": ("context", "window", "knn", _CATEGORICAL),
+                "categorical_basket": ("context", "window", "basket", _CATEGORICAL),
+                "basket_context_param": ("context_param", 0, 5,
+                                         dict(context="basket", context_param=0)),
+                "negative_seed": ("seed", 0, -1)}
+# a line added to the header, which no ModelMeta writes, that load_model rejects
+_ADDED_HEADER_LINES = {"unknown_key": "colour=blue", "repeated_key": "seed=7"}
 
 
-@pytest.mark.parametrize("part", [*_BAD_HEADERS, "body"])
+@pytest.mark.parametrize("part", [*_BAD_HEADERS, *_ADDED_HEADER_LINES, "body"])
 def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, capsys, part):
     bank = EmbeddingBank.init_random(12, 2, seed=0)
     meta = ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn",
                      context_param=2)
+    if part in _BAD_HEADERS:
+        key, value, bad_value, *changes = _BAD_HEADERS[part]
+        meta = replace(meta, **(changes[0] if changes else {}))
     good = tmp_path / "good.model"
     store_model(str(good), bank, meta)
     lines = good.read_text().splitlines()
     if part in _BAD_HEADERS:
-        key, value, bad_value = _BAD_HEADERS[part]
         with pytest.raises(DataError, match=key):
             store_model(str(tmp_path / "refused.model"), bank, replace(meta, **{key: bad_value}))
         assert list(tmp_path.iterdir()) == [good]  # no target and no temp file
         at = lines.index(f"{key}={value}")
         lines[at] = f"{key}={bad_value}"
+    elif part in _ADDED_HEADER_LINES:
+        at = lines.index("#entities")
+        lines.insert(at, _ADDED_HEADER_LINES[part])
     else:
         at = lines.index("#entities") + 2
         lines[at] = lines[at].replace("\t", "\tabc\t", 1).rsplit("\t", 1)[0]
     bad = tmp_path / "bad.model"
     bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{bad}:{at + 1}: bad ")):
+        load_model(str(bad))
     capsys.readouterr()
     rc = main(["evaluate", "--model", str(bad), "--test", toy_run["data"],
                "--protocol", "loo-mse", "--locations", toy_run["locations"]])
@@ -418,6 +443,8 @@ _PARSE_TIME_FAULTS = {
     "negative_test_frac": ("family = gaussian\ntest_frac = -0.1\n", 2),
     "fractions_over_one": ("family = gaussian\ntrain_frac = 0.9\nvalid_frac = 0.2\n", 3),
     "negative_min_row_count": ("family = gaussian\nmin_row_count = -3\n", 2),
+    "k_zero": ("family = gaussian\nk = 0\n", 2),
+    "negative_seed": ("family = gaussian\nseed = -1\n", 2),
 }
 _INPUT_FAULTS = {
     "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
@@ -459,6 +486,16 @@ _INPUT_FAULTS = {
                                       "--min-col-count", "-1"], 2, "min_col_count"),
     "split-negative-test-frac": (["split", "--data", "{missing}", "--out-prefix", "{out}",
                                   "--test-frac", "-1"], 2, "test_frac"),
+    # a seed below 0 is a setting fault, not numpy's error at the first draw
+    "split-negative-seed": (["split", "--data", "{missing}", "--out-prefix", "{out}",
+                             "--seed", "-1"], 2, "seed must be >= 0"),
+    "evaluate-negative-fold-seed": (_EVALUATE[:6] + ["l25-mse"] + _EVALUATE[7:]
+                                    + ["--fold-seed", "-1"], 2, "seed must be >= 0"),
+    # (two clusters: the basket generator needs dim >= clusters, and dim is 2)
+    **{f"gen-synthetic-{kind}-negative-seed": (["gen-synthetic", "--kind", kind, "--clusters", "2",
+                                                "--seed", "-1", "--out-prefix", "{out}"], 2,
+                                               "seed must be >= 0")
+       for kind in ("gaussian-knn", "poisson-baskets", "text-clusters")},
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -537,3 +574,43 @@ def test_input_fault_is_one_error_line_and_its_exit_code(fault_paths, capsys, ca
     if named is not None:
         assert named.format(**fault_paths) in lines[0]
     assert "model written" not in captured.out
+
+
+# the model header field that records each config key of a header setting
+_HEADER_FIELD = {"sigma2": "sigma2", "link": "link", "knn_k": "context_param",
+                 "window_w": "context_param", "k": "dim", "seed": "seed"}
+_HEADER_SETTING_FAULTS = sorted(
+    name for name, (text, line) in _PARSE_TIME_FAULTS.items()
+    if text.splitlines()[line - 1].split(" = ")[0] in _HEADER_FIELD)
+
+
+def test_every_header_setting_has_a_parse_time_fault():
+    keys = {_PARSE_TIME_FAULTS[name][0].splitlines()[_PARSE_TIME_FAULTS[name][1] - 1]
+            .split(" = ")[0] for name in _HEADER_SETTING_FAULTS}
+    assert keys == set(_HEADER_FIELD)
+
+
+@pytest.mark.parametrize("name", _HEADER_SETTING_FAULTS)
+def test_a_config_fault_of_a_header_setting_is_a_header_fault(tmp_path, name):
+    # the header of the config without the faulty line, with the faulty value
+    # in the field that records it: store_model refuses it and load_model
+    # names its line
+    text, line = _PARSE_TIME_FAULTS[name]
+    lines = text.splitlines()
+    key, value = lines[line - 1].split(" = ")
+    cfg = parse_run_config("\n".join(lines[:line - 1] + lines[line:]))
+    bank = EmbeddingBank.init_random(3, cfg.k, seed=0)
+    meta = cfg.model_meta(bank)
+    field = _HEADER_FIELD[key]
+    with pytest.raises(DataError, match=field):
+        store_model(str(tmp_path / "refused.model"), bank,
+                    replace(meta, **{field: type(getattr(meta, field))(value)}))
+    good = tmp_path / "good.model"
+    store_model(str(good), bank, meta)
+    header = good.read_text().splitlines()
+    at = header.index(f"{field}={meta.header()[field]}")
+    header[at] = f"{field}={value}"
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(header) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{bad}:{at + 1}: bad header line: ")):
+        load_model(str(bad))

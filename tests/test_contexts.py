@@ -27,6 +27,7 @@ from helpers import (
     dense_matrix,
     dense_values,
     gaussian_instance,
+    lexsort_knn_neighbors,
     prefix_gather_window_table,
     text_instance,
 )
@@ -83,6 +84,25 @@ def test_knn_matches_brute_force_oracle():
     rng = np.random.default_rng(1)
     pos = rng.uniform(size=(100, 3))
     np.testing.assert_array_equal(knn_neighbors(pos, 10), brute_force_knn(pos, 10))
+
+
+# positions and a neighbour count: random ones, a lattice full of distance
+# ties, and each random position held by three entities
+_KNN_LAYOUTS = {
+    "random_300": lambda rng: (rng.uniform(size=(300, 3)), 10),
+    "random_2000": lambda rng: (rng.uniform(size=(2000, 3)), 10),
+    "lattice_12": lambda rng: (np.stack(np.meshgrid(*[np.arange(12.0)] * 3), -1).reshape(-1, 3),
+                               30),
+    "repeated": lambda rng: (np.repeat(rng.uniform(size=(100, 3)), 3, axis=0), 10),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_KNN_LAYOUTS))
+def test_knn_matches_the_per_entity_lexsort_exactly(layout):
+    pos, k = _KNN_LAYOUTS[layout](np.random.default_rng(11))
+    nb = knn_neighbors(pos, k)
+    assert nb.dtype == np.int64 and nb.flags.owndata
+    np.testing.assert_array_equal(nb, lexsort_knn_neighbors(pos, k))
 
 
 def test_knn_tie_break_prefers_lower_id():
