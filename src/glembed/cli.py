@@ -240,25 +240,32 @@ def cmd_export_graph(args) -> int:
     return 0
 
 
+def _given(args, *names) -> dict:
+    """The options ``names`` given on the command line, by name; the generator
+    keeps its own default for the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_gen_synthetic(args) -> int:
     if args.kind == "gaussian-knn":
         data, truth = gen_gaussian_knn(
-            n_entities=args.entities, n_cols=args.columns, dim=args.dim,
-            noise_sd=args.noise_sd, k=args.knn_k, seed=args.seed)
+            n_entities=args.entities, n_cols=args.columns, noise_sd=args.noise_sd,
+            k=args.knn_k, seed=args.seed, **_given(args, "dim"))
         write_triplets(f"{args.out_prefix}.data.tsv", data)
         write_locations(f"{args.out_prefix}.locations.tsv", truth.layout.positions)
         print(f"gaussian-knn: {data.n_rows} entities x {data.n_cols} columns, "
               f"noise sd {truth.noise_sd}")
     elif args.kind == "poisson-baskets":
         data, truth = gen_poisson_baskets(
-            n_items=args.entities, n_baskets=args.columns, dim=args.dim,
-            n_clusters=args.clusters, thin=args.thin, seed=args.seed)
+            n_items=args.entities, n_baskets=args.columns, thin=args.thin, seed=args.seed,
+            **_given(args, "dim", "n_clusters"))
         write_triplets(f"{args.out_prefix}.data.tsv", data)
         print(f"poisson-baskets: {data.n_rows} items x {data.n_cols} baskets, "
               f"{data.nnz} purchases")
     else:
         data, truth = gen_cluster_corpus(
-            vocab_size=args.entities, length=args.columns, seed=args.seed)
+            vocab_size=args.entities, length=args.columns, seed=args.seed,
+            **_given(args, "n_clusters"))
         write_triplets(f"{args.out_prefix}.data.tsv", data)
         print(f"text-clusters: vocab {data.n_rows}, {data.n_cols} positions")
     return 0
@@ -336,10 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("gaussian-knn", "poisson-baskets", "text-clusters"))
     gs.add_argument("--entities", type=int, default=30)
     gs.add_argument("--columns", type=int, default=500)
-    gs.add_argument("--dim", type=int, default=2)
+    gs.add_argument("--dim", type=int, help="default: 2 for gaussian-knn, 8 for poisson-baskets")
     gs.add_argument("--noise-sd", type=float, default=0.1, dest="noise_sd")
     gs.add_argument("--knn-k", type=int, default=5, dest="knn_k")
-    gs.add_argument("--clusters", type=int, default=5)
+    gs.add_argument("--clusters", type=int, dest="n_clusters",
+                    help="default: 5 for poisson-baskets, 2 for text-clusters")
     gs.add_argument("--thin", type=float, default=0.0)
     gs.add_argument("--seed", type=int, default=0)
     gs.add_argument("--out-prefix", required=True, dest="out_prefix")

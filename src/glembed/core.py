@@ -331,11 +331,11 @@ class DataMatrix:
 
 @dataclass
 class TermBatch:
-    """Data terms, each with the weight of its log-likelihood: the cell list
-    of the term kernels and of a context pass's ``at``/``scatter_at``.
+    """Data terms, each with the weight of its sample: the cell list of the
+    term kernels and of a context pass's ``at``/``scatter_at``.
 
     Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
-    for an implicit zero.  ``weights`` None means every weight is 1.
+    for an implicit zero.  ``weights`` are sampling weights, None for ones.
     ``row_starts``, when not None, says that the terms are in row-major cell
     order, those of row n at row_starts[n]:row_starts[n + 1].  The
     categorical family's terms are whole columns, scored by ``ColumnBlock``s
@@ -372,13 +372,6 @@ class TermBatch:
                           None if self.weights is None else self.weights[order],
                           np.searchsorted(rows, np.arange(n_rows + 1)))
         return batch, order
-
-    def downweight_zeros(self, zero_weight: float) -> "TermBatch":
-        """Multiply the weights of the zero (unstored) terms by ``zero_weight``."""
-        if zero_weight != 1.0:
-            w = 1.0 if self.weights is None else self.weights
-            self.weights = np.where(self.stored, w, zero_weight * w)
-        return self
 
 
 @dataclass

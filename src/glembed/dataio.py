@@ -516,15 +516,15 @@ class ModelMeta:
 
     def header(self) -> dict[str, str]:
         """The header text of each field, as store_model writes it."""
-        return {f.name: f"{int(v) if f.type == 'bool' else v}"
+        return {f.name: f"{int(v) if f.type == 'bool' and v in (0, 1) else v}"
                 for f in fields(self) for v in [getattr(self, f.name)]}
 
     def check(self, bank: EmbeddingBank | None = None) -> None:
         """Raise a ConfigError keyed by the field at fault: a value its header
         text does not read back as; a family, link, sigma2, dim, seed, context,
-        context_param or vocab_size of no header ``RunConfig.model_meta``
-        writes; an unknown sharing; given ``bank``, also a dim, n_entities,
-        sharing or log_space that does not describe it."""
+        context_param, vocab_size or log_space of no header that
+        ``RunConfig.model_meta`` writes; an unknown sharing; given ``bank``,
+        also a dim, n_entities, sharing or log_space that does not describe it."""
         for f, text in zip(fields(self), self.header().values()):
             try:
                 same = _parser_of(f)(text) == getattr(self, f.name) and _one_line(text)
@@ -534,13 +534,15 @@ class ModelMeta:
                 raise ConfigError(f"{f.name}={getattr(self, f.name)!r} does not read back "
                                   f"from its header text", f.name)
         cfg = self._run_config()
-        cfg.family_spec(self.vocab_size)
+        log_space = cfg.family_spec(self.vocab_size).needs_log_space
         # RunConfig takes an empty link for the family's default
         faults = [("link", cfg.link != self.link, "is not a link name"),
                   ("context_param", cfg.context_param != self.context_param,
                    f"is not {cfg.context_param} for a {self.context} context"),
                   ("sharing", self.sharing not in ("per_row", "global", "tied"),
-                   "is not per_row, global or tied")]
+                   "is not per_row, global or tied"),
+                  ("log_space", self.log_space != log_space,
+                   f"is not {log_space} for the {self.family} family")]
         if bank is not None:
             faults += [("dim", self.dim != bank.dim, f"does not match a bank of dim {bank.dim}"),
                        ("n_entities", self.n_entities != bank.n_rows,
@@ -580,9 +582,9 @@ def store_model(path: str, bank: EmbeddingBank, meta: ModelMeta,
 
 
 def load_model(path: str):
-    """Read a model file back into (bank, meta, row_labels).  The header lines
-    are read as written; ``ModelMeta.check`` runs on the header before the
-    entity lines are read and against the bank after: a fault names its line."""
+    """Read a model file back into (bank, meta, row_labels).  A header line not
+    as store_model writes it, or a ``ModelMeta.check`` fault of the header (or
+    then of the bank it describes), names its line."""
     lines = read_text(path).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a glembed model file")
@@ -595,6 +597,10 @@ def load_model(path: str):
         if missing:
             raise DataError(f"{path}: header missing {missing[0]}")
         meta = ModelMeta(**values)
+        written = meta.header()
+        for key, text in (line.partition("=")[::2] for line in lines[1:end]):
+            if text != written[key]:
+                raise ConfigError(f"{key} is written {written[key]!r}, not {text!r}", key)
         meta.check()
         bank, labels = _read_entities(path, lines, end + 1, meta)
         meta.check(bank)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DataMatrix, EmbeddingBank, scatter_rows, seeded_rng
 from .errors import ConfigError
-from .families import Family, FamilySpec, block_means, validate_bank
+from .families import Family, FamilySpec, block_means
 
 MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 
@@ -161,7 +161,6 @@ def _cell_means(data, ctx, bank, spec, rows, cols):
     of the means of its column, read from ``block_means`` over the listed
     columns only, a column block at a time: O(rows x block columns + cells)
     memory and O(rows x listed columns) time."""
-    validate_bank(spec, bank)
     order = np.argsort(cols, kind="stable")  # the cells column by column
     sorted_cols = cols[order]
     means, colsums = np.empty(len(rows)), np.empty(len(rows))

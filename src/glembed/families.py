@@ -97,8 +97,10 @@ class FamilySpec:
 
 
 def validate_bank(spec: FamilySpec, bank: EmbeddingBank) -> None:
-    if spec.needs_log_space and not bank.log_space:
-        raise ConfigError(f"{spec.family.value} requires a log-space parameter bank")
+    """Raise a ConfigError unless ``bank`` stores logs just when ``spec`` needs them."""
+    if bank.log_space != spec.needs_log_space:
+        raise ConfigError(f"{spec.family.value} requires a {'non-' if bank.log_space else ''}"
+                          "log-space parameter bank")
 
 
 def validate_data(spec: FamilySpec, data: DataMatrix) -> None:
@@ -253,21 +255,22 @@ def _pieces(data, scored, spec, cells, zero_weight, scratch):
     values, linear values and weights as ``_rescaled`` returns them, member
     counts, and the pass's scatter for it.
 
-    A ``TermBatch`` is one piece, weighted by its weights, through
+    A ``TermBatch`` is one piece, weighted by its sampling weights, through
     ``at``/``scatter_at``.  Distinct column ids (every column when None) are
     one ``ColumnBlock`` of at most ``BLOCK_CELLS`` cells per piece, taken
-    from ``scratch``, through ``table``/``scatter``, the unstored cells
-    weighted by ``zero_weight``.  A categorical term is a whole column, the
-    softmax over its vocabulary rows, so that family is scored by columns
-    only, and its zero cells keep weight 1: they are part of their column's
-    softmax, not terms.
+    from ``scratch``, through ``table``/``scatter``.  The unstored cells of
+    either are further weighted by ``zero_weight`` (gamma).  A categorical
+    term is a whole column, the softmax over its vocabulary rows, so that
+    family is scored by columns only, and its zero cells keep weight 1: they
+    are part of their column's softmax, not terms.
     """
     if isinstance(cells, TermBatch):
         if spec.family is Family.CATEGORICAL:
             raise ConfigError("categorical terms are scored per column block")
+        w = 1.0 if cells.weights is None else cells.weights
+        w = cells.weights if zero_weight == 1.0 else np.where(cells.stored, w, zero_weight * w)
         svals, counts = scored.at(cells)
-        yield (cells, cells.vals, *_rescaled(spec, svals, counts, cells.weights), counts,
-               scored.scatter_at)
+        yield cells, cells.vals, *_rescaled(spec, svals, counts, w), counts, scored.scatter_at
         return
     if spec.family is Family.CATEGORICAL:
         zero_weight = 1.0
@@ -282,6 +285,7 @@ def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None
     """Per piece of ``cells`` (a ``TermBatch``, or distinct column ids, every
     column when None), each cell's log-likelihood given its context times
     its weight, 0 where a mean link drops an empty context."""
+    validate_bank(spec, bank)
     scratch = Scratch()
     scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
                        scratch)
@@ -290,10 +294,11 @@ def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None
         yield ll if w is None else ll * w
 
 
-def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None):
+def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None,
+                         zero_weight=1.0):
     """Each cell of ``batch``'s weighted log-likelihood, its one piece of
     ``log_likelihoods``."""
-    return next(log_likelihoods(data, ctx, bank, spec, batch, counters=counters))
+    return next(log_likelihoods(data, ctx, bank, spec, batch, zero_weight, counters))
 
 
 def weighted_term_gradient(data, ctx, bank, spec, cells, counters=None, zero_weight=1.0,
@@ -307,6 +312,7 @@ def weighted_term_gradient(data, ctx, bank, spec, cells, counters=None, zero_wei
     sparse zero/nonzero split.  Its tables come from ``scratch`` (a fresh
     one when None), which a fit keeps for all its steps.
     """
+    validate_bank(spec, bank)
     scratch = Scratch() if scratch is None else scratch
     emb = bank.effective_embeddings()
     cv = bank.effective_context_vectors()
@@ -337,6 +343,7 @@ def block_means(data, ctx, bank, spec, cols=None):
     the member counts, broadcastable to them.  The Gaussian means are the
     pass's linear values, so a block's tables are valid until the next
     block is drawn."""
+    validate_bank(spec, bank)
     scratch = Scratch()
     scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
                        scratch)

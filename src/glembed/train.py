@@ -153,19 +153,17 @@ def _draw(total: int, size: int, rng, draw=None) -> np.ndarray:
     return np.asarray(draw, dtype=np.int64)
 
 
-def _drawn_terms(data, config: TrainConfig, rng, draw=None) -> TermBatch:
-    """``minibatch_size`` distinct terms drawn uniformly (or the term ids in
-    ``draw``), each weighted by #terms / #drawn.  A term id is a row-major
-    cell of implicit-zero data, or a stored entry."""
-    draw = _draw(data.n_terms, config.minibatch_size, rng, draw)
+def _drawn_terms(data, size: int, rng, draw=None) -> TermBatch:
+    """``size`` distinct terms drawn uniformly (or the term ids in ``draw``),
+    each weighted by #terms / #drawn.  A term id is a row-major cell of
+    implicit-zero data, or a stored entry."""
+    draw = _draw(data.n_terms, size, rng, draw)
     weights = np.full(len(draw), data.n_terms / len(draw))
     if data.implicit_zero:
         rows, cols = np.divmod(draw, data.n_cols)
-        batch = TermBatch(rows, cols, *data.lookup(rows, cols), weights)
-    else:
-        batch = TermBatch(data.rows[draw], data.cols[draw], data.vals[draw],
-                          np.ones(len(draw), dtype=bool), weights)
-    return batch.downweight_zeros(_zero_weight(data, config))
+        return TermBatch(rows, cols, *data.lookup(rows, cols), weights)
+    return TermBatch(data.rows[draw], data.cols[draw], data.vals[draw],
+                     np.ones(len(draw), dtype=bool), weights)
 
 
 def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
@@ -220,8 +218,8 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
     row-major cell order.
 
     The zeros are weighted by #zeros/#sampled (by 1 under negative
-    sampling), and then by the zero weight.  ``zero_draw`` may supply them
-    as an (S, 2) array of (row, col).
+    sampling).  ``zero_draw`` may supply them as an (S, 2) array of
+    (row, col).
     """
     n_zero = data.n_rows * data.n_cols - data.nnz
     if zero_draw is None:
@@ -231,52 +229,40 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
         n_sampled = len(zr)
     unbiased = config.zero_estimator != "negative_sampling"
     w = n_zero / max(n_sampled, 1) if unbiased else 1.0
-    return data.with_unstored(zr, zc, w).downweight_zeros(_zero_weight(data, config))
+    return data.with_unstored(zr, zc, w)
 
 
-@dataclass
-class LogSample:
-    """The fixed term subsample that every log point scores: ``batch``,
-    weighted by N/n within each stratum, and ``strata``, the (n, N) of its
-    consecutive strata (n terms drawn of N)."""
-
-    batch: TermBatch
-    strata: list[tuple[int, int]]
-
-
-def _log_sample(data, spec, config: TrainConfig, rng) -> LogSample | None:
-    """A stratified subsample of at most LOG_TERMS terms per stratum: the
-    stored entries of explicit data, or the nonzero terms and the zero
-    cells of implicit-zero data.  None when the objective is logged exactly:
-    for the categorical family and for data of at most 2 * LOG_TERMS terms."""
+def _log_sample(data, spec, rng) -> TermBatch | None:
+    """The fixed term subsample every log point scores, at most LOG_TERMS
+    terms per stratum weighted by its N/n: the stored entries of explicit
+    data, or the nonzero terms and the zero cells of implicit-zero data.
+    None when the objective is logged exactly: for the categorical family
+    and for data of at most 2 * LOG_TERMS terms."""
     if spec.family is Family.CATEGORICAL or data.n_terms <= 2 * LOG_TERMS:
         return None
     if not data.implicit_zero:
-        draw = rng.choice(data.nnz, LOG_TERMS, replace=False)
-        return LogSample(_drawn_terms(data, config, rng, draw), [(LOG_TERMS, data.nnz)])
+        return _drawn_terms(data, LOG_TERMS, rng)
     n_zero = data.n_rows * data.n_cols - data.nnz
     nz = np.arange(data.nnz) if data.nnz <= LOG_TERMS \
         else rng.choice(data.nnz, LOG_TERMS, replace=False)
     zr, zc = data.zero_cells(rng.choice(n_zero, min(LOG_TERMS, n_zero), replace=False))
     m1, m0 = len(nz), len(zr)
-    batch = TermBatch(np.concatenate([data.rows[nz], zr]), np.concatenate([data.cols[nz], zc]),
-                      np.concatenate([data.vals[nz], np.zeros(m0)]), np.arange(m1 + m0) < m1,
-                      np.concatenate([np.full(m1, data.nnz / max(m1, 1)),
-                                      np.full(m0, n_zero / max(m0, 1))]))
-    return LogSample(batch.downweight_zeros(_zero_weight(data, config)),
-                     [(m1, data.nnz), (m0, n_zero)])
+    return TermBatch(np.concatenate([data.rows[nz], zr]), np.concatenate([data.cols[nz], zc]),
+                     np.concatenate([data.vals[nz], np.zeros(m0)]), np.arange(m1 + m0) < m1,
+                     np.concatenate([np.full(m1, data.nnz / max(m1, 1)),
+                                     np.full(m0, n_zero / max(m0, 1))]))
 
 
-def _stratified_stderr(z: np.ndarray, strata) -> float:
+def _stratified_stderr(z: np.ndarray, data, stored: np.ndarray) -> float:
     """Standard error of the sum of the weighted terms ``z`` as an estimate
-    of the total: per stratum, (1 - n/N) * n * var(z) with the
-    finite-population correction, which is N^2 (1 - n/N) var(y) / n of the
-    unweighted terms y = z * n/N."""
-    var, at = 0.0, 0
-    for n, total in strata:
+    of the total, per stratum (n terms drawn of the N stored entries, or of
+    the N unstored cells): (1 - n/N) * n * var(z) with the finite-population
+    correction, N^2 (1 - n/N) var(y) / n of the unweighted terms y = z n/N."""
+    var = 0.0
+    for mask, total in ((stored, data.nnz), (~stored, data.n_rows * data.n_cols - data.nnz)):
+        n = int(np.count_nonzero(mask))
         if 1 < n < total:
-            var += (1 - n / total) * n * float(z[at:at + n].var(ddof=1))
-        at += n
+            var += (1 - n / total) * n * float(z[mask].var(ddof=1))
     return math.sqrt(var)
 
 
@@ -286,7 +272,6 @@ def _gradient(data, ctx, bank, spec, cells, config, counters, weight=1.0,
     or distinct column ids, every column when None), each term further
     weighted by ``weight``, plus the log-prior; the kernel's tables come
     from ``scratch`` (a fresh one when None)."""
-    validate_bank(spec, bank)
     g = weighted_term_gradient(data, ctx, bank, spec, cells, counters,
                                _zero_weight(data, config), weight, scratch=scratch)
     _, reg = log_prior(bank, config.reg_weight, config.regularizer)
@@ -300,7 +285,6 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
               zero_weight=1.0, counters=None) -> float:
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
-    validate_bank(spec, bank)
     ll = sum(float(z.sum()) for z in log_likelihoods(data, ctx, bank, spec, _every_term(data),
                                                      zero_weight, counters))
     return ll + log_prior(bank, reg_weight, regularizer)[0]
@@ -321,7 +305,7 @@ def minibatch_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
         cols = _draw(data.n_cols, config.minibatch_size, rng, draw)
         return _gradient(data, ctx, bank, spec, cols, config, counters, data.n_cols / len(cols),
                          scratch)
-    return _gradient(data, ctx, bank, spec, _drawn_terms(data, config, rng, draw),
+    return _gradient(data, ctx, bank, spec, _drawn_terms(data, config.minibatch_size, rng, draw),
                      config, counters, scratch=scratch)
 
 
@@ -366,18 +350,18 @@ def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
             eps + np.sqrt(state.accum_context))
 
 
-def estimate_objective(data, ctx, bank, spec, config: TrainConfig, sample: LogSample | None,
+def estimate_objective(data, ctx, bank, spec, config: TrainConfig, sample: TermBatch | None,
                        counters=None) -> tuple[float, float]:
     """Objective value for logging and its standard error: exact, with
     stderr 0, when ``sample`` is None, else the stratified estimate from
-    the terms of ``sample``."""
+    the terms of ``sample`` (``_log_sample``)."""
+    zero_weight = _zero_weight(data, config)
     if sample is None:
         return objective(data, ctx, bank, spec, config.reg_weight, config.regularizer,
-                         zero_weight=_zero_weight(data, config), counters=counters), 0.0
-    validate_bank(spec, bank)
-    z = term_log_likelihoods(data, ctx, bank, spec, sample.batch, counters)
+                         zero_weight, counters), 0.0
+    z = term_log_likelihoods(data, ctx, bank, spec, sample, counters, zero_weight)
     return (float(z.sum()) + log_prior(bank, config.reg_weight, config.regularizer)[0],
-            _stratified_stderr(z, sample.strata))
+            _stratified_stderr(z, data, sample.stored))
 
 
 def _check_finite(bank: EmbeddingBank, iteration: int) -> None:
@@ -423,7 +407,7 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     counters = ClampCounters()
     log: list[LogRecord] = []
     t0 = time.perf_counter()
-    sample = _log_sample(data, spec, config, log_rng)
+    sample = _log_sample(data, spec, log_rng)
 
     def record(it):
         obj, stderr = estimate_objective(data, ctx, bank, spec, config, sample, counters)

@@ -523,7 +523,7 @@ def serial_sparse_train(data, ctx, spec, config):
                     for s in np.random.SeedSequence(config.seed).spawn(2))
     state = OptimizerState.for_bank(bank)
     counters = ClampCounters()
-    sample = _log_sample(data, spec, config, log_rng)
+    sample = _log_sample(data, spec, log_rng)
     log = []
 
     def record(it):

@@ -16,9 +16,12 @@ from glembed.dataio import (
     parse_run_config,
     read_locations,
     store_model,
+    write_triplets,
 )
 from glembed.errors import DataError
-from glembed.evaluate import leave_one_out_mse
+from glembed.evaluate import leave_one_out_mse, normalized_predictive_ll
+from glembed.synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
+from glembed.train import objective
 
 CFG_GAUSSIAN = """\
 family = gaussian
@@ -240,6 +243,64 @@ def test_grid_search_builds_the_validation_context_once(toy_run, monkeypatch):
     assert (bank.embeddings.tobytes(), bank.context_vectors.tobytes()) == best[1:]
 
 
+# glembed gen-synthetic kind -> (train config without a step grid, the score
+# that validates its steps)
+_GRID_SEARCHED = {
+    "poisson-baskets": ("family = poisson\nk = 3\niterations = 20\nnegative_samples = 3\n"
+                        "seed = 3\n", normalized_predictive_ll),
+    "text-clusters": ("family = bernoulli\nk = 3\niterations = 20\nnegative_samples = 3\n"
+                      "seed = 3\nsplit = columns\nvalid_frac = 0.1\ntest_frac = 0\n", None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_SEARCHED))
+def test_grid_search_scores_each_step_and_stores_the_best(tmp_path, capsys, monkeypatch, kind):
+    # a Poisson step is scored by its validation NPLL, a Bernoulli step by
+    # its validation objective per term; one score line per step, and the
+    # stored bank is the bank of the best score
+    text, protocol = _GRID_SEARCHED[kind]
+    prefix = str(tmp_path / "d")
+    assert main(["gen-synthetic", "--kind", kind, "--entities", "20", "--columns", "250",
+                 "--seed", "2", "--out-prefix", prefix]) == 0
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(text + "step_size_grid = 0.02, 0.5\n")
+    score_of, scores = cli._validation_score, []
+
+    def checked_score(cfg, spec, bank, valid, ctx):
+        score = score_of(cfg, spec, bank, valid, ctx)
+        want = protocol(valid, ctx, bank, spec).estimate if protocol else \
+            objective(valid, ctx, bank, spec, 0.0, "none") / valid.n_terms
+        assert score == want and np.isfinite(score)
+        scores.append((score, bank.embeddings.tobytes(), bank.context_vectors.tobytes()))
+        return score
+    monkeypatch.setattr(cli, "_validation_score", checked_score)
+    model = tmp_path / "grid.model"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", f"{prefix}.data.tsv",
+                 "--out", str(model)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["step_size 0.02", "step_size 0.5"]
+    assert [float(line.rsplit(" ", 1)[1]) for line in lines] == \
+        pytest.approx([s[0] for s in scores], rel=1e-5)
+    bank, _, _ = load_model(str(model))
+    best = max(scores, key=lambda s: s[0])
+    assert scores[0][1:] != scores[1][1:]
+    assert (bank.embeddings.tobytes(), bank.context_vectors.tobytes()) == best[1:]
+
+
+def test_numeric_abort_exits_4_and_leaves_no_output(toy_run, tmp_path, capsys):
+    cfg = tmp_path / "huge_step.cfg"
+    cfg.write_text(CFG_GAUSSIAN.replace("step_size_grid = 0.1", "step_size_grid = 1e200"))
+    model, log = tmp_path / "m.model", tmp_path / "m.log"
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", toy_run["data"],
+               "--locations", toy_run["locations"], "--out", str(model), "--log", str(log)])
+    assert rc == 4
+    assert capsys.readouterr().err == \
+        "error: iteration 2: embeddings[0,0] became non-finite\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_missing_locations_for_knn_context(toy_run):
     rc = main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                "--out", str(toy_run["root"] / "noloc.model")])
@@ -327,7 +388,14 @@ _BAD_HEADERS = {"header": ("dim", 2, "ten"), "link": ("link", "identity", "idnet
                 "categorical_basket": ("context", "window", "basket", _CATEGORICAL),
                 "basket_context_param": ("context_param", 0, 5,
                                          dict(context="basket", context_param=0)),
-                "negative_seed": ("seed", 0, -1)}
+                "negative_seed": ("seed", 0, -1),
+                # a Gaussian bank stores the parameters themselves, not their logs
+                "gaussian_log_space": ("log_space", 0, 1),
+                # values that parse, but not as store_model writes them
+                "spaced_seed": ("seed", 0, " 0"), "spaced_sigma2": ("sigma2", 1.0, " 1.0"),
+                "spaced_dim": ("dim", 2, "2 "), "signed_seed": ("seed", 0, "+0"),
+                "underscored_seed": ("seed", 0, "0_0"), "exponent_sigma2": ("sigma2", 1.0, "1e0"),
+                "worded_log_space": ("log_space", 0, "False")}
 # a line added to the header, which no ModelMeta writes, that load_model rejects
 _ADDED_HEADER_LINES = {"unknown_key": "colour=blue", "repeated_key": "seed=7"}
 
@@ -366,6 +434,56 @@ def test_malformed_model_file_is_data_error_naming_the_line(toy_run, tmp_path, c
     assert f"{bad}:{at + 1}: bad " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, link", [("gaussian", "identity"),
+                                          ("nonneg_gaussian", "identity"),
+                                          ("additive_poisson", "log")])
+def test_a_log_space_unlike_the_family_is_refused_and_names_its_line(tmp_path, capsys,
+                                                                      family, link):
+    # either flip: store_model refuses a bank of the other space before it
+    # writes, and load_model names the flipped header line
+    needs = family != "gaussian"
+    meta = ModelMeta(family, link, log_space=needs, dim=2, n_entities=12, context="knn",
+                     context_param=2)
+    good = tmp_path / "good.model"
+    store_model(str(good), EmbeddingBank.init_random(12, 2, seed=0, log_space=needs), meta)
+    with pytest.raises(DataError, match=f"log_space={not needs} is not {needs} for the {family}"):
+        store_model(str(tmp_path / "refused.model"),
+                    EmbeddingBank.init_random(12, 2, seed=0, log_space=not needs),
+                    replace(meta, log_space=not needs))
+    assert list(tmp_path.iterdir()) == [good]
+    lines = good.read_text().splitlines()
+    at = lines.index(f"log_space={int(needs)}")
+    lines[at] = f"log_space={int(not needs)}"
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    named = f"{bad}:{at + 1}: bad header line: log_space"
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_model(str(bad))
+    capsys.readouterr()
+    assert main(["query-similar", "--model", str(bad), "--entity", "0"]) == 3
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["no_entities_line", "missing_field"])
+def test_model_file_without_its_entities_line_or_a_field_exits_3(tmp_path, capsys, fault):
+    meta = ModelMeta("gaussian", "identity", dim=2, n_entities=12, context="knn",
+                     context_param=2)
+    p = tmp_path / "m.model"
+    store_model(str(p), EmbeddingBank.init_random(12, 2, seed=0), meta)
+    lines = p.read_text().splitlines()
+    if fault == "no_entities_line":
+        lines, named = lines[:lines.index("#entities")], f"{p}: missing #entities section"
+    else:
+        lines.remove("seed=0")
+        named = f"{p}: header missing seed"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_model(str(p))
+    capsys.readouterr()
+    assert main(["query-similar", "--model", str(p), "--entity", "0"]) == 3
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 def test_query_similar_top_zero_is_empty_success(toy_run, capsys):
     model = str(toy_run["root"] / "toy.model")
     rc = main(["query-similar", "--model", model, "--entity", "0", "--top", "0"])
@@ -398,6 +516,30 @@ def test_poisson_basket_pipeline_with_npll(tmp_path, capsys):
     assert "normalized_predictive_ll" in out
     estimate = float(out.splitlines()[1].split("\t")[1])
     assert estimate <= 0.0
+
+
+# glembed gen-synthetic options -> the generator call whose data they write:
+# the dim and the cluster count default to each generator's own
+_GENERATED = {
+    "gaussian_defaults": (["--kind", "gaussian-knn"], lambda: gen_gaussian_knn(12, 40, dim=2)),
+    "poisson_defaults": (["--kind", "poisson-baskets"], lambda: gen_poisson_baskets(12, 40)),
+    "poisson_given": (["--kind", "poisson-baskets", "--dim", "3", "--clusters", "3"],
+                      lambda: gen_poisson_baskets(12, 40, n_clusters=3, dim=3)),
+    "text_defaults": (["--kind", "text-clusters"], lambda: gen_cluster_corpus(12, length=40)),
+    "text_clusters": (["--kind", "text-clusters", "--clusters", "4"],
+                      lambda: gen_cluster_corpus(12, n_clusters=4, length=40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GENERATED))
+def test_gen_synthetic_writes_its_generators_data(tmp_path, case):
+    argv, generate = _GENERATED[case]
+    prefix = str(tmp_path / "g")
+    assert main(["gen-synthetic", *argv, "--entities", "12", "--columns", "40",
+                 "--out-prefix", prefix]) == 0
+    want = tmp_path / "want.tsv"
+    write_triplets(str(want), generate()[0])
+    assert Path(f"{prefix}.data.tsv").read_bytes() == want.read_bytes()
 
 
 def test_categorical_window_pipeline(tmp_path, capsys):
@@ -599,7 +741,7 @@ def test_a_config_fault_of_a_header_setting_is_a_header_fault(tmp_path, name):
     lines = text.splitlines()
     key, value = lines[line - 1].split(" = ")
     cfg = parse_run_config("\n".join(lines[:line - 1] + lines[line:]))
-    bank = EmbeddingBank.init_random(3, cfg.k, seed=0)
+    bank = EmbeddingBank.init_random(3, cfg.k, seed=0, log_space=cfg.family_spec().needs_log_space)
     meta = cfg.model_meta(bank)
     field = _HEADER_FIELD[key]
     with pytest.raises(DataError, match=field):

@@ -5,16 +5,19 @@ import pytest
 
 from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch
 from glembed.errors import ConfigError, DataError
+from glembed.evaluate import leave_one_out_mse, normalized_predictive_ll
 from glembed.families import (
     Family,
     FamilySpec,
     _log_likelihood,
     _residual,
+    block_means,
+    log_likelihoods,
     term_log_likelihoods,
     validate_data,
     weighted_term_gradient,
 )
-from glembed.train import TrainConfig, full_gradient
+from glembed.train import TrainConfig, full_gradient, train
 
 from helpers import (
     ExplicitContext,
@@ -185,6 +188,31 @@ def test_log_space_families_require_log_space_banks():
     with pytest.raises(ConfigError):
         full_gradient(data, ctx, bank, FamilySpec(Family.NONNEG_GAUSSIAN),
                       TrainConfig(reg_weight=0.0))
+
+
+# the held-out protocol of each family that has one
+_HELD_OUT_SCORE = {Family.GAUSSIAN: leave_one_out_mse, Family.NONNEG_GAUSSIAN: leave_one_out_mse,
+                   Family.POISSON: normalized_predictive_ll,
+                   Family.ADDITIVE_POISSON: normalized_predictive_ll}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_kernel_rejects_a_bank_unlike_its_family(family):
+    # a log-space bank under a family of linear parameters would be scored
+    # with its exponentials, a linear bank under a log-space family with its
+    # logs: every kernel refuses either, and so do a fit and a held-out score
+    data, ctx, bank, spec = family_instance(family, seed=36)
+    flipped = EmbeddingBank(bank.embeddings, bank.context_vectors, log_space=not bank.log_space)
+    calls = [lambda b: next(log_likelihoods(data, ctx, b, spec, None)),
+             lambda b: weighted_term_gradient(data, ctx, b, spec, None),
+             lambda b: next(block_means(data, ctx, b, spec)),
+             lambda b: train(data, ctx, spec, TrainConfig(n_iterations=1), bank=b)]
+    if family in _HELD_OUT_SCORE:
+        calls.append(lambda b: _HELD_OUT_SCORE[family](data, ctx, b, spec))
+    for call in calls:
+        call(bank)
+        with pytest.raises(ConfigError, match="parameter bank"):
+            call(flipped)
 
 
 def test_validate_data_rejects_bad_support():

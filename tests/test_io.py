@@ -1,6 +1,7 @@
 import errno
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from glembed import dataio
+from glembed.cli import main
 from glembed.core import DataMatrix, EmbeddingBank
 from glembed.dataio import (
     ModelMeta,
@@ -657,6 +659,52 @@ def test_locations_missing_entity(tmp_path):
     p = _write(tmp_path, "loc3.tsv", "entity\tx\ty\tz\nq\t1\t2\t3\n")
     with pytest.raises(DataError, match="no location"):
         read_locations(p, ["q", "r"])
+
+
+# locations fault -> (file text, the message naming its line or, for an
+# empty file, the file)
+LOCATION_FAULTS = {
+    "empty": ("", ": empty file"),
+    "two_fields": ("entity\tx\ty\tz\n0\t1\t2\t3\n1\t1\n", ":3: expected entity_id"),
+    "five_fields": ("entity\tx\ty\tz\n0\t1\t2\t3\t4\n", ":2: expected entity_id"),
+    "duplicate_id": ("entity\tx\ty\n0\t1\t2\n1\t0\t0\n0\t3\t4\n", ":4: duplicate location"),
+    "bad_coordinate": ("entity\tx\ty\n0\t1\tnorth\n", ":2: bad coordinate"),
+    "nan_coordinate": ("entity\tx\ty\n0\t1\tnan\n", ":2: non-finite coordinate"),
+    "infinite_coordinate": ("entity\tx\ty\tz\n0\t1\t2\t-inf\n", ":2: non-finite coordinate"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOCATION_FAULTS))
+def test_locations_fault_is_a_data_error_naming_its_line(tmp_path, fault):
+    text, named = LOCATION_FAULTS[fault]
+    p = _write(tmp_path, "loc.tsv", text)
+    with pytest.raises(DataError, match=re.escape(p + named)):
+        read_locations(p, ["0", "1"])
+
+
+@pytest.fixture(scope="module")
+def knn_train_input(tmp_path_factory):
+    root = tmp_path_factory.mktemp("knn")
+    prefix = str(root / "toy")
+    assert main(["gen-synthetic", "--kind", "gaussian-knn", "--entities", "12",
+                 "--columns", "40", "--seed", "4", "--out-prefix", prefix]) == 0
+    cfg = root / "toy.cfg"
+    cfg.write_text("family = gaussian\nk = 2\nknn_k = 3\niterations = 5\n"
+                   "step_size_grid = 0.1\n")
+    return root, f"{prefix}.data.tsv", str(cfg)
+
+
+@pytest.mark.parametrize("fault", sorted(LOCATION_FAULTS))
+def test_locations_fault_exits_3_from_train(knn_train_input, tmp_path, capsys, fault):
+    root, data, cfg = knn_train_input
+    text, named = LOCATION_FAULTS[fault]
+    p = _write(tmp_path, "loc.tsv", text)
+    model = tmp_path / "m.model"
+    capsys.readouterr()
+    rc = main(["train", "--config", cfg, "--data", data, "--locations", p, "--out", str(model)])
+    assert rc == 3
+    assert f"error: {p}{named}" in capsys.readouterr().err
+    assert not model.exists()
 
 
 # ---------------------------------------------------------------------------

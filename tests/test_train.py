@@ -165,7 +165,9 @@ def _every_cell_instance(builder, family, implicit, seed, n=6, t=7):
 
 def _every_cell_batch(data, zero_weight=1.0):
     rows, cols = np.indices((data.n_rows, data.n_cols)).reshape(2, -1)
-    return cells(data, rows, cols).downweight_zeros(zero_weight)
+    batch = cells(data, rows, cols)
+    batch.weights = np.where(batch.stored, 1.0, zero_weight)
+    return batch
 
 
 @pytest.mark.parametrize("mean_link", [False, True])
@@ -513,7 +515,7 @@ _ONE_PASS_CFG = TrainConfig(minibatch_size=6, negative_samples=2, reg_weight=0.5
 
 
 def _logged_objective(data, ctx, bank, spec, rng):
-    sample = _log_sample(data, spec, _ONE_PASS_CFG, rng)
+    sample = _log_sample(data, spec, rng)
     assert sample is not None
     return estimate_objective(data, ctx, bank, spec, _ONE_PASS_CFG, sample)
 
@@ -880,7 +882,7 @@ def test_gradients_through_one_scratch_equal_fresh_scratch_gradients(builder, mo
     cfg = TrainConfig(minibatch_size=150, negative_samples=3)
     rng = np.random.default_rng(71)
     batches = [_sampled_terms(data, cfg, rng) if data.implicit_zero
-               else _drawn_terms(data, cfg, rng) for _ in range(2)]
+               else _drawn_terms(data, cfg.minibatch_size, rng) for _ in range(2)]
     banks = [bank, EmbeddingBank(bank.embeddings[::-1] * 1.5, bank.context_vectors[::-1])]
     calls = [(b, c) for b in banks for c in (*batches, None)]
     scratch = Scratch()
@@ -942,9 +944,9 @@ def test_logged_stderr_matches_the_spread_of_redrawn_subsamples():
     # estimates centre on the exact objective and spread by their stderr
     data, ctx, spec, cfg = _logged_instance("poisson-basket")
     bank = EmbeddingBank.init_random(data.n_rows, 3, seed=1, scale=0.5)
-    samples = [_log_sample(data, spec, cfg, np.random.default_rng(s)) for s in range(200)]
-    assert samples[0].strata == [(LOG_TERMS, data.nnz),
-                                 (LOG_TERMS, data.n_rows * data.n_cols - data.nnz)]
+    samples = [_log_sample(data, spec, np.random.default_rng(s)) for s in range(200)]
+    assert np.count_nonzero(samples[0].stored) == np.count_nonzero(~samples[0].stored) \
+        == LOG_TERMS
     est, err = np.array([estimate_objective(data, ctx, bank, spec, cfg, s) for s in samples]).T
     spread = est.std(ddof=1)
     assert 0.8 < spread / np.sqrt((err ** 2).mean()) < 1.25
