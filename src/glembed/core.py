@@ -33,9 +33,14 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
     """Sorted row-major keys ``row * n_cols + col`` of a list of cells, the
-    stable permutation that sorts them, and the first entry, in entry order,
-    whose cell an earlier entry already holds (-1 when all are distinct)."""
-    keys = rows * n_cols + cols
+    stable permutation that sorts them (None when the cells are listed in
+    strictly increasing key order, so already sorted and distinct), and the
+    first entry, in entry order, whose cell an earlier entry already holds
+    (-1 when all are distinct)."""
+    keys = np.multiply(rows, n_cols, dtype=np.int64)
+    keys += cols
+    if np.all(keys[1:] > keys[:-1]):
+        return keys, None, -1
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # equal keys keep their entry order, so each later copy follows an equal key
@@ -135,7 +140,9 @@ class DataMatrix:
     ``n_rows * n_cols``.  When false, absent cells are missing and only the
     stored entries are data terms.  ``lookup`` searches the entries' sorted
     row-major cell keys and ``column_blocks`` hands out runs of columns: no
-    dense (n_rows, n_cols) array is built.
+    dense (n_rows, n_cols) array is built.  Entries listed in row-major
+    order are their own key-order values; any other order keeps one copy
+    of the values sorted by key.
 
     The entries are also two sparse operators, built on first use and kept:
     ``X``, the (n_rows, n_cols) CSR matrix, and ``Xt``, its transpose as a
@@ -180,7 +187,7 @@ class DataMatrix:
         self._keys, order, repeat = sorted_cell_keys(self.rows, self.cols, self.n_cols)
         if repeat >= 0:
             raise DataError(f"duplicate entry at (row={self.rows[repeat]}, col={self.cols[repeat]})")
-        self._key_vals = self.vals[order]
+        self._key_vals = self.vals if order is None else self.vals[order]
         self._memo: dict = {}
 
     @property
@@ -298,16 +305,17 @@ class DataMatrix:
     def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
         """New matrix over the given columns, reindexed 0..len(keep)-1."""
         keep = np.asarray(keep, dtype=np.int64)
-        remap = np.full(self.n_cols, -1, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        new_cols = remap[self.cols]
-        mask = new_cols >= 0
+        kept = np.zeros(self.n_cols, dtype=bool)
+        kept[keep] = True
+        mask = kept[self.cols]
+        new_ids = np.zeros(self.n_cols, dtype=np.int64)
+        new_ids[keep] = np.arange(len(keep))
         labels = None if self.col_labels is None else [self.col_labels[c] for c in keep.tolist()]
         return DataMatrix(
             self.n_rows,
             len(keep),
             self.rows[mask],
-            new_cols[mask],
+            new_ids[self.cols[mask]],
             self.vals[mask],
             implicit_zero=self.implicit_zero,
             row_labels=self.row_labels,

@@ -93,27 +93,13 @@ def read_triplets(path: str):
     full-width digits, surrounding whitespace).  Returns (row_labels,
     col_labels, rows, cols, vals).
 
-    A text longer than ``SPAN_CHARS`` is cut after a ``\n`` into spans, at
-    most one per CPU; forked children parse the later spans while this
-    process parses the first (``_span_cuts`` names when it stays in one
-    span).  The spans' ids are merged in span order, so first-seen order is
-    the file's.  A fault in a child's span, or a child that dies, re-parses
-    the whole text here, and a fault in the first span is raised as it is,
-    so every error names the line the one-span parse names.
-    The text is dropped before the entries are sorted for the duplicate
-    check.  Line numbers are only computed for an error; the file is read
-    again to number a duplicate's line.
+    The text is parsed in spans (``_parse_spans``) whose ids are merged in
+    span order, so first-seen order is the file's, and every error names
+    the line the one-span parse names.  No text is held once the spans are
+    parsed: line numbers are only computed for an error, and the file is
+    read again to number a duplicate's line.
     """
-    text = read_text(path)
-    if not text:
-        raise DataError(f"{path}: empty file")
-    # the header is the first line: it ends at or before the first '\n'
-    delim = _detect_delimiter(text[:text.find("\n") + 1 or len(text)].splitlines()[0])
-    cuts = _span_cuts(text)
-    parts = _parse_in_children(text, cuts, delim, path) if len(cuts) > 2 else None
-    if parts is None:
-        parts = [_parse_span(text, 0, len(text), delim, path)]
-    del text
+    parts = _parse_spans(path)
     if len(parts) == 1:
         row_labels, col_labels, rows, cols, vals = parts[0]
     else:
@@ -156,13 +142,23 @@ def _span_cuts(text: str) -> list[int]:
                                     for i in range(1, n)})
 
 
-def _parse_in_children(text: str, cuts: list[int], delim: str, path: str):
-    """The ``_parse_span`` parts of the spans between ``cuts``: the first
-    parsed here, each later one by a forked child that inherits ``text`` and
-    sends its part back.  None when a child's span is faulty, or a child
-    dies or cannot be forked; a fault in the first span raises its error.
-    No child outlives the call: on any exit but success the children are
-    killed, and all are joined."""
+def _parse_spans(path: str) -> list[tuple]:
+    """The ``_parse_span`` parts of the spans (``_span_cuts``) of the text
+    of ``path``: the first parsed here, each later one by a forked child
+    that inherits the text and sends its part back.  The text is dropped
+    before the parts arrive.  A fault in the first span raises its error; a
+    faulty child span, or a child that dies or cannot be forked, re-reads
+    the file and parses it here in one span.  No child outlives the call:
+    on any exit but success the children are killed, and all are joined.
+    """
+    text = read_text(path)
+    if not text:
+        raise DataError(f"{path}: empty file")
+    # the header is the first line: it ends at or before the first '\n'
+    delim = _detect_delimiter(text[:text.find("\n") + 1 or len(text)].splitlines()[0])
+    cuts = _span_cuts(text)
+    if len(cuts) == 2:
+        return [_parse_span(text, 0, len(text), delim, path)]
     fork = multiprocessing.get_context("fork")
     children = []
     parts = None
@@ -174,6 +170,7 @@ def _parse_in_children(text: str, cuts: list[int], delim: str, path: str):
             children.append((child, receive))
             send.close()
         first = _parse_span(text, cuts[0], cuts[1], delim, path)
+        del text
         received = [receive.recv() for _, receive in children]
         if None not in received:
             parts = [first, *received]
@@ -185,6 +182,9 @@ def _parse_in_children(text: str, cuts: list[int], delim: str, path: str):
                 child.kill()
             child.join()
             receive.close()
+    if parts is None:  # the one-span parse, of the file read again
+        text = read_text(path)
+        parts = [_parse_span(text, 0, len(text), delim, path)]
     return parts
 
 
@@ -386,12 +386,20 @@ def read_locations(path: str, row_labels: list[str]) -> np.ndarray:
     """Per-entity coordinates aligned with the given row order.
 
     Rows are (entity_id, x, y[, z]); missing axes are zero-filled.  Every
-    modeled entity must appear exactly once.
+    modeled entity must appear exactly once.  The first line is a header:
+    one that reads as a row is an error, not an entity skipped.
     """
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     delim = _detect_delimiter(lines[0])
+    header = [p.strip() for p in lines[0].split(delim)]
+    try:
+        headless = len(header) in (3, 4) and all(math.isfinite(float(p)) for p in header[1:])
+    except ValueError:
+        headless = False
+    if headless:
+        raise DataError(f"{path}:1: expected a header line, got a location row")
     seen: dict[str, np.ndarray] = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -215,8 +215,10 @@ def _residual(spec, svals, x, counters, out=None):
     return np.subtract(x, mean, out=mean)
 
 
-def _log_likelihood(spec, svals, x, counters):
-    """Per-cell log-likelihood at the given linear values.
+def _log_likelihood(spec, svals, x, counters, scratch=None):
+    """Per-cell log-likelihood at the given linear values, in a new table,
+    or for the Bernoulli family in tables of ``scratch`` (a fresh one when
+    None), valid until it is called again with that scratch.
 
     Log-likelihoods include base-measure constants, so they are true log
     probabilities, comparable across models.
@@ -226,14 +228,17 @@ def _log_likelihood(spec, svals, x, counters):
         return -((x - svals) ** 2) / (2.0 * spec.sigma2) \
             - 0.5 * math.log(spec.sigma2) - _HALF_LOG_2PI
     if fam is Family.BERNOULLI:
+        scratch = Scratch() if scratch is None else scratch
         # log(1 + e^eta) as np.logaddexp(0, eta) computes it, in a third of its
         # time, in one table
-        softplus = np.abs(svals)
+        softplus = np.abs(svals, out=scratch.take("softplus", svals.shape))
         np.negative(softplus, out=softplus)
         np.exp(softplus, out=softplus)
         np.log1p(softplus, out=softplus)
-        softplus += np.maximum(svals, 0.0)
-        ll = x * svals
+        # the second table holds max(eta, 0), then the log-likelihoods
+        ll = np.maximum(svals, 0.0, out=scratch.take("log-likelihood", svals.shape))
+        softplus += ll
+        np.multiply(x, svals, out=ll)
         ll -= softplus
         return ll
     if fam is Family.CATEGORICAL:
@@ -284,14 +289,17 @@ def _pieces(data, scored, spec, cells, zero_weight, scratch):
 def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None):
     """Per piece of ``cells`` (a ``TermBatch``, or distinct column ids, every
     column when None), each cell's log-likelihood given its context times
-    its weight, 0 where a mean link drops an empty context."""
+    its weight, 0 where a mean link drops an empty context; a piece's
+    table is valid until the next piece is drawn."""
     validate_bank(spec, bank)
     scratch = Scratch()
     scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
                        scratch)
     for _, x, svals, w, _, _ in _pieces(data, scored, spec, cells, zero_weight, scratch):
-        ll = _log_likelihood(spec, svals, x, counters)
-        yield ll if w is None else ll * w
+        ll = _log_likelihood(spec, svals, x, counters, scratch)
+        if w is not None:
+            ll *= w
+        yield ll
 
 
 def term_log_likelihoods(data, ctx, bank, spec, batch: TermBatch, counters=None,

@@ -23,6 +23,8 @@ thread just before its step, the oracle of the one-step-ahead draw.
 ``lexsort_knn_neighbors`` and ``lexsort_interaction_pairs`` rank the
 neighbours of one entity at a time and the off-diagonal pairs by a
 three-key lexsort, the oracles of the one-sort kNN and pair rankings.
+``fresh_table_log_likelihood`` is the per-cell log-likelihood with the
+Bernoulli tables allocated afresh, the oracle of the scratch tables.
 ``dense_values`` is a matrix as one dense array (NaN at missing cells), and
 ``conditional_means``, ``term_squared_errors``, ``term_leave_one_out`` and
 ``term_leave_fraction_out`` score held-out cells as one ``TermBatch``
@@ -53,6 +55,7 @@ from glembed.families import (
     ClampCounters,
     Family,
     FamilySpec,
+    _log_likelihood,
     _mean,
     _residual,
     _stored_gradients,
@@ -74,6 +77,21 @@ def dense_values(data):
     x = np.zeros(shape) if data.implicit_zero else np.full(shape, np.nan)
     x[data.rows, data.cols] = data.vals
     return x
+
+
+def fresh_table_log_likelihood(spec, svals, x, counters, scratch=None):
+    """``families._log_likelihood`` with each Bernoulli table a new one, the
+    same operations in the same order; other families call it as is."""
+    if spec.family is not Family.BERNOULLI:
+        return _log_likelihood(spec, svals, x, counters)
+    softplus = np.abs(svals)
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    np.log1p(softplus, out=softplus)
+    softplus += np.maximum(svals, 0.0)
+    ll = x * svals
+    ll -= softplus
+    return ll
 
 
 def zero_bank(n_rows, dim, log_space=False, tied=False):

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 import glembed
-from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows
+from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows, sorted_cell_keys
 from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
 from glembed.families import Family, FamilySpec
 
-from helpers import ExplicitContext, add_at_rows, cells, dense_matrix, linear_values_at
+from helpers import (
+    ExplicitContext,
+    add_at_rows,
+    cells,
+    dense_matrix,
+    dense_values,
+    linear_values_at,
+)
 
 
 def linear_values(data, ctx, bank, link, rows, cols):
@@ -103,6 +110,62 @@ def test_lookup_of_complete_data_and_broadcast_queries_matches_dict_oracle(impli
             want = [oracle.get(k) for k in (r * t + c).ravel().tolist()]
             np.testing.assert_array_equal(stored.ravel(), [w is not None for w in want])
             np.testing.assert_array_equal(got.ravel(), [0.0 if w is None else w for w in want])
+
+
+def test_sorted_cell_keys_of_row_major_cells_have_no_permutation():
+    keys, order, repeat = sorted_cell_keys(np.array([0, 0, 1, 2]), np.array([1, 3, 0, 2]), 4)
+    assert keys.tolist() == [1, 3, 4, 10] and order is None and repeat == -1
+    for rows, cols in (([], []), ([2], [1])):
+        keys, order, repeat = sorted_cell_keys(np.array(rows, np.int64),
+                                               np.array(cols, np.int64), 4)
+        assert keys.tolist() == [r * 4 + c for r, c in zip(rows, cols)]
+        assert order is None and repeat == -1
+    # nondecreasing is not enough: a repeated cell is sorted, not distinct
+    keys, order, repeat = sorted_cell_keys(np.array([0, 1, 1, 2]), np.array([1, 0, 0, 2]), 4)
+    assert keys.tolist() == [1, 4, 4, 10] and order.tolist() == [0, 1, 2, 3] and repeat == 2
+
+
+@pytest.mark.parametrize("case", ["explicit", "implicit_zero", "complete"])
+def test_row_major_entries_are_their_own_key_index(case):
+    # the same entries listed in row-major order and shuffled
+    rng = np.random.default_rng(13)
+    n, t = 6, 9
+    keys = np.arange(n * t) if case == "complete" else np.sort(rng.permutation(n * t)[:30])
+    vals = rng.integers(1, 5, size=len(keys)).astype(np.float64)
+    shuffle = rng.permutation(len(keys))
+    ordered, shuffled = (DataMatrix(n, t, k // t, k % t, v, implicit_zero=case == "implicit_zero")
+                         for k, v in ((keys, vals), (keys[shuffle], vals[shuffle])))
+    assert np.shares_memory(ordered._key_vals, ordered.vals)
+    assert not np.shares_memory(shuffled._key_vals, shuffled.vals)
+    for qr, qc in (np.divmod(rng.permutation(n * t), t),
+                   (rng.integers(0, n, (5, 3)), rng.integers(0, t, (5, 1)))):
+        for got, want in zip(ordered.lookup(qr, qc), shuffled.lookup(qr, qc)):
+            np.testing.assert_array_equal(got, want)
+    n_zero = n * t - ordered.nnz
+    q = rng.integers(0, max(n_zero, 1), size=40 if n_zero else 0)
+    for got, want in zip(ordered.zero_cells(q), shuffled.zero_cells(q)):
+        np.testing.assert_array_equal(got, want)
+    zr, zc = ordered.zero_cells(q)
+    a, b = ordered.with_unstored(zr, zc, 2.5), shuffled.with_unstored(zr, zc, 2.5)
+    for name in ("rows", "cols", "vals", "stored", "weights", "row_starts"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("implicit_zero", [False, True])
+def test_select_columns_keeps_the_entries_of_the_kept_columns(implicit_zero):
+    rng = np.random.default_rng(15)
+    n, t = 5, 12
+    keys = rng.permutation(n * t)[:35]
+    data = DataMatrix(n, t, keys // t, keys % t, rng.integers(1, 5, 35).astype(np.float64),
+                      implicit_zero=implicit_zero, col_labels=[f"c{j}" for j in range(t)])
+    for keep in ([7, 2, 11], [0, 1, 2, 3], [], [5]):
+        part = data.select_columns(keep)
+        assert part.n_cols == len(keep) and part.col_labels == [f"c{j}" for j in keep]
+        np.testing.assert_array_equal(dense_values(part), dense_values(data)[:, keep])
+        # the kept entries in their entry order
+        kept = np.isin(data.cols, keep)
+        np.testing.assert_array_equal(part.rows, data.rows[kept])
+        np.testing.assert_array_equal(part.vals, data.vals[kept])
 
 
 def test_scatter_rows_is_add_at_into_zeros_byte_for_byte():

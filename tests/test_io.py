@@ -1,5 +1,6 @@
 import errno
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import sys
@@ -27,6 +28,7 @@ from glembed.dataio import (
     write_triplets,
 )
 from glembed.errors import CompatibilityError, ConfigError, DataError
+from glembed.evaluate import SplitSpec, make_split
 from glembed.families import Family
 
 from helpers import (
@@ -249,6 +251,33 @@ def test_read_triplets_memory_is_within_four_times_the_file_on_spans(
     assert len(forked) == 1
 
 
+def test_row_major_ingest_and_split_hold_under_80_bytes_per_entry(tmp_path, monkeypatch):
+    # a row-major file's matrix and its column-split parts are their own key
+    # indexes; a sorted copy of each one's values and keys took about 93
+    n_rows, n_cols = 300, 1000
+    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    vals = np.random.default_rng(5).normal(size=n_rows * n_cols)
+    path = str(tmp_path / "row_major.tsv")
+    write_triplets(path, DataMatrix(n_rows, n_cols, rows, cols, vals))
+    del rows, cols, vals
+    _force_spans(monkeypatch, dataio.SPAN_CHARS, cpus=1)  # one span, all in this process
+    tracemalloc.start()
+    try:
+        data = ingest(path)
+        make_split(data, SplitSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.nnz == n_rows * n_cols
+    assert peak / data.nnz < 80
+
+
+def test_read_triplets_names_a_duplicate_line_of_a_row_major_file(tmp_path):
+    path = _write(tmp_path, "dup.tsv", "row\tcol\tvalue\na\tx\t1\na\ty\t2\n\na\ty\t3\nb\tx\t4\n")
+    assert _error_text(read_triplets, path) == f"{path}:5: duplicate entry for (a, y)"
+    assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
+
+
 # ---------------------------------------------------------------------------
 # the multi-span parse: later spans on forked children
 # ---------------------------------------------------------------------------
@@ -410,6 +439,77 @@ def test_read_triplets_leaves_no_child_behind(tmp_path, monkeypatch, forked, cas
         assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
     assert len(forked) == 2
     _assert_no_child_left(forked)
+
+
+def _reads(monkeypatch):
+    """The paths ``dataio.read_text`` reads in this process, in order."""
+    read, parent, paths = dataio.read_text, os.getpid(), []
+
+    def counted(path, *args):
+        if os.getpid() == parent:
+            paths.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(dataio, "read_text", counted)
+    return paths
+
+
+@pytest.mark.parametrize("case", ["success", "fault_in_the_child", "fault_in_the_parent",
+                                  "child_dies"])
+def test_two_span_read_rereads_the_file_only_when_the_child_fails(
+        tmp_path, monkeypatch, forked, case):
+    lines = _SPANNED.copy()
+    if case == "fault_in_the_child":
+        lines[10] = "c\ty\tnn"
+    elif case == "fault_in_the_parent":
+        lines[2] = "a\ty\t1\t"
+    elif case == "child_dies":
+        parse_span, parent = dataio._parse_span, os.getpid()
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return parse_span(*args)
+
+        monkeypatch.setattr(dataio, "_parse_span", dies_in_a_child)
+    text = "".join(line + "\n" for line in lines)
+    path = _write(tmp_path, "spanned.tsv", text)
+    _force_spans(monkeypatch, len(text) // 2 + 1, cpus=2)
+    assert len(dataio._span_cuts(text)) == 3
+    reads = _reads(monkeypatch)
+    if case.startswith("fault"):
+        assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
+    else:
+        _assert_same_as_oracle(path)
+    assert reads == [path] * (2 if case in ("fault_in_the_child", "child_dies") else 1)
+    assert len(forked) == 1
+    _assert_no_child_left(forked)
+
+
+def test_two_span_read_holds_no_text_while_the_part_arrives(tmp_path, monkeypatch, forked):
+    # this process's own part of the 100k entries takes about half of the
+    # text's size, so less than the text is held only when the text is not
+    text = "row\tcol\tvalue\n" + "".join(
+        "e%d\tt%d\t%.17g\n" % (i % 300, i // 300, i / 7) for i in range(100_000))
+    path = _write(tmp_path, "big.tsv", text)
+    size = len(text)
+    del text
+    _force_spans(monkeypatch, size // 2 + 1, cpus=2)
+    recv, held = multiprocessing.connection.Connection.recv, []
+
+    def traced_recv(self):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return recv(self)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", traced_recv)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, _, rows, _, _ = read_triplets(path)
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 100_000 and len(forked) == 1 and len(held) == 1
+    assert held[0] - before < size
 
 
 def test_read_triplets_reparses_here_when_a_child_dies(tmp_path, monkeypatch, forked):
@@ -671,6 +771,7 @@ LOCATION_FAULTS = {
     "bad_coordinate": ("entity\tx\ty\n0\t1\tnorth\n", ":2: bad coordinate"),
     "nan_coordinate": ("entity\tx\ty\n0\t1\tnan\n", ":2: non-finite coordinate"),
     "infinite_coordinate": ("entity\tx\ty\tz\n0\t1\t2\t-inf\n", ":2: non-finite coordinate"),
+    "no_header": ("0\t1\t2\n1\t3\t4\n", ":1: expected a header line"),
 }
 
 

@@ -67,6 +67,7 @@ from helpers import (
     dense_zero_cells,
     family_instance,
     fd_gradient,
+    fresh_table_log_likelihood,
     gaussian_instance,
     prefix_gather_window_table,
     serial_sparse_train,
@@ -107,6 +108,32 @@ def test_objective_l2_convention():
     reg = objective(data, ctx, bank, spec, 2.5)
     penalty = 0.5 * 2.5 * ((bank.embeddings ** 2).sum() + (bank.context_vectors ** 2).sum())
     assert reg == pytest.approx(base - penalty, rel=1e-12)
+
+
+@pytest.mark.parametrize("zero_weight", [1.0, 0.3])
+def test_bernoulli_objective_bits_equal_fresh_table_log_likelihoods(monkeypatch, zero_weight):
+    # several column blocks, the last one narrower, and one term batch: the
+    # scratch tables hold the same bits as tables allocated per block
+    data, ctx, bank, spec = family_instance(Family.BERNOULLI, 41, vocab=30, length=200)
+    monkeypatch.setattr("glembed.families.BLOCK_CELLS", 30 * 7)
+    batch = _drawn_terms(data, 500, np.random.default_rng(3))
+
+    def scores():
+        return (objective(data, ctx, bank, spec, 0.5, zero_weight=zero_weight),
+                term_log_likelihoods(data, ctx, bank, spec, batch, zero_weight=zero_weight))
+
+    got = scores()
+    calls = []
+
+    def oracle(*args):
+        calls.append(None)
+        return fresh_table_log_likelihood(*args)
+
+    monkeypatch.setattr("glembed.families._log_likelihood", oracle)
+    want = scores()
+    assert len(calls) == -(-200 // 7) + 1
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1033,6 +1060,30 @@ def test_adagrad_effective_steps_nonincreasing_and_accumulator_monotone():
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["full-knn", "sparse-window"])
+def test_row_major_and_column_listed_entries_train_the_same_bytes(case):
+    if case == "full-knn":
+        data, ctx, _, spec = family_instance(Family.GAUSSIAN, 42, n=12, t=30)
+        cfg = TrainConfig(dim=3, n_iterations=30, estimator="full", reg_weight=0.1,
+                          seed=4, log_every=10)
+    else:
+        data, ctx, _, spec = family_instance(Family.BERNOULLI, 43, vocab=30, length=200)
+        cfg = TrainConfig(dim=3, n_iterations=30, estimator="sparse", negative_samples=3,
+                          step_size=0.5, reg_weight=0.1, seed=4, log_every=10)
+    # listed row by row and column by column: each row's and each column's
+    # entries in the same order, so the same X and Xt, in two key orders
+    row_major, by_columns = (
+        DataMatrix(data.n_rows, data.n_cols, data.rows[order], data.cols[order],
+                   data.vals[order], implicit_zero=data.implicit_zero)
+        for order in (np.lexsort((data.cols, data.rows)), np.lexsort((data.rows, data.cols))))
+    assert np.shares_memory(row_major._key_vals, row_major.vals)
+    assert not np.shares_memory(by_columns._key_vals, by_columns.vals)
+    (a, log_a), (b, log_b) = (train(m, ctx, spec, cfg) for m in (row_major, by_columns))
+    assert a.embeddings.tobytes() == b.embeddings.tobytes()
+    assert a.context_vectors.tobytes() == b.context_vectors.tobytes()
+    assert [r.objective for r in log_a] == [r.objective for r in log_b]
+
 
 def test_train_zero_iterations_returns_initialization():
     data, ctx, bank, spec = family_instance(Family.GAUSSIAN, 27)
