@@ -6,13 +6,8 @@ evaluation protocols and qualitative analysis queries.
 """
 
 from .core import DataMatrix, EmbeddingBank, Link
-from .contexts import (
-    SpatialLayout,
-    WindowSpec,
-    build_basket_context,
-    build_knn_context,
-    build_window_context,
-)
+from .contexts import (SpatialLayout, WindowSpec, build_basket_context, build_knn_context,
+                       build_window_context)
 from .families import Family, FamilySpec
 from .train import TrainConfig, train
 from .evaluate import EvalReport, SplitSpec, make_split

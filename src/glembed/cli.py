@@ -8,52 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
-from .analyze import (
-    SimilarityQuery,
-    dimension_ranking,
-    interaction_pairs,
-    neighbor_weight_graph,
-    top_similar,
-)
-from .contexts import (
-    SpatialLayout,
-    WindowSpec,
-    build_basket_context,
-    build_knn_context,
-    build_window_context,
-)
+from .analyze import (SimilarityQuery, dimension_ranking, interaction_pairs,
+                      neighbor_weight_graph, top_similar)
+from .contexts import (SpatialLayout, WindowSpec, build_basket_context, build_knn_context,
+                       build_window_context)
 from .core import DataMatrix
-from .dataio import (
-    FAMILY_DEFAULTS,
-    RunConfig,
-    atomic_write,
-    check_output_path,
-    ingest,
-    load_model,
-    parse_run_config,
-    read_locations,
-    read_text,
-    store_model,
-    write_locations,
-    write_triplets,
-)
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    DataError,
-    GlembedError,
-    NumericAbortError,
-)
-from .evaluate import (
-    PROTOCOLS,
-    SplitSpec,
-    check_protocol,
-    leave_fraction_out_mse,
-    leave_one_out_mse,
-    make_split,
-    normalized_predictive_ll,
-)
+from .dataio import (FAMILY_DEFAULTS, RunConfig, atomic_write, check_output_path, ingest,
+                     load_model, parse_run_config, read_locations, read_text, store_model,
+                     write_locations, write_triplets)
+from .errors import CompatibilityError, ConfigError, DataError, GlembedError, NumericAbortError
+from .evaluate import (PROTOCOLS, SplitSpec, check_protocol, leave_fraction_out_mse,
+                       leave_one_out_mse, make_split, normalized_predictive_ll)
 from .families import Family, validate_data
 from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
 from .train import log_to_tsv, objective, train
@@ -89,14 +56,9 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     for path in (model_out, log_out):
         if path:
             check_output_path(path)
-    data = ingest(
-        data_path,
-        implicit_zero=bool(cfg.implicit_zero),
-        lag=cfg.lag,
-        rating_shift=cfg.rating_shift,
-        min_row_count=cfg.min_row_count,
-        min_col_count=cfg.min_col_count,
-    )
+    data = ingest(data_path, implicit_zero=bool(cfg.implicit_zero), lag=cfg.lag,
+                  rating_shift=cfg.rating_shift, min_row_count=cfg.min_row_count,
+                  min_col_count=cfg.min_col_count)
     vocab = data.n_rows if cfg.family == "categorical" else 0
     spec = cfg.family_spec(vocab)
     validate_data(spec, data)
@@ -146,6 +108,7 @@ def run_evaluate(model_path: str, test_path: str, protocol: str,
     if test.nnz == 0:
         raise ConfigError("test split is empty")
     spec = meta.family_spec()
+    validate_data(spec, test)
     ctx = _build_context(meta.context, test, meta.context_param, locations_path)
     if protocol == "loo-mse":
         report = leave_one_out_mse(test, ctx, bank, spec)
@@ -272,10 +235,11 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="glembed",
-        description="Train, evaluate, and query context-conditional embedding models.")
-    sub = p.add_subparsers(dest="command", required=True)
+    # no parser takes a prefix of a long option for it: --out is not --out-prefix
+    parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    p = parser(prog="glembed",
+               description="Train, evaluate, and query context-conditional embedding models.")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=parser)
 
     sp = sub.add_parser("split", help="partition a triplet file into train/valid/test")
     sp.add_argument("--data", required=True)

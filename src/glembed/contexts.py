@@ -337,9 +337,7 @@ def build_knn_context(layout: SpatialLayout, data: DataMatrix) -> KnnContext:
     """Same-column context over each entity's k nearest neighbors."""
     pos = np.asarray(layout.positions, dtype=np.float64)
     if pos.shape[0] != data.n_rows:
-        raise DataError(
-            f"{pos.shape[0]} positions for {data.n_rows} entities"
-        )
+        raise DataError(f"{pos.shape[0]} positions for {data.n_rows} entities")
     return KnnContext(knn_neighbors(pos, layout.k))
 
 

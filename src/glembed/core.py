@@ -24,6 +24,10 @@ from scipy import sparse
 from .errors import ConfigError, DataError
 
 
+# keys per chunk that select_columns maps at once
+KEY_CHUNK = 2**16
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """numpy's Generator of ``seed``; a negative seed is a ConfigError."""
     if seed < 0:
@@ -32,13 +36,18 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
-    """Sorted row-major keys ``row * n_cols + col`` of a list of cells, the
-    stable permutation that sorts them (None when the cells are listed in
-    strictly increasing key order, so already sorted and distinct), and the
-    first entry, in entry order, whose cell an earlier entry already holds
-    (-1 when all are distinct)."""
+    """``sorted_keys`` of the row-major keys ``row * n_cols + col`` of a list
+    of cells."""
     keys = np.multiply(rows, n_cols, dtype=np.int64)
     keys += cols
+    return sorted_keys(keys)
+
+
+def sorted_keys(keys: np.ndarray):
+    """Integer ``keys`` sorted, the stable permutation that sorts them (None
+    when they are listed in strictly increasing order, so already sorted and
+    distinct: then they come back as they are), and the first key, in list
+    order, that an earlier key repeats (-1 when all are distinct)."""
     if np.all(keys[1:] > keys[:-1]):
         return keys, None, -1
     order = np.argsort(keys, kind="stable")
@@ -115,12 +124,14 @@ class Scratch:
 
 def _csr(rows, cols, vals, shape):
     """The entries (rows, cols, vals) as a CSR matrix of ``shape``, each
-    row's entries in entry order (a stable sort by row)."""
-    order = np.argsort(rows, kind="stable")
+    row's entries in entry order: a stable sort by row, none when the rows
+    are already in order."""
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        cols, vals = cols[order], vals[order]
     starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
     itype = np.int32 if max(*shape, len(rows)) < 2**31 else np.int64
-    return sparse.csr_matrix((vals[order], cols[order].astype(itype), starts.astype(itype)),
-                             shape=shape)
+    return sparse.csr_matrix((vals, cols.astype(itype), starts.astype(itype)), shape=shape)
 
 
 def _split_sorted_keys(keys: np.ndarray, n_rows: int, n_cols: int):
@@ -140,9 +151,15 @@ class DataMatrix:
     ``n_rows * n_cols``.  When false, absent cells are missing and only the
     stored entries are data terms.  ``lookup`` searches the entries' sorted
     row-major cell keys and ``column_blocks`` hands out runs of columns: no
-    dense (n_rows, n_cols) array is built.  Entries listed in row-major
-    order are their own key-order values; any other order keeps one copy
-    of the values sorted by key.
+    dense (n_rows, n_cols) array is built.
+
+    The keys (``row * n_cols + col``) and their values in key order are the
+    only per-entry arrays: 16 bytes per entry for entries listed in
+    row-major order.  Entries listed in any other order also keep the key
+    position of each entry, 24 bytes per entry, so that entry positions
+    (minibatch draws, ``select_entries``, ``write_triplets`` order) are
+    those of the listing.  ``entries`` computes rows, columns and values for
+    a selection of positions, and ``rows``, ``cols``, ``vals`` for all.
 
     The entries are also two sparse operators, built on first use and kept:
     ``X``, the (n_rows, n_cols) CSR matrix, and ``Xt``, its transpose as a
@@ -154,54 +171,75 @@ class DataMatrix:
     The entries must not change after construction.
     """
 
-    def __init__(
-        self,
-        n_rows: int,
-        n_cols: int,
-        rows: Sequence[int],
-        cols: Sequence[int],
-        vals: Sequence[float],
-        implicit_zero: bool = False,
-        row_labels: list[str] | None = None,
-        col_labels: list[str] | None = None,
-    ):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
-        self.implicit_zero = bool(implicit_zero)
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-        if not (len(self.rows) == len(self.cols) == len(self.vals)):
+    def __init__(self, n_rows: int, n_cols: int, rows: Sequence[int], cols: Sequence[int],
+                 vals: Sequence[float], implicit_zero: bool = False,
+                 row_labels: list[str] | None = None, col_labels: list[str] | None = None):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not (len(rows) == len(cols) == len(vals)):
             raise DataError("rows, cols, vals must have equal length")
-        if len(self.rows) and (
-            self.rows.min() < 0
-            or self.rows.max() >= self.n_rows
-            or self.cols.min() < 0
-            or self.cols.max() >= self.n_cols
-        ):
+        if len(rows) and (rows.min() < 0 or rows.max() >= n_rows
+                          or cols.min() < 0 or cols.max() >= n_cols):
             raise DataError("entry index outside matrix shape")
-        if self.implicit_zero and len(self.vals) and np.any(self.vals == 0.0):
-            raise DataError("implicit-zero matrix must not store explicit zeros")
-        self._keys, order, repeat = sorted_cell_keys(self.rows, self.cols, self.n_cols)
+        keys, order, repeat = sorted_cell_keys(rows, cols, int(n_cols))
         if repeat >= 0:
-            raise DataError(f"duplicate entry at (row={self.rows[repeat]}, col={self.cols[repeat]})")
-        self._key_vals = self.vals if order is None else self.vals[order]
+            raise DataError(f"duplicate entry at (row={rows[repeat]}, col={cols[repeat]})")
+        self._store(n_rows, n_cols, keys, vals if order is None else vals[order], order,
+                    implicit_zero, row_labels, col_labels)
+
+    @classmethod
+    def from_keys(cls, n_rows: int, n_cols: int, keys: np.ndarray, key_vals: np.ndarray,
+                  order: np.ndarray | None = None, implicit_zero: bool = False,
+                  row_labels: list[str] | None = None,
+                  col_labels: list[str] | None = None) -> "DataMatrix":
+        """The matrix of the distinct, sorted cell keys ``keys`` inside the
+        shape and their values ``key_vals``, with no copy.  Its entries are
+        listed in the order that ``order`` sorts by key, as ``sorted_keys``
+        returns it (None for key order)."""
+        data = cls.__new__(cls)
+        data._store(n_rows, n_cols, keys, key_vals, order, implicit_zero, row_labels, col_labels)
+        return data
+
+    def _store(self, n_rows, n_cols, keys, key_vals, order, implicit_zero, row_labels, col_labels):
+        self.n_rows, self.n_cols = int(n_rows), int(n_cols)
+        self.implicit_zero = bool(implicit_zero)
+        self.row_labels, self.col_labels = row_labels, col_labels
+        if self.implicit_zero and np.any(key_vals == 0.0):
+            raise DataError("implicit-zero matrix must not store explicit zeros")
+        self._keys, self._key_vals, self._at = keys, key_vals, None
+        if order is not None:  # entry order[k] holds the key at position k
+            self._at = np.empty_like(order)
+            self._at[order] = np.arange(len(order))
         self._memo: dict = {}
+
+    def entries(self, at=slice(None)):
+        """(rows, cols, vals) of the entries at positions ``at``, an index
+        array or a slice (every entry, by default), computed from their keys."""
+        k = at if self._at is None else self._at[at]
+        return *np.divmod(self._keys[k], self.n_cols or 1), self._key_vals[k]
+
+    rows = property(lambda self: self.entries()[0], doc="Every entry's row, in entry order.")
+    cols = property(lambda self: self.entries()[1], doc="Every entry's column, in entry order.")
+
+    @property
+    def vals(self) -> np.ndarray:
+        """Every entry's value, in entry order."""
+        return self._key_vals if self._at is None else self._key_vals[self._at]
 
     @property
     def X(self) -> sparse.csr_matrix:
         """The entries as an (n_rows, n_cols) CSR matrix, each row's in entry order."""
-        return self.memo("X", lambda: _csr(self.rows, self.cols, self.vals,
-                                           (self.n_rows, self.n_cols)))
+        return self.memo("X", lambda: _csr(*self.entries(), (self.n_rows, self.n_cols)))
 
     @property
     def Xt(self) -> sparse.csr_matrix:
         """The transpose of ``X`` as an (n_cols, n_rows) CSR matrix, each
         column's entries in entry order."""
-        return self.memo("Xt", lambda: _csr(self.cols, self.rows, self.vals,
-                                            (self.n_cols, self.n_rows)))
+        def build():
+            rows, cols, vals = self.entries()
+            return _csr(cols, rows, vals, (self.n_cols, self.n_rows))
+        return self.memo("Xt", build)
 
     def memo(self, key, build):
         """``build()``, called on the first use of ``key`` and kept with the
@@ -212,7 +250,7 @@ class DataMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.vals)
+        return len(self._keys)
 
     @property
     def n_terms(self) -> int:
@@ -303,38 +341,39 @@ class DataMatrix:
             yield ColumnBlock(slice(block[0], block[-1] + 1) if cols is None else block, x, stored)
 
     def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
-        """New matrix over the given columns, reindexed 0..len(keep)-1."""
+        """New matrix over the given columns, reindexed 0..len(keep)-1, its
+        entries in this one's entry order.  The kept keys are mapped
+        ``KEY_CHUNK`` at a time, with no per-entry table of the columns; they
+        stay sorted when the keys list the entries and ``keep`` increases."""
         keep = np.asarray(keep, dtype=np.int64)
-        kept = np.zeros(self.n_cols, dtype=bool)
-        kept[keep] = True
-        mask = kept[self.cols]
-        new_ids = np.zeros(self.n_cols, dtype=np.int64)
+        new_ids = np.full(self.n_cols, -1, dtype=np.int64)
         new_ids[keep] = np.arange(len(keep))
+        kept = np.empty(self.nnz, dtype=bool)
+        for lo in range(0, self.nnz, KEY_CHUNK):
+            kept[lo:lo + KEY_CHUNK] = new_ids[self._keys[lo:lo + KEY_CHUNK] % self.n_cols] >= 0
+        keys, vals = self._keys[kept], self._key_vals[kept]
+        for lo in range(0, len(keys), KEY_CHUNK):
+            rows, cols = np.divmod(keys[lo:lo + KEY_CHUNK], self.n_cols)
+            keys[lo:lo + KEY_CHUNK] = rows * len(keep) + new_ids[cols]
+        if self._at is not None:  # the kept entries in this matrix's entry order
+            at = (np.cumsum(kept) - 1)[self._at[kept[self._at]]]
+            keys, vals = keys[at], vals[at]
+        keys, order, _ = sorted_keys(keys)
         labels = None if self.col_labels is None else [self.col_labels[c] for c in keep.tolist()]
-        return DataMatrix(
-            self.n_rows,
-            len(keep),
-            self.rows[mask],
-            new_ids[self.cols[mask]],
-            self.vals[mask],
-            implicit_zero=self.implicit_zero,
-            row_labels=self.row_labels,
-            col_labels=labels,
-        )
+        return DataMatrix.from_keys(self.n_rows, len(keep), keys,
+                                    vals if order is None else vals[order], order,
+                                    self.implicit_zero, self.row_labels, labels)
 
     def select_entries(self, positions: Sequence[int]) -> "DataMatrix":
-        """New matrix with the same shape keeping only the given stored entries."""
-        idx = np.asarray(positions, dtype=np.int64)
-        return DataMatrix(
-            self.n_rows,
-            self.n_cols,
-            self.rows[idx],
-            self.cols[idx],
-            self.vals[idx],
-            implicit_zero=self.implicit_zero,
-            row_labels=self.row_labels,
-            col_labels=self.col_labels,
-        )
+        """New matrix with the same shape keeping only the given stored
+        entries, distinct, in the given order."""
+        at = np.asarray(positions, dtype=np.int64)
+        # the key positions of the entries, sorted as the keys they hold
+        at, order, repeat = sorted_keys(at if self._at is None else self._at[at])
+        if repeat >= 0:
+            raise DataError(f"entry position {positions[repeat]} selected twice")
+        return DataMatrix.from_keys(self.n_rows, self.n_cols, self._keys[at], self._key_vals[at],
+                                    order, self.implicit_zero, self.row_labels, self.col_labels)
 
 
 @dataclass
@@ -403,11 +442,8 @@ class EmbeddingBank:
 
     def __init__(self, embeddings: np.ndarray, context_vectors: np.ndarray, log_space: bool = False):
         self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float64)
-        self.context_vectors = (
-            self.embeddings
-            if context_vectors is embeddings
+        self.context_vectors = self.embeddings if context_vectors is embeddings \
             else np.ascontiguousarray(context_vectors, dtype=np.float64)
-        )
         self.log_space = bool(log_space)
         if self.embeddings.shape != self.context_vectors.shape:
             raise DataError("embedding and context tables must have equal shape")
@@ -415,15 +451,8 @@ class EmbeddingBank:
             raise DataError("parameter banks must be finite")
 
     @classmethod
-    def init_random(
-        cls,
-        n_rows: int,
-        dim: int,
-        seed: int,
-        log_space: bool = False,
-        tied: bool = False,
-        scale: float = 0.1,
-    ) -> "EmbeddingBank":
+    def init_random(cls, n_rows: int, dim: int, seed: int, log_space: bool = False,
+                    tied: bool = False, scale: float = 0.1) -> "EmbeddingBank":
         # i.i.d. uniform in [-scale/sqrt(dim), +scale/sqrt(dim)]; small symmetric
         # init keeps exp() in multiplicative models well away from overflow.
         rng = seeded_rng(seed)

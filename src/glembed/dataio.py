@@ -20,11 +20,11 @@ import tempfile
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import count, filterfalse, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, sorted_cell_keys
+from .core import DataMatrix, EmbeddingBank, sorted_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .contexts import WindowSpec
 from .evaluate import SplitSpec
@@ -32,9 +32,9 @@ from .families import Family, FamilySpec
 from .train import TrainConfig, sparse_fault
 
 MODEL_MAGIC = "#glembed-model v1"
-# characters per run of lines that read_triplets parses at once
+# bytes per run of lines that read_triplets reads and parses at once
 RUN_CHARS = 2**18
-# characters per span of a text that read_triplets parses on forked children
+# bytes per span of a file that read_triplets parses on forked children
 SPAN_CHARS = 2**23
 # lines per run that write_triplets formats at once
 WRITE_RUN_LINES = 2**13
@@ -92,86 +92,102 @@ def read_triplets(path: str):
     first-seen order.  Values keep Python's ``float()`` syntax (``1_0``,
     full-width digits, surrounding whitespace).  Returns (row_labels,
     col_labels, rows, cols, vals).
-
-    The text is parsed in spans (``_parse_spans``) whose ids are merged in
-    span order, so first-seen order is the file's, and every error names
-    the line the one-span parse names.  No text is held once the spans are
-    parsed: line numbers are only computed for an error, and the file is
-    read again to number a duplicate's line.
     """
-    parts = _parse_spans(path)
-    if len(parts) == 1:
-        row_labels, col_labels, rows, cols, vals = parts[0]
-    else:
-        row_labels, rows = _merged_ids(parts, 0)
-        col_labels, cols = _merged_ids(parts, 1)
-        vals = np.concatenate([p[4] for p in parts])
-    del parts
-    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
+    data = _read_matrix(path)
+    return (data.row_labels, data.col_labels, *data.entries())
+
+
+def _read_matrix(path: str) -> DataMatrix:
+    """The explicit, labelled matrix of a triplet file (``_parse_spans``),
+    its entries in file order and its keys those of the duplicate check.  A
+    duplicate's line is numbered by reading the file again."""
+    row_labels, col_labels, rows, cols, vals = _parse_spans(path)
+    keys = np.multiply(rows, len(col_labels), dtype=np.int64)
+    keys += cols
+    del rows, cols
+    keys, order, e = sorted_keys(keys)
     if e >= 0:
-        lines = read_text(path).splitlines()
-        ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
-        raise DataError(f"{path}:{ln}: duplicate entry for "
-                        f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
-    return row_labels, col_labels, rows, cols, vals
+        lines = chain.from_iterable(map(str.splitlines, _runs(path, 0, sys.maxsize)))
+        ln = next(islice((n for n, line in enumerate(lines, 1) if n > 1 and line.strip()), e, None))
+        r, c = divmod(int(keys[np.argmax(order == e)]), len(col_labels))
+        raise DataError(f"{path}:{ln}: duplicate entry for ({row_labels[r]}, {col_labels[c]})")
+    return DataMatrix.from_keys(len(row_labels), len(col_labels), keys,
+                                vals if order is None else vals[order], order,
+                                row_labels=row_labels, col_labels=col_labels)
 
 
-def _merged_ids(parts: list[tuple], k: int) -> tuple[list[str], np.ndarray]:
-    """The labels and ids of the spans' rows (``k`` = 0) or columns (1),
-    merged in span order: a label keeps the id of the first span it is in."""
-    index: dict[str, int] = {}
-    ids = np.concatenate([_first_seen_ids(index, p[k])[p[k + 2]] for p in parts])
-    return list(index), ids
+def _runs(path: str, start: int, stop: int) -> Iterator[str]:
+    """The text of bytes ``start:stop`` of ``path``, which start a line, in
+    runs of whole lines: ``RUN_CHARS`` bytes extended to just after the next
+    ``\n`` (or to ``stop``), each decoded as UTF-8.  No run cuts a character
+    or a ``\r\n``, so the runs split into the lines of the text.  A fault
+    raises the DataError of ``read_text``, at the byte offset in the file."""
+    try:
+        with open(path, "rb") as f:
+            f.seek(start)
+            while start < stop and (run := f.read(min(RUN_CHARS, stop - start))):
+                run += b"" if run.endswith(b"\n") else f.readline(stop - start - len(run))
+                try:
+                    text = run.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}: not {exc.encoding} text ({exc.reason} at "
+                                    f"byte {start + exc.start})") from None
+                yield text
+                start += len(run)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _span_cuts(text: str) -> list[int]:
-    """The offsets that cut ``text`` into the spans read_triplets parses at
-    once, each cut just after a ``\n``: one span per ``SPAN_CHARS``
-    characters, at most one per CPU, and one span in this process when it
-    may not fork children: no ``fork`` start method, another Python thread
-    alive, a daemonic process, or Python 3.12 or later (whose ``os.fork``
-    warns in a process with a second OS thread, and numpy's OpenBLAS pool is
-    one)."""
+def _span_cuts(path: str) -> list[int]:
+    """The byte offsets that cut ``path`` into the spans read_triplets
+    parses at once, each cut just after a ``\n``: one span per
+    ``SPAN_CHARS`` bytes, at most one per CPU, and one span in this process
+    when it may not fork children: no ``fork`` start method, another Python
+    thread alive, a daemonic process, or Python 3.12 or later (whose
+    ``os.fork`` warns in a process with a second OS thread, and numpy's
+    OpenBLAS pool is one)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(cpus, -(-len(text) // SPAN_CHARS))
-    if (n < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1 or multiprocessing.current_process().daemon
-            or sys.version_info >= (3, 12)):
-        return [0, len(text)]
-    return sorted({0, len(text)} | {text.find("\n", len(text) * i // n) + 1 or len(text)
-                                    for i in range(1, n)})
+    with open(path, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        n = min(cpus, -(-size // SPAN_CHARS))
+        if (n < 2 or "fork" not in multiprocessing.get_all_start_methods()
+                or threading.active_count() > 1 or multiprocessing.current_process().daemon
+                or sys.version_info >= (3, 12)):
+            return [0, size]
+        # a cut follows the first '\n' at or after its share of the bytes
+        return sorted({0, size} | {f.seek(size * i // n) + len(f.readline()) for i in range(1, n)})
 
 
-def _parse_spans(path: str) -> list[tuple]:
-    """The ``_parse_span`` parts of the spans (``_span_cuts``) of the text
-    of ``path``: the first parsed here, each later one by a forked child
-    that inherits the text and sends its part back.  The text is dropped
-    before the parts arrive.  A fault in the first span raises its error; a
-    faulty child span, or a child that dies or cannot be forked, re-reads
-    the file and parses it here in one span.  No child outlives the call:
-    on any exit but success the children are killed, and all are joined.
-    """
-    text = read_text(path)
-    if not text:
+def _parse_spans(path: str) -> tuple:
+    """The ``_parse_span`` part of the file ``path``, merged from those of
+    its spans (``_span_cuts``) in span order: a label keeps the id of the
+    first span it is in.  The first span is parsed here, each later one by a
+    forked child that reads it from the file and sends its part back, so no
+    process holds the file's text.  A fault in the first span raises its
+    error; a faulty child span, or a child that dies or cannot be forked,
+    parses the file here in one span.  No child outlives the call: on any
+    exit but success the children are killed, and all are joined."""
+    head = next(_runs(path, 0, sys.maxsize), "")
+    if not head:
         raise DataError(f"{path}: empty file")
     # the header is the first line: it ends at or before the first '\n'
-    delim = _detect_delimiter(text[:text.find("\n") + 1 or len(text)].splitlines()[0])
-    cuts = _span_cuts(text)
+    delim = _detect_delimiter(head[:head.find("\n") + 1 or len(head)].splitlines()[0])
+    del head
+    cuts = _span_cuts(path)
     if len(cuts) == 2:
-        return [_parse_span(text, 0, len(text), delim, path)]
+        return _parse_span(path, 0, cuts[1], delim)
     fork = multiprocessing.get_context("fork")
     children = []
     parts = None
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
             receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_send_span, args=(send, text, start, stop, delim))
+            child = fork.Process(target=_send_span, args=(send, path, start, stop, delim))
             child.start()
             children.append((child, receive))
             send.close()
-        first = _parse_span(text, cuts[0], cuts[1], delim, path)
-        del text
-        received = [receive.recv() for _, receive in children]
+        first = _parse_span(path, cuts[0], cuts[1], delim)
+        received = [_received_part(receive) for _, receive in children]
         if None not in received:
             parts = [first, *received]
     except (EOFError, OSError):  # a child died before it sent, or could not fork
@@ -182,50 +198,56 @@ def _parse_spans(path: str) -> list[tuple]:
                 child.kill()
             child.join()
             receive.close()
-    if parts is None:  # the one-span parse, of the file read again
-        text = read_text(path)
-        parts = [_parse_span(text, 0, len(text), delim, path)]
-    return parts
+    if parts is None:  # the one-span parse, here
+        return _parse_span(path, 0, cuts[-1], delim)
+    index: tuple[dict, dict] = ({}, {})
+    ids = [np.concatenate([_first_seen_ids(index[k], p[k])[p[k + 2]] for p in parts])
+           for k in (0, 1)]
+    return list(index[0]), list(index[1]), *ids, np.concatenate([p[4] for p in parts])
 
 
-def _send_span(send, text: str, start: int, stop: int, delim: str) -> None:
-    """Send the parent the ``_parse_span`` part of ``text[start:stop]``, or
-    None when the span is faulty."""
+def _send_span(send, path: str, start: int, stop: int, delim: str) -> None:
+    """Send the parent the ``_parse_span`` part of bytes ``start:stop`` of
+    ``path``, or None when the span is faulty."""
     try:
-        part = _parse_span(text, start, stop, delim, "")
+        part = _parse_span(path, start, stop, delim)
     except DataError:
         part = None
-    send.send(part)
+    # the arrays go as raw bytes, which the parent reads without a copy
+    send.send(part and (part[:2], [a.dtype.str for a in part[2:]]))
+    for a in part[2:] if part else ():
+        send.send_bytes(a)
 
 
-def _parse_span(text: str, start: int, stop: int, delim: str, path: str):
-    """Parse the lines of ``text[start:stop]``, which starts a line and ends
-    just after a ``\n`` or at the end of the text; the text's first line is
-    its header and is skipped.  Returns the span's row and column labels in
-    first-seen order, the entries' row and column ids into them, and the
-    values.
+def _received_part(receive):
+    """The ``_send_span`` part that ``receive`` brings, or None."""
+    head = receive.recv()
+    return head and (*head[0], *(np.frombuffer(receive.recv_bytes(), t) for t in head[1]))
 
-    The span is worked through in runs of whole lines of about
-    ``RUN_CHARS`` characters, each split, checked and parsed by C-level
-    passes, so memory is O(span text + one run + entries).  A faulty line
-    raises the DataError of the line loop, its line number counted from
-    the span's first line as line 1: the file's line number in the span
-    that starts the text.
+
+def _parse_span(path: str, start: int, stop: int, delim: str):
+    """Parse the lines of bytes ``start:stop`` of ``path``, which start a
+    line and end just after a ``\n`` or at the end of the file; the file's
+    first line is its header and is skipped.  Returns the span's row and
+    column labels in first-seen order, the entries' row and column ids into
+    them, and the values.
+
+    The span is read in runs of whole lines (``_runs``), each split, checked
+    and parsed by C-level passes, so memory is O(one run + entries).  A
+    faulty line raises the DataError of the line loop, its line number
+    counted from the span's first line as line 1: the file's line number in
+    the span that starts the file.
     """
     row_index: dict[str, int] = {}
     col_index: dict[str, int] = {}
-    rows, cols, vals = [], [], []
+    out = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]  # rows, cols, vals
+    n = 0
     ln = 1  # line number of the run's first line
-    while start < stop:
-        # a run ends just after the first '\n' past RUN_CHARS (or at the end
-        # of the span): a line boundary whatever other breaks (\x0c,
-        # \u2028, ...) the text holds
-        end = text.find("\n", start + RUN_CHARS, stop) + 1 or stop
-        lines = text[start:end].splitlines()
-        if start == 0:
+    for run in _runs(path, start, stop):
+        lines = run.splitlines()
+        if start == 0 and ln == 1:
             del lines[0]
             ln += 1
-        start = end
         body = list(filter(str.strip, lines))
         fields = delim.join(body).split(delim) if body else []
         v = None
@@ -240,28 +262,33 @@ def _parse_span(text: str, start: int, stop: int, delim: str, path: str):
         if (v is None or not np.isfinite(v).all()
                 or delim == "," and "\t" in "".join(keys[0]) + "".join(keys[1])):
             _raise_first_line_fault(path, lines, ln, delim)
-        rows.append(_first_seen_ids(row_index, keys[0]))
-        cols.append(_first_seen_ids(col_index, keys[1]))
-        vals.append(v)
+        if n + len(v) > len(out[2]):  # grown in place by a quarter: no run arrays to join
+            for a in out:
+                a.resize(max(len(a) * 5 // 4, n + len(v)), refcheck=False)
+        for a, run_part in zip(out, (_first_seen_ids(row_index, keys[0]),
+                                     _first_seen_ids(col_index, keys[1]), v)):
+            a[n:n + len(v)] = run_part
+        n += len(v)
         ln += len(lines)
-    # one at a time, so that each run list is freed before the next is joined
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return list(row_index), list(col_index), rows, cols, vals
+    for a in out:
+        a.resize(n, refcheck=False)
+    return list(row_index), list(col_index), *out
 
 
 def _first_seen_ids(index: dict[str, int], keys: list[str]) -> np.ndarray:
-    """The ids of ``keys``; keys not yet in ``index`` join it in first-seen
-    order."""
+    """The int32 ids of ``keys``; keys not yet in ``index`` join it in
+    first-seen order."""
     new = filterfalse(index.__contains__, dict.fromkeys(keys))
     index.update(zip(new, count(len(index))))
-    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+    return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
 
 
 def _raise_first_line_fault(path: str, lines: list[str], ln: int, delim: str) -> None:
     """Raise the DataError of the first faulty line of a run whose first
-    line is line ``ln`` of the file."""
+    line is line ``ln`` of the file; first, as ``read_text`` would, that of
+    an undecodable byte anywhere in the file."""
+    for _ in _runs(path, 0, sys.maxsize):
+        pass
     for ln, line in enumerate(lines, start=ln):
         if not line.strip():
             continue
@@ -292,12 +319,11 @@ def _triplet_text(data: DataMatrix) -> Iterator[str]:
     cl = data.col_labels or [str(i) for i in range(data.n_cols)]
     yield "row\tcol\tvalue\n"
     for s in range(0, data.nnz, WRITE_RUN_LINES):
-        run = slice(s, s + WRITE_RUN_LINES)
-        vals = data.vals[run].tolist()
+        rows, cols, vals = data.entries(slice(s, s + WRITE_RUN_LINES))
         fields = [None] * (3 * len(vals))
-        fields[0::3] = map(rl.__getitem__, data.rows[run].tolist())
-        fields[1::3] = map(cl.__getitem__, data.cols[run].tolist())
-        fields[2::3] = vals
+        fields[0::3] = map(rl.__getitem__, rows.tolist())
+        fields[1::3] = map(cl.__getitem__, cols.tolist())
+        fields[2::3] = vals.tolist()
         yield ("%s\t%s\t%.17g\n" * len(vals)) % tuple(fields)
 
 
@@ -310,7 +336,14 @@ def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
     trained model); unknown row ids then raise CompatibilityError.
     """
     _check_min_counts(min_row_count, min_col_count)  # before the file is read
-    row_labels, col_labels, rows, cols, vals = read_triplets(path)
+    data = _read_matrix(path)
+    if row_vocab is None and not (lag or rating_shift or min_row_count or min_col_count):
+        if implicit_zero and not data.vals.all():
+            data = data.select_entries(np.flatnonzero(data.vals))
+        data.implicit_zero = bool(implicit_zero)  # set on the fresh matrix, before any use
+        return data
+    row_labels, col_labels, (rows, cols, vals) = data.row_labels, data.col_labels, data.entries()
+    del data
     if row_vocab is not None:
         lookup = {k: i for i, k in enumerate(row_vocab)}
         try:

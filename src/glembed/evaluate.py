@@ -112,12 +112,8 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
             kept = [c for c in test_cols if items[c] >= MIN_BASKET_ITEMS]
             dropped = len(test_cols) - len(kept)
             test_cols = kept
-        result = SplitResult(
-            data.select_columns(train_cols),
-            data.select_columns(valid_cols),
-            data.select_columns(test_cols),
-            dropped,
-        )
+        result = SplitResult(*map(data.select_columns, (train_cols, valid_cols, test_cols)),
+                             dropped)
     else:
         nnz = data.nnz
         n_test = int(nnz * spec.test_frac)
@@ -126,12 +122,8 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
         test_e = order[:n_test]
         valid_e = order[n_test:n_test + n_valid]
         train_e = order[n_test + n_valid:]
-        result = SplitResult(
-            data.select_entries(np.sort(train_e)),
-            data.select_entries(np.sort(valid_e)),
-            data.select_entries(np.sort(test_e)),
-            0,
-        )
+        result = SplitResult(*(data.select_entries(np.sort(e)) for e in (train_e, valid_e, test_e)),
+                             0)
     for name, frac, part in (
         ("train", spec.train_frac, result.train),
         ("validation", spec.valid_frac, result.valid),
@@ -177,9 +169,9 @@ def _cell_means(data, ctx, bank, spec, rows, cols):
 def _squared_errors(data, ctx, bank, spec, test_data, entries):
     """Squared error of the listed entries of ``test_data`` against their Gaussian
     means given their contexts in ``data``, and whether any member was left."""
-    means, counts, _ = _cell_means(data, ctx, bank, spec, test_data.rows[entries],
-                                   test_data.cols[entries])
-    return (test_data.vals[entries] - means) ** 2, counts > 0
+    rows, cols, vals = test_data.entries(entries)
+    means, counts, _ = _cell_means(data, ctx, bank, spec, rows, cols)
+    return (vals - means) ** 2, counts > 0
 
 
 def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
@@ -222,7 +214,7 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     """Per held-out nonzero entry: log of its conditional mean over the sum
     of all entities' conditional means at the same column."""
     check_protocol(spec.family, "npll")
-    mu, _, z = _cell_means(test_data, ctx, bank, spec, test_data.rows, test_data.cols)
+    mu, _, z = _cell_means(test_data, ctx, bank, spec, *test_data.entries()[:2])
     keep = ~((mu <= 0.0) | (z <= 0.0) | ~np.isfinite(z))
     return EvalReport.from_scores("normalized_predictive_ll", np.log(mu[keep] / z[keep]),
                                   int((~keep).sum()))

@@ -40,18 +40,9 @@ import numpy as np
 
 from .core import DataMatrix, EmbeddingBank, Scratch, TermBatch
 from .errors import ConfigError, NumericAbortError
-from .families import (
-    ClampCounters,
-    Family,
-    FamilySpec,
-    Gradients,
-    log_likelihoods,
-    log_prior,
-    term_log_likelihoods,
-    validate_bank,
-    validate_data,
-    weighted_term_gradient,
-)
+from .families import (ClampCounters, Family, FamilySpec, Gradients, log_likelihoods, log_prior,
+                       term_log_likelihoods, validate_bank, validate_data,
+                       weighted_term_gradient)
 
 ZERO_ESTIMATORS = ("unbiased", "negative_sampling", "downweight")
 ESTIMATORS = ("full", "minibatch", "sparse")
@@ -142,7 +133,7 @@ def _every_term(data: DataMatrix) -> TermBatch | None:
     stored entries."""
     if data.every_cell_a_term:
         return None
-    return TermBatch(data.rows, data.cols, data.vals, np.ones(data.nnz, dtype=bool))
+    return TermBatch(*data.entries(), np.ones(data.nnz, dtype=bool))
 
 
 def _draw(total: int, size: int, rng, draw=None) -> np.ndarray:
@@ -162,8 +153,7 @@ def _drawn_terms(data, size: int, rng, draw=None) -> TermBatch:
     if data.implicit_zero:
         rows, cols = np.divmod(draw, data.n_cols)
         return TermBatch(rows, cols, *data.lookup(rows, cols), weights)
-    return TermBatch(data.rows[draw], data.cols[draw], data.vals[draw],
-                     np.ones(len(draw), dtype=bool), weights)
+    return TermBatch(*data.entries(draw), np.ones(len(draw), dtype=bool), weights)
 
 
 def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
@@ -247,8 +237,8 @@ def _log_sample(data, spec, rng) -> TermBatch | None:
         else rng.choice(data.nnz, LOG_TERMS, replace=False)
     zr, zc = data.zero_cells(rng.choice(n_zero, min(LOG_TERMS, n_zero), replace=False))
     m1, m0 = len(nz), len(zr)
-    return TermBatch(np.concatenate([data.rows[nz], zr]), np.concatenate([data.cols[nz], zc]),
-                     np.concatenate([data.vals[nz], np.zeros(m0)]), np.arange(m1 + m0) < m1,
+    return TermBatch(*map(np.concatenate, zip(data.entries(nz), (zr, zc, np.zeros(m0)))),
+                     np.arange(m1 + m0) < m1,
                      np.concatenate([np.full(m1, data.nnz / max(m1, 1)),
                                      np.full(m0, n_zero / max(m0, 1))]))
 
@@ -395,10 +385,9 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     if config.estimator == "sparse":
         _check_sparse(data, spec)
     if bank is None:
-        bank = EmbeddingBank.init_random(
-            data.n_rows, config.dim, seed=config.seed,
-            log_space=spec.needs_log_space, tied=config.tied,
-            scale=config.init_scale)
+        bank = EmbeddingBank.init_random(data.n_rows, config.dim, seed=config.seed,
+                                         log_space=spec.needs_log_space, tied=config.tied,
+                                         scale=config.init_scale)
     validate_bank(spec, bank)
     seqs = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(seqs[0])

@@ -518,6 +518,43 @@ def test_poisson_basket_pipeline_with_npll(tmp_path, capsys):
     assert estimate <= 0.0
 
 
+def test_evaluate_applies_the_familys_value_rules_to_the_test_file(tmp_path, capsys):
+    # glembed train refuses a negative Poisson count with exit 3; so does evaluate
+    prefix = str(tmp_path / "shop")
+    assert main(["gen-synthetic", "--kind", "poisson-baskets", "--entities", "20",
+                 "--columns", "120", "--seed", "2", "--out-prefix", prefix]) == 0
+    cfg = tmp_path / "shop.cfg"
+    cfg.write_text("family = poisson\nk = 3\niterations = 10\nnegative_samples = 3\n"
+                   "step_size_grid = 0.5\nsplit = none\n")
+    model = str(tmp_path / "shop.model")
+    assert main(["train", "--config", str(cfg), "--data", f"{prefix}.data.tsv",
+                 "--out", model]) == 0
+    lines = Path(f"{prefix}.data.tsv").read_text().splitlines()
+    row, col, _ = lines[1].split("\t")
+    test = tmp_path / "test.tsv"
+    for value, code in (("1", 0), ("-5", 3)):
+        test.write_text("\n".join([lines[0], f"{row}\t{col}\t{value}", *lines[2:40]]) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", model, "--test", str(test),
+                     "--protocol", "npll"]) == code
+    assert capsys.readouterr().err == "error: poisson data must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-synthetic", "--kind", "poisson-baskets", "--out", "{out}"],
+    ["split", "--data", "{data}", "--out", "{out}"],
+])
+def test_a_prefix_of_a_long_option_is_not_taken_for_it(tmp_path, capsys, argv):
+    data = tmp_path / "d.tsv"
+    data.write_text("row\tcol\tvalue\na\tx\t1\n")
+    out = tmp_path / "pb.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=out, data=data) for a in argv])
+    assert exc.value.code == 2
+    assert "--out-prefix" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv"]
+
+
 # glembed gen-synthetic options -> the generator call whose data they write:
 # the dim and the cluster count default to each generator's own
 _GENERATED = {

@@ -151,6 +151,35 @@ def test_row_major_entries_are_their_own_key_index(case):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def _entry_bytes(data):
+    return sum(v.nbytes for v in vars(data).values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("listing", ["row_major", "column_major", "shuffled"])
+def test_a_matrix_keeps_16_bytes_per_entry_in_key_order_and_24_in_any_other(listing):
+    # the sorted keys and their values; another listing adds the key
+    # position of each entry, and a part of either split keeps its listing's
+    rng = np.random.default_rng(21)
+    n, t = 40, 70
+    keys = np.sort(rng.permutation(n * t)[:1500])
+    order = {"row_major": np.arange(len(keys)), "shuffled": rng.permutation(len(keys)),
+             "column_major": np.lexsort((keys // t, keys % t))}[listing]
+    data = DataMatrix(n, t, keys[order] // t, keys[order] % t, rng.normal(size=len(keys)))
+    per_entry = 16 if listing == "row_major" else 24
+    assert _entry_bytes(data) == per_entry * data.nnz
+    for part in (data.select_columns(np.arange(0, t, 3)), data.select_entries(np.arange(0, 1500, 2)),
+                 data.select_entries(rng.permutation(1500)[:500])):
+        assert _entry_bytes(part) <= 24 * part.nnz
+    assert _entry_bytes(data.select_columns(np.arange(0, t, 3))) == per_entry * (
+        data.select_columns(np.arange(0, t, 3)).nnz)
+    # rows, columns and values are computed in the listing's order
+    np.testing.assert_array_equal(data.rows, keys[order] // t)
+    np.testing.assert_array_equal(data.cols, keys[order] % t)
+    at = rng.permutation(len(keys))[:200]
+    for got, want in zip(data.entries(at), (data.rows[at], data.cols[at], data.vals[at])):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("implicit_zero", [False, True])
 def test_select_columns_keeps_the_entries_of_the_kept_columns(implicit_zero):
     rng = np.random.default_rng(15)

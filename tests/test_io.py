@@ -272,6 +272,60 @@ def test_row_major_ingest_and_split_hold_under_80_bytes_per_entry(tmp_path, monk
     assert peak / data.nnz < 80
 
 
+def _row_major_file(tmp_path, id_chars=0):
+    """A row-major triplet file of 300 x 1000 entries whose ids are padded
+    by ``id_chars`` characters, and its entry count."""
+    n_rows, n_cols = 300, 1000
+    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    pad = "x" * id_chars
+    data = DataMatrix(n_rows, n_cols, rows, cols, np.random.default_rng(5).normal(size=len(rows)),
+                      row_labels=[f"r{i:03d}{pad}" for i in range(n_rows)],
+                      col_labels=[f"c{j:04d}{pad}" for j in range(n_cols)])
+    path = str(tmp_path / f"row_major_{id_chars}.tsv")
+    write_triplets(path, data)
+    return path, data.nnz
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_major_ingest_and_split_hold_under_50_bytes_per_entry(tmp_path, monkeypatch):
+    # keys and values are the only per-entry arrays of the matrix and of its
+    # column-split parts, and the file is read a run at a time; with rows,
+    # columns, values and keys per matrix and the whole text read, about 70
+    path, nnz = _row_major_file(tmp_path)
+    _force_spans(monkeypatch, dataio.SPAN_CHARS, cpus=1)  # one span, all in this process
+
+    def setup():
+        data = ingest(path)
+        make_split(data, SplitSpec())
+        return data
+
+    data, peak = _traced_peak(setup)
+    assert data.nnz == nnz
+    assert peak / nnz < 50
+
+
+@pytest.mark.parametrize("spans", [1, 2])
+def test_ingest_holds_no_text_of_lines_with_long_ids(tmp_path, monkeypatch, forked, spans):
+    # lines of about 220 characters: a reader that holds the file's text
+    # needs over 200 bytes per entry, one that reads it a run at a time the
+    # same as for short ids
+    path, nnz = _row_major_file(tmp_path, id_chars=100)
+    assert os.path.getsize(path) / nnz > 200
+    _force_spans(monkeypatch, os.path.getsize(path) // spans + 1, cpus=spans)
+    data, peak = _traced_peak(lambda: ingest(path))
+    assert data.nnz == nnz and len(data.row_labels[0]) == 104
+    assert len(forked) == spans - 1
+    assert peak / nnz < 40
+
+
 def test_read_triplets_names_a_duplicate_line_of_a_row_major_file(tmp_path):
     path = _write(tmp_path, "dup.tsv", "row\tcol\tvalue\na\tx\t1\na\ty\t2\n\na\ty\t3\nb\tx\t4\n")
     assert _error_text(read_triplets, path) == f"{path}:5: duplicate entry for (a, y)"
@@ -354,10 +408,10 @@ _SPANNED = ["r\tc\tvv",
 
 
 def _three_spans(tmp_path, monkeypatch, lines):
-    text = "".join(line + "\n" for line in lines)
+    path = _write(tmp_path, "spanned.tsv", "".join(line + "\n" for line in lines))
     _force_spans(monkeypatch, 1, cpus=3)
-    assert dataio._span_cuts(text) == [0, 35, 63, 91]
-    return _write(tmp_path, "spanned.tsv", text)
+    assert dataio._span_cuts(path) == [0, 35, 63, 91]
+    return path
 
 
 def test_read_triplets_merges_span_ids_in_first_seen_order(tmp_path, monkeypatch, forked):
@@ -395,7 +449,7 @@ def test_read_triplets_raises_the_line_loops_error_from_any_span(
     text = "\n".join(lines) + "\n"
     path = _write(tmp_path, "fault.tsv", text)
     _force_spans(monkeypatch, 1, cpus=cpus)
-    cuts = dataio._span_cuts(text)
+    cuts = dataio._span_cuts(path)
     assert len(cuts) == cpus + 1
     first_bad = text.index("\n" + bad[0] + "\n") + 1
     assert (first_bad < cuts[1]) == (span == "parent")
@@ -416,7 +470,7 @@ def test_read_triplets_rejects_a_tab_inside_a_comma_id_on_any_span(
     text = "\n".join(lines) + "\n"
     path = _write(tmp_path, "fault.csv", text)
     _force_spans(monkeypatch, len(text) // 2 + 1, cpus=2)
-    cuts = dataio._span_cuts(text)
+    cuts = dataio._span_cuts(path)
     assert len(cuts) == 3 and (text.index("a\tb") < cuts[1]) == (span == "parent")
     err = _error_text(read_triplets, path)
     assert err == f"{path}:{lines.index(bad[0]) + 1}: tab inside id 'a\\tb'"
@@ -441,17 +495,17 @@ def test_read_triplets_leaves_no_child_behind(tmp_path, monkeypatch, forked, cas
     _assert_no_child_left(forked)
 
 
-def _reads(monkeypatch):
-    """The paths ``dataio.read_text`` reads in this process, in order."""
-    read, parent, paths = dataio.read_text, os.getpid(), []
+def _parses(monkeypatch):
+    """The byte ranges ``dataio._parse_span`` parses in this process, in order."""
+    parse, parent, spans = dataio._parse_span, os.getpid(), []
 
-    def counted(path, *args):
+    def counted(path, start, stop, delim):
         if os.getpid() == parent:
-            paths.append(path)
-        return read(path, *args)
+            spans.append((start, stop))
+        return parse(path, start, stop, delim)
 
-    monkeypatch.setattr(dataio, "read_text", counted)
-    return paths
+    monkeypatch.setattr(dataio, "_parse_span", counted)
+    return spans
 
 
 @pytest.mark.parametrize("case", ["success", "fault_in_the_child", "fault_in_the_parent",
@@ -475,13 +529,17 @@ def test_two_span_read_rereads_the_file_only_when_the_child_fails(
     text = "".join(line + "\n" for line in lines)
     path = _write(tmp_path, "spanned.tsv", text)
     _force_spans(monkeypatch, len(text) // 2 + 1, cpus=2)
-    assert len(dataio._span_cuts(text)) == 3
-    reads = _reads(monkeypatch)
+    cuts = dataio._span_cuts(path)
+    assert len(cuts) == 3
+    parses = _parses(monkeypatch)
     if case.startswith("fault"):
         assert _error_text(read_triplets, path) == _error_text(line_loop_read_triplets, path)
     else:
         _assert_same_as_oracle(path)
-    assert reads == [path] * (2 if case in ("fault_in_the_child", "child_dies") else 1)
+    # this process parses its own span, and the whole file once more only
+    # when the child's part is missing
+    reparse = [(0, len(text))] if case in ("fault_in_the_child", "child_dies") else []
+    assert parses == [(0, cuts[1])] + reparse
     assert len(forked) == 1
     _assert_no_child_left(forked)
 
@@ -604,6 +662,112 @@ def test_read_triplets_parses_in_process_when_it_may_not_fork(
         if thread.is_alive():
             thread.join(10)
             assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# the streamed read: runs and spans are byte ranges of the file
+# ---------------------------------------------------------------------------
+
+# a CRLF file, a lone-CR file and one with every str.splitlines break
+_BREAK_FILES = {
+    "crlf": ("row\tcol\tvalue\r\na\tx\t1\r\nb\tx\t2\r\n\r\nc\tx\t3\r\n", "\r\n"),
+    "lone_cr": ("row\tcol\tvalue\ra\tx\t1\rb\tx\t2\r\rc\tx\t3\r", "\r"),
+    "breaks": (_ORACLE_FILES["breaks"], "\r\n"),
+}
+
+
+@pytest.mark.parametrize("spans", [1, 3])
+@pytest.mark.parametrize("name", sorted(_BREAK_FILES))
+def test_line_breaks_give_the_line_loops_matrices_and_line_numbers(
+        tmp_path, monkeypatch, forked, name, spans):
+    text, brk = _BREAK_FILES[name]
+    good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+    good.write_bytes(text.encode())
+    bad.write_bytes((text + f"z\tx\tbad{brk}y\tx\t1{brk}").encode())
+    want = _error_text(line_loop_read_triplets, str(bad))
+    assert re.fullmatch(rf"{re.escape(str(bad))}:\d+: bad value 'bad'", want)
+    _force_spans(monkeypatch, 1 if spans > 1 else dataio.SPAN_CHARS, cpus=spans)
+    for run_chars in (1, 4, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        _assert_same_as_oracle(str(good))
+        assert _error_text(read_triplets, str(bad)) == want
+    # a lone CR is no cut point: that file is one span
+    assert bool(forked) == (spans > 1 and name != "lone_cr")
+    _assert_no_child_left(forked)
+
+
+def test_a_character_that_straddles_a_run_or_span_share_is_read_whole(
+        tmp_path, monkeypatch, forked):
+    lines = ["row\tcol\tvalue"] + [f"日本{i // 5}\tü{i % 5}€\t{i}" for i in range(40)]
+    data = ("\n".join(lines) + "\n").encode()
+    path = tmp_path / "utf8.tsv"
+    path.write_bytes(data)
+    # a run reads RUN_CHARS bytes, then on to the next b'\n'
+    inside = [k for k in range(1, 80) if 0x80 <= data[k] < 0xC0]  # continuation bytes
+    assert len(inside) > 20
+    for run_chars in inside:
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        _assert_same_as_oracle(str(path))
+    # a span cut is sought from a share of the bytes, then on past the next b'\n'
+    monkeypatch.setattr(dataio, "RUN_CHARS", 1)
+    shares_inside = 0
+    for spans in (2, 3, 5, 7):
+        _force_spans(monkeypatch, len(data) // spans + 1, cpus=spans)
+        shares_inside += sum(0x80 <= data[len(data) * i // spans] < 0xC0 for i in range(1, spans))
+        assert all(data[cut - 1] == ord("\n") for cut in dataio._span_cuts(str(path))[1:-1])
+        _assert_same_as_oracle(str(path))
+    assert shares_inside and forked
+    _assert_no_child_left(forked)
+
+
+# undecodable bytes inside a line, and a character cut off by the end of the file
+_BAD_BYTES = {"latin1": b"caf\xe9", "invalid_start": b"\xff", "cut_short": b"\xe6\x97",
+              "cut_off_by_the_end": b"\xe6\x97"}
+
+
+@pytest.mark.parametrize("bad, span", [(bad, span) for bad in sorted(_BAD_BYTES)
+                                       for span in ("parent", "child")
+                                       if (bad, span) != ("cut_off_by_the_end", "parent")])
+def test_an_undecodable_byte_gives_read_texts_error_at_its_offset_in_the_file(
+        tmp_path, monkeypatch, forked, bad, span):
+    body = [f"r{i}\tc{i % 3}\t{i}.5".encode() for i in range(12)]
+    if bad == "cut_off_by_the_end":  # in the last span
+        data = b"\n".join([b"row\tcol\tvalue", *body, b"x\ty\t" + _BAD_BYTES[bad]])
+    else:
+        line = b"x\t" + _BAD_BYTES[bad] + b"\t1"
+        lines = [line] + body if span == "parent" else body + [line]
+        data = b"\n".join([b"row\tcol\tvalue", *lines]) + b"\n"
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8")
+    want = f"{path}: not utf-8 text ({exc.value.reason} at byte {exc.value.start})"
+    assert _error_text(line_loop_read_triplets, str(path)) == want  # read_text's error
+    _force_spans(monkeypatch, len(data) // 2 + 1, cpus=2)
+    assert (exc.value.start < dataio._span_cuts(str(path))[1]) == (span == "parent")
+    for run_chars in (1, 5, 16, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(read_triplets, str(path)) == want
+    assert forked  # the runs of one line start both spans' parses
+    _assert_no_child_left(forked)
+
+
+@pytest.mark.parametrize("spans", [1, 2])
+def test_an_undecodable_byte_wins_over_an_earlier_faulty_line(tmp_path, monkeypatch, forked, spans):
+    # read_text decodes the whole file before any line is parsed
+    body = [f"r{i}\tc{i % 3}\t{i}.5".encode() for i in range(12)]
+    data = b"\n".join([b"row\tcol\tvalue", b"a\tb\tbad", *body, b"x\tcaf\xe9\t1", b""])
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(data)
+    want = _error_text(line_loop_read_triplets, str(path))
+    at = data.index(b"\xe9")
+    assert want == f"{path}: not utf-8 text (invalid continuation byte at byte {at})"
+    _force_spans(monkeypatch, len(data) // spans + 1, cpus=spans)
+    for run_chars in (1, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(read_triplets, str(path)) == want
+    assert bool(forked) == (spans > 1)
+    _assert_no_child_left(forked)
 
 
 @pytest.mark.parametrize("labelled", [True, False])
