@@ -1,11 +1,11 @@
 """File formats and ingestion: triplet data, entity locations, model
 persistence, and run configuration.
 
-All formats are line-oriented text.  Triplet and locations files carry a
-header line whose delimiter (tab or comma) sets the delimiter for the rest
-of the file.  Model files round-trip banks bit-exactly by printing floats
-with 17 significant digits.  Writes go through a temp-and-rename so
-readers never observe partial files.
+All formats are line-oriented UTF-8 text under any locale.  Triplet and
+locations files carry a header line whose delimiter (tab or comma) sets the
+delimiter for the rest of the file.  Model files round-trip banks
+bit-exactly by printing floats with 17 significant digits.  Writes go
+through a temp-and-rename so readers never observe partial files.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import re
 import sys
 import tempfile
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, repeat
 
 import numpy as np
 
@@ -50,12 +50,12 @@ def check_output_path(path: str) -> str:
 
 
 def atomic_write(path: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, or the pieces it yields in turn, to ``path`` through a
-    temp file and a rename."""
+    """Write ``text``, or the pieces it yields in turn, to ``path`` as UTF-8
+    through a temp file and a rename."""
     d = check_output_path(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-glembed-")
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -65,16 +65,12 @@ def atomic_write(path: str, text: str | Iterable[str]) -> None:
 
 
 def read_text(path: str, error: type = DataError) -> str:
-    """The text of ``path``; an unreadable or undecodable file raises
-    ``error`` naming the path."""
+    """The text of ``path``, the join of its ``_runs``; an unreadable or
+    undecodable file raises ``error`` with the message of ``_runs``."""
     try:
-        with open(path) as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})") \
-            from None
-    except OSError as exc:
-        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+        return "".join(_runs(path, 0, sys.maxsize))
+    except DataError as exc:
+        raise error(str(exc)) from None
 
 
 def _detect_delimiter(header: str) -> str:
@@ -100,17 +96,20 @@ def read_triplets(path: str):
 def _read_matrix(path: str) -> DataMatrix:
     """The explicit, labelled matrix of a triplet file (``_parse_spans``),
     its entries in file order and its keys those of the duplicate check.  A
-    duplicate's line is numbered by reading the file again."""
-    row_labels, col_labels, rows, cols, vals = _parse_spans(path)
+    duplicate's line is numbered by the fault walk (``_raise_first_fault``)."""
+    head = next(_runs(path, 0, sys.maxsize), "")
+    if not head:
+        raise DataError(f"{path}: empty file")
+    # the header is the first line: it ends at or before the first '\n'
+    delim = _detect_delimiter(head[:head.find("\n") + 1 or len(head)].splitlines()[0])
+    del head
+    row_labels, col_labels, rows, cols, vals = _parse_spans(path, delim)
     keys = np.multiply(rows, len(col_labels), dtype=np.int64)
     keys += cols
     del rows, cols
     keys, order, e = sorted_keys(keys)
     if e >= 0:
-        lines = chain.from_iterable(map(str.splitlines, _runs(path, 0, sys.maxsize)))
-        ln = next(islice((n for n, line in enumerate(lines, 1) if n > 1 and line.strip()), e, None))
-        r, c = divmod(int(keys[np.argmax(order == e)]), len(col_labels))
-        raise DataError(f"{path}:{ln}: duplicate entry for ({row_labels[r]}, {col_labels[c]})")
+        _raise_first_fault(path, delim, e)
     return DataMatrix.from_keys(len(row_labels), len(col_labels), keys,
                                 vals if order is None else vals[order], order,
                                 row_labels=row_labels, col_labels=col_labels)
@@ -121,7 +120,7 @@ def _runs(path: str, start: int, stop: int) -> Iterator[str]:
     runs of whole lines: ``RUN_CHARS`` bytes extended to just after the next
     ``\n`` (or to ``stop``), each decoded as UTF-8.  No run cuts a character
     or a ``\r\n``, so the runs split into the lines of the text.  A fault
-    raises the DataError of ``read_text``, at the byte offset in the file."""
+    raises a DataError naming the path, at the byte offset in the file."""
     try:
         with open(path, "rb") as f:
             f.seek(start)
@@ -158,24 +157,17 @@ def _span_cuts(path: str) -> list[int]:
         return sorted({0, size} | {f.seek(size * i // n) + len(f.readline()) for i in range(1, n)})
 
 
-def _parse_spans(path: str) -> tuple:
+def _parse_spans(path: str, delim: str) -> tuple:
     """The ``_parse_span`` part of the file ``path``, merged from those of
     its spans (``_span_cuts``) in span order: a label keeps the id of the
     first span it is in.  The first span is parsed here, each later one by a
     forked child that reads it from the file and sends its part back, so no
-    process holds the file's text.  A fault in the first span raises its
-    error; a faulty child span, or a child that dies or cannot be forked,
-    parses the file here in one span.  No child outlives the call: on any
-    exit but success the children are killed, and all are joined."""
-    head = next(_runs(path, 0, sys.maxsize), "")
-    if not head:
-        raise DataError(f"{path}: empty file")
-    # the header is the first line: it ends at or before the first '\n'
-    delim = _detect_delimiter(head[:head.find("\n") + 1 or len(head)].splitlines()[0])
-    del head
+    process holds the file's text.  A faulty span, the first without waiting
+    for the children's parts, raises the error of ``_raise_first_fault``; a
+    child that dies or cannot be forked makes this process parse the file in
+    one span.  No child outlives the call: on any exit before every part has
+    arrived the children are killed, and all are joined."""
     cuts = _span_cuts(path)
-    if len(cuts) == 2:
-        return _parse_span(path, 0, cuts[1], delim)
     fork = multiprocessing.get_context("fork")
     children = []
     parts = None
@@ -186,24 +178,33 @@ def _parse_spans(path: str) -> tuple:
             child.start()
             children.append((child, receive))
             send.close()
-        first = _parse_span(path, cuts[0], cuts[1], delim)
-        received = [_received_part(receive) for _, receive in children]
-        if None not in received:
-            parts = [first, *received]
+        parts = [_parse_span(path, cuts[0], cuts[1], delim)]
+        # a faulty first span waits for no part
+        parts += [_received_part(receive) for _, receive in children] if parts[0] else []
     except (EOFError, OSError):  # a child died before it sent, or could not fork
-        pass
+        parts = None
     finally:
         for child, receive in children:
-            if parts is None:
+            if len(parts or ()) < len(cuts) - 1:
                 child.kill()
             child.join()
             receive.close()
     if parts is None:  # the one-span parse, here
-        return _parse_span(path, 0, cuts[-1], delim)
-    index: tuple[dict, dict] = ({}, {})
-    ids = [np.concatenate([_first_seen_ids(index[k], p[k])[p[k + 2]] for p in parts])
-           for k in (0, 1)]
-    return list(index[0]), list(index[1]), *ids, np.concatenate([p[4] for p in parts])
+        parts = [_parse_span(path, 0, cuts[-1], delim)]
+    if None in parts:
+        _raise_first_fault(path, delim)
+    # the first part's ids are its first-seen ones, so already those of the
+    # merge: its indexes and arrays grow in place, and only later parts are
+    # remapped
+    index, out = parts[0][:2], parts[0][2:]
+    at = np.cumsum([0, *(len(p[4]) for p in parts)]).tolist()
+    for a in out:
+        a.resize(at[-1], refcheck=False)
+    for p, s, e in zip(parts[1:], at[1:], at[2:]):
+        for k in (0, 1):  # mode="clip" takes into ``out`` unbuffered; every id is in range
+            np.take(_first_seen_ids(index[k], p[k]), p[k + 2], out=out[k][s:e], mode="clip")
+        out[2][s:e] = p[4]
+    return list(index[0]), list(index[1]), *out
 
 
 def _send_span(send, path: str, start: int, stop: int, delim: str) -> None:
@@ -211,7 +212,7 @@ def _send_span(send, path: str, start: int, stop: int, delim: str) -> None:
     ``path``, or None when the span is faulty."""
     try:
         part = _parse_span(path, start, stop, delim)
-    except DataError:
+    except DataError:  # an undecodable byte, which the parent's fault walk raises
         part = None
     # the arrays go as raw bytes, which the parent reads without a copy
     send.send(part and (part[:2], [a.dtype.str for a in part[2:]]))
@@ -229,53 +230,43 @@ def _parse_span(path: str, start: int, stop: int, delim: str):
     """Parse the lines of bytes ``start:stop`` of ``path``, which start a
     line and end just after a ``\n`` or at the end of the file; the file's
     first line is its header and is skipped.  Returns the span's row and
-    column labels in first-seen order, the entries' row and column ids into
-    them, and the values.
+    column ids by label (in first-seen order), the entries' row and column
+    ids, and the values; or None when a line is faulty, for the fault walk
+    (``_raise_first_fault``) to find and number.
 
     The span is read in runs of whole lines (``_runs``), each split, checked
-    and parsed by C-level passes, so memory is O(one run + entries).  A
-    faulty line raises the DataError of the line loop, its line number
-    counted from the span's first line as line 1: the file's line number in
-    the span that starts the file.
+    and parsed by C-level passes, so memory is O(one run + entries).
     """
-    row_index: dict[str, int] = {}
-    col_index: dict[str, int] = {}
+    index: tuple[dict, dict] = ({}, {})  # row and column ids by label
     out = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]  # rows, cols, vals
     n = 0
-    ln = 1  # line number of the run's first line
+    header = start == 0  # whether the next run starts with the header
     for run in _runs(path, start, stop):
-        lines = run.splitlines()
-        if start == 0 and ln == 1:
-            del lines[0]
-            ln += 1
-        body = list(filter(str.strip, lines))
+        body = list(filter(str.strip, run.splitlines()[header:]))
+        header = False
         fields = delim.join(body).split(delim) if body else []
-        v = None
-        if set(map(str.count, body, repeat(delim))) <= {2}:
-            try:
-                v = np.fromiter(map(float, fields[2::3]), np.float64, len(body))
-            except ValueError:
-                pass
+        try:  # fields misaligned by a line of another field count are a fault too
+            v = np.fromiter(map(float, fields[2::3]), np.float64, len(body))
+        except ValueError:
+            return None
         keys = [list(map(str.strip, fields[k::3])) for k in (0, 1)]
         # a tab inside an id of a comma file would split the line that
         # write_triplets writes for it
-        if (v is None or not np.isfinite(v).all()
+        if (not set(map(str.count, body, repeat(delim))) <= {2} or not np.isfinite(v).all()
                 or delim == "," and "\t" in "".join(keys[0]) + "".join(keys[1])):
-            _raise_first_line_fault(path, lines, ln, delim)
+            return None
         if n + len(v) > len(out[2]):  # grown in place by a quarter: no run arrays to join
             for a in out:
                 a.resize(max(len(a) * 5 // 4, n + len(v)), refcheck=False)
-        for a, run_part in zip(out, (_first_seen_ids(row_index, keys[0]),
-                                     _first_seen_ids(col_index, keys[1]), v)):
+        for a, run_part in zip(out, (*map(_first_seen_ids, index, keys), v)):
             a[n:n + len(v)] = run_part
         n += len(v)
-        ln += len(lines)
     for a in out:
         a.resize(n, refcheck=False)
-    return list(row_index), list(col_index), *out
+    return *index, *out
 
 
-def _first_seen_ids(index: dict[str, int], keys: list[str]) -> np.ndarray:
+def _first_seen_ids(index: dict[str, int], keys: Collection[str]) -> np.ndarray:
     """The int32 ids of ``keys``; keys not yet in ``index`` join it in
     first-seen order."""
     new = filterfalse(index.__contains__, dict.fromkeys(keys))
@@ -283,29 +274,35 @@ def _first_seen_ids(index: dict[str, int], keys: list[str]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
 
 
-def _raise_first_line_fault(path: str, lines: list[str], ln: int, delim: str) -> None:
-    """Raise the DataError of the first faulty line of a run whose first
-    line is line ``ln`` of the file; first, as ``read_text`` would, that of
-    an undecodable byte anywhere in the file."""
-    for _ in _runs(path, 0, sys.maxsize):
-        pass
-    for ln, line in enumerate(lines, start=ln):
-        if not line.strip():
-            continue
-        parts = line.split(delim)
-        if len(parts) != 3:
-            raise DataError(f"{path}:{ln}: expected 3 fields, got {len(parts)}")
-        key = next((k for k in map(str.strip, parts[:2]) if "\t" in k), None)
-        if key is not None:
-            raise DataError(f"{path}:{ln}: tab inside id {key!r}")
-        vtext = parts[2].strip()
-        try:
-            v = float(vtext)
-        except ValueError:
-            raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
-        if not math.isfinite(v):
-            raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
-    raise AssertionError("no faulty line in the run")
+def _raise_first_fault(path: str, delim: str, duplicate: int = -1) -> None:
+    """Raise the DataError that the line loop raises for the faulty triplet
+    file ``path`` of delimiter ``delim``, reading it once: that of an
+    undecodable byte anywhere in it, else that of its first faulty line,
+    else the duplicate entry of its non-blank body line ``duplicate``
+    (counted from 0)."""
+    runs = _runs(path, 0, sys.maxsize)
+    lines = enumerate(chain.from_iterable(map(str.splitlines, runs)), 1)
+    try:  # the body: every non-blank line after the header
+        for e, (ln, line) in enumerate(filter(lambda p: p[0] > 1 and p[1].strip(), lines)):
+            parts = line.split(delim)
+            if len(parts) != 3:
+                raise DataError(f"{path}:{ln}: expected 3 fields, got {len(parts)}")
+            rk, ck, vtext = map(str.strip, parts)
+            for key in (rk, ck):
+                if "\t" in key:
+                    raise DataError(f"{path}:{ln}: tab inside id {key!r}")
+            try:
+                v = float(vtext)
+            except ValueError:
+                raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
+            if e == duplicate:
+                raise DataError(f"{path}:{ln}: duplicate entry for ({rk}, {ck})")
+    finally:
+        for _ in runs:  # an undecodable byte anywhere wins
+            pass
+    raise AssertionError(f"{path}: no fault found")
 
 
 def write_triplets(path: str, data: DataMatrix) -> None:

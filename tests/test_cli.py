@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -516,6 +519,49 @@ def test_poisson_basket_pipeline_with_npll(tmp_path, capsys):
     assert "normalized_predictive_ll" in out
     estimate = float(out.splitlines()[1].split("\t")[1])
     assert estimate <= 0.0
+
+
+# the C locale, whose encoding Python takes for ASCII when it neither coerces
+# the locale nor turns on its UTF-8 mode, and a UTF-8 locale
+_LOCALES = {"c": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            "utf8": {"LC_ALL": "C.UTF-8", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}}
+
+
+def test_every_file_is_utf8_under_every_locale(tmp_path):
+    # non-ASCII ids in the data, the split parts and the model, and a
+    # non-ASCII comment in the config, through split, train and evaluate
+    # run as commands under each locale
+    prefix = str(tmp_path / "shop")
+    assert main(["gen-synthetic", "--kind", "poisson-baskets", "--entities", "20",
+                 "--columns", "120", "--seed", "2", "--out-prefix", prefix]) == 0
+    head, *body = Path(f"{prefix}.data.tsv").read_text().splitlines()
+    data = tmp_path / "data.tsv"
+    data.write_bytes("".join(f"{line}\n" for line in [head, *(
+        f"ünï{r}\t日本{c}\t{v}" for r, c, v in map(str.split, body))]).encode())
+    cfg = tmp_path / "shop.cfg"
+    cfg.write_bytes("# Warenkörbe\nfamily = poisson\nk = 3\niterations = 10\n"
+                    "negative_samples = 3\nstep_size_grid = 0.5\nsplit = none\n".encode())
+    files = {}
+    for name, env in _LOCALES.items():
+        out = tmp_path / name
+        out.mkdir()
+        part = str(out / "part")
+        for argv in (["split", "--data", str(data), "--implicit-zero", "--seed", "1",
+                      "--out-prefix", part],
+                     ["train", "--config", str(cfg), "--data", f"{part}.train.tsv",
+                      "--out", f"{part}.model"],
+                     ["evaluate", "--model", f"{part}.model", "--test", f"{part}.test.tsv",
+                      "--protocol", "npll"]):
+            run = subprocess.run([sys.executable, "-m", "glembed.cli", *argv],
+                                 env=dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+                                     p for p in sys.path if p)), capture_output=True)
+            assert run.returncode == 0, run.stderr.decode()
+        files[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert sorted(files["c"]) == ["part.model", "part.test.tsv", "part.train.tsv",
+                                  "part.valid.tsv"]
+    assert "ünï".encode() in files["c"]["part.model"]
+    assert "日本".encode() in files["c"]["part.train.tsv"]
+    assert files["c"] == files["utf8"]
 
 
 def test_evaluate_applies_the_familys_value_rules_to_the_test_file(tmp_path, capsys):

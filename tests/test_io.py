@@ -326,6 +326,20 @@ def test_ingest_holds_no_text_of_lines_with_long_ids(tmp_path, monkeypatch, fork
     assert peak / nnz < 40
 
 
+@pytest.mark.parametrize("id_chars", [0, 100])
+@pytest.mark.parametrize("spans", [1, 2])
+def test_ingest_merges_span_parts_in_place(tmp_path, monkeypatch, forked, spans, id_chars):
+    # this process's own part grows in place and only the child's part is
+    # remapped into it: 29.3 and 29.6 bytes per entry on two spans, where a
+    # concatenation of both parts held 33.2 and 33.5; one span holds the
+    # transients of a run of short lines too, 34.3 and 24.9
+    path, nnz = _row_major_file(tmp_path, id_chars)
+    _force_spans(monkeypatch, os.path.getsize(path) // spans + 1, cpus=spans)
+    data, peak = _traced_peak(lambda: ingest(path))
+    assert data.nnz == nnz and len(forked) == spans - 1
+    assert peak / nnz < (31 if spans == 2 else 35)
+
+
 def test_read_triplets_names_a_duplicate_line_of_a_row_major_file(tmp_path):
     path = _write(tmp_path, "dup.tsv", "row\tcol\tvalue\na\tx\t1\na\ty\t2\n\na\ty\t3\nb\tx\t4\n")
     assert _error_text(read_triplets, path) == f"{path}:5: duplicate entry for (a, y)"
@@ -537,8 +551,9 @@ def test_two_span_read_rereads_the_file_only_when_the_child_fails(
     else:
         _assert_same_as_oracle(path)
     # this process parses its own span, and the whole file once more only
-    # when the child's part is missing
-    reparse = [(0, len(text))] if case in ("fault_in_the_child", "child_dies") else []
+    # when the child dies: a fault in the child's span is numbered by the
+    # fault walk, which parses no span
+    reparse = [(0, len(text))] if case == "child_dies" else []
     assert parses == [(0, cuts[1])] + reparse
     assert len(forked) == 1
     _assert_no_child_left(forked)
@@ -617,6 +632,48 @@ def test_read_triplets_kills_its_children_when_it_leaves_by_an_exception(
     with pytest.raises(RuntimeError, match="interrupted"):
         read_triplets(path)
     assert time.monotonic() - started < 30
+    assert len(forked) == 2
+    _assert_no_child_left(forked)
+
+
+@pytest.mark.parametrize("spans", [1, 3])
+def test_a_faulty_line_wins_over_an_earlier_duplicate(tmp_path, monkeypatch, forked, spans):
+    # line 5 repeats (b, x) of line 2, in the first span; line 11 has a bad
+    # value, in the third span when there are three
+    lines = _SPANNED.copy()
+    lines[4] = "b\tx\t13"
+    lines[10] = "c\ty\tnn"
+    path = _three_spans(tmp_path, monkeypatch, lines)
+    if spans == 1:
+        _force_spans(monkeypatch, dataio.SPAN_CHARS, cpus=1)
+    want = f"{path}:11: bad value 'nn'"
+    assert _error_text(line_loop_read_triplets, path) == want
+    for run_chars in (1, 16, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(read_triplets, path) == want
+    assert len(forked) == 3 * (spans - 1)
+    _assert_no_child_left(forked)
+
+
+def test_a_faulty_first_span_kills_its_stuck_children(tmp_path, monkeypatch, forked):
+    # the children never send a part: the faulty line of the first span is
+    # raised without waiting for them
+    parse_span, parent = dataio._parse_span, os.getpid()
+
+    def stuck_in_a_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return parse_span(*args)
+
+    monkeypatch.setattr(dataio, "_parse_span", stuck_in_a_child)
+    lines = _SPANNED.copy()
+    lines[2] = "a\ty\t1\t"
+    path = _three_spans(tmp_path, monkeypatch, lines)
+    started = time.monotonic()
+    err = _error_text(read_triplets, path)
+    assert time.monotonic() - started < 10
+    assert err == f"{path}:3: expected 3 fields, got 4"
+    assert err == _error_text(line_loop_read_triplets, path)
     assert len(forked) == 2
     _assert_no_child_left(forked)
 
