@@ -30,8 +30,7 @@ def _build_context(kind: str, data: DataMatrix, param: int, locations_path: str 
     if kind == "knn":
         if not locations_path:
             raise ConfigError("knn context needs --locations")
-        positions = read_locations(locations_path, data.row_labels
-                                   or [str(i) for i in range(data.n_rows)])
+        positions = read_locations(locations_path, data.row_labels)
         return build_knn_context(SpatialLayout(positions, param), data)
     if kind == "basket":
         return build_basket_context(data)
@@ -39,8 +38,8 @@ def _build_context(kind: str, data: DataMatrix, param: int, locations_path: str 
 
 
 def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix, ctx) -> float:
-    """Higher-is-better score on the validation split, whose context is
-    ``ctx``: a held-out protocol of the family, else the objective per term."""
+    """Higher-is-better score on the validation split in the train split's
+    context map ``ctx``: a held-out protocol of the family, else the objective per term."""
     protocols = PROTOCOLS.get(spec.family, ())
     if "loo-mse" in protocols:
         return -leave_one_out_mse(valid, ctx, bank, spec).estimate
@@ -75,15 +74,13 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     if len(grid) > 1 and (valid_m is None or valid_m.nnz == 0):
         raise ConfigError("step-size grid search needs a validation split; "
                           "set step_size_grid to a single value or enable a split")
-    valid_ctx = None if len(grid) == 1 else \
-        _build_context(cfg.context, valid_m, cfg.context_param, locations_path)
     best = None
     for step in grid:
         bank, log = train(train_m, ctx, spec, cfg.train_config(step))
         if len(grid) == 1:
             best = (step, bank, log, float("nan"))
             break
-        score = _validation_score(cfg, spec, bank, valid_m, valid_ctx)
+        score = _validation_score(cfg, spec, bank, valid_m, ctx)
         print(f"step_size {step:g}: validation score {score:.6g}", file=sys.stderr)
         if best is None or score > best[3]:
             best = (step, bank, log, score)

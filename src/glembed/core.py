@@ -24,8 +24,9 @@ from scipy import sparse
 from .errors import ConfigError, DataError
 
 
-# keys per chunk that select_columns maps at once
-KEY_CHUNK = 2**16
+# keys per chunk that DataMatrix.select maps at once (and counts, at least): its
+# temporaries hold a few times this many, whatever the entry count
+KEY_CHUNK = 2**14
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -340,29 +341,76 @@ class DataMatrix:
                 np.put(stored, at, True)
             yield ColumnBlock(slice(block[0], block[-1] + 1) if cols is None else block, x, stored)
 
-    def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
-        """New matrix over the given columns, reindexed 0..len(keep)-1, its
-        entries in this one's entry order.  The kept keys are mapped
-        ``KEY_CHUNK`` at a time, with no per-entry table of the columns; they
-        stay sorted when the keys list the entries and ``keep`` increases."""
+    def counts(self, axis: int) -> np.ndarray:
+        """The entry count of each row (``axis`` 0) or column (1) from the
+        keys: a search over them for rows, and for columns a chunk at a time."""
+        if axis == 0:
+            return np.diff(np.searchsorted(self._keys, np.arange(self.n_rows + 1) * self.n_cols))
+        counts = np.zeros(self.n_cols, dtype=np.int64)
+        step = max(KEY_CHUNK, self.n_cols)  # a count per chunk costs n_cols
+        for lo in range(0, self.nnz, step):
+            counts += np.bincount(self._keys[lo:lo + step] % self.n_cols, minlength=self.n_cols)
+        return counts
+
+    def select(self, axis: int, keep: Sequence[int], labels: list[str] | None = None):
+        """New matrix over the rows (``axis`` 0) or columns (1) ``keep`` (-1:
+        an id with no entry), renumbered 0..len(keep)-1 and labelled
+        ``labels`` (their own, by default), in this one's entry order.  The
+        keys are mapped ``KEY_CHUNK`` at a time, with no per-entry row or
+        column table.  When they list the entries and ``keep`` increases
+        they stay sorted, and the values are shared unless an entry drops."""
         keep = np.asarray(keep, dtype=np.int64)
-        new_ids = np.full(self.n_cols, -1, dtype=np.int64)
-        new_ids[keep] = np.arange(len(keep))
-        kept = np.empty(self.nnz, dtype=bool)
-        for lo in range(0, self.nnz, KEY_CHUNK):
-            kept[lo:lo + KEY_CHUNK] = new_ids[self._keys[lo:lo + KEY_CHUNK] % self.n_cols] >= 0
-        keys, vals = self._keys[kept], self._key_vals[kept]
+        new_ids = np.full((self.n_rows, self.n_cols)[axis], -1, dtype=np.int64)
+        given = np.flatnonzero(keep >= 0)
+        new_ids[keep[given]] = given
+        shape = (len(keep), self.n_cols) if axis == 0 else (self.n_rows, len(keep))
+        names = [self.row_labels, self.col_labels]
+        names[axis] = labels or names[axis] and [names[axis][i] for i in keep.tolist()]
+        if np.any(new_ids < 0):
+            kept = np.empty(self.nnz, dtype=bool)
+            for lo in range(0, self.nnz, KEY_CHUNK):
+                ids = np.divmod(self._keys[lo:lo + KEY_CHUNK], self.n_cols)[axis]
+                kept[lo:lo + KEY_CHUNK] = new_ids[ids] >= 0
+            keys, vals = self._keys[kept], self._key_vals[kept]
+        else:
+            kept, keys, vals = None, self._keys.copy(), self._key_vals
         for lo in range(0, len(keys), KEY_CHUNK):
-            rows, cols = np.divmod(keys[lo:lo + KEY_CHUNK], self.n_cols)
-            keys[lo:lo + KEY_CHUNK] = rows * len(keep) + new_ids[cols]
+            cell = np.divmod(keys[lo:lo + KEY_CHUNK], self.n_cols)
+            cell[axis][:] = new_ids[cell[axis]]
+            keys[lo:lo + KEY_CHUNK] = cell[0] * shape[1] + cell[1]
         if self._at is not None:  # the kept entries in this matrix's entry order
-            at = (np.cumsum(kept) - 1)[self._at[kept[self._at]]]
+            at = self._at if kept is None else (np.cumsum(kept) - 1)[self._at[kept[self._at]]]
             keys, vals = keys[at], vals[at]
         keys, order, _ = sorted_keys(keys)
-        labels = None if self.col_labels is None else [self.col_labels[c] for c in keep.tolist()]
-        return DataMatrix.from_keys(self.n_rows, len(keep), keys,
-                                    vals if order is None else vals[order], order,
-                                    self.implicit_zero, self.row_labels, labels)
+        return DataMatrix.from_keys(*shape, keys, vals if order is None else vals[order], order,
+                                    self.implicit_zero, *names)
+
+    def select_columns(self, keep: Sequence[int]) -> "DataMatrix":
+        """``select`` of the columns ``keep``."""
+        return self.select(1, keep)
+
+    def map_values(self, fn) -> "DataMatrix":
+        """New matrix of the same entries, valued ``fn(vals)`` for an elementwise ``fn``."""
+        data = DataMatrix.from_keys(self.n_rows, self.n_cols, self._keys, fn(self._key_vals),
+                                    None, self.implicit_zero, self.row_labels, self.col_labels)
+        data._at = self._at
+        return data
+
+    def lagged(self, every_cell: bool) -> "DataMatrix":
+        """The lag transform, an explicit matrix of one column fewer: column
+        c holds x[:, c + 1] - x[:, c], absent cells read as 0, at every cell
+        when ``every_cell`` and else at the cells that an entry touches, in
+        key order: the difference of two column selections."""
+        if self.n_cols < 2:
+            raise DataError("lag transform needs at least 2 columns")
+        n = self.n_cols - 1
+        later, earlier = self.select(1, np.arange(1, n + 1)), self.select(1, np.arange(n))
+        keys = np.arange(self.n_rows * n) if every_cell else np.union1d(later._keys, earlier._keys)
+        vals = np.zeros(len(keys))
+        vals[np.searchsorted(keys, later._keys)] = later._key_vals
+        vals[np.searchsorted(keys, earlier._keys)] -= earlier._key_vals
+        return DataMatrix.from_keys(self.n_rows, n, keys, vals, None, False,
+                                    self.row_labels, later.col_labels)
 
     def select_entries(self, positions: Sequence[int]) -> "DataMatrix":
         """New matrix with the same shape keeping only the given stored

@@ -327,85 +327,39 @@ def _triplet_text(data: DataMatrix) -> Iterator[str]:
 def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
            min_row_count=0, min_col_count=0, row_vocab: list[str] | None = None) -> DataMatrix:
     """Load a triplet file and apply the preprocessing transforms in order:
-    lag, rating shift-and-clamp, then minimum-count filters.
-
-    ``row_vocab`` pins the row universe and ordering (evaluation against a
-    trained model); unknown row ids then raise CompatibilityError.
-    """
+    ``row_vocab`` (the row universe and order of a trained model; an unknown
+    row id raises CompatibilityError), lag, rating shift-and-clamp, the
+    implicit-zero drop, then minimum-count filters.  Each derives a new
+    matrix from the keys of the one before, in its entry order."""
     _check_min_counts(min_row_count, min_col_count)  # before the file is read
     data = _read_matrix(path)
-    if row_vocab is None and not (lag or rating_shift or min_row_count or min_col_count):
-        if implicit_zero and not data.vals.all():
-            data = data.select_entries(np.flatnonzero(data.vals))
-        data.implicit_zero = bool(implicit_zero)  # set on the fresh matrix, before any use
-        return data
-    row_labels, col_labels, (rows, cols, vals) = data.row_labels, data.col_labels, data.entries()
-    del data
     if row_vocab is not None:
         lookup = {k: i for i, k in enumerate(row_vocab)}
         try:
-            remap = np.asarray([lookup[k] for k in row_labels], np.int64)
+            remap = [lookup[k] for k in data.row_labels]
         except KeyError as e:
             raise CompatibilityError(f"row id {e.args[0]!r} not in the model vocabulary") from None
-        rows = remap[rows]
-        row_labels = list(row_vocab)
-    n_rows, n_cols = len(row_labels), len(col_labels)
-
+        keep = np.full(len(row_vocab), -1)
+        keep[remap] = np.arange(len(remap))
+        data = data.select(0, keep, list(row_vocab))
     if lag:
-        # columns become successive differences in column-index order; the
-        # first column is consumed.  Lag cell (r, c) is x[r, c + 1] - x[r, c]
-        # with absent cells read as 0; implicit-zero data list only the cells
-        # an entry touches, explicit data every cell
-        if n_cols < 2:
-            raise DataError("lag transform needs at least 2 columns")
-        col_labels = col_labels[1:]
-        n_cols -= 1
-        later, earlier = cols > 0, cols < n_cols
-        k_later = rows[later] * n_cols + cols[later] - 1
-        k_earlier = rows[earlier] * n_cols + cols[earlier]
-        keys = np.union1d(k_later, k_earlier) if implicit_zero else np.arange(n_rows * n_cols)
-        plus, minus = np.zeros(len(keys)), np.zeros(len(keys))
-        plus[np.searchsorted(keys, k_later)] = vals[later]
-        minus[np.searchsorted(keys, k_earlier)] = vals[earlier]
-        rows, cols = np.divmod(keys, n_cols)
-        vals = plus - minus
-
+        data = data.lagged(every_cell=not implicit_zero)
     if rating_shift:
-        vals = vals - 2.0
-        vals = np.where(vals < 0.0, 0.0, vals)
-
+        data = data.map_values(lambda v: np.maximum(v - 2.0, 0.0))
     if implicit_zero:
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-    if min_row_count > 0:
-        keep, rows, row_labels = _min_count_filter(rows, row_labels, min_row_count)
-        cols, vals = cols[keep], vals[keep]
-    if min_col_count > 0:
-        keep, cols, col_labels = _min_count_filter(cols, col_labels, min_col_count)
-        rows, vals = rows[keep], vals[keep]
-    n_rows, n_cols = len(row_labels), len(col_labels)
-
-    return DataMatrix(n_rows, n_cols, rows, cols, vals,
-                      implicit_zero=implicit_zero,
-                      row_labels=row_labels, col_labels=col_labels)
+        if not data.vals.all():
+            data = data.select_entries(np.flatnonzero(data.vals))
+        data.implicit_zero = True  # set on a fresh matrix that stores no zero, before any use
+    for axis, least in ((0, min_row_count), (1, min_col_count)):
+        if least > 0:
+            data = data.select(axis, np.flatnonzero(data.counts(axis) >= least))
+    return data
 
 
 def _check_min_counts(min_row_count: int, min_col_count: int) -> None:
     for key, least in (("min_row_count", min_row_count), ("min_col_count", min_col_count)):
         if least < 0:
             raise ConfigError(f"{key} must be >= 0, got {least}", key)
-
-
-def _min_count_filter(ids: np.ndarray, labels: list[str], min_count: int):
-    """Keep the ids of at least ``min_count`` entries, renumbered from 0 in
-    order: (the mask of the entries kept, their new ids, the kept labels)."""
-    kept = np.flatnonzero(np.bincount(ids, minlength=len(labels)) >= min_count)
-    remap = np.full(len(labels), -1, np.int64)
-    remap[kept] = np.arange(len(kept))
-    new = remap[ids]
-    keep = new >= 0
-    return keep, new[keep], [labels[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------

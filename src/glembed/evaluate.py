@@ -108,7 +108,7 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
         train_cols = sorted(order[n_test + n_valid:].tolist())
         dropped = 0
         if data.implicit_zero:
-            items = np.bincount(data.cols, minlength=t)
+            items = data.counts(1)
             kept = [c for c in test_cols if items[c] >= MIN_BASKET_ITEMS]
             dropped = len(test_cols) - len(kept)
             test_cols = kept

@@ -112,8 +112,7 @@ def validate_data(spec: FamilySpec, data: DataMatrix) -> None:
     if fam is Family.CATEGORICAL:
         if data.n_rows != spec.vocab_size:
             raise DataError("categorical data rows must equal vocab_size")
-        counts = np.bincount(data.cols, minlength=data.n_cols)
-        if not (counts == 1).all():
+        if not (data.counts(1) == 1).all():
             raise DataError("categorical data needs exactly one active term per column")
         if len(data.vals) and not np.all(data.vals == 1.0):
             raise DataError("categorical entries must be indicator values 1")

@@ -14,7 +14,9 @@ and CSR products;
 table and the zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
 triplet file one line at a time, the oracle of the run-at-a-time reader and
-writer.  ``categorical_term_log_likelihoods`` and
+writer.  ``rebuild_ingest`` applies the ingest transforms to per-entry rows,
+columns and values and builds one matrix at the end, the oracle of the chain
+of matrices derived from their keys.  ``categorical_term_log_likelihoods`` and
 ``categorical_weighted_gradient`` score categorical columns as batches of
 their active terms, one (columns, vocabulary) softmax table per batch: the
 oracle of the column-block softmax.  ``serial_sparse_train`` is the sparse
@@ -48,8 +50,8 @@ from glembed.contexts import (
     build_knn_context,
     build_window_context,
 )
-from glembed.dataio import _detect_delimiter, atomic_write, read_text
-from glembed.errors import DataError
+from glembed.dataio import _detect_delimiter, atomic_write, read_text, read_triplets
+from glembed.errors import CompatibilityError, DataError
 from glembed.evaluate import EvalReport
 from glembed.families import (
     ClampCounters,
@@ -306,6 +308,65 @@ def line_loop_read_triplets(path):
         raise DataError(f"{path}:{ln}: duplicate entry for "
                         f"({row_labels[rows[e]]}, {col_labels[cols[e]]})")
     return row_labels, col_labels, rows, cols, np.asarray(vals, np.float64)
+
+
+def rebuild_ingest(path, *, implicit_zero=False, lag=False, rating_shift=False,
+                   min_row_count=0, min_col_count=0, row_vocab=None):
+    """``dataio.ingest`` on the file's per-entry rows, columns and values:
+    each transform rewrites them in entry order, and one ``DataMatrix`` is
+    built from them at the end."""
+    row_labels, col_labels, rows, cols, vals = read_triplets(path)
+    if row_vocab is not None:
+        lookup = {k: i for i, k in enumerate(row_vocab)}
+        try:
+            remap = np.asarray([lookup[k] for k in row_labels], np.int64)
+        except KeyError as e:
+            raise CompatibilityError(f"row id {e.args[0]!r} not in the model vocabulary") from None
+        rows = remap[rows]
+        row_labels = list(row_vocab)
+    n_rows, n_cols = len(row_labels), len(col_labels)
+    if lag:
+        # lag cell (r, c) is x[r, c + 1] - x[r, c], absent cells read as 0;
+        # implicit-zero data list only the cells an entry touches, explicit
+        # data every cell, in key order
+        if n_cols < 2:
+            raise DataError("lag transform needs at least 2 columns")
+        col_labels = col_labels[1:]
+        n_cols -= 1
+        later, earlier = cols > 0, cols < n_cols
+        k_later = rows[later] * n_cols + cols[later] - 1
+        k_earlier = rows[earlier] * n_cols + cols[earlier]
+        keys = np.union1d(k_later, k_earlier) if implicit_zero else np.arange(n_rows * n_cols)
+        plus, minus = np.zeros(len(keys)), np.zeros(len(keys))
+        plus[np.searchsorted(keys, k_later)] = vals[later]
+        minus[np.searchsorted(keys, k_earlier)] = vals[earlier]
+        rows, cols = np.divmod(keys, n_cols)
+        vals = plus - minus
+    if rating_shift:
+        vals = vals - 2.0
+        vals = np.where(vals < 0.0, 0.0, vals)
+    if implicit_zero:
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if min_row_count > 0:
+        keep, rows, row_labels = _min_count_filter(rows, row_labels, min_row_count)
+        cols, vals = cols[keep], vals[keep]
+    if min_col_count > 0:
+        keep, cols, col_labels = _min_count_filter(cols, col_labels, min_col_count)
+        rows, vals = rows[keep], vals[keep]
+    return DataMatrix(len(row_labels), len(col_labels), rows, cols, vals,
+                      implicit_zero=implicit_zero, row_labels=row_labels, col_labels=col_labels)
+
+
+def _min_count_filter(ids, labels, min_count):
+    """Keep the ids of at least ``min_count`` entries, renumbered from 0 in
+    order: (the mask of the entries kept, their new ids, the kept labels)."""
+    kept = np.flatnonzero(np.bincount(ids, minlength=len(labels)) >= min_count)
+    remap = np.full(len(labels), -1, np.int64)
+    remap[kept] = np.arange(len(kept))
+    new = remap[ids]
+    keep = new >= 0
+    return keep, new[keep], [labels[i] for i in kept]
 
 
 def fstring_write_triplets(path, data):

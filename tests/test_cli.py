@@ -213,34 +213,41 @@ def test_grid_search_picks_a_step_on_validation(toy_run, capsys):
     assert err.count("validation score") == 2
 
 
-def test_grid_search_builds_the_validation_context_once(toy_run, monkeypatch):
-    # one kNN context for the training split and one for validation, not one
-    # per grid step; each score equals one from a context built afresh
+def test_grid_search_builds_one_context(toy_run, monkeypatch):
+    # a context map holds no data, so the training split's scores every grid
+    # step on validation: one locations read and one kNN build, where a second
+    # context for validation made two; each score equals one from a context
+    # built afresh on the validation split
     root = toy_run["root"]
     cfg = root / "grid4.cfg"
     cfg.write_text(CFG_GAUSSIAN.replace("step_size_grid = 0.1",
                                         "step_size_grid = 0.02, 0.05, 0.1, 0.2")
                    .replace("iterations = 60", "iterations = 20"))
-    build, score_of = cli.build_knn_context, cli._validation_score
-    builds, scores = [], []
+    build, score_of, read = cli.build_knn_context, cli._validation_score, cli.read_locations
+    builds, reads, scores = [], [], []
 
     def counted_build(layout, data):
         builds.append(data)
         return build(layout, data)
 
+    def counted_read(*args):
+        reads.append(args)
+        return read(*args)
+
     def checked_score(cfg, spec, bank, valid, ctx):
         score = score_of(cfg, spec, bank, valid, ctx)
-        fresh = build(SpatialLayout(read_locations(toy_run["locations"], valid.row_labels),
-                                    cfg.knn_k), valid)
+        fresh = build(SpatialLayout(read(toy_run["locations"], valid.row_labels), cfg.knn_k),
+                      valid)
         assert score == -leave_one_out_mse(valid, fresh, bank, spec).estimate
         scores.append((score, bank.embeddings.tobytes(), bank.context_vectors.tobytes()))
         return score
     monkeypatch.setattr(cli, "build_knn_context", counted_build)
+    monkeypatch.setattr(cli, "read_locations", counted_read)
     monkeypatch.setattr(cli, "_validation_score", checked_score)
     rc = main(["train", "--config", str(cfg), "--data", toy_run["data"],
                "--locations", toy_run["locations"], "--out", str(root / "g4.model")])
     assert rc == 0
-    assert len(builds) == 2 and len(scores) == 4
+    assert len(builds) == 1 and len(reads) == 1 and len(scores) == 4
     bank, _, _ = load_model(str(root / "g4.model"))
     best = max(scores, key=lambda s: s[0])
     assert (bank.embeddings.tobytes(), bank.context_vectors.tobytes()) == best[1:]
@@ -492,6 +499,29 @@ def test_query_similar_top_zero_is_empty_success(toy_run, capsys):
     rc = main(["query-similar", "--model", model, "--entity", "0", "--top", "0"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == ["rank\tentity\tsimilarity"]
+
+
+def test_query_similar_on_a_zero_vector_is_a_domain_error(tmp_path, capsys):
+    emb = np.random.default_rng(0).normal(size=(4, 2))
+    emb[1] = 0.0
+    meta = ModelMeta("gaussian", "identity", dim=2, n_entities=4, context="knn",
+                     context_param=2)
+    model = str(tmp_path / "zero.model")
+    store_model(model, EmbeddingBank(emb, emb + 1.0), meta, ["a", "b", "c", "d"])
+    assert main(["query-similar", "--model", model, "--entity", "a", "--top", "2"]) == 0
+    capsys.readouterr()
+    assert main(["query-similar", "--model", model, "--entity", "b", "--top", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: query entity has a zero vector; "
+                                       "cosine undefined\n")
+
+
+def test_store_model_needs_one_label_per_bank_row(tmp_path):
+    meta = ModelMeta("gaussian", "identity", dim=2, n_entities=3, context="knn",
+                     context_param=1)
+    with pytest.raises(DataError, match="one label per bank row required"):
+        store_model(str(tmp_path / "m.model"), EmbeddingBank.init_random(3, 2, seed=0), meta,
+                    ["a", "b"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_poisson_basket_pipeline_with_npll(tmp_path, capsys):

@@ -177,6 +177,13 @@ def test_window_spec_validation():
         WindowSpec(0)
 
 
+def test_window_context_length_must_match_the_data():
+    data = dense_matrix(np.eye(3), implicit_zero=True)
+    build_window_context(3, WindowSpec(1), data)
+    with pytest.raises(DataError, match="matrix length disagrees with window context"):
+        build_window_context(4, WindowSpec(1), data)
+
+
 def test_window_context_size_bounds():
     length, w = 9, 2
     data, ctx, _ = text_instance(4, vocab=4, length=length, w=w)

@@ -553,6 +553,11 @@ def test_popularity_baseline_scores():
 # report arithmetic
 # ---------------------------------------------------------------------------
 
+def test_a_report_of_no_entries_is_a_config_error():
+    with pytest.raises(ConfigError, match="no entries left to score for m$"):
+        EvalReport.from_scores("m", np.array([]))
+
+
 def test_report_stderr_formula():
     scores = np.array([1.0, 2.0, 3.0, 4.0])
     rep = EvalReport.from_scores("m", scores)

@@ -224,6 +224,26 @@ def test_validate_data_rejects_bad_support():
                       dense_matrix(np.array([[0.5, 1.0]])))
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("rows", "rows must equal vocab_size"), ("two_terms", "exactly one active term"),
+    ("no_term", "exactly one active term"), ("value", "indicator values 1")])
+def test_validate_data_rejects_each_categorical_fault(fault, message):
+    # words 0, 2, 1, 2 at positions 0..3 of a vocabulary of 3, and one fault
+    n, rows, cols, vals = 3, [0, 2, 1, 2], [0, 1, 2, 3], [1.0] * 4
+    spec = FamilySpec(Family.CATEGORICAL, vocab_size=3)
+    validate_data(spec, DataMatrix(n, 4, rows, cols, vals, implicit_zero=True))
+    if fault == "rows":
+        n = 4
+    elif fault == "two_terms":
+        rows, cols, vals = rows + [0], cols + [1], vals + [1.0]
+    elif fault == "no_term":
+        rows, cols, vals = rows[:3], cols[:3], vals[:3]
+    else:
+        vals[1] = 2.0
+    with pytest.raises(DataError, match=message):
+        validate_data(spec, DataMatrix(n, 4, rows, cols, vals, implicit_zero=True))
+
+
 def test_categorical_terms_are_implicit_zero_columns_scored_by_blocks():
     data, ctx, bank, spec = family_instance(Family.CATEGORICAL, 5)
     explicit = DataMatrix(data.n_rows, data.n_cols, data.rows, data.cols, data.vals)

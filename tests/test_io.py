@@ -1,4 +1,5 @@
 import errno
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -37,6 +38,7 @@ from helpers import (
     dense_values,
     fstring_write_triplets,
     line_loop_read_triplets,
+    rebuild_ingest,
 )
 
 
@@ -951,6 +953,71 @@ def test_ingest_min_count_filters_match_a_loop_oracle(tmp_path, min_row_count, m
     assert (data.n_rows, data.n_cols) == (len(row_labels), len(col_labels))
     assert [(data.row_labels[r], data.col_labels[c], v) for r, c, v in
             zip(data.rows.tolist(), data.cols.tolist(), data.vals.tolist())] == kept
+
+
+def test_ingest_implicit_zero_drops_a_stored_zero(tmp_path):
+    p = _write(tmp_path, "z.tsv", "row\tcol\tvalue\na\ty\t1\nb\tx\t0\nb\ty\t-0\na\tx\t2\n")
+    data = ingest(p, implicit_zero=True)
+    assert data.implicit_zero and (data.row_labels, data.col_labels) == (["a", "b"], ["y", "x"])
+    assert [a.tolist() for a in data.entries()] == [[0, 0], [0, 1], [1.0, 2.0]]
+
+
+def _assert_same_matrix(got, want):
+    assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+    assert (got.n_rows, got.n_cols, got.implicit_zero) == (want.n_rows, want.n_cols,
+                                                           want.implicit_zero)
+    for a, b in zip(got.entries(), want.entries()):  # entries in entry order
+        np.testing.assert_array_equal(a, b)
+    assert got.vals.tobytes() == want.vals.tobytes()  # value bits, signed zeros too
+
+
+@pytest.mark.parametrize("implicit_zero", [False, True])
+@pytest.mark.parametrize("order", ["shuffled", "row_major"])
+def test_ingest_matches_the_rebuild_oracle(tmp_path, order, implicit_zero):
+    # every combination of transforms, on stored zeros of both signs, values
+    # that the rating shift clamps, holes, rows and columns that the minimum
+    # counts drop, and a row vocabulary equal to the file's or a shuffled
+    # superset of it (a renumbering out of order, with rows of no entry)
+    rng = np.random.default_rng(29 if order == "shuffled" else 31)
+    cells = np.flatnonzero(rng.random(7 * 9) < 0.55)
+    if order == "shuffled":
+        cells = rng.permutation(cells)
+    vals = rng.choice([-3.0, -0.0, 0.0, 1.0, 2.0, 2.5, 3.0, 5.0], size=len(cells))
+    p = _write(tmp_path, "m.tsv", "row\tcol\tvalue\n" + "".join(
+        f"r{c // 9}\tc{c % 9}\t{v!r}\n" for c, v in zip(cells.tolist(), vals.tolist())))
+    own = read_triplets(p)[0]
+    vocabs = [None, own, list(rng.permutation(own + ["x0", "x1"]))]
+    for vocab, lag, shift, min_row, min_col in itertools.product(
+            vocabs, (False, True), (False, True), (0, 3), (0, 3)):
+        kw = dict(implicit_zero=implicit_zero, lag=lag, rating_shift=shift,
+                  min_row_count=min_row, min_col_count=min_col, row_vocab=vocab)
+        _assert_same_matrix(ingest(p, **kw), rebuild_ingest(p, **kw))
+    for read in (ingest, rebuild_ingest):
+        with pytest.raises(CompatibilityError, match=re.escape(f"row id {own[1]!r} not in")):
+            read(p, implicit_zero=implicit_zero, row_vocab=own[:1] + own[2:])
+
+
+@pytest.mark.parametrize("transform, bound", [
+    ("read", 30), ("min_row_count", 35), ("min_col_count", 35), ("row_vocab", 30)])
+def test_ingest_transforms_hold_no_more_than_the_read(tmp_path, monkeypatch, forked,
+                                                      transform, bound):
+    # a row vocabulary equal to the file's labels and minimum counts that
+    # drop nothing add one key array at most (8 bytes per entry) to the
+    # matrix (16), under the two-span read's own peak of about 29.3; a rebuild
+    # from rows, columns and values took 33.3 and 41.3
+    path, nnz = _row_major_file(tmp_path)
+    kw = {"read": {}, "row_vocab": {"row_vocab": [f"r{i:03d}" for i in range(300)]}}.get(
+        transform, {transform: 1})
+    _force_spans(monkeypatch, os.path.getsize(path) // 2 + 1, cpus=2)
+    data, peak = _traced_peak(lambda: ingest(path, **kw))
+    assert data.nnz == nnz and len(forked) == 1
+    assert peak / nnz <= bound
+
+
+def test_lag_of_one_column_is_a_data_error(tmp_path):
+    p = _write(tmp_path, "one.tsv", "row\tcol\tvalue\na\tt0\t1\nb\tt0\t2\n")
+    with pytest.raises(DataError, match="lag transform needs at least 2 columns"):
+        ingest(p, lag=True)
 
 
 def test_ingest_row_vocab_remap_and_unknown(tmp_path):
