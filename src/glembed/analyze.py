@@ -20,13 +20,6 @@ from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
-class SimilarityQuery:
-    entity: int
-    top_k: int
-    space: str = "embedding"  # "embedding" or "context"
-
-
-@dataclass(frozen=True)
 class PairScore:
     a: int
     b: int
@@ -41,28 +34,29 @@ def _vectors(bank: EmbeddingBank, space: str) -> np.ndarray:
     raise ConfigError("space must be 'embedding' or 'context'")
 
 
-def top_similar(bank: EmbeddingBank, query: SimilarityQuery) -> list[tuple[int, float]]:
-    """Entities ranked by descending cosine similarity to the query vector.
+def top_similar(bank: EmbeddingBank, entity: int, top_k: int,
+                space: str = "embedding") -> list[tuple[int, float]]:
+    """The ``top_k`` entities ranked by descending cosine similarity to
+    ``entity``'s vector in ``space`` ("embedding" or "context").
 
     The query entity is excluded; ties break toward the lower entity id.
     Zero-norm rows other than the query score 0.
     """
-    vecs = _vectors(bank, query.space)
+    vecs = _vectors(bank, space)
     n = vecs.shape[0]
-    if not 0 <= query.entity < n:
-        raise IndexError(f"entity {query.entity} outside bank of {n} rows")
-    if not 0 <= query.top_k < n:
+    if not 0 <= entity < n:
+        raise IndexError(f"entity {entity} outside bank of {n} rows")
+    if not 0 <= top_k < n:
         raise ConfigError("top_k must satisfy 0 <= top_k < N")
-    v = vecs[query.entity]
+    v = vecs[entity]
     vn = np.linalg.norm(v)
     if vn == 0.0:
         raise DomainError("query entity has a zero vector; cosine undefined")
     norms = np.linalg.norm(vecs, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.where(norms > 0, vecs @ v / (norms * vn), 0.0)
-    ids = np.arange(n)
-    order = np.lexsort((ids, -sims))
-    order = order[order != query.entity][: query.top_k]
+    order = np.argsort(-sims, kind="stable")
+    order = order[order != entity][:top_k]
     return [(int(i), float(sims[i])) for i in order]
 
 
@@ -99,8 +93,7 @@ def dimension_ranking(bank: EmbeddingBank, dim: int, top: int,
         raise ConfigError(f"dimension {dim} out of range for K={vecs.shape[1]}")
     col = vecs[:, dim]
     key = np.abs(col) if mode == "abs" else col
-    ids = np.arange(vecs.shape[0])
-    order = np.lexsort((ids, -key))[: min(top, len(ids))]
+    order = np.argsort(-key, kind="stable")[:top]
     return [(int(i), float(col[i])) for i in order]
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: split, train, evaluate, query, and synthesize.
 
-Exit codes: 0 success, 2 usage or configuration problem, 3 data problem,
-4 numeric abort during training.
+``main`` returns 0 on success, and when a command ends in a package error
+it prints the error and returns that error class's ``exit_code`` (see
+``errors``).  argparse itself exits 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -10,15 +11,14 @@ import argparse
 import sys
 from functools import partial
 
-from .analyze import (SimilarityQuery, dimension_ranking, interaction_pairs,
-                      neighbor_weight_graph, top_similar)
+from .analyze import dimension_ranking, interaction_pairs, neighbor_weight_graph, top_similar
 from .contexts import (SpatialLayout, WindowSpec, build_basket_context, build_knn_context,
                        build_window_context)
 from .core import DataMatrix
 from .dataio import (FAMILY_DEFAULTS, RunConfig, atomic_write, check_output_path, ingest,
                      load_model, parse_run_config, read_locations, read_text, store_model,
                      write_locations, write_triplets)
-from .errors import CompatibilityError, ConfigError, DataError, GlembedError, NumericAbortError
+from .errors import CompatibilityError, ConfigError, DataError, GlembedError
 from .evaluate import (PROTOCOLS, SplitSpec, check_protocol, leave_fraction_out_mse,
                        leave_one_out_mse, make_split, normalized_predictive_ll)
 from .families import Family, validate_data
@@ -156,7 +156,7 @@ def cmd_evaluate(args) -> int:
 def cmd_query_similar(args) -> int:
     bank, meta, labels = load_model(args.model)
     entity = _label_index(labels, args.entity)
-    ranked = top_similar(bank, SimilarityQuery(entity, args.top, args.space))
+    ranked = top_similar(bank, entity, args.top, args.space)
     print("rank\tentity\tsimilarity")
     for rank, (i, sim) in enumerate(ranked, start=1):
         print(f"{rank}\t{labels[i]}\t{sim:.6g}")
@@ -207,27 +207,27 @@ def _given(args, *names) -> dict:
 
 
 def cmd_gen_synthetic(args) -> int:
+    positions = None  # a kNN layout's, written after the data
     if args.kind == "gaussian-knn":
         data, truth = gen_gaussian_knn(
             n_entities=args.entities, n_cols=args.columns, noise_sd=args.noise_sd,
             k=args.knn_k, seed=args.seed, **_given(args, "dim"))
-        write_triplets(f"{args.out_prefix}.data.tsv", data)
-        write_locations(f"{args.out_prefix}.locations.tsv", truth.layout.positions)
-        print(f"gaussian-knn: {data.n_rows} entities x {data.n_cols} columns, "
-              f"noise sd {truth.noise_sd}")
+        positions = truth.layout.positions
+        summary = f"{data.n_rows} entities x {data.n_cols} columns, noise sd {truth.noise_sd}"
     elif args.kind == "poisson-baskets":
         data, truth = gen_poisson_baskets(
             n_items=args.entities, n_baskets=args.columns, thin=args.thin, seed=args.seed,
             **_given(args, "dim", "n_clusters"))
-        write_triplets(f"{args.out_prefix}.data.tsv", data)
-        print(f"poisson-baskets: {data.n_rows} items x {data.n_cols} baskets, "
-              f"{data.nnz} purchases")
+        summary = f"{data.n_rows} items x {data.n_cols} baskets, {data.nnz} purchases"
     else:
         data, truth = gen_cluster_corpus(
             vocab_size=args.entities, length=args.columns, seed=args.seed,
             **_given(args, "n_clusters"))
-        write_triplets(f"{args.out_prefix}.data.tsv", data)
-        print(f"text-clusters: vocab {data.n_rows}, {data.n_cols} positions")
+        summary = f"vocab {data.n_rows}, {data.n_cols} positions"
+    write_triplets(f"{args.out_prefix}.data.tsv", data)
+    if positions is not None:
+        write_locations(f"{args.out_prefix}.locations.tsv", positions)
+    print(f"{args.kind}: {summary}")
     return 0
 
 
@@ -321,18 +321,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DataError, CompatibilityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericAbortError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except GlembedError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -36,14 +36,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sorted_cell_keys(rows: np.ndarray, cols: np.ndarray, n_cols: int):
-    """``sorted_keys`` of the row-major keys ``row * n_cols + col`` of a list
-    of cells."""
-    keys = np.multiply(rows, n_cols, dtype=np.int64)
-    keys += cols
-    return sorted_keys(keys)
-
-
 def sorted_keys(keys: np.ndarray):
     """Integer ``keys`` sorted, the stable permutation that sorts them (None
     when they are listed in strictly increasing order, so already sorted and
@@ -183,7 +175,9 @@ class DataMatrix:
         if len(rows) and (rows.min() < 0 or rows.max() >= n_rows
                           or cols.min() < 0 or cols.max() >= n_cols):
             raise DataError("entry index outside matrix shape")
-        keys, order, repeat = sorted_cell_keys(rows, cols, int(n_cols))
+        keys = np.multiply(rows, int(n_cols), dtype=np.int64)
+        keys += cols
+        keys, order, repeat = sorted_keys(keys)
         if repeat >= 0:
             raise DataError(f"duplicate entry at (row={rows[repeat]}, col={cols[repeat]})")
         self._store(n_rows, n_cols, keys, vals if order is None else vals[order], order,
@@ -334,11 +328,8 @@ class DataMatrix:
             x.fill(0.0)
             np.put(x, at, vals[entries])
             stored = scratch.take("stored", x.shape, bool)
-            if self.implicit_zero:  # stores no zero
-                np.not_equal(x, 0.0, out=stored)
-            else:
-                stored.fill(False)
-                np.put(stored, at, True)
+            stored.fill(False)
+            np.put(stored, at, True)
             yield ColumnBlock(slice(block[0], block[-1] + 1) if cols is None else block, x, stored)
 
     def counts(self, axis: int) -> np.ndarray:

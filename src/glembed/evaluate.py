@@ -90,40 +90,28 @@ class EvalReport:
 
 
 def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
-    """Deterministic train/validation/test partition.
+    """Deterministic train/validation/test partition of the columns (the
+    ``columns`` variant) or of the stored entries (``ratings``).
 
-    Column splits assign whole columns with floor rounding, remainder to
-    train; held-out basket columns with fewer than two distinct items are
-    dropped (and counted).  Ratings holdout assigns individual nonzero
-    entries; removed entries become implicit zeros of the training matrix.
+    One permutation of the n ids (columns or entry positions) is cut at
+    floor(n x test fraction) and then floor(n x validation fraction) ids:
+    test, validation, and the remainder to train, each part in increasing
+    id order.  Held-out basket columns of implicit-zero data with fewer
+    than two distinct items are dropped from the test part (and counted).
+    Entries held out of a ratings split become implicit zeros of the
+    training matrix.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.variant == "columns":
-        t = data.n_cols
-        n_test = int(t * spec.test_frac)
-        n_valid = int(t * spec.valid_frac)
-        order = rng.permutation(t)
-        test_cols = sorted(order[:n_test].tolist())
-        valid_cols = sorted(order[n_test:n_test + n_valid].tolist())
-        train_cols = sorted(order[n_test + n_valid:].tolist())
-        dropped = 0
-        if data.implicit_zero:
-            items = data.counts(1)
-            kept = [c for c in test_cols if items[c] >= MIN_BASKET_ITEMS]
-            dropped = len(test_cols) - len(kept)
-            test_cols = kept
-        result = SplitResult(*map(data.select_columns, (train_cols, valid_cols, test_cols)),
-                             dropped)
-    else:
-        nnz = data.nnz
-        n_test = int(nnz * spec.test_frac)
-        n_valid = int(nnz * spec.valid_frac)
-        order = rng.permutation(nnz)
-        test_e = order[:n_test]
-        valid_e = order[n_test:n_test + n_valid]
-        train_e = order[n_test + n_valid:]
-        result = SplitResult(*(data.select_entries(np.sort(e)) for e in (train_e, valid_e, test_e)),
-                             0)
+    columns = spec.variant == "columns"
+    n = data.n_cols if columns else data.nnz
+    n_test, n_valid = int(n * spec.test_frac), int(n * spec.valid_frac)
+    test, valid, train = map(np.sort, np.split(rng.permutation(n), [n_test, n_test + n_valid]))
+    dropped = 0
+    if columns and data.implicit_zero:
+        kept = test[data.counts(1)[test] >= MIN_BASKET_ITEMS]
+        dropped, test = len(test) - len(kept), kept
+    take = data.select_columns if columns else data.select_entries
+    result = SplitResult(take(train), take(valid), take(test), dropped)
     for name, frac, part in (
         ("train", spec.train_frac, result.train),
         ("validation", spec.valid_frac, result.valid),

@@ -7,9 +7,10 @@ kernel runs one loop, ``_pieces``, over one pass of ``ctx.block``: a
 and distinct columns are one ``ColumnBlock`` per piece (``table``/``scatter``).
 Each piece gives its weighted log-likelihoods (``log_likelihoods``), its means
 (``block_means``) or its share of the gradient (``weighted_term_gradient``).
-A kernel call hands one ``core.Scratch`` to its pass and its column blocks
-(a fresh one per call unless the caller keeps one, as a fit does for its
-steps), so a piece's tables are valid until the next piece is drawn.
+Each kernel takes its pass from ``_pass``, which checks the bank, reads its
+effective tables and hands one ``core.Scratch`` to the pass and its column
+blocks (a fresh one per call unless the caller keeps one, as a fit does for
+its steps), so a piece's tables are valid until the next piece is drawn.
 A categorical term is a whole column, the softmax over its vocabulary rows,
 so that family is scored by columns only.
 
@@ -285,15 +286,22 @@ def _pieces(data, scored, spec, cells, zero_weight, scratch):
         yield block, block.x, *_rescaled(spec, svals, counts, w), counts, scored.scatter
 
 
+def _pass(data, ctx, bank, spec, scratch=None):
+    """A kernel call's pass of ``ctx.block`` over ``data`` once ``bank`` is
+    checked against ``spec``: (scored, scratch, emb, cv), with ``scratch``
+    a fresh one when None and ``bank``'s effective tables that the pass reads."""
+    validate_bank(spec, bank)
+    scratch = Scratch() if scratch is None else scratch
+    emb, cv = bank.effective_embeddings(), bank.effective_context_vectors()
+    return ctx.block(data, emb, cv, scratch), scratch, emb, cv
+
+
 def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None):
     """Per piece of ``cells`` (a ``TermBatch``, or distinct column ids, every
     column when None), each cell's log-likelihood given its context times
     its weight, 0 where a mean link drops an empty context; a piece's
     table is valid until the next piece is drawn."""
-    validate_bank(spec, bank)
-    scratch = Scratch()
-    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
-                       scratch)
+    scored, scratch, _, _ = _pass(data, ctx, bank, spec)
     for _, x, svals, w, _, _ in _pieces(data, scored, spec, cells, zero_weight, scratch):
         ll = _log_likelihood(spec, svals, x, counters, scratch)
         if w is not None:
@@ -319,11 +327,7 @@ def weighted_term_gradient(data, ctx, bank, spec, cells, counters=None, zero_wei
     sparse zero/nonzero split.  Its tables come from ``scratch`` (a fresh
     one when None), which a fit keeps for all its steps.
     """
-    validate_bank(spec, bank)
-    scratch = Scratch() if scratch is None else scratch
-    emb = bank.effective_embeddings()
-    cv = bank.effective_context_vectors()
-    scored = ctx.block(data, emb, cv, scratch)
+    scored, scratch, emb, cv = _pass(data, ctx, bank, spec, scratch)
     for piece, x, svals, w, counts, scatter in _pieces(data, scored, spec, cells, zero_weight,
                                                        scratch):
         scatter(piece, _coefficients(spec, svals, x, counts, w, counters, weight))
@@ -350,10 +354,7 @@ def block_means(data, ctx, bank, spec, cols=None):
     the member counts, broadcastable to them.  The Gaussian means are the
     pass's linear values, so a block's tables are valid until the next
     block is drawn."""
-    validate_bank(spec, bank)
-    scratch = Scratch()
-    scored = ctx.block(data, bank.effective_embeddings(), bank.effective_context_vectors(),
-                       scratch)
+    scored, scratch, _, _ = _pass(data, ctx, bank, spec)
     for cells, _, svals, w, counts, _ in _pieces(data, scored, spec, cols, 1.0, scratch):
         m = _mean(spec, svals, None)
         yield cells, (m if w is None else m * w), counts

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch, sorted_cell_keys
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch, sorted_keys
 from glembed.contexts import (
     CELL_CHUNK,
     BasketContext,
@@ -302,7 +302,7 @@ def line_loop_read_triplets(path):
         vals.append(v)
     row_labels, col_labels = list(row_index), list(col_index)
     rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
-    _, _, e = sorted_cell_keys(rows, cols, len(col_labels))
+    _, _, e = sorted_keys(rows * len(col_labels) + cols)
     if e >= 0:
         ln = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][e]
         raise DataError(f"{path}:{ln}: duplicate entry for "

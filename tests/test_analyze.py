@@ -3,7 +3,6 @@ import pytest
 
 from glembed.analyze import (
     PairScore,
-    SimilarityQuery,
     dimension_ranking,
     interaction_pairs,
     neighbor_weight_graph,
@@ -24,7 +23,7 @@ def _bank(emb, cv=None, log_space=False):
 
 def test_top_similar_identical_orthogonal_negated():
     bank = _bank([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    ranked = top_similar(bank, SimilarityQuery(0, 3))
+    ranked = top_similar(bank, 0, 3)
     assert ranked[0] == (1, pytest.approx(1.0))       # same direction
     assert ranked[1] == (2, pytest.approx(0.0))       # orthogonal
     assert ranked[2] == (3, pytest.approx(-1.0))      # negated, last
@@ -32,15 +31,15 @@ def test_top_similar_identical_orthogonal_negated():
 
 def test_top_similar_excludes_query_and_breaks_ties_by_id():
     bank = _bank([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    ranked = top_similar(bank, SimilarityQuery(1, 2))
+    ranked = top_similar(bank, 1, 2)
     assert [i for i, _ in ranked] == [0, 2]
 
 
 def test_top_similar_rankings_invariant_to_positive_rescaling():
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(8, 3))
-    a = top_similar(_bank(emb), SimilarityQuery(2, 5))
-    b = top_similar(_bank(emb * 37.5), SimilarityQuery(2, 5))
+    a = top_similar(_bank(emb), 2, 5)
+    b = top_similar(_bank(emb * 37.5), 2, 5)
     assert [i for i, _ in a] == [i for i, _ in b]
     for (_, sa), (_, sb) in zip(a, b):
         assert sa == pytest.approx(sb)
@@ -49,12 +48,12 @@ def test_top_similar_rankings_invariant_to_positive_rescaling():
 def test_top_similar_zero_vector_query_is_domain_error():
     bank = _bank([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
-        top_similar(bank, SimilarityQuery(0, 1))
+        top_similar(bank, 0, 1)
 
 
 def test_top_similar_top_zero_is_empty():
     bank = _bank([[1.0, 0.0], [0.0, 1.0]])
-    assert top_similar(bank, SimilarityQuery(0, 0)) == []
+    assert top_similar(bank, 0, 0) == []
 
 
 def test_interaction_pairs_unit_vectors():
@@ -172,3 +171,31 @@ def test_neighbor_graph_matches_interaction_scores():
     scores = {(p.a, p.b): p.score for p in interaction_pairs(bank, "highest", 30)}
     for n, m, w in neighbor_weight_graph(bank, layout):
         assert w == pytest.approx(scores[(n, m)])
+
+
+# a query argument outside its domain -> (the query, the error it raises)
+QUERY_FAULTS = {
+    "similar_space": (lambda b: top_similar(b, 0, 1, space="rows"),
+                      ConfigError, "^space must be 'embedding' or 'context'$"),
+    "ranking_space": (lambda b: dimension_ranking(b, 0, 1, space="rows"),
+                      ConfigError, "^space must be 'embedding' or 'context'$"),
+    "direction": (lambda b: interaction_pairs(b, "up", 2),
+                  ConfigError, "^direction must be 'highest' or 'lowest'$"),
+    "mode": (lambda b: dimension_ranking(b, 0, 1, mode="square"),
+             ConfigError, "^mode must be 'signed' or 'abs'$"),
+    "top_k_negative": (lambda b: top_similar(b, 0, -1),
+                       ConfigError, "^top_k must satisfy 0 <= top_k < N$"),
+    "top_k_of_every_entity": (lambda b: top_similar(b, 0, 3),
+                              ConfigError, "^top_k must satisfy 0 <= top_k < N$"),
+    "entity_past_the_end": (lambda b: top_similar(b, 3, 1),
+                            IndexError, "^entity 3 outside bank of 3 rows$"),
+    "entity_negative": (lambda b: top_similar(b, -1, 1),
+                        IndexError, "^entity -1 outside bank of 3 rows$"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(QUERY_FAULTS))
+def test_each_query_argument_is_checked(fault):
+    query, error, message = QUERY_FAULTS[fault]
+    with pytest.raises(error, match=message):
+        query(_bank([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))

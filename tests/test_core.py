@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import glembed
-from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows, sorted_cell_keys
+from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows, sorted_keys
 from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
 from glembed.families import Family, FamilySpec
@@ -40,6 +40,30 @@ def test_public_names_resolve_and_scalar_path_is_gone():
 def test_data_matrix_rejects_duplicates():
     with pytest.raises(DataError, match="duplicate"):
         DataMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("rows, cols, vals", [([0], [0, 1], [1.0, 2.0]),
+                                              ([0, 1], [0], [1.0, 2.0]),
+                                              ([0, 1], [0, 1], [1.0])])
+def test_data_matrix_rejects_arrays_of_unequal_length(rows, cols, vals):
+    with pytest.raises(DataError, match="^rows, cols, vals must have equal length$"):
+        DataMatrix(2, 2, rows, cols, vals)
+
+
+def test_bank_rejects_tables_of_unequal_shape():
+    for cv in (np.zeros((3, 2)), np.zeros((2, 3))):
+        with pytest.raises(DataError, match="^embedding and context tables must have equal shape$"):
+            EmbeddingBank(np.zeros((2, 2)), cv)
+
+
+@pytest.mark.parametrize("listing", ["row_major", "shuffled"])
+def test_select_entries_rejects_a_repeated_position(listing):
+    rows, cols = [0, 0, 1, 2], [0, 2, 1, 0]
+    if listing == "shuffled":
+        rows, cols = rows[::-1], cols[::-1]
+    data = DataMatrix(3, 3, rows, cols, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DataError, match="^entry position 1 selected twice$"):
+        data.select_entries([3, 1, 0, 1])
 
 
 def test_duplicate_message_names_first_repeating_entry():
@@ -113,15 +137,15 @@ def test_lookup_of_complete_data_and_broadcast_queries_matches_dict_oracle(impli
 
 
 def test_sorted_cell_keys_of_row_major_cells_have_no_permutation():
-    keys, order, repeat = sorted_cell_keys(np.array([0, 0, 1, 2]), np.array([1, 3, 0, 2]), 4)
+    keys, order, repeat = sorted_keys(np.array([0, 0, 1, 2]) * 4 + np.array([1, 3, 0, 2]))
     assert keys.tolist() == [1, 3, 4, 10] and order is None and repeat == -1
     for rows, cols in (([], []), ([2], [1])):
-        keys, order, repeat = sorted_cell_keys(np.array(rows, np.int64),
-                                               np.array(cols, np.int64), 4)
+        keys, order, repeat = sorted_keys(np.array(rows, np.int64) * 4
+                                          + np.array(cols, np.int64))
         assert keys.tolist() == [r * 4 + c for r, c in zip(rows, cols)]
         assert order is None and repeat == -1
     # nondecreasing is not enough: a repeated cell is sorted, not distinct
-    keys, order, repeat = sorted_cell_keys(np.array([0, 1, 1, 2]), np.array([1, 0, 0, 2]), 4)
+    keys, order, repeat = sorted_keys(np.array([0, 1, 1, 2]) * 4 + np.array([1, 0, 0, 2]))
     assert keys.tolist() == [1, 4, 4, 10] and order.tolist() == [0, 1, 2, 3] and repeat == 2
 
 

@@ -13,6 +13,7 @@ from glembed.families import (
     _residual,
     block_means,
     log_likelihoods,
+    log_prior,
     term_log_likelihoods,
     validate_data,
     weighted_term_gradient,
@@ -469,6 +470,12 @@ def test_lognormal_regularizer_matches_finite_differences():
     data, ctx, bank, spec = family_instance(Family.ADDITIVE_POISSON, seed=32)
     g = full_gradient(data, ctx, bank, spec, TrainConfig(reg_weight=1.0, regularizer="lognormal"))
     assert_grad_close(g, fd_gradient(data, ctx, bank, spec, 1.0, regularizer="lognormal"))
+
+
+def test_log_prior_rejects_an_unknown_regularizer():
+    bank = EmbeddingBank.init_random(3, 2, seed=0)
+    with pytest.raises(ConfigError, match="^unknown regularizer 'l1'$"):
+        log_prior(bank, 0.5, "l1")
 
 
 def test_downweighted_zero_terms_match_finite_differences():

@@ -1198,6 +1198,47 @@ def test_model_load_rejects_non_finite_parameters_naming_the_line(tmp_path, valu
         load_model(str(p))
 
 
+def test_model_load_rejects_entity_lines_of_mixed_field_counts(tmp_path):
+    # one short line among full ones is that line's fault, not a dim mismatch
+    p = tmp_path / "m.model"
+    store_model(str(p), EmbeddingBank.init_random(3, 2, seed=0), _meta(2, 3), ["a", "b", "c"])
+    lines = p.read_text().splitlines()
+    at = lines.index("#entities") + 2
+    lines[at] = lines[at].rsplit("\t", 1)[0]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}:{at + 1}: expected 5 fields$"):
+        load_model(str(p))
+
+
+def test_blank_lines_inside_a_locations_file_and_a_model_body_are_skipped(tmp_path):
+    loc = _write(tmp_path, "loc.tsv", "entity\tx\ty\n\nq\t1\t2\n  \n\t\nr\t3\t4\n\n")
+    np.testing.assert_array_equal(read_locations(loc, ["r", "q"]), [[3, 4, 0], [1, 2, 0]])
+    p = tmp_path / "m.model"
+    bank = EmbeddingBank.init_random(3, 2, seed=0)
+    store_model(str(p), bank, _meta(2, 3), ["a", "b", "c"])
+    lines = p.read_text().splitlines()
+    at = lines.index("#entities") + 1
+    p.write_text("\n".join(lines[:at] + ["", " "] + lines[at:at + 2] + ["\t"]
+                           + lines[at + 2:] + [""]) + "\n")
+    loaded, meta, labels = load_model(str(p))
+    assert labels == ["a", "b", "c"] and meta == _meta(2, 3)
+    np.testing.assert_array_equal(loaded.embeddings, bank.embeddings)
+    np.testing.assert_array_equal(loaded.context_vectors, bank.context_vectors)
+
+
+def test_atomic_write_leaves_no_temp_file_and_the_old_target_when_a_piece_raises(tmp_path):
+    target = tmp_path / "out.tsv"
+    target.write_text("old\n")
+
+    def pieces():
+        yield "new\n" * 1000
+        raise RuntimeError("piece failed")
+    with pytest.raises(RuntimeError, match="piece failed"):
+        dataio.atomic_write(str(target), pieces())
+    assert [f.name for f in tmp_path.iterdir()] == ["out.tsv"]
+    assert target.read_text() == "old\n"
+
+
 @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "\x0c", "x y", "\x85", "a\r\n"])
 def test_model_store_refuses_a_label_it_cannot_read_back(tmp_path, label):
     with pytest.raises(DataError, match="holds a tab or a line break"):
@@ -1364,6 +1405,11 @@ def test_run_config_rejects_out_of_range_values_naming_the_key(line, key):
 def test_run_config_value_errors_name_the_config_line(text, line):
     with pytest.raises(ConfigError, match=f"^config line {line}: "):
         parse_run_config(text)
+
+
+def test_run_config_line_without_equals_names_its_line():
+    with pytest.raises(ConfigError, match="^config line 3: expected key=value, got 'k 2 '$"):
+        parse_run_config("family = gaussian\n\nk 2 # two dimensions\n")
 
 
 @pytest.mark.parametrize("key", ["sigma2", "lambda", "reg_weight", "gamma", "train_frac",
