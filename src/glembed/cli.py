@@ -19,17 +19,22 @@ from .dataio import (FAMILY_DEFAULTS, RunConfig, atomic_write, check_output_path
                      load_model, parse_run_config, read_locations, read_text, store_model,
                      write_locations, write_triplets)
 from .errors import CompatibilityError, ConfigError, DataError, GlembedError
-from .evaluate import (PROTOCOLS, SplitSpec, check_protocol, leave_fraction_out_mse,
-                       leave_one_out_mse, make_split, normalized_predictive_ll)
+from .evaluate import (PROTOCOLS, SplitSpec, check_folds, check_protocol,
+                       leave_fraction_out_mse, leave_one_out_mse, make_split,
+                       normalized_predictive_ll)
 from .families import Family, validate_data
 from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
 from .train import log_to_tsv, objective, train
 
 
+def _check_locations(kind: str, locations_path: str | None) -> None:
+    """A kNN context needs a locations file: checked before any data are read."""
+    if kind == "knn" and not locations_path:
+        raise ConfigError("knn context needs --locations")
+
+
 def _build_context(kind: str, data: DataMatrix, param: int, locations_path: str | None):
     if kind == "knn":
-        if not locations_path:
-            raise ConfigError("knn context needs --locations")
         positions = read_locations(locations_path, data.row_labels)
         return build_knn_context(SpatialLayout(positions, param), data)
     if kind == "basket":
@@ -51,10 +56,18 @@ def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix, ctx) -> flo
 
 def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
               model_out: str, log_out: str | None):
-    """Ingest, split, grid-search the step size on validation, train, persist."""
+    """Check the arguments, then ingest, split, grid-search the step size on
+    validation, train and persist."""
     for path in (model_out, log_out):
         if path:
             check_output_path(path)
+    _check_locations(cfg.context, locations_path)
+    grid = cfg.step_size_grid
+    # a split with a nonzero validation fraction makes a nonempty validation
+    # part, or make_split raises
+    if len(grid) > 1 and (cfg.split == "none" or cfg.valid_frac == 0):
+        raise ConfigError("step-size grid search needs a validation split; "
+                          "set step_size_grid to a single value or enable a split")
     data = ingest(data_path, implicit_zero=bool(cfg.implicit_zero), lag=cfg.lag,
                   rating_shift=cfg.rating_shift, min_row_count=cfg.min_row_count,
                   min_col_count=cfg.min_col_count)
@@ -70,10 +83,6 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
         raise ConfigError("train split is empty")
     ctx = _build_context(cfg.context, train_m, cfg.context_param, locations_path)
 
-    grid = cfg.step_size_grid
-    if len(grid) > 1 and (valid_m is None or valid_m.nnz == 0):
-        raise ConfigError("step-size grid search needs a validation split; "
-                          "set step_size_grid to a single value or enable a split")
     best = None
     for step in grid:
         bank, log = train(train_m, ctx, spec, cfg.train_config(step))
@@ -96,10 +105,14 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
 def run_evaluate(model_path: str, test_path: str, protocol: str,
                  locations_path: str | None = None, folds: int = 4,
                  fold_seed: int = 0, out=None):
-    """Score a stored model on held-out data and print the report."""
+    """Score a stored model on held-out data and print the report; the
+    arguments are checked against the model before the test data are read."""
     out = out or sys.stdout
     bank, meta, labels = load_model(model_path)
     check_protocol(Family(meta.family), protocol, CompatibilityError)
+    _check_locations(meta.context, locations_path)
+    if protocol == "l25-mse":
+        check_folds(folds, fold_seed)
     test = ingest(test_path, implicit_zero=bool(FAMILY_DEFAULTS[meta.family]["implicit_zero"]),
                   row_vocab=labels)
     if test.nnz == 0:

@@ -29,10 +29,15 @@ from .errors import ConfigError, DataError
 KEY_CHUNK = 2**14
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's Generator of ``seed``; a negative seed is a ConfigError."""
+def check_seed(seed: int) -> None:
+    """Raise a ConfigError keyed ``seed`` if ``seed`` is negative."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}", "seed")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's Generator of ``seed``; a negative seed is a ConfigError."""
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 

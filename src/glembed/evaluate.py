@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, EmbeddingBank, scatter_rows, seeded_rng
+from .core import DataMatrix, EmbeddingBank, check_seed, scatter_rows, seeded_rng
 from .errors import ConfigError
 from .families import Family, FamilySpec, block_means
 
@@ -26,7 +26,9 @@ MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 @dataclass(frozen=True)
 class SplitSpec:
     """How to carve train/validation/test out of one matrix; a fault raises a
-    ``ConfigError`` keyed by its field, or by the fractions of a sum over 1."""
+    ``ConfigError`` keyed by its field, or by the fractions of a sum over 1.
+    The train part is the remainder: ``train_frac`` enters only that sum (of
+    a ``columns`` split) and ``make_split``'s empty-part check."""
 
     variant: str = "columns"        # "columns" | "ratings"
     train_frac: float = 0.9
@@ -45,8 +47,7 @@ class SplitSpec:
         held = fracs if self.variant == "columns" else fracs[1:]  # ratings: holdout only
         if sum(getattr(self, name) for name in held) > 1 + 1e-9:
             raise ConfigError(f"{self.variant} split fractions must sum to <= 1", held)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -96,10 +97,12 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
     One permutation of the n ids (columns or entry positions) is cut at
     floor(n x test fraction) and then floor(n x validation fraction) ids:
     test, validation, and the remainder to train, each part in increasing
-    id order.  Held-out basket columns of implicit-zero data with fewer
-    than two distinct items are dropped from the test part (and counted).
-    Entries held out of a ratings split become implicit zeros of the
-    training matrix.
+    id order; ``train_frac`` does not size the train part.  Held-out
+    basket columns of implicit-zero data with fewer than two distinct items
+    are dropped from the test part (and counted).  Entries held out of a
+    ratings split become implicit zeros of the training matrix for
+    implicit-zero data and missing cells for explicit data.  A part of a
+    positive fraction that comes out empty is a ``ConfigError``.
     """
     rng = np.random.default_rng(spec.seed)
     columns = spec.variant == "columns"
@@ -171,14 +174,21 @@ def leave_one_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     return EvalReport.from_scores("leave_one_out_mse", err2[keep], int((~keep).sum()))
 
 
+def check_folds(folds: int, seed: int) -> None:
+    """Raise a ConfigError unless ``leave_fraction_out_mse`` can fold the
+    entities ``folds`` ways (at least two) under ``seed`` (at least 0)."""
+    if folds < 2:
+        raise ConfigError("fold count must be >= 2 (folds=1 would empty every context)")
+    check_seed(seed)
+
+
 def leave_fraction_out_mse(test_data: DataMatrix, ctx, bank: EmbeddingBank,
                            spec: FamilySpec, folds: int = 4, seed: int = 0) -> EvalReport:
     """Fold the entities, predict each fold's entries from the test data less
     that fold's entries (so no in-fold cell is a member), and pool the squared
     errors over all folds.  Entries left with an empty context are excluded."""
     check_protocol(spec.family, "l25-mse")
-    if folds < 2:
-        raise ConfigError("fold count must be >= 2 (folds=1 would empty every context)")
+    check_folds(folds, seed)
     if test_data.implicit_zero:
         raise ConfigError("leave-fraction-out needs explicit test data: a removed "
                           "implicit-zero entry would read as a zero member")

@@ -701,6 +701,13 @@ _PARSE_TIME_FAULTS = {
     "k_zero": ("family = gaussian\nk = 0\n", 2),
     "negative_seed": ("family = gaussian\nseed = -1\n", 2),
 }
+# configs whose fault glembed train finds in its arguments: a grid search
+# with no validation part (a window context's default split is none), and a
+# kNN context, which needs --locations
+_ARGUMENT_FAULT_CFGS = {"grid_bernoulli": "family = bernoulli\n",
+                        "grid_categorical": "family = categorical\n",
+                        "grid_no_valid": "family = gaussian\nvalid_frac = 0\n",
+                        "knn": "family = gaussian\n"}
 _INPUT_FAULTS = {
     "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
                            "{missing}"),
@@ -751,6 +758,20 @@ _INPUT_FAULTS = {
                                                 "--seed", "-1", "--out-prefix", "{out}"], 2,
                                                "seed must be >= 0")
        for kind in ("gaussian-knn", "poisson-baskets", "text-clusters")},
+    # argument faults are found before the data or test file is read, so a
+    # file that does not exist is never opened (which would exit 3)
+    **{f"train-{name}-before-the-data": (_TRAIN[:2] + [f"{{{name}_cfg}}", "--data", "{missing}"]
+                                         + _TRAIN[5:], 2, "grid search needs a validation split")
+       for name in ("grid_bernoulli", "grid_categorical", "grid_no_valid")},
+    "train-knn-without-locations-before-the-data": (
+        _TRAIN[:2] + ["{knn_cfg}", "--data", "{missing}", "--out", "{out}"], 2,
+        "knn context needs --locations"),
+    "evaluate-knn-without-locations-before-the-test": (
+        _EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:7], 2, "knn context needs --locations"),
+    **{f"evaluate-l25-{option[2:]}-before-the-test": (
+        _EVALUATE[:4] + ["{missing}", "--protocol", "l25-mse"] + _EVALUATE[7:] + [option, value],
+        2, named) for option, value, named in (("--folds", "1", "fold count must be >= 2"),
+                                               ("--fold-seed", "-1", "seed must be >= 0"))},
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -805,6 +826,11 @@ def fault_paths(toy_run):
         cfg = root / f"{name}.cfg"
         cfg.write_text(text)
         parse_time_cfgs[f"{name}_cfg"] = str(cfg)
+    argument_cfgs = {}
+    for name, text in _ARGUMENT_FAULT_CFGS.items():
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(text)
+        argument_cfgs[f"{name}_cfg"] = str(cfg)
     model = root / "fault.model"
     assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                  "--locations", toy_run["locations"], "--out", str(model)]) == 0
@@ -813,7 +839,8 @@ def fault_paths(toy_run):
                 missing=str(root / "missing.tsv"), latin1=str(latin1),
                 nodir=str(root / "no-such-dir" / "out"),
                 empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg),
-                **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs, **parse_time_cfgs)
+                **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs, **parse_time_cfgs,
+                **argument_cfgs)
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))
