@@ -68,12 +68,12 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     if len(grid) > 1 and (cfg.split == "none" or cfg.valid_frac == 0):
         raise ConfigError("step-size grid search needs a validation split; "
                           "set step_size_grid to a single value or enable a split")
-    data = ingest(data_path, implicit_zero=bool(cfg.implicit_zero), lag=cfg.lag,
-                  rating_shift=cfg.rating_shift, min_row_count=cfg.min_row_count,
+    data = ingest(data_path, family=Family(cfg.family), implicit_zero=bool(cfg.implicit_zero),
+                  lag=cfg.lag, rating_shift=cfg.rating_shift, min_row_count=cfg.min_row_count,
                   min_col_count=cfg.min_col_count)
     vocab = data.n_rows if cfg.family == "categorical" else 0
     spec = cfg.family_spec(vocab)
-    validate_data(spec, data)
+    validate_data(spec, data)  # the rules no line of the file holds alone
     if cfg.split == "none":
         train_m, valid_m = data, None
     else:
@@ -106,19 +106,20 @@ def run_evaluate(model_path: str, test_path: str, protocol: str,
                  locations_path: str | None = None, folds: int = 4,
                  fold_seed: int = 0, out=None):
     """Score a stored model on held-out data and print the report; the
-    arguments are checked against the model before the test data are read."""
+    arguments are checked against the model before the test data are read,
+    and each test value by the family's value rule as it is read."""
     out = out or sys.stdout
     bank, meta, labels = load_model(model_path)
     check_protocol(Family(meta.family), protocol, CompatibilityError)
     _check_locations(meta.context, locations_path)
     if protocol == "l25-mse":
         check_folds(folds, fold_seed)
-    test = ingest(test_path, implicit_zero=bool(FAMILY_DEFAULTS[meta.family]["implicit_zero"]),
+    test = ingest(test_path, family=Family(meta.family),
+                  implicit_zero=bool(FAMILY_DEFAULTS[meta.family]["implicit_zero"]),
                   row_vocab=labels)
     if test.nnz == 0:
         raise ConfigError("test split is empty")
     spec = meta.family_spec()
-    validate_data(spec, test)
     ctx = _build_context(meta.context, test, meta.context_param, locations_path)
     if protocol == "loo-mse":
         report = leave_one_out_mse(test, ctx, bank, spec)

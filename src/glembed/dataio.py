@@ -28,7 +28,7 @@ from .core import DataMatrix, EmbeddingBank, sorted_keys
 from .errors import CompatibilityError, ConfigError, DataError
 from .contexts import WindowSpec
 from .evaluate import SplitSpec
-from .families import Family, FamilySpec
+from .families import VALUE_RULES, Family, FamilySpec, ValueRule
 from .train import TrainConfig, sparse_fault
 
 MODEL_MAGIC = "#glembed-model v1"
@@ -93,17 +93,21 @@ def read_triplets(path: str):
     return (data.row_labels, data.col_labels, *data.entries())
 
 
-def _read_matrix(path: str) -> DataMatrix:
+def _read_matrix(path: str, rule: ValueRule | None = None) -> DataMatrix:
     """The explicit, labelled matrix of a triplet file (``_parse_spans``),
     its entries in file order and its keys those of the duplicate check.  A
-    duplicate's line is numbered by the fault walk (``_raise_first_fault``)."""
+    faulty span, a duplicate or a value that ``rule`` refuses is numbered by
+    the fault walk (``_raise_first_fault``)."""
     head = next(_runs(path, 0, sys.maxsize), "")
     if not head:
         raise DataError(f"{path}: empty file")
     # the header is the first line: it ends at or before the first '\n'
     delim = _detect_delimiter(head[:head.find("\n") + 1 or len(head)].splitlines()[0])
     del head
-    row_labels, col_labels, rows, cols, vals = _parse_spans(path, delim)
+    parsed = _parse_spans(path, delim)
+    if parsed is None or rule and not rule.holds(parsed[-1]).all():
+        _raise_first_fault(path, delim, rule=rule)  # a faulty line wins over any duplicate
+    row_labels, col_labels, rows, cols, vals = parsed
     keys = np.multiply(rows, len(col_labels), dtype=np.int64)
     keys += cols
     del rows, cols
@@ -157,16 +161,16 @@ def _span_cuts(path: str) -> list[int]:
         return sorted({0, size} | {f.seek(size * i // n) + len(f.readline()) for i in range(1, n)})
 
 
-def _parse_spans(path: str, delim: str) -> tuple:
+def _parse_spans(path: str, delim: str) -> tuple | None:
     """The ``_parse_span`` part of the file ``path``, merged from those of
     its spans (``_span_cuts``) in span order: a label keeps the id of the
-    first span it is in.  The first span is parsed here, each later one by a
-    forked child that reads it from the file and sends its part back, so no
-    process holds the file's text.  A faulty span, the first without waiting
-    for the children's parts, raises the error of ``_raise_first_fault``; a
-    child that dies or cannot be forked makes this process parse the file in
-    one span.  No child outlives the call: on any exit before every part has
-    arrived the children are killed, and all are joined."""
+    first span it is in; or None when a span is faulty, the first without
+    waiting for the children's parts.  The first span is parsed here, each
+    later one by a forked child that reads it from the file and sends its
+    part back, so no process holds the file's text.  A child that dies or
+    cannot be forked makes this process parse the file in one span.  No
+    child outlives the call: on any exit before every part has arrived the
+    children are killed, and all are joined."""
     cuts = _span_cuts(path)
     fork = multiprocessing.get_context("fork")
     children = []
@@ -192,7 +196,7 @@ def _parse_spans(path: str, delim: str) -> tuple:
     if parts is None:  # the one-span parse, here
         parts = [_parse_span(path, 0, cuts[-1], delim)]
     if None in parts:
-        _raise_first_fault(path, delim)
+        return None
     # the first part's ids are its first-seen ones, so already those of the
     # merge: its indexes and arrays grow in place, and only later parts are
     # remapped
@@ -274,10 +278,12 @@ def _first_seen_ids(index: dict[str, int], keys: Collection[str]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
 
 
-def _raise_first_fault(path: str, delim: str, duplicate: int = -1) -> None:
+def _raise_first_fault(path: str, delim: str, duplicate: int = -1,
+                       rule: ValueRule | None = None) -> None:
     """Raise the DataError that the line loop raises for the faulty triplet
     file ``path`` of delimiter ``delim``, reading it once: that of an
-    undecodable byte anywhere in it, else that of its first faulty line,
+    undecodable byte anywhere in it, else that of its first faulty line (one
+    that does not parse, or given ``rule``, whose value it does not hold),
     else the duplicate entry of its non-blank body line ``duplicate``
     (counted from 0)."""
     runs = _runs(path, 0, sys.maxsize)
@@ -297,6 +303,8 @@ def _raise_first_fault(path: str, delim: str, duplicate: int = -1) -> None:
                 raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
             if not math.isfinite(v):
                 raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
+            if rule and not rule.holds(v):
+                raise DataError(f"{path}:{ln}: {rule.message}")
             if e == duplicate:
                 raise DataError(f"{path}:{ln}: duplicate entry for ({rk}, {ck})")
     finally:
@@ -324,15 +332,19 @@ def _triplet_text(data: DataMatrix) -> Iterator[str]:
         yield ("%s\t%s\t%.17g\n" * len(vals)) % tuple(fields)
 
 
-def ingest(path: str, *, implicit_zero=False, lag=False, rating_shift=False,
-           min_row_count=0, min_col_count=0, row_vocab: list[str] | None = None) -> DataMatrix:
+def ingest(path: str, *, family: Family | None = None, implicit_zero=False, lag=False,
+           rating_shift=False, min_row_count=0, min_col_count=0,
+           row_vocab: list[str] | None = None) -> DataMatrix:
     """Load a triplet file and apply the preprocessing transforms in order:
     ``row_vocab`` (the row universe and order of a trained model; an unknown
     row id raises CompatibilityError), lag, rating shift-and-clamp, the
     implicit-zero drop, then minimum-count filters.  Each derives a new
-    matrix from the keys of the one before, in its entry order."""
+    matrix from the keys of the one before, in its entry order.  Given
+    ``family`` and neither lag nor rating shift, every value of the file,
+    kept or not, must pass the family's ``VALUE_RULES`` entry, and the first
+    that does not names its line."""
     _check_min_counts(min_row_count, min_col_count)  # before the file is read
-    data = _read_matrix(path)
+    data = _read_matrix(path, None if lag or rating_shift else VALUE_RULES.get(family))
     if row_vocab is not None:
         lookup = {k: i for i, k in enumerate(row_vocab)}
         try:

@@ -36,8 +36,10 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, log_softmax, softmax
@@ -104,19 +106,36 @@ def validate_bank(spec: FamilySpec, bank: EmbeddingBank) -> None:
                           "log-space parameter bank")
 
 
+class ValueRule(NamedTuple):  # whether each value (of an array, or one float) may be held
+    holds: Callable[[np.ndarray], np.ndarray]
+    message: str
+
+
+# each family's value rule: ``ingest`` checks a file's values by it, naming
+# the first faulty line, and ``validate_data`` a matrix's.  A categorical
+# entry is 1, and 0 passes for the zeros that the implicit-zero read drops
+VALUE_RULES = {
+    Family.POISSON: ValueRule(lambda v: v >= 0, "poisson data must be nonnegative"),
+    Family.ADDITIVE_POISSON: ValueRule(lambda v: v >= 0,
+                                       "additive_poisson data must be nonnegative"),
+    Family.BERNOULLI: ValueRule(lambda v: np.isin(v, (0.0, 1.0)), "bernoulli data must be 0/1"),
+    Family.CATEGORICAL: ValueRule(lambda v: np.isin(v, (0.0, 1.0)),
+                                  "categorical entries must be indicator values 1"),
+}
+
+
 def validate_data(spec: FamilySpec, data: DataMatrix) -> None:
-    fam = spec.family
-    if fam in (Family.POISSON, Family.ADDITIVE_POISSON) and len(data.vals) and data.vals.min() < 0:
-        raise DataError(f"{fam.value} data must be nonnegative")
-    if fam is Family.BERNOULLI and len(data.vals) and not np.isin(data.vals, (0.0, 1.0)).all():
-        raise DataError("bernoulli data must be 0/1")
-    if fam is Family.CATEGORICAL:
+    """Raise a line-less DataError unless ``data`` keeps its family's value
+    rule and, if categorical, has ``spec.vocab_size`` rows, one entry per
+    column and implicit zeros: the rules that the transforms decide."""
+    rule = VALUE_RULES.get(spec.family)
+    if rule and not rule.holds(data.vals).all():
+        raise DataError(rule.message)
+    if spec.family is Family.CATEGORICAL:
         if data.n_rows != spec.vocab_size:
             raise DataError("categorical data rows must equal vocab_size")
         if not (data.counts(1) == 1).all():
             raise DataError("categorical data needs exactly one active term per column")
-        if len(data.vals) and not np.all(data.vals == 1.0):
-            raise DataError("categorical entries must be indicator values 1")
         if not data.implicit_zero:
             raise DataError("categorical data must be implicit-zero: the unstored "
                             "rows of a column are the terms not at its position")

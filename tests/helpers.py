@@ -14,9 +14,11 @@ and CSR products;
 table and the zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
 triplet file one line at a time, the oracle of the run-at-a-time reader and
-writer.  ``rebuild_ingest`` applies the ingest transforms to per-entry rows,
-columns and values and builds one matrix at the end, the oracle of the chain
-of matrices derived from their keys.  ``categorical_term_log_likelihoods`` and
+writer; given a family, the reader also checks each value by its own
+statement of the family's value rule, the oracle of ``families.VALUE_RULES``.
+``rebuild_ingest`` applies the ingest transforms to per-entry rows, columns
+and values and builds one matrix at the end, the oracle of the chain of
+matrices derived from their keys.  ``categorical_term_log_likelihoods`` and
 ``categorical_weighted_gradient`` score categorical columns as batches of
 their active terms, one (columns, vocabulary) softmax table per batch: the
 oracle of the column-block softmax.  ``serial_sparse_train`` is the sparse
@@ -272,9 +274,23 @@ def prefix_gather_window_table(half_width, table):
     return prefix[np.minimum(p + w + 1, length)] - prefix[np.maximum(p - w, 0)] - table
 
 
-def line_loop_read_triplets(path):
+# the values each family's data may hold, one value at a time, and the
+# message of a value outside them
+LINE_LOOP_VALUE_RULES = {
+    Family.POISSON: (lambda v: v >= 0, "poisson data must be nonnegative"),
+    Family.ADDITIVE_POISSON: (lambda v: v >= 0, "additive_poisson data must be nonnegative"),
+    Family.BERNOULLI: (lambda v: v in (0.0, 1.0), "bernoulli data must be 0/1"),
+    Family.CATEGORICAL: (lambda v: v in (0.0, 1.0),
+                         "categorical entries must be indicator values 1"),
+}
+
+
+def line_loop_read_triplets(path, family=None):
     """``dataio.read_triplets`` one line at a time: each line is split,
-    stripped and parsed with ``float`` on its own."""
+    stripped and parsed with ``float`` on its own.  Given ``family``, a
+    value that its ``LINE_LOOP_VALUE_RULES`` entry refuses is a faulty line,
+    as ``dataio.ingest(path, family=family)`` reads the file."""
+    holds, message = LINE_LOOP_VALUE_RULES.get(family, (lambda v: True, None))
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -297,6 +313,8 @@ def line_loop_read_triplets(path):
             raise DataError(f"{path}:{ln}: bad value {vtext!r}") from None
         if not math.isfinite(v):
             raise DataError(f"{path}:{ln}: non-finite value {vtext!r}")
+        if not holds(v):
+            raise DataError(f"{path}:{ln}: {message}")
         rows.append(row_index.setdefault(rk, len(row_index)))
         cols.append(col_index.setdefault(ck, len(col_index)))
         vals.append(v)

@@ -613,7 +613,17 @@ def test_evaluate_applies_the_familys_value_rules_to_the_test_file(tmp_path, cap
         capsys.readouterr()
         assert main(["evaluate", "--model", model, "--test", str(test),
                      "--protocol", "npll"]) == code
-    assert capsys.readouterr().err == "error: poisson data must be nonnegative\n"
+    assert capsys.readouterr().err == f"error: {test}:2: poisson data must be nonnegative\n"
+
+
+def test_split_knows_no_family_and_writes_a_negative_count_unchanged(tmp_path, capsys):
+    data = tmp_path / "counts.tsv"
+    data.write_text("row\tcol\tvalue\na\tx\t3\nb\tx\t-5\nb\ty\t1\n")
+    prefix = str(tmp_path / "parts")
+    assert main(["split", "--data", str(data), "--valid-frac", "0", "--test-frac", "0",
+                 "--out-prefix", prefix]) == 0
+    assert Path(f"{prefix}.train.tsv").read_text().splitlines()[1:] == [
+        "a\tx\t3", "b\tx\t-5", "b\ty\t1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -708,6 +718,11 @@ _ARGUMENT_FAULT_CFGS = {"grid_bernoulli": "family = bernoulli\n",
                         "grid_categorical": "family = categorical\n",
                         "grid_no_valid": "family = gaussian\nvalid_frac = 0\n",
                         "knn": "family = gaussian\n"}
+# per family with a value rule, a value it refuses and the rule's message
+_REFUSED_VALUES = {"poisson": ("-5", "poisson data must be nonnegative"),
+                   "additive_poisson": ("-0.5", "additive_poisson data must be nonnegative"),
+                   "bernoulli": ("0.5", "bernoulli data must be 0/1"),
+                   "categorical": ("2", "categorical entries must be indicator values 1")}
 _INPUT_FAULTS = {
     "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
                            "{missing}"),
@@ -772,6 +787,22 @@ _INPUT_FAULTS = {
         _EVALUATE[:4] + ["{missing}", "--protocol", "l25-mse"] + _EVALUATE[7:] + [option, value],
         2, named) for option, value, named in (("--folds", "1", "fold count must be >= 2"),
                                                ("--fold-seed", "-1", "seed must be >= 0"))},
+    # a value that the family's rule refuses names its line; a fault that
+    # only the transformed matrix shows names none (the named text is the
+    # whole error line)
+    **{f"train-{family}-refused-value": (
+        _TRAIN[:2] + [f"{{{family}_value_cfg}}", "--data", f"{{{family}_refused}}"] + _TRAIN[7:],
+        3, f"error: {{{family}_refused}}:4: {message}")
+       for family, (_, message) in _REFUSED_VALUES.items()},
+    "evaluate-npll-refused-value": (
+        ["evaluate", "--model", "{poisson_model}", "--test", "{poisson_refused}", "--protocol",
+         "npll"], 3, "error: {poisson_refused}:4: poisson data must be nonnegative"),
+    "train-poisson-lag-makes-a-negative-value": (
+        _TRAIN[:2] + ["{poisson_lag_cfg}", "--data", "{lag_negative}"] + _TRAIN[7:], 3,
+        "error: poisson data must be nonnegative"),
+    "train-categorical-column-of-two-active-rows": (
+        _TRAIN[:2] + ["{categorical_value_cfg}", "--data", "{two_active_rows}"] + _TRAIN[7:], 3,
+        "error: categorical data needs exactly one active term per column"),
     "evaluate-model-missing": (_EVALUATE[:2] + ["{missing}"] + _EVALUATE[3:], 3, "{missing}"),
     "evaluate-model-latin1": (_EVALUATE[:2] + ["{latin1}"] + _EVALUATE[3:], 3, "{latin1}"),
     "evaluate-test-missing": (_EVALUATE[:4] + ["{missing}"] + _EVALUATE[5:], 3, "{missing}"),
@@ -834,13 +865,34 @@ def fault_paths(toy_run):
     model = root / "fault.model"
     assert main(["train", "--config", toy_run["config"], "--data", toy_run["data"],
                  "--locations", toy_run["locations"], "--out", str(model)]) == 0
+    value_paths = {}
+    for family, (value, _) in _REFUSED_VALUES.items():
+        cfg = root / f"{family}_value.cfg"
+        cfg.write_text(f"family = {family}\nk = 2\niterations = 5\nstep_size_grid = 0.5\n")
+        refused = root / f"{family}_refused.tsv"  # line 4 is the first refused value
+        refused.write_text(f"row\tcol\tvalue\na\tx\t1\n\nb\tx\t{value}\nb\ty\t{value}\n")
+        value_paths.update({f"{family}_value_cfg": str(cfg), f"{family}_refused": str(refused)})
+    poisson_lag_cfg = root / "poisson_lag.cfg"
+    poisson_lag_cfg.write_text("family = poisson\nlag = 1\nstep_size_grid = 0.5\n")
+    lag_negative = root / "lag_negative.tsv"  # counts of a fall from 3 to 1 in row a
+    lag_negative.write_text("row\tcol\tvalue\na\tx\t3\na\ty\t1\nb\tx\t1\nb\ty\t2\n")
+    two_active_rows = root / "two_active_rows.tsv"  # column x holds terms a and b
+    two_active_rows.write_text("row\tcol\tvalue\na\tx\t1\nb\tx\t1\nc\ty\t1\n")
+    shop = str(root / "shop")
+    assert main(["gen-synthetic", "--kind", "poisson-baskets", "--entities", "12",
+                 "--columns", "40", "--seed", "2", "--out-prefix", shop]) == 0
+    poisson_model = root / "shop.model"
+    assert main(["train", "--config", value_paths["poisson_value_cfg"], "--data",
+                 f"{shop}.data.tsv", "--out", str(poisson_model)]) == 0
     return dict(data=toy_run["data"], locations=toy_run["locations"],
                 config=toy_run["config"], model=str(model), out=str(root / "out"),
                 missing=str(root / "missing.tsv"), latin1=str(latin1),
                 nodir=str(root / "no-such-dir" / "out"),
                 empty_train_cfg=str(empty_train_cfg), poisson_cfg=str(poisson_cfg),
                 **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs, **parse_time_cfgs,
-                **argument_cfgs)
+                **argument_cfgs, **value_paths, poisson_lag_cfg=str(poisson_lag_cfg),
+                lag_negative=str(lag_negative), two_active_rows=str(two_active_rows),
+                poisson_model=str(poisson_model))
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))
@@ -853,8 +905,9 @@ def test_input_fault_is_one_error_line_and_its_exit_code(fault_paths, capsys, ca
     assert rc == code, captured.err
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
-    if named is not None:
-        assert named.format(**fault_paths) in lines[0]
+    if named is not None:  # the whole error line, or a part of it
+        named = named.format(**fault_paths)
+        assert lines[0] == named if named.startswith("error: ") else named in lines[0]
     assert "model written" not in captured.out
 
 

@@ -30,9 +30,10 @@ from glembed.dataio import (
 )
 from glembed.errors import CompatibilityError, ConfigError, DataError
 from glembed.evaluate import SplitSpec, make_split
-from glembed.families import Family
+from glembed.families import VALUE_RULES, Family
 
 from helpers import (
+    LINE_LOOP_VALUE_RULES,
     dense_lag,
     dense_matrix,
     dense_values,
@@ -655,6 +656,89 @@ def test_a_faulty_line_wins_over_an_earlier_duplicate(tmp_path, monkeypatch, for
         assert _error_text(read_triplets, path) == want
     assert len(forked) == 3 * (spans - 1)
     _assert_no_child_left(forked)
+
+
+# per family with a value rule: a value it refuses, then two it keeps
+_VALUE_FAULTS = {Family.POISSON: ("-5", "0", "3"), Family.ADDITIVE_POISSON: ("-0.5", "0", "2.5"),
+                 Family.BERNOULLI: ("0.5", "0", "1"), Family.CATEGORICAL: ("2", "0", "1")}
+
+
+def test_every_value_rule_has_a_line_loop_statement_and_a_fault_case():
+    assert set(VALUE_RULES) == set(LINE_LOOP_VALUE_RULES) == set(_VALUE_FAULTS)
+
+
+def _ingest_of(family):
+    return lambda path: ingest(path, family=family)
+
+
+@pytest.mark.parametrize("spans", [1, 3])
+@pytest.mark.parametrize("family", sorted(_VALUE_FAULTS, key=lambda f: f.value))
+def test_ingest_names_the_first_value_its_familys_rule_refuses(
+        tmp_path, monkeypatch, forked, family, spans):
+    bad, *kept = _VALUE_FAULTS[family]
+    body = [f"e{i % 7}\tt{i}\t{kept[i % 2]}" for i in range(60)]
+    path = _write(tmp_path, "kept.tsv", "row\tcol\tvalue\n" + "\n".join(body) + "\n")
+    _force_spans(monkeypatch, os.path.getsize(path) // spans + 1, cpus=spans)
+    data, plain = ingest(path, family=family), ingest(path)
+    want = line_loop_read_triplets(path, family)
+    assert (data.row_labels, data.col_labels) == want[:2] == (plain.row_labels, plain.col_labels)
+    for g, p, w in zip(data.entries(), plain.entries(), want[2:]):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(p, w)
+    # a refused value on a line of the first span, then on one of the last,
+    # each followed by another
+    for at in (4, 50):
+        lines = body.copy()
+        for k in (at, at + 3):
+            lines[k] = lines[k].rpartition("\t")[0] + f"\t {bad} "
+        path = _write(tmp_path, f"refused{at}.tsv", "row\tcol\tvalue\n" + "\n".join(lines))
+        want = f"{path}:{at + 2}: {LINE_LOOP_VALUE_RULES[family][1]}"
+        assert _error_text(lambda p: line_loop_read_triplets(p, family), path) == want
+        for run_chars in (1, dataio.RUN_CHARS):
+            monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+            assert _error_text(_ingest_of(family), path) == want
+        assert ingest(path).nnz == len(lines)  # no family, no rule
+    assert len(forked) == 8 * (spans - 1)  # eight reads
+    _assert_no_child_left(forked)
+
+
+# line 4 and line 11 of _SPANNED, in its first and third spans, and the
+# error the first of them raises; a Poisson count of -2 is refused
+_VALUE_FAULT_ORDER = {
+    "value_then_parse_fault": ("b\ty\t-2", "c\ty\tnn", "4: poisson data must be nonnegative"),
+    "parse_then_value_fault": ("b\ty\tnn", "c\ty\t-2", "4: bad value 'nn'"),
+    "value_fault_then_duplicate": ("b\ty\t-2", "b\tx\t19",
+                                   "4: poisson data must be nonnegative"),
+    "duplicate_then_value_fault": ("b\tx\t12", "c\ty\t-2",
+                                   "11: poisson data must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("spans", [1, 3])
+@pytest.mark.parametrize("case", sorted(_VALUE_FAULT_ORDER))
+def test_the_first_faulty_line_of_any_kind_wins(tmp_path, monkeypatch, forked, case, spans):
+    lines = _SPANNED.copy()
+    lines[3], lines[10], at = _VALUE_FAULT_ORDER[case]
+    path = _three_spans(tmp_path, monkeypatch, lines)
+    if spans == 1:
+        _force_spans(monkeypatch, dataio.SPAN_CHARS, cpus=1)
+    want = f"{path}:{at}"
+    assert _error_text(lambda p: line_loop_read_triplets(p, Family.POISSON), path) == want
+    for run_chars in (1, 16, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        assert _error_text(_ingest_of(Family.POISSON), path) == want
+    assert len(forked) == 3 * (spans - 1)
+    _assert_no_child_left(forked)
+
+
+def test_a_value_transform_leaves_the_value_rule_to_the_matrix_it_makes(tmp_path):
+    # a lag's differences and a rating shift's clamped values are on no line
+    # of the file: ingest checks no raw value under either
+    path = _write(tmp_path, "raw.tsv", "row\tcol\tvalue\na\tx\t-3\na\ty\t-1\nb\tx\t1\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: poisson data must be nonnegative")):
+        ingest(path, family=Family.POISSON)
+    assert ingest(path, family=Family.POISSON, lag=True).vals.tolist() == [2.0, -1.0]
+    assert ingest(path, family=Family.POISSON, rating_shift=True).vals.tolist() == [0.0] * 3
 
 
 def test_a_faulty_first_span_kills_its_stuck_children(tmp_path, monkeypatch, forked):

@@ -79,13 +79,45 @@ def test_one_decoder_and_one_fault_walk():
     funcs = _defs(tree.body)
     decodes = {n.lineno for n in _calls(tree, "decode")}
     assert decodes - {n.lineno for n in _calls(funcs["_runs"], "decode")} == set()
-    for n in {n.lineno: n for n in _calls(tree, "open", "fdopen")}.values():  # last of a line
+    for n in _calls(tree, "open", "fdopen"):  # every call, several to a line too
         mode = (n.args[1:2] + [k.value for k in n.keywords if k.arg == "mode"])[:1]
         mode = mode[0].value if mode else "r"
         assert "b" in mode or set(mode) & set("wax"), (n.lineno, mode)  # no text-mode read
     assert [(name, n.lineno) for name in (*TRIPLET_READER, "_received_part", "ingest")
             for n in ast.walk(funcs[name])
             if isinstance(n, ast.JoinedStr) and "{path}:{ln}:" in ast.unparse(n)] == []
+
+
+def _states_a_value_rule(node, texts):
+    """Whether ``node`` is a value rule's message (one of ``texts``, the words
+    after the family's name), an isin, or a matrix's values compared with a
+    number."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and any(t in node.value for t in texts)
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) == "isin"
+    return (isinstance(node, ast.Compare)
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, (int, float))
+                    for c in (node.left, *node.comparators))
+            and any("vals" in (getattr(m, "attr", None), getattr(m, "id", None))
+                    for m in ast.walk(node)))
+
+
+def test_each_family_value_rule_is_written_once_in_its_table():
+    from glembed.families import VALUE_RULES
+    texts = {rule.message.split(" ", 1)[1] for rule in VALUE_RULES.values()}
+
+    def is_table(stmt):
+        return isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "VALUE_RULES"
+    assert sum(map(is_table, _tree("families").body)) == 1
+    assert [(p.name, n.lineno, ast.unparse(n)) for p in TOP
+            for stmt in ast.parse(p.read_text(encoding="utf-8")).body if not is_table(stmt)
+            for n in ast.walk(stmt) if _states_a_value_rule(n, texts)] == []
+    assert [ast.unparse(n) for n in _calls(_defs(_tree("cli").body)["run_evaluate"],
+                                             "validate_data")] == []
+    assert sorted(name for module in ("cli", "dataio", "families", "train")
+                  for name, f in _defs(_tree(module).body).items()
+                  if "VALUE_RULES" in ast.unparse(f)) == ["ingest", "validate_data"]
 
 
 def test_one_ingest_path():
