@@ -19,12 +19,11 @@ from .dataio import (FAMILY_DEFAULTS, RunConfig, atomic_write, check_output_path
                      load_model, parse_run_config, read_locations, read_text, store_model,
                      write_locations, write_triplets)
 from .errors import CompatibilityError, ConfigError, DataError, GlembedError
-from .evaluate import (PROTOCOLS, SplitSpec, check_folds, check_protocol,
-                       leave_fraction_out_mse, leave_one_out_mse, make_split,
-                       normalized_predictive_ll)
+from .evaluate import (PROTOCOLS, SCORERS, SplitSpec, check_folds, check_protocol, make_split,
+                       scorer)
 from .families import Family, validate_data
 from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
-from .train import log_to_tsv, objective, train
+from .train import log_to_tsv, train
 
 
 def _check_locations(kind: str, locations_path: str | None) -> None:
@@ -42,16 +41,12 @@ def _build_context(kind: str, data: DataMatrix, param: int, locations_path: str 
     return build_window_context(data.n_cols, WindowSpec(param), data)
 
 
-def _validation_score(cfg: RunConfig, spec, bank, valid: DataMatrix, ctx) -> float:
-    """Higher-is-better score on the validation split in the train split's
-    context map ``ctx``: a held-out protocol of the family, else the objective per term."""
-    protocols = PROTOCOLS.get(spec.family, ())
-    if "loo-mse" in protocols:
-        return -leave_one_out_mse(valid, ctx, bank, spec).estimate
-    if "npll" in protocols:
-        return normalized_predictive_ll(valid, ctx, bank, spec).estimate
-    n_terms = valid.n_cols if cfg.family == "categorical" else valid.n_terms
-    return objective(valid, ctx, bank, spec, 0.0, "none") / max(n_terms, 1)
+def _validation_score(spec, bank, valid: DataMatrix, ctx) -> float:
+    """The validation split's estimate of the family's first protocol in the
+    train split's context map ``ctx``, signed so that higher is better."""
+    protocol = PROTOCOLS[spec.family][0]
+    estimate = scorer(protocol)(valid, ctx, bank, spec).estimate
+    return estimate if SCORERS[protocol].higher_is_better else -estimate
 
 
 def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
@@ -89,7 +84,7 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
         if len(grid) == 1:
             best = (step, bank, log, float("nan"))
             break
-        score = _validation_score(cfg, spec, bank, valid_m, ctx)
+        score = _validation_score(spec, bank, valid_m, ctx)
         print(f"step_size {step:g}: validation score {score:.6g}", file=sys.stderr)
         if best is None or score > best[3]:
             best = (step, bank, log, score)
@@ -112,7 +107,8 @@ def run_evaluate(model_path: str, test_path: str, protocol: str,
     bank, meta, labels = load_model(model_path)
     check_protocol(Family(meta.family), protocol, CompatibilityError)
     _check_locations(meta.context, locations_path)
-    if protocol == "l25-mse":
+    fold_args = {"folds": folds, "seed": fold_seed} if protocol == "l25-mse" else {}
+    if fold_args:
         check_folds(folds, fold_seed)
     test = ingest(test_path, family=Family(meta.family),
                   implicit_zero=bool(FAMILY_DEFAULTS[meta.family]["implicit_zero"]),
@@ -121,12 +117,7 @@ def run_evaluate(model_path: str, test_path: str, protocol: str,
         raise ConfigError("test split is empty")
     spec = meta.family_spec()
     ctx = _build_context(meta.context, test, meta.context_param, locations_path)
-    if protocol == "loo-mse":
-        report = leave_one_out_mse(test, ctx, bank, spec)
-    elif protocol == "l25-mse":
-        report = leave_fraction_out_mse(test, ctx, bank, spec, folds=folds, seed=fold_seed)
-    else:
-        report = normalized_predictive_ll(test, ctx, bank, spec)
+    report = scorer(protocol)(test, ctx, bank, spec, **fold_args)
     out.write(report.to_tsv())
     return report
 
@@ -278,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("evaluate", help="score a stored model on held-out data")
     ep.add_argument("--model", required=True)
     ep.add_argument("--test", required=True)
-    ep.add_argument("--protocol", required=True,
-                    choices=list(dict.fromkeys(p for ps in PROTOCOLS.values() for p in ps)))
+    ep.add_argument("--protocol", required=True, choices=list(SCORERS))
     ep.add_argument("--locations", default=None)
     ep.add_argument("--folds", type=int, default=4)
     ep.add_argument("--fold-seed", type=int, default=0, dest="fold_seed")

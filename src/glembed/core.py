@@ -263,6 +263,11 @@ class DataMatrix:
         data with no missing cell), so that column blocks can score them all."""
         return self.n_terms == self.n_rows * self.n_cols
 
+    def every_term(self) -> "TermBatch | None":
+        """Every data term as the kernels take cells: None, every cell, when
+        each cell is one, else the stored entries."""
+        return None if self.every_cell_a_term else TermBatch(*self.entries(), np.ones(self.nnz, bool))
+
     def lookup(self, rows, cols):
         """(vals, stored) of the cells (rows, cols) inside the shape, two
         broadcastable index arrays; absent cells read 0.  On complete data

@@ -1,24 +1,32 @@
-"""Held-out evaluation: splits, squared-error protocols, normalized
-predictive log-likelihood, and the baselines that anchor the test suite.
+"""Held-out evaluation: splits, the held-out protocols, and the baselines
+that anchor the test suite.
 
 Two split flavors: whole-column splits (time frames, shopping trips) and
 per-entry holdout of nonzero ratings.  Both are deterministic per seed and
-partition the input.  LOO, leave-fraction-out and NPLL read each held-out
-entry's mean from ``families.block_means`` over the columns that hold
-held-out entries, a column block at a time, in O(rows x block columns +
+partition the input.  One table, ``SCORERS``, maps each protocol to its
+scorer and to whether a higher estimate is better, and ``PROTOCOLS`` lists
+the protocols that score each family, the first validating a grid step:
+squared error (LOO, leave-fraction-out) for the Gaussian families, the
+normalized predictive log-likelihood (NPLL) for the Poisson ones and the
+mean held-out log-likelihood per term for the Bernoulli and categorical
+ones.  LOO, leave-fraction-out and NPLL read each held-out entry's mean
+from ``families.block_means`` over the columns that hold held-out
+entries, and the held-out log-likelihood reads ``log_likelihoods`` over
+every term, a column block at a time, in O(rows x block columns +
 entries) memory.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DataMatrix, EmbeddingBank, check_seed, scatter_rows, seeded_rng
 from .errors import ConfigError
-from .families import Family, FamilySpec, block_means
+from .families import Family, FamilySpec, block_means, log_likelihoods, validate_data
 
 MIN_BASKET_ITEMS = 2  # held-out baskets need at least two distinct items
 
@@ -125,17 +133,31 @@ def make_split(data: DataMatrix, spec: SplitSpec) -> SplitResult:
     return result
 
 
-# per family, the held-out protocols that score its models: squared error for
-# the Gaussian families, the normalized predictive log-likelihood for Poisson
+# a held-out protocol: its scorer, by the name of its function in this module,
+# and whether a higher estimate is better
+Protocol = namedtuple("Protocol", "scorer higher_is_better")
+# each protocol by name; only l25-mse takes folds and a fold seed
+SCORERS = {"loo-mse": Protocol("leave_one_out_mse", False),
+           "l25-mse": Protocol("leave_fraction_out_mse", False),
+           "npll": Protocol("normalized_predictive_ll", True),
+           "heldout-ll": Protocol("heldout_ll", True)}
+# per family, the protocols that score its models; the first validates a grid step
 PROTOCOLS = {Family.GAUSSIAN: ("loo-mse", "l25-mse"),
              Family.NONNEG_GAUSSIAN: ("loo-mse", "l25-mse"),
-             Family.POISSON: ("npll",), Family.ADDITIVE_POISSON: ("npll",)}
+             Family.POISSON: ("npll",), Family.ADDITIVE_POISSON: ("npll",),
+             Family.BERNOULLI: ("heldout-ll",), Family.CATEGORICAL: ("heldout-ll",)}
 
 
 def check_protocol(family: Family, protocol: str, error: type = ConfigError) -> None:
     """Raise ``error`` unless ``protocol`` scores models of ``family``."""
     if protocol not in PROTOCOLS.get(family, ()):
         raise error(f"{protocol} does not score {family.value} models")
+
+
+def scorer(protocol: str):
+    """``protocol``'s scorer, looked up by name at each call, so that a wrapper
+    set on this module's function (as the bench's tracer sets) is called."""
+    return globals()[SCORERS[protocol].scorer]
 
 
 def _cell_means(data, ctx, bank, spec, rows, cols):
@@ -216,6 +238,28 @@ def normalized_predictive_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank,
     keep = ~((mu <= 0.0) | (z <= 0.0) | ~np.isfinite(z))
     return EvalReport.from_scores("normalized_predictive_ll", np.log(mu[keep] / z[keep]),
                                   int((~keep).sum()))
+
+
+def heldout_ll(test_data: DataMatrix, ctx, bank: EmbeddingBank, spec: FamilySpec) -> EvalReport:
+    """Mean log-likelihood per held-out term: per cell of implicit-zero data
+    (its zeros too) or per stored entry, and per column for the categorical
+    family, whose column is one term.  The estimate is ``train.objective``'s
+    data sum without the prior, piece by piece as it sums, over the term
+    count; the stderr pools the pieces' spreads, so memory is one column
+    block.  The categorical shape, which ingest leaves unchecked, is checked
+    first (``validate_data``)."""
+    check_protocol(spec.family, "heldout-ll")
+    validate_data(spec, test_data)
+    if test_data.n_terms == 0:
+        raise ConfigError("no entries left to score for heldout_ll")
+    total, n, mean, m2 = 0.0, 0, 0.0, 0.0
+    for z in log_likelihoods(test_data, ctx, bank, spec, test_data.every_term()):
+        total += float(z.sum())
+        t = z.sum(axis=0) if spec.family is Family.CATEGORICAL else z.ravel()
+        k, mu = t.size, float(t.mean())  # the pieces' sums of squares pooled (Chan et al.)
+        m2 += float(((t - mu) ** 2).sum()) + (mu - mean) ** 2 * n * k / (n + k)
+        n, mean = n + k, mean + (mu - mean) * k / (n + k)
+    return EvalReport("heldout_ll", total / n, math.sqrt(m2 / n) / math.sqrt(n), n)
 
 
 def popularity_npll(test_data: DataMatrix, train_data: DataMatrix,

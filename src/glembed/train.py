@@ -128,14 +128,6 @@ def _zero_weight(data: DataMatrix, config: TrainConfig) -> float:
     return 1.0
 
 
-def _every_term(data: DataMatrix) -> TermBatch | None:
-    """Every data term: None, every cell, when each cell is one, else the
-    stored entries."""
-    if data.every_cell_a_term:
-        return None
-    return TermBatch(*data.entries(), np.ones(data.nnz, dtype=bool))
-
-
 def _draw(total: int, size: int, rng, draw=None) -> np.ndarray:
     """``size`` distinct ids below ``total`` drawn uniformly, or the ids in
     ``draw``."""
@@ -275,7 +267,7 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
               zero_weight=1.0, counters=None) -> float:
     """Exact objective: data log-likelihood terms plus log-prior, with the
     zero cells of implicit-zero data weighted by ``zero_weight`` (gamma)."""
-    ll = sum(float(z.sum()) for z in log_likelihoods(data, ctx, bank, spec, _every_term(data),
+    ll = sum(float(z.sum()) for z in log_likelihoods(data, ctx, bank, spec, data.every_term(),
                                                      zero_weight, counters))
     return ll + log_prior(bank, reg_weight, regularizer)[0]
 
@@ -283,7 +275,7 @@ def objective(data, ctx, bank, spec, reg_weight, regularizer="l2",
 def full_gradient(data, ctx, bank, spec, config: TrainConfig, counters=None,
                   scratch=None) -> Gradients:
     """Exact gradient of the objective."""
-    return _gradient(data, ctx, bank, spec, _every_term(data), config, counters,
+    return _gradient(data, ctx, bank, spec, data.every_term(), config, counters,
                      scratch=scratch)
 
 

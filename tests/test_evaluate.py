@@ -13,29 +13,34 @@ from glembed.contexts import (
     build_knn_context,
     build_window_context,
 )
-from glembed.errors import ConfigError
+from glembed.errors import ConfigError, DataError
 from glembed.evaluate import (
     PROTOCOLS,
+    SCORERS,
     EvalReport,
     SplitSpec,
     check_protocol,
     constant_predictor_mse,
+    heldout_ll,
     leave_fraction_out_mse,
     leave_one_out_mse,
     make_split,
     normalized_predictive_ll,
     popularity_npll,
 )
-from glembed.families import Family, FamilySpec
+from glembed.families import Family, FamilySpec, log_likelihoods, term_log_likelihoods
 from glembed.synth import gen_gaussian_knn
+from glembed.train import objective
 
 from helpers import (
     ExplicitContext,
     MemberPass,
+    categorical_term_log_likelihoods,
     conditional_means,
     count_instance,
     dense_matrix,
     dense_values,
+    family_instance,
     scalar_fold_of,
     scalar_leave_fraction_out,
     scalar_linear_value,
@@ -139,12 +144,14 @@ def test_split_spec_errors_are_keyed_by_the_fields_at_fault(args, key):
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("protocol", ["loo-mse", "l25-mse", "npll"])
+@pytest.mark.parametrize("protocol", ["loo-mse", "l25-mse", "npll", "heldout-ll"])
 def test_check_protocol_is_the_family_protocol_table(family, protocol):
     gaussian = family in (Family.GAUSSIAN, Family.NONNEG_GAUSSIAN)
     poisson = family in (Family.POISSON, Family.ADDITIVE_POISSON)
-    applies = poisson if protocol == "npll" else gaussian
+    text = family in (Family.BERNOULLI, Family.CATEGORICAL)
+    applies = {"npll": poisson, "heldout-ll": text}.get(protocol, gaussian)
     assert (protocol in PROTOCOLS.get(family, ())) == applies
+    assert protocol in SCORERS
     if applies:
         check_protocol(family, protocol)
     else:
@@ -470,6 +477,84 @@ def test_npll_memory_is_bounded():
         tracemalloc.stop()
     assert rep.n_entries + rep.excluded == data.nnz
     assert peak < 64 * 2**20
+
+
+def _heldout_instance(case, seed, scale):
+    """(data, ctx, bank, spec, per-term log-likelihoods) of a text instance:
+    implicit-zero or explicit-with-missing-cells Bernoulli, or categorical;
+    the per-term values come from the term path, a cell's through the pass's
+    ``at`` and a categorical column's from the vocabulary oracle."""
+    family = Family.CATEGORICAL if case == "categorical" else Family.BERNOULLI
+    data, ctx, bank, spec = family_instance(family, seed, vocab=6, length=30, scale=scale)
+    if case == "bernoulli-explicit":  # every cell 0/1, a third of them missing
+        rng = np.random.default_rng(seed)
+        values = dense_matrix(dense_values(data))
+        data = values.select_entries(np.sort(rng.choice(values.nnz, 120, replace=False)))
+        ctx = build_window_context(data.n_cols, WindowSpec(2), data)
+    if family is Family.CATEGORICAL:
+        batch = TermBatch(*data.entries(), np.ones(data.nnz, dtype=bool))
+        terms = categorical_term_log_likelihoods(data, ctx, bank, spec, batch)[0]
+    else:
+        rows, cols = (np.indices((data.n_rows, data.n_cols)).reshape(2, -1)
+                      if data.implicit_zero else data.entries()[:2])
+        terms = term_log_likelihoods(data, ctx, bank, spec,
+                                     TermBatch(rows, cols, *data.lookup(rows, cols)))
+    return data, ctx, bank, spec, terms
+
+
+@pytest.mark.parametrize("block_cells", _BLOCK_CELLS)
+@pytest.mark.parametrize("scale", [0.3, 0.01])  # 0.01: terms that differ little
+@pytest.mark.parametrize("case", ["bernoulli-implicit", "bernoulli-explicit", "categorical"])
+def test_heldout_ll_is_the_objective_per_term_with_the_terms_spread(monkeypatch, case, scale,
+                                                                     block_cells):
+    # the estimate is the validation score of a Bernoulli or categorical grid
+    # step, the objective per term, byte for byte; the stderr pools the column
+    # blocks' spreads into that of all terms
+    if block_cells is not None:
+        monkeypatch.setattr("glembed.families.BLOCK_CELLS", block_cells)
+    for seed in range(3):
+        data, ctx, bank, spec, terms = _heldout_instance(case, seed, scale)
+        rep = heldout_ll(data, ctx, bank, spec)
+        n = data.n_cols if case == "categorical" else data.n_terms
+        assert (rep.metric, rep.n_entries, rep.excluded) == ("heldout_ll", n, 0)
+        assert rep.estimate == objective(data, ctx, bank, spec, 0.0, "none") / n
+        # the kernel's terms, a copy per piece; the term path's agree with them
+        pieces = [np.array(z.sum(axis=0) if case == "categorical" else z.ravel())
+                  for z in log_likelihoods(data, ctx, bank, spec, data.every_term())]
+        kernel = np.concatenate(pieces)
+        np.testing.assert_allclose(np.sort(kernel), np.sort(terms), rtol=1e-12)
+        np.testing.assert_allclose(rep.stderr, kernel.std() / math.sqrt(n), rtol=1e-9)
+
+
+def test_heldout_ll_refuses_a_categorical_column_of_two_terms_and_other_families():
+    data, ctx, bank, spec = family_instance(Family.CATEGORICAL, 0, vocab=6, length=30)
+    rows, cols, vals = data.entries()
+    two = DataMatrix(data.n_rows, data.n_cols, np.append(rows, (rows[0] + 1) % 6),
+                     np.append(cols, 0), np.append(vals, 1.0), implicit_zero=True)
+    with pytest.raises(DataError, match="exactly one active term per column"):
+        heldout_ll(two, ctx, bank, spec)
+    data, ctx, bank, spec = family_instance(Family.GAUSSIAN, 0)
+    with pytest.raises(ConfigError, match="heldout-ll does not score gaussian models"):
+        heldout_ll(data, ctx, bank, spec)
+
+
+@pytest.mark.parametrize("family", [Family.BERNOULLI, Family.CATEGORICAL])
+def test_heldout_ll_memory_is_one_column_block(family):
+    # one (rows x cols) float table of this 1000 x 8000 text takes 61 MiB
+    rng = np.random.default_rng(3)
+    data = DataMatrix(1000, 8000, rng.integers(0, 1000, 8000), np.arange(8000), np.ones(8000),
+                      implicit_zero=True)
+    ctx = build_window_context(data.n_cols, WindowSpec(2), data)
+    bank = EmbeddingBank.init_random(data.n_rows, 4, seed=1)
+    spec = FamilySpec(family, vocab_size=1000 if family is Family.CATEGORICAL else 0)
+    tracemalloc.start()
+    try:
+        rep = heldout_ll(data, ctx, bank, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_entries == (8000 if family is Family.CATEGORICAL else 8_000_000)
+    assert peak < 16 * 2**20
 
 
 def test_leave_fraction_out_rejects_implicit_zero_test_data():

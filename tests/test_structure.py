@@ -168,3 +168,23 @@ def test_ci_holds_no_structure_guard_of_its_own():  # they live here, in the tie
     text = (LIB.parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     assert "python - <<" not in text
     assert [line for line in text.split("\n") if "grep" in line and "src/" in line] == []
+
+
+def test_one_scorer_table():
+    # evaluate's tables choose every held-out score: cli imports no protocol
+    # function and no objective, the grid's validation score names no family
+    # and no protocol, and run_evaluate compares its protocol only with the
+    # one protocol that takes folds
+    from glembed.evaluate import SCORERS
+    from glembed.families import Family
+    cli = _tree("cli")
+    assert [a.name for n in ast.walk(cli) if isinstance(n, ast.ImportFrom) for a in n.names
+            if a.name in {p.scorer for p in SCORERS.values()} | {"objective"}] == []
+    funcs = _defs(cli.body)
+    names = set(SCORERS) | {f.value for f in Family}
+    assert [ast.unparse(n) for n in ast.walk(funcs["_validation_score"])
+            if isinstance(n, ast.Constant) and n.value in names
+            or isinstance(n, ast.Name) and n.id == "Family"] == []
+    assert {ast.unparse(m) for n in ast.walk(funcs["run_evaluate"]) if isinstance(n, ast.Compare)
+            and "protocol" in map(ast.unparse, (n.left, *n.comparators))
+            for m in (n.left, *n.comparators) if ast.unparse(m) != "protocol"} == {"'l25-mse'"}
