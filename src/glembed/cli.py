@@ -19,8 +19,7 @@ from .dataio import (FAMILY_DEFAULTS, RunConfig, atomic_write, check_output_path
                      load_model, parse_run_config, read_locations, read_text, store_model,
                      write_locations, write_triplets)
 from .errors import CompatibilityError, ConfigError, DataError, GlembedError
-from .evaluate import (PROTOCOLS, SCORERS, SplitSpec, check_folds, check_protocol, make_split,
-                       scorer)
+from .evaluate import PROTOCOLS, SCORERS, check_folds, check_protocol, make_split, scorer
 from .families import Family, validate_data
 from .synth import gen_cluster_corpus, gen_gaussian_knn, gen_poisson_baskets
 from .train import log_to_tsv, train
@@ -49,6 +48,18 @@ def _validation_score(spec, bank, valid: DataMatrix, ctx) -> float:
     return estimate if SCORERS[protocol].higher_is_better else -estimate
 
 
+def _read_and_split(cfg: RunConfig, data_path: str):
+    """Ingest by the config's family and transforms, check the rules no line
+    holds alone, and split by the config, as both split and train do: the
+    data, their ``FamilySpec`` and the ``SplitResult`` (None under split = none)."""
+    data = ingest(data_path, family=Family(cfg.family), implicit_zero=bool(cfg.implicit_zero),
+                  lag=cfg.lag, rating_shift=cfg.rating_shift, min_row_count=cfg.min_row_count,
+                  min_col_count=cfg.min_col_count)
+    spec = cfg.family_spec(data.n_rows if cfg.family == "categorical" else 0)
+    validate_data(spec, data)
+    return data, spec, None if cfg.split == "none" else make_split(data, cfg.split_spec())
+
+
 def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
               model_out: str, log_out: str | None):
     """Check the arguments, then ingest, split, grid-search the step size on
@@ -63,17 +74,8 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
     if len(grid) > 1 and (cfg.split == "none" or cfg.valid_frac == 0):
         raise ConfigError("step-size grid search needs a validation split; "
                           "set step_size_grid to a single value or enable a split")
-    data = ingest(data_path, family=Family(cfg.family), implicit_zero=bool(cfg.implicit_zero),
-                  lag=cfg.lag, rating_shift=cfg.rating_shift, min_row_count=cfg.min_row_count,
-                  min_col_count=cfg.min_col_count)
-    vocab = data.n_rows if cfg.family == "categorical" else 0
-    spec = cfg.family_spec(vocab)
-    validate_data(spec, data)  # the rules no line of the file holds alone
-    if cfg.split == "none":
-        train_m, valid_m = data, None
-    else:
-        parts = make_split(data, cfg.split_spec())
-        train_m, valid_m = parts.train, parts.valid
+    data, spec, parts = _read_and_split(cfg, data_path)
+    train_m, valid_m = (data, None) if parts is None else (parts.train, parts.valid)
     if train_m.nnz == 0:
         raise ConfigError("train split is empty")
     ctx = _build_context(cfg.context, train_m, cfg.context_param, locations_path)
@@ -90,7 +92,7 @@ def run_train(cfg: RunConfig, data_path: str, locations_path: str | None,
             best = (step, bank, log, score)
     step, bank, log, _ = best
 
-    meta = cfg.model_meta(bank, vocab)
+    meta = cfg.model_meta(bank, spec.vocab_size)
     store_model(model_out, bank, meta, data.row_labels)
     if log_out:
         atomic_write(log_out, log_to_tsv(log))
@@ -130,15 +132,14 @@ def _label_index(labels: list[str], key: str) -> int:
 
 
 def cmd_split(args) -> int:
-    spec = SplitSpec(args.variant, args.train_frac, args.valid_frac,
-                     args.test_frac, args.seed)
-    data = ingest(args.data, implicit_zero=args.implicit_zero, lag=args.lag,
-                  rating_shift=args.rating_shift,
-                  min_row_count=args.min_row_count, min_col_count=args.min_col_count)
-    parts = make_split(data, spec)
-    for name, part in (("train", parts.train), ("valid", parts.valid),
-                       ("test", parts.test)):
-        write_triplets(f"{args.out_prefix}.{name}.tsv", part)
+    cfg = parse_run_config(read_text(args.config, ConfigError))
+    if cfg.split == "none":
+        raise ConfigError("split = none makes no parts; set split to columns or ratings")
+    paths = [f"{args.out_prefix}.{name}.tsv" for name in ("train", "valid", "test")]
+    check_output_path(paths[0])
+    parts = _read_and_split(cfg, args.data)[2]
+    for path, part in zip(paths, (parts.train, parts.valid, parts.test)):
+        write_triplets(path, part)
     print(f"train {parts.train.nnz} entries / valid {parts.valid.nnz} / "
           f"test {parts.test.nnz}; dropped {parts.dropped_test_columns} "
           f"test columns below the two-item minimum")
@@ -190,10 +191,14 @@ def cmd_rank_dimensions(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
+    if args.out:
+        check_output_path(args.out)
     bank, meta, labels = load_model(args.model)
+    if not args.n_neighbors and meta.context != "knn":
+        raise ConfigError(f"a {meta.context} model records no neighbor count; give --k")
     positions = read_locations(args.locations, labels)
-    k = args.k or meta.context_param or 1
-    edges = neighbor_weight_graph(bank, SpatialLayout(positions, k))
+    edges = neighbor_weight_graph(bank, SpatialLayout(positions,
+                                                      args.n_neighbors or meta.context_param))
     lines = ["entity\tneighbor\tweight"]
     for n, m, w in edges:
         lines.append(f"{labels[n]}\t{labels[m]}\t{w:.6g}")
@@ -212,6 +217,7 @@ def _given(args, *names) -> dict:
 
 
 def cmd_gen_synthetic(args) -> int:
+    check_output_path(f"{args.out_prefix}.data.tsv")
     positions = None  # a kNN layout's, written after the data
     if args.kind == "gaussian-knn":
         data, truth = gen_gaussian_knn(
@@ -243,18 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
                description="Train, evaluate, and query context-conditional embedding models.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=parser)
 
-    sp = sub.add_parser("split", help="partition a triplet file into train/valid/test")
+    sp = sub.add_parser("split", help="partition a triplet file into train/valid/test "
+                                      "as a train config does")
+    sp.add_argument("--config", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--variant", choices=("columns", "ratings"), default="columns")
-    sp.add_argument("--train-frac", type=float, default=0.9, dest="train_frac")
-    sp.add_argument("--valid-frac", type=float, default=0.05, dest="valid_frac")
-    sp.add_argument("--test-frac", type=float, default=0.05, dest="test_frac")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--implicit-zero", action="store_true", dest="implicit_zero")
-    sp.add_argument("--lag", action="store_true")
-    sp.add_argument("--rating-shift", action="store_true", dest="rating_shift")
-    sp.add_argument("--min-row-count", type=int, default=0, dest="min_row_count")
-    sp.add_argument("--min-col-count", type=int, default=0, dest="min_col_count")
     sp.add_argument("--out-prefix", required=True, dest="out_prefix")
     sp.set_defaults(func=cmd_split)
 
@@ -299,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     eg = sub.add_parser("export-graph", help="neighbor edge list with interaction weights")
     eg.add_argument("--model", required=True)
     eg.add_argument("--locations", required=True)
-    eg.add_argument("--k", type=int, default=0)
+    eg.add_argument("--k", type=int, default=0, dest="n_neighbors",
+                    help="neighbors per entity; default: a knn model's knn_k")
     eg.add_argument("--out", default=None)
     eg.set_defaults(func=cmd_export_graph)
 

@@ -20,6 +20,7 @@ from glembed.dataio import (
     parse_run_config,
     read_locations,
     store_model,
+    write_locations,
     write_triplets,
 )
 from glembed.errors import DataError
@@ -63,7 +64,7 @@ def toy_run(tmp_path_factory):
 
 def test_split_command_writes_partitions(toy_run, capsys):
     prefix = str(toy_run["root"] / "parts")
-    rc = main(["split", "--data", toy_run["data"], "--seed", "3",
+    rc = main(["split", "--config", toy_run["config"], "--data", toy_run["data"],
                "--out-prefix", prefix])
     assert rc == 0
     for part in ("train", "valid", "test"):
@@ -72,12 +73,14 @@ def test_split_command_writes_partitions(toy_run, capsys):
 
 
 def test_split_rejects_a_tab_inside_an_id_of_a_comma_file(tmp_path, capsys):
-    data = tmp_path / "tabbed.csv"
+    data, cfg = tmp_path / "tabbed.csv", tmp_path / "g.cfg"
     data.write_text("row,col,value\na\tb,c0,1.0\na,c1,2.0\nb,c0,3.0\n")
-    rc = main(["split", "--data", str(data), "--out-prefix", str(tmp_path / "sp")])
+    cfg.write_text(CFG_GAUSSIAN)
+    rc = main(["split", "--config", str(cfg), "--data", str(data),
+               "--out-prefix", str(tmp_path / "sp")])
     assert rc == 3
     assert capsys.readouterr().err == f"error: {data}:2: tab inside id 'a\\tb'\n"
-    assert list(tmp_path.iterdir()) == [data]
+    assert sorted(tmp_path.iterdir()) == [cfg, data]
 
 
 def test_train_evaluate_and_queries(toy_run, capsys):
@@ -93,7 +96,7 @@ def test_train_evaluate_and_queries(toy_run, capsys):
     assert len(log_lines) >= 3
     capsys.readouterr()
 
-    rc = main(["split", "--data", toy_run["data"], "--seed", "3",
+    rc = main(["split", "--config", toy_run["config"], "--data", toy_run["data"],
                "--out-prefix", str(root / "ev")])
     assert rc == 0
     capsys.readouterr()
@@ -534,15 +537,15 @@ def test_poisson_basket_pipeline_with_npll(tmp_path, capsys):
                "--columns", "250", "--dim", "4", "--clusters", "4", "--seed", "2",
                "--out-prefix", prefix])
     assert rc == 0
-    rc = main(["split", "--data", f"{prefix}.data.tsv", "--implicit-zero",
-               "--seed", "1", "--out-prefix", prefix])
-    assert rc == 0
     cfg = tmp_path / "shop.cfg"
     cfg.write_text("family = poisson\nk = 4\nlink = mean_identity\n"
                    "lambda = 0.1\niterations = 40\nnegative_samples = 5\n"
-                   "step_size_grid = 0.5\nseed = 3\nsplit = none\n")
+                   "step_size_grid = 0.5\nseed = 3\nsplit = columns\n")
+    rc = main(["split", "--config", str(cfg), "--data", f"{prefix}.data.tsv",
+               "--out-prefix", prefix])
+    assert rc == 0
     model = str(tmp_path / "shop.model")
-    rc = main(["train", "--config", str(cfg), "--data", f"{prefix}.train.tsv",
+    rc = main(["train", "--config", str(cfg), "--data", f"{prefix}.data.tsv",
                "--out", model])
     assert rc == 0
     capsys.readouterr()
@@ -574,15 +577,14 @@ def test_every_file_is_utf8_under_every_locale(tmp_path):
         f"ünï{r}\t日本{c}\t{v}" for r, c, v in map(str.split, body))]).encode())
     cfg = tmp_path / "shop.cfg"
     cfg.write_bytes("# Warenkörbe\nfamily = poisson\nk = 3\niterations = 10\n"
-                    "negative_samples = 3\nstep_size_grid = 0.5\nsplit = none\n".encode())
+                    "negative_samples = 3\nstep_size_grid = 0.5\nsplit = columns\n".encode())
     files = {}
     for name, env in _LOCALES.items():
         out = tmp_path / name
         out.mkdir()
         part = str(out / "part")
-        for argv in (["split", "--data", str(data), "--implicit-zero", "--seed", "1",
-                      "--out-prefix", part],
-                     ["train", "--config", str(cfg), "--data", f"{part}.train.tsv",
+        for argv in (["split", "--config", str(cfg), "--data", str(data), "--out-prefix", part],
+                     ["train", "--config", str(cfg), "--data", str(data),
                       "--out", f"{part}.model"],
                      ["evaluate", "--model", f"{part}.model", "--test", f"{part}.test.tsv",
                       "--protocol", "npll"]):
@@ -620,19 +622,21 @@ def test_evaluate_applies_the_familys_value_rules_to_the_test_file(tmp_path, cap
     assert capsys.readouterr().err == f"error: {test}:2: poisson data must be nonnegative\n"
 
 
-def test_split_knows_no_family_and_writes_a_negative_count_unchanged(tmp_path, capsys):
-    data = tmp_path / "counts.tsv"
+def test_split_refuses_a_negative_poisson_count_naming_its_line(tmp_path, capsys):
+    # glembed split reads the data as glembed train does, by the config's family
+    data, cfg = tmp_path / "counts.tsv", tmp_path / "p.cfg"
     data.write_text("row\tcol\tvalue\na\tx\t3\nb\tx\t-5\nb\ty\t1\n")
-    prefix = str(tmp_path / "parts")
-    assert main(["split", "--data", str(data), "--valid-frac", "0", "--test-frac", "0",
-                 "--out-prefix", prefix]) == 0
-    assert Path(f"{prefix}.train.tsv").read_text().splitlines()[1:] == [
-        "a\tx\t3", "b\tx\t-5", "b\ty\t1"]
+    cfg.write_text("family = poisson\nvalid_frac = 0\ntest_frac = 0\n")
+    capsys.readouterr()
+    assert main(["split", "--config", str(cfg), "--data", str(data),
+                 "--out-prefix", str(tmp_path / "parts")]) == 3
+    assert capsys.readouterr().err == f"error: {data}:3: poisson data must be nonnegative\n"
+    assert sorted(tmp_path.iterdir()) == [data, cfg]
 
 
 @pytest.mark.parametrize("argv", [
     ["gen-synthetic", "--kind", "poisson-baskets", "--out", "{out}"],
-    ["split", "--data", "{data}", "--out", "{out}"],
+    ["split", "--config", "{data}", "--data", "{data}", "--out", "{out}"],
 ])
 def test_a_prefix_of_a_long_option_is_not_taken_for_it(tmp_path, capsys, argv):
     data = tmp_path / "d.tsv"
@@ -712,6 +716,7 @@ _PARSE_TIME_FAULTS = {
     "negative_test_frac": ("family = gaussian\ntest_frac = -0.1\n", 2),
     "fractions_over_one": ("family = gaussian\ntrain_frac = 0.9\nvalid_frac = 0.2\n", 3),
     "negative_min_row_count": ("family = gaussian\nmin_row_count = -3\n", 2),
+    "negative_min_col_count": ("family = gaussian\nmin_col_count = -1\n", 2),
     "k_zero": ("family = gaussian\nk = 0\n", 2),
     "negative_seed": ("family = gaussian\nseed = -1\n", 2),
 }
@@ -727,12 +732,17 @@ _REFUSED_VALUES = {"poisson": ("-5", "poisson data must be nonnegative"),
                    "additive_poisson": ("-0.5", "additive_poisson data must be nonnegative"),
                    "bernoulli": ("0.5", "bernoulli data must be 0/1"),
                    "categorical": ("2", "categorical entries must be indicator values 1")}
+_SPLIT = ["split", "--config", "{config}", "--data", "{data}", "--out-prefix", "{out}"]
 _INPUT_FAULTS = {
-    "split-data-missing": (["split", "--data", "{missing}", "--out-prefix", "{out}"], 3,
-                           "{missing}"),
-    "split-data-latin1": (["split", "--data", "{latin1}", "--out-prefix", "{out}"], 3,
-                          "{latin1}"),
-    "split-out-nodir": (["split", "--data", "{data}", "--out-prefix", "{nodir}"], 2, "{nodir}"),
+    "split-config-missing": (_SPLIT[:2] + ["{missing}"] + _SPLIT[3:], 2, "{missing}"),
+    "split-data-missing": (_SPLIT[:4] + ["{missing}"] + _SPLIT[5:], 3, "{missing}"),
+    "split-data-latin1": (_SPLIT[:4] + ["{latin1}"] + _SPLIT[5:], 3, "{latin1}"),
+    "split-out-nodir": (_SPLIT[:6] + ["{nodir}"], 2, "{nodir}"),
+    # checked before the data are read
+    "split-out-nodir-before-the-data": (_SPLIT[:4] + ["{missing}", "--out-prefix", "{nodir}"], 2,
+                                        "{nodir}"),
+    "split-none-before-the-data": (_SPLIT[:2] + ["{split_none_cfg}", "--data", "{missing}"]
+                                   + _SPLIT[5:], 2, "split = none makes no parts"),
     "train-config-missing": (_TRAIN[:2] + ["{missing}"] + _TRAIN[3:], 2, "{missing}"),
     "train-config-latin1": (_TRAIN[:2] + ["{latin1}"] + _TRAIN[3:], 2, "{latin1}"),
     "train-data-missing": (_TRAIN[:4] + ["{missing}"] + _TRAIN[5:], 3, "{missing}"),
@@ -760,16 +770,10 @@ _INPUT_FAULTS = {
     **{f"train-{name}": (_TRAIN[:2] + [f"{{{name}_cfg}}", "--data", "{missing}"] + _TRAIN[5:],
                          2, f"config line {line}")
        for name, (_, line) in _PARSE_TIME_FAULTS.items()},
-    # split arguments are checked before the data are read
-    "split-negative-min-row-count": (["split", "--data", "{missing}", "--out-prefix", "{out}",
-                                      "--min-row-count", "-5"], 2, "min_row_count"),
-    "split-negative-min-col-count": (["split", "--data", "{missing}", "--out-prefix", "{out}",
-                                      "--min-col-count", "-1"], 2, "min_col_count"),
-    "split-negative-test-frac": (["split", "--data", "{missing}", "--out-prefix", "{out}",
-                                  "--test-frac", "-1"], 2, "test_frac"),
-    # a seed below 0 is a setting fault, not numpy's error at the first draw
-    "split-negative-seed": (["split", "--data", "{missing}", "--out-prefix", "{out}",
-                             "--seed", "-1"], 2, "seed must be >= 0"),
+    # split settings are checked before the data are read
+    **{"split-" + name.replace("_", "-"): (
+        _SPLIT[:2] + [f"{{{name}_cfg}}", "--data", "{missing}"] + _SPLIT[5:], 2,
+        f"config line {line}") for name, (_, line) in _PARSE_TIME_FAULTS.items()},
     "evaluate-negative-fold-seed": (_EVALUATE[:6] + ["l25-mse"] + _EVALUATE[7:]
                                     + ["--fold-seed", "-1"], 2, "seed must be >= 0"),
     # (two clusters: the basket generator needs dim >= clusters, and dim is 2)
@@ -824,8 +828,14 @@ _INPUT_FAULTS = {
     "export-graph-model-missing": (_EXPORT[:2] + ["{missing}"] + _EXPORT[3:], 3, "{missing}"),
     "export-graph-locations-latin1": (_EXPORT[:-1] + ["{latin1}"], 3, "{latin1}"),
     "export-graph-out-nodir": (_EXPORT + ["--out", "{nodir}"], 2, "{nodir}"),
+    "export-graph-out-nodir-before-the-model": (
+        _EXPORT[:2] + ["{missing}"] + _EXPORT[3:] + ["--out", "{nodir}"], 2, "{nodir}"),
     "gen-synthetic-out-nodir": (["gen-synthetic", "--kind", "text-clusters",
                                  "--out-prefix", "{nodir}"], 2, "{nodir}"),
+    # checked before the generator runs, which would refuse the seed
+    "gen-synthetic-out-nodir-before-the-generator": (
+        ["gen-synthetic", "--kind", "text-clusters", "--seed", "-1", "--out-prefix", "{nodir}"],
+        2, "{nodir}"),
 }
 
 
@@ -880,6 +890,8 @@ def fault_paths(toy_run):
     poisson_lag_cfg.write_text("family = poisson\nlag = 1\nstep_size_grid = 0.5\n")
     lag_negative = root / "lag_negative.tsv"  # counts of a fall from 3 to 1 in row a
     lag_negative.write_text("row\tcol\tvalue\na\tx\t3\na\ty\t1\nb\tx\t1\nb\ty\t2\n")
+    split_none_cfg = root / "split_none.cfg"
+    split_none_cfg.write_text("family = gaussian\nsplit = none\n")
     two_active_rows = root / "two_active_rows.tsv"  # column x holds terms a and b
     two_active_rows.write_text("row\tcol\tvalue\na\tx\t1\nb\tx\t1\nc\ty\t1\n")
     shop = str(root / "shop")
@@ -896,7 +908,7 @@ def fault_paths(toy_run):
                 **categorical_cfgs, **sparse_cfgs, **bad_train_cfgs, **parse_time_cfgs,
                 **argument_cfgs, **value_paths, poisson_lag_cfg=str(poisson_lag_cfg),
                 lag_negative=str(lag_negative), two_active_rows=str(two_active_rows),
-                poisson_model=str(poisson_model))
+                poisson_model=str(poisson_model), split_none_cfg=str(split_none_cfg))
 
 
 @pytest.mark.parametrize("case", sorted(_INPUT_FAULTS))
@@ -1023,6 +1035,55 @@ def test_heldout_ll_refuses_a_categorical_column_of_two_terms(text_models, tmp_p
         "error: categorical data needs exactly one active term per column\n"
 
 
+def test_train_on_the_full_file_fits_the_train_part_that_split_writes(toy_run, tmp_path):
+    # split = columns on the whole file, and split = none on the part that
+    # glembed split wrote by the same config, fit the same bank
+    prefix, none_cfg = str(tmp_path / "p"), tmp_path / "none.cfg"
+    assert main(["split", "--config", toy_run["config"], "--data", toy_run["data"],
+                 "--out-prefix", prefix]) == 0
+    none_cfg.write_text(CFG_GAUSSIAN.replace("split = columns", "split = none"))
+    for cfg, data, out in ((toy_run["config"], toy_run["data"], f"{prefix}.whole.model"),
+                           (str(none_cfg), f"{prefix}.train.tsv", f"{prefix}.part.model")):
+        assert main(["train", "--config", cfg, "--data", data, "--locations",
+                     toy_run["locations"], "--out", out]) == 0
+    (a, _, labels_a), (b, _, labels_b) = map(load_model, (f"{prefix}.whole.model",
+                                                          f"{prefix}.part.model"))
+    order = [labels_b.index(label) for label in labels_a]
+    assert np.array_equal(a.embeddings, b.embeddings[order])
+    assert np.array_equal(a.context_vectors, b.context_vectors[order])
+
+
+@pytest.mark.parametrize("model, context", [("bernoulli", "window"), ("poisson", "basket")])
+def test_export_graph_takes_k_from_a_knn_header_only(text_models, fault_paths, tmp_path, capsys,
+                                                    model, context):
+    # a window model's window_w and a basket model's 0 count no neighbors
+    path = text_models[1]["bernoulli"] if model == "bernoulli" else fault_paths["poisson_model"]
+    labels = load_model(path)[2]
+    locations = str(tmp_path / "loc.tsv")
+    write_locations(locations, np.arange(3 * len(labels), dtype=float).reshape(-1, 3), labels)
+    argv = ["export-graph", "--model", path, "--locations", locations]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: a {context} model records no neighbor count; give --k\n"
+    assert main(argv + ["--k", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * len(labels)
+
+
+def test_the_readme_round_trip_runs_as_written(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\n## Command line\n.*?\n```sh\n(.*?)\n```", readme, re.S).group(1)
+    run = subprocess.run(["bash", "-e", "-c", 'glembed() { "$PYTHON" -m glembed.cli "$@"; }\n'
+                          + block], cwd=tmp_path, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHON=sys.executable, PYTHONPATH=os.pathsep.join(
+                             p for p in sys.path if p)))
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "plant.cfg", "plant.data.tsv", "plant.locations.tsv", "plant.log", "plant.model",
+        "plant.test.tsv", "plant.train.tsv", "plant.valid.tsv"]
+
+
 # glembed evaluate reads test data as implicit-zero by the family's default,
 # not by the model's implicit_zero (ROADMAP item 13); each pin passes once it
 # reads them as the model was trained
@@ -1032,13 +1093,13 @@ def test_a_gaussian_basket_model_evaluates_on_its_implicit_zero_split(tmp_path, 
     prefix = str(tmp_path / "b")
     assert main(["gen-synthetic", "--kind", "poisson-baskets", "--entities", "20",
                  "--columns", "300", "--seed", "1", "--out-prefix", prefix]) == 0
-    assert main(["split", "--data", f"{prefix}.data.tsv", "--implicit-zero",
-                 "--out-prefix", prefix]) == 0
     cfg = tmp_path / "g.cfg"
     cfg.write_text("family = gaussian\ncontext = basket\nimplicit_zero = 1\nk = 3\n"
-                   "iterations = 5\nestimator = full\nstep_size_grid = 0.1\nsplit = none\n")
+                   "iterations = 5\nestimator = full\nstep_size_grid = 0.1\nsplit = columns\n")
+    assert main(["split", "--config", str(cfg), "--data", f"{prefix}.data.tsv",
+                 "--out-prefix", prefix]) == 0
     model = str(tmp_path / "g.model")
-    assert main(["train", "--config", str(cfg), "--data", f"{prefix}.train.tsv",
+    assert main(["train", "--config", str(cfg), "--data", f"{prefix}.data.tsv",
                  "--out", model]) == 0
     capsys.readouterr()
     rc = main(["evaluate", "--model", model, "--test", f"{prefix}.test.tsv",
@@ -1054,12 +1115,13 @@ def test_an_explicit_poisson_model_scores_every_test_entry(tmp_path):
     counts = np.random.default_rng(0).poisson(0.1, (30, 300)).astype(float)
     assert (counts == 0).mean() > 0.8  # a complete file, mostly zeros
     write_triplets(f"{prefix}.counts.tsv", dense_matrix(counts))
-    assert main(["split", "--data", f"{prefix}.counts.tsv", "--out-prefix", prefix]) == 0
     cfg = tmp_path / "p.cfg"
     cfg.write_text("family = poisson\ncontext = knn\nknn_k = 3\nimplicit_zero = 0\nk = 3\n"
-                   "iterations = 5\nestimator = full\nstep_size_grid = 0.1\nsplit = none\n")
+                   "iterations = 5\nestimator = full\nstep_size_grid = 0.1\nsplit = columns\n")
+    assert main(["split", "--config", str(cfg), "--data", f"{prefix}.counts.tsv",
+                 "--out-prefix", prefix]) == 0
     model = str(tmp_path / "p.model")
-    assert main(["train", "--config", str(cfg), "--data", f"{prefix}.train.tsv",
+    assert main(["train", "--config", str(cfg), "--data", f"{prefix}.counts.tsv",
                  "--locations", f"{prefix}.locations.tsv", "--out", model]) == 0
     report = cli.run_evaluate(model, f"{prefix}.test.tsv", "npll",
                               f"{prefix}.locations.tsv", out=io.StringIO())

@@ -188,3 +188,18 @@ def test_one_scorer_table():
     assert {ast.unparse(m) for n in ast.walk(funcs["run_evaluate"]) if isinstance(n, ast.Compare)
             and "protocol" in map(ast.unparse, (n.left, *n.comparators))
             for m in (n.left, *n.comparators) if ast.unparse(m) != "protocol"} == {"'l25-mse'"}
+
+
+def test_no_subcommand_but_gen_synthetic_takes_a_run_setting_as_a_flag():
+    # the run config states the data settings once, for split and train alike:
+    # a flag of a config key would state one again, with a default of its own
+    import argparse
+    from dataclasses import fields
+
+    from glembed.cli import build_parser
+    from glembed.dataio import RunConfig
+    from glembed.evaluate import SplitSpec
+    settings = {f.name for cls in (RunConfig, SplitSpec) for f in fields(cls)}  # variant: split
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(name, a.dest) for name, p in sub.choices.items() if name != "gen-synthetic"
+            for a in p._actions if a.dest in settings] == []
