@@ -6,6 +6,15 @@ locations files carry a header line whose delimiter (tab or comma) sets the
 delimiter for the rest of the file.  Model files round-trip banks
 bit-exactly by printing floats with 17 significant digits.  Writes go
 through a temp-and-rename so readers never observe partial files.
+
+Triplet runs and model bodies take one of two paths.  A *plain* text
+(``_plain_fields``: ASCII, every line of its width, no blank line, no
+whitespace or line break but the delimiter and ``\n``) is split, checked and
+parsed by C-level passes with no Python step per line; any other text, and a
+plain one with a value that is not a finite ``float()``, is read line by
+line.  Both paths give the same matrix, bank and labels, and only the line
+path (or the fault walk) raises, so every error and line number is the line
+loop's.
 """
 
 from __future__ import annotations
@@ -18,9 +27,10 @@ import re
 import sys
 import tempfile
 import threading
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -38,6 +48,12 @@ RUN_CHARS = 2**18
 SPAN_CHARS = 2**23
 # lines per run that write_triplets formats at once
 WRITE_RUN_LINES = 2**13
+# per delimiter, the bytes that _plain_fields' shape check drops: all but the
+# delimiter, '\n' and every other byte that str.strip strips or
+# str.splitlines splits on (and a tab in a comma text), so that any of those
+# spoils the comparison
+_NOT_SHAPE = {d: bytes(sorted(set(range(256)) - set(
+    f"{d}\n \r\x0b\x0c\x1c\x1d\x1e\x1f\t".encode()))) for d in "\t,"}
 
 
 def check_output_path(path: str) -> str:
@@ -206,7 +222,9 @@ def _parse_spans(path: str, delim: str) -> tuple | None:
         a.resize(at[-1], refcheck=False)
     for p, s, e in zip(parts[1:], at[1:], at[2:]):
         for k in (0, 1):  # mode="clip" takes into ``out`` unbuffered; every id is in range
-            np.take(_first_seen_ids(index[k], p[k]), p[k + 2], out=out[k][s:e], mode="clip")
+            # the index's lookup gives a label new to it the next id
+            ids = np.fromiter(map(index[k].__getitem__, p[k]), np.int32, len(p[k]))
+            np.take(ids, p[k + 2], out=out[k][s:e], mode="clip")
         out[2][s:e] = p[4]
     return list(index[0]), list(index[1]), *out
 
@@ -218,8 +236,9 @@ def _send_span(send, path: str, start: int, stop: int, delim: str) -> None:
         part = _parse_span(path, start, stop, delim)
     except DataError:  # an undecodable byte, which the parent's fault walk raises
         part = None
-    # the arrays go as raw bytes, which the parent reads without a copy
-    send.send(part and (part[:2], [a.dtype.str for a in part[2:]]))
+    # the labels go as lists, in id order; the arrays as raw bytes, which the
+    # parent reads without a copy
+    send.send(part and (list(map(list, part[:2])), [a.dtype.str for a in part[2:]]))
     for a in part[2:] if part else ():
         send.send_bytes(a)
 
@@ -238,44 +257,90 @@ def _parse_span(path: str, start: int, stop: int, delim: str):
     ids, and the values; or None when a line is faulty, for the fault walk
     (``_raise_first_fault``) to find and number.
 
-    The span is read in runs of whole lines (``_runs``), each split, checked
-    and parsed by C-level passes, so memory is O(one run + entries).
+    The span is read in runs of whole lines (``_runs``), so memory is O(one
+    run + entries).  A plain run (``_plain_fields``; in the first run, after
+    a header that ends at its first ``\n``) is split and checked by C-level
+    passes and its ids are used as they are; any other run, or a plain one
+    with a value that is not a finite ``float()`` (such as an empty value),
+    goes through ``_parse_lines``, which alone tells a blank line from a
+    faulty one.  Both give the same ids and values.  Each id is mapped to
+    its first-seen index by one dict lookup.
     """
-    index: tuple[dict, dict] = ({}, {})  # row and column ids by label
+    index = (defaultdict(count().__next__), defaultdict(count().__next__))  # ids by label
     out = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]  # rows, cols, vals
     n = 0
     header = start == 0  # whether the next run starts with the header
     for run in _runs(path, start, stop):
-        body = list(filter(str.strip, run.splitlines()[header:]))
+        cut = run.find("\n") + 1 if header else 0
+        fields = (_plain_fields(run[cut:], delim, 3)
+                  if not header or cut and _one_line(run[:cut - 1]) else None)
+        v = None if fields is None else _finite_floats(fields[2::3])
+        if v is None:
+            parsed = _parse_lines(run, delim, header)
+            if parsed is None:
+                return None
+            *keys, v = parsed
+        else:
+            keys = fields[0::3], fields[1::3]
         header = False
-        fields = delim.join(body).split(delim) if body else []
-        try:  # fields misaligned by a line of another field count are a fault too
-            v = np.fromiter(map(float, fields[2::3]), np.float64, len(body))
-        except ValueError:
-            return None
-        keys = [list(map(str.strip, fields[k::3])) for k in (0, 1)]
-        # a tab inside an id of a comma file would split the line that
-        # write_triplets writes for it
-        if (not set(map(str.count, body, repeat(delim))) <= {2} or not np.isfinite(v).all()
-                or delim == "," and "\t" in "".join(keys[0]) + "".join(keys[1])):
-            return None
         if n + len(v) > len(out[2]):  # grown in place by a quarter: no run arrays to join
             for a in out:
                 a.resize(max(len(a) * 5 // 4, n + len(v)), refcheck=False)
-        for a, run_part in zip(out, (*map(_first_seen_ids, index, keys), v)):
-            a[n:n + len(v)] = run_part
+        for k in (0, 1):
+            out[k][n:n + len(v)] = np.fromiter(map(index[k].__getitem__, keys[k]), np.int32,
+                                               len(v))
+        out[2][n:n + len(v)] = v
         n += len(v)
     for a in out:
         a.resize(n, refcheck=False)
     return *index, *out
 
 
-def _first_seen_ids(index: dict[str, int], keys: Collection[str]) -> np.ndarray:
-    """The int32 ids of ``keys``; keys not yet in ``index`` join it in
-    first-seen order."""
-    new = filterfalse(index.__contains__, dict.fromkeys(keys))
-    index.update(zip(new, count(len(index))))
-    return np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
+def _plain_fields(text: str, delim: str, width: int) -> list[str] | None:
+    """The fields of the lines of ``text`` in order, each line ended by a
+    ``\n`` (the last one may not be), when ``text`` is plain: ASCII, with
+    ``width`` fields of ``delim`` to every line, no blank line, and no other
+    byte that ``str.splitlines`` splits on or ``str.strip`` strips (no tab
+    in a comma text).  Else None.  The lines of a plain text are its
+    ``splitlines``, and no field of it has anything to strip.  One split
+    gives the fields, and one ``bytes.translate`` comparison checks the
+    shape."""
+    if not text:
+        return []
+    body = text[:-1] if text[-1] == "\n" else text
+    shape = ((delim * (width - 1) + "\n") * (body.count("\n") + 1))[:-1]
+    if not body.isascii() or body.encode().translate(None, _NOT_SHAPE[delim]) != shape.encode():
+        return None
+    return body.replace("\n", delim).split(delim)
+
+
+def _finite_floats(texts: list[str]) -> np.ndarray | None:
+    """The ``float()`` of each of ``texts``, or None when one does not parse
+    or is not finite."""
+    try:
+        v = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return None
+    return v if np.isfinite(v).all() else None
+
+
+def _parse_lines(run: str, delim: str, header: bool):
+    """The stripped row ids, column ids and values of the non-blank lines of
+    ``run`` (after its first, if ``header``), each line's field count
+    checked on its own; or None when a line is faulty."""
+    body = list(filter(str.strip, run.splitlines()[header:]))
+    fields = delim.join(body).split(delim) if body else []
+    try:  # fields misaligned by a line of another field count are a fault too
+        v = np.fromiter(map(float, fields[2::3]), np.float64, len(body))
+    except ValueError:
+        return None
+    keys = [list(map(str.strip, fields[k::3])) for k in (0, 1)]
+    # a tab inside an id of a comma file would split the line that
+    # write_triplets writes for it
+    if (not set(map(str.count, body, repeat(delim))) <= {2} or not np.isfinite(v).all()
+            or delim == "," and "\t" in "".join(keys[0]) + "".join(keys[1])):
+        return None
+    return *keys, v
 
 
 def _raise_first_fault(path: str, delim: str, duplicate: int = -1,
@@ -615,8 +680,32 @@ def load_model(path: str):
 
 def _read_entities(path: str, lines: list[str], body_at: int, meta: ModelMeta):
     """The bank and labels of the entity lines ``lines[body_at:]`` under the
-    checked header ``meta``; a ConfigError keyed by ``dim`` when every entity
-    line holds one number of fields other than ``1 + 2 * dim``."""
+    checked header ``meta``.  A plain body (``_plain_fields`` of ``1 + 2 *
+    dim`` fields a line) whose labels are distinct, whose values are finite
+    ``float()`` values and, if tied, whose context vectors equal its
+    embeddings, is split, parsed and checked by C-level passes; any other
+    goes to ``_read_entity_lines``, which raises its fault naming the line.
+    Both give the same bank and labels."""
+    dim, tied = meta.dim, meta.sharing == "tied"
+    width = 1 + 2 * dim
+    fields = _plain_fields("\n".join(lines[body_at:]), "\t", width)
+    if fields is not None:
+        labels = fields[::width]
+        del fields[::width]
+        v = _finite_floats(fields)
+        if v is not None and len(set(labels)) == len(labels):
+            v = v.reshape(len(labels), 2 * dim)
+            emb, cv = v[:, :dim], v[:, dim:]
+            if not tied or np.array_equal(emb, cv):
+                return EmbeddingBank(emb, emb if tied else cv, log_space=meta.log_space), labels
+    return _read_entity_lines(path, lines, body_at, meta)
+
+
+def _read_entity_lines(path: str, lines: list[str], body_at: int, meta: ModelMeta):
+    """``_read_entities`` one line at a time, each checked on its own: a
+    faulty line raises a DataError naming it, and a ConfigError keyed by
+    ``dim`` when every entity line holds one number of fields other than
+    ``1 + 2 * dim``."""
     tied = meta.sharing == "tied"
     labels, emb_rows, cv_rows, seen = [], [], [], set()
     for ln, line in enumerate(lines[body_at:], start=body_at + 1):

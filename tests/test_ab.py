@@ -43,5 +43,8 @@ def test_an_a_a_run_writes_both_sides_and_the_paired_comparison(tmp_path):
             assert got[side]["iqr"] == pytest.approx(got[side]["q3"] - got[side]["q1"])
         assert len(got["ratios"]) == 2 and 0 <= got["head_better_pairs"] <= 2
         assert isinstance(got["gain_beyond_base_iqr"], bool)
+        lo, hi = got["ratio_interval"]
+        assert lo <= got["median_ratio"] <= hi
     assert res["metrics"]["heldout_score"]["ratios"] == [1.0, 1.0]
+    assert res["metrics"]["heldout_score"]["ratio_interval"] == [1.0, 1.0]
     assert "nproc" in res["machine"]

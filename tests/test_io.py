@@ -932,6 +932,108 @@ def test_write_triplets_bytes_match_the_line_writer(tmp_path, monkeypatch, label
 
 
 # ---------------------------------------------------------------------------
+# the plain path: runs split and checked by C-level passes
+# ---------------------------------------------------------------------------
+
+# per file: its delimiter and the lines that spoil the run they are in, each
+# of them set between blocks of plain lines; the runs of RUN_CHARS 1, 7 and
+# 100 alternate between plain and not
+_SPOILERS = {
+    "tab": ("\t", ["", "\t\t", "a\tb\t1\r", " e3 \ts1\t2", "ünï\ts2\t3", "r\ts3\t１２",
+                   "r\ts4\t 4"]),
+    "tab_nan": ("\t", ["", "x\ty\tnan", "\t\t"]),
+    "tab_then_bad_field_count": ("\t", ["\t\t", "x\ty", "x\ty\tnan"]),
+    "comma": (",", ["a,b,1\t", "\te1\t,s1,2", "", "a , s2,3"]),
+    "comma_tab_inside_an_id": (",", ["a,b,1\t", "a\tb,s1,2"]),
+}
+
+
+def _mixed_file(tmp_path, name, block=30):
+    """The file of ``_SPOILERS[name]``: a header and blocks of ``block``
+    plain lines, one spoiler after each block, ids seen again across
+    blocks, and ``1_0`` and ``-0`` among the plain values."""
+    delim, spoilers = _SPOILERS[name]
+    lines = [delim.join(("row", "col", "value"))]
+    for b, spoiler in enumerate([*spoilers, None]):
+        lines += [delim.join((f"e{i % 11}", f"t{b}_{i}", "1_0" if i == 3 else "-0" if i == 4
+                              else f"{i}.{b}5")) for i in range(block)]
+        lines += [] if spoiler is None else [spoiler]
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    return str(path), spoilers
+
+
+def _assert_same_outcome_as_oracle(path):
+    """Assert that read_triplets gives the line loop's result or error;
+    whether the line loop raised."""
+    try:
+        line_loop_read_triplets(path)
+    except DataError as exc:
+        assert _error_text(read_triplets, path) == str(exc)
+        return True
+    _assert_same_as_oracle(path)
+    return False
+
+
+def _line_parses(monkeypatch):
+    """The runs that ``dataio._parse_lines`` parses in this process."""
+    parse, runs = dataio._parse_lines, []
+
+    def counted(run, delim, header):
+        runs.append(run)
+        return parse(run, delim, header)
+    monkeypatch.setattr(dataio, "_parse_lines", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(_SPOILERS))
+def test_runs_that_alternate_plain_and_not_match_the_line_loop(
+        tmp_path, monkeypatch, forked, name):
+    path, spoilers = _mixed_file(tmp_path, name)
+    size = os.path.getsize(path)
+    runs = _line_parses(monkeypatch)
+    for spans in (1, 3):
+        _force_spans(monkeypatch, size // spans + 1, cpus=spans)
+        for run_chars in (1, 7, 100, dataio.RUN_CHARS):
+            monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+            runs.clear()
+            if _assert_same_outcome_as_oracle(path) or spans > 1:
+                continue
+            # in this process, only the runs that hold a spoiler take the
+            # per-line parse: at one line a run, exactly the spoilers
+            n_runs = len(list(dataio._runs(path, 0, size)))
+            assert 0 < len(runs) <= min(len(spoilers), n_runs)
+            assert run_chars == dataio.RUN_CHARS or len(runs) < n_runs
+            if run_chars == 1:
+                assert runs == [line + "\n" for line in spoilers]
+    assert len(forked) == 2 * 4
+    _assert_no_child_left(forked)
+
+
+_PLAIN_FILES = {
+    "tab": _ORACLE_FILES["tab"],
+    "comma": _ORACLE_FILES["comma"],
+    "no_trailing_newline": _ORACLE_FILES["no_trailing_newline"],
+    "header_only": _ORACLE_FILES["header_only"],
+    "long": "row\tcol\tvalue\n" + "".join(
+        f"e{i % 7}\tt{i // 7}\t{v}\n" for i, v in enumerate(
+            ["1_0", "+.5", "-0.0", "5e-324", "1e308",
+             *map(repr, np.linspace(-3, 3, 500).tolist())])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAIN_FILES))
+def test_a_plain_file_takes_no_per_line_parse(tmp_path, monkeypatch, name):
+    # so the plain path cannot switch itself off unseen
+    path = _write(tmp_path, name + ".tsv", _PLAIN_FILES[name])
+    runs = _line_parses(monkeypatch)
+    for run_chars in (1, 7, 100, dataio.RUN_CHARS):
+        monkeypatch.setattr(dataio, "RUN_CHARS", run_chars)
+        _assert_same_as_oracle(path)
+    assert runs == []
+
+
+# ---------------------------------------------------------------------------
 # ingest transforms
 # ---------------------------------------------------------------------------
 
@@ -1308,6 +1410,64 @@ def test_blank_lines_inside_a_locations_file_and_a_model_body_are_skipped(tmp_pa
     assert labels == ["a", "b", "c"] and meta == _meta(2, 3)
     np.testing.assert_array_equal(loaded.embeddings, bank.embeddings)
     np.testing.assert_array_equal(loaded.context_vectors, bank.context_vectors)
+
+
+def _body_variants():
+    """Per model: its config, whether its bank is tied, its labels, and a
+    rewrite of the file's text; a plain body is one that store_model writes
+    for ASCII labels, or its ``\\r\\n`` rewrite."""
+    labels = [f"w{i}" for i in range(40)]
+    odd = labels[:5] + ["ünï"] + labels[6:]
+
+    def blank(text):
+        lines = text.split("\n")
+        at = lines.index("#entities") + 10
+        return "\n".join(lines[:at] + [""] + lines[at:])
+    same = str
+    return {
+        "per_row": ("family = gaussian\nk = 3\n", False, labels, same),
+        "global": ("family = bernoulli\nk = 3\n", False, labels, same),
+        "tied_log_space": ("family = additive_poisson\nk = 3\n", True, labels, same),
+        "log_space": ("family = nonneg_gaussian\nk = 3\n", False, labels, same),
+        "crlf": ("family = gaussian\nk = 3\n", False, labels, lambda t: t.replace("\n", "\r\n")),
+        "non_ascii_label": ("family = gaussian\nk = 3\n", False, odd, same),
+        "padded_label": ("family = gaussian\nk = 3\n", False, labels[:-1] + [" w "], same),
+        "blank_line": ("family = gaussian\nk = 3\n", False, labels, blank),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_body_variants()))
+def test_model_bodies_load_to_the_line_loops_bank_and_labels(tmp_path, monkeypatch, name):
+    config, tied, labels, rewrite = _body_variants()[name]
+    rng = np.random.default_rng(11)
+    emb = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-8, 8, size=(40, 3))
+    emb[0, 0] = -0.0
+    bank = EmbeddingBank(emb, emb if tied else rng.normal(size=(40, 3)),
+                         log_space=name.endswith("log_space"))
+    meta = parse_run_config(config).model_meta(bank)
+    meta.sharing = "tied" if tied else meta.sharing
+    p = tmp_path / "m.model"
+    store_model(str(p), bank, meta, labels)
+    p.write_bytes(rewrite(p.read_text()).encode())
+    with monkeypatch.context() as m:  # every body read line by line
+        m.setattr(dataio, "_read_entities", dataio._read_entity_lines)
+        want = load_model(str(p))
+    read, bodies = dataio._read_entity_lines, []
+
+    def counted(path, lines, body_at, meta):
+        bodies.append(body_at)
+        return read(path, lines, body_at, meta)
+    monkeypatch.setattr(dataio, "_read_entity_lines", counted)
+    got = load_model(str(p))
+    assert got[1:] == want[1:] == (meta, labels)
+    for b in (got[0], want[0]):
+        assert (b.tied, b.log_space) == (tied, bank.log_space)
+        for table, stored in ((b.embeddings, bank.embeddings),
+                              (b.context_vectors, bank.context_vectors)):
+            assert table.flags.c_contiguous
+            np.testing.assert_array_equal(table.view(np.int64), stored.view(np.int64))
+    # a plain body takes no per-line read
+    assert len(bodies) == (name in ("non_ascii_label", "padded_label", "blank_line"))
 
 
 def test_atomic_write_leaves_no_temp_file_and_the_old_target_when_a_piece_raises(tmp_path):

@@ -12,7 +12,7 @@ TOP = sorted(LIB.glob("*.py"))
 TREE = sorted(p for p in LIB.rglob("*") if p.is_file() and "__pycache__" not in p.parts)
 NOT_DATAIO = [p for p in TREE if p.name != "dataio.py"]
 TRIPLET_READER = ("read_triplets", "_read_matrix", "_parse_spans", "_parse_span", "_send_span",
-                  "_runs")
+                  "_runs", "_plain_fields", "_finite_floats", "_parse_lines")
 ABSENT = {  # per guard: the files it reads and a pattern that no line of them may match
     "one-scatter-path": (TREE, r"np\.add\.at|np\.bincount\(.*weights"),
     "one-context-interface": (TOP, r"def (sums|scatter_add)\("),
@@ -28,6 +28,7 @@ ABSENT = {  # per guard: the files it reads and a pattern that no line of them m
     "no-step-gathers-entries": (TOP, r"cv\[data\.rows\]|R\[data\.cols\]|_by_column"),
     "one-place-weights-a-term": (TREE, r"downweight_zeros|class LogSample"),
     "evaluate-checks-no-bank": ([LIB / "evaluate.py"], r"validate_bank"),
+    "one-id-map": ([LIB / "dataio.py"], r"_first_seen_ids|dict\.fromkeys"),
 }
 
 
@@ -59,6 +60,12 @@ def test_one_key_value_reader_and_only_run_config_reads_the_context_names():
     assert [getattr(n, "name", type(n).__name__) for n in _tree("dataio").body
             if not isinstance(n, ast.Assign) and any(isinstance(m, ast.Name)
             and m.id == "_CONTEXTS" for m in ast.walk(n))] == ["RunConfig"]
+
+
+def test_the_plain_splitter_serves_the_triplet_runs_and_the_model_body():
+    # every other text is read line by line
+    assert sorted(name for name, f in _defs(ast.walk(_tree("dataio"))).items()
+                  if _calls(f, "_plain_fields")) == ["_parse_span", "_read_entities"]
 
 
 def test_one_entry_store_and_no_file_text():

@@ -13,10 +13,13 @@ odd ones), so that a slow phase of a shared host falls on both sides alike.
 The result goes to ``BENCH_<label>.json`` at the root of the checkout (or
 ``--out``): per side, each run's end-to-end metrics, model SHA-256 and
 ``heldout_score``, and per metric the samples' median and quartiles; per
-metric, the head/base ratio of each pair and their median, the pairs in
-which the head is better, and whether the head's median is better than the
-base's by more than the base's interquartile range; both revisions; and the
-machine facts of the first report.
+metric, the head/base ratio of each pair, their median and its
+``ratio_interval`` (a percentile-bootstrap 95% interval: the 2.5th and 97.5th
+percentiles of the medians of ``BOOTSTRAP_DRAWS`` resamples of the pairs,
+drawn by ``random.Random(BOOTSTRAP_SEED)``), the pairs in which the head is
+better, and whether the head's median is better than the base's by more
+than the base's interquartile range; both revisions; and the machine facts
+of the first report.
 """
 
 from __future__ import annotations
@@ -24,12 +27,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# resamples, and their seed, of each metric's ratio_interval
+BOOTSTRAP_DRAWS = 10_000
+BOOTSTRAP_SEED = 0
 
 
 def git(*args: str) -> str:
@@ -70,9 +77,19 @@ def spread(samples: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def ratio_interval(ratios: list[float]) -> list[float]:
+    """The percentile-bootstrap 95% interval of the median of ``ratios``."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOTSTRAP_DRAWS)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return [cuts[0], cuts[-1]]
+
+
 def compare(base: list[dict], head: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's samples and spread, the paired ratios, and the
-    pairs and median shift in the metric's better direction."""
+    """Per metric: each side's samples and spread, the paired ratios with
+    their median and its ``ratio_interval``, and the pairs and median shift
+    in the metric's better direction."""
     out = {}
     for name, direction in better.items():
         b = [run["metrics"][name] for run in base]
@@ -80,11 +97,12 @@ def compare(base: list[dict], head: list[dict], better: dict[str, str]) -> dict:
         sign = -1.0 if direction == "lower" else 1.0
         sb, sh = spread(b), spread(h)
         ratios = [y / x if x else None for x, y in zip(b, h)]
+        paired = [r for r in ratios if r is not None]
         gain = sign * (sh["median"] - sb["median"])
         out[name] = {"better": direction, "base": {"samples": b, **sb},
                      "head": {"samples": h, **sh}, "ratios": ratios,
-                     "median_ratio": statistics.median(r for r in ratios if r is not None)
-                     if any(r is not None for r in ratios) else None,
+                     "median_ratio": statistics.median(paired) if paired else None,
+                     "ratio_interval": ratio_interval(paired) if paired else None,
                      "head_better_pairs": sum(sign * (y - x) > 0 for x, y in zip(b, h)),
                      "median_gain": gain, "gain_beyond_base_iqr": gain > sb["iqr"]}
     return out
