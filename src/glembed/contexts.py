@@ -290,7 +290,7 @@ class _ColumnTablePass:
         # an unbuffered take: the columns of a batch are in range
         counts = np.take(self.counts, batch.cols, mode="clip",
                          out=self.scratch.take("counts", (len(batch),), self.counts.dtype))
-        if self.own is not None:
+        if self.own is not None and batch.stored.any():  # a piece of zeros has no own term
             H -= batch.vals * self.own[batch.rows]
             counts -= batch.stored
         return H, counts
@@ -301,7 +301,8 @@ class _ColumnTablePass:
             coef = coef[order]
         if self.own is not None:
             coef = self._drop_memberless(coef, batch.cols, batch.stored)
-            self.own_coef += scatter_rows(batch.rows, batch.vals, len(self.emb), coef)
+            if batch.stored.any():
+                self.own_coef += scatter_rows(batch.rows, batch.vals, len(self.emb), coef)
         g_emb, R = cell_products(batch.row_starts, batch.cols, coef, self.sums, self.emb)
         self.g_emb += g_emb
         if self.R is None:

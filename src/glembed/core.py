@@ -105,19 +105,21 @@ class Scratch:
     """Named work tables that one caller's passes reuse from call to call,
     so that a step maps and zeroes no fresh multi-megabyte table.
 
-    ``take`` returns the table last taken under ``name`` when its shape and
-    dtype match, else a new one; its contents are left as they were, and it
-    stays valid until ``name`` is taken again.
+    ``take`` returns a table on the front of the buffer last taken under
+    ``name`` when that is of ``dtype`` and large enough, else on a new one;
+    its contents are left as they were, and it stays valid until ``name``
+    is taken again.
     """
 
     def __init__(self):
         self._tables: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = int(np.prod(shape))
         table = self._tables.get(name)
-        if table is None or table.shape != shape or table.dtype != dtype:
-            table = self._tables[name] = np.empty(shape, dtype)
-        return table
+        if table is None or table.size < size or table.dtype != dtype:
+            table = self._tables[name] = np.empty(size, dtype)
+        return table[:size].reshape(shape)
 
 
 def _csr(rows, cols, vals, shape):
@@ -138,7 +140,8 @@ def _split_sorted_keys(keys: np.ndarray, n_rows: int, n_cols: int):
     integer division per key."""
     starts = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
     rows = np.repeat(np.arange(n_rows), np.diff(starts))
-    return rows, keys - rows * n_cols, starts
+    cols = np.multiply(rows, n_cols)
+    return rows, np.subtract(keys, cols, out=cols), starts
 
 
 class DataMatrix:
@@ -302,21 +305,11 @@ class DataMatrix:
         del counts
         return _split_sorted_keys(ids, self.n_rows, self.n_cols)[:2]
 
-    def with_unstored(self, rows, cols, weight: float) -> "TermBatch":
-        """Every stored entry, weight 1, and the unstored cells (rows, cols),
-        weight ``weight``, as one ``TermBatch`` in row-major cell order with
-        its row starts; equal listed cells keep their order."""
-        # one stable sort of the keys tagged in the low bit, 0 for a stored
-        # entry; two sorted runs when the cells come sorted, so one merge
-        tagged = np.concatenate([self._keys * 2,
-                                 (np.asarray(rows) * self.n_cols + np.asarray(cols)) * 2 + 1])
-        tagged.sort(kind="stable")
-        stored = (tagged & 1) == 0
-        rows, cols, starts = _split_sorted_keys(np.right_shift(tagged, 1, out=tagged),
-                                               self.n_rows, self.n_cols)
-        vals = np.zeros(len(tagged))
-        vals[stored] = self._key_vals
-        return TermBatch(rows, cols, vals, stored, np.where(stored, 1.0, weight), starts)
+    def stored_terms(self) -> "TermBatch":
+        """Every stored entry, weight 1, as a ``TermBatch`` in row-major cell
+        order with its row starts: the fixed piece of each sparse step."""
+        rows, cols, starts = _split_sorted_keys(self._keys, self.n_rows, self.n_cols)
+        return TermBatch(rows, cols, self._key_vals, True, None, starts)
 
     def column_blocks(self, width: int, cols: Sequence[int] | None, scratch: Scratch):
         """Every cell of the columns ``cols`` (of every column, left to
@@ -432,10 +425,10 @@ class TermBatch:
 
     Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
     for an implicit zero.  ``weights`` are sampling weights, None for ones.
+    A 0-d ``vals``, ``stored`` or ``weights`` holds for every term.
     ``row_starts``, when not None, says that the terms are in row-major cell
     order, those of row n at row_starts[n]:row_starts[n + 1].  The
-    categorical family's terms are whole columns, scored by ``ColumnBlock``s
-    instead.
+    categorical family's terms are whole columns, scored by ``ColumnBlock``s.
     """
 
     rows: np.ndarray
@@ -459,14 +452,14 @@ class TermBatch:
     def row_major(self, n_rows: int, n_cols: int):
         """(batch, order): these terms in row-major cell order with their row
         starts, equal cells in batch order, and the permutation that sorts
-        them, None when they carry their row starts already."""
+        them, None when they carry their row starts already.  A 0-d column
+        stays as it is."""
         if self.row_starts is not None:
             return self, None
         order = np.argsort(self.rows * n_cols + self.cols, kind="stable")
-        rows = self.rows[order]
-        batch = TermBatch(rows, self.cols[order], self.vals[order], self.stored[order],
-                          None if self.weights is None else self.weights[order],
-                          np.searchsorted(rows, np.arange(n_rows + 1)))
+        batch = TermBatch(*(a if a is None or a.ndim == 0 else a[order] for a in
+                            (self.rows, self.cols, self.vals, self.stored, self.weights)))
+        batch.row_starts = np.searchsorted(batch.rows, np.arange(n_rows + 1))
         return batch, order
 
 

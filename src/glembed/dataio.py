@@ -654,41 +654,45 @@ def load_model(path: str):
     """Read a model file back into (bank, meta, row_labels).  A header line not
     as store_model writes it, or a ``ModelMeta.check`` fault of the header (or
     then of the bank it describes), names its line."""
-    lines = read_text(path).splitlines()
+    text = read_text(path)  # the header alone is split into lines, when it can be
+    found = text.find("\n#entities\n") + 1  # 0: not there
+    if not found or "#entities" in text[:found].splitlines():  # a line end other than "\n"
+        text = "\n".join(text.splitlines()) + "\n"
+        found = text.find("\n#entities\n") + 1
+    lines, body = (text[:found] if found else text).splitlines(), text[found + len("#entities\n"):]
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a glembed model file")
-    end = lines.index("#entities") if "#entities" in lines else len(lines)
 
     def read(**values):
-        if end == len(lines):
+        if not found:
             raise DataError(f"{path}: missing #entities section")
         missing = [f.name for f in fields(ModelMeta) if f.name not in values]
         if missing:
             raise DataError(f"{path}: header missing {missing[0]}")
         meta = ModelMeta(**values)
         written = meta.header()
-        for key, text in (line.partition("=")[::2] for line in lines[1:end]):
-            if text != written[key]:
-                raise ConfigError(f"{key} is written {written[key]!r}, not {text!r}", key)
+        for key, value in (line.partition("=")[::2] for line in lines[1:]):
+            if value != written[key]:
+                raise ConfigError(f"{key} is written {written[key]!r}, not {value!r}", key)
         meta.check()
-        bank, labels = _read_entities(path, lines, end + 1, meta)
+        bank, labels = _read_entities(path, body, len(lines) + 1, meta)
         meta.check(bank)
         return bank, meta, labels
-    return _read_fields(ModelMeta, enumerate(lines[1:end], start=2), build=read,
+    return _read_fields(ModelMeta, enumerate(lines[1:], start=2), build=read,
                         fault=lambda ln, exc: DataError(f"{path}:{ln}: bad header line: {exc}"))
 
 
-def _read_entities(path: str, lines: list[str], body_at: int, meta: ModelMeta):
-    """The bank and labels of the entity lines ``lines[body_at:]`` under the
-    checked header ``meta``.  A plain body (``_plain_fields`` of ``1 + 2 *
-    dim`` fields a line) whose labels are distinct, whose values are finite
-    ``float()`` values and, if tied, whose context vectors equal its
-    embeddings, is split, parsed and checked by C-level passes; any other
-    goes to ``_read_entity_lines``, which raises its fault naming the line.
-    Both give the same bank and labels."""
+def _read_entities(path: str, body: str, body_at: int, meta: ModelMeta):
+    """The bank and labels of the entity lines ``body``, after ``body_at``
+    lines of the file, under the checked header ``meta``.  A plain body
+    (``_plain_fields`` of ``1 + 2 * dim`` fields a line) whose labels are
+    distinct, whose values are finite ``float()`` values and, if tied, whose
+    context vectors equal its embeddings, is split, parsed and checked by
+    C-level passes; any other goes to ``_read_entity_lines``, which raises
+    its fault naming the line.  Both give the same bank and labels."""
     dim, tied = meta.dim, meta.sharing == "tied"
     width = 1 + 2 * dim
-    fields = _plain_fields("\n".join(lines[body_at:]), "\t", width)
+    fields = _plain_fields(body, "\t", width)
     if fields is not None:
         labels = fields[::width]
         del fields[::width]
@@ -698,22 +702,22 @@ def _read_entities(path: str, lines: list[str], body_at: int, meta: ModelMeta):
             emb, cv = v[:, :dim], v[:, dim:]
             if not tied or np.array_equal(emb, cv):
                 return EmbeddingBank(emb, emb if tied else cv, log_space=meta.log_space), labels
-    return _read_entity_lines(path, lines, body_at, meta)
+    return _read_entity_lines(path, body, body_at, meta)
 
 
-def _read_entity_lines(path: str, lines: list[str], body_at: int, meta: ModelMeta):
+def _read_entity_lines(path: str, body: str, body_at: int, meta: ModelMeta):
     """``_read_entities`` one line at a time, each checked on its own: a
     faulty line raises a DataError naming it, and a ConfigError keyed by
     ``dim`` when every entity line holds one number of fields other than
     ``1 + 2 * dim``."""
     tied = meta.sharing == "tied"
-    labels, emb_rows, cv_rows, seen = [], [], [], set()
-    for ln, line in enumerate(lines[body_at:], start=body_at + 1):
+    labels, emb_rows, cv_rows, seen, lines = [], [], [], set(), body.splitlines()
+    for ln, line in enumerate(lines, start=body_at + 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 1 + 2 * meta.dim:
-            if len({s.count("\t") for s in lines[body_at:] if s.strip()}) == 1:
+            if len({s.count("\t") for s in lines if s.strip()}) == 1:
                 raise ConfigError(f"dim={meta.dim} does not match entity lines of "
                                   f"{len(parts)} fields", "dim")
             raise DataError(f"{path}:{ln}: expected {1 + 2 * meta.dim} fields")

@@ -2,7 +2,7 @@
 
 Each observation x is scored under an exponential-family conditional whose
 natural parameter comes from the context inner product (see core).  Every
-kernel runs one loop, ``_pieces``, over one pass of ``ctx.block``: a
+kernel runs one loop, ``_pieces``, over one pass of ``ctx.block``: each
 ``TermBatch`` of listed cells is one piece (the pass's ``at``/``scatter_at``),
 and distinct columns are one ``ColumnBlock`` per piece (``table``/``scatter``).
 Each piece gives its weighted log-likelihoods (``log_likelihoods``), its means
@@ -279,22 +279,25 @@ def _pieces(data, scored, spec, cells, zero_weight, scratch):
     values, linear values and weights as ``_rescaled`` returns them, member
     counts, and the pass's scatter for it.
 
-    A ``TermBatch`` is one piece, weighted by its sampling weights, through
-    ``at``/``scatter_at``.  Distinct column ids (every column when None) are
-    one ``ColumnBlock`` of at most ``BLOCK_CELLS`` cells per piece, taken
-    from ``scratch``, through ``table``/``scatter``.  The unstored cells of
-    either are further weighted by ``zero_weight`` (gamma).  A categorical
-    term is a whole column, the softmax over its vocabulary rows, so that
-    family is scored by columns only, and its zero cells keep weight 1: they
-    are part of their column's softmax, not terms.
+    A ``TermBatch``, or each of a tuple of them (a sparse step's stored
+    entries and zero cells), is one piece, weighted by its sampling weights,
+    through ``at``/``scatter_at``.  Distinct column ids (every column when
+    None) are one ``ColumnBlock`` of at most ``BLOCK_CELLS`` cells per
+    piece, taken from ``scratch``, through ``table``/``scatter``.  The
+    unstored cells of either are further weighted by ``zero_weight``
+    (gamma).  A categorical term is a whole column, the softmax over its
+    vocabulary rows, so that family is scored by columns only, and its zero
+    cells keep weight 1: they are part of their column's softmax, not terms.
     """
-    if isinstance(cells, TermBatch):
+    if isinstance(cells, (TermBatch, tuple)):
         if spec.family is Family.CATEGORICAL:
             raise ConfigError("categorical terms are scored per column block")
-        w = 1.0 if cells.weights is None else cells.weights
-        w = cells.weights if zero_weight == 1.0 else np.where(cells.stored, w, zero_weight * w)
-        svals, counts = scored.at(cells)
-        yield cells, cells.vals, *_rescaled(spec, svals, counts, w), counts, scored.scatter_at
+        for batch in (cells,) if isinstance(cells, TermBatch) else cells:
+            w = 1.0 if batch.weights is None else batch.weights
+            w = batch.weights if zero_weight == 1.0 else np.where(batch.stored, w,
+                                                                  zero_weight * w)
+            svals, counts = scored.at(batch)
+            yield batch, batch.vals, *_rescaled(spec, svals, counts, w), counts, scored.scatter_at
         return
     if spec.family is Family.CATEGORICAL:
         zero_weight = 1.0
@@ -316,7 +319,7 @@ def _pass(data, ctx, bank, spec, scratch=None):
 
 
 def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None):
-    """Per piece of ``cells`` (a ``TermBatch``, or distinct column ids, every
+    """Per piece of ``cells`` (``TermBatch``es, or distinct column ids, every
     column when None), each cell's log-likelihood given its context times
     its weight, 0 where a mean link drops an empty context; a piece's
     table is valid until the next piece is drawn."""
@@ -343,8 +346,9 @@ def weighted_term_gradient(data, ctx, bank, spec, cells, counters=None, zero_wei
     The one gradient kernel of every estimator: the full gradient (every
     column, or the stored entries of data with missing cells), a minibatch
     (drawn cells, or the drawn columns of the categorical family) and the
-    sparse zero/nonzero split.  Its tables come from ``scratch`` (a fresh
-    one when None), which a fit keeps for all its steps.
+    sparse zero/nonzero split (two batches: the stored entries and the zero
+    cells).  Its tables come from ``scratch`` (a fresh one when None), which
+    a fit keeps for all its steps.
     """
     scored, scratch, emb, cv = _pass(data, ctx, bank, spec, scratch)
     for piece, x, svals, w, counts, scatter in _pieces(data, scored, spec, cells, zero_weight,

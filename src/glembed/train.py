@@ -6,9 +6,10 @@ estimator pick the cells to score and hand them to one kernel of
 ``families`` (``log_likelihoods`` or ``weighted_term_gradient``), which
 scores them in pieces through one context pass: the distinct columns of the
 matrix (every column when every cell is a term, or drawn columns of the
-categorical family) or one ``TermBatch`` of listed cells (the stored
-entries of data with missing cells, or drawn cells).  Three gradient
-estimators are provided:
+categorical family) or ``TermBatch``es of listed cells (the stored entries
+of data with missing cells, drawn cells, or a sparse step's two: the
+stored entries and the drawn zero cells).  Three gradient estimators are
+provided:
 
 * full: every data term, exact;
 * minibatch: a uniform subsample of terms (of columns, for the categorical
@@ -178,40 +179,36 @@ def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
         del srt, bad
         picked = idx.ravel()
-    rows, cols = data.zero_cells(picked)
-    return rows, cols, n_terms * k, n_zero
+    return *data.zero_cells(picked), n_terms * k, n_zero
 
 
-def _sampled_batches(pool: ThreadPoolExecutor, data: DataMatrix, config: TrainConfig, rng):
-    """The ``_sampled_terms`` batch of each of the ``n_iterations`` sparse
-    steps.  Each batch is built on ``pool``'s worker while the caller takes
-    the step before it; the builds run one after another, so they consume
-    ``rng`` in the order of a serial loop."""
-    pending = pool.submit(_sampled_terms, data, config, rng)
+def _sampled_pieces(pool: ThreadPoolExecutor, data: DataMatrix, config: TrainConfig, rng):
+    """The two pieces of each of the ``n_iterations`` sparse steps: the
+    stored entries, built once, and a ``_sampled_terms`` zero piece, built
+    on ``pool``'s worker while the caller takes the step before; the builds
+    run one after another, so they consume ``rng`` in a serial loop's order."""
+    stored, pending = data.stored_terms(), pool.submit(_sampled_terms, data, config, rng)
     for it in range(1, config.n_iterations + 1):
-        batch = pending.result()
+        zeros = pending.result()
         if it < config.n_iterations:
             pending = pool.submit(_sampled_terms, data, config, rng)
-        yield batch
+        yield stored, zeros
 
 
 def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
-    """Every nonzero term plus zero cells drawn per nonzero term, in
-    row-major cell order.
-
-    The zeros are weighted by #zeros/#sampled (by 1 under negative
-    sampling).  ``zero_draw`` may supply them as an (S, 2) array of
-    (row, col).
-    """
+    """The zero piece of a sparse step: zero cells drawn per nonzero term
+    (or the (row, col) pairs of ``zero_draw``, in any order), in row-major
+    cell order with their row starts.  Their value 0, storedness (False)
+    and weight, #zeros/#sampled (1 under negative sampling), are 0-d."""
     n_zero = data.n_rows * data.n_cols - data.nnz
     if zero_draw is None:
         zr, zc, n_sampled, n_zero = _draw_zero_cells(data, data.nnz, config.negative_samples, rng)
+        starts = np.searchsorted(zr, np.arange(data.n_rows + 1))
     else:
         zr, zc = np.asarray(zero_draw, dtype=np.int64).T
-        n_sampled = len(zr)
-    unbiased = config.zero_estimator != "negative_sampling"
-    w = n_zero / max(n_sampled, 1) if unbiased else 1.0
-    return data.with_unstored(zr, zc, w)
+        n_sampled, starts = len(zr), None
+    w = 1.0 if config.zero_estimator == "negative_sampling" else n_zero / max(n_sampled, 1)
+    return TermBatch(zr, zc, 0.0, False, w, starts).row_major(data.n_rows, data.n_cols)[0]
 
 
 def _log_sample(data, spec, rng) -> TermBatch | None:
@@ -308,15 +305,16 @@ def _check_sparse(data, spec) -> None:
 
 
 def sparse_gradient(data, ctx, bank, spec, config: TrainConfig, rng,
-                    zero_draw=None, counters=None, batch=None, scratch=None) -> Gradients:
+                    zero_draw=None, counters=None, pieces=None, scratch=None) -> Gradients:
     """Zero/nonzero split gradient for implicit-zero data: the nonzero terms
     plus zero cells drawn per nonzero term, or the (row, col) pairs in
-    ``zero_draw``, in one batch.  ``batch`` may supply that batch as
-    ``_sampled_terms`` builds it."""
+    ``zero_draw``, scored as two pieces of one kernel call.  ``pieces`` may
+    supply them: (``data.stored_terms()``, the ``_sampled_terms`` zero
+    piece)."""
     _check_sparse(data, spec)
-    if batch is None:
-        batch = _sampled_terms(data, config, rng, zero_draw)
-    return _gradient(data, ctx, bank, spec, batch, config, counters, scratch=scratch)
+    if pieces is None:
+        pieces = data.stored_terms(), _sampled_terms(data, config, rng, zero_draw)
+    return _gradient(data, ctx, bank, spec, pieces, config, counters, scratch=scratch)
 
 
 def adagrad_step(grads: Gradients, state: OptimizerState, bank: EmbeddingBank,
@@ -362,15 +360,14 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     Deterministic given the seed.  ``on_log`` is called as
     ``on_log(iteration, bank, state)`` at every logging point.
 
-    The sparse estimator builds each step's batch (its zero-cell draw
-    merged with the stored entries in row-major cell order) one step ahead,
-    on one worker thread that lives for the call, while this thread takes
-    the step before.  The builds consume the training stream in the order
-    of a serial loop, so the bank and log are the same bytes; the cost is
-    the memory of one more batch.  The full and minibatch estimators start
-    no thread.  The steps' kernel tables come from one ``Scratch`` kept
-    for the call, so from the second step on a step takes no fresh table
-    of their size.
+    A sparse step scores two pieces: the stored entries, built once for
+    the call, and its zero cells, which one worker thread that lives for
+    the call draws one step ahead while this thread takes the step before.
+    The draws consume the training stream in the order of a serial loop,
+    so the bank and log are the same bytes; the cost is the memory of one
+    more zero piece.  The full and minibatch estimators start no thread.
+    The steps' kernel tables come from one ``Scratch`` kept for the call,
+    so from the second step on a step takes no fresh table of their size.
     """
     config.validate()
     validate_data(spec, data)
@@ -402,7 +399,7 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
     scratch = Scratch()
     sparse = config.estimator == "sparse"
     with ThreadPoolExecutor(1) if sparse else nullcontext() as pool:
-        batches = _sampled_batches(pool, data, config, rng) if sparse else None
+        pieces = _sampled_pieces(pool, data, config, rng) if sparse else None
         for it in range(1, config.n_iterations + 1):
             if config.estimator == "full":
                 g = full_gradient(data, ctx, bank, spec, config, counters, scratch)
@@ -411,7 +408,7 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
                                        scratch=scratch)
             else:
                 g = sparse_gradient(data, ctx, bank, spec, config, None, counters=counters,
-                                    batch=next(batches), scratch=scratch)
+                                    pieces=next(pieces), scratch=scratch)
             adagrad_step(g, state, bank, config)
             _check_finite(bank, it)
             if it % config.log_every == 0 or it == config.n_iterations:

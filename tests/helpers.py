@@ -419,9 +419,9 @@ def add_at_scatter(ctx, data, emb, cv, batch, coef):
     """``scatter_at(batch, coef)`` of a kNN, basket or window pass, then its
     ``gradients()``, as ``np.add.at`` calls: the kNN contributions in batch
     order, one chunk of cells at a time; the basket and window ones over
-    the batch in row-major cell order, equal cells in batch order, with the
-    basket's own-term coefficients summed per row and taken off after the
-    column spread."""
+    the batch in row-major cell order, equal cells in batch order (a 0-d
+    value or storedness holds for every cell), with the basket's own-term
+    coefficients summed per row and taken off after the column spread."""
     g_emb, g_cv = np.zeros_like(emb), np.zeros_like(cv)
     if isinstance(ctx, KnnContext):
         nb = ctx.neighbors[batch.rows]
@@ -435,8 +435,9 @@ def add_at_scatter(ctx, data, emb, cv, batch, coef):
             np.add.at(g_cv, nb[lo:hi].ravel(), contrib.reshape(-1, cv.shape[1]))
         return g_emb, g_cv
     order = np.argsort(batch.rows * data.n_cols + batch.cols, kind="stable")
-    rows, cols, vals, stored, coef = (a[order] for a in (batch.rows, batch.cols, batch.vals,
-                                                         batch.stored, coef))
+    rows, cols, vals, stored, coef = (np.broadcast_to(a, order.shape)[order]
+                                      for a in (batch.rows, batch.cols, batch.vals,
+                                                batch.stored, coef))
     colsum = np.zeros((data.n_cols, cv.shape[1]))
     np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
     if isinstance(ctx, WindowContext):

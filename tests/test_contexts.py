@@ -13,7 +13,8 @@ from glembed.contexts import (
     knn_neighbors,
 )
 from glembed import contexts
-from glembed.core import DataMatrix, EmbeddingBank, Link, Scratch, cell_products, scatter_rows
+from glembed.core import (DataMatrix, EmbeddingBank, Link, Scratch, TermBatch, cell_products,
+                          scatter_rows)
 from glembed.errors import ConfigError, DataError
 from glembed.families import Family, FamilySpec, weighted_term_gradient
 
@@ -407,9 +408,12 @@ def test_row_major_scatters_equal_add_at_oracle_byte_for_byte(builder, storage, 
     rows, cols = _cells_in_row_major_order(data, rng, n_cells)
     batches = [cells(data, rows, cols).row_major(data.n_rows, data.n_cols)[0]]
     if storage == "implicit" and n_cells:
-        # the sparse estimator's batch: every stored entry and the zero cells
+        # the sparse estimator's two pieces: every stored entry, and the zero
+        # cells with one value, storedness and weight for all
         zero = ~data.lookup(rows, cols)[1]
-        batches.append(data.with_unstored(rows[zero], cols[zero], 3.5))
+        batches.append(data.stored_terms())
+        batches.append(TermBatch(rows[zero], cols[zero], 0.0, False, 3.5,
+                                 np.searchsorted(rows[zero], np.arange(data.n_rows + 1))))
     emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
     for batch in batches:
         keys = batch.rows * data.n_cols + batch.cols
@@ -422,6 +426,29 @@ def test_row_major_scatters_equal_add_at_oracle_byte_for_byte(builder, storage, 
         for got, want in zip(scored.gradients(),
                              add_at_scatter(ctx, data, emb, cv, batch, coef)):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("builder", ["basket", "window", "knn"])
+def test_zero_piece_scores_as_its_batch_of_per_cell_arrays(builder):
+    # zero cells with one value, storedness and weight for all read and
+    # scatter as the same cells listed with per-cell arrays
+    data, ctx, rng = _scatter_instance(builder, "implicit")
+    rows, cols = _cells_in_row_major_order(data, rng, 700)
+    zero = ~data.lookup(rows, cols)[1]
+    rows, cols = rows[zero], cols[zero]
+    starts = np.searchsorted(rows, np.arange(data.n_rows + 1))
+    piece = TermBatch(rows, cols, 0.0, False, 3.5, starts)
+    listed = TermBatch(rows, cols, np.zeros(len(rows)), np.zeros(len(rows), bool),
+                       np.full(len(rows), 3.5), starts)
+    emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
+    coef = rng.normal(size=len(rows))
+    passes = ctx.block(data, emb, cv), ctx.block(data, emb, cv)
+    for scored, batch in zip(passes, (piece, listed)):
+        scored.scatter_at(batch, coef)
+    for got, want in zip(passes[0].at(piece), passes[1].at(listed)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(passes[0].gradients(), passes[1].gradients()):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("builder", ["basket", "window"])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import glembed
-from glembed.core import DataMatrix, EmbeddingBank, Link, scatter_rows, sorted_keys
+from glembed.core import (DataMatrix, EmbeddingBank, Link, Scratch, TermBatch, scatter_rows,
+                          sorted_keys)
 from glembed.contexts import build_knn_context, SpatialLayout
 from glembed.errors import DataError
 from glembed.families import Family, FamilySpec
@@ -169,10 +170,40 @@ def test_row_major_entries_are_their_own_key_index(case):
     q = rng.integers(0, max(n_zero, 1), size=40 if n_zero else 0)
     for got, want in zip(ordered.zero_cells(q), shuffled.zero_cells(q)):
         np.testing.assert_array_equal(got, want)
-    zr, zc = ordered.zero_cells(q)
-    a, b = ordered.with_unstored(zr, zc, 2.5), shuffled.with_unstored(zr, zc, 2.5)
+    # the sparse step's stored piece: every entry in row-major cell order
+    a, b = ordered.stored_terms(), shuffled.stored_terms()
     for name in ("rows", "cols", "vals", "stored", "weights", "row_starts"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.rows * t + a.cols, keys)
+    np.testing.assert_array_equal(a.vals, vals)
+    np.testing.assert_array_equal(a.row_starts, np.searchsorted(keys // t, np.arange(n + 1)))
+    assert a.stored.ndim == 0 and a.stored and a.weights is None
+
+
+def test_row_major_sorts_per_cell_columns_and_keeps_0d_ones():
+    batch = TermBatch([2, 0, 1, 0], [1, 3, 0, 0], 0.0, False, [1.0, 2.0, 3.0, 4.0])
+    grouped, order = batch.row_major(3, 4)
+    np.testing.assert_array_equal(order, [3, 1, 2, 0])
+    np.testing.assert_array_equal(grouped.rows, [0, 0, 1, 2])
+    np.testing.assert_array_equal(grouped.cols, [0, 3, 0, 1])
+    np.testing.assert_array_equal(grouped.weights, [4.0, 2.0, 3.0, 1.0])
+    np.testing.assert_array_equal(grouped.row_starts, [0, 2, 3, 4])
+    assert grouped.vals.ndim == grouped.stored.ndim == 0
+    assert grouped.vals == 0.0 and not grouped.stored
+    again, none = grouped.row_major(3, 4)
+    assert again is grouped and none is None
+
+
+def test_scratch_tables_of_alternating_sizes_share_one_buffer():
+    # a sparse step's two pieces take their per-cell tables by one name
+    scratch = Scratch()
+    big = scratch.take("H", (50,))
+    small = scratch.take("H", (4, 5))
+    assert small.shape == (4, 5) and np.shares_memory(big, small)
+    assert np.shares_memory(big, scratch.take("H", (50,)))
+    assert not np.shares_memory(big, scratch.take("H", (51,)))
+    counts = scratch.take("H", (10,), np.int64)
+    assert counts.dtype == np.int64 and counts.shape == (10,)
 
 
 def _entry_bytes(data):

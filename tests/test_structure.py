@@ -29,6 +29,7 @@ ABSENT = {  # per guard: the files it reads and a pattern that no line of them m
     "one-place-weights-a-term": (TREE, r"downweight_zeros|class LogSample"),
     "evaluate-checks-no-bank": ([LIB / "evaluate.py"], r"validate_bank"),
     "one-id-map": ([LIB / "dataio.py"], r"_first_seen_ids|dict\.fromkeys"),
+    "no-per-step-merge-sort": (TOP, r"def with_unstored\("),
 }
 
 

@@ -255,6 +255,52 @@ def test_basket_cell_alone_in_its_column_matches_member_oracle(estimator):
         np.testing.assert_allclose(table, ref, rtol=1e-12, atol=1e-15)
 
 
+def _merged_sparse_batch(data, zero_draw, weight):
+    """The stored entries, weight 1, and the cells of ``zero_draw``, weight
+    ``weight``, as one batch of per-cell arrays in listing order: the
+    sparse step's two pieces merged, for the member oracle."""
+    zr, zc = zero_draw.T
+    rows, cols, vals = data.entries()
+    m = len(zr)
+    return TermBatch(np.r_[rows, zr], np.r_[cols, zc], np.r_[vals, np.zeros(m)],
+                     np.r_[np.ones(data.nnz, bool), np.zeros(m, bool)],
+                     np.r_[np.ones(data.nnz), np.full(m, weight)])
+
+
+@pytest.mark.parametrize("zero_estimator", ZERO_ESTIMATORS)
+@pytest.mark.parametrize("case", ["window", "knn", "basket", "basket-memberless"])
+def test_two_piece_sparse_gradient_matches_the_merged_batch_oracle(case, zero_estimator):
+    # the stored entries and the zero cells, scored as two pieces of one
+    # pass, give the gradient of their one merged batch walked member by
+    # member; the zero cells come out of row-major order, some repeated
+    family = {"window": Family.BERNOULLI, "knn": Family.POISSON}.get(case,
+                                                                     Family.ADDITIVE_POISSON)
+    data, ctx, bank = _every_cell_instance(case.split("-")[0], family, True, seed=len(case) + 80)
+    values = dense_values(data)
+    if case == "basket-memberless":  # the stored cell alone in column 3 has no member
+        values[:, 3] = 0.0
+        values[4, 3] = 2.0
+        data = dense_matrix(values, implicit_zero=True)
+        ctx = build_basket_context(data)
+    spec = FamilySpec(family)
+    zero_cells = np.argwhere(values == 0.0)
+    zero_draw = zero_cells[np.random.default_rng(81).integers(0, len(zero_cells), 3 * data.nnz)]
+    assert (np.diff(zero_draw[:, 0] * data.n_cols + zero_draw[:, 1]) < 0).any()
+    assert len(np.unique(zero_draw, axis=0)) < len(zero_draw)
+    cfg = TrainConfig(estimator="sparse", negative_samples=3, zero_estimator=zero_estimator,
+                      downweight=0.3, reg_weight=0.5)
+    weight = 1.0 if zero_estimator == "negative_sampling" \
+        else (values.size - data.nnz) / len(zero_draw)
+    got = sparse_gradient(data, ctx, bank, spec, cfg, None, zero_draw=zero_draw)
+    want = weighted_term_gradient(data, ExplicitContext.of(ctx, data), bank, spec,
+                                  _merged_sparse_batch(data, zero_draw, weight),
+                                  zero_weight=0.3 if zero_estimator == "downweight" else 1.0)
+    _, prior = log_prior(bank, 0.5, "l2")
+    for table, ref, reg in ((got.embeddings, want.embeddings, prior.embeddings),
+                            (got.context_vectors, want.context_vectors, prior.context_vectors)):
+        np.testing.assert_allclose(table, ref + reg, rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("mean_link", [False, True])
 @pytest.mark.parametrize("builder", ["knn", "window"])
 def test_block_means_count_only_present_members(builder, mean_link):
@@ -852,18 +898,51 @@ def test_sparse_window_step_holds_less_than_one_gathered_table():
     ctx = build_window_context(length, WindowSpec(2), data)
     bank = EmbeddingBank.init_random(vocab, dim, seed=1)
     cfg = TrainConfig(dim=dim, estimator="sparse", negative_samples=10, reg_weight=0.1)
-    # the batch as the worker builds it, ahead of the step
-    batch = _sampled_terms(data, cfg, np.random.default_rng(2))
-    assert len(batch) == 11 * length and batch.row_starts is not None
+    # the pieces as the fit and its worker build them, ahead of the step
+    pieces = data.stored_terms(), _sampled_terms(data, cfg, np.random.default_rng(2))
+    assert sum(map(len, pieces)) == 11 * length
+    assert all(piece.row_starts is not None for piece in pieces)
     tracemalloc.start()
     try:
         g = sparse_gradient(data, ctx, bank, FamilySpec(Family.BERNOULLI), cfg, None,
-                            batch=batch)
+                            pieces=pieces)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(g.embeddings).all() and np.isfinite(g.context_vectors).all()
-    assert peak < len(batch) * dim * 8, peak
+    assert peak < 11 * length * dim * 8, peak
+
+
+def test_zero_piece_build_holds_under_40_bytes_per_drawn_cell():
+    # the worker's build of a step's zero cells at the benchmark's text shape
+    # (2000 x 20,000, 10 zero cells per token): their rows and columns are
+    # its only per-cell arrays, 16 bytes a cell, and the draw and the zero
+    # lookup add two more; merged with the stored entries as one batch of
+    # six per-cell arrays it held about 61 bytes per drawn cell
+    rng = np.random.default_rng(66)
+    vocab, length = 2000, 20_000
+    data = DataMatrix(vocab, length, rng.integers(0, vocab, length), np.arange(length),
+                      np.ones(length), implicit_zero=True)
+    for zero_estimator in ZERO_ESTIMATORS:
+        cfg = TrainConfig(estimator="sparse", negative_samples=10, zero_estimator=zero_estimator)
+        tracemalloc.start()
+        try:
+            zeros = _sampled_terms(data, cfg, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(zeros) == 10 * length
+        assert peak / len(zeros) < 40, peak / len(zeros)
+        # one value, storedness and weight for every cell
+        assert zeros.vals.ndim == zeros.stored.ndim == zeros.weights.ndim == 0
+        assert zeros.vals == 0.0 and not zeros.stored
+        n_zero = vocab * length - data.nnz
+        assert zeros.weights == (1.0 if zero_estimator == "negative_sampling"
+                                 else n_zero / len(zeros))
+        keys = zeros.rows * length + zeros.cols
+        assert (np.diff(keys) >= 0).all() and not data.lookup(zeros.rows, zeros.cols)[1].any()
+        np.testing.assert_array_equal(zeros.row_starts,
+                                      np.searchsorted(zeros.rows, np.arange(vocab + 1)))
 
 
 def test_sparse_window_steps_map_no_fresh_tables():
@@ -1201,13 +1280,16 @@ def _sparse_instance(case):
     if case == "poisson-basket":
         data, ctx, _ = count_instance(61, n=40, t=250, density=0.1)
         return data, ctx, FamilySpec(Family.POISSON)
+    if case == "poisson-knn":
+        data, ctx, _ = _every_cell_instance("knn", Family.POISSON, True, 64, n=20, t=40)
+        return data, ctx, FamilySpec(Family.POISSON)
     data, ctx, _ = count_instance(62, n=20, t=60, density=0.3, log_space=True)
     return data, ctx, FamilySpec(Family.ADDITIVE_POISSON, Link.LOG)
 
 
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("zero_estimator", ZERO_ESTIMATORS)
-@pytest.mark.parametrize("case", ["bernoulli-window", "poisson-basket",
+@pytest.mark.parametrize("case", ["bernoulli-window", "poisson-basket", "poisson-knn",
                                   "additive_poisson-basket"])
 def test_draws_ahead_give_the_serial_bank_and_log(case, zero_estimator, tied):
     data, ctx, spec = _sparse_instance(case)
