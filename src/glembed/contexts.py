@@ -6,11 +6,12 @@ Three builders cover the application patterns:
 * same-column basket contexts (the other stored entries of a column),
 * sliding window contexts over column positions (text).
 
-A context map has one method, ``block(data, emb, cv, scratch=None)``, which
-returns a pass over the cells of ``data``.  The pass gives the linear values
-``emb[n] . sum_j x_j * cv[row_j]`` of cells with their member counts, and
-adds coefficient-weighted gradients of those values into one pair of
-(emb, cv) gradient tables, ``gradients()``.  It takes the cells two ways:
+A context map has one method, ``block(data, emb, cv, scratch=None,
+counts=True)``, which returns a pass over the cells of ``data``.  The pass
+gives the linear values ``emb[n] . sum_j x_j * cv[row_j]`` of cells with
+their member counts, and adds coefficient-weighted gradients of those
+values into one pair of (emb, cv) gradient tables, ``gradients()``.  It
+takes the cells two ways:
 
 * ``table``/``scatter``: every cell of a ``ColumnBlock``, as matrix
   products of the entity relation, the data and the column relation (the
@@ -19,27 +20,31 @@ adds coefficient-weighted gradients of those values into one pair of
   per cell (the sampled estimators and the logged objective).
 
 kNN members are read with ``DataMatrix.lookup``.  The column-table passes
-(baskets, windows) go between entities and columns through the data's own
-CSR operators: their per-column sums are ``data.Xt @ cv``, and the members'
-share of the gradient ``data.X @ R`` for per-column coefficient sums R, so
-no step gathers a table per stored entry.  They scatter the listed cells of
-a batch, grouped in row-major cell order, through ``core.cell_products``:
-one sparse coefficient matrix C of the cells, whose products C @ sums and
-C.T @ emb add into the embedding rows and the per-column sums.  The kNN
-pass and the basket's own-term correction scatter onto rows through
-``core.scatter_rows``, one product with a sparse incidence matrix.  Each of
-these products adds into a zeroed table in entry or cell order, so its sums
-are byte for byte those of the ``add.at`` ufunc method into zeros.  The
-window table reads its prefix sums in runs of positions, each window end a
-slice or one edge row: the same rows as a gather at the clipped window ends,
-and the same subtractions.
+(baskets, windows) go between entities and columns through one sparse
+member matrix ``Mt`` of (columns, rows), kept with the data: ``Xt`` for
+baskets, and for windows the band of column offsets +-1..w times ``Xt``.
+Their per-column sums are ``Mt @ cv``, and the members' share of the
+gradient is the transpose of ``Mt`` times the per-column coefficient sums
+R, so no step gathers a table per stored entry or per member.  They scatter the
+listed cells of a batch, grouped in row-major cell order, through
+``core.cell_products``: one sparse coefficient matrix C of the cells,
+whose products C @ sums and C.T @ emb add into the embedding rows and the
+per-column sums.  The kNN pass and the basket's own-term correction
+scatter onto rows through ``core.scatter_rows``, one product with a sparse
+incidence matrix.  Each of these products adds into a zeroed table in
+entry, member or cell order, so its sums are byte for byte those of the
+``add.at`` ufunc method into zeros.
 
-A pass takes its per-cell and window tables from ``scratch``, a
-``core.Scratch`` that the caller keeps from step to step (a fresh one when
-None), so a step maps no fresh table of that size; the kNN pass takes none.
-A table that a pass returns from the scratch is valid until the next call
-that takes the same table.  A member is a present cell: a cell missing from
-explicit data is never one.  Maps are immutable after construction.
+The member counts of ``at`` are read only under a mean link, so the
+kernels pass ``counts=False`` under any other, and the column-table passes'
+``at`` then return None for them; ``table`` always returns them (the
+held-out protocols drop cells with no member).  A pass takes its per-cell
+tables from ``scratch``, a ``core.Scratch`` that the caller keeps from
+step to step (a fresh one when None), so a step maps no fresh table of
+that size; the kNN pass takes none.  A table that a pass returns from the
+scratch is valid until the next call that takes the same table.  A member
+is a present cell: a cell missing from explicit data is never one.  Maps
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class KnnContext:
     def __init__(self, neighbors: np.ndarray):
         self.neighbors = np.asarray(neighbors, dtype=np.int64)  # (N, k)
 
-    def block(self, data, emb, cv, scratch=None):
+    def block(self, data, emb, cv, scratch=None, counts=True):
         """One pass over the cells of ``data``.
 
         With S[n, t] = sum_{j in c(n, t)} x_j * cv[row_j], the pass's
@@ -93,11 +98,12 @@ class KnnContext:
         broadcastable to H.  ``scatter(cells, coef)`` adds coef[n, t] times
         the gradient of H[n, t] with respect to emb and cv.  ``at(batch)``
         and ``scatter_at(batch, coef)`` do the same for the cells of a
-        ``TermBatch``, with H and coef of one value per cell.
-        ``gradients()`` returns the (emb, cv) sums of every scatter.  The
-        other maps' ``block`` share this contract.  Here a block's H = M @
-        x, where M holds emb[n] . cv[nb[n, k]] at (n, nb[n, k]), and the
-        pass takes nothing from ``scratch``.
+        ``TermBatch``, with H and coef of one value per cell; with
+        ``counts`` False its counts may be None.  ``gradients()`` returns
+        the (emb, cv) sums of every scatter.  The other maps' ``block``
+        share this contract.  Here a block's H = M @ x, where M holds
+        emb[n] . cv[nb[n, k]] at (n, nb[n, k]), the pass takes nothing from
+        ``scratch``, and ``at`` counts the members it reads either way.
         """
         return _KnnPass(self.neighbors, data, emb, cv)
 
@@ -105,11 +111,16 @@ class KnnContext:
 class BasketContext:
     """Contexts are the other stored entries of the same column."""
 
-    def block(self, data, emb, cv, scratch=None):
+    def _members(self, data: DataMatrix):
+        """(Mt, M, counts): the member matrix ``Xt``, its transpose ``X`` (each
+        row's entries in entry order) and the column counts."""
+        return data.Xt, data.X, _column_counts(data)
+
+    def block(self, data, emb, cv, scratch=None, counts=True):
         """See ``KnnContext.block``: H = emb @ colsum.T, less x[n, t] *
         (emb[n] . cv[n]) at each stored cell."""
-        return _ColumnTablePass(data, emb, cv, _column_counts(data), lambda table, *_: table,
-                                own=True, scratch=scratch)
+        return _ColumnTablePass(*self._members(data), emb, cv, own=True, scratch=scratch,
+                                with_counts=counts)
 
 
 class WindowContext:
@@ -119,53 +130,34 @@ class WindowContext:
     def __init__(self, half_width: int):
         self.half_width = int(half_width)
 
-    def _window_table(self, table: np.ndarray, scratch: Scratch, name: str) -> np.ndarray:
-        """Per-position sum of `table` over the window, excluding the
-        position, in the scratch table ``name``."""
-        w, length = self.half_width, len(table)
-        prefix = scratch.take("window prefix", (length + 1,) + table.shape[1:])
-        prefix[0] = 0.0
-        np.cumsum(table, axis=0, out=prefix[1:])
-        # prefix[min(p + w + 1, length)] - prefix[max(p - w, 0)] for every
-        # position p, in runs of positions where each end is a slice of the
-        # prefix sums or one edge row
-        hi, lo = min(w + 1, length), min(w, length)
-        out = scratch.take(name, table.shape)
-        cuts = sorted({0, lo, length - hi, length})
-        for a, b in zip(cuts, cuts[1:]):
-            upper = prefix[a + hi:b + hi] if b <= length - hi else prefix[length]
-            lower = prefix[a - lo:b - lo] if a >= lo else prefix[0]
-            np.subtract(upper, lower, out=out[a:b])
-        out -= table
-        return out
-
-    def _counts(self, data: DataMatrix) -> np.ndarray:
-        """Per column: the member count, computed once per data."""
+    def _members(self, data: DataMatrix):
+        """(Mt, Mt.T, counts), computed once per data: the sparse (positions,
+        rows) member matrix, Mt[p, m] the sum of x[m, q] over the positions
+        q != p within the window of p, members in increasing row id, its
+        transpose (a CSC view) and each position's member count.  Mt is the
+        band of offsets +-1..w times ``Xt``, so it holds at most 2w entries
+        per position."""
         def build():
-            counts = _column_counts(data)[:, None].astype(np.float64)
-            return self._window_table(counts, Scratch(), "counts")[:, 0].astype(np.int64)
-        return data.memo(("window counts", self.half_width), build)
+            length, w = data.n_cols, min(self.half_width, data.n_cols - 1)
+            near = np.arange(length)[:, None] + np.r_[-w:0, 1:w + 1]
+            inside = (0 <= near) & (near < length)
+            band = sparse.csr_matrix(
+                (np.ones(inside.sum()), near[inside], np.r_[0, np.cumsum(inside.sum(axis=1))]),
+                shape=(length, length))
+            Mt = band @ data.Xt
+            Mt.sort_indices()
+            return Mt, Mt.T, (band @ _column_counts(data)).astype(np.int64)
+        return data.memo(("window members", self.half_width), build)
 
-    def block(self, data, emb, cv, scratch=None):
-        """See ``KnnContext.block``: H = emb @ window_table(colsum).T."""
-        return _ColumnTablePass(data, emb, cv, self._counts(data), self._window_table,
-                                own=False, scratch=scratch)
-
-
-def _column_tables(data: DataMatrix, cv: np.ndarray) -> np.ndarray:
-    """Per column: the sum of x_j * cv[row_j] over its stored entries j."""
-    return data.Xt @ cv
+    def block(self, data, emb, cv, scratch=None, counts=True):
+        """See ``KnnContext.block``: H = emb @ (Mt @ cv).T."""
+        return _ColumnTablePass(*self._members(data), emb, cv, own=False, scratch=scratch,
+                                with_counts=counts)
 
 
 def _column_counts(data: DataMatrix) -> np.ndarray:
     """Per column: the count of its stored entries, computed once per data."""
     return data.memo("column counts", lambda: np.diff(data.Xt.indptr).astype(np.int64))
-
-
-def _spread(data: DataMatrix, R):
-    """(n_rows, dim) table whose row m sums x_j * R[col_j] over the stored
-    entries j of row m."""
-    return data.X @ R
 
 
 def _neighbor_matrix(neighbors, weights):
@@ -240,18 +232,18 @@ class _KnnPass:
 
 class _ColumnTablePass:
     """``block`` of the contexts whose sums are per-column tables: S[n, t] =
-    sums[t], less the cell's own stored term x[n, t] * cv[n] when ``own``
-    (baskets).  ``spread(table, scratch, name)`` maps per-column tables
-    onto per-column context tables (the window sum, or none).  It is
-    symmetric, so it also carries the per-column coefficient sums R =
-    coef.T @ emb back to the members' columns, once per pass."""
+    sums[t], the row t of sums = Mt @ cv for the (columns, rows) member
+    matrix ``Mt``, less the cell's own stored term x[n, t] * cv[n] when
+    ``own`` (baskets).  ``M``, the transpose of ``Mt`` as an operator,
+    carries the per-column coefficient sums R = coef.T @ emb back to the
+    members' rows, once per pass.  ``at`` gathers the member counts only
+    ``with_counts``."""
 
-    def __init__(self, data: DataMatrix, emb, cv, counts, spread, own, scratch):
-        self.data, self.emb, self.cv = data, emb, cv
+    def __init__(self, Mt, M, counts, emb, cv, own, scratch, with_counts):
+        self.emb, self.cv, self.M = emb, cv, M
         self.scratch = Scratch() if scratch is None else scratch
-        self.spread = spread
-        self.sums = spread(_column_tables(data, cv), self.scratch, "sums")
-        self.counts = counts
+        self.sums = Mt @ cv
+        self.counts, self.with_counts = counts, with_counts
         self.own = np.einsum("nd,nd->n", emb, cv) if own else None
         self.g_emb = np.zeros_like(emb)
         self.R = None  # set by the first scatter
@@ -287,12 +279,14 @@ class _ColumnTablePass:
             hi = lo + CELL_CHUNK
             H[lo:hi] = np.einsum("ed,ed->e", np.take(self.emb, batch.rows[lo:hi], axis=0),
                                  np.take(self.sums, batch.cols[lo:hi], axis=0))
-        # an unbuffered take: the columns of a batch are in range
-        counts = np.take(self.counts, batch.cols, mode="clip",
-                         out=self.scratch.take("counts", (len(batch),), self.counts.dtype))
+        counts = None
+        if self.with_counts:  # an unbuffered take: the columns of a batch are in range
+            counts = np.take(self.counts, batch.cols, mode="clip",
+                             out=self.scratch.take("counts", (len(batch),), self.counts.dtype))
         if self.own is not None and batch.stored.any():  # a piece of zeros has no own term
             H -= batch.vals * self.own[batch.rows]
-            counts -= batch.stored
+            if counts is not None:
+                counts -= batch.stored
         return H, counts
 
     def scatter_at(self, batch: TermBatch, coef):
@@ -311,8 +305,7 @@ class _ColumnTablePass:
             self.R += R
 
     def gradients(self):
-        R = np.zeros_like(self.sums) if self.R is None else self.R
-        g_cv = _spread(self.data, self.spread(R, self.scratch, "spread"))
+        g_cv = self.M @ (np.zeros_like(self.sums) if self.R is None else self.R)
         if self.own is not None:
             self.g_emb -= self.own_coef[:, None] * self.cv
             g_cv -= self.own_coef[:, None] * self.emb

@@ -96,7 +96,7 @@ def cell_products(starts, cols, coef, col_table: np.ndarray, row_table: np.ndarr
     if len(cols) and not 0 <= cols.min() <= cols.max() < shape[1]:
         raise IndexError(f"cell column outside 0..{shape[1] - 1}")
     itype = np.int32 if max(*shape, len(cols)) < 2**31 else np.int64
-    C = sparse.csr_matrix((coef, cols.astype(itype), np.asarray(starts, dtype=itype)),
+    C = sparse.csr_matrix((coef, cols.astype(itype, copy=False), np.asarray(starts, dtype=itype)),
                           shape=shape)
     return C @ col_table, C.T @ row_table
 
@@ -135,13 +135,15 @@ def _csr(rows, cols, vals, shape):
 
 
 def _split_sorted_keys(keys: np.ndarray, n_rows: int, n_cols: int):
-    """(rows, cols, starts) of nondecreasing row-major cell keys: the cells
-    of row n are starts[n]:starts[n + 1].  A search per row replaces the
-    integer division per key."""
+    """(rows, cols, starts) of nondecreasing row-major cell keys, rows and
+    cols int32 when the shape allows: the cells of row n are
+    starts[n]:starts[n + 1].  A search per row gives the rows; the columns
+    are the remainders of the keys, computed in place over ``keys``, which
+    they overwrite."""
+    itype = np.int32 if max(n_rows, n_cols) < 2**31 else np.int64
     starts = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
-    rows = np.repeat(np.arange(n_rows), np.diff(starts))
-    cols = np.multiply(rows, n_cols)
-    return rows, np.subtract(keys, cols, out=cols), starts
+    rows = np.repeat(np.arange(n_rows, dtype=itype), np.diff(starts))
+    return rows, np.remainder(keys, n_cols, out=keys).astype(itype, copy=False), starts
 
 
 class DataMatrix:
@@ -291,24 +293,28 @@ class DataMatrix:
         return vals, stored
 
     def zero_cells(self, q: np.ndarray):
-        """(rows, cols) of the q-th cells without a stored entry, counting
-        in row-major order from 0, for the queries ``q`` in sorted order: the
-        cells come back in row-major order."""
+        """(rows, cols, starts) of the q-th cells without a stored entry,
+        counting in row-major order from 0, for the queries ``q`` in sorted
+        order: the cells come back in row-major order, as
+        ``_split_sorted_keys`` gives them.  Queries given in nondecreasing
+        order are read as they are, and no query array is written."""
         # the stored entry at sorted position i has keys[i] - i empty cells
         # before it, so the q-th empty cell follows every entry with at most
         # q: merge those nondecreasing counts into the sorted queries, and
         # count the entries at or before each query
-        ids = np.sort(np.asarray(q, dtype=np.int64))
-        counts = np.bincount(np.searchsorted(ids, self._keys - np.arange(self.nnz)),
-                             minlength=len(ids) + 1)
-        ids += np.cumsum(counts, out=counts)[:len(ids)]
-        del counts
-        return _split_sorted_keys(ids, self.n_rows, self.n_cols)[:2]
+        q = np.asarray(q, dtype=np.int64)
+        if np.any(q[1:] < q[:-1]):
+            q = np.sort(q)
+        counts = np.bincount(np.searchsorted(q, self._keys - np.arange(self.nnz)),
+                             minlength=len(q) + 1)
+        keys = np.add(q, np.cumsum(counts, out=counts)[:len(q)], out=counts[:len(q)])
+        return _split_sorted_keys(keys, self.n_rows, self.n_cols)
 
     def stored_terms(self) -> "TermBatch":
         """Every stored entry, weight 1, as a ``TermBatch`` in row-major cell
-        order with its row starts: the fixed piece of each sparse step."""
-        rows, cols, starts = _split_sorted_keys(self._keys, self.n_rows, self.n_cols)
+        order with its row starts (as ``_split_sorted_keys`` gives them):
+        the fixed piece of each sparse step."""
+        rows, cols, starts = _split_sorted_keys(self._keys.copy(), self.n_rows, self.n_cols)
         return TermBatch(rows, cols, self._key_vals, True, None, starts)
 
     def column_blocks(self, width: int, cols: Sequence[int] | None, scratch: Scratch):
@@ -426,6 +432,7 @@ class TermBatch:
     Term e is cell (rows[e], cols[e]) with value vals[e]; ``stored`` is False
     for an implicit zero.  ``weights`` are sampling weights, None for ones.
     A 0-d ``vals``, ``stored`` or ``weights`` holds for every term.
+    ``rows`` and ``cols`` are int64, or int32 as given.
     ``row_starts``, when not None, says that the terms are in row-major cell
     order, those of row n at row_starts[n]:row_starts[n + 1].  The
     categorical family's terms are whole columns, scored by ``ColumnBlock``s.
@@ -439,8 +446,8 @@ class TermBatch:
     row_starts: np.ndarray | None = None
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.rows, self.cols = (a if a.dtype == np.int32 else a.astype(np.int64, copy=False)
+                                for a in map(np.asarray, (self.rows, self.cols)))
         self.vals = np.asarray(self.vals, dtype=np.float64)
         self.stored = np.asarray(self.stored, dtype=bool)
         if self.weights is not None:
@@ -456,7 +463,8 @@ class TermBatch:
         stays as it is."""
         if self.row_starts is not None:
             return self, None
-        order = np.argsort(self.rows * n_cols + self.cols, kind="stable")
+        order = np.argsort(np.multiply(self.rows, n_cols, dtype=np.int64) + self.cols,
+                           kind="stable")
         batch = TermBatch(*(a if a is None or a.ndim == 0 else a[order] for a in
                             (self.rows, self.cols, self.vals, self.stored, self.weights)))
         batch.row_starts = np.searchsorted(batch.rows, np.arange(n_rows + 1))

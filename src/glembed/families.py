@@ -277,7 +277,8 @@ def _pieces(data, scored, spec, cells, zero_weight, scratch):
     """The cells ``cells`` of ``data`` in pieces scored by the pass ``scored``
     of ``ctx.block``: per piece, (piece, x, svals, w, counts, scatter), its
     values, linear values and weights as ``_rescaled`` returns them, member
-    counts, and the pass's scatter for it.
+    counts (None for a ``TermBatch`` under a link that does not read
+    them), and the pass's scatter for it.
 
     A ``TermBatch``, or each of a tuple of them (a sparse step's stored
     entries and zero cells), is one piece, weighted by its sampling weights,
@@ -311,11 +312,13 @@ def _pieces(data, scored, spec, cells, zero_weight, scratch):
 def _pass(data, ctx, bank, spec, scratch=None):
     """A kernel call's pass of ``ctx.block`` over ``data`` once ``bank`` is
     checked against ``spec``: (scored, scratch, emb, cv), with ``scratch``
-    a fresh one when None and ``bank``'s effective tables that the pass reads."""
+    a fresh one when None and ``bank``'s effective tables that the pass
+    reads.  The pass counts the members of listed cells only under a mean
+    link, the one link that reads them."""
     validate_bank(spec, bank)
     scratch = Scratch() if scratch is None else scratch
     emb, cv = bank.effective_embeddings(), bank.effective_context_vectors()
-    return ctx.block(data, emb, cv, scratch), scratch, emb, cv
+    return ctx.block(data, emb, cv, scratch, spec.link.rescales_by_count), scratch, emb, cv
 
 
 def log_likelihoods(data, ctx, bank, spec, cells, zero_weight=1.0, counters=None):

@@ -152,47 +152,54 @@ def _drawn_terms(data, size: int, rng, draw=None) -> TermBatch:
 def _draw_zero_cells(data: DataMatrix, n_terms: int, per_term: int, rng):
     """Per nonzero term, ``per_term`` distinct zero cells, drawn uniformly.
 
-    Returns (rows, cols, n_sampled, n_zero), rows and cols of every term's
-    cells in row-major order.  Distinctness holds within a term's draw;
-    different terms may repeat cells.
+    Returns (rows, cols, n_sampled, n_zero, starts): ``DataMatrix.zero_cells``
+    of every term's cells, in row-major order.  Distinctness holds within a
+    term's draw; different terms may repeat cells.
     """
     n_zero = data.n_rows * data.n_cols - data.nnz
-    if n_zero == 0 or n_terms == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero
     k = min(per_term, n_zero)
-    if k == n_zero:
+    if n_terms * k == 0:
+        picked = np.empty(0, np.int64)
+    elif k == n_zero:
         picked = np.tile(np.arange(n_zero), n_terms)
     else:
         # redraw rows until each term's draw is duplicate-free; cheap when
-        # the zero set dwarfs the per-term sample
+        # the zero set dwarfs the per-term sample.  Each row is sorted in
+        # place for the check: the cells come back in row-major order
+        # whatever the order of the draws
         idx = rng.integers(0, n_zero, size=(n_terms, k))
-        srt = np.empty_like(idx)
         for _ in range(200):
-            srt[...] = idx
-            srt.sort(axis=1)
-            bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+            idx.sort(axis=1)
+            bad = (idx[:, 1:] == idx[:, :-1]).any(axis=1)
             if not bad.any():
                 break
             idx[bad] = rng.integers(0, n_zero, size=(int(bad.sum()), k))
         else:
             for row in range(n_terms):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
-        del srt, bad
         picked = idx.ravel()
-    return *data.zero_cells(picked), n_terms * k, n_zero
+    picked.sort()
+    rows, cols, starts = data.zero_cells(picked)
+    return rows, cols, n_terms * k, n_zero, starts
 
 
 def _sampled_pieces(pool: ThreadPoolExecutor, data: DataMatrix, config: TrainConfig, rng):
     """The two pieces of each of the ``n_iterations`` sparse steps: the
     stored entries, built once, and a ``_sampled_terms`` zero piece, built
-    on ``pool``'s worker while the caller takes the step before; the builds
-    run one after another, so they consume ``rng`` in a serial loop's order."""
-    stored, pending = data.stored_terms(), pool.submit(_sampled_terms, data, config, rng)
-    for it in range(1, config.n_iterations + 1):
-        zeros = pending.result()
-        if it < config.n_iterations:
-            pending = pool.submit(_sampled_terms, data, config, rng)
-        yield stored, zeros
+    on ``pool``'s worker while the caller takes the step before.  The first
+    is submitted at the call, so it is drawn while the caller logs its
+    first point; the builds run one after another, so they consume ``rng``
+    in a serial loop's order."""
+    stored = data.stored_terms()
+    pending = pool.submit(_sampled_terms, data, config, rng) if config.n_iterations else None
+
+    def steps(pending):
+        for it in range(1, config.n_iterations + 1):
+            zeros = pending.result()
+            if it < config.n_iterations:
+                pending = pool.submit(_sampled_terms, data, config, rng)
+            yield stored, zeros
+    return steps(pending)
 
 
 def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
@@ -202,8 +209,8 @@ def _sampled_terms(data, config: TrainConfig, rng, zero_draw=None) -> TermBatch:
     and weight, #zeros/#sampled (1 under negative sampling), are 0-d."""
     n_zero = data.n_rows * data.n_cols - data.nnz
     if zero_draw is None:
-        zr, zc, n_sampled, n_zero = _draw_zero_cells(data, data.nnz, config.negative_samples, rng)
-        starts = np.searchsorted(zr, np.arange(data.n_rows + 1))
+        zr, zc, n_sampled, n_zero, starts = _draw_zero_cells(data, data.nnz,
+                                                             config.negative_samples, rng)
     else:
         zr, zc = np.asarray(zero_draw, dtype=np.int64).T
         n_sampled, starts = len(zr), None
@@ -224,7 +231,7 @@ def _log_sample(data, spec, rng) -> TermBatch | None:
     n_zero = data.n_rows * data.n_cols - data.nnz
     nz = np.arange(data.nnz) if data.nnz <= LOG_TERMS \
         else rng.choice(data.nnz, LOG_TERMS, replace=False)
-    zr, zc = data.zero_cells(rng.choice(n_zero, min(LOG_TERMS, n_zero), replace=False))
+    zr, zc, _ = data.zero_cells(rng.choice(n_zero, min(LOG_TERMS, n_zero), replace=False))
     m1, m0 = len(nz), len(zr)
     return TermBatch(*map(np.concatenate, zip(data.entries(nz), (zr, zc, np.zeros(m0)))),
                      np.arange(m1 + m0) < m1,
@@ -362,10 +369,11 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
 
     A sparse step scores two pieces: the stored entries, built once for
     the call, and its zero cells, which one worker thread that lives for
-    the call draws one step ahead while this thread takes the step before.
-    The draws consume the training stream in the order of a serial loop,
-    so the bank and log are the same bytes; the cost is the memory of one
-    more zero piece.  The full and minibatch estimators start no thread.
+    the call draws one step ahead while this thread takes the step before
+    (the first while it logs the first point).  The draws consume the
+    training stream in the order of a serial loop, so the bank and log are
+    the same bytes; the cost is the memory of one more zero piece, 8 bytes
+    per drawn cell.  The full and minibatch estimators start no thread.
     The steps' kernel tables come from one ``Scratch`` kept for the call,
     so from the second step on a step takes no fresh table of their size.
     """
@@ -395,11 +403,11 @@ def train(data, ctx, spec, config: TrainConfig, bank: EmbeddingBank | None = Non
         if on_log is not None:
             on_log(it, bank, state)
 
-    record(0)
     scratch = Scratch()
     sparse = config.estimator == "sparse"
     with ThreadPoolExecutor(1) if sparse else nullcontext() as pool:
         pieces = _sampled_pieces(pool, data, config, rng) if sparse else None
+        record(0)
         for it in range(1, config.n_iterations + 1):
             if config.estimator == "full":
                 g = full_gradient(data, ctx, bank, spec, config, counters, scratch)

@@ -10,8 +10,10 @@ check.  ``add_at_rows``, ``add_at_cell_products``, ``add_at_scatter`` and
 ``add_at_term_gradient`` are the scatters as ``np.add.at`` calls into
 zeroed tables, the oracle of the library's incidence, coefficient-matrix
 and CSR products;
-``prefix_gather_window_table`` and ``dense_zero_cells`` are the window
-table and the zero-cell lookup by plain fancy indexing.
+``add_at_window_members`` and ``add_at_basket_members`` are the member
+matrices of the column-table passes as ``AddAtOperator``s, whose products
+are ``np.add.at`` calls in member order, and ``dense_zero_cells`` is the
+zero-cell lookup by plain fancy indexing.
 ``line_loop_read_triplets`` and ``fstring_write_triplets`` read and write a
 triplet file one line at a time, the oracle of the run-at-a-time reader and
 writer; given a family, the reader also checks each value by its own
@@ -222,8 +224,9 @@ class ExplicitContext:
         return cls({(r, c): members(ctx, data, r, c)
                     for r in range(data.n_rows) for c in range(data.n_cols)})
 
-    def block(self, data, emb, cv, scratch=None):
-        """A ``MemberPass``; like the kNN pass it takes nothing from ``scratch``."""
+    def block(self, data, emb, cv, scratch=None, counts=True):
+        """A ``MemberPass``; like the kNN pass it takes nothing from ``scratch``
+        and counts members either way."""
         return MemberPass(self, data, emb, cv)
 
 
@@ -265,13 +268,51 @@ def lexsort_interaction_pairs(bank, direction, count):
     return [(int(a_idx[i]), int(b_idx[i]), float(flat[i])) for i in order]
 
 
-def prefix_gather_window_table(half_width, table):
-    """``WindowContext._window_table`` as a fancy-index gather of the prefix
-    sums at min(p + w + 1, L) and max(p - w, 0) for every position p."""
-    w, length = half_width, len(table)
-    prefix = np.concatenate([np.zeros((1,) + table.shape[1:]), np.cumsum(table, axis=0)])
-    p = np.arange(length)
-    return prefix[np.minimum(p + w + 1, length)] - prefix[np.maximum(p - w, 0)] - table
+class AddAtOperator:
+    """A sparse (n, m) operator of its nonzero cells (i, j, value), listed:
+    its product with a table adds each value * table[j] into zeroed row i
+    by ``np.add.at`` in list order, and ``T`` is its transpose, adding each
+    value * table[i] into zeroed row j in the same order."""
+
+    def __init__(self, i, j, vals, shape):
+        self.i, self.j, self.vals, self.shape = i, j, vals, shape
+
+    @property
+    def T(self):
+        return AddAtOperator(self.j, self.i, self.vals, self.shape[::-1])
+
+    def __matmul__(self, table):
+        out = np.zeros(self.shape[:1] + table.shape[1:])
+        np.add.at(out, self.i, self.vals.reshape((-1,) + (1,) * (table.ndim - 1)) * table[self.j])
+        return out
+
+
+def add_at_window_members(half_width, data):
+    """``WindowContext._members`` by ``np.add.at``: the (positions, rows)
+    table of x[m, q] summed over the positions q != p within ``half_width``
+    of p, in increasing q, as an ``AddAtOperator`` of its nonzero cells in
+    row-major order, its transpose and each position's count of stored
+    entries in its window."""
+    length, w = data.n_cols, half_width
+    rows, cols, vals = data.entries()
+    table = np.zeros((length, data.n_rows))
+    counts = np.zeros(length, dtype=np.int64)
+    for p in range(length):
+        for q in range(max(p - w, 0), min(p + w + 1, length)):
+            at = (cols == q) & (q != p)
+            np.add.at(table[p], rows[at], vals[at])
+            counts[p] += at.sum()
+    p, m = np.nonzero(table)
+    members = AddAtOperator(p, m, table[p, m], table.shape)
+    return members, members.T, counts
+
+
+def add_at_basket_members(data):
+    """``BasketContext._members`` by ``np.add.at``: the stored entries as an
+    (columns, rows) ``AddAtOperator`` in entry order, its transpose and the
+    column counts."""
+    members = AddAtOperator(data.cols, data.rows, data.vals, (data.n_cols, data.n_rows))
+    return members, members.T, np.bincount(data.cols, minlength=data.n_cols)
 
 
 # the values each family's data may hold, one value at a time, and the
@@ -399,9 +440,11 @@ def fstring_write_triplets(path, data):
 
 def dense_zero_cells(data, q):
     """``DataMatrix.zero_cells`` of implicit-zero data by indexing every
-    zero cell id of the dense matrix at the sorted queries."""
+    zero cell id of the dense matrix at the sorted queries, with the row
+    starts of the cells."""
     ids = np.flatnonzero(dense_values(data).ravel() == 0.0)[np.sort(np.asarray(q, dtype=np.int64))]
-    return ids // data.n_cols, ids % data.n_cols
+    rows = ids // data.n_cols
+    return rows, ids % data.n_cols, np.searchsorted(rows, np.arange(data.n_rows + 1))
 
 
 def add_at_cell_products(starts, cols, coef, col_table, row_table):
@@ -421,7 +464,7 @@ def add_at_scatter(ctx, data, emb, cv, batch, coef):
     order, one chunk of cells at a time; the basket and window ones over
     the batch in row-major cell order, equal cells in batch order (a 0-d
     value or storedness holds for every cell), with the basket's own-term
-    coefficients summed per row and taken off after the column spread."""
+    coefficients summed per row and taken off after the members' share."""
     g_emb, g_cv = np.zeros_like(emb), np.zeros_like(cv)
     if isinstance(ctx, KnnContext):
         nb = ctx.neighbors[batch.rows]
@@ -438,22 +481,20 @@ def add_at_scatter(ctx, data, emb, cv, batch, coef):
     rows, cols, vals, stored, coef = (np.broadcast_to(a, order.shape)[order]
                                       for a in (batch.rows, batch.cols, batch.vals,
                                                 batch.stored, coef))
-    colsum = np.zeros((data.n_cols, cv.shape[1]))
-    np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
     if isinstance(ctx, WindowContext):
-        colsum = prefix_gather_window_table(ctx.half_width, colsum)
+        Mt, M, colcount = add_at_window_members(ctx.half_width, data)
+    else:
+        Mt, M, colcount = add_at_basket_members(data)
+    colsum = Mt @ cv
     own_coef = np.zeros(len(emb))
     if isinstance(ctx, BasketContext):
         # a cell with no member (alone in its column) adds nothing
-        colcount = np.bincount(data.cols, minlength=data.n_cols)
         coef = np.where(colcount[cols] > stored, coef, 0.0)
         np.add.at(own_coef, rows, coef * vals)
     np.add.at(g_emb, rows, coef[:, None] * colsum[cols])
     R = np.zeros((data.n_cols, emb.shape[1]))
     np.add.at(R, cols, coef[:, None] * emb[rows])
-    if isinstance(ctx, WindowContext):
-        R = prefix_gather_window_table(ctx.half_width, R)
-    np.add.at(g_cv, data.rows, data.vals[:, None] * R[data.cols])
+    g_cv = M @ R
     if isinstance(ctx, BasketContext):
         g_emb -= own_coef[:, None] * cv
         g_cv -= own_coef[:, None] * emb
@@ -586,11 +627,12 @@ def scalar_npll(test_data, ctx, bank, spec):
 
 def dense_draw_zero_cells(data, n_terms, per_term, rng):
     """Reference zero-cell draw: the same random index draws as
-    ``train._draw_zero_cells``, mapped through every zero cell id of the
-    dense matrix."""
+    ``train._draw_zero_cells``, each term's sorted in a copy for its
+    duplicate check, mapped through every zero cell id of the dense matrix,
+    with the row starts of the cells."""
     n_zero = int((dense_values(data) == 0.0).sum())
     if n_zero == 0 or n_terms == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero
+        return np.empty(0, np.int64), np.empty(0, np.int64), 0, n_zero, np.zeros(data.n_rows + 1)
     k = min(per_term, n_zero)
     if k == n_zero:
         picked = np.tile(np.arange(n_zero), n_terms)
@@ -606,7 +648,8 @@ def dense_draw_zero_cells(data, n_terms, per_term, rng):
             for row in range(n_terms):
                 idx[row] = rng.choice(n_zero, size=k, replace=False)
         picked = idx.ravel()
-    return *dense_zero_cells(data, picked), n_terms * k, n_zero
+    rows, cols, starts = dense_zero_cells(data, picked)
+    return rows, cols, n_terms * k, n_zero, starts
 
 
 def serial_sparse_train(data, ctx, spec, config):

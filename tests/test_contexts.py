@@ -5,7 +5,6 @@ from glembed.contexts import (
     CELL_CHUNK,
     KnnContext,
     SpatialLayout,
-    WindowContext,
     WindowSpec,
     build_basket_context,
     build_knn_context,
@@ -13,23 +12,23 @@ from glembed.contexts import (
     knn_neighbors,
 )
 from glembed import contexts
-from glembed.core import (DataMatrix, EmbeddingBank, Link, Scratch, TermBatch, cell_products,
-                          scatter_rows)
+from glembed.core import DataMatrix, EmbeddingBank, Link, TermBatch, cell_products, scatter_rows
 from glembed.errors import ConfigError, DataError
 from glembed.families import Family, FamilySpec, weighted_term_gradient
 
 from helpers import (
     MemberPass,
+    add_at_basket_members,
     add_at_cell_products,
     add_at_scatter,
     add_at_term_gradient,
+    add_at_window_members,
     cells,
     count_instance,
     dense_matrix,
     dense_values,
     gaussian_instance,
     lexsort_knn_neighbors,
-    prefix_gather_window_table,
     text_instance,
 )
 
@@ -199,22 +198,46 @@ def test_window_context_members_exclude_own_column():
     assert (table.sum(axis=1) == [2, 3, 4, 4, 4, 3, 2]).all()
 
 
+def _window_data(length, storage, rng):
+    """Data over ``length`` positions whose values span 16 decades: a word
+    per position drawn from 4 (so words repeat inside windows), two words
+    per position of 5, or every cell of 5 rows explicit with about 30% of
+    them missing."""
+    vocab = 4 if storage == "word" else 5
+    if storage == "word":
+        rows, cols = rng.integers(0, vocab, length), np.arange(length)
+    elif storage == "two":
+        rows = np.stack([rng.integers(0, 2, length), rng.integers(2, vocab, length)], 1).ravel()
+        cols = np.repeat(np.arange(length), 2)
+    else:
+        rows, cols = np.divmod(np.flatnonzero(rng.random(vocab * length) >= 0.3), length)
+    vals = rng.choice([-1.0, 1.0], len(rows)) * 10.0 ** rng.uniform(-8, 8, len(rows))
+    if storage == "holey":
+        vals[::7] = 0.0  # stored zeros are members that add nothing
+    return DataMatrix(vocab, length, rows, cols, vals, implicit_zero=storage != "holey")
+
+
+@pytest.mark.parametrize("storage", ["word", "two", "holey"])
 @pytest.mark.parametrize("length, w", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 3), (4, 4),
                                        (3, 7), (7, 1), (7, 3), (50, 1), (50, 3)])
-def test_window_table_equals_prefix_gather_byte_for_byte(length, w):
-    # the edge rows repeat where the window runs past either end
+def test_window_members_equal_the_add_at_oracle_byte_for_byte(length, w, storage):
+    # a half width at or past the length reaches every other position; the
+    # members of a position are summed in increasing row id, a word's
+    # repeats inside one window first, and carried back by the transpose
     rng = np.random.default_rng(length * 10 + w)
-    ctx = WindowContext(w)
-    table = rng.choice([-1.0, 1.0], (length, 3)) * 10.0 ** rng.uniform(-8, 8, (length, 3))
-    table[rng.random(table.shape) < 0.1] = -0.0
-    counts = rng.integers(0, 5, length).astype(np.float64)[:, None]
-    scratch = Scratch()
-    for t in (table, counts, table[:, 0]):
-        # a scratch whose reused prefix and output tables hold NaN from the call before
-        ctx._window_table(np.full_like(t, np.nan), scratch, "out")
-        got, want = ctx._window_table(t, scratch, "out"), prefix_gather_window_table(w, t)
+    data = _window_data(length, storage, rng)
+    ctx = build_window_context(length, WindowSpec(w), data)
+    Mt, M, counts = ctx._members(data)
+    assert all(np.all(np.diff(Mt.indices[a:b]) > 0) for a, b in zip(Mt.indptr, Mt.indptr[1:]))
+    want_Mt, want_M, want_counts = add_at_window_members(w, data)
+    np.testing.assert_array_equal(counts, want_counts)
+    assert counts.dtype == np.int64
+    cv = rng.normal(size=(data.n_rows, 3)) * 10.0 ** rng.uniform(-8, 8, (data.n_rows, 3))
+    R = rng.normal(size=(length, 3)) * 10.0 ** rng.uniform(-8, 8, (length, 3))
+    for got, want in ((Mt @ cv, want_Mt @ cv), (M @ R, want_M @ R)):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert ctx._members(data)[0] is Mt  # built once per data
 
 
 @pytest.mark.parametrize("implicit", [False, True])
@@ -231,17 +254,15 @@ def test_csr_products_equal_scatter_rows_byte_for_byte(implicit):
     assert (np.diff(data.rows) < 0).any() and (np.diff(data.cols) < 0).any()
     cv = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-8, 8, (n, dim))
     R = rng.normal(size=(t, dim)) * 10.0 ** rng.uniform(-8, 8, (t, dim))
-    for got, want in ((contexts._column_tables(data, cv),
-                       scatter_rows(data.cols, cv[data.rows], t, data.vals)),
-                      (contexts._spread(data, R),
-                       scatter_rows(data.rows, R[data.cols], n, data.vals))):
+    for got, want in ((data.Xt @ cv, scatter_rows(data.cols, cv[data.rows], t, data.vals)),
+                      (data.X @ R, scatter_rows(data.rows, R[data.cols], n, data.vals))):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(contexts._column_counts(data),
                                   np.bincount(data.cols, minlength=t))
     # an empty matrix has zero sums and counts
     empty = DataMatrix(n, t, [], [], [], implicit_zero=implicit)
-    assert not contexts._column_tables(empty, cv).any() and not contexts._spread(empty, R).any()
+    assert not (empty.Xt @ cv).any() and not (empty.X @ R).any()
     assert not contexts._column_counts(empty).any()
 
 
@@ -478,12 +499,9 @@ def test_column_table_at_in_chunks_equals_whole_batch_gathers(builder):
     batch = cells(data, rows, cols)
     emb, cv = rng.normal(scale=0.3, size=(2, data.n_rows, 4))
     H, counts = ctx.block(data, emb, cv).at(batch)
-    colsum = np.zeros((data.n_cols, 4))
-    np.add.at(colsum, data.cols, data.vals[:, None] * cv[data.rows])
-    colcount = np.bincount(data.cols, minlength=data.n_cols)
-    if builder == "window":
-        colsum = prefix_gather_window_table(2, colsum)
-        colcount = prefix_gather_window_table(2, colcount[:, None].astype(float))[:, 0]
+    members, _, colcount = (add_at_window_members(2, data) if builder == "window"
+                            else add_at_basket_members(data))
+    colsum = members @ cv
     want = np.einsum("ed,ed->e", emb[rows], colsum[cols])
     want_counts = colcount[cols]
     if builder == "basket":
@@ -491,6 +509,10 @@ def test_column_table_at_in_chunks_equals_whole_batch_gathers(builder):
         want_counts = want_counts - batch.stored
     np.testing.assert_array_equal(H.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(counts, want_counts)
+    # a pass made for a link that reads no counts gathers none
+    H, counts = ctx.block(data, emb, cv, counts=False).at(batch)
+    assert counts is None
+    np.testing.assert_array_equal(H.view(np.int64), want.view(np.int64))
     bad = cells(data, np.r_[rows[:3], 1], np.r_[cols[:3], data.n_cols - 1])
     bad.cols[-1] = data.n_cols
     for call in (lambda p: p.at(bad), lambda p: p.scatter_at(bad, np.ones(4))):

@@ -14,6 +14,7 @@ import pytest
 from glembed import contexts
 from glembed.core import DataMatrix, EmbeddingBank, Link, Scratch, TermBatch
 from glembed.contexts import (
+    BasketContext,
     SpatialLayout,
     WindowContext,
     WindowSpec,
@@ -54,8 +55,10 @@ from glembed.train import (
 from helpers import (
     ExplicitContext,
     active_terms,
+    add_at_basket_members,
     add_at_cell_products,
     add_at_rows,
+    add_at_window_members,
     categorical_term_log_likelihoods,
     categorical_weighted_gradient,
     cells,
@@ -69,7 +72,6 @@ from helpers import (
     fd_gradient,
     fresh_table_log_likelihood,
     gaussian_instance,
-    prefix_gather_window_table,
     serial_sparse_train,
     sparse_counts,
     text_instance,
@@ -693,9 +695,9 @@ def test_zero_cell_draw_matches_dense_oracle(case):
                 a, b = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = _draw_zero_cells(data, n_terms, per_term, a)
                 want = dense_draw_zero_cells(data, n_terms, per_term, b)
-                for g, w in zip(got[:2], want[:2]):
+                for g, w in zip(got[:2] + got[4:], want[:2] + want[4:]):
                     np.testing.assert_array_equal(g, w)
-                assert got[2:] == want[2:]
+                assert got[2:4] == want[2:4]
                 assert a.integers(1 << 62) == b.integers(1 << 62)
     if n_zero:
         # many repeated queries, the first and last empty cells among them:
@@ -703,8 +705,35 @@ def test_zero_cell_draw_matches_dense_oracle(case):
         zero_ids = np.flatnonzero(dense_values(data).ravel() == 0.0)
         rng = np.random.default_rng(case)
         q = np.concatenate([rng.integers(0, n_zero, 100_000), [n_zero - 1, 0, n_zero - 1]])
-        rows, cols = data.zero_cells(q)
+        rows, cols, _ = data.zero_cells(q)
         np.testing.assert_array_equal(rows * data.n_cols + cols, zero_ids[np.sort(q)])
+
+
+def test_sparse_fit_zero_pieces_are_int32_cells_of_the_dense_lookup(monkeypatch):
+    # each step's zero piece holds the cells of its sorted draw as int32
+    # rows and columns, kept by the batch as the lookup returns them
+    data, ctx, _ = count_instance(47, n=20, t=60, density=0.3)
+    lookups, pieces = [], []
+    zero_cells, step = DataMatrix.zero_cells, TRAIN.sparse_gradient
+
+    def noted_lookup(self, q):
+        lookups.append((q.copy(), zero_cells(self, q)))
+        return lookups[-1][1]
+
+    def noted_step(*args, **kwargs):
+        pieces.append(kwargs["pieces"][1])
+        return step(*args, **kwargs)
+    monkeypatch.setattr(DataMatrix, "zero_cells", noted_lookup)
+    monkeypatch.setattr(TRAIN, "sparse_gradient", noted_step)
+    cfg = TrainConfig(dim=4, estimator="sparse", negative_samples=3, n_iterations=4, seed=3)
+    train(data, ctx, FamilySpec(Family.POISSON), cfg)
+    assert len(lookups) == len(pieces) == 4  # the logged objective is exact
+    for (q, got), piece in zip(lookups, pieces):
+        assert len(q) == 3 * data.nnz and (np.diff(q) >= 0).all()
+        assert piece.rows.dtype == piece.cols.dtype == np.int32
+        assert piece.rows is got[0] and piece.cols is got[1] and piece.row_starts is got[2]
+        for g, want in zip(got, dense_zero_cells(data, q)):
+            np.testing.assert_array_equal(g, want)
 
 
 def test_zero_cells_outside_every_stored_key():
@@ -716,7 +745,7 @@ def test_zero_cells_outside_every_stored_key():
     zero_ids = np.setdiff1d(np.arange(n * t), keys)
     q = np.concatenate([rng.integers(0, len(zero_ids), 100_000), np.arange(50),
                         len(zero_ids) - 1 - np.arange(50), [0, 0]])
-    rows, cols = data.zero_cells(q)
+    rows, cols, _ = data.zero_cells(q)
     np.testing.assert_array_equal(rows * t + cols, zero_ids[np.sort(q)])
 
 
@@ -725,25 +754,25 @@ def test_zero_cells_of_empty_queries_empty_data_and_the_tail():
     data = DataMatrix(6, 7, [0, 2, 2, 3], [1, 0, 5, 6], [1.0, 2.0, 3.0, 1.0], implicit_zero=True)
     empty = DataMatrix(6, 7, [], [], [], implicit_zero=True)
     for d in (data, empty):
-        rows, cols = d.zero_cells(np.empty(0, np.int64))
+        rows, cols, _ = d.zero_cells(np.empty(0, np.int64))
         assert rows.shape == cols.shape == (0,)
         q = rng.integers(0, 42 - d.nnz, 500)
         for got, want in zip(d.zero_cells(q), dense_zero_cells(d, q)):
             np.testing.assert_array_equal(got, want)
-    rows, cols = empty.zero_cells(q)
+    rows, cols, _ = empty.zero_cells(q)
     np.testing.assert_array_equal(rows * 7 + cols, np.sort(q))
     # every query past the last stored key, 27 = (3, 6): the empty cells
     # from key 28 on, each after every stored entry
     q = 28 - data.nnz + rng.integers(0, 42 - 28, 300)
-    rows, cols = data.zero_cells(q)
+    rows, cols, _ = data.zero_cells(q)
     np.testing.assert_array_equal(rows * 7 + cols, np.sort(q) + data.nnz)
 
 
 def _reference_kernels(monkeypatch):
-    """Swap in the ``np.add.at`` scatters for the incidence, coefficient-matrix
-    and CSR products (the column counts as a ``bincount``), the dense
-    zero-cell lookup and the prefix-gather window table, which ignores the
-    scratch; returns their call counts."""
+    """Swap in the ``np.add.at`` scatters for the incidence and
+    coefficient-matrix products, the ``np.add.at`` member matrices for the
+    basket's CSR operators and the window's band product, and the dense
+    zero-cell lookup; returns their call counts."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -755,16 +784,12 @@ def _reference_kernels(monkeypatch):
         monkeypatch.setattr(f"glembed.{module}.scatter_rows", counted("scatter", add_at_rows))
     monkeypatch.setattr("glembed.contexts.cell_products",
                         counted("products", add_at_cell_products))
-    monkeypatch.setattr("glembed.contexts._column_tables", counted("csr", lambda data, cv: (
-        add_at_rows(data.cols, cv[data.rows], data.n_cols, data.vals))))
-    monkeypatch.setattr("glembed.contexts._spread", counted("csr", lambda data, R: (
-        add_at_rows(data.rows, R[data.cols], data.n_rows, data.vals))))
-    monkeypatch.setattr("glembed.contexts._column_counts", counted("counts", lambda data: (
-        np.bincount(data.cols, minlength=data.n_cols))))
+    monkeypatch.setattr(BasketContext, "_members", counted(
+        "members", lambda ctx, data: add_at_basket_members(data)))
+    monkeypatch.setattr(WindowContext, "_members", counted(
+        "members", lambda ctx, data: data.memo("add.at members", lambda: (
+            add_at_window_members(ctx.half_width, data)))))
     monkeypatch.setattr(DataMatrix, "zero_cells", counted("zero_cells", dense_zero_cells))
-    monkeypatch.setattr(WindowContext, "_window_table", counted(
-        "window", lambda ctx, table, scratch, name: prefix_gather_window_table(ctx.half_width,
-                                                                               table)))
     return calls
 
 
@@ -795,12 +820,11 @@ def test_training_bytes_equal_the_reference_kernels(case, monkeypatch):
     want, want_log = train(data, ctx, spec, cfg)
     # scatter_rows serves the kNN pass and the basket's own-term correction
     assert (calls["scatter"] > 0) == (builder != "window")
-    assert (calls["csr"] > 0) == (calls["counts"] > 0) == (builder != "knn")
+    assert (calls["members"] > 0) == (builder != "knn")
     # the sparse steps draw zero cells, and so does the logged subsample of
     # the full-window instance (30 x 400 cells, above 2 * LOG_TERMS)
     assert (calls["zero_cells"] > 0) == data.implicit_zero
     assert (calls["products"] > 0) == (builder != "knn" and estimator != "full")
-    assert (calls["window"] > 0) == (builder == "window")
     for table, ref in ((got.embeddings, want.embeddings),
                        (got.context_vectors, want.context_vectors)):
         np.testing.assert_array_equal(table.view(np.int64), ref.view(np.int64))
@@ -1341,6 +1365,33 @@ def test_sparse_draws_run_on_one_worker_that_ends_with_the_call(monkeypatch):
     assert len(log) == 4 and len(drawn_on) == 6
     assert len(set(drawn_on)) == 1 and drawn_on[0] is not threading.current_thread()
     assert not drawn_on[0].is_alive()
+
+
+def test_the_first_zero_draw_overlaps_the_first_log_point(monkeypatch):
+    # the first draw is submitted before the first log point, which here
+    # waits for it to start: a draw submitted after it would time out
+    drawing = threading.Event()
+
+    def noted(*args):
+        drawing.set()
+        return _draw_zero_cells(*args)
+    monkeypatch.setattr(TRAIN, "_draw_zero_cells", noted)
+    started = []
+
+    def logged(*args, **kwargs):
+        if not started:
+            started.append(drawing.wait(timeout=10))
+        return estimate_objective(*args, **kwargs)
+    monkeypatch.setattr(TRAIN, "estimate_objective", logged)
+    _, log = _hygiene_fit()
+    assert started == [True] and len(log) == 4
+
+
+def test_a_fit_of_no_steps_draws_nothing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(TRAIN, "_draw_zero_cells", lambda *args: drawn.append(args))
+    _, log = _hygiene_fit(n_iterations=0)
+    assert drawn == [] and [r.iteration for r in log] == [0]
 
 
 def test_no_worker_outlives_a_numeric_abort(monkeypatch):
